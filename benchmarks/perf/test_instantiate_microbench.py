@@ -1,22 +1,28 @@
-"""Instantiation microbenchmark: compiled arena refill vs interpreted
-command construction, in both time (ops/sec) and space (tracemalloc bytes
-per instantiation).
+"""Instantiation microbenchmark on a real worker: the compiled path
+(frame + cached seam) against the interpreted ``half.instantiate`` +
+``_enqueue_batch``, in time (instantiations/sec) and space (tracemalloc
+bytes per instantiation).
 
-The compiled path's whole premise is that steady-state instantiation
-should touch only per-instance fields of pooled Command objects. These
-tests pin that claim down quantitatively:
+Both sides are timed inside ``Worker._on_instantiate_template`` — command
+set-up, cross-instance dependency edges, the conflict-tracker update and
+the ready cascade all included — with a pipeline of instances in flight,
+so the numbers cannot drift from what a workload pays. These tests pin:
 
-* the compiled path must beat the interpreted path on ops/sec with a
-  wide margin (4x asserted; ~20x measured on an idle machine);
-* a steady-state compiled instantiation must allocate a small fraction
-  of the interpreted path's bytes (the interpreted path builds every
-  Command, before-list, and tag tuple from scratch each time).
+* steady pipelined replay (depth 3, seam hit) beats the interpreted path
+  with a wide margin (3x asserted; 4.4-5.5x measured);
+* the seam is only a cache: an instantiation that has to fall back to the
+  tracker walk (seam miss), and blocking replay (depth 1), still beat the
+  interpreted path;
+* a steady compiled instantiation allocates well under half of the
+  interpreted path's bytes (which builds every Command, before-list and
+  tag tuple from scratch each time): 32 % measured, 40 % asserted.
 """
 
 from repro.perf import (
     bench_instantiate,
     bench_instantiate_compiled,
     instantiate_allocations,
+    instantiate_breakdown,
 )
 
 NUM_WORKERS = 50
@@ -25,10 +31,25 @@ NUM_WORKERS = 50
 def test_compiled_instantiation_is_faster():
     interpreted = bench_instantiate(NUM_WORKERS)
     compiled = bench_instantiate_compiled(NUM_WORKERS)
-    assert compiled >= 4.0 * interpreted, (
+    assert compiled >= 3.0 * interpreted, (
         f"compiled instantiation only {compiled / interpreted:.1f}x the "
         f"interpreted rate ({compiled:,.0f} vs {interpreted:,.0f} ops/s)"
     )
+
+
+def test_every_compiled_variant_beats_interpreted():
+    us = instantiate_breakdown(NUM_WORKERS)
+    assert set(us) == {
+        f"{name}_depth{depth}_us" for depth in (1, 3)
+        for name in ("interpreted", "compiled_seam_hit", "compiled_seam_miss")
+    }
+    for depth in (1, 3):
+        interpreted = us[f"interpreted_depth{depth}_us"]
+        hit = us[f"compiled_seam_hit_depth{depth}_us"]
+        miss = us[f"compiled_seam_miss_depth{depth}_us"]
+        # ratios with headroom, not a strict ordering of 0.1 s samples:
+        # measured hit ~0.2x and miss ~0.3x of interpreted
+        assert 1.2 * hit < interpreted and miss < interpreted, (depth, us)
 
 
 def test_compiled_instantiation_allocates_less():
@@ -36,9 +57,11 @@ def test_compiled_instantiation_allocates_less():
     interpreted = alloc["interpreted_bytes_per_instantiation"]
     compiled = alloc["compiled_bytes_per_instantiation"]
     assert interpreted > 0
-    # tags and cids still allocate a few tuples/ints; the Command objects,
-    # before lists, and registration dicts must not be rebuilt
-    assert compiled <= interpreted // 4, (
+    # ids, dependency counts, tags and the tracker's reader lists still
+    # allocate; the Command objects, before lists and per-command
+    # dependency sets must not be rebuilt (measured 32.1 KB vs 101.3 KB;
+    # the bound is 1.25x that ratio)
+    assert 5 * compiled <= 2 * interpreted, (
         f"compiled path allocates {compiled} B per instantiation vs "
         f"{interpreted} B interpreted — pooling is not paying off"
     )

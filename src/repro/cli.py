@@ -415,6 +415,9 @@ def cmd_perf(args) -> None:
         print("per-instantiation allocations: "
               f"interpreted {alloc['interpreted_bytes_per_instantiation']:,} B, "
               f"compiled {alloc['compiled_bytes_per_instantiation']:,} B")
+        print("per-instantiation handler time (real worker): " + ", ".join(
+            f"{name[:-3]} {us:,.1f} us"
+            for name, us in report["instantiate_breakdown"].items()))
     if not args.no_write:
         path = bench_path()
         write_bench(report, path)

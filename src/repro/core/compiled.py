@@ -8,26 +8,36 @@ caching one level down, from *decisions* to the *dispatch data structures*:
 
 * :func:`compile_plan` turns a worker half's entry array into a
   struct-of-arrays :class:`CompiledPlan` — flat arrays of initial
-  dependency counts, a CSR successor adjacency (offsets + targets),
-  precomputed send/recv tag ingredients, parameter slots, and the *net*
-  effect of the batch on the worker's object-conflict tracker;
-* :class:`CommandArena` is a pooled array of :class:`Command` objects
-  matching the plan. Instantiating a template rewrites only the
-  per-instance fields (cid, tag, params, scheduling state) in place; the
-  static fields (kind, read/write sets, function, destination) are written
-  once when the arena is built. Arenas are pooled per plan because the
-  driver pipelines instances, so several instances of the same block can
-  be in flight on a worker at once.
+  dependency counts, successors as int positions, precomputed send/recv
+  tag ingredients, parameter slots, the rows that need a runtime
+  decision at instantiation, and the *net* effect of the batch on the
+  worker's object-conflict tracker;
+* :class:`CommandArena` is the pooled *frame* one instance runs on: an
+  array of :class:`Command` objects matching the plan (static fields are
+  written once when the arena is built; only tags and parameters are
+  rewritten per instance) plus the flat per-instance state — dependency
+  counts, command ids, the instance record — held once per frame instead
+  of on every command. Arenas are pooled per plan because the driver
+  pipelines instances, so several instances of the same block can be in
+  flight on a worker at once;
+* :func:`build_seam` caches the *cross*-instance edges of a (predecessor
+  plan, plan) pair: every conflict check whose tracker state is fully
+  determined by the predecessor's net update becomes a list of
+  predecessor positions, so replay is list indexing instead of oid-keyed
+  dict walks.
 
-The compiled path is semantics-preserving by construction: the worker's
-resolution sweep over a plan visits entries in the same order, counts the
-same dependencies, and triggers the same synchronous completions as the
-interpreted two-pass ``_enqueue_batch``, so virtual results (iteration
-times, decision counters, chaos snapshots) are bit-identical either way.
+The compiled path is semantics-preserving by construction: a frame waits
+on the same commands (minus edges another edge implies), fires ready
+positions in the same order, and triggers the same synchronous
+completions as the interpreted two-pass ``_enqueue_batch``, so virtual
+results (iteration times, decision counters, chaos snapshots) are
+bit-identical either way.
 Escape hatches: ``REPRO_COMPILED_TEMPLATES=0`` disables the compiled path
 entirely; ``REPRO_COMPILED_CROSS_CHECK=1`` re-derives every instantiation
 through the interpreted ``instantiate_entries`` and compares field by
-field (and recompiles the plan to catch stale-plan-after-edit bugs).
+field (and recompiles the plan to catch stale-plan-after-edit bugs), and
+re-derives every frame's cross-instance edges and ready order through the
+tracker walk (``repro.nimbus.crosscheck``).
 """
 
 from __future__ import annotations
@@ -48,31 +58,57 @@ def cross_check_enabled() -> bool:
     return os.environ.get("REPRO_COMPILED_CROSS_CHECK", "") not in ("", "0")
 
 
-class CommandArena:
-    """A reusable array of Command objects for one compiled plan.
+#: a read-only object's reader list is pruned of completed readers once
+#: it has grown by its own (pruned) length, and never more often than this
+READERS_PRUNE_MIN = 8
 
-    ``sweep_pos`` is the index the owning worker's resolution sweep has
-    reached for the instance currently occupying the arena; successors at
-    positions not yet swept must not be decremented directly (their
-    dependency counts are not initialized yet) — completions during the
-    sweep park adjustments in ``early`` instead, and the sweep subtracts
-    them when it reaches the position. ``outstanding`` counts commands not
-    yet completed; the arena returns to its plan's pool at zero.
+
+class CommandArena:
+    """The frame one compiled instance runs on (pooled per plan).
+
+    ``rem[pos]`` is the outstanding-dependency count of the command at
+    ``pos`` (-1 once it completed, which is how a later instance asks
+    "is this predecessor still pending?"), ``cids[pos]`` its command id,
+    ``xsucc[pos]`` its cross-instance successors (commands of later
+    frames, or centrally dispatched ones) in registration order — the
+    frame-local replacement for the worker's cid-keyed dependents map.
+    ``outstanding`` counts commands not yet completed; the arena returns
+    to its plan's pool at zero.
     """
 
-    __slots__ = ("plan", "cmds", "sweep_pos", "early", "outstanding")
+    __slots__ = ("plan", "cmds", "rem", "cids", "xsucc", "record",
+                 "outstanding")
 
     def __init__(self, plan: "CompiledPlan", cmds: List[Command]):
         self.plan = plan
         self.cmds = cmds
-        self.sweep_pos = -1
-        self.early: Dict[int, int] = {}
+        self.rem: List[int] = []
+        self.cids: List[int] = []
+        self.xsucc: List[List[Command]] = [[] for _ in cmds]
+        self.record = None
         self.outstanding = 0
 
     def release(self) -> None:
-        self.early.clear()
+        self.record = None
         self.outstanding = 0
         self.plan.pool.append(self)
+
+
+class Seam:
+    """Instantiation rows of a plan after one predecessor (build_seam).
+
+    ``rows`` holds ``(pos, preds, roids, woids, is_recv)`` for every
+    position with a runtime question at instantiation: ``preds`` are
+    positions of the predecessor frame that are dependencies iff still
+    pending; ``roids``/``woids`` are the objects left to the tracker walk.
+    """
+
+    __slots__ = ("rows", "covered", "fallback")
+
+    def __init__(self, rows, covered: int, fallback: int):
+        self.rows = rows
+        self.covered = covered  # ext-check oids answered by ``preds``
+        self.fallback = fallback  # ext-check oids left to the tracker
 
 
 class CompiledPlan:
@@ -84,15 +120,40 @@ class CompiledPlan:
     """
 
     __slots__ = (
-        "live", "reports", "m", "index", "kinds", "recv_flags",
-        "init_before", "before_pos", "succ_offsets", "succ_targets",
-        "sends", "recvs", "param_slots", "report_flags", "report_positions",
-        "ext_checks", "writes_final", "readers_reset", "readers_append",
-        "rows", "pool",
+        "live", "reports", "m", "index", "kinds", "init_before",
+        "before_pos", "succ", "sends", "recvs", "param_slots",
+        "report_flags", "report_positions", "net", "readers_append",
+        "init_hold", "held", "miss", "anc", "pool",
     )
 
     def __init__(self) -> None:
         self.pool: List[CommandArena] = []
+        self.anc: Optional[List[int]] = None
+
+    @property
+    def ext_checks(self) -> List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
+        """``(pos, roids, woids)`` for every access that faces pre-batch
+        tracker state (the miss rows minus bare roots and RECVs)."""
+        return [(pos, roids, woids)
+                for pos, _preds, roids, woids, _recv in self.miss.rows
+                if roids or woids]
+
+    def ancestors(self) -> List[int]:
+        """Per position, the bitmask of the positions it transitively
+        depends on inside the batch (built on first use: seams only)."""
+        if self.anc is None:
+            counts = self.init_before[:]
+            order = [p for p, deps in enumerate(self.before_pos) if not deps]
+            for p in order:  # topological: before sets may point forward
+                for t in self.succ[p]:
+                    counts[t] -= 1
+                    if not counts[t]:
+                        order.append(t)
+            self.anc = anc = [0] * self.m
+            for p in order:
+                for d in self.before_pos[p]:
+                    anc[p] |= anc[d] | 1 << d
+        return self.anc
 
     # ------------------------------------------------------------------
     # Arena pooling
@@ -103,7 +164,6 @@ class CompiledPlan:
             arena = pool.pop()
         else:
             arena = self._build_arena(worker_id, registry)
-        arena.sweep_pos = -1
         arena.outstanding = self.m
         return arena
 
@@ -117,11 +177,9 @@ class CompiledPlan:
             )
             cmds.append(cmd)
         arena = CommandArena(self, cmds)
-        offsets, targets = self.succ_offsets, self.succ_targets
         for pos, cmd in enumerate(cmds):
             cmd._cpos = pos
             cmd._carena = arena
-            cmd._csucc = [cmds[t] for t in targets[offsets[pos]:offsets[pos + 1]]]
             if registry is not None and cmd.kind == CommandKind.TASK:
                 try:
                     cmd._cfn = registry.get(cmd.function)
@@ -133,7 +191,13 @@ class CompiledPlan:
     # Introspection
     # ------------------------------------------------------------------
     def describe(self) -> dict:
-        """Small summary dict (trace labels, debugging) — no entry data."""
+        """Small summary dict (trace labels, debugging) — no entry data.
+
+        ``seam_covered``/``seam_fallback`` split the ext-check oids of a
+        steady replay (this plan following itself) into those its seam
+        answers and those left to the tracker walk.
+        """
+        seam = build_seam(self, self)
         return {
             "commands": self.m,
             "sends": len(self.sends),
@@ -141,6 +205,9 @@ class CompiledPlan:
             "reports": len(self.report_positions),
             "param_slots": len(self.param_slots),
             "ext_checks": len(self.ext_checks),
+            "rows": len(self.miss.rows),
+            "seam_covered": seam.covered,
+            "seam_fallback": seam.fallback,
         }
 
     # ------------------------------------------------------------------
@@ -152,12 +219,11 @@ class CompiledPlan:
         entries it claims to represent."""
         return (
             self.m, tuple(self.index), tuple(self.kinds),
-            tuple(self.recv_flags), tuple(self.init_before),
-            tuple(self.before_pos), tuple(self.succ_offsets),
-            tuple(self.succ_targets), tuple(self.sends), tuple(self.recvs),
+            tuple(self.init_before), tuple(self.before_pos),
+            tuple(self.succ), tuple(self.sends), tuple(self.recvs),
             tuple(self.param_slots), tuple(self.report_flags),
-            tuple(self.report_positions), tuple(self.ext_checks),
-            tuple(self.writes_final), tuple(self.readers_reset),
+            tuple(self.report_positions), tuple(self.miss.rows),
+            tuple(self.init_hold), tuple(self.held), tuple(self.net),
             tuple(self.readers_append),
         )
 
@@ -183,9 +249,8 @@ def compile_plan(entries: List[Optional[Any]], reports) -> CompiledPlan:
         pos_of[e.index] = pos
     plan.index = [e.index for e in live]
     plan.kinds = [e.kind for e in live]
-    plan.recv_flags = [e.kind == CommandKind.RECV for e in live]
 
-    # --- before-set edges (intra-batch dependency graph, CSR) ---------
+    # --- before-set edges (intra-batch dependency graph) --------------
     before_pos: List[Tuple[int, ...]] = []
     for pos, e in enumerate(live):
         deps: List[int] = []
@@ -198,23 +263,13 @@ def compile_plan(entries: List[Optional[Any]], reports) -> CompiledPlan:
         before_pos.append(tuple(deps))
     plan.before_pos = before_pos
     plan.init_before = [len(d) for d in before_pos]
-    counts = [0] * m
-    for deps in before_pos:
-        for p in deps:
-            counts[p] += 1
-    offsets = [0] * (m + 1)
-    for p in range(m):
-        offsets[p + 1] = offsets[p] + counts[p]
-    targets = [0] * offsets[m]
-    fill = offsets[:m]
-    # dependents are appended in resolution (position) order, matching the
-    # order the interpreted path builds its _dependents lists in
+    # successors as int positions, appended in resolution (position)
+    # order — the order the interpreted path builds its dependents in
+    succ: List[List[int]] = [[] for _ in live]
     for pos, deps in enumerate(before_pos):
         for p in deps:
-            targets[fill[p]] = pos
-            fill[p] += 1
-    plan.succ_offsets = offsets
-    plan.succ_targets = targets
+            succ[p].append(pos)
+    plan.succ = [tuple(targets) for targets in succ]
 
     # --- per-kind instantiation data ----------------------------------
     plan.sends = [
@@ -240,10 +295,22 @@ def compile_plan(entries: List[Optional[Any]], reports) -> CompiledPlan:
     # reads before the first in-batch write of their object, and the first
     # in-batch write of each object (later writes see in-batch state,
     # which the batch's own before sets already order completely).
-    ext_checks: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
+    #
+    # Instantiation decides per position, in entry order: ``rows`` are the
+    # positions with a runtime question (such a check, a RECV's payload,
+    # or a root that may be ready on the spot). ``held`` are the non-roots
+    # that can still become ready while the instance is being set up —
+    # every dependency completes synchronously, i.e. none is a TASK. They
+    # start with one extra *hold* count, released when the firing pass
+    # reaches their position, so a synchronous completion earlier in the
+    # pass can never fire them ahead of their turn.
+    rows = []
+    held = []
+    plan.init_hold = list(plan.init_before)
     written: set = set()
     readers: Dict[int, List[int]] = {}
     final_writer_pos: Dict[int, int] = {}
+    task, recv = CommandKind.TASK, CommandKind.RECV
     for pos, e in enumerate(live):
         roids: List[int] = []
         woids: List[int] = []
@@ -253,8 +320,12 @@ def compile_plan(entries: List[Optional[Any]], reports) -> CompiledPlan:
         for oid in e.write:
             if oid not in written and oid not in woids:
                 woids.append(oid)
-        if roids or woids:
-            ext_checks.append((pos, tuple(roids), tuple(woids)))
+        deps = before_pos[pos]
+        if roids or woids or e.kind == recv or not deps:
+            rows.append((pos, (), tuple(roids), tuple(woids), e.kind == recv))
+        if deps and not any(plan.kinds[d] == task for d in deps):
+            held.append(pos)
+            plan.init_hold[pos] += 1
         for oid in e.read:
             lst = readers.get(oid)
             if lst is None:
@@ -265,19 +336,70 @@ def compile_plan(entries: List[Optional[Any]], reports) -> CompiledPlan:
             written.add(oid)
             final_writer_pos[oid] = pos
             readers[oid] = []
-    plan.ext_checks = ext_checks
+    plan.held = tuple(held)
+    plan.miss = Seam(rows, 0, sum(len(r[2]) + len(r[3]) for r in rows))
 
     # --- net conflict-tracker update ----------------------------------
-    plan.writes_final = list(final_writer_pos.items())
-    plan.readers_reset = [
-        (oid, tuple(readers[oid])) for oid in final_writer_pos
+    # one ``(oid, final writer, trailing readers)`` row per written
+    # object, plus the readers gained by objects the batch never writes
+    plan.net = [
+        (oid, pos, tuple(readers[oid]))
+        for oid, pos in final_writer_pos.items()
     ]
     plan.readers_append = [
         (oid, tuple(lst)) for oid, lst in readers.items()
         if oid not in written and lst
     ]
-    # fused per-position row for the runtime sweep: one list index + unpack
-    # instead of four parallel-array loads per command
-    plan.rows = list(zip(plan.index, plan.report_flags, plan.init_before,
-                         plan.recv_flags))
     return plan
+
+
+def build_seam(pred: CompiledPlan, plan: CompiledPlan) -> Seam:
+    """Cache the conflict edges between an instance of ``pred`` and the
+    instance of ``plan`` enqueued right after it.
+
+    Valid only while ``pred``'s net update is the last thing that touched
+    the worker's conflict tracker: then, for an object ``pred`` wrote,
+    the tracker holds exactly ``pred``'s final writer and trailing
+    readers, so a check on it can only find those positions. Objects
+    ``pred`` did not write (read-only history, other blocks' data) keep
+    the tracker walk; a position that *writes* one is left to the walk
+    entirely, because its reader list may mix ``pred``'s commands with
+    older ones and the per-command dependency set must stay
+    duplicate-free. A candidate that another candidate transitively
+    depends on is dropped: it completes first, so its edge can never be
+    the one that releases the command.
+    """
+    writer = {oid: pos for oid, pos, _poss in pred.net}
+    readers = {oid: poss for oid, _pos, poss in pred.net}
+    anc = pred.ancestors()
+    rows, covered, fallback = [], 0, 0
+    for row in plan.miss.rows:
+        pos, _preds, roids, woids, is_recv = row
+        preds = set()
+        for oid in woids:
+            if oid not in writer:
+                preds = None  # an uncovered write: the walk takes it all
+                break
+            preds.add(writer[oid])
+            preds.update(readers[oid])
+        if preds is None:
+            fallback += len(roids) + len(woids)
+        elif roids or woids:
+            left = []
+            for oid in roids:
+                if oid in writer:
+                    preds.add(writer[oid])
+                else:
+                    left.append(oid)
+            implied = 0
+            for q in preds:
+                implied |= anc[q]
+            covered += len(roids) + len(woids) - len(left)
+            fallback += len(left)
+            row = (pos, tuple(sorted([q for q in preds
+                                      if not implied >> q & 1])),
+                   tuple(left), (), is_recv)
+        rows.append(row)
+    if not covered:
+        return plan.miss
+    return Seam(rows, covered, fallback)

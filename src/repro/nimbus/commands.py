@@ -62,12 +62,13 @@ class Command:
         # cascade is the hottest path in the whole simulation.
         "_rem",
         "_wmeta",
-        # compiled-plan state (repro.core.compiled): intra-batch successor
-        # commands (direct references), batch position, owning arena, and
-        # the resolved TaskFunction. _csucc is None for commands built
-        # outside an arena, which is how Worker._complete distinguishes
-        # the compiled cascade from the interpreted one.
-        "_csucc",
+        # compiled-plan state (repro.core.compiled): owning arena (the
+        # instance frame, which holds this command's id, dependency count
+        # and metadata), batch position in it, and the resolved
+        # TaskFunction. _carena is None for commands built outside an
+        # arena, which is how the worker tells the two apart; an arena
+        # command's own ``cid`` is only stamped in traced/cross-checked
+        # runs.
         "_cpos",
         "_carena",
         "_cfn",
@@ -100,7 +101,7 @@ class Command:
         self.src_worker = src_worker  # RECV only
         self.tag = tag  # SEND/RECV matching tag
         self.size_bytes = size_bytes  # payload size for copies
-        self._csucc = None
+        self._carena = None
         self._cfn = None
 
     def conflicts(self) -> Tuple[Tuple[ObjectId, ...], Tuple[ObjectId, ...]]:

@@ -1,0 +1,146 @@
+"""In-situ oracle for compiled template instantiation.
+
+With ``REPRO_COMPILED_CROSS_CHECK=1`` every instantiation the worker runs
+on a frame (``Worker._run_compiled_plan``) is re-derived the slow way and
+compared:
+
+* the command fields against the interpreted ``instantiate_entries``, and
+  the plan against a fresh compilation of the entry array (catches
+  stale-plan-after-edit bugs);
+* the cross-batch dependency edges against the plain conflict-tracker
+  walk over ``plan.ext_checks`` — edge for edge and in registration
+  order, whether the frame got them from a cached seam or the fallback
+  walk. A seam may drop an edge only when
+  the same command also waits for a later command of the same frame that
+  transitively depends on the dropped edge's source (that edge can never
+  be the one that releases it);
+* the order of ``_on_ready`` calls made while instantiating against
+  :func:`sweep_oracle`, a direct model of the interpreted two-pass
+  ``_enqueue_batch``.
+
+None of this runs, or costs anything, without the flag.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List
+
+from ..core.compiled import CommandArena, CompiledPlan, compile_plan
+from ..core.worker_template import instantiate_entries
+from .commands import Command, CommandKind
+
+
+def sweep_oracle(plan: CompiledPlan, waits: List[int]) -> List[int]:
+    """Positions in the order the interpreted two-pass enqueue calls
+    ``on_ready`` while instantiating, given each position's count of
+    unresolved external waits (cross-batch conflicts, a RECV's missing
+    payload)."""
+    rem = [b + w for b, w in zip(plan.init_before, waits)]
+    order: List[int] = []
+
+    def fire(pos: int, turn: int) -> None:
+        order.append(pos)
+        rem[pos] = -1
+        if plan.kinds[pos] != CommandKind.TASK:  # completes synchronously
+            for t in plan.succ[pos]:
+                rem[t] -= 1
+                if rem[t] == 0 and t < turn:
+                    fire(t, turn)
+
+    for turn in range(plan.m):
+        if rem[turn] == 0:
+            fire(turn, turn)
+    return order
+
+
+def _successors(worker, cmd: Command) -> List[Command]:
+    """The cross-batch successor list of pending ``cmd``."""
+    frame = cmd._carena
+    if frame is not None:
+        return frame.xsucc[cmd._cpos]
+    return worker._dependents.get(cmd.cid, [])
+
+
+class FrameCheck:
+    """Reference for one instantiation; build it after the frame's tags
+    and cids are written and *before* it registers or links anything."""
+
+    def __init__(self, worker, frame: CommandArena):
+        self.worker, self.frame = worker, frame
+        plan, pending = frame.plan, worker._pending
+        self.edges: Dict[int, List[int]] = {}  # pending cid -> positions
+        waits = [0] * plan.m
+        for pos, roids, woids in plan.ext_checks:
+            deps = {worker._last_writer.get(oid) for oid in roids + woids}
+            for oid in woids:
+                deps.update(worker._readers_since.get(oid, ()))
+            for dep in deps:
+                if dep in pending:
+                    self.edges.setdefault(dep, []).append(pos)
+                    waits[pos] += 1
+        for pos, _index in plan.recvs:
+            if frame.cmds[pos].tag not in worker._data_buffer:
+                waits[pos] += 1
+        self.order = sweep_oracle(plan, waits)
+        self.marks = {cid: len(_successors(worker, cmd))
+                      for cid, cmd in pending.items()}
+        self.fired: List[int] = []
+        ready = type(worker)._on_ready
+
+        def on_ready(cmd: Command) -> None:
+            if cmd._carena is frame:
+                self.fired.append(cmd._cpos)
+            ready(worker, cmd)
+        # shadows the method, so completions nested in the firing pass
+        # are recorded too
+        worker._on_ready = on_ready
+
+    def verify(self, entries, instance_id, cid_base, params) -> None:
+        worker, frame, edges = self.worker, self.frame, self.edges
+        worker.__dict__.pop("_on_ready", None)
+        plan = frame.plan
+        held_by: Dict[int, List[Command]] = {}  # position -> its new preds
+        for cid, mark in self.marks.items():
+            pred = worker._pending[cid]
+            added = [c._cpos for c in _successors(worker, pred)[mark:]]
+            if added != sorted(set(added).intersection(edges.get(cid, ()))):
+                raise AssertionError(
+                    f"frame edges from {cid} are {added}; the tracker walk "
+                    f"finds {edges.get(cid)}")
+            for pos in added:
+                held_by.setdefault(pos, []).append(pred)
+        for cid, positions in edges.items():
+            pred = worker._pending[cid]
+            for pos in positions:
+                if pred not in held_by.get(pos, ()) and not any(
+                        c._carena is pred._carena and c._carena is not None
+                        and c._carena.plan.ancestors()[c._cpos]
+                        >> pred._cpos & 1
+                        for c in held_by.get(pos, ())):
+                    raise AssertionError(
+                        f"frame lost the edge {cid} -> position {pos}")
+        if self.fired != self.order:
+            raise AssertionError(
+                f"frame ready order {self.fired} != interpreted order "
+                f"{self.order}")
+        fresh = compile_plan(entries, plan.reports)
+        if fresh.signature() != plan.signature():
+            raise AssertionError(
+                "compiled plan is stale: recompiling the entry array "
+                "produced a different plan (missing invalidation?)")
+        ref = instantiate_entries(
+            entries, worker.worker_id, instance_id, cid_base, params)
+        if len(ref) != plan.m:
+            raise AssertionError(
+                f"compiled plan has {plan.m} commands; interpreted "
+                f"instantiation produced {len(ref)}")
+        for i, want in enumerate(ref):
+            got = frame.cmds[i]
+            for field in ("cid", "kind", "read", "write", "function",
+                          "params", "dst_worker", "src_worker", "tag",
+                          "size_bytes"):
+                g, w = getattr(got, field), getattr(want, field)
+                if g != w:
+                    raise AssertionError(
+                        f"compiled command {i} (cid {got.cid}) differs from "
+                        f"interpreted: {field}={g!r} != {w!r}")

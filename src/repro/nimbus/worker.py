@@ -24,17 +24,30 @@ from collections import deque
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..core import compiled as compiled_mod
-from ..core.compiled import CommandArena, CompiledPlan, compile_plan
+from ..core.compiled import (
+    READERS_PRUNE_MIN,
+    CommandArena,
+    CompiledPlan,
+    Seam,
+    build_seam,
+    compile_plan,
+)
 from ..core.worker_template import WorkerHalf, instantiate_entries
 from ..sim.actor import Actor, Message, _Callback
 from ..sim.engine import Simulator
 from ..sim.metrics import Metrics
 from .commands import Command, CommandKind
 from .costs import CostModel
+from .crosscheck import FrameCheck
 from .data import ObjectStore
 from .multijob import OID_STRIDE
 from .runtime import FunctionRegistry, TaskContext
 from . import protocol as P
+
+
+#: hoisted off the enum class: member lookup is a descriptor call, and the
+#: ready/complete cascade tests the kind of every command
+_TASK = CommandKind.TASK
 
 
 class DurableStorage:
@@ -62,19 +75,17 @@ class _InstanceRecord:
     """
 
     __slots__ = ("block_id", "instance_id", "block_seq", "remaining",
-                 "compute_time", "values", "report_cids", "version",
+                 "compute_time", "values", "version",
                  "cid_base", "task_times", "grant")
 
     def __init__(self, block_id, instance_id, block_seq, remaining,
-                 report_cids, version=0, cid_base=0, task_times=None,
-                 grant=None):
+                 version=0, cid_base=0, task_times=None, grant=None):
         self.block_id = block_id
         self.instance_id = instance_id
         self.block_seq = block_seq
         self.remaining = remaining
         self.compute_time = 0.0
         self.values: Dict[int, Any] = {}
-        self.report_cids = report_cids
         self.version = version
         self.cid_base = cid_base
         self.task_times: Optional[Dict[int, float]] = task_times
@@ -162,10 +173,12 @@ class Worker(P.ReliableEndpoint, Actor):
         self.store = ObjectStore()
         self.peers: Dict[int, "Worker"] = {}  # attached by the cluster
 
-        # command queue state; per-command dependency counts and metadata
-        # live on the Command objects themselves (``_rem``/``_wmeta``)
+        # command queue state. Dependency counts and metadata of centrally
+        # dispatched commands live on the Command (``_rem``/``_wmeta``)
+        # and their successors in ``_dependents``; a compiled instance
+        # keeps all three on its frame (CommandArena) instead.
         self._pending: Dict[int, Command] = {}
-        self._dependents: Dict[int, List[int]] = {}
+        self._dependents: Dict[int, List[Command]] = {}
         self._ready_tasks = deque()
         self._free_slots: int = slots
         self._last_writer: Dict[int, int] = {}
@@ -173,7 +186,7 @@ class Worker(P.ReliableEndpoint, Actor):
 
         # copy matching
         self._data_buffer: Dict[Hashable, Tuple[Any, int]] = {}
-        self._expected: Dict[Hashable, int] = {}  # tag -> recv cid
+        self._expected: Dict[Hashable, Command] = {}  # tag -> waiting RECV
 
         # template and patch caches; templates are keyed per job —
         # (job_id, block_id, version) — so concurrent jobs reusing a
@@ -190,7 +203,16 @@ class Worker(P.ReliableEndpoint, Actor):
                               if use_compiled is None else bool(use_compiled))
         self._cross_check = compiled_mod.cross_check_enabled()
         self._patch_plans: Dict[int, CompiledPlan] = {}
-        self._live_arenas: set = set()
+        #: the frame whose net update was the last thing to touch the
+        #: conflict tracker, else None; the next compiled instance may
+        #: replay its cached seam against it (DESIGN.md §9)
+        self._tail: Optional[CommandArena] = None
+        #: (predecessor plan, plan) -> its seam; None after one sighting
+        self._seams: Dict[Tuple[CompiledPlan, CompiledPlan],
+                          Optional[Seam]] = {}
+        #: per plan, instantiations left until the reader lists of the
+        #: objects it only ever reads are pruned of completed readers
+        self._prune_in: Dict[CompiledPlan, int] = {}
         self.plans_compiled = 0  # introspection: plan (re)compilations
 
         # instances
@@ -245,6 +267,9 @@ class Worker(P.ReliableEndpoint, Actor):
         #: job ids the controller has released (cancel/crash); in-flight
         #: commands of these jobs drain without executing their bodies
         self._released_jobs: set = set()
+        #: ids of the commands that were still pending when their job was
+        #: released; the tracker is scrubbed again once the last is gone
+        self._released_cids: set = set()
 
         self._epoch = 0  # bumped on halt; stale completions are dropped
         self._dead = False
@@ -399,6 +424,7 @@ class Worker(P.ReliableEndpoint, Actor):
                 f"{sorted(self._templates)})"
             )
         if msg.edits:
+            self._drop_plan(half._plan)
             half.apply_edit_ops(msg.edits)
             self.charge(self.costs.worker_edit_per_task * len(msg.edits))
         self._start_instance(half, msg.block_id, msg.version, msg.instance_id,
@@ -414,92 +440,84 @@ class Worker(P.ReliableEndpoint, Actor):
         a self-schedule window); the command stream is identical either
         way — only ``grant`` routing of the completion differs.
         """
+        record = _InstanceRecord(
+            block_id, instance_id, block_seq, remaining=0,
+            version=version, cid_base=cid_base,
+            task_times={} if self.report_task_times else None,
+            grant=grant,
+        )
+        self._instances[key] = record
         if self._use_compiled:
-            self._instantiate_compiled(half, block_id, version, instance_id,
-                                       cid_base, block_seq, params, key,
-                                       grant=grant)
-            return
-        commands = half.instantiate(
-            self.worker_id, instance_id, cid_base, params,
-        )
-        self.charge(
-            self.costs.worker_instantiate_per_command * len(commands)
-        )
-        report_cids = {
-            cid_base + idx for idx in half.reports
-            if half.entries[idx] is not None
-        }
-        record = _InstanceRecord(
-            block_id, instance_id, block_seq,
-            remaining=len(commands), report_cids=report_cids,
-            version=version, cid_base=cid_base,
-            task_times={} if self.report_task_times else None,
-            grant=grant,
-        )
-        self._instances[key] = record
-        meta_key = ("instance", key)
-        self._enqueue_batch(
-            commands,
-            [(meta_key, cmd.cid in report_cids, record) for cmd in commands])
-        if not commands:
-            self._finish_instance(record)
-
-    def _instantiate_compiled(self, half: WorkerHalf, block_id, version,
-                              instance_id, cid_base, block_seq, params, key,
-                              grant: Optional[_WorkerGrant] = None) -> None:
-        """Compiled fast path: replay a pooled command arena.
-
-        Equivalent to ``half.instantiate`` + ``_enqueue_batch`` — same
-        charge, same resolution order, same synchronous completions — but
-        touching only per-instance fields of reused Command objects.
-        """
-        fresh_plan = half._plan is None
-        if fresh_plan:
-            self.plans_compiled += 1
-        plan = half.compiled_plan()
-        if fresh_plan and self._trace is not None:
-            self._trace.instant(self.name, "template", "plan-compile",
-                                block_id=block_id, **plan.describe())
-        m = plan.m
-        self.charge(self.costs.worker_instantiate_per_command * m)
-        report_cids = {cid_base + plan.index[p] for p in plan.report_positions}
-        record = _InstanceRecord(
-            block_id, instance_id, block_seq,
-            remaining=m, report_cids=report_cids,
-            version=version, cid_base=cid_base,
-            task_times={} if self.report_task_times else None,
-            grant=grant,
-        )
-        self._instances[key] = record
-        if m == 0:
-            self._finish_instance(record)
-            return
-        meta_key = ("instance", key)
-        arena = self._run_compiled_plan(
-            plan, cid_base, instance_id, params,
-            (meta_key, False, record), (meta_key, True, record),
-        )
-        if self._cross_check:
-            self._cross_check_compiled(
-                half.entries, half.reports, plan, arena,
-                instance_id, cid_base, params,
+            # compiled fast path: same charge, resolution order and
+            # synchronous completions as half.instantiate + _enqueue_batch,
+            # on a pooled frame
+            fresh_plan = half._plan is None
+            plan = half.compiled_plan()
+            if fresh_plan:
+                self.plans_compiled += 1
+                if self._trace is not None:
+                    self._trace.instant(self.name, "template", "plan-compile",
+                                        block_id=block_id, **plan.describe())
+            record.remaining = m = plan.m
+            self.charge(self.costs.worker_instantiate_per_command * m)
+            if m:
+                self._run_compiled_plan(plan, half.entries, cid_base,
+                                        instance_id, params, record)
+        else:
+            commands = half.instantiate(
+                self.worker_id, instance_id, cid_base, params,
             )
+            record.remaining = m = len(commands)
+            self.charge(self.costs.worker_instantiate_per_command * m)
+            meta_key = ("instance", key)
+            self._enqueue_batch(commands, [
+                (meta_key, cmd.cid - cid_base in half.reports, record)
+                for cmd in commands])
+        if not m:
+            self._finish_instance(record)
 
-    def _run_compiled_plan(self, plan: CompiledPlan, cid_base: int,
-                           instance_id, params, wm0, wm1) -> CommandArena:
-        """Register, resolve, and sweep one instantiation of ``plan``.
+    def _run_compiled_plan(self, plan: CompiledPlan, entries, cid_base: int,
+                           instance_id, params, record) -> None:
+        """Register, resolve, and fire one instantiation of ``plan``.
 
         Mirrors ``_enqueue_batch`` exactly: external dependencies are read
         from the pre-batch conflict tracker (nothing external can complete
         mid-handler, so checking up front is equivalent to the interpreted
         per-command interleaving), the tracker gets the batch's *net*
-        update, and the sweep visits positions in entry order so zero-dep
+        update, and ready positions fire in entry order so zero-dep
         SEND/RECV/CREATE commands complete synchronously at the same
         points the interpreted path completes them.
+
+        The instance runs on a frame (DESIGN.md §9): dependency counts
+        start as one list copy, and when the previous thing enqueued here
+        was another compiled instance (``_tail``) the cached seam between
+        the two plans answers every conflict check its net update
+        determines with "is that predecessor position still pending".
         """
-        arena = plan.acquire(self.worker_id, self.registry)
-        self._live_arenas.add(arena)
-        cmds = arena.cmds
+        pred = self._tail
+        seam, prem, pxs = plan.miss, (), ()
+        if pred is not None:
+            key = (pred.plan, plan)
+            seam = self._seams.get(key)
+            if seam is None:
+                # built on the second sighting: a pair met once (the
+                # instance after an edit or a patch) never pays for it —
+                # lr_migrate 23.3 us/task against 25.5 building at once
+                if key in self._seams:
+                    seam = build_seam(*key)
+                    self.metrics.incr("worker.seam_builds")
+                self._seams[key] = seam
+                seam = seam or plan.miss
+            # a drained predecessor is back in its pool and may be the
+            # very arena acquired below — which gets a fresh ``rem``, so
+            # this one (all -1 by now) stays the predecessor's
+            prem, pxs = pred.rem, pred.xsucc
+        counters = self.metrics.counters
+        if seam.covered:
+            counters["worker.seam_hits"] += 1.0
+
+        frame = plan.acquire(self.worker_id, self.registry)
+        cmds = frame.cmds
         for i, slot in plan.param_slots:
             cmds[i].params = params.get(slot)
         for i, dst_worker, dst_index in plan.sends:
@@ -507,135 +525,138 @@ class Worker(P.ReliableEndpoint, Actor):
         wid = self.worker_id
         for i, entry_index in plan.recvs:
             cmds[i].tag = (instance_id, wid, entry_index)
+        frame.cids = cids = [cid_base + i for i in plan.index]
+        frame.record = record
 
         pending = self._pending
+        tr = self._trace
+        if tr is not None or self._cross_check:
+            # only observers need the cid on the command itself
+            run_seq = record.block_seq if record is not None else None
+            for cmd, cid in zip(cmds, cids):
+                cmd.cid = cid
+                if tr is not None:
+                    tr.cmd_enqueue(cid, cmd.kind, cmd.function, self.name,
+                                   run_seq)
+            if self._cross_check:
+                check = FrameCheck(self, frame)
+        pending.update(zip(cids, cmds))
+
+        counters["worker.seam_fallback_oids"] += seam.fallback
+        frame.rem = rem = plan.init_hold[:]
+        ready = []
         last_writer = self._last_writer
         readers_since = self._readers_since
-        dependents = self._dependents
         data_buffer = self._data_buffer
-        expected = self._expected
-        early = arena.early
-        on_ready = self._on_ready
-        # External checks consult pre-batch tracker state; walking them
-        # with a cursor inside the sweep is equivalent to the up-front pass
-        # because the net tracker update is deferred until after the sweep
-        # and nothing that completes mid-sweep reads or writes the tracker.
-        ext_iter = iter(plan.ext_checks)
-        ext = next(ext_iter, None)
-        ext_pos = ext[0] if ext is not None else -1
-        tr = self._trace
-        if tr is not None:
-            record0 = wm0[2]
-            trace_run_seq = record0.block_seq if record0 is not None else None
-        i = 0
-        for cmd, (_eidx, report, base_rem, is_recv) in zip(cmds, plan.rows):
-            cmd.cid = cid = cid_base + _eidx
-            cmd._wmeta = wm1 if report else wm0
-            pending[cid] = cmd
-            if tr is not None:
-                tr.cmd_enqueue(cid, cmd.kind, cmd.function, self.name,
-                               trace_run_seq)
-            rem = base_rem
-            if i == ext_pos:
-                _pos, roids, woids = ext
-                ext = next(ext_iter, None)
-                ext_pos = ext[0] if ext is not None else -1
+        for pos, preds, roids, woids, is_recv in seam.rows:
+            cmd = cmds[pos]
+            n = 0
+            for q in preds:
+                if prem[q] >= 0:
+                    pxs[q].append(cmd)
+                    n += 1
+            if roids or woids:
+                # not covered by the seam: today's tracker walk
                 deps = None
-                for oid in roids:
-                    w = last_writer.get(oid)
-                    if w is not None and w in pending:
+                for oid in roids + woids:
+                    dep = pending.get(last_writer.get(oid))
+                    if dep is not None:
                         if deps is None:
-                            deps = {w}
+                            deps = {dep}
                         else:
-                            deps.add(w)
+                            deps.add(dep)
                 for oid in woids:
-                    w = last_writer.get(oid)
-                    if w is not None and w in pending:
-                        if deps is None:
-                            deps = {w}
-                        else:
-                            deps.add(w)
-                    readers = readers_since.get(oid)
-                    if readers:
-                        for r in readers:
-                            if r in pending:
-                                if deps is None:
-                                    deps = {r}
-                                else:
-                                    deps.add(r)
-                if deps:
+                    for reader in readers_since.get(oid, ()):
+                        dep = pending.get(reader)
+                        if dep is not None:
+                            if deps is None:
+                                deps = {dep}
+                            else:
+                                deps.add(dep)
+                if deps is not None:
+                    n += len(deps)
                     for dep in deps:
-                        lst = dependents.get(dep)
-                        if lst is None:
-                            dependents[dep] = [cid]
-                        else:
-                            lst.append(cid)
-                    rem += len(deps)
-            if is_recv:
-                tag = cmd.tag
-                if tag not in data_buffer:
-                    expected[tag] = cid
-                    rem += 1
-            if early:
-                rem -= early.pop(i, 0)
-            cmd._rem = rem
-            if rem == 0:
-                # sweep_pos is only read by _complete during synchronous
-                # completions, so it needs to be current only around the
-                # on_ready call (including nested cascades it triggers)
-                arena.sweep_pos = i
+                        self._link(dep, cmd)
+            if is_recv and cmd.tag not in data_buffer:
+                self._expected[cmd.tag] = cmd
+                n += 1
+            if n:
+                rem[pos] += n
+            elif not rem[pos]:
+                rem[pos] = 1  # a ready root: held until the firing pass
+                ready.append(pos)
+        # net conflict-tracker update (end state identical to per-command
+        # updates: intra-batch churn collapses at compile time). It lands
+        # before anything fires, so an instance started from inside the
+        # firing pass (a grant self-advance) already sees it.
+        for oid, p, poss in plan.net:
+            last_writer[oid] = cids[p]
+            readers_since[oid] = [cids[q] for q in poss]
+        if plan.readers_append:
+            for oid, poss in plan.readers_append:
+                lst = readers_since.get(oid)
+                if lst is None:
+                    readers_since[oid] = [cids[p] for p in poss]
+                else:
+                    for p in poss:
+                        lst.append(cids[p])
+            left = self._prune_in.get(plan, READERS_PRUNE_MIN) - 1
+            if left <= 0:
+                # objects this plan only ever reads gain a reader per
+                # instance and are never reset by a write: drop the
+                # completed ones once the lists may have doubled
+                for oid, _poss in plan.readers_append:
+                    left = max(left, self._prune_readers(readers_since[oid]))
+                left = max(left, READERS_PRUNE_MIN)
+            self._prune_in[plan] = left
+        self._tail = frame
+
+        # firing pass, in entry order: the ready roots, plus the held
+        # positions that synchronous completions have cleared by the time
+        # their turn comes
+        ready += plan.held
+        ready.sort()
+        on_ready = self._on_ready
+        for pos in ready:
+            rem[pos] = n = rem[pos] - 1
+            if n == 0:
                 if tr is not None:
                     # ready at instantiation; for a grant self-advance the
                     # release is the command whose completion advanced us
                     self._trace_release = self._advance_release
-                on_ready(cmd)
-            i += 1
-        arena.sweep_pos = plan.m
+                on_ready(cmds[pos])
+        if self._cross_check:
+            check.verify(entries, instance_id, cid_base, params)
 
-        # net conflict-tracker update (end state identical to per-command
-        # updates: intra-batch churn collapses at compile time)
-        for oid, p in plan.writes_final:
-            last_writer[oid] = cmds[p].cid
-        for oid, poss in plan.readers_reset:
-            readers_since[oid] = [cmds[p].cid for p in poss]
-        for oid, poss in plan.readers_append:
-            lst = readers_since.get(oid)
-            if lst is None:
-                readers_since[oid] = [cmds[p].cid for p in poss]
-            else:
-                for p in poss:
-                    lst.append(cmds[p].cid)
-        return arena
+    def _prune_readers(self, readers: List[int]) -> int:
+        """Drop completed readers in place (a reader that is no longer
+        pending can never become a dependency); returns the new length."""
+        pending = self._pending
+        readers[:] = [r for r in readers if r in pending]
+        return len(readers)
 
-    def _release_arena(self, arena: CommandArena) -> None:
-        self._live_arenas.discard(arena)
-        arena.release()
+    def _link(self, pred: Command, cmd: Command) -> None:
+        """Make ``cmd`` wait for pending ``pred``: successors of a compiled
+        command live on its frame, of any other in ``_dependents``."""
+        frame = pred._carena
+        if frame is not None:
+            frame.xsucc[pred._cpos].append(cmd)
+            return
+        lst = self._dependents.get(pred.cid)
+        if lst is None:
+            self._dependents[pred.cid] = [cmd]
+        else:
+            lst.append(cmd)
 
-    def _cross_check_compiled(self, entries, reports, plan, arena,
-                              instance_id, cid_base, params) -> None:
-        """Brute-force check of one compiled instantiation against the
-        interpreted path (REPRO_COMPILED_CROSS_CHECK=1)."""
-        fresh = compile_plan(entries, reports)
-        if fresh.signature() != plan.signature():
-            raise AssertionError(
-                "compiled plan is stale: recompiling the entry array "
-                "produced a different plan (missing invalidation?)")
-        ref = instantiate_entries(
-            entries, self.worker_id, instance_id, cid_base, params)
-        if len(ref) != plan.m:
-            raise AssertionError(
-                f"compiled plan has {plan.m} commands; interpreted "
-                f"instantiation produced {len(ref)}")
-        for i, want in enumerate(ref):
-            got = arena.cmds[i]
-            for field in ("cid", "kind", "read", "write", "function",
-                          "params", "dst_worker", "src_worker", "tag",
-                          "size_bytes"):
-                g, w = getattr(got, field), getattr(want, field)
-                if g != w:
-                    raise AssertionError(
-                        f"compiled command {i} (cid {got.cid}) differs from "
-                        f"interpreted: {field}={g!r} != {w!r}")
+    def _drop_plan(self, plan: Optional[CompiledPlan]) -> None:
+        """Forget a plan whose half was edited or released: the seams on
+        either side of it, and the tail if it is one of its frames."""
+        if plan is None:
+            return
+        self._seams = {k: v for k, v in self._seams.items() if plan not in k}
+        self._prune_in.pop(plan, None)
+        if self._tail is not None and self._tail.plan is plan:
+            self._tail = None
 
     def _on_release_job(self, msg: P.ReleaseJob) -> None:
         """A tenant was cancelled or crashed: scrub it from this worker.
@@ -663,8 +684,35 @@ class Worker(P.ReliableEndpoint, Actor):
         for oid in msg.oids:
             self.store.destroy(oid)
         for key in [k for k in self._templates if k[0] == msg.job_id]:
-            del self._templates[key]
+            self._drop_plan(self._templates.pop(key)._plan)
+        self._released_cids.update(
+            cid for cid, cmd in self._pending.items()
+            if self._body_released(cmd))
+        self._scrub_released()
         self.metrics.incr("jobs.worker_releases")
+
+    def _scrub_released(self) -> None:
+        """Forget what released jobs left in the conflict tracker and the
+        patch-plan cache — a long-running service must not grow with every
+        tenant it ever served.
+
+        Exact: a tracker entry whose command is no longer pending can
+        never create a dependency. Entries of commands still draining
+        survive the pass at release; :meth:`_complete` runs it again when
+        the last of them is gone.
+        """
+        pending, released = self._pending, self._released_jobs
+        self._tail = None
+        writers, readers_since = self._last_writer, self._readers_since
+        for oid in [o for o, w in writers.items()
+                    if o // OID_STRIDE in released and w not in pending]:
+            del writers[oid]
+        for oid in [o for o in readers_since if o // OID_STRIDE in released]:
+            if not self._prune_readers(readers_since[oid]):
+                del readers_since[oid]
+        for pid in [p for p, plan in self._patch_plans.items()
+                    if plan.live and self._body_released(plan.live[0])]:
+            self._drop_plan(self._patch_plans.pop(pid))
 
     def _body_released(self, cmd: Command) -> bool:
         """True when ``cmd`` belongs to a released job (skip its body)."""
@@ -699,12 +747,8 @@ class Worker(P.ReliableEndpoint, Actor):
             self.charge(self.costs.worker_instantiate_per_command * plan.m)
             if plan.m == 0:
                 return
-            wm = (None, False, None)
-            arena = self._run_compiled_plan(
-                plan, cid_base, instance_id, {}, wm, wm)
-            if self._cross_check:
-                self._cross_check_compiled(
-                    entries, (), plan, arena, instance_id, cid_base, {})
+            self._run_compiled_plan(plan, entries, cid_base, instance_id,
+                                    {}, None)
             return
         commands = instantiate_entries(
             entries, self.worker_id, instance_id, cid_base, {},
@@ -784,12 +828,17 @@ class Worker(P.ReliableEndpoint, Actor):
                             and reader not in exclude):
                         deps.add(reader)
         # update the conflict tracker
+        self._tail = None  # no compiled frame's update is the latest now
         for oid in read:
             readers = readers_since.get(oid)
             if readers is None:
                 readers_since[oid] = [cid]
             else:
                 readers.append(cid)
+                n = len(readers)
+                if n >= READERS_PRUNE_MIN and not n & (n - 1):
+                    # read-mostly object: keep the list O(pending readers)
+                    self._prune_readers(readers)
         for oid in write:
             last_writer[oid] = cid
             readers_since[oid] = []
@@ -799,17 +848,11 @@ class Worker(P.ReliableEndpoint, Actor):
             if cmd.tag in self._data_buffer:
                 pass  # data already here; no extra dependency
             else:
-                self._expected[cmd.tag] = cid
+                self._expected[cmd.tag] = cmd
                 remaining += 1
         cmd._rem = remaining
-        if deps:
-            dependents = self._dependents
-            for dep in deps:
-                lst = dependents.get(dep)
-                if lst is None:
-                    dependents[dep] = [cid]
-                else:
-                    lst.append(cid)
+        for dep in deps:
+            self._link(pending[dep], cmd)
         if remaining == 0:
             if self._trace is not None:
                 # ready straight from dispatch (grant self-advances thread
@@ -822,21 +865,26 @@ class Worker(P.ReliableEndpoint, Actor):
         if self._trace is not None:
             self._trace.copy_arrive(msg.tag, self.name)
             self._trace_release = ("data", msg.tag)
-        cid = self._expected.pop(msg.tag, None)
-        if cid is not None:
-            self._dec(cid)
+        cmd = self._expected.pop(msg.tag, None)
+        if cmd is not None:
+            self._dec(cmd)
 
-    def _dec(self, cid: int) -> None:
-        cmd = self._pending[cid]
-        cmd._rem -= 1
-        if cmd._rem == 0:
+    def _dec(self, cmd: Command) -> None:
+        """One dependency of pending ``cmd`` is satisfied."""
+        frame = cmd._carena
+        if frame is None:
+            cmd._rem = left = cmd._rem - 1
+        else:
+            rem = frame.rem
+            rem[cmd._cpos] = left = rem[cmd._cpos] - 1
+        if left == 0:
             self._on_ready(cmd)
 
     def _on_ready(self, cmd: Command) -> None:
         if self._trace is not None:
             self._trace.cmd_ready(cmd.cid, self._trace_release)
         kind = cmd.kind
-        if kind == CommandKind.TASK:
+        if kind == _TASK:
             self._ready_tasks.append(cmd)
             if self._free_slots > 0:
                 self._maybe_start_tasks()
@@ -1006,55 +1054,63 @@ class Worker(P.ReliableEndpoint, Actor):
     # Completion bookkeeping
     # ------------------------------------------------------------------
     def _complete(self, cmd: Command, duration: float) -> None:
-        cid = cmd.cid
-        pending = self._pending
-        del pending[cid]
         tr = self._trace
-        if tr is not None:
-            tr.cmd_complete(cid)
-        meta_key, report, record = cmd._wmeta
-        csucc = cmd._csucc
-        if csucc is not None:
-            # compiled command: intra-batch successors are direct object
-            # references. Successors the resolution sweep has not reached
-            # yet have no dependency count to decrement — the adjustment
-            # parks in arena.early and the sweep subtracts it. (Successors
-            # at swept positions with _rem already 0 received every edge
-            # decrement before completing; the r > 0 guard mirrors the
-            # interpreted path's pending-membership check.)
-            arena = cmd._carena
-            if csucc:
-                sweep = arena.sweep_pos
-                early = arena.early
-                for succ in csucc:
-                    pos = succ._cpos
-                    if pos <= sweep:
-                        r = succ._rem
-                        if r > 0:
-                            succ._rem = r - 1
-                            if r == 1:
-                                # set per-call: nested completions clobber it
-                                if tr is not None:
-                                    self._trace_release = ("cmd", cid)
-                                self._on_ready(succ)
-                    else:
-                        early[pos] = early.get(pos, 0) + 1
-            arena.outstanding = left = arena.outstanding - 1
-            if left == 0:
-                self._release_arena(arena)
-        deps = self._dependents.pop(cid, None)
-        if deps:
-            for dep in deps:
-                dep_cmd = pending.get(dep)
-                if dep_cmd is not None:
-                    dep_cmd._rem = left = dep_cmd._rem - 1
+        frame = cmd._carena
+        if frame is None:
+            cid = cmd.cid
+            del self._pending[cid]
+            if tr is not None:
+                tr.cmd_complete(cid)
+            meta_key, report, record = cmd._wmeta
+            succs = self._dependents.pop(cid, None)
+        else:
+            # compiled command: id, metadata and dependency counts live on
+            # the instance frame; intra-batch successors are positions
+            pos = cmd._cpos
+            cid = frame.cids[pos]
+            del self._pending[cid]
+            if tr is not None:
+                tr.cmd_complete(cid)
+            plan = frame.plan
+            meta_key, report, record = None, plan.report_flags[pos], frame.record
+            rem = frame.rem
+            rem[pos] = -1  # no longer pending, for later seam replays
+            targets = plan.succ[pos]
+            if targets:
+                cmds = frame.cmds
+                for t in targets:
+                    rem[t] = left = rem[t] - 1
                     if left == 0:
+                        # set per-call: nested completions clobber it
                         if tr is not None:
                             self._trace_release = ("cmd", cid)
-                        self._on_ready(dep_cmd)
+                        self._on_ready(cmds[t])
+            succs = frame.xsucc[pos]
+        if self._released_cids:
+            self._released_cids.discard(cid)
+            if not self._released_cids:
+                self._scrub_released()  # the released jobs have drained
+        if succs:
+            # cross-batch successors, in the order they registered
+            for succ in succs:
+                sframe = succ._carena
+                if sframe is None:
+                    succ._rem = left = succ._rem - 1
+                else:
+                    srem = sframe.rem
+                    srem[succ._cpos] = left = srem[succ._cpos] - 1
+                if left == 0:
+                    if tr is not None:
+                        self._trace_release = ("cmd", cid)
+                    self._on_ready(succ)
+            succs.clear()
+        if frame is not None:
+            frame.outstanding = left = frame.outstanding - 1
+            if left == 0:
+                frame.release()
         if record is not None:
             record.remaining -= 1
-            if cmd.kind == CommandKind.TASK:
+            if cmd.kind == _TASK:
                 record.compute_time += duration
                 if record.task_times is not None:
                     record.task_times[cid - record.cid_base] = duration
@@ -1159,6 +1215,7 @@ class Worker(P.ReliableEndpoint, Actor):
                 f"(installed: {sorted(self._templates)})"
             )
         if msg.edits:
+            self._drop_plan(half._plan)
             half.apply_edit_ops(msg.edits)
             self.charge(self.costs.worker_edit_per_task * len(msg.edits))
         grant = _WorkerGrant(key, msg.block_id, msg.version, half,
@@ -1290,11 +1347,10 @@ class Worker(P.ReliableEndpoint, Actor):
         self._deferred_windows.clear()
         self._barrier_windows.clear()
         self._completion_buffer.clear()  # stale: their runs were abandoned
-        # arenas of abandoned instances: every per-instance field is
-        # rewritten on the next acquire, so they can be pooled immediately
-        for arena in self._live_arenas:
-            arena.release()
-        self._live_arenas.clear()
+        # frames of abandoned instances are simply dropped with the
+        # commands that reference them; pools refill on demand
+        self._tail = None
+        self._released_cids.clear()
         self.send_reliable(self.controller, P.HaltAck(self.worker_id))
 
     # ------------------------------------------------------------------

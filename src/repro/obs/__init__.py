@@ -15,7 +15,7 @@ The package has three layers:
 
 from .trace import TRACE_ENABLED, Tracer, trace_enabled_default
 from .export import to_chrome_trace, write_chrome_trace
-from .registry import SNAPSHOT_VERSION, snapshot_metrics
+from .registry import COUNTER_HELP, SNAPSHOT_VERSION, snapshot_metrics
 
 __all__ = [
     "TRACE_ENABLED",
@@ -23,6 +23,7 @@ __all__ = [
     "trace_enabled_default",
     "to_chrome_trace",
     "write_chrome_trace",
+    "COUNTER_HELP",
     "SNAPSHOT_VERSION",
     "snapshot_metrics",
 ]

@@ -15,6 +15,20 @@ from typing import Any, Dict
 #: downstream tooling can detect stale artifacts.
 SNAPSHOT_VERSION = 1
 
+#: counters whose name does not say what is counted. The ``worker.seam_*``
+#: family exists on the compiled instantiation path only (DESIGN.md §9),
+#: so equivalence sweeps against the interpreted path leave it out.
+COUNTER_HELP = {
+    "worker.seam_builds":
+        "seams compiled: a (predecessor plan, plan) pair met a second time",
+    "worker.seam_hits":
+        "compiled instantiations whose cross-instance edges came from a "
+        "cached seam (at least one conflict check answered by it)",
+    "worker.seam_fallback_oids":
+        "conflict checks of compiled instantiations resolved by the "
+        "tracker walk instead (no seam, or an object it does not cover)",
+}
+
 
 def _summarize(values) -> Dict[str, Any]:
     n = len(values)

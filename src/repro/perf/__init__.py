@@ -15,8 +15,10 @@ from .harness import (  # noqa: F401
     SCHEMA_VERSION,
     bench_instantiate,
     bench_instantiate_compiled,
+    bench_instantiate_worker,
     bench_path,
     instantiate_allocations,
+    instantiate_breakdown,
     mode_row,
     rebalance_section,
     results_digest,

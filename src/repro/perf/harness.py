@@ -34,15 +34,22 @@ from ..apps import (
     RotationApp,
     RotationSpec,
 )
-from ..core.compiled import compile_plan
 from ..core.controller_template import ControllerTemplate
 from ..core.patching import build_patch
 from ..core.validation import full_validate
-from ..core.worker_template import generate_worker_templates, instantiate_entries
+from ..core.worker_template import generate_worker_templates
 from ..nimbus import NimbusCluster
+from ..nimbus import protocol as P
+from ..nimbus.commands import Command, CommandKind
+from ..nimbus.costs import CostModel
 from ..nimbus.data import LogicalObject, ObjectDirectory
+from ..nimbus.runtime import FunctionRegistry
+from ..nimbus.worker import DurableStorage, Worker
 from ..obs import snapshot_metrics
+from ..sim.actor import Actor
 from ..sim.engine import Simulator
+from ..sim.metrics import Metrics
+from ..sim.network import Network
 
 #: v2 adds the ``patch_rotation`` workload (patch-cache coverage), the
 #: per-workload ``allocations`` section, and the compiled-vs-interpreted
@@ -396,72 +403,133 @@ def _instantiate_fixture(num_workers: int = 50):
     return worker_id, entries, reports
 
 
-def _refill_arena(plan, worker_id: int, instance_id: int, cid_base: int,
-                  params: Dict[str, Any]) -> None:
-    """One compiled-path instantiation: acquire a pooled arena and rewrite
-    the per-instance fields (the same writes ``Worker._run_compiled_plan``
-    performs, minus the scheduling sweep that needs live worker state)."""
-    arena = plan.acquire(worker_id)
-    cmds = arena.cmds
-    for i, slot in plan.param_slots:
-        cmds[i].params = params.get(slot)
-    for i, dst_worker, dst_index in plan.sends:
-        cmds[i].tag = (instance_id, dst_worker, dst_index)
-    for i, entry_index in plan.recvs:
-        cmds[i].tag = (instance_id, worker_id, entry_index)
-    index = plan.index
-    for pos, cmd in enumerate(cmds):
-        cmd.cid = cid_base + index[pos]
-    arena.release()
+class _Sink(Actor):
+    """Stands in for the controller and for peer workers: absorbs all."""
+
+    def handle(self, msg) -> None:
+        pass
+
+
+class _WorkerDriver:
+    """A real :class:`Worker` holding the busiest LR half, driven through
+    ``InstantiateWorkerTemplate`` at a fixed pipeline depth.
+
+    Only the instantiation handler is timed. Between timed calls the
+    oldest in-flight instance is fed its RECV payloads and the simulator
+    runs to quiescence, so with ``depth`` > 1 the instance being
+    instantiated always follows one whose commands are all still pending
+    (the steady pipelined state of fig07), and with ``depth`` 1 one that
+    has fully drained (blocking programs, self-schedule windows).
+    ``seam=False`` enqueues an unrelated central command before every
+    instantiation, which is what sends the next one down the tracker walk.
+    """
+
+    BLOCK = "bench.block"
+
+    def __init__(self, num_workers: int, depth: int, use_compiled: bool,
+                 seam: bool = True):
+        worker_id, entries, reports = _instantiate_fixture(num_workers)
+        self.depth, self.seam = depth, seam
+        self.sim = Simulator()
+        network = Network(self.sim, latency=1e-6, bandwidth=1e12)
+        sink = network.attach(_Sink(self.sim, "controller"))
+        registry = FunctionRegistry()
+        for name in sorted({e.function for e in entries
+                            if e is not None and e.function}):
+            registry.register(name, fn=None, duration=1e-4)
+        self.worker = Worker(self.sim, worker_id, sink, registry, CostModel(),
+                             Metrics(), DurableStorage(),
+                             use_compiled=use_compiled)
+        network.attach(self.worker)
+        self.worker.peers = {e.dst_worker: sink for e in entries
+                             if e is not None and e.kind == CommandKind.SEND}
+        self.recvs = [e for e in entries
+                      if e is not None and e.kind == CommandKind.RECV]
+        self.stride = len(entries) + 1
+        self.version = 0  # template version the next instances name
+        self.worker.handle(P.InstallWorkerTemplate(
+            self.BLOCK, 0, entries, list(reports)))
+        self.instances, self.seconds = 0, 0.0
+        for _ in range(depth + 2):  # fill the pipeline, build the seam
+            self.step()
+        self.warm, self.seconds = self.instances, 0.0
+
+    def next_message(self) -> P.InstantiateWorkerTemplate:
+        i = self.instances
+        return P.InstantiateWorkerTemplate(
+            self.BLOCK, self.version, i, (i + 1) * self.stride, {}, i)
+
+    def step(self) -> None:
+        worker, i = self.worker, self.instances
+        if not self.seam:
+            worker.handle(P.DispatchCommand(Command(
+                -1 - i, CommandKind.CREATE, worker.worker_id, write=(-1,)),
+                0, False))
+        msg = self.next_message()
+        start = time.perf_counter()
+        worker.handle(msg)
+        self.seconds += time.perf_counter() - start
+        self.instances = i + 1
+        done = i + 1 - self.depth  # this instance may now drain
+        if done >= 0:
+            for e in self.recvs:
+                worker.handle(P.DataMessage(
+                    (done, worker.worker_id, e.index), e.write[0], None, 8))
+        self.sim.run()
+
+
+def bench_instantiate_worker(num_workers: int = 50, depth: int = 3,
+                             use_compiled: bool = True, seam: bool = True,
+                             min_seconds: float = 0.2) -> float:
+    """Instantiations/sec of a real Worker's InstantiateWorkerTemplate
+    handler (frame set-up, cross-instance edges, tracker update and the
+    firing pass all included) at pipeline ``depth``."""
+    driver = _WorkerDriver(num_workers, depth, use_compiled, seam)
+    while driver.seconds < min_seconds or driver.instances < driver.warm + 5:
+        driver.step()
+    return (driver.instances - driver.warm) / driver.seconds
 
 
 def bench_instantiate(num_workers: int = 50) -> float:
-    """Interpreted instantiate_entries ops/sec for the busiest worker half."""
-    worker_id, entries, _reports = _instantiate_fixture(num_workers)
-    state = {"i": 0}
-
-    def one():
-        state["i"] += 1
-        instantiate_entries(entries, worker_id, state["i"],
-                            state["i"] * 10000, {})
-
-    return _bench_loop(one)
+    """Interpreted path: ``half.instantiate`` + ``_enqueue_batch``."""
+    return bench_instantiate_worker(num_workers, use_compiled=False)
 
 
 def bench_instantiate_compiled(num_workers: int = 50) -> float:
-    """Compiled-path instantiation ops/sec (pooled arena refill)."""
-    worker_id, entries, reports = _instantiate_fixture(num_workers)
-    plan = compile_plan(entries, reports)
-    state = {"i": 0}
+    """Compiled path in steady pipelined replay (frame + seam hit)."""
+    return bench_instantiate_worker(num_workers)
 
-    def one():
-        state["i"] += 1
-        _refill_arena(plan, worker_id, state["i"], state["i"] * 10000, {})
 
-    return _bench_loop(one)
+def instantiate_breakdown(num_workers: int = 50) -> Dict[str, float]:
+    """µs per instantiation: interpreted vs compiled, depth 1 and 3, with
+    the seam hit and the tracker-walk fallback reported separately."""
+    out = {}
+    for depth in (1, 3):
+        for name, kwargs in (
+                ("interpreted", {"use_compiled": False}),
+                ("compiled_seam_hit", {}),
+                ("compiled_seam_miss", {"seam": False})):
+            out[f"{name}_depth{depth}_us"] = round(1e6 / bench_instantiate_worker(
+                num_workers, depth, min_seconds=0.1, **kwargs), 2)
+    return out
 
 
 def instantiate_allocations(num_workers: int = 50) -> Dict[str, int]:
-    """Bytes allocated by one instantiation, interpreted vs compiled.
+    """Bytes allocated by one instantiation handler, interpreted vs
+    compiled, on a real Worker in steady pipelined replay.
 
-    Measured with tracemalloc after a warm-up round on each path, so the
-    compiled number reflects steady-state arena reuse (the first
-    instantiation builds the arena; every later one rewrites it in place).
+    Measured with tracemalloc after the pipeline is warm, so the compiled
+    number reflects steady-state frame reuse (the first instantiations
+    build the arenas; every later one rewrites a pooled one in place).
     """
-    worker_id, entries, reports = _instantiate_fixture(num_workers)
-    plan = compile_plan(entries, reports)
     out = {}
-    for name, one in (
-        ("interpreted", lambda i: instantiate_entries(
-            entries, worker_id, i, i * 10000, {})),
-        ("compiled", lambda i: _refill_arena(
-            plan, worker_id, i, i * 10000, {})),
-    ):
-        one(1)  # warm: arena build / code paths / int caches
+    for name, use_compiled in (("interpreted", False), ("compiled", True)):
+        driver = _WorkerDriver(num_workers, 3, use_compiled)
+        msg = driver.next_message()
         tracemalloc.start()
         base, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        one(2)
+        driver.worker.handle(msg)
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         out[f"{name}_bytes_per_instantiation"] = max(0, peak - base)
@@ -647,6 +715,7 @@ def run_harness(scale: str = "paper",
     if microbench:
         report["microbenchmarks"] = run_microbenchmarks()
         report["instantiate_allocations"] = instantiate_allocations()
+        report["instantiate_breakdown"] = instantiate_breakdown()
     return report
 
 

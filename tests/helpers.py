@@ -200,11 +200,19 @@ def random_combine_schedule(seed: int, oids: Sequence[int]):
     return seed_block, params, blocks, iterations
 
 
+def control_counters(cluster) -> Dict[str, float]:
+    """Every counter except ``worker.seam_*``: those describe how the
+    compiled path derived its cross-instance edges, so only it has them."""
+    return {name: value
+            for name, value in cluster.metrics.counters_snapshot().items()
+            if not name.startswith("worker.seam_")}
+
+
 def cluster_observables(cluster, oids):
     """(counters, virtual end time, events, final object values) — the
     four-way observable the equivalence sweeps compare."""
     return (
-        cluster.metrics.counters_snapshot(),
+        control_counters(cluster),
         cluster.sim.now,
         cluster.sim.events_run,
         worker_values(cluster, oids),

@@ -12,15 +12,30 @@ final value of every data object.
 
 import pytest
 
-from repro.apps import LRApp, LRSpec
+from repro.apps import (
+    KMeansApp,
+    KMeansSpec,
+    LRApp,
+    LRSpec,
+    RotationApp,
+    RotationSpec,
+    WaterApp,
+    WaterSpec,
+)
 from repro.chaos import PROFILES, FaultPlan
+from repro.core.worker_template import TemplateEntry
 from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
+from repro.nimbus.commands import Command, CommandKind
+from repro.obs import COUNTER_HELP
+from repro.perf.harness import _WorkerDriver
 
 from .helpers import (
     assert_identical as _assert_identical,
     cluster_observables,
     combine_registry,
+    computed_values,
+    control_counters,
     random_combine_schedule,
     simple_define,
     worker_values,
@@ -117,9 +132,9 @@ def test_compiled_matches_interpreted_across_migration(seed):
     assert compiled.metrics.count("edits_applied") > 0
     oids = [obj.oid for obj in compiled.controller.directory.objects()]
     _assert_identical(
-        (compiled.metrics.counters_snapshot(), compiled.sim.now,
+        (control_counters(compiled), compiled.sim.now,
          compiled.sim.events_run, worker_values(compiled, oids)),
-        (interpreted.metrics.counters_snapshot(), interpreted.sim.now,
+        (control_counters(interpreted), interpreted.sim.now,
          interpreted.sim.events_run, worker_values(interpreted, oids)),
         f"migration run, {4 + seed} workers",
     )
@@ -135,3 +150,226 @@ def test_migration_invalidates_and_recompiles_plans():
         f"expected plan recompiles after migration edits, got "
         f"{recompiles} compilations across {workers} workers"
     )
+
+
+# ---------------------------------------------------------------------------
+# Frames and seams (DESIGN.md §9): the cached cross-instance edges are only
+# a cache. Pipelined programs (driver max_inflight 4; self-schedule depth 3)
+# on all four apps, in all three scheduling modes, with and without chaos,
+# must match the interpreted path exactly — and actually replay seams.
+# ---------------------------------------------------------------------------
+def _seam_app(name):
+    if name == "fig07":
+        app = LRApp(LRSpec(num_workers=4, iterations=8,
+                           partitions_per_worker=4))
+        return app, app.program(blocking=False)
+    if name == "fig08":
+        app = KMeansApp(KMeansSpec(num_workers=4, iterations=8,
+                                   partitions_per_worker=4))
+        return app, app.program(blocking=False)
+    if name == "rotation":
+        app = RotationApp(RotationSpec(num_workers=4, iterations=10))
+        return app, app.program()
+    app = WaterApp(WaterSpec(num_workers=4, partitions_per_worker=2,
+                             scale=0.002, frame_duration=0.006,
+                             reseed_every=3))
+    return app, app.program()
+
+
+def _run_seam_app(name, mode, profile, seed, use_compiled):
+    app, program = _seam_app(name)
+    plan = (None if profile is None
+            else FaultPlan.from_profile(profile, seed=seed))
+    cluster = NimbusCluster(4, program, registry=app.registry, seed=seed,
+                            mode=mode, chaos_plan=plan,
+                            use_compiled=use_compiled)
+    for worker in cluster.workers.values():
+        worker.self_schedule_depth = 3
+    cluster.run_until_finished(max_seconds=1e6)
+    return cluster
+
+
+@pytest.mark.parametrize("profile", [None, "light", "hostile"])
+@pytest.mark.parametrize("mode", ["centralized", "decentralized", "sharded"])
+@pytest.mark.parametrize("name", ["fig07", "fig08", "rotation", "water"])
+def test_seam_replay_matches_interpreted(name, mode, profile):
+    seed = len(name) + 7 * len(mode) + (0 if profile is None else 13)
+    compiled = _run_seam_app(name, mode, profile, seed, True)
+    interpreted = _run_seam_app(name, mode, profile, seed, False)
+    label = f"{name}/{mode}/{profile}/seed {seed}"
+    assert computed_values(compiled) == computed_values(interpreted), label
+    _assert_identical(
+        (control_counters(compiled), compiled.sim.now,
+         compiled.sim.events_run, None),
+        (control_counters(interpreted), interpreted.sim.now,
+         interpreted.sim.events_run, None), label)
+    assert compiled.metrics.count("worker.seam_hits") > 0, label
+    assert not interpreted.metrics.counters_snapshot("worker.seam_")
+    assert set(compiled.metrics.counters_snapshot("worker.seam_")) <= set(
+        COUNTER_HELP)
+
+
+class _SeamProbe:
+    """A real worker on the busiest fig07 half with every instantiation
+    re-derived by the tracker walk (cross-check on), ``depth`` instances
+    in flight, and the seam counters read after each step."""
+
+    def __init__(self, monkeypatch, depth=3):
+        monkeypatch.setenv("REPRO_COMPILED_CROSS_CHECK", "1")
+        self.driver = _WorkerDriver(8, depth, use_compiled=True)
+        self.worker = self.driver.worker
+        assert self.worker._cross_check
+
+    def count(self, name):
+        return self.worker.metrics.count(f"worker.seam_{name}")
+
+    def step(self):
+        """One more instantiation; (seam hit?, seams built) for it."""
+        hits, builds = self.count("hits"), self.count("builds")
+        self.driver.step()
+        return self.count("hits") - hits == 1, self.count("builds") - builds
+
+    def assert_steady(self, steps=4):
+        for _ in range(steps):
+            assert self.step() == (True, 0)
+
+    def assert_dropped_then_rebuilt(self, builds_expected):
+        """The instantiation right after a chain break takes the tracker
+        walk; the seam then comes back (rebuilt iff a plan changed)."""
+        walked = self.count("fallback_oids")
+        hit, builds = self.step()
+        assert not hit
+        assert self.count("fallback_oids") > walked
+        rebuilt = builds
+        for _ in range(3):
+            hit, builds = self.step()
+            rebuilt += builds
+        assert hit and rebuilt == builds_expected
+        self.assert_steady()
+
+
+def test_seam_hits_in_steady_replay_and_survives_pool_reuse(monkeypatch):
+    probe = _SeamProbe(monkeypatch, depth=5)
+    plan = next(iter(probe.worker._templates.values())).compiled_plan()
+    probe.assert_steady(steps=12)
+    arenas = {id(a) for a in plan.pool}
+    for cmd in probe.worker._pending.values():
+        arenas.add(id(cmd._carena))
+    assert len(arenas) >= 4  # that many instances were in flight at once
+    probe.assert_steady(steps=12)  # ...and every later one reused them
+    again = {id(a) for a in plan.pool}
+    for cmd in probe.worker._pending.values():
+        again.add(id(cmd._carena))
+    assert again == arenas
+
+
+def test_seam_dropped_by_interleaved_central_command(monkeypatch):
+    probe = _SeamProbe(monkeypatch)
+    probe.assert_steady()
+    probe.worker.handle(P.DispatchCommand(
+        Command(-5, CommandKind.CREATE, probe.worker.worker_id,
+                write=(-5,)), 0, False))
+    probe.assert_dropped_then_rebuilt(builds_expected=0)
+
+
+def test_seam_dropped_by_interleaved_patch(monkeypatch):
+    probe = _SeamProbe(monkeypatch)
+    probe.assert_steady()
+    recv = probe.driver.recvs[0]
+    # a patch that rewrites the object the next instance reads: the patch
+    # frame becomes the predecessor, and its seam is a different one
+    entry = TemplateEntry(0, CommandKind.RECV, write=recv.write,
+                          src_worker=0)
+    probe.worker.handle(P.InstallPatch(1, [entry], 10 ** 8, "patch-a"))
+    probe.worker.handle(P.DataMessage(
+        ("patch-a", probe.worker.worker_id, 0), recv.write[0], None, 8))
+    probe.assert_dropped_then_rebuilt(builds_expected=0)
+
+
+def test_seam_dropped_by_cotenant_release(monkeypatch):
+    probe = _SeamProbe(monkeypatch)
+    probe.assert_steady()
+    probe.worker.handle(P.ReleaseJob(7, []))
+    probe.assert_dropped_then_rebuilt(builds_expected=0)
+
+
+def test_seam_dropped_by_halt_and_recovery(monkeypatch):
+    probe = _SeamProbe(monkeypatch)
+    probe.assert_steady()
+    probe.worker.handle(P.Halt())
+    assert not probe.worker._pending and probe.worker._tail is None
+    probe.assert_dropped_then_rebuilt(builds_expected=0)
+
+
+def test_seam_rebuilt_after_version_bump(monkeypatch):
+    probe = _SeamProbe(monkeypatch)
+    probe.assert_steady()
+    half = next(iter(probe.worker._templates.values()))
+    probe.worker.handle(P.InstallWorkerTemplate(
+        probe.driver.BLOCK, 1, half.entries, sorted(half.reports)))
+    probe.driver.version = 1
+    # old-version plan -> new-version plan is a pair seen once: a walk;
+    # then the new plan follows itself and its own seam is built
+    probe.assert_dropped_then_rebuilt(builds_expected=1)
+
+
+def test_seam_rebuilt_after_migration_edits():
+    """Cluster level (edit ops come from the controller's planner): every
+    edit round drops the edited plans and their seams, steady replay of
+    the recompiled plans builds new ones, and replay keeps hitting."""
+    cluster = _run_lr_with_migrations(True, iterations=16)
+    workers = len(cluster.workers)
+    assert cluster.metrics.count("edits_applied") > 0
+    # one self-seam per worker before the first edit round, and again for
+    # every plan recompiled by the two rounds
+    assert cluster.metrics.count("worker.seam_builds") > workers
+    assert cluster.metrics.count("worker.seam_hits") > 0
+    for worker in cluster.workers.values():
+        live_plans = {half._plan for half in worker._templates.values()}
+        for pair in worker._seams:
+            assert set(pair) <= live_plans | set(
+                worker._patch_plans.values()), "seam of a dropped plan"
+
+
+def test_recovery_matches_interpreted_with_seams():
+    """Halt + checkpoint recovery mid-run, compiled vs interpreted."""
+    def run(use_compiled):
+        app = LRApp(LRSpec(num_workers=4, iterations=14,
+                           partitions_per_worker=4))
+        box = {}
+
+        def program(job):
+            yield job.define(app.variables.definitions)
+            yield job.run(app.init_block)
+            for i in range(14):
+                if i == 9 and not box["cluster"].workers[3]._dead:
+                    box["cluster"].workers[3].fail()
+                yield job.run(app.iteration_block, {"step": 0.1})
+
+        cluster = box["cluster"] = NimbusCluster(
+            4, program, registry=app.registry, checkpoint_every=3,
+            heartbeat_timeout=0.5, use_compiled=use_compiled)
+        cluster.start_fault_tolerance(heartbeat_interval=0.1,
+                                      check_interval=0.2)
+        cluster.run_until_finished(max_seconds=1e6)
+        return cluster
+    compiled, interpreted = run(True), run(False)
+    assert compiled.metrics.count("recoveries_completed") > 0
+    assert computed_values(compiled) == computed_values(interpreted)
+    assert compiled.sim.events_run == interpreted.sim.events_run
+    assert compiled.metrics.count("worker.seam_hits") > 0
+
+
+def test_plan_compile_instant_reports_seam_coverage():
+    """Traced runs say how much of a steady replay the seam answers, and
+    frames keep every release edge the critical-path walk needs."""
+    from repro.analysis import critical_path
+
+    from .helpers import run_lr
+    cluster = run_lr(workers=4, iterations=8, trace=True, use_compiled=True)
+    described = [event[6] for event in cluster.tracer.events
+                 if event[0] == "inst" and event[3] == "plan-compile"]
+    assert described
+    for args in described:
+        assert args["seam_covered"] > 0 and args["seam_fallback"] >= 0
+    assert critical_path(cluster.tracer).coverage == pytest.approx(1.0)

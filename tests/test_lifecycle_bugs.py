@@ -435,3 +435,130 @@ def test_provisioned_worker_syncs_epoch_after_churn():
     assert box["worker"]._pm_epoch == ctrl.pm_epoch, (
         "late joiner never learned the current partition-map epoch")
     assert computed_values(cluster) == baseline
+
+
+# ---------------------------------------------------------------------------
+# PR 12: a long-running service must not grow with every tenant it served,
+# nor with every iteration of a read-mostly object
+# ---------------------------------------------------------------------------
+def _tenant_state(cluster):
+    """Per-worker sizes of everything a worker keeps per tenant."""
+    return {
+        wid: (len(w._last_writer), len(w._readers_since),
+              sum(len(r) for r in w._readers_since.values()),
+              len(w._patch_plans), len(w._seams), len(w._templates),
+              len(w._prune_in), len(w._released_cids))
+        for wid, w in cluster.workers.items()
+    }
+
+
+def test_released_tenants_leave_no_tracker_plan_or_seam_state():
+    """50 submit -> finish -> release cycles: the conflict tracker, the
+    patch-plan cache and the seam cache return to what they held after
+    the first cycle (pre-fix only ``_on_halt`` ever cleared them, so each
+    released tenant left its oids and compiled patch plans behind)."""
+    from repro.apps import LRApp, LRSpec, RotationApp, RotationSpec
+    from repro.nimbus import merged_registry
+
+    lr = LRApp(LRSpec(num_workers=3, iterations=5, partitions_per_worker=2,
+                      data_bytes=1e6))
+    rot = RotationApp(RotationSpec(num_workers=3, iterations=5))  # patches
+    cluster = NimbusCluster(
+        3, program=None,
+        registry=merged_registry([lr.registry, rot.registry]))
+    programs = [lr.program(blocking=False), rot.program()]
+    baseline = None
+    for cycle in range(50):
+        record = cluster.jobs.submit(programs[cycle % 2])
+        cluster.run_until_jobs_finished(max_seconds=1e6)
+        assert record.state == "finished"
+        live = _tenant_state(cluster)
+        assert all(state[0] and state[5] for state in live.values())
+        cluster.controller.deliver(P.ManagerDirective(
+            lambda ctrl, jid=record.job_id: ctrl.release_job(jid)))
+        cluster.sim.run(until=cluster.sim.now + 1.0)
+        state = _tenant_state(cluster)
+        if cycle < 2:
+            baseline = state  # one released LR tenant + one rotation
+        else:
+            assert state == baseline, f"cycle {cycle}: worker state grew"
+    # the rotation tenants did run patches (whose compiled plans went too)
+    assert any(w._patches for w in cluster.workers.values())
+    assert all(not any(sizes) for sizes in baseline.values()), baseline
+
+
+def test_tenant_released_mid_run_is_scrubbed_once_drained():
+    """A tenant cancelled with pipelined instances in flight: the entries
+    of its draining commands survive the scrub at release and go when the
+    last of them completes — not with some later tenant's release."""
+    from repro.apps import LRApp, LRSpec
+
+    lr = LRApp(LRSpec(num_workers=3, iterations=30, partitions_per_worker=2,
+                      data_bytes=1e6))
+    cluster = NimbusCluster(3, program=None, registry=lr.registry)
+    record = cluster.jobs.submit(lr.program(blocking=False))
+    workers = cluster.workers.values()
+    # far enough in that instances are pipelined and commands in flight
+    while not all(w.tasks_executed > 40 and w._pending for w in workers):
+        assert cluster.sim.step(), "the job finished before the release"
+    cluster.controller.deliver(P.ManagerDirective(
+        lambda ctrl: ctrl.release_job(record.job_id)))
+    while not any(w._released_jobs for w in workers):
+        cluster.sim.step()
+    assert any(w._released_cids and w._last_writer for w in workers)
+    cluster.sim.run(until=cluster.sim.now + 5.0)
+    assert all(not w._pending for w in workers)
+    assert all(not any(sizes) for sizes in _tenant_state(cluster).values())
+
+
+@pytest.mark.parametrize("use_compiled", [True, False])
+def test_read_only_reader_lists_stay_bounded(use_compiled):
+    """An object read every iteration and never rewritten (fig07's
+    training data) gained one reader cid per instance, forever; a later
+    write then walked the whole list. 200 iterations keep the list at
+    O(pipeline depth), and a write after them still depends on exactly
+    the readers that are pending."""
+    from repro.apps import LRApp, LRSpec
+
+    iterations = 200
+    spec = LRSpec(num_workers=2, iterations=iterations,
+                  partitions_per_worker=2, data_bytes=1e6)
+    app = LRApp(spec)
+    longest = [0]
+    box = {}
+
+    def watch(_controller):
+        for w in box["cluster"].workers.values():
+            longest[0] = max([longest[0]] + [
+                len(readers) for readers in w._readers_since.values()])
+
+    def program(job):
+        yield job.define(app.variables.definitions)
+        yield job.run(app.init_block)
+        for i in range(iterations):
+            job.post(app.iteration_block, {"step": spec.step_size})
+            if i % 20 == 19:
+                yield job.drain()
+                box["cluster"].controller.deliver(P.ManagerDirective(watch))
+        yield job.drain()
+
+    cluster = box["cluster"] = NimbusCluster(
+        2, program, registry=app.registry, use_compiled=use_compiled)
+    cluster.run_until_finished(max_seconds=1e6)
+    w = cluster.workers[0]
+    watch(None)
+    assert 0 < longest[0] <= 32, longest[0]
+
+    # now write an object that 200 instances read: its only dependencies
+    # are the readers still pending (two hand-enqueued ones; nothing runs
+    # them, the simulator has stopped)
+    from repro.nimbus.commands import make_task
+    oid = max(w._readers_since, key=lambda o: len(w._readers_since[o]))
+    assert w._last_writer.get(oid) not in w._pending
+    base = 10 ** 9
+    for k in range(2):
+        w._enqueue(make_task(base + k, 0, "__noop__", (oid,), ()),
+                   (("central", 0), False, None))
+    writer = make_task(base + 9, 0, "__noop__", (), (oid,))
+    w._enqueue(writer, (("central", 0), False, None))
+    assert writer._rem == 2
