@@ -1,25 +1,27 @@
-"""Instantiation microbenchmark on a real worker: the compiled path
-(frame + cached seam) against the interpreted ``half.instantiate`` +
-``_enqueue_batch``, in time (instantiations/sec) and space (tracemalloc
-bytes per instantiation).
+"""Instantiation microbenchmark on a real worker (frame + cached seam),
+in time (µs per instantiation) and space (tracemalloc bytes per
+instantiation).
 
-Both sides are timed inside ``Worker._on_instantiate_template`` — command
-set-up, cross-instance dependency edges, the conflict-tracker update and
-the ready cascade all included — with a pipeline of instances in flight,
-so the numbers cannot drift from what a workload pays. These tests pin:
+Timed inside ``Worker._on_instantiate_template`` — command set-up,
+cross-instance dependency edges, the conflict-tracker update and the
+ready cascade all included — with a pipeline of instances in flight, so
+the numbers cannot drift from what a workload pays. These tests pin:
 
-* steady pipelined replay (depth 3, seam hit) beats the interpreted path
-  with a wide margin (3x asserted; 4.4-5.5x measured);
-* the seam is only a cache: an instantiation that has to fall back to the
-  tracker walk (seam miss), and blocking replay (depth 1), still beat the
-  interpreted path;
-* a steady compiled instantiation allocates well under half of the
-  interpreted path's bytes (which builds every Command, before-list and
-  tag tuple from scratch each time): 32 % measured, 40 % asserted.
+* the seam is a cache that pays: in steady pipelined replay (depth 3) a
+  seam hit beats the tracker-walk fallback (seam miss) — measured ≈95 µs
+  against ≈155 µs;
+* blocking replay (depth 1) is reported for both, ungated: its
+  predecessor has drained, so hit and miss do the same work;
+* a steady instantiation rewrites a pooled frame instead of rebuilding
+  every Command, before-list and tag tuple: 32.1 kB measured, 40 kB
+  asserted.
+
+The field-by-field path these rows were once compared against is gone
+from the worker; its last measured figures (≈470 µs, 101.3 kB) are frozen
+in EXPERIMENTS.md.
 """
 
 from repro.perf import (
-    bench_instantiate,
     bench_instantiate_compiled,
     instantiate_allocations,
     instantiate_breakdown,
@@ -28,40 +30,24 @@ from repro.perf import (
 NUM_WORKERS = 50
 
 
-def test_compiled_instantiation_is_faster():
-    interpreted = bench_instantiate(NUM_WORKERS)
-    compiled = bench_instantiate_compiled(NUM_WORKERS)
-    assert compiled >= 3.0 * interpreted, (
-        f"compiled instantiation only {compiled / interpreted:.1f}x the "
-        f"interpreted rate ({compiled:,.0f} vs {interpreted:,.0f} ops/s)"
-    )
+def test_steady_replay_rate_is_reported():
+    assert bench_instantiate_compiled(NUM_WORKERS) > 0
 
 
-def test_every_compiled_variant_beats_interpreted():
+def test_seam_hit_beats_tracker_walk_in_pipelined_replay():
     us = instantiate_breakdown(NUM_WORKERS)
     assert set(us) == {
-        f"{name}_depth{depth}_us" for depth in (1, 3)
-        for name in ("interpreted", "compiled_seam_hit", "compiled_seam_miss")
+        f"compiled_seam_{name}_depth{depth}_us"
+        for depth in (1, 3) for name in ("hit", "miss")
     }
-    for depth in (1, 3):
-        interpreted = us[f"interpreted_depth{depth}_us"]
-        hit = us[f"compiled_seam_hit_depth{depth}_us"]
-        miss = us[f"compiled_seam_miss_depth{depth}_us"]
-        # ratios with headroom, not a strict ordering of 0.1 s samples:
-        # measured hit ~0.2x and miss ~0.3x of interpreted
-        assert 1.2 * hit < interpreted and miss < interpreted, (depth, us)
+    assert all(value > 0 for value in us.values()), us
+    assert (us["compiled_seam_hit_depth3_us"]
+            < us["compiled_seam_miss_depth3_us"]), us
 
 
-def test_compiled_instantiation_allocates_less():
+def test_steady_instantiation_allocation_bound():
     alloc = instantiate_allocations(NUM_WORKERS)
-    interpreted = alloc["interpreted_bytes_per_instantiation"]
-    compiled = alloc["compiled_bytes_per_instantiation"]
-    assert interpreted > 0
     # ids, dependency counts, tags and the tracker's reader lists still
     # allocate; the Command objects, before lists and per-command
-    # dependency sets must not be rebuilt (measured 32.1 KB vs 101.3 KB;
-    # the bound is 1.25x that ratio)
-    assert 5 * compiled <= 2 * interpreted, (
-        f"compiled path allocates {compiled} B per instantiation vs "
-        f"{interpreted} B interpreted — pooling is not paying off"
-    )
+    # dependency sets must not be rebuilt
+    assert 0 < alloc["compiled_bytes_per_instantiation"] <= 40_000, alloc

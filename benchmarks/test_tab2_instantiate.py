@@ -18,6 +18,7 @@ from repro.apps import LRApp, LRSpec
 from repro.core.controller_template import ControllerTemplate
 from repro.core.validation import full_validate
 from repro.core.worker_template import WorkerHalf, generate_worker_templates
+from repro.nimbus.crosscheck import instantiate_entries
 from repro.nimbus.data import LogicalObject, ObjectDirectory
 from repro.analysis import render_table
 
@@ -74,8 +75,9 @@ def test_instantiate_worker_templates_auto(benchmark, paper_scale):
         commands = 0
         for worker, half in halves.items():
             counter["base"] += len(half.entries)
-            cmds = half.instantiate(worker, counter["instance"],
-                                    counter["base"], {"step": 0.1})
+            cmds = instantiate_entries(half.entries, worker,
+                                       counter["instance"],
+                                       counter["base"], {"step": 0.1})
             commands += len(cmds)
         return commands
 
@@ -98,8 +100,9 @@ def test_instantiate_worker_templates_full_validation(benchmark, paper_scale):
         commands = 0
         for worker, half in halves.items():
             counter["base"] += len(half.entries)
-            cmds = half.instantiate(worker, counter["instance"],
-                                    counter["base"], {"step": 0.1})
+            cmds = instantiate_entries(half.entries, worker,
+                                       counter["instance"],
+                                       counter["base"], {"step": 0.1})
             commands += len(cmds)
         return violations, commands
 

@@ -67,7 +67,7 @@ class NaiadController(Controller):
 
         # initial data distribution: part of graph installation, not a
         # runtime patch (Naiad has none)
-        violations = full_validate(wts, self.directory)
+        violations = full_validate(wts, self.directory, self._cross_check)
         if violations:
             patch = build_patch(violations, self.directory,
                                 self.object_sizes(),
@@ -110,7 +110,7 @@ class NaiadController(Controller):
             e.worker for e in template.entries
         ]
         # data redistribution to the new placement, also at install time
-        violations = full_validate(wts, self.directory)
+        violations = full_validate(wts, self.directory, self._cross_check)
         if violations:
             patch = build_patch(violations, self.directory,
                                 self.object_sizes(),

@@ -413,8 +413,7 @@ def cmd_perf(args) -> None:
                             report["microbenchmarks"].items()]))
         alloc = report["instantiate_allocations"]
         print("per-instantiation allocations: "
-              f"interpreted {alloc['interpreted_bytes_per_instantiation']:,} B, "
-              f"compiled {alloc['compiled_bytes_per_instantiation']:,} B")
+              f"{alloc['compiled_bytes_per_instantiation']:,} B")
         print("per-instantiation handler time (real worker): " + ", ".join(
             f"{name[:-3]} {us:,.1f} us"
             for name, us in report["instantiate_breakdown"].items()))

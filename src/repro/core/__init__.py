@@ -33,9 +33,7 @@ from .worker_template import (
     TemplateEntry,
     WorkerHalf,
     WorkerTemplateSet,
-    copy_tag,
     generate_worker_templates,
-    instantiate_entries,
 )
 
 __all__ = [
@@ -58,10 +56,8 @@ __all__ = [
     "WorkerTemplateSet",
     "apply_edits",
     "build_patch",
-    "copy_tag",
     "full_validate",
     "generate_worker_templates",
-    "instantiate_entries",
     "plan_migration",
     "plan_migrations",
     "validate",

@@ -1,10 +1,11 @@
 """Compiled execution plans for worker-template halves.
 
 The paper's thesis is that repeated control-plane decisions should be made
-once and replayed cheaply. The interpreted replay path still pays full
-object churn per instantiation: one fresh :class:`Command` per entry, dict
-registration, and per-edge dependency resolution. This module extends the
-caching one level down, from *decisions* to the *dispatch data structures*:
+once and replayed cheaply. Filling a cached half in entry by entry would
+still pay full object churn per instantiation: one fresh :class:`Command`
+per entry, dict registration, and per-edge dependency resolution. This
+module extends the caching one level down, from *decisions* to the
+*dispatch data structures*:
 
 * :func:`compile_plan` turns a worker half's entry array into a
   struct-of-arrays :class:`CompiledPlan` — flat arrays of initial
@@ -26,36 +27,22 @@ caching one level down, from *decisions* to the *dispatch data structures*:
   predecessor positions, so replay is list indexing instead of oid-keyed
   dict walks.
 
-The compiled path is semantics-preserving by construction: a frame waits
-on the same commands (minus edges another edge implies), fires ready
-positions in the same order, and triggers the same synchronous
-completions as the interpreted two-pass ``_enqueue_batch``, so virtual
-results (iteration times, decision counters, chaos snapshots) are
-bit-identical either way.
-Escape hatches: ``REPRO_COMPILED_TEMPLATES=0`` disables the compiled path
-entirely; ``REPRO_COMPILED_CROSS_CHECK=1`` re-derives every instantiation
-through the interpreted ``instantiate_entries`` and compares field by
-field (and recompiles the plan to catch stale-plan-after-edit bugs), and
-re-derives every frame's cross-instance edges and ready order through the
-tracker walk (``repro.nimbus.crosscheck``).
+This is the only way a worker runs a template or patch instance. It is
+semantics-preserving by construction: a frame waits on the same commands
+(minus edges another edge implies), fires ready positions in the same
+order, and triggers the same synchronous completions as filling the
+entries in one by one and enqueueing them in two passes. That reference
+lives in ``repro.nimbus.crosscheck``; under ``REPRO_CROSS_CHECK=1`` every
+instantiation is re-derived through it — fields, cross-instance edges,
+ready order, and a fresh compilation of the entry array (stale plan after
+an edit) — and any difference raises.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..nimbus.commands import Command, CommandKind
-
-
-def enabled_default() -> bool:
-    """Compiled path on unless ``REPRO_COMPILED_TEMPLATES`` disables it."""
-    return os.environ.get("REPRO_COMPILED_TEMPLATES", "1") not in (
-        "", "0", "false", "no")
-
-
-def cross_check_enabled() -> bool:
-    return os.environ.get("REPRO_COMPILED_CROSS_CHECK", "") not in ("", "0")
 
 
 #: a read-only object's reader list is pruned of completed readers once
@@ -231,7 +218,7 @@ class CompiledPlan:
 def compile_plan(entries: List[Optional[Any]], reports) -> CompiledPlan:
     """Compile a worker half's entry array into a :class:`CompiledPlan`.
 
-    The compilation simulates the interpreted resolution sweep
+    The compilation simulates a command-by-command resolution sweep
     symbolically: which before-set edges survive tombstoning, which
     read/write accesses face *pre-batch* state (and therefore need the
     runtime conflict tracker consulted), and what net update the batch
@@ -264,7 +251,7 @@ def compile_plan(entries: List[Optional[Any]], reports) -> CompiledPlan:
     plan.before_pos = before_pos
     plan.init_before = [len(d) for d in before_pos]
     # successors as int positions, appended in resolution (position)
-    # order — the order the interpreted path builds its dependents in
+    # order — the order a per-command sweep would build its dependents in
     succ: List[List[int]] = [[] for _ in live]
     for pos, deps in enumerate(before_pos):
         for p in deps:

@@ -22,23 +22,20 @@ with the directory stamp it was computed at. A revalidation then re-checks
 only the *dirty intersection* — precondition objects touched since the
 cached pass — and merges with the cached violations. The first validation
 of a template (or a validation against a different directory) falls back
-to the brute-force scan over the precomputed precondition pairs. Setting
-``REPRO_VALIDATE_CROSS_CHECK=1`` (or :data:`CROSS_CHECK`) cross-checks
-every incremental result against brute force and raises on divergence.
+to the brute-force scan over the precomputed precondition pairs. Under
+``REPRO_CROSS_CHECK=1`` the controller passes ``cross_check=True`` and
+every incremental result is compared against brute force, raising on
+divergence.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Tuple
 
 from ..nimbus.data import ObjectDirectory
 from .worker_template import WorkerTemplateSet
 
 Violation = Tuple[int, int]  # (worker, oid)
-
-#: debug flag: verify every incremental validation against brute force
-CROSS_CHECK = os.environ.get("REPRO_VALIDATE_CROSS_CHECK", "") not in ("", "0")
 
 
 class ValidationResult:
@@ -94,7 +91,8 @@ def brute_force_validate(template_set: WorkerTemplateSet,
 
 
 def full_validate(template_set: WorkerTemplateSet,
-                  directory: ObjectDirectory) -> List[Violation]:
+                  directory: ObjectDirectory,
+                  cross_check: bool = False) -> List[Violation]:
     """Check the template set's preconditions; return the violations.
 
     Semantically identical to :func:`brute_force_validate`, but re-checks
@@ -126,7 +124,7 @@ def full_validate(template_set: WorkerTemplateSet,
         violations = sorted(merged)
     template_set.validation_cache = (
         directory.token, stamp, frozenset(violations))
-    if CROSS_CHECK:
+    if cross_check:
         reference = brute_force_validate(template_set, directory)
         if violations != reference:
             raise AssertionError(

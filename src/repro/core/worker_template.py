@@ -21,9 +21,9 @@ automatically with no per-object checks.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..nimbus.commands import Command, CommandKind
+from ..nimbus.commands import CommandKind
 from .controller_template import ControllerTemplate
 
 
@@ -301,65 +301,6 @@ def generate_worker_templates(
     )
 
 
-def copy_tag(instance_id: Hashable, dst_worker: int, dst_index: int) -> Tuple:
-    """Matching tag for a templated SEND/RECV pair.
-
-    Globally unique because instance ids are; computable independently by
-    sender and receiver from cached structure plus the instantiation
-    message — no controller lookups at runtime (requirement 2 of §3.1).
-    """
-    return (instance_id, dst_worker, dst_index)
-
-
-def instantiate_entries(
-    entries: List[TemplateEntry],
-    worker_id: int,
-    instance_id: Hashable,
-    cid_base: int,
-    params: Dict[str, Any],
-) -> List[Command]:
-    """Fill a worker half's entries into concrete commands (Figure 5b).
-
-    ``cid = cid_base + index``; before sets are rebased the same way.
-    Entries removed by edits are tombstoned (``None``) and skipped, but
-    their indices remain reserved so cached before sets stay valid.
-    """
-    commands: List[Command] = []
-    for entry in entries:
-        if entry is None:  # tombstoned by an edit
-            continue
-        cid = cid_base + entry.index
-        before = [cid_base + j for j in entry.before]
-        if entry.kind == CommandKind.TASK:
-            cmd = Command(
-                cid, CommandKind.TASK, worker_id,
-                read=entry.read, write=entry.write, before=before,
-                params=params.get(entry.param_slot)
-                if entry.param_slot else None,
-                function=entry.function,
-            )
-        elif entry.kind == CommandKind.SEND:
-            cmd = Command(
-                cid, CommandKind.SEND, worker_id,
-                read=entry.read, before=before,
-                dst_worker=entry.dst_worker,
-                tag=copy_tag(instance_id, entry.dst_worker, entry.dst_index),
-                size_bytes=entry.size_bytes,
-            )
-        elif entry.kind == CommandKind.RECV:
-            cmd = Command(
-                cid, CommandKind.RECV, worker_id,
-                write=entry.write, before=before,
-                src_worker=entry.src_worker,
-                tag=copy_tag(instance_id, worker_id, entry.index),
-                size_bytes=entry.size_bytes,
-            )
-        else:
-            raise ValueError(f"unexpected template entry kind {entry.kind}")
-        commands.append(cmd)
-    return commands
-
-
 class WorkerHalf:
     """The worker-resident half of a worker template (§4.1).
 
@@ -387,12 +328,6 @@ class WorkerHalf:
 
     def num_commands(self) -> int:
         return sum(1 for e in self.entries if e is not None)
-
-    def instantiate(self, worker_id: int, instance_id: Hashable,
-                    cid_base: int, params: Dict[str, Any]) -> List[Command]:
-        return instantiate_entries(
-            self.entries, worker_id, instance_id, cid_base, params,
-        )
 
     # ------------------------------------------------------------------
     # Compiled execution plan (repro.core.compiled)

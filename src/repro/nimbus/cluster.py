@@ -46,7 +46,6 @@ class NimbusCluster:
         heartbeat_timeout: float = 3.0,
         straggler_scales: Optional[Dict[int, float]] = None,
         chaos_plan=None,
-        use_compiled: Optional[bool] = None,
         patch_cache_cap: int = 256,
         trace: Optional[bool] = None,
         rebalance: bool = False,
@@ -91,7 +90,6 @@ class NimbusCluster:
         self.registry = registry or FunctionRegistry()
         self.storage = DurableStorage()
         self.slots_per_worker = slots_per_worker
-        self._use_compiled = use_compiled
         self._hb_interval: Optional[float] = None
 
         self.controller = Controller(
@@ -112,7 +110,6 @@ class NimbusCluster:
                 self.sim, wid, self.controller, self.registry, self.costs,
                 self.metrics, self.storage, slots=slots_per_worker,
                 duration_scale=straggler_scales.get(wid, 1.0),
-                use_compiled=use_compiled,
             )
             self.network.attach(worker)
             self.workers[wid] = worker
@@ -210,7 +207,7 @@ class NimbusCluster:
         worker = Worker(
             self.sim, wid, self.controller, self.registry, self.costs,
             self.metrics, self.storage, slots=self.slots_per_worker,
-            duration_scale=scale, use_compiled=self._use_compiled,
+            duration_scale=scale,
         )
         worker.peers = self.workers
         self.network.attach(worker)

@@ -56,10 +56,10 @@ class Command:
         "src_worker",
         "tag",
         "size_bytes",
-        # worker-local scheduling state, stamped by Worker._register:
-        # outstanding-dependency count and (instance_key, report) metadata.
-        # Kept on the command (not in side dicts) because the readiness
-        # cascade is the hottest path in the whole simulation.
+        # worker-local scheduling state of a centrally dispatched command,
+        # stamped by Worker._register: outstanding-dependency count and
+        # (block_seq, report) metadata. Kept on the command, not in side
+        # dicts keyed by cid.
         "_rem",
         "_wmeta",
         # compiled-plan state (repro.core.compiled): owning arena (the

@@ -884,7 +884,8 @@ class Controller(P.ReliableEndpoint, Actor):
             self.charge(
                 self.costs.instantiate_worker_template_validate_per_task * n)
             ctx.metrics.incr("full_validations")
-            violations = full_validate(wts, ctx.directory)
+            violations = full_validate(wts, ctx.directory,
+                                       self._cross_check)
             if self._trace is not None:
                 self._trace.span(
                     self.name, "template", "validate.full",

@@ -1,11 +1,13 @@
 """In-situ oracle for compiled template instantiation.
 
-With ``REPRO_COMPILED_CROSS_CHECK=1`` every instantiation the worker runs
-on a frame (``Worker._run_compiled_plan``) is re-derived the slow way and
-compared:
+The worker runs every template and patch instance on a compiled frame
+(``Worker._run_compiled_plan``); this module is the reference semantics
+that path is held to. With ``REPRO_CROSS_CHECK=1`` every instantiation is
+re-derived the slow way and compared:
 
-* the command fields against the interpreted ``instantiate_entries``, and
-  the plan against a fresh compilation of the entry array (catches
+* the command fields against :func:`instantiate_entries` — one fresh
+  command per entry, filled field by field (Figure 5b) — and the plan
+  against a fresh compilation of the entry array (catches
   stale-plan-after-edit bugs);
 * the cross-batch dependency edges against the plain conflict-tracker
   walk over ``plan.ext_checks`` — edge for edge and in registration
@@ -15,26 +17,92 @@ compared:
   transitively depends on the dropped edge's source (that edge can never
   be the one that releases it);
 * the order of ``_on_ready`` calls made while instantiating against
-  :func:`sweep_oracle`, a direct model of the interpreted two-pass
-  ``_enqueue_batch``.
+  :func:`sweep_oracle`, a direct model of enqueueing the batch in two
+  passes (register every command, then resolve them one by one).
 
-None of this runs, or costs anything, without the flag.
+None of this runs, or costs anything, without the switch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, Hashable, List, Tuple
 
 from ..core.compiled import CommandArena, CompiledPlan, compile_plan
-from ..core.worker_template import instantiate_entries
+from ..core.worker_template import TemplateEntry
 from .commands import Command, CommandKind
 
 
+def copy_tag(instance_id: Hashable, dst_worker: int, dst_index: int) -> Tuple:
+    """Matching tag for a templated SEND/RECV pair.
+
+    Globally unique because instance ids are; computable independently by
+    sender and receiver from cached structure plus the instantiation
+    message — no controller lookups at runtime (requirement 2 of §3.1).
+    """
+    return (instance_id, dst_worker, dst_index)
+
+
+def instantiate_entries(
+    entries: List[TemplateEntry],
+    worker_id: int,
+    instance_id: Hashable,
+    cid_base: int,
+    params: Dict[str, Any],
+) -> List[Command]:
+    """Fill a worker half's entries into concrete commands (Figure 5b).
+
+    ``cid = cid_base + index``; before sets are rebased the same way.
+    Entries removed by edits are tombstoned (``None``) and skipped, but
+    their indices remain reserved so cached before sets stay valid.
+    """
+    commands: List[Command] = []
+    for entry in entries:
+        if entry is None:  # tombstoned by an edit
+            continue
+        cid = cid_base + entry.index
+        before = [cid_base + j for j in entry.before]
+        if entry.kind == CommandKind.TASK:
+            cmd = Command(
+                cid, CommandKind.TASK, worker_id,
+                read=entry.read, write=entry.write, before=before,
+                params=params.get(entry.param_slot)
+                if entry.param_slot else None,
+                function=entry.function,
+            )
+        elif entry.kind == CommandKind.SEND:
+            cmd = Command(
+                cid, CommandKind.SEND, worker_id,
+                read=entry.read, before=before,
+                dst_worker=entry.dst_worker,
+                tag=copy_tag(instance_id, entry.dst_worker, entry.dst_index),
+                size_bytes=entry.size_bytes,
+            )
+        elif entry.kind == CommandKind.RECV:
+            cmd = Command(
+                cid, CommandKind.RECV, worker_id,
+                write=entry.write, before=before,
+                src_worker=entry.src_worker,
+                tag=copy_tag(instance_id, worker_id, entry.index),
+                size_bytes=entry.size_bytes,
+            )
+        else:
+            raise ValueError(f"unexpected template entry kind {entry.kind}")
+        commands.append(cmd)
+    return commands
+
+
 def sweep_oracle(plan: CompiledPlan, waits: List[int]) -> List[int]:
-    """Positions in the order the interpreted two-pass enqueue calls
+    """Positions in the order a two-pass enqueue of the batch calls
     ``on_ready`` while instantiating, given each position's count of
     unresolved external waits (cross-batch conflicts, a RECV's missing
-    payload)."""
+    payload).
+
+    Two passes, because cached before sets may point *forward* within the
+    batch: an edit such as a migrated read-modify-write task makes the
+    result RECV (which keeps the task's old, low index) wait for the
+    input SEND appended at a higher index (Fig. 6). Inside a batch the
+    before sets are the complete order, so the conflict tracker only
+    contributes the external waits."""
     rem = [b + w for b, w in zip(plan.init_before, waits)]
     order: List[int] = []
 

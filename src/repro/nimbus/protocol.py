@@ -653,7 +653,7 @@ class ReliableEndpoint:
         if not isinstance(dst, ReliableEndpoint):
             self.send(dst, msg)  # peer speaks only the raw protocol
             return
-        if (dst is self and self._fused and self._trace is None
+        if (dst is self and self._trace is None
                 and self.network is not None and self.network.lossless):
             # the receiver treats an unframed message as a direct delivery
             self.send(dst, msg)

@@ -23,7 +23,6 @@ import heapq
 from collections import deque
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from ..core import compiled as compiled_mod
 from ..core.compiled import (
     READERS_PRUNE_MIN,
     CommandArena,
@@ -32,7 +31,7 @@ from ..core.compiled import (
     build_seam,
     compile_plan,
 )
-from ..core.worker_template import WorkerHalf, instantiate_entries
+from ..core.worker_template import WorkerHalf
 from ..sim.actor import Actor, Message, _Callback
 from ..sim.engine import Simulator
 from ..sim.metrics import Metrics
@@ -153,7 +152,6 @@ class Worker(P.ReliableEndpoint, Actor):
         storage: DurableStorage,
         slots: int = 8,
         duration_scale: float = 1.0,
-        use_compiled: Optional[bool] = None,
     ):
         super().__init__(sim, f"worker-{worker_id}")
         self._init_reliable(metrics)
@@ -192,17 +190,15 @@ class Worker(P.ReliableEndpoint, Actor):
         # (job_id, block_id, version) — so concurrent jobs reusing a
         # block id can never clobber each other's halves
         self._templates: Dict[Tuple[int, str, int], WorkerHalf] = {}
-        self._patches: Dict[int, List] = {}
+        #: patch id -> its compiled plan (the plan keeps the entries), or
+        #: None once the owning job was released: the body is freed, the
+        #: id stays so a redelivered InstallPatch is still discarded
+        self._patch_plans: Dict[int, Optional[CompiledPlan]] = {}
         #: every (patch_id, instance_id) ever run; guards redelivery
         self._ran_patches: set = set()
 
-        # compiled execution plans (repro.core.compiled): instantiations
-        # replay a pooled command arena instead of rebuilding command
-        # objects. Off via REPRO_COMPILED_TEMPLATES=0 or the constructor.
-        self._use_compiled = (compiled_mod.enabled_default()
-                              if use_compiled is None else bool(use_compiled))
-        self._cross_check = compiled_mod.cross_check_enabled()
-        self._patch_plans: Dict[int, CompiledPlan] = {}
+        # compiled execution plans (repro.core.compiled): every template
+        # and patch instance replays a pooled command arena
         #: the frame whose net update was the last thing to touch the
         #: conflict tracker, else None; the next compiled instance may
         #: replay its cached seam against it (DESIGN.md §9)
@@ -360,21 +356,19 @@ class Worker(P.ReliableEndpoint, Actor):
     # ------------------------------------------------------------------
     def _on_dispatch(self, msg: P.DispatchCommand) -> None:
         self.charge(self.costs.worker_enqueue_per_command)
-        meta = (("central", msg.block_seq), msg.report, None)
-        self._enqueue(msg.command, meta)
+        self._enqueue(msg.command, msg.block_seq, msg.report)
 
     def _on_dispatch_batch(self, msg: P.DispatchCommandBatch) -> None:
         """Coalesced central dispatch: enqueue cost stays per command.
 
-        Commands resolve sequentially (not via :meth:`_enqueue_batch`):
-        a central stream carries no cached before sets, so the conflict
-        tracker must see each command exactly as it would have arrived
-        in one-message-per-command dispatch.
+        Commands resolve one by one: a central stream carries no cached
+        before sets, so the conflict tracker must see each command
+        exactly as it would have arrived in one-message-per-command
+        dispatch.
         """
         self.charge(self.costs.worker_enqueue_per_command * len(msg.items))
-        scope = ("central", msg.block_seq)
         for cmd, report in msg.items:
-            self._enqueue(cmd, (scope, report, None))
+            self._enqueue(cmd, msg.block_seq, report)
 
     # ------------------------------------------------------------------
     # Template install / instantiate
@@ -447,46 +441,33 @@ class Worker(P.ReliableEndpoint, Actor):
             grant=grant,
         )
         self._instances[key] = record
-        if self._use_compiled:
-            # compiled fast path: same charge, resolution order and
-            # synchronous completions as half.instantiate + _enqueue_batch,
-            # on a pooled frame
-            fresh_plan = half._plan is None
-            plan = half.compiled_plan()
-            if fresh_plan:
-                self.plans_compiled += 1
-                if self._trace is not None:
-                    self._trace.instant(self.name, "template", "plan-compile",
-                                        block_id=block_id, **plan.describe())
-            record.remaining = m = plan.m
-            self.charge(self.costs.worker_instantiate_per_command * m)
-            if m:
-                self._run_compiled_plan(plan, half.entries, cid_base,
-                                        instance_id, params, record)
+        fresh_plan = half._plan is None
+        plan = half.compiled_plan()
+        if fresh_plan:
+            self.plans_compiled += 1
+            if self._trace is not None:
+                self._trace.instant(self.name, "template", "plan-compile",
+                                    block_id=block_id, **plan.describe())
+        record.remaining = m = plan.m
+        self.charge(self.costs.worker_instantiate_per_command * m)
+        if m:
+            self._run_compiled_plan(plan, half.entries, cid_base,
+                                    instance_id, params, record)
         else:
-            commands = half.instantiate(
-                self.worker_id, instance_id, cid_base, params,
-            )
-            record.remaining = m = len(commands)
-            self.charge(self.costs.worker_instantiate_per_command * m)
-            meta_key = ("instance", key)
-            self._enqueue_batch(commands, [
-                (meta_key, cmd.cid - cid_base in half.reports, record)
-                for cmd in commands])
-        if not m:
             self._finish_instance(record)
 
     def _run_compiled_plan(self, plan: CompiledPlan, entries, cid_base: int,
                            instance_id, params, record) -> None:
         """Register, resolve, and fire one instantiation of ``plan``.
 
-        Mirrors ``_enqueue_batch`` exactly: external dependencies are read
-        from the pre-batch conflict tracker (nothing external can complete
-        mid-handler, so checking up front is equivalent to the interpreted
-        per-command interleaving), the tracker gets the batch's *net*
-        update, and ready positions fire in entry order so zero-dep
-        SEND/RECV/CREATE commands complete synchronously at the same
-        points the interpreted path completes them.
+        Equivalent to registering the whole batch and then resolving it
+        command by command (the reference ``repro.nimbus.crosscheck``
+        holds it to): external dependencies are read from the pre-batch
+        conflict tracker (nothing external can complete mid-handler, so
+        checking up front equals the per-command interleaving), the
+        tracker gets the batch's *net* update, and ready positions fire
+        in entry order so zero-dep SEND/RECV/CREATE commands complete
+        synchronously at the points a per-command sweep completes them.
 
         The instance runs on a frame (DESIGN.md §9): dependency counts
         start as one list copy, and when the previous thing enqueued here
@@ -693,7 +674,7 @@ class Worker(P.ReliableEndpoint, Actor):
 
     def _scrub_released(self) -> None:
         """Forget what released jobs left in the conflict tracker and the
-        patch-plan cache — a long-running service must not grow with every
+        patch cache — a long-running service must not grow with every
         tenant it ever served.
 
         Exact: a tracker entry whose command is no longer pending can
@@ -710,9 +691,11 @@ class Worker(P.ReliableEndpoint, Actor):
         for oid in [o for o in readers_since if o // OID_STRIDE in released]:
             if not self._prune_readers(readers_since[oid]):
                 del readers_since[oid]
-        for pid in [p for p, plan in self._patch_plans.items()
-                    if plan.live and self._body_released(plan.live[0])]:
-            self._drop_plan(self._patch_plans.pop(pid))
+        for pid, plan in self._patch_plans.items():
+            if (plan is not None and plan.live
+                    and self._body_released(plan.live[0])):
+                self._drop_plan(plan)
+                self._patch_plans[pid] = None  # tombstone: body freed
 
     def _body_released(self, cmd: Command) -> bool:
         """True when ``cmd`` belongs to a released job (skip its body)."""
@@ -722,86 +705,46 @@ class Worker(P.ReliableEndpoint, Actor):
                 and anchor // OID_STRIDE in self._released_jobs)
 
     def _on_install_patch(self, msg: P.InstallPatch) -> None:
-        if msg.patch_id in self._patches:
+        if msg.patch_id in self._patch_plans:
             self._stale()  # redelivered install: the patch already ran
             return
-        entries = [e.clone() for e in msg.entries]
-        self._patches[msg.patch_id] = entries
+        plan = compile_plan([e.clone() for e in msg.entries], ())
+        self._patch_plans[msg.patch_id] = plan
+        self.plans_compiled += 1
         self._ran_patches.add((msg.patch_id, msg.instance_id))
-        self._run_patch(msg.patch_id, entries, msg.instance_id, msg.cid_base)
+        self._run_patch(plan, msg.instance_id, msg.cid_base)
 
     def _on_instantiate_patch(self, msg: P.InstantiatePatch) -> None:
         if (msg.patch_id, msg.instance_id) in self._ran_patches:
             self._stale()  # redelivered invocation of an already-run patch
             return
         self._ran_patches.add((msg.patch_id, msg.instance_id))
-        entries = self._patches[msg.patch_id]
-        self._run_patch(msg.patch_id, entries, msg.instance_id, msg.cid_base)
+        self._run_patch(self._patch_plans[msg.patch_id], msg.instance_id,
+                        msg.cid_base)
 
-    def _run_patch(self, patch_id, entries, instance_id, cid_base) -> None:
-        if self._use_compiled:
-            plan = self._patch_plans.get(patch_id)
-            if plan is None:
-                self._patch_plans[patch_id] = plan = compile_plan(entries, ())
-                self.plans_compiled += 1
-            self.charge(self.costs.worker_instantiate_per_command * plan.m)
-            if plan.m == 0:
-                return
-            self._run_compiled_plan(plan, entries, cid_base, instance_id,
+    def _run_patch(self, plan: CompiledPlan, instance_id, cid_base) -> None:
+        self.charge(self.costs.worker_instantiate_per_command * plan.m)
+        if plan.m:
+            self._run_compiled_plan(plan, plan.live, cid_base, instance_id,
                                     {}, None)
-            return
-        commands = instantiate_entries(
-            entries, self.worker_id, instance_id, cid_base, {},
-        )
-        self.charge(self.costs.worker_instantiate_per_command * len(commands))
-        self._enqueue_batch(commands, [(None, False, None)] * len(commands))
 
     # ------------------------------------------------------------------
-    # Command queue: local readiness resolution (§3.1 requirement 1)
+    # Central command queue: per-command readiness resolution (§3.1
+    # requirement 1) for commands that arrive without a template
     # ------------------------------------------------------------------
-    def _enqueue(self, cmd: Command, meta: Tuple) -> None:
-        self._register(cmd, meta)
+    def _enqueue(self, cmd: Command, block_seq: int, report: bool) -> None:
+        self._register(cmd, block_seq, report)
         self._resolve(cmd)
 
-    def _enqueue_batch(self, commands, metas) -> None:
-        """Enqueue an instantiation batch in two passes.
-
-        Registering every command before resolving dependencies lets cached
-        before sets reference *forward* indices within the batch — edits
-        such as a migrated read-modify-write task need the result RECV
-        (which keeps the task's old, low index) to wait for the input SEND
-        appended at a higher index (Fig. 6).
-
-        Within a batch the template's cached before sets are the complete
-        intra-block order (the generator and the edit planner both emit
-        every local conflict edge), so the object-conflict tracker only
-        contributes *cross-batch* dependencies — ordering this instance
-        against earlier instances, patches, and central commands.
-        """
-        batch = {cmd.cid for cmd in commands}
-        for cmd, meta in zip(commands, metas):
-            self._register(cmd, meta)
-        for cmd in commands:
-            self._resolve(cmd, exclude=batch)
-
-    def _register(self, cmd: Command, meta: Tuple) -> None:
+    def _register(self, cmd: Command, block_seq: int, report: bool) -> None:
         self._pending[cmd.cid] = cmd
-        cmd._wmeta = meta
+        cmd._wmeta = (block_seq, report)
         cmd._rem = -1  # not yet resolved
         if self._trace is not None:
-            meta_key = meta[0]
-            if meta_key is None:
-                run_seq = None
-            elif meta_key[0] == "central":
-                run_seq = meta_key[1]
-            else:
-                record = meta[2]
-                run_seq = record.block_seq if record is not None else None
             self._trace.cmd_enqueue(cmd.cid, cmd.kind, cmd.function,
-                                    self.name, run_seq)
+                                    self.name, block_seq)
 
-    def _resolve(self, cmd: Command, exclude=frozenset()) -> None:
-        # hot path: one call per command ever run; locals bound up front
+    def _resolve(self, cmd: Command) -> None:
         cid = cmd.cid
         pending = self._pending
         last_writer = self._last_writer
@@ -813,19 +756,16 @@ class Worker(P.ReliableEndpoint, Actor):
                 deps.add(dep)
         for oid in read:
             writer = last_writer.get(oid)
-            if (writer is not None and writer != cid and writer in pending
-                    and writer not in exclude):
+            if writer is not None and writer != cid and writer in pending:
                 deps.add(writer)
         for oid in write:
             writer = last_writer.get(oid)
-            if (writer is not None and writer != cid and writer in pending
-                    and writer not in exclude):
+            if writer is not None and writer != cid and writer in pending:
                 deps.add(writer)
             readers = readers_since.get(oid)
             if readers:
                 for reader in readers:
-                    if (reader != cid and reader in pending
-                            and reader not in exclude):
+                    if reader != cid and reader in pending:
                         deps.add(reader)
         # update the conflict tracker
         self._tail = None  # no compiled frame's update is the latest now
@@ -929,7 +869,7 @@ class Worker(P.ReliableEndpoint, Actor):
         zero = sim._zero
         push = heapq.heappush
         tr = self._trace
-        cohorts = self._fused and tr is None
+        cohorts = tr is None  # a traced run sees one event per task
         while free > 0 and ready:
             cmd = ready.popleft()
             free -= 1
@@ -1061,7 +1001,8 @@ class Worker(P.ReliableEndpoint, Actor):
             del self._pending[cid]
             if tr is not None:
                 tr.cmd_complete(cid)
-            meta_key, report, record = cmd._wmeta
+            block_seq, report = cmd._wmeta
+            record = None
             succs = self._dependents.pop(cid, None)
         else:
             # compiled command: id, metadata and dependency counts live on
@@ -1072,7 +1013,7 @@ class Worker(P.ReliableEndpoint, Actor):
             if tr is not None:
                 tr.cmd_complete(cid)
             plan = frame.plan
-            meta_key, report, record = None, plan.report_flags[pos], frame.record
+            report, record = plan.report_flags[pos], frame.record
             rem = frame.rem
             rem[pos] = -1  # no longer pending, for later seam replays
             targets = plan.succ[pos]
@@ -1126,12 +1067,11 @@ class Worker(P.ReliableEndpoint, Actor):
                 else:
                     self._finish_instance(record)
             return
-        if meta_key is None:
+        if frame is not None:
             return  # patch command: no ack needed
-        _scope, key = meta_key
         value = self.store.get(cmd.write[0]) if (report and cmd.write) else None
         oid = cmd.write[0] if (report and cmd.write) else None
-        self._completion_buffer.append((cid, key, duration, value, oid))
+        self._completion_buffer.append((cid, block_seq, duration, value, oid))
         if not self._completion_flush_pending:
             self._completion_flush_pending = True
             self.call_later(self.completion_flush_window,

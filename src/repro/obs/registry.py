@@ -16,8 +16,8 @@ from typing import Any, Dict
 SNAPSHOT_VERSION = 1
 
 #: counters whose name does not say what is counted. The ``worker.seam_*``
-#: family exists on the compiled instantiation path only (DESIGN.md §9),
-#: so equivalence sweeps against the interpreted path leave it out.
+#: family describes how template instances derive their cross-instance
+#: edges (DESIGN.md §9).
 COUNTER_HELP = {
     "worker.seam_builds":
         "seams compiled: a (predecessor plan, plan) pair met a second time",

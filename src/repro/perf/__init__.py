@@ -13,7 +13,6 @@ from .harness import (  # noqa: F401
     MODE_SCALES,
     SCALES,
     SCHEMA_VERSION,
-    bench_instantiate,
     bench_instantiate_compiled,
     bench_instantiate_worker,
     bench_path,

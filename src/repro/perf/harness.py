@@ -52,8 +52,8 @@ from ..sim.metrics import Metrics
 from ..sim.network import Network
 
 #: v2 adds the ``patch_rotation`` workload (patch-cache coverage), the
-#: per-workload ``allocations`` section, and the compiled-vs-interpreted
-#: instantiation microbenchmark.
+#: per-workload ``allocations`` section, and the instantiation
+#: microbenchmark.
 #: v3 adds the per-workload ``metrics_snapshot`` (the obs registry's
 #: versioned dump of every Metrics counter/series/interval, taken at the
 #: scale's largest worker count) and pins tracing off in every timed run
@@ -75,8 +75,8 @@ from ..sim.network import Network
 #: isolates ``bench_engine_events`` on a fresh simulator per chunk so
 #: prior events can never inflate the reported rate. Workload rows are
 #: measured with event-loop cohort batching and completion fusion on
-#: (the default; REPRO_FUSED_CHAINS=0 restores the one-event-per-hop
-#: loop with bit-identical virtual results).
+#: (a traced run takes the one-event-per-hop loop instead, with
+#: bit-identical virtual results).
 #: v7 adds the ``scheduling_modes`` section (DESIGN.md §14): fig07/fig08
 #: at the scale's mode worker counts, centralized vs decentralized, 30
 #: iterations, recording wall clock (min over interleaved repetitions —
@@ -103,7 +103,10 @@ from ..sim.network import Network
 #: strictly fewer coordinator messages per task than centralized and its
 #: wall clock must be no worse than decentralized within 10%, with the
 #: same bit-identical results digest across all three modes.
-SCHEMA_VERSION = 9
+#: v10 drops the ``interpreted_*`` microbenchmark rows: workers run every
+#: instance on a compiled frame, so there is no second path to time (the
+#: last measured figures are frozen in EXPERIMENTS.md).
+SCHEMA_VERSION = 10
 BENCH_FILENAME = "BENCH_control_plane.json"
 
 #: worker counts per scale (mirrors benchmarks/: paper-scale figures vs a
@@ -426,8 +429,7 @@ class _WorkerDriver:
 
     BLOCK = "bench.block"
 
-    def __init__(self, num_workers: int, depth: int, use_compiled: bool,
-                 seam: bool = True):
+    def __init__(self, num_workers: int, depth: int, seam: bool = True):
         worker_id, entries, reports = _instantiate_fixture(num_workers)
         self.depth, self.seam = depth, seam
         self.sim = Simulator()
@@ -438,8 +440,7 @@ class _WorkerDriver:
                             if e is not None and e.function}):
             registry.register(name, fn=None, duration=1e-4)
         self.worker = Worker(self.sim, worker_id, sink, registry, CostModel(),
-                             Metrics(), DurableStorage(),
-                             use_compiled=use_compiled)
+                             Metrics(), DurableStorage())
         network.attach(self.worker)
         self.worker.peers = {e.dst_worker: sink for e in entries
                              if e is not None and e.kind == CommandKind.SEND}
@@ -479,61 +480,51 @@ class _WorkerDriver:
 
 
 def bench_instantiate_worker(num_workers: int = 50, depth: int = 3,
-                             use_compiled: bool = True, seam: bool = True,
+                             seam: bool = True,
                              min_seconds: float = 0.2) -> float:
     """Instantiations/sec of a real Worker's InstantiateWorkerTemplate
     handler (frame set-up, cross-instance edges, tracker update and the
     firing pass all included) at pipeline ``depth``."""
-    driver = _WorkerDriver(num_workers, depth, use_compiled, seam)
+    driver = _WorkerDriver(num_workers, depth, seam)
     while driver.seconds < min_seconds or driver.instances < driver.warm + 5:
         driver.step()
     return (driver.instances - driver.warm) / driver.seconds
 
 
-def bench_instantiate(num_workers: int = 50) -> float:
-    """Interpreted path: ``half.instantiate`` + ``_enqueue_batch``."""
-    return bench_instantiate_worker(num_workers, use_compiled=False)
-
-
 def bench_instantiate_compiled(num_workers: int = 50) -> float:
-    """Compiled path in steady pipelined replay (frame + seam hit)."""
+    """Steady pipelined replay (frame + seam hit), instantiations/sec."""
     return bench_instantiate_worker(num_workers)
 
 
 def instantiate_breakdown(num_workers: int = 50) -> Dict[str, float]:
-    """µs per instantiation: interpreted vs compiled, depth 1 and 3, with
-    the seam hit and the tracker-walk fallback reported separately."""
+    """µs per instantiation at depth 1 and 3, with the seam hit and the
+    tracker-walk fallback reported separately."""
     out = {}
     for depth in (1, 3):
-        for name, kwargs in (
-                ("interpreted", {"use_compiled": False}),
-                ("compiled_seam_hit", {}),
-                ("compiled_seam_miss", {"seam": False})):
+        for name, seam in (("compiled_seam_hit", True),
+                           ("compiled_seam_miss", False)):
             out[f"{name}_depth{depth}_us"] = round(1e6 / bench_instantiate_worker(
-                num_workers, depth, min_seconds=0.1, **kwargs), 2)
+                num_workers, depth, seam, min_seconds=0.1), 2)
     return out
 
 
 def instantiate_allocations(num_workers: int = 50) -> Dict[str, int]:
-    """Bytes allocated by one instantiation handler, interpreted vs
-    compiled, on a real Worker in steady pipelined replay.
+    """Bytes allocated by one instantiation handler on a real Worker in
+    steady pipelined replay.
 
-    Measured with tracemalloc after the pipeline is warm, so the compiled
-    number reflects steady-state frame reuse (the first instantiations
-    build the arenas; every later one rewrites a pooled one in place).
+    Measured with tracemalloc after the pipeline is warm, so the number
+    reflects steady-state frame reuse (the first instantiations build
+    the arenas; every later one rewrites a pooled one in place).
     """
-    out = {}
-    for name, use_compiled in (("interpreted", False), ("compiled", True)):
-        driver = _WorkerDriver(num_workers, 3, use_compiled)
-        msg = driver.next_message()
-        tracemalloc.start()
-        base, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        driver.worker.handle(msg)
-        _current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        out[f"{name}_bytes_per_instantiation"] = max(0, peak - base)
-    return out
+    driver = _WorkerDriver(num_workers, 3)
+    msg = driver.next_message()
+    tracemalloc.start()
+    base, _ = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    driver.worker.handle(msg)
+    _current, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return {"compiled_bytes_per_instantiation": max(0, peak - base)}
 
 
 def _noop() -> None:
@@ -583,7 +574,6 @@ def run_microbenchmarks(num_workers: int = 50) -> Dict[str, float]:
     return {
         "validate_ops_per_sec": round(bench_validate(num_workers), 1),
         "patch_ops_per_sec": round(bench_patch(num_workers), 1),
-        "instantiate_ops_per_sec": round(bench_instantiate(num_workers), 1),
         "instantiate_compiled_ops_per_sec": round(
             bench_instantiate_compiled(num_workers), 1),
         "engine_events_per_sec": round(bench_engine_events(), 1),

@@ -14,11 +14,20 @@ a handler depart when the handler's charged time elapses.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
-from . import fastpath
 from .engine import Simulator
+
+
+def cross_check_enabled() -> bool:
+    """``REPRO_CROSS_CHECK=1``: every actor built from here on re-derives
+    what its fast paths cache — fused drain hops from the raw event
+    queues, compiled instantiations through ``repro.nimbus.crosscheck``,
+    incremental validation against brute force — and raises on any
+    difference. Pure observation: results are identical either way."""
+    return os.environ.get("REPRO_CROSS_CHECK", "") not in ("", "0")
 
 
 class Message:
@@ -72,12 +81,8 @@ class Actor:
         #: attached Tracer, or None (the common case — every hook site
         #: guards with a single `is not None` check, nothing is allocated)
         self._trace = None
-        #: fused drain chains (REPRO_FUSED_CHAINS): when the next inbox
-        #: message's service time is reachable via Simulator.try_advance,
-        #: the drain loop continues inline instead of scheduling a fresh
-        #: event per message. Wall-clock only; never active while traced.
-        self._fused = fastpath.enabled_default()
-        self._fused_check = fastpath.cross_check_enabled()
+        #: oracle switch, read once per actor (see cross_check_enabled)
+        self._cross_check = cross_check_enabled()
 
     # ------------------------------------------------------------------
     # Messaging
@@ -207,8 +212,10 @@ class Actor:
         # the busy_until staircase step; when nothing else in the whole
         # simulation is due first, claim the clock via try_advance and keep
         # draining inside this one event. Each fused hop is accounted in
-        # events_run, so fused and unfused runs report comparable counts.
-        fused = self._fused and self._trace is None
+        # events_run, so fused and unfused runs report equal counts. A
+        # traced run never fuses: the one-event-per-hop loop is what the
+        # tracer observes, and the reference the tests hold fusion to.
+        fused = self._trace is None
         while True:
             msg = inbox.popleft()
             self._charged = 0.0
@@ -233,7 +240,7 @@ class Actor:
             now = sim._now
             next_time = busy_until if busy_until > now else now
             if fused and sim.try_advance(next_time):
-                if self._fused_check:
+                if self._cross_check:
                     # independent re-derivation from the raw queues: the
                     # unfused path would schedule a drain at next_time with
                     # the next seq, and that event runs next iff no zero-

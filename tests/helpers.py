@@ -101,7 +101,7 @@ def run_lr(workers=4, iterations=8, seed=0, partitions_per_worker=4,
     The canonical subject of every seeded sweep: small enough to run in
     tens of milliseconds, rich enough (templates, reductions, patches
     under chaos) to exercise the whole control plane. Extra cluster
-    keywords (``use_compiled``, ``patch_cache_cap``, ...) pass through.
+    keywords (``mode``, ``patch_cache_cap``, ...) pass through.
     """
     spec = LRSpec(num_workers=workers, iterations=iterations,
                   partitions_per_worker=partitions_per_worker)
@@ -200,19 +200,11 @@ def random_combine_schedule(seed: int, oids: Sequence[int]):
     return seed_block, params, blocks, iterations
 
 
-def control_counters(cluster) -> Dict[str, float]:
-    """Every counter except ``worker.seam_*``: those describe how the
-    compiled path derived its cross-instance edges, so only it has them."""
-    return {name: value
-            for name, value in cluster.metrics.counters_snapshot().items()
-            if not name.startswith("worker.seam_")}
-
-
 def cluster_observables(cluster, oids):
     """(counters, virtual end time, events, final object values) — the
     four-way observable the equivalence sweeps compare."""
     return (
-        control_counters(cluster),
+        cluster.metrics.counters_snapshot(),
         cluster.sim.now,
         cluster.sim.events_run,
         worker_values(cluster, oids),

@@ -1,26 +1,24 @@
 """Fused fast-path equivalence: batching and fusion are invisible.
 
-``REPRO_FUSED_CHAINS`` gates three wall-clock-only mechanisms — fused
-actor drain chains (``Actor._drain`` + ``Simulator.try_advance``), the
-trusted-transport send path (no retransmission bookkeeping while the
-network is provably lossless), and worker task-start cohorts. All of them
-must leave every *virtual* observable bit-identical: virtual end time,
-every metrics counter, and the final value of every data object. Event
-counts are the one legitimate difference — the trusted transport elides
-retransmission-timer wakes that genuinely never fire — so these sweeps
-compare everything except ``events_run`` (and assert the fused count
-never exceeds the unfused one).
+An untraced run takes three wall-clock-only fast paths — fused actor
+drain chains (``Actor._drain`` + ``Simulator.try_advance``), the
+trusted-transport self-send (no retransmission bookkeeping while the
+network is provably lossless), and worker task-start cohorts. A traced
+run takes none of them: every hop is its own event, which is what the
+tracer observes and the reference these sweeps hold fusion to. The two
+must agree on every observable: virtual end time, every metrics counter,
+the final value of every data object, and ``events_run`` (each fused hop
+and cohort member is folded back into the count).
 
-Mirrors the ``REPRO_COMPILED_CROSS_CHECK`` suite: seeded random-program
-sweeps fused on vs off, under chaos, with the rebalancer on, across
-co-scheduled tenants, and in cross-check mode.
+Seeded random-program sweeps traced vs untraced, under chaos, with the
+rebalancer on, across co-scheduled tenants, and in cross-check mode.
 """
 
 import pytest
 
 from repro.chaos import PROFILES, FaultPlan
 from repro.nimbus import NimbusCluster
-from repro.sim import fastpath
+from repro.sim.actor import cross_check_enabled
 
 from .helpers import (
     combine_registry,
@@ -36,16 +34,9 @@ OIDS = list(range(1, NUM_OBJECTS + 1))
 SEEDS = range(10)
 
 
-def _set_fused(monkeypatch, fused):
-    monkeypatch.setenv("REPRO_FUSED_CHAINS", "1" if fused else "0")
-
-
-def _run(seed, chaos_profile=None, num_workers=3):
-    """One random combine program; virtual observables + event count.
-
-    The env flags are read at Actor construction, so the caller must set
-    ``REPRO_FUSED_CHAINS`` before this builds the cluster.
-    """
+def _run(seed, fused, chaos_profile=None, num_workers=3):
+    """One random combine program, untraced (``fused``) or traced; every
+    observable, event count included."""
     seed_block, params, blocks, iterations = random_combine_schedule(
         seed, OIDS)
 
@@ -62,97 +53,74 @@ def _run(seed, chaos_profile=None, num_workers=3):
         kwargs["chaos_plan"] = FaultPlan.from_profile(chaos_profile,
                                                       seed=seed)
     cluster = NimbusCluster(num_workers, program,
-                            registry=combine_registry(), **kwargs)
+                            registry=combine_registry(),
+                            trace=not fused, **kwargs)
     cluster.run_until_finished(max_seconds=1e6)
-    virtuals = (
+    return (
         cluster.metrics.counters_snapshot(),
         cluster.sim.now,
         worker_values(cluster, OIDS),
+        cluster.sim.events_run,
     )
-    return virtuals, cluster.sim.events_run
 
 
-def test_fastpath_flags_read_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_FUSED_CHAINS", raising=False)
-    assert fastpath.enabled_default()
-    for off in ("0", "", "false", "no"):
-        monkeypatch.setenv("REPRO_FUSED_CHAINS", off)
-        assert not fastpath.enabled_default()
-    monkeypatch.setenv("REPRO_FUSED_CHAINS", "1")
-    assert fastpath.enabled_default()
-    monkeypatch.delenv("REPRO_FUSED_CROSS_CHECK", raising=False)
-    assert not fastpath.cross_check_enabled()
-    monkeypatch.setenv("REPRO_FUSED_CROSS_CHECK", "1")
-    assert fastpath.cross_check_enabled()
+def test_cross_check_switch_reads_environment(monkeypatch):
+    monkeypatch.delenv("REPRO_CROSS_CHECK", raising=False)
+    assert not cross_check_enabled()
+    for off in ("0", ""):
+        monkeypatch.setenv("REPRO_CROSS_CHECK", off)
+        assert not cross_check_enabled()
+    monkeypatch.setenv("REPRO_CROSS_CHECK", "1")
+    assert cross_check_enabled()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fused_matches_unfused(monkeypatch, seed):
-    _set_fused(monkeypatch, True)
-    fused, fused_events = _run(seed)
-    _set_fused(monkeypatch, False)
-    unfused, unfused_events = _run(seed)
-    assert fused == unfused, f"seed {seed}: virtual results diverged"
-    assert fused_events <= unfused_events, \
-        f"seed {seed}: fusion may only elide events, never add them"
+def test_fused_matches_unfused(seed):
+    assert _run(seed, True) == _run(seed, False), \
+        f"seed {seed}: fused and traced runs diverged"
 
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 @pytest.mark.parametrize("seed", [3, 11])
-def test_fused_matches_unfused_under_chaos(monkeypatch, profile, seed):
+def test_fused_matches_unfused_under_chaos(profile, seed):
     # chaos networks are never lossless, so this exercises drain fusion
     # and task cohorts with the trusted transport forced off
-    _set_fused(monkeypatch, True)
-    fused, fused_events = _run(seed, chaos_profile=profile)
-    _set_fused(monkeypatch, False)
-    unfused, unfused_events = _run(seed, chaos_profile=profile)
-    assert fused == unfused, f"seed {seed} profile {profile}"
-    assert fused_events <= unfused_events
-
-
-def _lr_virtuals(cluster):
-    mean_iter, now, _events, counters = virtual_results(
-        cluster, "lr.iteration", skip=4)
-    return mean_iter, now, counters
+    assert _run(seed, True, chaos_profile=profile) == \
+        _run(seed, False, chaos_profile=profile), \
+        f"seed {seed} profile {profile}"
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_fused_lr_with_rebalancer_on(monkeypatch, seed):
-    scales = {seed % 4: 3.0}
-    _set_fused(monkeypatch, True)
-    fused = _lr_virtuals(run_lr(seed=seed, rebalance=True,
-                                straggler_scales=scales))
-    _set_fused(monkeypatch, False)
-    unfused = _lr_virtuals(run_lr(seed=seed, rebalance=True,
-                                  straggler_scales=scales))
+def test_fused_lr_with_rebalancer_on(seed):
+    kwargs = dict(seed=seed, rebalance=True,
+                  straggler_scales={seed % 4: 3.0})
+    fused = virtual_results(run_lr(trace=False, **kwargs),
+                            "lr.iteration", skip=4)
+    unfused = virtual_results(run_lr(trace=True, **kwargs),
+                              "lr.iteration", skip=4)
     assert fused == unfused, f"seed {seed}: rebalancer run diverged"
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_fused_multitenant_pair_identical(monkeypatch, seed):
+def test_fused_multitenant_pair_identical(seed):
     from .test_multitenant import run_pair, small_lr_app
 
     app = small_lr_app(seed=seed)
-    _set_fused(monkeypatch, True)
-    fused = run_pair(app, seed=seed)
-    _set_fused(monkeypatch, False)
-    unfused = run_pair(app, seed=seed)
+    fused = run_pair(app, seed=seed, trace=False)
+    unfused = run_pair(app, seed=seed, trace=True)
     assert fused == unfused, f"seed {seed}: co-tenant values diverged"
 
 
 def test_cross_check_mode_validates_every_fused_hop(monkeypatch):
-    """REPRO_FUSED_CROSS_CHECK re-derives each fused drain hop's safety
-    from the raw event queues; a clean run means they all agreed."""
-    monkeypatch.setenv("REPRO_FUSED_CROSS_CHECK", "1")
-    _set_fused(monkeypatch, True)
-    checked, _events = _run(7)
-    monkeypatch.delenv("REPRO_FUSED_CROSS_CHECK")
-    _set_fused(monkeypatch, False)
-    unfused, _events = _run(7)
-    assert checked == unfused, "cross-check seed 7"
+    """REPRO_CROSS_CHECK re-derives each fused drain hop's safety from
+    the raw event queues; a clean run means they all agreed."""
+    monkeypatch.setenv("REPRO_CROSS_CHECK", "1")
+    checked = _run(7, True)
+    monkeypatch.delenv("REPRO_CROSS_CHECK")
+    assert checked == _run(7, False), "cross-check seed 7"
 
 
-def test_trusted_transport_stays_off_after_partition(monkeypatch):
+def test_trusted_transport_stays_off_after_partition():
     """A partition flips Network.lossless off permanently, so the fused
     send path can never race a heal."""
     from repro.sim.engine import Simulator

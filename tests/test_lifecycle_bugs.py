@@ -446,7 +446,8 @@ def _tenant_state(cluster):
     return {
         wid: (len(w._last_writer), len(w._readers_since),
               sum(len(r) for r in w._readers_since.values()),
-              len(w._patch_plans), len(w._seams), len(w._templates),
+              sum(plan is not None for plan in w._patch_plans.values()),
+              len(w._seams), len(w._templates),
               len(w._prune_in), len(w._released_cids))
         for wid, w in cluster.workers.items()
     }
@@ -454,9 +455,11 @@ def _tenant_state(cluster):
 
 def test_released_tenants_leave_no_tracker_plan_or_seam_state():
     """50 submit -> finish -> release cycles: the conflict tracker, the
-    patch-plan cache and the seam cache return to what they held after
-    the first cycle (pre-fix only ``_on_halt`` ever cleared them, so each
-    released tenant left its oids and compiled patch plans behind)."""
+    patch cache and the seam cache return to what they held after the
+    first cycle (pre-fix only ``_on_halt`` ever cleared them, so each
+    released tenant left its oids and patch bodies behind). A released
+    patch keeps its id as a tombstone — the redelivery guard — and
+    nothing else."""
     from repro.apps import LRApp, LRSpec, RotationApp, RotationSpec
     from repro.nimbus import merged_registry
 
@@ -482,9 +485,35 @@ def test_released_tenants_leave_no_tracker_plan_or_seam_state():
             baseline = state  # one released LR tenant + one rotation
         else:
             assert state == baseline, f"cycle {cycle}: worker state grew"
-    # the rotation tenants did run patches (whose compiled plans went too)
-    assert any(w._patches for w in cluster.workers.values())
+    # the rotation tenants did run patches: the ids are still guarded,
+    # the bodies (counted in the state above) went with their tenant
+    assert any(w._patch_plans for w in cluster.workers.values())
     assert all(not any(sizes) for sizes in baseline.values()), baseline
+
+
+def test_redelivered_patch_install_after_release_is_still_discarded():
+    """The scrub frees a released tenant's patch body but keeps its id:
+    an ``InstallPatch`` redelivered after the release must hit the
+    idempotence guard, not run the patch a second time."""
+    from repro.core.worker_template import TemplateEntry
+    from repro.nimbus.commands import CommandKind
+    from repro.nimbus.multijob import OID_STRIDE
+
+    cluster = NimbusCluster(1, program=None)
+    w = cluster.workers[0]
+    oid = 3 * OID_STRIDE + 1
+    install = P.InstallPatch(
+        9, [TemplateEntry(0, CommandKind.RECV, write=(oid,), src_worker=0)],
+        10 ** 6, "p")
+    w.handle(install)
+    w.handle(P.DataMessage(("p", 0, 0), oid, None, 8))
+    assert w._patch_plans[9] is not None and not w._pending
+    w.handle(P.ReleaseJob(3, [oid]))
+    assert w._patch_plans == {9: None}
+    stale = cluster.metrics.count("protocol.stale_discards")
+    w.handle(install)
+    assert cluster.metrics.count("protocol.stale_discards") == stale + 1
+    assert not w._pending
 
 
 def test_tenant_released_mid_run_is_scrubbed_once_drained():
@@ -511,13 +540,15 @@ def test_tenant_released_mid_run_is_scrubbed_once_drained():
     assert all(not any(sizes) for sizes in _tenant_state(cluster).values())
 
 
-@pytest.mark.parametrize("use_compiled", [True, False])
-def test_read_only_reader_lists_stay_bounded(use_compiled):
+@pytest.mark.parametrize("use_templates", [True, False])
+def test_read_only_reader_lists_stay_bounded(use_templates):
     """An object read every iteration and never rewritten (fig07's
     training data) gained one reader cid per instance, forever; a later
     write then walked the whole list. 200 iterations keep the list at
     O(pipeline depth), and a write after them still depends on exactly
-    the readers that are pending."""
+    the readers that are pending. Templated instances prune per plan; a
+    ``use_templates=False`` stream is resolved command by command and
+    prunes in ``_resolve`` at every power-of-two length."""
     from repro.apps import LRApp, LRSpec
 
     iterations = 200
@@ -543,7 +574,7 @@ def test_read_only_reader_lists_stay_bounded(use_compiled):
         yield job.drain()
 
     cluster = box["cluster"] = NimbusCluster(
-        2, program, registry=app.registry, use_compiled=use_compiled)
+        2, program, registry=app.registry, use_templates=use_templates)
     cluster.run_until_finished(max_seconds=1e6)
     w = cluster.workers[0]
     watch(None)
@@ -557,8 +588,7 @@ def test_read_only_reader_lists_stay_bounded(use_compiled):
     assert w._last_writer.get(oid) not in w._pending
     base = 10 ** 9
     for k in range(2):
-        w._enqueue(make_task(base + k, 0, "__noop__", (oid,), ()),
-                   (("central", 0), False, None))
+        w._enqueue(make_task(base + k, 0, "__noop__", (oid,), ()), 0, False)
     writer = make_task(base + 9, 0, "__noop__", (), (oid,))
-    w._enqueue(writer, (("central", 0), False, None))
+    w._enqueue(writer, 0, False)
     assert writer._rem == 2

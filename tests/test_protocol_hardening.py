@@ -124,16 +124,15 @@ def test_incremental_validation_cross_checked_across_20_chaos_seeds(
     """Property: across 20 chaos seeds, every incremental ``full_validate``
     the controller performs agrees with the brute-force precondition scan.
 
-    ``CROSS_CHECK`` makes the validation layer itself raise on any
-    divergence, so simply completing the sweep is the assertion; the
+    ``REPRO_CROSS_CHECK=1`` makes the validation layer itself raise on
+    any divergence, so simply completing the sweep is the assertion; the
     counter check proves the cross-checked path actually ran.
     """
-    from repro.core import validation
-
-    monkeypatch.setattr(validation, "CROSS_CHECK", True)
+    monkeypatch.setenv("REPRO_CROSS_CHECK", "1")
     for chaos_seed in range(20):
         plan = FaultPlan.from_profile("lossy", seed=chaos_seed)
         cluster = run_cluster(chaos_plan=plan)
+        assert cluster.controller._cross_check
         assert cluster.metrics.count("full_validations") >= 1, \
             f"chaos seed {chaos_seed} never exercised full validation"
 

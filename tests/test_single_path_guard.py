@@ -1,0 +1,30 @@
+"""One execution path: compiled + fused is what runs; the field-by-field
+and one-event-per-hop code survives only as oracle and traced path.
+
+A new path switch — an environment variable, or a constructor argument
+that selects how instances execute — has to change this file first.
+"""
+
+import inspect
+import pathlib
+import re
+
+import repro
+from repro.nimbus import NimbusCluster
+from repro.nimbus.worker import Worker
+
+SRC = pathlib.Path(repro.__file__).parent
+
+
+def test_src_names_exactly_two_environment_switches():
+    names = set()
+    for path in SRC.rglob("*.py"):
+        names.update(re.findall(r"\bREPRO_[A-Z][A-Z_]*", path.read_text()))
+    assert names == {"REPRO_CROSS_CHECK", "REPRO_TRACE"}
+
+
+def test_no_constructor_selects_an_execution_path():
+    for cls in (Worker, NimbusCluster):
+        params = inspect.signature(cls.__init__).parameters
+        assert not {"use_compiled", "use_fused", "fused"} & set(params), cls
+    assert not (SRC / "sim" / "fastpath.py").exists()

@@ -4,13 +4,9 @@ import pytest
 
 from repro.core.controller_template import ControllerTemplate
 from repro.core.spec import BlockSpec, LogicalTask, StageSpec
-from repro.core.worker_template import (
-    WorkerHalf,
-    copy_tag,
-    generate_worker_templates,
-    instantiate_entries,
-)
+from repro.core.worker_template import WorkerHalf, generate_worker_templates
 from repro.nimbus.commands import CommandKind
+from repro.nimbus.crosscheck import copy_tag, instantiate_entries
 
 SIZES = {oid: 64 for oid in range(1, 20)}
 
@@ -156,24 +152,24 @@ class TestInstantiation:
 
     def test_cids_rebased_from_base(self):
         _wts, halves = self.make_half()
-        commands = halves[0].instantiate(0, instance_id=7, cid_base=100,
-                                         params={})
+        commands = instantiate_entries(halves[0].entries, 0, instance_id=7,
+                                       cid_base=100, params={})
         assert [c.cid for c in commands] == [100, 101]
         assert commands[1].before == [100]  # the send follows the producer
-        commands2 = halves[1].instantiate(1, instance_id=7, cid_base=200,
-                                          params={})
+        commands2 = instantiate_entries(halves[1].entries, 1, instance_id=7,
+                                        cid_base=200, params={})
         assert commands2[1].before == [200]  # task after its recv
 
     def test_copy_tags_match_across_workers(self):
         _wts, halves = self.make_half()
-        send = halves[0].instantiate(0, 7, 100, {})[1]
-        recv = halves[1].instantiate(1, 7, 200, {})[0]
+        send = instantiate_entries(halves[0].entries, 0, 7, 100, {})[1]
+        recv = instantiate_entries(halves[1].entries, 1, 7, 200, {})[0]
         assert send.tag == recv.tag == copy_tag(7, 1, 0)
 
     def test_different_instances_different_tags(self):
         _wts, halves = self.make_half()
-        first = halves[0].instantiate(0, 7, 100, {})[1]
-        second = halves[0].instantiate(0, 8, 300, {})[1]
+        first = instantiate_entries(halves[0].entries, 0, 7, 100, {})[1]
+        second = instantiate_entries(halves[0].entries, 0, 8, 300, {})[1]
         assert first.tag != second.tag
 
     def test_params_resolved_through_slots(self):
@@ -181,14 +177,14 @@ class TestInstantiation:
             LogicalTask("f", read=(), write=(1,), param_slot="alpha")])])
         wts = gen(block, [0])
         half = WorkerHalf("p", 0, wts.entries[0], [])
-        cmd = half.instantiate(0, 1, 10, {"alpha": 3.5})[0]
+        cmd = instantiate_entries(half.entries, 0, 1, 10, {"alpha": 3.5})[0]
         assert cmd.params == 3.5
 
     def test_tombstoned_entries_skipped_but_indices_reserved(self):
         _wts, halves = self.make_half((0, 0))
         half = halves[0]
         half.entries[0] = None
-        commands = half.instantiate(0, 1, 100, {})
+        commands = instantiate_entries(half.entries, 0, 1, 100, {})
         assert [c.cid for c in commands] == [101]
         assert half.num_commands() == 1
 
