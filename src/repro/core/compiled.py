@@ -61,6 +61,12 @@ class CommandArena:
     frame-local replacement for the worker's cid-keyed dependents map.
     ``outstanding`` counts commands not yet completed; the arena returns
     to its plan's pool at zero.
+
+    Ownership is a tree — worker → half → plan → pool → frame → commands
+    — and ``cmd._carena`` / ``frame.plan`` are the only pointers up it.
+    A frame that leaves the tree (its plan retired, its instance
+    abandoned by a halt) is dismantled, so reference counting frees it:
+    the event loop runs with the cycle collector off (DESIGN.md §13).
     """
 
     __slots__ = ("plan", "cmds", "rem", "cids", "xsucc", "record",
@@ -78,7 +84,16 @@ class CommandArena:
     def release(self) -> None:
         self.record = None
         self.outstanding = 0
-        self.plan.pool.append(self)
+        pool = self.plan.pool
+        if pool is None:
+            self.dismantle()  # the plan was retired while this one ran
+        else:
+            pool.append(self)
+
+    def dismantle(self) -> None:
+        """Cut the commands' back-pointers: this frame never runs again."""
+        for cmd in self.cmds:
+            cmd._carena = None
 
 
 class Seam:
@@ -114,7 +129,8 @@ class CompiledPlan:
     )
 
     def __init__(self) -> None:
-        self.pool: List[CommandArena] = []
+        #: idle frames; None once the plan is retired
+        self.pool: Optional[List[CommandArena]] = []
         self.anc: Optional[List[int]] = None
 
     @property
@@ -153,6 +169,15 @@ class CompiledPlan:
             arena = self._build_arena(worker_id, registry)
         arena.outstanding = self.m
         return arena
+
+    def retire(self) -> None:
+        """This plan will never be instantiated again (its half was
+        edited or released): take the pooled frames apart now; frames
+        still in flight follow as they drain (:meth:`CommandArena.release`).
+        """
+        pool, self.pool = self.pool, None
+        for arena in pool:
+            arena.dismantle()
 
     def _build_arena(self, worker_id: int, registry) -> CommandArena:
         cmds: List[Command] = []

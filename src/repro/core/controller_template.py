@@ -55,8 +55,6 @@ class ControllerTemplate:
         self.signature = signature
         #: bumped every time the assignment is edited (worker-template keys)
         self.assignment_version = 0
-        #: reusable instance for :meth:`instantiate_pooled`
-        self._pooled_instance: Optional["ControllerTemplateInstance"] = None
 
     @property
     def num_tasks(self) -> int:
@@ -124,22 +122,6 @@ class ControllerTemplate:
         this is O(1) per task.
         """
         return ControllerTemplateInstance(self, task_id_base, params)
-
-    def instantiate_pooled(self, task_id_base: int,
-                           params: Dict[str, Any]) -> "ControllerTemplateInstance":
-        """Pooled variant of :meth:`instantiate` for the controller's hot
-        path: one cached instance per template has its two per-
-        instantiation fields rewritten in place. Callers must not retain
-        the result across handler invocations — use :meth:`instantiate`
-        when the instance outlives the current block."""
-        inst = self._pooled_instance
-        if inst is None:
-            self._pooled_instance = inst = ControllerTemplateInstance(
-                self, task_id_base, params)
-        else:
-            inst.task_id_base = task_id_base
-            inst.params = params
-        return inst
 
     # ------------------------------------------------------------------
     # Assignment edits (used by migration / eviction planning)

@@ -341,9 +341,6 @@ class WorkerHalf:
             self._plan = plan = compile_plan(self.entries, self.reports)
         return plan
 
-    def invalidate_plan(self) -> None:
-        self._plan = None
-
     def apply_edit_ops(self, ops) -> None:
         """Apply edit ops to this half and invalidate the compiled plan.
 

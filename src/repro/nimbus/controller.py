@@ -353,6 +353,9 @@ class Controller(P.ReliableEndpoint, Actor):
             for shard_id in sorted(self.shards):
                 self.send_reliable(self.shards[shard_id],
                                    P.ShardAbort(job_id, None))
+        # the context and its policy point at each other: cut the loop so
+        # the tenant's templates are freed here, not by a collector pass
+        ctx.policy = None
         self.metrics.incr("jobs_released")
         self._drain_dispatch_queue()
 
@@ -832,11 +835,9 @@ class Controller(P.ReliableEndpoint, Actor):
             )
         phase = ctx.phase[block_id]
         n = template.num_tasks
-        # parameter fill of the controller template (Table 2, row 1).
-        # Pooled: the instance is a transient view consumed inside this
-        # handler, so one object per template suffices.
+        # parameter fill of the controller template (Table 2, row 1)
         self.charge(self.costs.instantiate_controller_template_per_task * n)
-        instance = template.instantiate_pooled(msg.task_id_base, msg.params)
+        instance = template.instantiate(msg.task_id_base, msg.params)
         ctx.metrics.incr("template_instantiations")
 
         if phase == self.PHASE_CT_READY:

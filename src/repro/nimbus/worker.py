@@ -630,14 +630,16 @@ class Worker(P.ReliableEndpoint, Actor):
             lst.append(cmd)
 
     def _drop_plan(self, plan: Optional[CompiledPlan]) -> None:
-        """Forget a plan whose half was edited or released: the seams on
-        either side of it, and the tail if it is one of its frames."""
+        """Retire a plan whose half was edited or released: the seams on
+        either side of it, the tail if it is one of its frames, and its
+        pooled frames — nothing is left for a collector pass to find."""
         if plan is None:
             return
         self._seams = {k: v for k, v in self._seams.items() if plan not in k}
         self._prune_in.pop(plan, None)
         if self._tail is not None and self._tail.plan is plan:
             self._tail = None
+        plan.retire()
 
     def _on_release_job(self, msg: P.ReleaseJob) -> None:
         """A tenant was cancelled or crashed: scrub it from this worker.
@@ -1274,6 +1276,11 @@ class Worker(P.ReliableEndpoint, Actor):
     def _on_halt(self) -> None:
         """Terminate ongoing tasks, flush queues, respond (§4.4)."""
         self._epoch += 1
+        # frames of abandoned instances never drain: take them apart (the
+        # old epoch's task timers return before they look at a frame)
+        for cmd in self._pending.values():
+            if cmd._carena is not None:
+                cmd._carena.dismantle()
         self._pending.clear()
         self._dependents.clear()
         self._ready_tasks.clear()
@@ -1287,9 +1294,7 @@ class Worker(P.ReliableEndpoint, Actor):
         self._deferred_windows.clear()
         self._barrier_windows.clear()
         self._completion_buffer.clear()  # stale: their runs were abandoned
-        # frames of abandoned instances are simply dropped with the
-        # commands that reference them; pools refill on demand
-        self._tail = None
+        self._tail = None  # pools refill on demand
         self._released_cids.clear()
         self.send_reliable(self.controller, P.HaltAck(self.worker_id))
 

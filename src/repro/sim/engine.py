@@ -35,6 +35,7 @@ wall-clock fast paths keep the loop cheap:
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
@@ -316,6 +317,12 @@ class Simulator:
 
         When stopped by ``until``, the clock is advanced to ``until`` so that
         callers can interleave ``run(until=...)`` with external actions.
+
+        Automatic cycle collection is suspended for the duration of the
+        loop and its previous state restored on every way out. What the
+        system drops while running it frees by reference counting
+        (DESIGN.md §13, "Memory discipline"); task bodies that build
+        cycles of their own call ``gc.collect()`` at a quiesce point.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -323,6 +330,8 @@ class Simulator:
         self._halted = False
         self._until = until
         budget = max_events
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             if budget is None:
                 # cohort-batched fast path: every entry due at one
@@ -452,3 +461,5 @@ class Simulator:
         finally:
             self._running = False
             self._until = None
+            if collecting:
+                gc.enable()

@@ -5,6 +5,9 @@ equivalence sweeps."""
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import gc
 import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -115,6 +118,35 @@ def run_lr(workers=4, iterations=8, seed=0, partitions_per_worker=4,
                             **cluster_kwargs)
     cluster.run_until_finished(max_seconds=1e6)
     return cluster
+
+
+@contextlib.contextmanager
+def cyclic_garbage():
+    """Tally, by type name, the objects the enclosed scenario leaves for
+    the cycle collector — what reference counting alone never frees.
+
+    Collects first so earlier tests' garbage is not counted, then runs
+    the scenario with automatic collection off and ``DEBUG_SAVEALL`` on,
+    so the closing ``gc.collect()`` parks everything unreachable in
+    ``gc.garbage`` instead of freeing it. The yielded Counter is filled
+    on exit; collector flags and state are always restored and
+    ``gc.garbage`` emptied, so a sibling test in the same process (xdist)
+    never inherits either.
+    """
+    found = collections.Counter()
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield found
+        gc.collect()
+        found.update(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
 
 
 def virtual_results(cluster, block_id: Optional[str] = None, skip: int = 0):

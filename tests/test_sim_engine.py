@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -238,3 +241,101 @@ def test_determinism_across_identical_runs():
         return log
 
     assert run_once() == run_once()
+
+
+# ---------------------------------------------------------------------------
+# run() suspends automatic cycle collection and puts it back as it found it
+# (DESIGN.md §13, "Memory discipline")
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def collector():
+    """Set the collector on or off for a test; always restore it."""
+    was_enabled = gc.isenabled()
+
+    def set_enabled(enabled):
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_enabled
+    set_enabled(was_enabled)
+
+
+def _boom():
+    raise ValueError("handler failed")
+
+
+def _plain(sim):
+    sim.run()
+
+
+def _halted(sim):
+    sim.schedule(0.2, sim.halt)
+    sim.run()
+
+
+def _until(sim):
+    sim.run(until=0.2)
+
+
+def _budgeted(sim):
+    sim.run(max_events=1)
+
+
+def _raising(sim):
+    sim.schedule(0.2, _boom)
+    with pytest.raises(ValueError):
+        sim.run()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("leave", [_plain, _halted, _until, _budgeted,
+                                   _raising])
+def test_run_restores_collector_state_on_every_way_out(collector, leave,
+                                                       enabled):
+    collector(enabled)
+    sim = Simulator()
+    inside = []
+    sim.schedule(0.1, lambda: inside.append(gc.isenabled()))
+    sim.schedule(0.3, lambda: None)
+    leave(sim)
+    assert inside == [False]  # never collecting inside a handler
+    assert gc.isenabled() is enabled
+
+
+def test_reentrant_run_leaves_collection_off_under_the_outer_loop(collector):
+    collector(True)
+    sim = Simulator()
+    seen = []
+
+    def reenter():
+        with pytest.raises(SimulationError):
+            sim.run()
+        seen.append(gc.isenabled())
+
+    sim.schedule(0.1, reenter)
+    sim.schedule(0.2, lambda: seen.append(gc.isenabled()))
+    sim.run()
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+def test_explicit_collect_inside_a_handler_still_collects(collector):
+    collector(True)
+
+    class Node:
+        pass
+
+    sim = Simulator()
+    seen = []
+
+    def handler():
+        node = Node()
+        node.me = node  # a cycle only the collector can free
+        ref = weakref.ref(node)
+        del node
+        seen.append(ref() is not None)
+        gc.collect()
+        seen.append(ref() is None)
+
+    sim.schedule(0.1, handler)
+    sim.run()
+    assert seen == [True, True]

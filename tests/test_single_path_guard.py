@@ -28,3 +28,14 @@ def test_no_constructor_selects_an_execution_path():
         params = inspect.signature(cls.__init__).parameters
         assert not {"use_compiled", "use_fused", "fused"} & set(params), cls
     assert not (SRC / "sim" / "fastpath.py").exists()
+
+
+def test_collector_state_has_one_owner():
+    """Only ``Simulator.run()`` switches the cycle collector (DESIGN.md
+    §13): no second place that could leave it off, tune it, or freeze."""
+    owners = {
+        path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
+        if re.search(r"\bgc\.(disable|enable|freeze|set_threshold)\b",
+                     path.read_text())
+    }
+    assert owners == {"sim/engine.py"}
