@@ -1,8 +1,9 @@
 """Plain-text rendering of tables and figure series.
 
-The benchmark harness prints each experiment in the same layout the paper
-uses (rows of a table, or labeled series of a figure), so the output in
-``bench_output.txt`` can be compared against the paper line by line.
+The paper-figure suite (``benchmarks/``) prints each experiment in the
+same layout the paper uses (rows of a table, or labeled series of a
+figure), so the output in ``bench_output.txt`` can be compared against the
+paper line by line.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@
   whose inner/outer loop boundary exercises patching and the patch cache.
 * :class:`RotationApp` — rotating producer/consumer loop whose every
   round violates the consume template's preconditions identically: the
-  deterministic patch-cache exerciser used by the perf harness.
+  deterministic patch-cache exerciser (``repro rotation``).
 """
 
 from .datasets import (

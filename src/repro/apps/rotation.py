@@ -16,8 +16,7 @@ violation set and is repaired by a patch (§2.4). The produce→consume
 transition recurs every round, which is exactly the narrow-control-flow
 case the patch cache targets (§4.2): the patch is computed once and every
 later round is a cache hit. The fig07/fig08 workloads never replay a
-patch, so this loop is what gives ``patch_cache_hits`` real coverage in
-the perf harness and BENCH file.
+patch, so this loop is what gives ``patch_cache_hits`` real coverage.
 
 The loop is inherently blocking: round k+1's produce overwrites the very
 objects round k's consume reads, so the driver must wait for each block
@@ -74,7 +73,8 @@ class RotationApp:
 
     @property
     def iteration_block(self) -> BlockSpec:
-        """The measured block (harness convention: one entry per round)."""
+        """The measured block (one entry per round, as in the LR and
+        k-means apps)."""
         return self.consume_block
 
     def _build_registry(self) -> FunctionRegistry:

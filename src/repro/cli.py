@@ -9,7 +9,10 @@ Examples::
     python -m repro regression --workers 4
     python -m repro --profile lr.prof lr --workers 100
     python -m repro sweep --workload lr --seeds 8 --parallel 4
-    python -m repro perf --scale small
+
+Timing the simulator itself is not done here: ``python3 bench/run.py`` is
+the one performance instrument (``--trace 1`` attributes host time per
+layer); ``--profile PATH`` above is the ad-hoc cProfile hook.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from .apps import (
 from .baselines import MPICluster, NaiadCluster, SparkCluster
 from .chaos import PROFILES, FaultPlan
 from .nimbus import NimbusCluster
-from .perf import SCALES
-from .perf.harness import WORKLOADS
 
 SYSTEMS = {
     "nimbus": NimbusCluster,
@@ -195,19 +196,30 @@ def _summary(cluster, block_id: str, skip: int) -> None:
             print(f"task throughput:             {throughput:,.0f} tasks/s")
     except ValueError:
         pass
-    print(render_table("control-plane counters", ["counter", "value"], [
+    rows = [
         [name, f"{metrics.count(name):.0f}"]
         for name in (
             "tasks_executed", "tasks_scheduled",
             "controller_templates_installed", "template_instantiations",
             "auto_validations", "full_validations",
             "patches_computed", "patch_cache_hits", "edits_applied",
+            "controller.messages_in", "controller.messages_out",
+            "controller.steady_messages_in", "controller.steady_messages_out",
             "chaos.drops", "chaos.delays", "chaos.duplicates",
             "chaos.reorders", "protocol.retries", "protocol.dup_discards",
             "protocol.reorder_holds", "protocol.stale_discards",
             "net.partition_drops",
         ) if metrics.count(name)
-    ]))
+    ]
+    tasks = metrics.count("tasks_executed")
+    steady = (metrics.count("controller.steady_messages_in")
+              + metrics.count("controller.steady_messages_out"))
+    if steady and tasks:
+        # the scheduling-mode crossover: what the coordinator still
+        # handles per task once templates are installed
+        rows.append(["controller.steady_messages_per_task",
+                     f"{steady / tasks:.6f}"])
+    print(render_table("control-plane counters", ["counter", "value"], rows))
     print(f"virtual time: {cluster.sim.now:.4f} s; "
           f"events: {cluster.sim.events_run:,}")
 
@@ -386,78 +398,6 @@ def cmd_trace(args) -> None:
     print(f"trace: {len(doc['traceEvents'])} events -> {out} "
           f"(load at https://ui.perfetto.dev)")
     print(render_critical_path(report))
-
-
-def cmd_perf(args) -> None:
-    from .perf import bench_path, run_harness, write_bench
-
-    report = run_harness(args.scale, microbench=not args.no_micro)
-    for workload, rows in report["workloads"].items():
-        print(render_table(
-            f"{workload} ({args.scale} scale)",
-            ["workers", "wall (s)", "events/s", "iteration (ms)"],
-            [[str(r["workers"]), f"{r['wall_seconds']:.3f}",
-              f"{r['events_per_second']:,}",
-              f"{r['mean_iteration_time'] * 1000:.2f}"] for r in rows]))
-        speedup = report["speedup_vs_baseline"].get(workload)
-        if speedup is not None:
-            print(f"speedup vs pre-optimization baseline: {speedup:.2f}x")
-        alloc = report["allocations"][workload]
-        print(f"allocations @ {alloc['workers']} workers: "
-              f"peak {alloc['peak_bytes'] / 1e6:.1f} MB, "
-              f"retained {alloc['retained_bytes'] / 1e6:.1f} MB")
-    if "microbenchmarks" in report:
-        print(render_table("control-plane microbenchmarks",
-                           ["hot path", "ops/sec"],
-                           [[name, f"{rate:,.0f}"] for name, rate in
-                            report["microbenchmarks"].items()]))
-        alloc = report["instantiate_allocations"]
-        print("per-instantiation allocations: "
-              f"{alloc['compiled_bytes_per_instantiation']:,} B")
-        print("per-instantiation handler time (real worker): " + ", ".join(
-            f"{name[:-3]} {us:,.1f} us"
-            for name, us in report["instantiate_breakdown"].items()))
-    if not args.no_write:
-        path = bench_path()
-        write_bench(report, path)
-        print(f"wrote {path}")
-
-
-def cmd_profile(args) -> None:
-    """Profile one harness workload; print the top cumulative functions.
-
-    This is attribution for perf work: the same timed run the harness
-    makes, under cProfile, with the hottest call paths printed instead of
-    buried in a dump file (use ``--out`` to keep the stats for snakeviz
-    or pstats digging).
-    """
-    import cProfile
-    import pstats
-
-    from .perf import timed_workload
-
-    if args.workload not in WORKLOADS:
-        raise SystemExit(
-            f"unknown workload {args.workload!r}; known workloads: "
-            f"{', '.join(sorted(WORKLOADS))}")
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        row = timed_workload(args.workload, args.workers,
-                             iterations=args.iterations, mode=args.mode)
-    finally:
-        profiler.disable()
-    print(f"{args.workload}: {row['workers']} workers, "
-          f"{args.iterations} iterations ({args.mode}) — "
-          f"wall {row['wall_seconds']:.3f} s, "
-          f"{row['events']:,} events "
-          f"({row['events_per_second']:,} events/s), "
-          f"iteration {row['mean_iteration_time'] * 1000:.2f} ms")
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    if args.out:
-        profiler.dump_stats(args.out)
-        print(f"profile written to {args.out}")
 
 
 def cmd_rebalance(args) -> None:
@@ -738,39 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="controller dispatch cap: concurrent block "
                             "instances before fair-share queueing kicks in")
     serve.set_defaults(fn=cmd_serve)
-
-    perf = sub.add_parser(
-        "perf", help="wall-clock benchmark harness "
-                     "(updates BENCH_control_plane.json)")
-    perf.add_argument("--scale", choices=sorted(SCALES), default="paper")
-    perf.add_argument("--no-micro", action="store_true",
-                      help="skip the control-plane microbenchmarks")
-    perf.add_argument("--no-write", action="store_true",
-                      help="print the report without touching the BENCH file")
-    perf.set_defaults(fn=cmd_perf)
-
-    profile = sub.add_parser(
-        "profile", help="cProfile one harness workload and print the "
-                        "top cumulative functions (perf attribution)")
-    profile.add_argument("--workload", default="fig07_lr", metavar="NAME",
-                         help="harness workload to profile "
-                              f"({', '.join(sorted(WORKLOADS))})")
-    profile.add_argument("--workers", type=int, default=100)
-    profile.add_argument("--iterations", type=int, default=14)
-    profile.add_argument("--mode",
-                         choices=("centralized", "decentralized", "sharded"),
-                         default="centralized",
-                         help="scheduling mode to profile under")
-    profile.add_argument("--sort", choices=("cumulative", "tottime"),
-                         default="cumulative",
-                         help="pstats sort order: 'cumulative' finds the "
-                              "expensive call paths, 'tottime' the "
-                              "expensive functions themselves")
-    profile.add_argument("--top", type=int, default=30, metavar="N",
-                         help="number of functions to print")
-    profile.add_argument("--out", metavar="PATH", default=None,
-                         help="also dump raw cProfile stats to PATH")
-    profile.set_defaults(fn=cmd_profile)
 
     return parser
 

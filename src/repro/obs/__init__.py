@@ -9,8 +9,8 @@ The package has three layers:
 * :mod:`repro.obs.export` — the Chrome/Perfetto ``trace_event`` JSON
   exporter (load the file at https://ui.perfetto.dev).
 * :mod:`repro.obs.registry` — versioned snapshots of a
-  :class:`~repro.sim.metrics.Metrics` instance, embedded by the perf
-  harness into ``BENCH_control_plane.json``.
+  :class:`~repro.sim.metrics.Metrics` instance (every counter, series
+  and interval family as one JSON-serializable dict).
 """
 
 from .trace import TRACE_ENABLED, Tracer, trace_enabled_default

@@ -1,10 +1,9 @@
 """Versioned snapshots of a :class:`~repro.sim.metrics.Metrics` instance.
 
 A snapshot collapses every counter, series, and interval family into one
-JSON-serializable dict so the perf harness can embed the full metric state
-of a run inside ``BENCH_control_plane.json`` (schema v3). Raw sample lists
-are summarized (count/min/max/mean plus first/last) — the artifact stays
-small while remaining diffable across runs.
+JSON-serializable dict holding the full metric state of a run. Raw sample
+lists are summarized (count/min/max/mean plus first/last) — the artifact
+stays small while remaining diffable across runs.
 """
 
 from __future__ import annotations

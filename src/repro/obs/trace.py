@@ -25,9 +25,9 @@ explicit ``trace=`` cluster parameter) gates Tracer *allocation* in
 :class:`~repro.nimbus.cluster.NimbusCluster`. When no Tracer exists, every
 hook in the hot paths reduces to one ``if self._trace is not None`` check
 on an attribute that every :class:`~repro.sim.actor.Actor` carries — no
-allocation, no string formatting, no dict lookups. The perf harness pins
-tracing off and the perf suite's 2x wall gate plus exact-float golden
-values hold with the hooks in place.
+allocation, no string formatting, no dict lookups. ``bench/run.py`` times
+its plain pass with tracing off and reports the traced pass's cost next to
+it (``bench.obs_trace_overhead_x``).
 
 Timestamps are virtual-clock seconds read from the simulator; every
 recorded event also carries the engine's :meth:`~repro.sim.engine.

@@ -8,8 +8,7 @@ one worker 2× mid-run, the adaptive rebalancer (``repro.sched``) detects
 the skew from piggybacked per-task timings, and template *edits* move the
 straggler's gradient tasks to the least loaded survivors — the first
 workload where iteration time recovers without a test script calling
-``migrate_tasks``. Results are recorded in ``BENCH_control_plane.json``
-under the schema-v4 ``rebalance`` key.
+``migrate_tasks``.
 
 The run is deterministic: a fault-free probe run fixes the virtual time
 at which iteration ``fault_iteration`` completes, and the measured run
@@ -46,8 +45,8 @@ def build_fig09_auto(
     trace: Optional[bool] = False,
 ) -> Tuple[LRApp, NimbusCluster]:
     """Wire the automated-fig09 LR cluster (no fault when ``fault_at`` is
-    None). Shared by the perf harness, the CLI ``rebalance`` subcommand,
-    and the benchmark/regression tests."""
+    None). Shared by the CLI ``rebalance`` subcommand and the
+    benchmark/regression tests."""
     spec = LRSpec(
         num_workers=num_workers,
         data_bytes=BYTES_PER_PARTITION * num_workers * partitions_per_worker,

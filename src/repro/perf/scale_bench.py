@@ -13,8 +13,6 @@ never a job restart), and for downward steps the DRAINING drain.
 A fixed-size control run with the same step pins correctness: the
 autoscaled run must execute exactly the same task count and produce
 bit-identical computed values (no lost or duplicated completions).
-Results land in ``BENCH_control_plane.json`` under the schema-v8
-``scale_step`` key.
 """
 
 from __future__ import annotations
@@ -41,9 +39,7 @@ def build_scale_step(
     mode: str = "centralized",
     shards: Optional[int] = None,
 ):
-    """Wire the scale-step LR cluster (no step when ``step_at`` is None).
-    Shared by the perf harness, the CLI ``autoscale`` subcommand, and the
-    benchmark tests."""
+    """Wire the scale-step LR cluster (no step when ``step_at`` is None)."""
     spec = LRSpec(
         num_workers=num_workers,
         data_bytes=BYTES_PER_PARTITION * num_workers * partitions_per_worker,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..apps import (
     KMeansApp,
@@ -35,7 +35,7 @@ from ..apps import (
 )
 from ..nimbus import NimbusCluster, merged_registry
 
-#: job mix, cycled in arrival order. Sized well below the harness figure
+#: job mix, cycled in arrival order. Sized well below the paper-figure
 #: runs: the point is concurrency and queueing, not per-job scale.
 JOB_MIX = ("fig07_lr", "fig08_kmeans", "patch_rotation")
 
@@ -60,8 +60,9 @@ def build_job_arrival(
     dispatch_inflight_cap: int = 4,
     mode: str = "centralized",
     shards: Optional[int] = None,
-) -> NimbusCluster:
-    """Build a serve-mode cluster with ``num_jobs`` scheduled arrivals.
+) -> Tuple[NimbusCluster, Dict[Callable, str]]:
+    """Build a serve-mode cluster with ``num_jobs`` scheduled arrivals;
+    also return the workload name of each submitted program.
 
     One app instance per workload type is shared by every job of that
     type (blocks are translated into each job's oid namespace by its
@@ -101,7 +102,7 @@ def build_job_arrival(
         arrival += rng.expovariate(1.0 / mean_interarrival)
         workload = JOB_MIX[i % len(JOB_MIX)]
         cluster.jobs.submit_at(arrival, programs[workload])
-    return cluster
+    return cluster, {program: name for name, program in programs.items()}
 
 
 def run_job_arrival(
@@ -117,7 +118,7 @@ def run_job_arrival(
     shards: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Run the arrival workload and report the serving metrics."""
-    cluster = build_job_arrival(
+    cluster, workload_of = build_job_arrival(
         num_workers=num_workers, num_jobs=num_jobs, seed=seed,
         mean_interarrival=mean_interarrival, iterations=iterations,
         max_concurrent=max_concurrent, queue_cap=queue_cap,
@@ -133,7 +134,8 @@ def run_job_arrival(
     per_job = [
         {
             "job_id": r.job_id,
-            "workload": JOB_MIX[(r.job_id - 1) % len(JOB_MIX)],
+            # by program, not job id: a rejected arrival takes no id
+            "workload": workload_of[r.program],
             "submit_time": r.submit_time,
             "start_time": r.start_time,
             "finish_time": r.finish_time,

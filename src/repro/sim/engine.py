@@ -38,7 +38,7 @@ from __future__ import annotations
 import gc
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -163,60 +163,6 @@ class Simulator:
             self._zero.append((time, self._seq, fn, args))
         else:
             heapq.heappush(self._heap, (time, self._seq, fn, args))
-
-    def schedule_fast_many(
-        self, time: float, calls: Iterable[Tuple]
-    ) -> None:
-        """Bulk :meth:`schedule_fast`: never-cancelled callbacks sharing one
-        absolute due ``time``, run in iteration order.
-
-        ``calls`` yields ``(fn, args)`` pairs (args already a tuple). One
-        queue-side branch and one ``self._seq`` write for the whole batch.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past: {time!r} < now={self._now!r}"
-            )
-        seq = self._seq
-        if time == self._now:
-            append = self._zero.append
-            for fn, args in calls:
-                seq += 1
-                append((time, seq, fn, args))
-        else:
-            heap = self._heap
-            push = heapq.heappush
-            for fn, args in calls:
-                seq += 1
-                push(heap, (time, seq, fn, args))
-        self._seq = seq
-
-    def schedule_many(
-        self, delay: float, calls: Iterable[Tuple]
-    ) -> List[Event]:
-        """Batch-schedule callbacks ``delay`` seconds from now.
-
-        ``calls`` yields ``(fn, *args)`` tuples. All events share one due
-        time and run in iteration order. Returns the events in order.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        time = self._now + delay
-        events: List[Event] = []
-        seq = self._seq
-        zero = time == self._now
-        heap = self._heap
-        for fn, *args in calls:
-            seq += 1
-            event = Event(time, seq, fn, tuple(args))
-            event._sim = self
-            if zero:
-                self._zero.append((time, seq, event))
-            else:
-                heapq.heappush(heap, (time, seq, event))
-            events.append(event)
-        self._seq = seq
-        return events
 
     def halt(self) -> None:
         """Stop the current :meth:`run` after the executing event returns.

@@ -1,7 +1,8 @@
 """Shared test helpers: tiny programs, reference interpreters, builders,
-and the seeded-sweep workhorses (one fig07 run + its observable tuple)
-used by the compiled-template, tracing, rebalancer, and multi-tenant
-equivalence sweeps."""
+the seeded-sweep workhorses (one fig07 run + its observable tuple) used
+by the compiled-template, tracing, rebalancer, and multi-tenant
+equivalence sweeps, and a probe that drives one real worker through
+template instantiations."""
 
 from __future__ import annotations
 
@@ -9,13 +10,24 @@ import collections
 import contextlib
 import gc
 import random
+import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import mean_iteration_time
 from repro.apps import LRApp, LRSpec
 from repro.chaos import FaultPlan
+from repro.core.controller_template import ControllerTemplate
 from repro.core.spec import BlockSpec, LogicalTask, StageSpec
+from repro.core.worker_template import generate_worker_templates
 from repro.nimbus import FunctionRegistry, NimbusCluster
+from repro.nimbus import protocol as P
+from repro.nimbus.commands import Command, CommandKind
+from repro.nimbus.costs import CostModel
+from repro.nimbus.worker import DurableStorage, Worker
+from repro.sim.actor import Actor
+from repro.sim.engine import Simulator
+from repro.sim.metrics import Metrics
+from repro.sim.network import Network
 
 
 def combine_registry() -> FunctionRegistry:
@@ -251,3 +263,98 @@ def assert_identical(actual, expected, label: str) -> None:
     assert a_now == e_now, f"{label}: virtual end time diverged"
     assert a_events == e_events, f"{label}: event count diverged"
     assert a_values == e_values, f"{label}: data values diverged"
+
+
+# ---------------------------------------------------------------------------
+# One real worker, driven through template instantiations
+# ---------------------------------------------------------------------------
+def _busiest_lr_half(num_workers: int):
+    """(worker_id, entries, report indices) of the largest worker half of
+    the LR iteration block, generated the way the controller does."""
+    app = LRApp(LRSpec(num_workers=num_workers, iterations=2))
+    block = app.iteration_block
+    home = {oid: h for oid, _n, _p, _s, h in app.variables.definitions}
+    sizes = {oid: s for oid, _n, _p, s, _h in app.variables.definitions}
+    assignment = []
+    for _stage, task in block.all_tasks():
+        anchor = task.write[0] if task.write else task.read[0]
+        assignment.append(home[anchor] if home[anchor] is not None else 0)
+    template = ControllerTemplate.from_block(block, assignment)
+    template_set = generate_worker_templates(template, sizes)
+    worker_id, entries = max(template_set.entries.items(),
+                             key=lambda kv: len(kv[1]))
+    reports = tuple(e.index for e in entries if e is not None and e.report)
+    return worker_id, entries, reports
+
+
+class _Sink(Actor):
+    """Stands in for the controller and for peer workers: absorbs all."""
+
+    def handle(self, msg) -> None:
+        pass
+
+
+class WorkerDriver:
+    """A real :class:`Worker` holding the busiest LR half, driven through
+    ``InstantiateWorkerTemplate`` at a fixed pipeline depth.
+
+    Only the instantiation handler is timed. Between timed calls the
+    oldest in-flight instance is fed its RECV payloads and the simulator
+    runs to quiescence, so with ``depth`` > 1 the instance being
+    instantiated always follows one whose commands are all still pending
+    (the steady pipelined state of fig07), and with ``depth`` 1 one that
+    has fully drained (blocking programs, self-schedule windows).
+    ``seam=False`` enqueues an unrelated central command before every
+    instantiation, which is what sends the next one down the tracker walk.
+    """
+
+    BLOCK = "bench.block"
+
+    def __init__(self, num_workers: int, depth: int, seam: bool = True):
+        worker_id, entries, reports = _busiest_lr_half(num_workers)
+        self.depth, self.seam = depth, seam
+        self.sim = Simulator()
+        network = Network(self.sim, latency=1e-6, bandwidth=1e12)
+        sink = network.attach(_Sink(self.sim, "controller"))
+        registry = FunctionRegistry()
+        for name in sorted({e.function for e in entries
+                            if e is not None and e.function}):
+            registry.register(name, fn=None, duration=1e-4)
+        self.worker = Worker(self.sim, worker_id, sink, registry, CostModel(),
+                             Metrics(), DurableStorage())
+        network.attach(self.worker)
+        self.worker.peers = {e.dst_worker: sink for e in entries
+                             if e is not None and e.kind == CommandKind.SEND}
+        self.recvs = [e for e in entries
+                      if e is not None and e.kind == CommandKind.RECV]
+        self.stride = len(entries) + 1
+        self.version = 0  # template version the next instances name
+        self.worker.handle(P.InstallWorkerTemplate(
+            self.BLOCK, 0, entries, list(reports)))
+        self.instances, self.seconds = 0, 0.0
+        for _ in range(depth + 2):  # fill the pipeline, build the seam
+            self.step()
+        self.warm, self.seconds = self.instances, 0.0
+
+    def next_message(self) -> P.InstantiateWorkerTemplate:
+        i = self.instances
+        return P.InstantiateWorkerTemplate(
+            self.BLOCK, self.version, i, (i + 1) * self.stride, {}, i)
+
+    def step(self) -> None:
+        worker, i = self.worker, self.instances
+        if not self.seam:
+            worker.handle(P.DispatchCommand(Command(
+                -1 - i, CommandKind.CREATE, worker.worker_id, write=(-1,)),
+                0, False))
+        msg = self.next_message()
+        start = time.perf_counter()
+        worker.handle(msg)
+        self.seconds += time.perf_counter() - start
+        self.instances = i + 1
+        done = i + 1 - self.depth  # this instance may now drain
+        if done >= 0:
+            for e in self.recvs:
+                worker.handle(P.DataMessage(
+                    (done, worker.worker_id, e.index), e.write[0], None, 8))
+        self.sim.run()

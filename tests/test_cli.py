@@ -87,6 +87,8 @@ def test_lr_decentralized_mode_runs(capsys):
     out = capsys.readouterr().out
     assert "logistic regression" in out
     assert "steady-state iteration time" in out
+    # the scheduling-mode table's rows come from this counter block
+    assert "controller.steady_messages_per_task" in out
 
 
 def test_decentralized_mode_requires_nimbus():
@@ -119,29 +121,3 @@ def test_lr_accepts_autoscale_flag(capsys):
 def test_autoscale_flag_requires_nimbus():
     with pytest.raises(SystemExit, match="nimbus"):
         main(["lr", "--workers", "4", "--system", "spark", "--autoscale"])
-
-
-def test_profile_unknown_workload_is_a_described_error():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["profile", "--workload", "fig99_nope",
-              "--workers", "2", "--iterations", "4"])
-    message = str(excinfo.value)
-    assert "fig99_nope" in message
-    # the error names the valid choices instead of dumping a traceback
-    assert "fig07_lr" in message and "fig08_kmeans" in message
-
-
-@pytest.mark.parametrize("sort", ["cumulative", "tottime"])
-def test_profile_sort_orders(sort, capsys):
-    assert main(["profile", "--workload", "fig07_lr", "--workers", "2",
-                 "--iterations", "4", "--sort", sort, "--top", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "fig07_lr" in out
-    # pstats prints the human name of the sort key it applied
-    label = {"cumulative": "cumulative time", "tottime": "internal time"}
-    assert f"Ordered by: {label[sort]}" in out
-
-
-def test_profile_rejects_unknown_sort():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["profile", "--sort", "calls"])

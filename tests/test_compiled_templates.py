@@ -30,9 +30,9 @@ from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
 from repro.nimbus.commands import Command, CommandKind
 from repro.obs import COUNTER_HELP
-from repro.perf.harness import _WorkerDriver
 
 from .helpers import (
+    WorkerDriver,
     assert_identical as _assert_identical,
     cluster_observables,
     combine_registry,
@@ -220,7 +220,7 @@ class _SeamProbe:
     in flight, and the seam counters read after each step."""
 
     def __init__(self, depth=3):
-        self.driver = _WorkerDriver(8, depth)
+        self.driver = WorkerDriver(8, depth)
         self.worker = self.driver.worker
         assert self.worker._cross_check
 

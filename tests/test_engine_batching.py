@@ -10,12 +10,10 @@ creation, and check the engine executes exactly the live entries in sorted
 key order on every drive path (batched run, step loop, budgeted run).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf.harness import _engine_bench_chunk, bench_engine_events
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Simulator
 
 TIMES = [0.0, 0.1, 0.1, 0.2, 0.5]
 
@@ -28,7 +26,7 @@ def scripts(draw):
     """A random scheduling script over a handful of timestamps.
 
     Op kinds: 0 = schedule (cancellable Event), 1 = schedule_fast,
-    2 = schedule_fast_many batch of 2, 3 = cancel an earlier Event,
+    2 = two back-to-back schedule_fast calls, 3 = cancel an earlier Event,
     4 = schedule an Event whose handler schedules a zero-delay follow-up
     (exercises mid-cohort appends to the zero queue).
     """
@@ -76,10 +74,9 @@ def _apply_script(sim, ops, order):
             sim.schedule_fast(time, fire, (label,))
             entries.append((time, sim._seq, label, None))
         elif kind == 2:
-            sim.schedule_fast_many(
-                time, [(fire, (f"{label}a",)), (fire, (f"{label}b",))])
-            entries.append((time, sim._seq - 1, f"{label}a", None))
-            entries.append((time, sim._seq, f"{label}b", None))
+            for suffix in "ab":
+                sim.schedule_fast(time, fire, (f"{label}{suffix}",))
+                entries.append((time, sim._seq, f"{label}{suffix}", None))
         elif kind == 3:
             if cancellable:
                 idx, event = cancellable[target % len(cancellable)]
@@ -315,55 +312,3 @@ def test_try_advance_never_rewinds():
     sim.schedule_fast(0.1, handler, ())
     sim.run()
     assert results == {"behind": False}
-
-
-# ---------------------------------------------------------------------------
-# schedule_fast_many
-# ---------------------------------------------------------------------------
-def test_schedule_fast_many_orders_against_singles():
-    sim = Simulator()
-    order = []
-    sim.schedule_fast(1.0, order.append, ("single0",))
-    sim.schedule_fast_many(1.0, [(order.append, ("batch0",)),
-                                 (order.append, ("batch1",))])
-    sim.schedule_fast(1.0, order.append, ("single1",))
-    sim.run()
-    assert order == ["single0", "batch0", "batch1", "single1"]
-
-
-def test_schedule_fast_many_zero_delay_routes_to_fifo():
-    sim = Simulator()
-    order = []
-
-    def spawn():
-        sim.schedule_fast_many(sim.now, [(order.append, ("z0",)),
-                                         (order.append, ("z1",))])
-        order.append("spawn")
-
-    sim.schedule_fast(0.2, spawn, ())
-    sim.run()
-    assert order == ["spawn", "z0", "z1"]
-    assert sim.events_run == 3
-
-
-def test_schedule_fast_many_rejects_past_times():
-    sim = Simulator()
-    sim.schedule_fast(1.0, lambda: None, ())
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_fast_many(0.5, [(lambda: None, ())])
-
-
-# ---------------------------------------------------------------------------
-# bench_engine_events isolation (perf/harness.py regression)
-# ---------------------------------------------------------------------------
-def test_engine_bench_chunk_counts_exactly_its_own_events():
-    # a fresh simulator per chunk: the count is exactly 2*batch, every
-    # time — prior chunks (or any warm-up) can never leak into it
-    assert _engine_bench_chunk(50) == 100
-    assert _engine_bench_chunk(50) == 100
-    assert _engine_bench_chunk(1) == 2
-
-
-def test_bench_engine_events_reports_positive_rate():
-    assert bench_engine_events(batch=50) > 0

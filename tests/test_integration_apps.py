@@ -1,8 +1,10 @@
-"""Integration tests for the bundled applications (real numerics)."""
+"""Integration tests for the bundled applications (real numerics), and
+the virtual-time goldens of the paper's measurement loops."""
 
 import numpy as np
 import pytest
 
+from repro.analysis import mean_iteration_time
 from repro.apps import (
     KMeansApp,
     KMeansSpec,
@@ -10,6 +12,8 @@ from repro.apps import (
     LRSpec,
     RegressionApp,
     RegressionSpec,
+    RotationApp,
+    RotationSpec,
     WaterApp,
     WaterSpec,
 )
@@ -217,3 +221,55 @@ class TestWater:
                     for e in entries
                     if e is not None and e.kind == CommandKind.SEND)
         assert sends >= 2 * (spec.num_workers - 1)
+
+
+# ---------------------------------------------------------------------------
+# Virtual-time goldens of the paper's measurement loops
+# ---------------------------------------------------------------------------
+#: (app, spec, decision counters) — default specs, so these are what
+#: ``repro lr|kmeans|rotation --workers N --iterations 14`` run
+_PIPELINED = {"auto_validations": 10.0, "full_validations": 1.0,
+              "template_instantiations": 13.0, "patches_computed": 1.0,
+              "patch_cache_hits": 0.0}
+_MEASUREMENT_LOOPS = {
+    "fig07_lr": (LRApp, LRSpec, _PIPELINED),
+    "fig08_kmeans": (KMeansApp, KMeansSpec, _PIPELINED),
+    # the rotation loop always blocks (round k+1 overwrites what round k
+    # reads): it validates every steady round, patches once, then hits
+    # the patch cache — coverage fig07/fig08 never produce
+    "patch_rotation": (RotationApp, RotationSpec,
+                       {"auto_validations": 0.0, "full_validations": 22.0,
+                        "template_instantiations": 26.0,
+                        "patches_computed": 1.0, "patch_cache_hits": 10.0}),
+}
+
+
+#: (workload, workers, steady-state iteration time, tasks)
+_GOLDENS = [
+    ("fig07_lr", 10, 0.41346526557377467, 12211.0),
+    ("fig07_lr", 20, 0.20854723278689025, 24365.0),
+    ("fig08_kmeans", 10, 0.6174654584615371, 12211.0),
+    ("fig08_kmeans", 20, 0.3169846892307699, 24365.0),
+    ("patch_rotation", 10, 0.007280121600000076, 1120.0),
+    ("patch_rotation", 20, 0.00828037759999963, 2240.0),
+]
+
+
+@pytest.mark.parametrize("workload, workers, iteration_time, tasks", _GOLDENS,
+                         ids=[f"{row[0]}@{row[1]}" for row in _GOLDENS])
+def test_measurement_loops_hold_their_virtual_goldens(
+        workload, workers, iteration_time, tasks):
+    """Steady-state iteration time (14 iterations, second half kept) and
+    every control-plane decision counter, bit for bit: a host-time
+    optimisation must not change what the simulation computes."""
+    app_cls, spec_cls, decisions = _MEASUREMENT_LOOPS[workload]
+    app = app_cls(spec_cls(num_workers=workers, iterations=14))
+    cluster = NimbusCluster(workers, app.program(blocking=False),
+                            registry=app.registry)
+    cluster.run_until_finished(max_seconds=1e6)
+    metrics = cluster.metrics
+    assert mean_iteration_time(
+        metrics, app.iteration_block.block_id, skip=7) == iteration_time
+    assert metrics.count("tasks_executed") == tasks
+    assert metrics.count("tasks_scheduled") == tasks
+    assert {name: metrics.count(name) for name in decisions} == decisions

@@ -17,6 +17,7 @@ snapshot).
 
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.nimbus import (
     NimbusCluster,
 )
 from repro.obs import snapshot_metrics
+from repro.perf.serve_bench import JOB_MIX, run_job_arrival
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_SNAPSHOT = os.path.join(DATA_DIR, "golden_multijob_metrics.json")
@@ -245,6 +247,36 @@ def test_queued_job_admitted_after_a_cancellation():
     assert cluster.jobs.records[b.job_id].state == "running"
     cluster.run_until_jobs_finished(max_seconds=1e6)
     assert cluster.jobs.records[b.job_id].state == "finished"
+
+
+@pytest.mark.parametrize("kwargs, rejected, throughput, p95", [
+    # a rejected arrival takes no job id, so ids and arrival indices part
+    # ways after the first rejection
+    (dict(num_workers=4, num_jobs=9, iterations=4, max_concurrent=1,
+          queue_cap=1), 5, None, None),
+    # the ``repro serve`` defaults (8 workers, 6 jobs): both serving
+    # metrics are pure virtual-time quantities, pinned bit for bit
+    ({}, 0, 3513.293707274314, 0.32154639526607737),
+], ids=["rejections", "defaults"])
+def test_job_arrival_reports_what_each_job_ran(kwargs, rejected, throughput,
+                                               p95):
+    """The mix cycles in *arrival* order, so the arrival schedule says
+    what each admitted job ran; ``per_job`` must say the same."""
+    result = run_job_arrival(seed=0, mean_interarrival=0.05, **kwargs)
+    rng, arrival, scheduled = random.Random(0), 0.0, {}
+    for i in range(result["jobs"]):
+        arrival += rng.expovariate(1.0 / 0.05)
+        scheduled[arrival] = JOB_MIX[i % len(JOB_MIX)]
+    assert result["jobs_rejected"] == rejected
+    assert result["jobs_finished"] == result["jobs"] - rejected
+    assert len(result["per_job"]) == result["jobs_finished"]
+    for row in result["per_job"]:
+        assert row["workload"] == scheduled[row["submit_time"]], row
+        assert row["tasks_scheduled"] > 0
+    if throughput is not None:
+        assert result["aggregate_task_throughput"] == throughput
+        assert result["p95_job_latency"] == p95
+        assert 0 < result["mean_job_latency"] <= p95
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ def test_schedule_in_past_rejected():
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(0.5, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_fast(0.5, lambda: None, ())
 
 
 def test_cancelled_events_are_skipped():
@@ -118,43 +120,6 @@ def test_peek_time_skips_cancelled():
     sim.schedule(0.5, lambda: None)
     event.cancel()
     assert sim.peek_time() == pytest.approx(0.5)
-
-
-def test_schedule_many_preserves_iteration_order():
-    sim = Simulator()
-    seen = []
-    events = sim.schedule_many(0.5, ((seen.append, i) for i in range(6)))
-    assert len(events) == 6
-    assert all(e.time == pytest.approx(0.5) for e in events)
-    sim.run()
-    assert seen == [0, 1, 2, 3, 4, 5]
-
-
-def test_schedule_many_zero_delay_interleaves_with_schedule():
-    # zero-delay events (FIFO deque) and a same-time heap event must still
-    # run in global schedule order — the seq tie-break crosses both queues
-    sim = Simulator()
-    seen = []
-    sim.schedule_many(0.0, ((seen.append, "batch0"), (seen.append, "batch1")))
-    sim.schedule(0.0, seen.append, "heap")
-    sim.run()
-    assert seen == ["batch0", "batch1", "heap"]
-
-
-def test_schedule_many_events_are_cancellable():
-    sim = Simulator()
-    seen = []
-    events = sim.schedule_many(0.1, ((seen.append, i) for i in range(4)))
-    events[1].cancel()
-    events[3].cancel()
-    sim.run()
-    assert seen == [0, 2]
-
-
-def test_schedule_many_negative_delay_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule_many(-0.1, [(lambda: None,)])
 
 
 def test_halt_stops_run_immediately():

@@ -2,18 +2,26 @@
 and one-event-per-hop code survives only as oracle and traced path.
 
 A new path switch — an environment variable, or a constructor argument
-that selects how instances execute — has to change this file first.
+that selects how instances execute — has to change this file first. So
+does a second way for the repository to time itself: ``bench/run.py`` is
+the one performance instrument.
 """
 
 import inspect
 import pathlib
+import pkgutil
 import re
 
+import pytest
+
 import repro
+import repro.perf
+from repro.cli import build_parser
 from repro.nimbus import NimbusCluster
 from repro.nimbus.worker import Worker
 
 SRC = pathlib.Path(repro.__file__).parent
+REPO = SRC.parent.parent
 
 
 def test_src_names_exactly_two_environment_switches():
@@ -39,3 +47,21 @@ def test_collector_state_has_one_owner():
                      path.read_text())
     }
     assert owners == {"sim/engine.py"}
+
+
+def test_bench_is_the_one_performance_instrument():
+    """The wall-clock harness, its results file and its two subcommands
+    are gone; ``repro.perf`` is only the scenario drivers behind
+    ``repro serve|autoscale|rebalance``."""
+    assert not (SRC / "perf" / "harness.py").exists()
+    assert not (REPO / "BENCH_control_plane.json").exists()
+    assert not [path for path in SRC.rglob("*.py")
+                if "BENCH_control_plane" in path.read_text()]
+    for gone in ("perf", "profile"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([gone])
+    drivers = {"serve_bench", "scale_bench", "rebalance_bench"}
+    assert {m.name for m in pkgutil.iter_modules(repro.perf.__path__)} \
+        == drivers
+    assert {name for name in vars(repro.perf)
+            if not name.startswith("_")} <= drivers
