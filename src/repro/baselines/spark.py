@@ -95,16 +95,19 @@ class SparkController(Controller):
             self._stage_outstanding = run.outstanding
             return
 
-    def _complete_command(self, worker_id, cid, block_seq, duration, value):
-        super()._complete_command(worker_id, cid, block_seq, duration, value)
-        if self._active is not None:
-            run = self._active[0]
-            if block_seq == run.seq:
-                self._stage_outstanding -= 1
-                if self._stage_outstanding <= 0:
-                    if not self._active[1]:  # all stages dispatched and done
-                        self._active = None
-                    self._pump()
+    def _on_command_complete_batch(self, msg: P.CommandCompleteBatch) -> None:
+        super()._on_command_complete_batch(msg)
+        if self._active is None:
+            return
+        # the stage barrier: one stage is in flight cluster-wide, so the
+        # item that drains it is the last of its batch and pumping after
+        # the fold is pumping at that item
+        seq = self._active[0].seq
+        self._stage_outstanding -= sum(item[1] == seq for item in msg.items)
+        if self._stage_outstanding <= 0:
+            if not self._active[1]:  # all stages dispatched and done
+                self._active = None
+            self._pump()
 
     def _on_instantiate_block(self, ctx, msg: P.InstantiateBlock) -> None:
         raise RuntimeError("Spark has no templates to instantiate")

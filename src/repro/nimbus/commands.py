@@ -57,7 +57,7 @@ class Command:
         "tag",
         "size_bytes",
         # worker-local scheduling state of a centrally dispatched command,
-        # stamped by Worker._register: outstanding-dependency count and
+        # stamped by Worker._enqueue: outstanding-dependency count and
         # (block_seq, report) metadata. Kept on the command, not in side
         # dicts keyed by cid.
         "_rem",

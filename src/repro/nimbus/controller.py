@@ -68,7 +68,7 @@ _STEADY_IN = frozenset((
 ))
 _STEADY_OUT = frozenset((
     P.InstantiateWorkerTemplate, P.SelfScheduleWindow,
-    P.BlockComplete, P.BlockCompleteBatch, P.EpochUpdate,
+    P.BlockCompleteBatch, P.EpochUpdate,
     P.ShardWindow, P.ShardRegrant,
 ))
 
@@ -404,9 +404,7 @@ class Controller(P.ReliableEndpoint, Actor):
             self.metrics.incr("controller.steady_messages_in")
         if msg.rel_seq is not None:
             self._handled_seq[msg.rel_src] = msg.rel_seq
-        if isinstance(msg, P.CommandComplete):
-            self._on_command_complete(msg)
-        elif isinstance(msg, P.CommandCompleteBatch):
+        if isinstance(msg, P.CommandCompleteBatch):
             self._on_command_complete_batch(msg)
         elif isinstance(msg, P.InstanceComplete):
             self._on_instance_complete(msg)
@@ -597,8 +595,9 @@ class Controller(P.ReliableEndpoint, Actor):
                 lst = buffer[cmd.worker] = []
             lst.append((cmd, report))
             return
+        # unbuffered (the Spark baseline): one message per task
         self.send_reliable(self.workers[cmd.worker],
-                  P.DispatchCommand(cmd, run.seq, report))
+                           P.DispatchCommandBatch([(cmd, report)], run.seq))
 
     def _begin_dispatch_batch(self) -> None:
         self._dispatch_buffer = {}
@@ -613,12 +612,8 @@ class Controller(P.ReliableEndpoint, Actor):
         """
         buffer, self._dispatch_buffer = self._dispatch_buffer, None
         for worker, items in buffer.items():
-            if len(items) == 1:
-                cmd, report = items[0]
-                msg = P.DispatchCommand(cmd, run.seq, report)
-            else:
-                msg = P.DispatchCommandBatch(items, run.seq)
-            self.send_reliable(self.workers[worker], msg)
+            self.send_reliable(self.workers[worker],
+                               P.DispatchCommandBatch(items, run.seq))
 
     def _schedule_task_centrally(
         self,
@@ -1404,31 +1399,18 @@ class Controller(P.ReliableEndpoint, Actor):
         """
         self._trace.run_decided(run.seq, self._handler_start + self._charged)
 
-    def _on_command_complete(self, msg: P.CommandComplete) -> None:
-        self.charge(self.costs.controller_completion_per_task)
-        self._complete_command(msg.worker_id, msg.cid, msg.block_seq,
-                               msg.duration, msg.value)
-
     def _on_command_complete_batch(self, msg: P.CommandCompleteBatch) -> None:
         # the per-completion cost is charged per item: coalescing saves
         # messages and event overhead, not modeled controller work
         items = msg.items
         self.charge(self.costs.controller_completion_per_task * len(items))
         worker_id = msg.worker_id
-        if type(self)._complete_command is not Controller._complete_command:
-            # a subclass hooks per-command completion (the Spark baseline's
-            # stage barrier) — keep the one-call-per-item contract for it
-            for cid, block_seq, duration, value, _oid in items:
-                self._complete_command(worker_id, cid, block_seq,
-                                       duration, value)
-            return
         # flat walk over the item array: the run lookup is hoisted per
-        # block_seq group (batches overwhelmingly carry one run), and the
-        # per-item fold inlines _complete_command body-for-body
+        # block_seq group (batches overwhelmingly carry one run)
         runs = self.runs
         run = None
         run_seq = None
-        for cid, block_seq, duration, value, _oid in items:
+        for cid, block_seq, duration, value in items:
             if block_seq != run_seq:
                 run_seq = block_seq
                 run = runs.get(block_seq)
@@ -1443,20 +1425,6 @@ class Controller(P.ReliableEndpoint, Actor):
             if run.outstanding == 0 and not run.open:
                 self._finish_block(run)
                 run = runs.get(block_seq)  # gone now; later items drop
-
-    def _complete_command(self, worker_id: int, cid: int, block_seq: int,
-                          duration: float, value: Any) -> None:
-        run = self.runs.get(block_seq)
-        if run is None:
-            return  # dropped by recovery (or a released job)
-        run.outstanding -= 1
-        run.compute_by_worker[worker_id] = (
-            run.compute_by_worker.get(worker_id, 0.0) + duration)
-        if cid in run.return_cids:
-            name, _oid = run.return_cids[cid]
-            run.results[name] = value
-        if run.outstanding == 0 and not run.open:
-            self._finish_block(run)
 
     def _on_instance_complete(self, msg: P.InstanceComplete) -> None:
         self.charge(self.costs.controller_block_completion)
@@ -1481,15 +1449,22 @@ class Controller(P.ReliableEndpoint, Actor):
         if run.outstanding == 0:
             self._finish_block(run)
 
-    def _finish_block(self, run: _BlockRun) -> None:
+    def _close_run(self, run: _BlockRun,
+                   finished_at: Optional[float] = None) -> Tuple:
+        """Retire a run whose last completion has been folded and return
+        its ``BlockCompleteBatch`` item. Shared by the per-instance close
+        and the window close, which differ only in the end timestamp: a
+        window passes each run's worker-local ``finished_at``; ``None``
+        ends the run now and has the driver stamp it at message arrival."""
         ctx = run.ctx
+        end = self.sim.now if finished_at is None else finished_at
         del self.runs[run.seq]
         if self._trace is not None:
             self._trace.run_finish(run.seq)
         compute = 0.0
         if run.compute_by_worker:
             compute = max(run.compute_by_worker.values()) / self.slots_per_worker
-        ctx.metrics.end("block", self.sim.now, key=run.seq,
+        ctx.metrics.end("block", end, key=run.seq,
                         compute=compute, results=dict(run.results))
         ctx.results_history.append((run.block_id, dict(run.results)))
         # pure bookkeeping for cross-job placement: dict folds only, no
@@ -1499,8 +1474,24 @@ class Controller(P.ReliableEndpoint, Actor):
         for worker, compute_time in run.compute_by_worker.items():
             if worker in self.live_workers:
                 self.load_tracker.observe(worker, compute_time, {})
-        self.send_reliable(ctx.driver, P.BlockComplete(
-            run.block_id, run.seq, dict(run.results), run.request_id))
+        return (run.block_id, run.seq, dict(run.results), run.request_id,
+                finished_at)
+
+    def _count_toward_checkpoint(self, ctx: JobContext, blocks: int) -> None:
+        """Job-0 checkpoint accounting for ``blocks`` runs just closed."""
+        if ctx is not self._job0 or not blocks:
+            return
+        self._blocks_since_checkpoint += blocks
+        if (self.checkpoint_every is not None
+                and self._blocks_since_checkpoint >= self.checkpoint_every
+                and not self.runs and not self._checkpointing
+                and not self._recovering):
+            self._start_checkpoint()
+
+    def _finish_block(self, run: _BlockRun) -> None:
+        ctx = run.ctx
+        self.send_reliable(ctx.driver,
+                           P.BlockCompleteBatch([self._close_run(run)]))
         if (self.rebalancer is not None and run.mode == "template"
                 and not self._recovering and not self._checkpointing
                 and not (ctx.policy is not None
@@ -1509,13 +1500,7 @@ class Controller(P.ReliableEndpoint, Actor):
             # map while the same job's grant is in flight; the policy
             # rebalances at the window boundary instead
             self.rebalancer.maybe_rebalance(ctx, run.block_id)
-        if ctx is self._job0:
-            self._blocks_since_checkpoint += 1
-            if (self.checkpoint_every is not None
-                    and self._blocks_since_checkpoint >= self.checkpoint_every
-                    and not self.runs and not self._checkpointing
-                    and not self._recovering):
-                self._start_checkpoint()
+        self._count_toward_checkpoint(ctx, 1)
         self._drain_dispatch_queue()
 
     # ------------------------------------------------------------------

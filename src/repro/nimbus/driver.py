@@ -179,8 +179,6 @@ class Driver(P.ReliableEndpoint, Actor):
             if self._wait and self._wait[0] == "define":
                 self._wait = None
                 self._advance(None)
-        elif isinstance(msg, P.BlockComplete):
-            self._complete_one(msg.request_id, msg.results)
         elif isinstance(msg, P.BlockCompleteBatch):
             for _block_id, _seq, results, request_id, finished_at in msg.items:
                 self._complete_one(request_id, results, finished_at)
@@ -364,7 +362,7 @@ class Driver(P.ReliableEndpoint, Actor):
     # Completions
     # ------------------------------------------------------------------
     def _complete_one(self, request_id: int, results: Dict[str, Any],
-                      finished_at: float = None) -> None:
+                      finished_at: Optional[float]) -> None:
         self._outstanding -= 1
         if self._trace is not None:
             self._trace.block_complete(request_id)
@@ -376,7 +374,8 @@ class Driver(P.ReliableEndpoint, Actor):
         if submit_time is not None:
             # a windowed batch reports each run's true completion time;
             # without it every iteration in the window would appear to end
-            # at the batch's arrival instant
+            # at the batch's arrival instant. A per-instance completion
+            # carries None: it ended when its message arrived
             end = finished_at if finished_at is not None else self.sim.now
             self.iteration_log.append((request_id, submit_time, end))
             self.metrics.end("driver_block", end,

@@ -105,31 +105,21 @@ class ObjectsReady(Message):
     """All requested objects were created and registered."""
 
 
-class BlockComplete(Message):
-    """A block instance finished; carries returned driver values."""
-
-    def __init__(self, block_id: str, seq: int, results: Dict[str, Any],
-                 request_id: int = 0):
-        self.block_id = block_id
-        self.seq = seq
-        self.results = results
-        self.request_id = request_id
-        self.size_bytes = 64 + 32 * len(results)
-
-
 class BlockCompleteBatch(Message):
-    """All block instances of a self-schedule window finished.
+    """Block instances finished; each item carries returned driver values.
 
-    Decentralized mode: one message closes the whole window; each item is
-    what a ``BlockComplete`` would have carried.
+    A per-instance run closes as a batch of one; a self-schedule window
+    (decentralized mode) closes all its runs in one message, at the bytes
+    its runs would have cost one by one.
     """
 
-    def __init__(self,
-                 items: List[Tuple[str, int, Dict[str, Any], int, float]]):
+    def __init__(self, items: List[Tuple[str, int, Dict[str, Any], int,
+                                         Optional[float]]]):
         # items: (block_id, seq, results, request_id, finished_at) in seq
-        # order; finished_at is the last worker's local completion time,
-        # so driver-side iteration statistics keep per-run resolution even
-        # though the batch lands as one message
+        # order. A window sets finished_at to the last worker's local
+        # completion time, so driver-side iteration statistics keep per-run
+        # resolution even though the batch lands as one message; a
+        # per-instance completion sets None: "when this message arrives"
         self.items = items
         self.size_bytes = sum(64 + 32 * len(results)
                               for _b, _s, results, _r, _f in items)
@@ -190,28 +180,21 @@ class UndefineObjects(Message):
         self.size_bytes = 16 * len(oids)
 
 
-class DispatchCommand(Message):
-    """Centrally dispatch one concrete command (one message per task)."""
-
-    def __init__(self, command: Command, block_seq: int, report: bool = False):
-        self.command = command
-        self.block_seq = block_seq
-        self.report = report  # send the written value back with completion
-        self.size_bytes = TASK_DESC_BYTES
-
-
 class DispatchCommandBatch(Message):
-    """Centrally dispatch a coalesced command list to one worker.
+    """Centrally dispatch a command list to one worker.
 
     One message carries every command a block run schedules on that worker
     (in dispatch order, so worker-side conflict tracking sees the same
-    sequence as individual dispatches). The wire size and the worker's
+    sequence as individual dispatches); the Spark baseline's one message
+    per task is a batch of one. The wire size and the worker's
     per-command enqueue cost are both charged per task — batching saves
     messages and per-message control-plane work, not modeled task work.
     """
 
     def __init__(self, items: List[Tuple[Command, bool]], block_seq: int):
-        self.items = items  # [(command, report)]
+        # [(command, report)]; report: send the written value back with
+        # the completion
+        self.items = items
         self.block_seq = block_seq
         self.size_bytes = TASK_DESC_BYTES * len(items)
 
@@ -370,32 +353,19 @@ class ManagerDirective(Message):
 # ---------------------------------------------------------------------------
 # worker → controller
 # ---------------------------------------------------------------------------
-class CommandComplete(Message):
-    """Per-command completion ack (central path)."""
-
-    def __init__(self, worker_id: int, cid: int, block_seq: int,
-                 duration: float, value: Any = None, oid: Optional[int] = None):
-        self.worker_id = worker_id
-        self.cid = cid
-        self.block_seq = block_seq
-        self.duration = duration
-        self.value = value
-        self.oid = oid
-        self.size_bytes = 64
-
-
 class CommandCompleteBatch(Message):
-    """Coalesced per-command completions (central path).
+    """Per-command completion acks (central path).
 
     A worker's completions within one flush window ride in a single
-    message; the controller charges its per-completion cost for each item,
-    so only message and event overhead is saved — never modeled work.
+    message (a lone completion is a batch of one); the controller charges
+    its per-completion cost for each item, so only message and event
+    overhead is saved — never modeled work.
     """
 
     def __init__(self, worker_id: int,
-                 items: List[Tuple[int, int, float, Any, Optional[int]]]):
+                 items: List[Tuple[int, int, float, Any]]):
         self.worker_id = worker_id
-        self.items = items  # [(cid, block_seq, duration, value, oid)]
+        self.items = items  # [(cid, block_seq, duration, value)]
         self.size_bytes = 64 * len(items)
 
 

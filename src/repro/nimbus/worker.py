@@ -48,6 +48,12 @@ from . import protocol as P
 #: ready/complete cascade tests the kind of every command
 _TASK = CommandKind.TASK
 
+#: central-path completions buffer this long and flush as one message.
+#: Tasks sharing a worker's slots finish in microsecond-spaced bursts, so a
+#: small window collapses a burst into one controller message without
+#: perceptibly delaying block completion (window ≪ task duration).
+COMPLETION_FLUSH_WINDOW = 1e-3
+
 
 class DurableStorage:
     """Cluster-wide simulated durable storage for checkpoints."""
@@ -240,14 +246,9 @@ class Worker(P.ReliableEndpoint, Actor):
         #: instantiates, None otherwise (traced runs only)
         self._advance_release = None
 
-        # central-path completion coalescing: completions buffer here and
-        # flush as one message after a short window. Tasks sharing a
-        # worker's slots finish in microsecond-spaced bursts, so a small
-        # window collapses a burst into one controller message without
-        # perceptibly delaying block completion (window ≪ task duration).
-        self._completion_buffer: List[Tuple[int, int, float, Any, Optional[int]]] = []
+        # central-path completions awaiting the COMPLETION_FLUSH_WINDOW flush
+        self._completion_buffer: List[Tuple[int, int, float, Any]] = []
         self._completion_flush_pending = False
-        self.completion_flush_window = 1e-3
 
         #: decentralized mode: template instances a self-schedule grant
         #: keeps in flight at once. Instances of one block RMW the same
@@ -297,8 +298,6 @@ class Worker(P.ReliableEndpoint, Actor):
             self._ctrl_handled_seq = msg.rel_seq
         if isinstance(msg, P.DataMessage):
             self._on_data(msg)
-        elif isinstance(msg, P.DispatchCommand):
-            self._on_dispatch(msg)
         elif isinstance(msg, P.DispatchCommandBatch):
             self._on_dispatch_batch(msg)
         elif isinstance(msg, P.InstantiateWorkerTemplate):
@@ -354,12 +353,8 @@ class Worker(P.ReliableEndpoint, Actor):
     # ------------------------------------------------------------------
     # Central dispatch path
     # ------------------------------------------------------------------
-    def _on_dispatch(self, msg: P.DispatchCommand) -> None:
-        self.charge(self.costs.worker_enqueue_per_command)
-        self._enqueue(msg.command, msg.block_seq, msg.report)
-
     def _on_dispatch_batch(self, msg: P.DispatchCommandBatch) -> None:
-        """Coalesced central dispatch: enqueue cost stays per command.
+        """Central dispatch: enqueue cost is per command, not per message.
 
         Commands resolve one by one: a central stream carries no cached
         before sets, so the conflict tracker must see each command
@@ -735,16 +730,13 @@ class Worker(P.ReliableEndpoint, Actor):
     # requirement 1) for commands that arrive without a template
     # ------------------------------------------------------------------
     def _enqueue(self, cmd: Command, block_seq: int, report: bool) -> None:
-        self._register(cmd, block_seq, report)
-        self._resolve(cmd)
-
-    def _register(self, cmd: Command, block_seq: int, report: bool) -> None:
         self._pending[cmd.cid] = cmd
         cmd._wmeta = (block_seq, report)
         cmd._rem = -1  # not yet resolved
         if self._trace is not None:
             self._trace.cmd_enqueue(cmd.cid, cmd.kind, cmd.function,
                                     self.name, block_seq)
+        self._resolve(cmd)
 
     def _resolve(self, cmd: Command) -> None:
         cid = cmd.cid
@@ -1072,12 +1064,10 @@ class Worker(P.ReliableEndpoint, Actor):
         if frame is not None:
             return  # patch command: no ack needed
         value = self.store.get(cmd.write[0]) if (report and cmd.write) else None
-        oid = cmd.write[0] if (report and cmd.write) else None
-        self._completion_buffer.append((cid, block_seq, duration, value, oid))
+        self._completion_buffer.append((cid, block_seq, duration, value))
         if not self._completion_flush_pending:
             self._completion_flush_pending = True
-            self.call_later(self.completion_flush_window,
-                            self._flush_completions)
+            self.call_later(COMPLETION_FLUSH_WINDOW, self._flush_completions)
 
     def _flush_completions(self) -> None:
         """Send buffered completions now.
@@ -1085,19 +1075,12 @@ class Worker(P.ReliableEndpoint, Actor):
         Called from the timer, and synchronously before any *other*
         controller-bound message leaves this worker: buffered completions
         must not be overtaken on the in-order channel (e.g. a later run's
-        InstanceComplete beating an earlier run's final CommandComplete
-        would complete blocks out of request order at the driver).
+        InstanceComplete beating an earlier run's final command
+        completion would complete blocks out of request order at the driver).
         """
         self._completion_flush_pending = False
-        if self._dead or not self._completion_buffer:
-            self._completion_buffer = []
-            return
         items, self._completion_buffer = self._completion_buffer, []
-        if len(items) == 1:
-            cid, block_seq, duration, value, oid = items[0]
-            self.send_reliable(self.controller, P.CommandComplete(
-                self.worker_id, cid, block_seq, duration, value, oid))
-        else:
+        if items and not self._dead:
             self.send_reliable(self.controller,
                                P.CommandCompleteBatch(self.worker_id, items))
 

@@ -107,7 +107,7 @@ class RunTrace:
 
 
 class RequestTrace:
-    """One driver block request (submit → BlockComplete)."""
+    """One driver block request (submit → its BlockCompleteBatch item)."""
 
     __slots__ = ("request_id", "block_id", "submit", "cause", "complete")
 

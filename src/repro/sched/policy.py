@@ -394,33 +394,19 @@ class DecentralizedPolicy(SchedulingPolicy):
 
     def _finish_window(self, grant: _WindowGrant) -> None:
         """Close every run of the window (in seq order) and notify the
-        driver once. Mirrors ``Controller._finish_block`` per run, with
-        the per-run driver message batched into one."""
+        driver once: ``Controller._close_run`` per run, with the per-run
+        driver items batched into one message."""
         c = self.controller
         ctx = self.ctx
         items = []
         for seq in grant.seqs:
-            run = c.runs.pop(seq, None)
+            run = c.runs.get(seq)
             if run is None:
                 continue
-            if c._trace is not None:
-                c._trace.run_finish(run.seq)
-            compute = 0.0
-            if run.compute_by_worker:
-                compute = (max(run.compute_by_worker.values())
-                           / c.slots_per_worker)
             # end each block at its last worker's local finish time, not
             # at the fold: iteration-time statistics stay meaningful even
             # when a whole steady-state run fits in one window
-            ctx.metrics.end("block", grant.ends.get(seq, c.sim.now),
-                            key=run.seq, compute=compute,
-                            results=dict(run.results))
-            ctx.results_history.append((run.block_id, dict(run.results)))
-            for worker, compute_time in run.compute_by_worker.items():
-                if worker in c.live_workers:
-                    c.load_tracker.observe(worker, compute_time, {})
-            items.append((run.block_id, run.seq, dict(run.results),
-                          run.request_id, grant.ends.get(seq, c.sim.now)))
+            items.append(c._close_run(run, grant.ends.get(seq, c.sim.now)))
         self._grant = None
         c.send_reliable(ctx.driver, P.BlockCompleteBatch(items))
         # the window boundary is the quiesce point: no grant is
@@ -428,18 +414,10 @@ class DecentralizedPolicy(SchedulingPolicy):
         if (c.rebalancer is not None and not c._recovering
                 and not c._checkpointing):
             c.rebalancer.maybe_rebalance(ctx, grant.block_id)
-        # ... and the checkpoint boundary: mirror _finish_block's
-        # per-block accounting, which this batched completion path used
-        # to skip entirely — a decentralized job-0 run never accumulated
-        # _blocks_since_checkpoint, so checkpointing silently never
-        # engaged and any worker crash was unrecoverable
-        if ctx is c._job0 and len(items):
-            c._blocks_since_checkpoint += len(items)
-            if (c.checkpoint_every is not None
-                    and c._blocks_since_checkpoint >= c.checkpoint_every
-                    and not c.runs and not c._checkpointing
-                    and not c._recovering):
-                c._start_checkpoint()
+        # ... and the checkpoint boundary, through the same accounting
+        # a per-instance completion uses (a hand-written mirror here once
+        # skipped it, so decentralized job-0 runs never checkpointed)
+        c._count_toward_checkpoint(ctx, len(items))
         self._pump()
         c._drain_dispatch_queue()
 

@@ -344,9 +344,9 @@ class WorkerDriver:
     def step(self) -> None:
         worker, i = self.worker, self.instances
         if not self.seam:
-            worker.handle(P.DispatchCommand(Command(
+            worker.handle(P.DispatchCommandBatch([(Command(
                 -1 - i, CommandKind.CREATE, worker.worker_id, write=(-1,)),
-                0, False))
+                False)], 0))
         msg = self.next_message()
         start = time.perf_counter()
         worker.handle(msg)

@@ -270,9 +270,9 @@ def test_seam_hits_in_steady_replay_and_survives_pool_reuse():
 def test_seam_dropped_by_interleaved_central_command():
     probe = _SeamProbe()
     probe.assert_steady()
-    probe.worker.handle(P.DispatchCommand(
-        Command(-5, CommandKind.CREATE, probe.worker.worker_id,
-                write=(-5,)), 0, False))
+    probe.worker.handle(P.DispatchCommandBatch(
+        [(Command(-5, CommandKind.CREATE, probe.worker.worker_id,
+                  write=(-5,)), False)], 0))
     probe.assert_dropped_then_rebuilt(builds_expected=0)
 
 

@@ -134,7 +134,7 @@ def test_steady_state_message_count_is_n_plus_1():
     # worker halves installed once per (block, worker with entries)
     assert counts["InstallWorkerTemplate"] >= 2
     # central dispatch happens only during installation-phase iterations
-    assert counts["DispatchCommand"] > 0
+    assert counts["DispatchCommandBatch"] > 0
 
 
 def test_non_blocking_posts_equal_blocking_results():

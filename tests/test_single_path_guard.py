@@ -18,7 +18,11 @@ import repro
 import repro.perf
 from repro.cli import build_parser
 from repro.nimbus import NimbusCluster
+from repro.nimbus import protocol
+from repro.nimbus.controller import Controller
+from repro.nimbus.driver import Driver
 from repro.nimbus.worker import Worker
+from repro.sim.actor import Message
 
 SRC = pathlib.Path(repro.__file__).parent
 REPO = SRC.parent.parent
@@ -65,3 +69,15 @@ def test_bench_is_the_one_performance_instrument():
         == drivers
     assert {name for name in vars(repro.perf)
             if not name.startswith("_")} <= drivers
+
+
+def test_one_message_class_per_hop():
+    """No hop has a one-item class next to an N-item class: ``XBatch`` is
+    the only shape, and a single item is a batch of one. With the twins
+    gone nothing needs to ask which handler a subclass overrode."""
+    messages = {name for name, cls in vars(protocol).items()
+                if inspect.isclass(cls) and issubclass(cls, Message)}
+    twins = {name for name in messages if name + "Batch" in messages}
+    assert not twins
+    for actor in (Controller, Worker, Driver):
+        assert "type(self)." not in inspect.getsource(actor), actor

@@ -21,12 +21,9 @@ class FakeController(Actor):
         self.instances = []
 
     def handle(self, msg):
-        if isinstance(msg, P.CommandComplete):
-            self.completions.append(msg)
-        elif isinstance(msg, P.CommandCompleteBatch):
-            for cid, seq, duration, value, oid in msg.items:
-                self.completions.append(P.CommandComplete(
-                    msg.worker_id, cid, seq, duration, value, oid))
+        if isinstance(msg, P.CommandCompleteBatch):
+            # plain (cid, block_seq, duration, value) tuples, as on the wire
+            self.completions.extend(msg.items)
         elif isinstance(msg, P.InstanceComplete):
             self.instances.append(msg)
 
@@ -50,7 +47,7 @@ def build(num_workers=2, registry=None):
 
 
 def dispatch(worker, cmd, seq=1, report=False):
-    worker.deliver(P.DispatchCommand(cmd, seq, report))
+    worker.deliver(P.DispatchCommandBatch([(cmd, report)], seq))
 
 
 def stamp_registry():
@@ -72,8 +69,8 @@ def test_task_executes_and_acks():
     sim.run()
     assert worker.store.get(1) == ("stamp", 7)
     assert len(controller.completions) == 1
-    ack = controller.completions[0]
-    assert ack.cid == 1 and ack.duration == pytest.approx(0.01)
+    cid, _seq, duration, _value = controller.completions[0]
+    assert cid == 1 and duration == pytest.approx(0.01)
 
 
 def test_before_set_ordering():
@@ -154,7 +151,8 @@ def test_slots_limit_concurrency():
         dispatch(worker, make_task(
             20 + i, 0, "slow", read=(), write=(100 + i,), params=i))
     sim.run()
-    ends = sorted(round(c.duration, 6) for c in controller.completions)
+    ends = sorted(round(duration, 6)
+                  for _cid, _seq, duration, _value in controller.completions)
     assert len(controller.completions) == 4
     # 4 tasks x 0.1s on 2 slots: finish in two waves, so the simulation
     # takes ~0.2s, not ~0.1s or ~0.4s
