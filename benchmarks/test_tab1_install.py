@@ -86,10 +86,11 @@ def test_central_schedule_task(benchmark, paper_scale):
         controller = cluster.controller
         # register the objects directly (setup, not measured elsewhere)
         from repro.nimbus.protocol import DefineObjects
-        controller._on_define_objects(DefineObjects(app.variables.definitions))
+        controller._on_define_objects(
+            controller._job0, DefineObjects(app.variables.definitions))
         run = controller._run_block_centrally(
-            app.iteration_block, {"step": 0.1}, capture=False,
-            receive_cost=False)
+            controller._job0, app.iteration_block, {"step": 0.1},
+            capture=False)
         return run
 
     run = benchmark(schedule_block)

@@ -67,31 +67,34 @@ class NaiadController(Controller):
 
         # initial data distribution: part of graph installation, not a
         # runtime patch (Naiad has none)
-        violations = full_validate(wts, self.directory, self._cross_check)
-        if violations:
-            patch = build_patch(violations, self.directory,
-                                self.object_sizes(),
-                                patch_id=self.patch_cache.allocate_id())
-            instance_id = self._next_instance
-            self._next_instance += 1
-            for worker in patch.workers():
-                cid_base = self._alloc_cids(patch.entry_count(worker))
-                self.send(self.workers[worker], P.InstallPatch(
-                    patch.patch_id, patch.entries[worker], cid_base,
-                    instance_id))
-            patch.apply_to_directory(self.directory)
+        self._distribute_data(wts)
 
-        instance = template.instantiate(0, msg.params)
-        self._instantiate_worker_templates(ctx, wts, instance, msg.params,
+        self._instantiate_worker_templates(ctx, wts, msg.params,
                                            msg.request_id)
+
+    def _distribute_data(self, wts) -> None:
+        """Move every object to where ``wts`` expects it. Part of graph
+        installation — sent outside the reliable channels, with ids from
+        the patch cache's own sequence — not a runtime patch."""
+        violations = full_validate(wts, self.directory, self._cross_check)
+        if not violations:
+            return
+        patch = build_patch(violations, self.directory, self.object_sizes(),
+                            patch_id=self.patch_cache.allocate_id())
+        instance_id = self._next_instance
+        self._next_instance += 1
+        for worker in patch.workers():
+            cid_base = self._alloc_cids(patch.entry_count(worker))
+            self.send(self.workers[worker], P.InstallPatch(
+                patch.patch_id, patch.entries[worker], cid_base,
+                instance_id))
+        patch.apply_to_directory(self.directory)
 
     def _on_instantiate_block(self, ctx, msg: P.InstantiateBlock) -> None:
         """Epochs run with no central validation, patching, or edits."""
-        template = self.templates[msg.block_id]
         version = self.current_version[msg.block_id]
         wts = self.worker_templates[(msg.block_id, version)]
-        instance = template.instantiate(msg.task_id_base, msg.params)
-        self._instantiate_worker_templates(ctx, wts, instance, msg.params,
+        self._instantiate_worker_templates(ctx, wts, msg.params,
                                            msg.request_id)
         self.metrics.incr("tasks_scheduled", 0)  # already counted inside
 
@@ -110,19 +113,7 @@ class NaiadController(Controller):
             e.worker for e in template.entries
         ]
         # data redistribution to the new placement, also at install time
-        violations = full_validate(wts, self.directory, self._cross_check)
-        if violations:
-            patch = build_patch(violations, self.directory,
-                                self.object_sizes(),
-                                patch_id=self.patch_cache.allocate_id())
-            instance_id = self._next_instance
-            self._next_instance += 1
-            for worker in patch.workers():
-                cid_base = self._alloc_cids(patch.entry_count(worker))
-                self.send(self.workers[worker], P.InstallPatch(
-                    patch.patch_id, patch.entries[worker], cid_base,
-                    instance_id))
-            patch.apply_to_directory(self.directory)
+        self._distribute_data(wts)
         self.metrics.incr("naiad_installs")
 
     def migrate_tasks(self, block_id: str, moves, job_id: int = 0) -> str:

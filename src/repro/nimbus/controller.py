@@ -86,11 +86,13 @@ class _BlockRun:
         self.seq = seq
         self.block_id = block_id
         self.num_tasks = num_tasks
-        self.mode = mode  # "central" | "template"
-        self.outstanding = 0  # commands (central) or worker acks (template)
+        self.mode = mode  # "central" | "template" | "self" (window grant)
+        self.outstanding = 0  # commands (central) or worker acks (otherwise)
         self.expected_workers: Set[int] = set()
         self.results: Dict[str, Any] = {}
-        self.return_cids: Dict[int, Tuple[str, int]] = {}  # cid -> (name, oid)
+        #: result name by the id its value arrives under: the writing
+        #: command's cid (central) or the returned oid (template, self)
+        self.return_cids: Dict[int, str] = {}
         self.start_time = start_time
         self.compute_by_worker: Dict[int, float] = {}
         self.instance_id: Optional[int] = None
@@ -235,11 +237,14 @@ class Controller(P.ReliableEndpoint, Actor):
         self._checkpoint_acks: Set[int] = set()
         self._halt_acks: Set[int] = set()
         self._load_acks: Set[int] = set()
+        self._expected_load_acks: Set[int] = set()
+        self._pending_checkpoint_id: Optional[int] = None
         self._last_committed_checkpoint: Optional[int] = None
         self._checkpoint_snapshots: Dict[int, Tuple] = {}
         self._recovering = False
         self._checkpointing = False
         self._last_heartbeat: Dict[int, float] = {}
+        self._hb_check_interval = 1.0
         self._failed_workers: Set[int] = set()
 
     # ------------------------------------------------------------------
@@ -336,7 +341,7 @@ class Controller(P.ReliableEndpoint, Actor):
             del self.runs[seq]
         per_worker: Dict[int, List[int]] = {}
         for obj in ctx.directory.objects():
-            for worker in ctx.directory._holders.get(obj.oid, {}):
+            for worker in ctx.directory.holders(obj.oid):
                 per_worker.setdefault(worker, []).append(obj.oid)
         # every live worker learns of the release, holder or not: any of
         # them may hold queued commands (or an in-flight write about to
@@ -462,9 +467,7 @@ class Controller(P.ReliableEndpoint, Actor):
         """Fold a shard-relayed per-worker summary, or park it until the
         worker's direct stream catches up to ``ctrl_seq`` (the reverse
         causal barrier — see ``_barrier_summaries``)."""
-        worker = self.workers.get(summary.worker_id)
-        if (worker is not None
-                and summary.ctrl_seq > self._handled_seq.get(worker.name, 0)):
+        if not self._summary_barrier_met(summary):
             self._barrier_summaries.append((job_id, summary))
             self.metrics.incr("self_schedule.summary_barrier_deferrals")
             return
@@ -527,9 +530,8 @@ class Controller(P.ReliableEndpoint, Actor):
             goid = ctx.goid(oid)
             if goid not in ctx.directory:
                 continue
-            for holders in [ctx.directory._holders.get(goid, {})]:
-                for worker in holders:
-                    per_worker.setdefault(worker, []).append(goid)
+            for worker in ctx.directory.holders(goid):
+                per_worker.setdefault(worker, []).append(goid)
             ctx.directory.unregister(goid)
             ctx.holder_cids.pop(goid, None)
         for worker, oids in per_worker.items():
@@ -579,13 +581,6 @@ class Controller(P.ReliableEndpoint, Actor):
         self._next_window += 1
         return wid
 
-    def _alloc_patch_id(self) -> int:
-        """Patch ids are controller-global: a worker's patch cache is keyed
-        by bare patch id, so ids from different jobs must never collide."""
-        pid = self._next_patch_id
-        self._next_patch_id += 1
-        return pid
-
     def _dispatch(self, run: _BlockRun, cmd: Command, report: bool = False) -> None:
         run.outstanding += 1
         buffer = self._dispatch_buffer
@@ -598,22 +593,6 @@ class Controller(P.ReliableEndpoint, Actor):
         # unbuffered (the Spark baseline): one message per task
         self.send_reliable(self.workers[cmd.worker],
                            P.DispatchCommandBatch([(cmd, report)], run.seq))
-
-    def _begin_dispatch_batch(self) -> None:
-        self._dispatch_buffer = {}
-
-    def _flush_dispatch_batch(self, run: _BlockRun) -> None:
-        """Send buffered dispatches, one coalesced message per worker.
-
-        Workers flush in first-dispatch order (deterministic: plain dict
-        insertion order), and each worker's command list preserves its
-        dispatch order, so worker-side conflict tracking resolves the
-        same dependencies as one-message-per-command dispatch.
-        """
-        buffer, self._dispatch_buffer = self._dispatch_buffer, None
-        for worker, items in buffer.items():
-            self.send_reliable(self.workers[worker],
-                               P.DispatchCommandBatch(items, run.seq))
 
     def _schedule_task_centrally(
         self,
@@ -661,49 +640,65 @@ class Controller(P.ReliableEndpoint, Actor):
             ctx.holder_cids[oid] = {worker: cid}
             name = returns_rev.get(oid)
             if name is not None:
-                run.return_cids[cid] = (name, oid)
+                run.return_cids[cid] = name
                 report = True
         self._dispatch(run, task, report=report)
 
-    def _run_block_centrally(
-        self,
-        ctx: JobContext,
-        block: BlockSpec,
-        params: Dict[str, Any],
-        capture: bool,
-        receive_cost: bool,
-        seq: Optional[int] = None,
-        request_id: int = 0,
-    ) -> _BlockRun:
-        run = self._new_run(ctx, block.block_id, block.num_tasks, "central",
-                            seq, request_id)
-        if capture and block.block_id in ctx.templates:
-            capture = False  # already installed (e.g. resubmitted after recovery)
-        returns_rev = {oid: name for name, oid in block.returns.items()}
-        assignment: List[int] = []
+    def _dispatch_centrally(self, ctx: JobContext, source, tasks,
+                            workers: List[int], params: Dict[str, Any],
+                            cost: float, request_id: int) -> _BlockRun:
+        """Schedule one run of ``source`` centrally — a :class:`BlockSpec`,
+        or the :class:`ControllerTemplate` captured from one: ``tasks`` in
+        program order, each on its entry of ``workers``, ``cost`` charged
+        per task."""
+        run = self._new_run(ctx, source.block_id, source.num_tasks,
+                            "central", request_id)
+        returns_rev = {oid: name for name, oid in source.returns.items()}
         # the per-task cost is constant across the block, and nothing in the
         # loop observes _charged (dispatches stay buffered until the flush),
         # so the charge folds into a local accumulator — same float-addition
         # sequence as per-task self.charge(cost), one attribute store
-        cost = self.costs.central_schedule_per_task
-        if receive_cost:
-            cost += self.costs.central_receive_per_task
-        if capture:
-            cost += self.costs.install_controller_template_per_task
         schedule = self._schedule_task_centrally
-        assign = self._assign_worker
         charged = self._charged
-        self._begin_dispatch_batch()
-        for _stage_name, task in block.all_tasks():
-            worker = assign(ctx, task.read, task.write)
-            assignment.append(worker)
+        buffer = self._dispatch_buffer = {}
+        for task, worker in zip(tasks, workers):
             charged += cost
             task_params = params.get(task.param_slot) if task.param_slot else None
             schedule(run, task.function, task.read, task.write, worker,
                      task_params, returns_rev)
         self._charged = charged
-        self._flush_dispatch_batch(run)
-        ctx.metrics.incr("tasks_scheduled", block.num_tasks)
+        # one coalesced message per worker, in first-dispatch order (plain
+        # dict insertion order); each worker's list keeps its dispatch
+        # order, so worker-side conflict tracking resolves the same
+        # dependencies as one-message-per-command dispatch
+        self._dispatch_buffer = None
+        for worker, items in buffer.items():
+            self.send_reliable(self.workers[worker],
+                               P.DispatchCommandBatch(items, run.seq))
+        ctx.metrics.incr("tasks_scheduled", source.num_tasks)
+        # Central execution leaves template validation state unknown.
+        ctx.validation_state.invalidate()
+        ctx.prev_block_key = ("central", source.block_id)
+        if self._trace is not None:
+            self._trace_decided(run)
+        return run
+
+    def _run_block_centrally(self, ctx: JobContext, block: BlockSpec,
+                             params: Dict[str, Any], capture: bool,
+                             request_id: int = 0) -> _BlockRun:
+        """Schedule a driver-submitted block centrally, capturing it into
+        a controller template on the way if the driver marked it."""
+        if capture and block.block_id in ctx.templates:
+            capture = False  # already installed (e.g. resubmitted after recovery)
+        cost = (self.costs.central_schedule_per_task
+                + self.costs.central_receive_per_task)
+        if capture:
+            cost += self.costs.install_controller_template_per_task
+        tasks = [task for _stage_name, task in block.all_tasks()]
+        assignment = [self._assign_worker(ctx, task.read, task.write)
+                      for task in tasks]
+        run = self._dispatch_centrally(ctx, block, tasks, assignment, params,
+                                       cost, request_id)
         if capture:
             template = ControllerTemplate.from_block(block, assignment)
             ctx.templates[block.block_id] = template
@@ -711,11 +706,6 @@ class Controller(P.ReliableEndpoint, Actor):
             ctx.current_version[block.block_id] = 0
             ctx.assignments[(block.block_id, 0)] = list(assignment)
             ctx.metrics.incr("controller_templates_installed")
-        # Central execution leaves template validation state unknown.
-        ctx.validation_state.invalidate()
-        ctx.prev_block_key = ("central", block.block_id)
-        if self._trace is not None:
-            self._trace_decided(run)
         return run
 
     # ------------------------------------------------------------------
@@ -743,31 +733,27 @@ class Controller(P.ReliableEndpoint, Actor):
         if self._duplicate_request(ctx, msg.request_id):
             return
         block = ctx.translate_block(msg.block)
-        item = ("submit", block, msg.params, msg.template_start,
-                msg.request_id)
-        if self._gate_dispatch(ctx, item, block.num_tasks):
-            return
-        ctx.policy.submit_central(block, msg.params, msg.template_start,
-                                  msg.request_id)
+        self._gate_dispatch(ctx, ("submit", block, msg.params,
+                                  msg.template_start, msg.request_id),
+                            block.num_tasks)
 
     # ------------------------------------------------------------------
     # Admission gate: fair-share dispatch behind a concurrency cap
     # ------------------------------------------------------------------
     def _gate_dispatch(self, ctx: JobContext, item: Tuple,
-                       num_tasks: int) -> bool:
-        """Queue ``item`` when the in-flight cap is reached (or a queue
-        already exists — FIFO within a job is part of the contract).
-        Returns True when the item was deferred. Runs after request
-        deduplication, so a queued block is never enqueued twice."""
+                       num_tasks: int) -> None:
+        """Hand ``item`` to the job's policy now — or queue it when the
+        in-flight cap is reached (or a queue already exists — FIFO within
+        a job is part of the contract). Runs after request deduplication,
+        so a queued block is never enqueued twice."""
         cap = self.dispatch_inflight_cap
-        if cap is None:
-            return False
-        if len(self.runs) < cap and not self._dispatch_queue:
-            return False
+        if cap is None or (len(self.runs) < cap
+                           and not self._dispatch_queue):
+            ctx.policy.accept(item)
+            return
         self._dispatch_queue.push(ctx.job_id, ctx.weight, item,
                                   cost=max(1, num_tasks))
         self.metrics.incr("dispatch.queued")
-        return True
 
     def _drain_dispatch_queue(self) -> None:
         cap = self.dispatch_inflight_cap
@@ -778,14 +764,7 @@ class Controller(P.ReliableEndpoint, Actor):
             ctx = self.jobs.get(job_id)
             if ctx is None:
                 continue  # released after queueing
-            if item[0] == "submit":
-                _kind, block, params, template_start, request_id = item
-                ctx.policy.submit_central(block, params, template_start,
-                                          request_id)
-            elif item[0] == "window":
-                ctx.policy.instantiate_window(item[1])
-            else:
-                ctx.policy.instantiate(item[1])
+            ctx.policy.accept(item)
 
     # ------------------------------------------------------------------
     # Template instantiation path
@@ -795,9 +774,7 @@ class Controller(P.ReliableEndpoint, Actor):
         self.charge(self.costs.message_handling)
         if self._duplicate_request(ctx, msg.request_id):
             return
-        if self._gate_dispatch(ctx, ("instantiate", msg), msg.num_tasks):
-            return
-        ctx.policy.instantiate(msg)
+        self._gate_dispatch(ctx, ("instantiate", msg), msg.num_tasks)
 
     def _on_instantiate_window(self, ctx: JobContext,
                                msg: P.InstantiateWindow) -> None:
@@ -813,10 +790,8 @@ class Controller(P.ReliableEndpoint, Actor):
         the per-instance messages it replaces.
         """
         self.charge(self.costs.message_handling)
-        total = msg.num_tasks * max(1, len(msg.entries))
-        if self._gate_dispatch(ctx, ("window", msg), total):
-            return
-        ctx.policy.instantiate_window(msg)
+        self._gate_dispatch(ctx, ("window", msg),
+                            msg.num_tasks * max(1, len(msg.entries)))
 
     def _process_instantiate(self, ctx: JobContext,
                              msg: P.InstantiateBlock) -> None:
@@ -832,38 +807,27 @@ class Controller(P.ReliableEndpoint, Actor):
         n = template.num_tasks
         # parameter fill of the controller template (Table 2, row 1)
         self.charge(self.costs.instantiate_controller_template_per_task * n)
-        instance = template.instantiate(msg.task_id_base, msg.params)
         ctx.metrics.incr("template_instantiations")
 
-        if phase == self.PHASE_CT_READY:
-            # generate the controller half of the worker templates while
-            # dispatching this iteration centrally (Fig. 9, iteration 11)
-            c0 = self._charged
-            self.charge(
-                self.costs.install_worker_template_controller_per_task * n)
-            version = ctx.current_version[block_id]
-            wts = generate_worker_templates(
-                template, self.object_sizes(ctx), version)
-            if self._trace is not None:
-                self._trace.span(
-                    self.name, "template", "template.generate",
-                    self._handler_start + c0, self._charged - c0,
-                    block_id=block_id, **wts.stats())
-            ctx.worker_templates[wts.key] = wts
-            ctx.phase[block_id] = self.PHASE_WT_GENERATED
-            self._dispatch_from_template(ctx, instance, msg.request_id)
-            return
-        if phase == self.PHASE_WT_GENERATED:
-            # ship worker halves while dispatching centrally (iteration 12)
-            version = ctx.current_version[block_id]
-            wts = ctx.worker_templates[(block_id, version)]
-            self._install_worker_halves(ctx, wts)
-            ctx.phase[block_id] = self.PHASE_WT_INSTALLED
-            self._dispatch_from_template(ctx, instance, msg.request_id)
+        version = ctx.current_version[block_id]
+        if phase != self.PHASE_WT_INSTALLED:
+            # the install staircase (Fig. 9): generate the controller half
+            # of the worker templates (iteration 11), then ship the worker
+            # halves (iteration 12), each while dispatching the iteration
+            # centrally from the controller template's cached assignment
+            if phase == self.PHASE_CT_READY:
+                self._generate_worker_templates(ctx, block_id, version)
+            else:
+                self._install_worker_halves(
+                    ctx, ctx.worker_templates[(block_id, version)])
+                ctx.phase[block_id] = self.PHASE_WT_INSTALLED
+            self._dispatch_centrally(
+                ctx, template, template.entries,
+                [entry.worker for entry in template.entries], msg.params,
+                self.costs.central_schedule_per_task, msg.request_id)
             return
 
         # steady state (iteration 13+): validate, patch, instantiate
-        version = ctx.current_version[block_id]
         wts = ctx.worker_templates[(block_id, version)]
         self._install_worker_halves(ctx, wts)  # no-op for already-installed workers
         c0 = self._charged
@@ -889,29 +853,27 @@ class Controller(P.ReliableEndpoint, Actor):
                     block_id=block_id, violations=len(violations))
             if violations:
                 self._apply_patch(ctx, wts, violations)
-        self._instantiate_worker_templates(ctx, wts, instance, msg.params,
+        self._instantiate_worker_templates(ctx, wts, msg.params,
                                            msg.request_id)
 
-    def _dispatch_from_template(self, ctx: JobContext, instance,
-                                request_id: int = 0) -> None:
-        """Centrally dispatch a controller-template instance (phases 1–2)."""
-        template = instance.template
-        run = self._new_run(ctx, template.block_id, template.num_tasks,
-                            "central", request_id=request_id)
-        returns_rev = {oid: name for name, oid in template.returns.items()}
-        self._begin_dispatch_batch()
-        for entry in template.entries:
-            self.charge(self.costs.central_schedule_per_task)
-            self._schedule_task_centrally(
-                run, entry.function, entry.read, entry.write, entry.worker,
-                instance.param_of(entry), returns_rev,
-            )
-        self._flush_dispatch_batch(run)
-        ctx.metrics.incr("tasks_scheduled", template.num_tasks)
-        ctx.validation_state.invalidate()
-        ctx.prev_block_key = ("central", template.block_id)
+    def _generate_worker_templates(self, ctx: JobContext, block_id: str,
+                                   version: int) -> None:
+        """Generate the controller half of ``block_id``'s worker templates
+        for its current assignment; the halves ship at the next
+        instantiation (Fig. 9, iteration 11)."""
+        template = ctx.templates[block_id]
+        c0 = self._charged
+        self.charge(self.costs.install_worker_template_controller_per_task
+                    * template.num_tasks)
+        wts = generate_worker_templates(
+            template, self.object_sizes(ctx), version)
         if self._trace is not None:
-            self._trace_decided(run)
+            self._trace.span(
+                self.name, "template", "template.generate",
+                self._handler_start + c0, self._charged - c0,
+                block_id=block_id, **wts.stats())
+        ctx.worker_templates[wts.key] = wts
+        ctx.phase[block_id] = self.PHASE_WT_GENERATED
 
     def _install_worker_halves(self, ctx: JobContext,
                                wts: WorkerTemplateSet) -> None:
@@ -939,85 +901,105 @@ class Controller(P.ReliableEndpoint, Actor):
             if pending:
                 pending.pop(worker, None)
 
-    def _instantiate_worker_templates(
-        self,
-        ctx: JobContext,
-        wts: WorkerTemplateSet,
-        instance,
-        params: Dict[str, Any],
-        request_id: int = 0,
-    ) -> None:
-        """The fast path: one message per worker (§2.2: n+1 total)."""
-        template = instance.template
-        run = self._new_run(ctx, template.block_id, template.num_tasks,
-                            "template", request_id=request_id)
+    def _decide_instance(self, ctx: JobContext, wts: WorkerTemplateSet,
+                         mode: str, request_id: int, ship) -> _BlockRun:
+        """Decide one instance of an installed template: a new run, its
+        instance id, one command-id base per worker (in worker order), the
+        return map, and the template's effect on the directory and the
+        validation state. ``ship(run, worker, cid_base)`` is the caller's
+        transport — a message per worker, or a row of a window grant — so
+        every scheduling mode draws the same id streams."""
+        num_tasks = ctx.templates[wts.block_id].num_tasks
+        run = self._new_run(ctx, wts.block_id, num_tasks, mode, request_id)
         run.instance_id = self._next_instance
         self._next_instance += 1
-        edits_by_worker = ctx.pending_edits.pop(wts.key, {})
         for worker in wts.workers():
-            entries = wts.entries[worker]
-            cid_base = self._alloc_cids(len(entries))
+            ship(run, worker, self._alloc_cids(len(wts.entries[worker])))
+            run.expected_workers.add(worker)
+        run.outstanding = len(run.expected_workers)
+        for name, oid in wts.returns.items():
+            # values arrive keyed by oid (InstanceComplete, summary rows)
+            run.return_cids[oid] = name
+        wts.delta.apply(ctx.directory)
+        ctx.validation_state.note_instantiation(wts.key)
+        ctx.prev_block_key = wts.key
+        ctx.metrics.incr("tasks_scheduled", num_tasks)
+        if self._trace is not None:
+            self._trace_decided(run)
+        return run
+
+    def _instantiate_worker_templates(self, ctx: JobContext,
+                                      wts: WorkerTemplateSet,
+                                      params: Dict[str, Any],
+                                      request_id: int = 0) -> None:
+        """The fast path: one message per worker (§2.2: n+1 total)."""
+        edits_by_worker = ctx.pending_edits.pop(wts.key, {})
+
+        def ship(run: _BlockRun, worker: int, cid_base: int) -> None:
             msg = P.InstantiateWorkerTemplate(
                 wts.block_id, wts.version, run.instance_id, cid_base,
                 params, run.seq, edits=edits_by_worker.get(worker),
                 job_id=ctx.job_id,
             )
-            msg.size_bytes = (P.TASK_ID_BYTES * len(entries)
+            msg.size_bytes = (P.TASK_ID_BYTES * len(wts.entries[worker])
                               + P.PARAM_BLOCK_BYTES)
             self.send_reliable(self.workers[worker], msg)
-            run.expected_workers.add(worker)
-        run.outstanding = len(run.expected_workers)
-        for name, oid in wts.returns.items():
-            # values arrive inside InstanceComplete messages keyed by oid
-            run.return_cids[oid] = (name, oid)
-        wts.delta.apply(ctx.directory)
-        ctx.validation_state.note_instantiation(wts.key)
-        ctx.prev_block_key = wts.key
-        ctx.metrics.incr("tasks_scheduled", template.num_tasks)
-        if self._trace is not None:
-            self._trace_decided(run)
+
+        self._decide_instance(ctx, wts, "template", request_id, ship)
 
     # ------------------------------------------------------------------
     # Patching (§4.2)
     # ------------------------------------------------------------------
-    def _apply_patch(self, ctx: JobContext, wts: WorkerTemplateSet,
-                     violations: List[Tuple[int, int]]) -> None:
+    def _install_new_patch(self, ctx: JobContext,
+                           violations: List[Tuple[int, int]]) -> Patch:
+        """Compute the copies that bring each ``(worker, oid)`` in
+        ``violations`` up to the object's latest version, ship every
+        involved worker its half as one fresh patch instance, and record
+        the copies in the directory."""
+        # patch ids are controller-global: a worker's patch cache is keyed
+        # by bare patch id, so ids from different jobs must never collide
+        patch = build_patch(violations, ctx.directory,
+                            self.object_sizes(ctx),
+                            patch_id=self._next_patch_id)
+        self._next_patch_id += 1
         instance_id = self._next_instance
         self._next_instance += 1
+        for worker in patch.workers():
+            cid_base = self._alloc_cids(patch.entry_count(worker))
+            self.send_reliable(self.workers[worker], P.InstallPatch(
+                patch.patch_id, patch.entries[worker], cid_base,
+                instance_id))
+        patch.apply_to_directory(ctx.directory)
+        return patch
+
+    def _apply_patch(self, ctx: JobContext, wts: WorkerTemplateSet,
+                     violations: List[Tuple[int, int]]) -> None:
         c0 = self._charged
-        cached = ctx.patch_cache.lookup(
+        patch = ctx.patch_cache.lookup(
             ctx.prev_block_key, wts.key, violations, ctx.directory)
-        if cached is not None:
+        if patch is not None:
+            span = "patch.cache_hit"
             self.charge(self.costs.patch_cache_invoke)
-            patch = cached
+            instance_id = self._next_instance
+            self._next_instance += 1
             for worker in patch.workers():
                 cid_base = self._alloc_cids(patch.entry_count(worker))
                 self.send_reliable(self.workers[worker], P.InstantiatePatch(
                     patch.patch_id, cid_base, instance_id))
+            patch.apply_to_directory(ctx.directory)
             ctx.metrics.incr("patch_cache_hits")
-            if self._trace is not None:
-                self._trace.span(
-                    self.name, "template", "patch.cache_hit",
-                    self._handler_start + c0, self._charged - c0,
-                    patch_id=patch.patch_id, num_copies=patch.num_copies())
         else:
-            patch = build_patch(violations, ctx.directory,
-                                self.object_sizes(ctx),
-                                patch_id=self._alloc_patch_id())
-            self.charge(self.costs.patch_compute_per_copy * patch.num_copies())
-            for worker in patch.workers():
-                cid_base = self._alloc_cids(patch.entry_count(worker))
-                self.send_reliable(self.workers[worker], P.InstallPatch(
-                    patch.patch_id, patch.entries[worker], cid_base,
-                    instance_id))
+            span = "patch.compute"
+            # one copy per violation, charged before the halves depart
+            self.charge(self.costs.patch_compute_per_copy * len(violations))
+            patch = self._install_new_patch(ctx, violations)
             ctx.patch_cache.store(ctx.prev_block_key, wts.key, patch)
             ctx.metrics.incr("patches_computed")
-            if self._trace is not None:
-                self._trace.span(
-                    self.name, "template", "patch.compute",
-                    self._handler_start + c0, self._charged - c0,
-                    patch_id=patch.patch_id, num_copies=patch.num_copies())
-        patch.apply_to_directory(ctx.directory)
+        if self._trace is not None:
+            self._trace.span(
+                self.name, "template", span,
+                self._handler_start + c0, self._charged - c0,
+                patch_id=patch.patch_id, num_copies=patch.num_copies())
         ctx.metrics.incr("patch_copies", patch.num_copies())
 
     # ------------------------------------------------------------------
@@ -1113,17 +1095,7 @@ class Controller(P.ReliableEndpoint, Actor):
             stale = [(dst, oid) for oid, dst in relocations
                      if not ctx.directory.is_fresh(oid, dst)]
             if stale:
-                patch = build_patch(stale, ctx.directory,
-                                    self.object_sizes(ctx),
-                                    patch_id=self._alloc_patch_id())
-                instance_id = self._next_instance
-                self._next_instance += 1
-                for worker in patch.workers():
-                    cid_base = self._alloc_cids(patch.entry_count(worker))
-                    self.send_reliable(self.workers[worker], P.InstallPatch(
-                        patch.patch_id, patch.entries[worker], cid_base,
-                        instance_id))
-                patch.apply_to_directory(ctx.directory)
+                self._install_new_patch(ctx, stale)
                 ctx.metrics.incr("relocation_copies", len(stale))
             for oid, dst in relocations:
                 ctx.placement.migrate(oid, dst)
@@ -1161,21 +1133,10 @@ class Controller(P.ReliableEndpoint, Actor):
         template.assignment_version += 1
         version = template.assignment_version
         ctx.current_version[block_id] = version
-        c0 = self._charged
-        self.charge(self.costs.install_worker_template_controller_per_task
-                    * template.num_tasks)
-        wts = generate_worker_templates(
-            template, self.object_sizes(ctx), version)
-        if self._trace is not None:
-            self._trace.span(
-                self.name, "template", "template.generate",
-                self._handler_start + c0, self._charged - c0,
-                block_id=block_id, version=version, **wts.stats())
-        ctx.worker_templates[wts.key] = wts
+        self._generate_worker_templates(ctx, block_id, version)
         ctx.assignments[(block_id, version)] = [
             e.worker for e in template.entries
         ]
-        ctx.phase[block_id] = self.PHASE_WT_GENERATED
         ctx.validation_state.invalidate()
         ctx.metrics.incr("worker_template_regenerations")
 
@@ -1237,34 +1198,33 @@ class Controller(P.ReliableEndpoint, Actor):
                     if not ctx.directory.is_fresh(oid, dst):
                         stale.append((dst, oid))
             if stale:
-                patch = build_patch(stale, ctx.directory,
-                                    self.object_sizes(ctx),
-                                    patch_id=self._alloc_patch_id())
-                instance_id = self._next_instance
-                self._next_instance += 1
-                for worker in patch.workers():
-                    cid_base = self._alloc_cids(patch.entry_count(worker))
-                    self.send_reliable(self.workers[worker], P.InstallPatch(
-                        patch.patch_id, patch.entries[worker], cid_base,
-                        instance_id))
-                patch.apply_to_directory(ctx.directory)
+                self._install_new_patch(ctx, stale)
                 ctx.metrics.incr("relocation_copies", len(stale))
             for block_id, template in ctx.templates.items():
                 # a block with queued edits must regenerate even if none of
                 # its template entries sit on an evicted worker: the queued
                 # ops (or the edited halves they target) may address evicted
                 # peers, and regeneration retires them (_drop_pending_edits)
-                changed = any(key[0] == block_id
-                              for key in ctx.pending_edits)
-                for entry in template.entries:
-                    if entry.worker in evicted_set:
-                        entry.worker = self._assign_worker(
-                            ctx, entry.read, entry.write)
-                        changed = True
+                rehomed = self._rehome_entries(ctx, template)
+                changed = rehomed or any(key[0] == block_id
+                                         for key in ctx.pending_edits)
                 if changed and ctx.phase.get(block_id, 0) >= self.PHASE_CT_READY:
                     self._regenerate_worker_templates(ctx, block_id)
             ctx.validation_state.invalidate()
         self.bump_partition_epoch()
+
+    def _rehome_entries(self, ctx: JobContext,
+                        template: ControllerTemplate) -> bool:
+        """Reassign ``template``'s entries that sit on a worker no longer
+        live to the (already re-homed) home of their anchor object; True
+        when any entry moved."""
+        moved = False
+        for entry in template.entries:
+            if entry.worker not in self.live_workers:
+                entry.worker = self._assign_worker(
+                    ctx, entry.read, entry.write)
+                moved = True
+        return moved
 
     def on_worker_dead(self, worker_id: int) -> None:
         """A worker died ungracefully (crash fault, forced removal).
@@ -1374,11 +1334,9 @@ class Controller(P.ReliableEndpoint, Actor):
     # Completions
     # ------------------------------------------------------------------
     def _new_run(self, ctx: JobContext, block_id: str, num_tasks: int,
-                 mode: str, seq: Optional[int] = None,
-                 request_id: int = 0) -> _BlockRun:
-        if seq is None:
-            seq = self._next_seq
-            self._next_seq += 1
+                 mode: str, request_id: int = 0) -> _BlockRun:
+        seq = self._next_seq
+        self._next_seq += 1
         run = _BlockRun(seq, block_id, num_tasks, mode, self.sim.now,
                         request_id, ctx=ctx)
         self.runs[seq] = run
@@ -1420,8 +1378,7 @@ class Controller(P.ReliableEndpoint, Actor):
             cbw = run.compute_by_worker
             cbw[worker_id] = cbw.get(worker_id, 0.0) + duration
             if cid in run.return_cids:
-                name, _o = run.return_cids[cid]
-                run.results[name] = value
+                run.results[run.return_cids[cid]] = value
             if run.outstanding == 0 and not run.open:
                 self._finish_block(run)
                 run = runs.get(block_seq)  # gone now; later items drop
@@ -1431,23 +1388,31 @@ class Controller(P.ReliableEndpoint, Actor):
         run = self.runs.get(msg.block_seq)
         if run is None:
             return
+        self._fold_instance(run, msg.worker_id, msg.version,
+                            msg.compute_time, msg.task_times, msg.values)
+        if run.outstanding == 0:
+            self._finish_block(run)
+
+    def _fold_instance(self, run: _BlockRun, worker_id: int, version: int,
+                       compute_time: float, task_times,
+                       values: Dict[int, Any]) -> None:
+        """Fold one worker's report of one finished instance into its run
+        (an ``InstanceComplete``, or one row of a window summary)."""
         run.outstanding -= 1
-        run.compute_by_worker[msg.worker_id] = (
-            run.compute_by_worker.get(msg.worker_id, 0.0) + msg.compute_time)
-        if self.rebalancer is not None and msg.worker_id in self.live_workers:
+        run.expected_workers.discard(worker_id)
+        cbw = run.compute_by_worker
+        cbw[worker_id] = cbw.get(worker_id, 0.0) + compute_time
+        if self.rebalancer is not None and worker_id in self.live_workers:
             # pure observation: no charge, no metrics, no RNG — a run with
             # the rebalancer enabled but no skew stays bit-identical.
             # Departed workers are filtered: a straggling completion from
             # an already-evicted worker must not resurrect its EWMA entry
             self.rebalancer.observe_instance(
-                run.ctx, msg.block_id, msg.version, msg.worker_id,
-                msg.compute_time, msg.task_times)
-        for oid, value in msg.values.items():
+                run.ctx, run.block_id, version, worker_id, compute_time,
+                task_times)
+        for oid, value in values.items():
             if oid in run.return_cids:
-                name, _oid = run.return_cids[oid]
-                run.results[name] = value
-        if run.outstanding == 0:
-            self._finish_block(run)
+                run.results[run.return_cids[oid]] = value
 
     def _close_run(self, run: _BlockRun,
                    finished_at: Optional[float] = None) -> Tuple:
@@ -1524,7 +1489,7 @@ class Controller(P.ReliableEndpoint, Actor):
         self.metrics.incr("checkpoints_started")
 
     def _on_checkpoint_ack(self, msg: P.CheckpointAck) -> None:
-        if msg.checkpoint_id != getattr(self, "_pending_checkpoint_id", None):
+        if msg.checkpoint_id != self._pending_checkpoint_id:
             return
         self._checkpoint_acks.add(msg.worker_id)
         if self._checkpoint_acks >= self.live_workers:
@@ -1600,10 +1565,7 @@ class Controller(P.ReliableEndpoint, Actor):
                 ctx.directory.apply_block_delta(oid, 0, [worker])
         # all cached schedules referenced the dead workers: rebuild
         for block_id, template in ctx.templates.items():
-            for entry in template.entries:
-                if entry.worker not in self.live_workers:
-                    entry.worker = self._assign_worker(
-                        ctx, entry.read, entry.write)
+            self._rehome_entries(ctx, template)
             if ctx.phase.get(block_id, 0) >= self.PHASE_CT_READY:
                 self._regenerate_worker_templates(ctx, block_id)
         ctx.patch_cache.invalidate_all()

@@ -110,6 +110,10 @@ class ObjectDirectory:
     def latest_version(self, oid: ObjectId) -> int:
         return self._latest[oid]
 
+    def holders(self, oid: ObjectId) -> List[WorkerId]:
+        """Every worker holding any version of ``oid`` (none if unknown)."""
+        return list(self._holders.get(oid, ()))
+
     def holders_of_latest(self, oid: ObjectId) -> List[WorkerId]:
         latest = self._latest[oid]
         return [w for w, v in self._holders[oid].items() if v == latest]

@@ -302,28 +302,34 @@ class Driver(P.ReliableEndpoint, Actor):
                 and block.block_id in self._installed)
 
     def _flush_window(self) -> None:
-        """Ship the buffered window as one ``InstantiateWindow``.
-
-        Per-request bookkeeping (submit times, driver_block intervals,
-        trace causality) happens at flush — the instant the requests
-        actually reach the wire. A single-entry buffer degenerates to a
-        plain ``InstantiateBlock``: blocking programs in decentralized
-        mode take exactly the centralized instantiation path.
-        """
+        """Ship the buffered window (if any) — the instant its requests
+        actually reach the wire."""
         buf = self._window_buffer
-        if not buf:
-            return
-        self._window_buffer = []
-        block = buf[0][1]
+        if buf:
+            self._window_buffer = []
+            self._send_instantiations(buf)
+
+    def _stamp_request(self, request_id: int, block: BlockSpec) -> None:
+        """Per-request bookkeeping as a request reaches the wire: submit
+        time, ``driver_block`` interval, trace causality."""
+        self._submit_times[request_id] = self.sim.now
+        self.metrics.begin("driver_block", self.sim.now, key=request_id,
+                           block_id=block.block_id, request_id=request_id)
+        if self._trace is not None:
+            self._trace.block_submit(request_id, block.block_id,
+                                     self._trace_cause)
+
+    def _send_instantiations(
+            self, requests: List[Tuple[int, BlockSpec, Dict[str, Any]]],
+    ) -> None:
+        """Instantiate one installed block once per request. A single
+        request is a plain ``InstantiateBlock`` — blocking programs in
+        decentralized mode take exactly the centralized instantiation
+        path — several are one ``InstantiateWindow``."""
+        block = requests[0][1]
         entries = []
-        for request_id, _block, params in buf:
-            self._submit_times[request_id] = self.sim.now
-            self.metrics.begin("driver_block", self.sim.now, key=request_id,
-                               block_id=block.block_id,
-                               request_id=request_id)
-            if self._trace is not None:
-                self._trace.block_submit(request_id, block.block_id,
-                                         self._trace_cause)
+        for request_id, _block, params in requests:
+            self._stamp_request(request_id, block)
             base = self._next_task_id
             self._next_task_id += block.num_tasks
             entries.append((request_id, base, params))
@@ -338,25 +344,16 @@ class Driver(P.ReliableEndpoint, Actor):
 
     def _dispatch_request(self, request_id: int, block: BlockSpec,
                           params: Dict[str, Any]) -> None:
-        self._submit_times[request_id] = self.sim.now
-        self.metrics.begin("driver_block", self.sim.now, key=request_id,
-                           block_id=block.block_id, request_id=request_id)
-        if self._trace is not None:
-            self._trace.block_submit(request_id, block.block_id,
-                                     self._trace_cause)
         if self.use_templates and block.block_id in self._installed:
-            base = self._next_task_id
-            self._next_task_id += block.num_tasks
-            self.send_reliable(self.controller, P.InstantiateBlock(
-                block.block_id, block.num_tasks, base, params, request_id,
-                job_id=self.job_id))
-        else:
-            template_start = self.use_templates
-            if template_start:
-                self._installed.add(block.block_id)
-            self.send_reliable(self.controller, P.SubmitBlock(
-                block, params, template_start, request_id,
-                job_id=self.job_id))
+            self._send_instantiations([(request_id, block, params)])
+            return
+        self._stamp_request(request_id, block)
+        template_start = self.use_templates
+        if template_start:
+            self._installed.add(block.block_id)
+        self.send_reliable(self.controller, P.SubmitBlock(
+            block, params, template_start, request_id,
+            job_id=self.job_id))
 
     # ------------------------------------------------------------------
     # Completions

@@ -413,9 +413,7 @@ class Worker(P.ReliableEndpoint, Actor):
                 f"{sorted(self._templates)})"
             )
         if msg.edits:
-            self._drop_plan(half._plan)
-            half.apply_edit_ops(msg.edits)
-            self.charge(self.costs.worker_edit_per_task * len(msg.edits))
+            self._apply_edits(half, msg.edits)
         self._start_instance(half, msg.block_id, msg.version, msg.instance_id,
                              msg.cid_base, msg.block_seq, msg.params, key)
 
@@ -635,6 +633,13 @@ class Worker(P.ReliableEndpoint, Actor):
         if self._tail is not None and self._tail.plan is plan:
             self._tail = None
         plan.retire()
+
+    def _apply_edits(self, half: WorkerHalf, edits) -> None:
+        """Apply shipped template edits to an installed half; the plan
+        compiled from the unedited half is retired."""
+        self._drop_plan(half._plan)
+        half.apply_edit_ops(edits)
+        self.charge(self.costs.worker_edit_per_task * len(edits))
 
     def _on_release_job(self, msg: P.ReleaseJob) -> None:
         """A tenant was cancelled or crashed: scrub it from this worker.
@@ -1140,9 +1145,7 @@ class Worker(P.ReliableEndpoint, Actor):
                 f"(installed: {sorted(self._templates)})"
             )
         if msg.edits:
-            self._drop_plan(half._plan)
-            half.apply_edit_ops(msg.edits)
-            self.charge(self.costs.worker_edit_per_task * len(msg.edits))
+            self._apply_edits(half, msg.edits)
         grant = _WorkerGrant(key, msg.block_id, msg.version, half,
                              msg.instances, msg.epoch,
                              reply_to=msg.reply_to)

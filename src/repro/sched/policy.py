@@ -1,9 +1,11 @@
 """Scheduling policies: how block instantiations become worker work.
 
-The controller owns shared mechanism — id allocation, run bookkeeping,
-the directory, validation, patching — and delegates the *dispatch
-decision path* to a per-job :class:`SchedulingPolicy` (the seam ROADMAP
-item 2 names, extending the rebalancer's pluggable-policy pattern):
+The controller owns every decision — id allocation, run bookkeeping,
+the directory, validation, patching, completion folds — each written
+once (DESIGN.md §14, "Instance lifecycle"). A per-job
+:class:`SchedulingPolicy` owns only *queueing* (when a submission runs)
+and *transport* (how a decided instance reaches the workers and how its
+completions come back):
 
 * :class:`CentralizedPolicy` — the paper's control plane. Every
   instantiation is a driver→controller round-trip; the controller
@@ -30,8 +32,10 @@ item 2 names, extending the rebalancer's pluggable-policy pattern):
 
 Entries that do not auto-validate — the install staircase, blocks
 needing full validation or patches — fall back to the centralized
-per-entry path inside the window, so all modes produce bit-identical
-computed values by construction.
+per-entry path inside the window, and granted entries are decided by the
+same ``Controller._decide_instance`` a centralized instantiation uses, so
+all modes draw the same id streams and produce bit-identical computed
+values.
 """
 
 from __future__ import annotations
@@ -50,23 +54,32 @@ class SchedulingPolicy:
         self.controller = controller
         self.ctx = ctx
 
-    def instantiate(self, msg: P.InstantiateBlock) -> None:
-        """Process one (already de-duplicated, un-gated) instantiation."""
-        raise NotImplementedError
+    def accept(self, item: Tuple) -> None:
+        """Take one (already de-duplicated, un-gated) driver submission:
+        ``("submit", block, params, template_start, request_id)``,
+        ``("instantiate", InstantiateBlock)`` or
+        ``("window", InstantiateWindow)``. The one entry point; a policy
+        overrides it to queue."""
+        self._run(item)
 
-    def instantiate_window(self, msg: P.InstantiateWindow) -> None:
-        """Process a driver-submitted window of instantiations."""
+    def _run(self, item: Tuple) -> None:
+        c = self.controller
+        kind = item[0]
+        if kind == "submit":
+            _kind, block, params, template_start, request_id = item
+            c._run_block_centrally(self.ctx, block, params,
+                                   capture=template_start,
+                                   request_id=request_id)
+        elif kind == "instantiate":
+            c._process_instantiate(self.ctx, item[1])
+        else:
+            self._process_window(item[1])
+
+    def _process_window(self, msg: P.InstantiateWindow) -> None:
         raise NotImplementedError
 
     def on_window_summary(self, msg: P.WindowSummary) -> None:
         raise NotImplementedError
-
-    def submit_central(self, block, params, template_start: bool,
-                       request_id: int) -> None:
-        """Process a SubmitBlock (central/capture path)."""
-        self.controller._run_block_centrally(
-            self.ctx, block, params, capture=template_start,
-            receive_cost=True, request_id=request_id)
 
     def outstanding_grants(self) -> int:
         """Self-schedule grants in flight (0 = quiesced, map may change)."""
@@ -88,18 +101,10 @@ class CentralizedPolicy(SchedulingPolicy):
 
     mode = "centralized"
 
-    def instantiate(self, msg: P.InstantiateBlock) -> None:
-        self.controller._process_instantiate(self.ctx, msg)
-
-    def instantiate_window(self, msg: P.InstantiateWindow) -> None:
-        # a centralized driver never sends windows; degrade gracefully to
-        # per-entry processing (value-identical) if one ever arrives
-        for request_id, task_id_base, params in msg.entries:
-            if self.controller._duplicate_request(self.ctx, request_id):
-                continue
-            self.controller._process_instantiate(self.ctx, P.InstantiateBlock(
-                msg.block_id, msg.num_tasks, task_id_base, params,
-                request_id, job_id=msg.job_id))
+    def _process_window(self, msg: P.InstantiateWindow) -> None:
+        raise TypeError(
+            f"job {self.ctx.job_id} is centralized but its driver sent an "
+            f"InstantiateWindow for block {msg.block_id!r}")
 
     def on_window_summary(self, msg: P.WindowSummary) -> None:
         raise TypeError(
@@ -153,35 +158,14 @@ class DecentralizedPolicy(SchedulingPolicy):
         self._queue.clear()
         self._grant = None
 
-    def instantiate(self, msg: P.InstantiateBlock) -> None:
-        self._queue.append(("instantiate", msg))
-        self._pump()
-
-    def instantiate_window(self, msg: P.InstantiateWindow) -> None:
-        self._queue.append(("window", msg))
-        self._pump()
-
-    def submit_central(self, block, params, template_start: bool,
-                       request_id: int) -> None:
-        self._queue.append(("submit", block, params, template_start,
-                            request_id))
+    def accept(self, item: Tuple) -> None:
+        self._queue.append(item)
         self._pump()
 
     def _pump(self) -> None:
         """Process queued submissions until a grant is outstanding."""
-        c = self.controller
         while self._queue and self._grant is None:
-            item = self._queue.pop(0)
-            kind = item[0]
-            if kind == "submit":
-                _k, block, params, template_start, request_id = item
-                c._run_block_centrally(
-                    self.ctx, block, params, capture=template_start,
-                    receive_cost=True, request_id=request_id)
-            elif kind == "instantiate":
-                c._process_instantiate(self.ctx, item[1])
-            else:
-                self._process_window(item[1])
+            self._run(self._queue.pop(0))
 
     # -- the grant path ------------------------------------------------
     def _grantable_wts(self, block_id: str):
@@ -229,35 +213,31 @@ class DecentralizedPolicy(SchedulingPolicy):
                 ctx.metrics.incr("auto_validations")
                 grant = _WindowGrant(c._alloc_window_id(), msg.block_id,
                                      wts.version)
-            # extend the grant by one instance, allocating ids exactly as
-            # a centralized instantiation would (instance-major,
-            # worker-minor — the id streams are bit-identical)
+            # extend the grant by one instance: the controller decides it
+            # exactly as it decides a centralized instantiation (instance-
+            # major, worker-minor ids); only the transport differs — a row
+            # of each worker's grant instead of a message
             c.charge(c.costs.self_schedule_grant_per_task * n)
-            run = c._new_run(ctx, msg.block_id, n, "self",
-                             request_id=request_id)
-            run.instance_id = c._next_instance
-            c._next_instance += 1
-            for worker in wts.workers():
-                cid_base = c._alloc_cids(len(wts.entries[worker]))
+
+            def ship(run, worker, cid_base):
                 grant.per_worker.setdefault(worker, []).append(
                     (run.instance_id, cid_base, run.seq, params))
-            run.expected_workers = set(wts.workers())
-            run.outstanding = len(run.expected_workers)
-            for name, oid in wts.returns.items():
-                run.return_cids[oid] = (name, oid)
-            wts.delta.apply(ctx.directory)
-            ctx.validation_state.note_instantiation(wts.key)
-            ctx.prev_block_key = wts.key
-            ctx.metrics.incr("tasks_scheduled", n)
+
+            run = c._decide_instance(ctx, wts, "self", request_id, ship)
             ctx.metrics.incr("self_schedule_instances")
             grant.seqs.append(run.seq)
-            if c._trace is not None:
-                c._trace_decided(run)
         if grant is None:
             return
         ctx.metrics.incr("self_schedule_grants")
         edits_by_worker = ctx.pending_edits.pop(wts.key, {})
-        self._dispatch_grant(grant, wts, edits_by_worker)
+        windows = []
+        for worker in sorted(grant.per_worker):
+            windows.append((worker, self._build_window(
+                grant, worker, grant.per_worker[worker],
+                len(wts.entries[worker]), edits_by_worker.get(worker))))
+            grant.expected.add(worker)
+            grant.progress[worker] = 0
+        self._deliver_windows(grant, windows)
         self._grant = grant
 
     def _build_window(self, grant: _WindowGrant, worker: int, instances,
@@ -273,25 +253,17 @@ class DecentralizedPolicy(SchedulingPolicy):
                           * max(1, len(instances)))
         return out
 
-    def _dispatch_grant(self, grant: _WindowGrant, wts,
-                        edits_by_worker) -> None:
-        """Ship the granted windows — one message straight to each
-        worker. The sharded policy overrides this single seam (and the
-        regrant/abort relays below) to route via shards instead."""
+    def _deliver_windows(self, grant: _WindowGrant, windows) -> None:
+        """Ship the granted ``(worker, window)`` pairs — one message
+        straight to each worker. The sharded policy overrides this seam
+        (and the regrant/abort relays below) to route via shards."""
         c = self.controller
-        for worker in sorted(grant.per_worker):
-            instances = grant.per_worker[worker]
-            out = self._build_window(grant, worker, instances,
-                                     len(wts.entries[worker]),
-                                     edits=edits_by_worker.get(worker))
+        for worker, out in windows:
             c.send_reliable(c.workers[worker], out)
-            grant.expected.add(worker)
-            grant.progress[worker] = 0
 
     # -- summaries ------------------------------------------------------
     def on_window_summary(self, msg: P.WindowSummary) -> None:
         c = self.controller
-        ctx = self.ctx
         grant = self._grant
         if grant is None or grant.window_id != msg.window_id:
             c.metrics.incr("self_schedule.orphan_summaries")
@@ -311,20 +283,10 @@ class DecentralizedPolicy(SchedulingPolicy):
             run = c.runs.get(block_seq)
             if run is None:
                 continue
-            run.outstanding -= 1
-            run.expected_workers.discard(msg.worker_id)
             if finished_at > grant.ends.get(block_seq, 0.0):
                 grant.ends[block_seq] = finished_at
-            run.compute_by_worker[msg.worker_id] = (
-                run.compute_by_worker.get(msg.worker_id, 0.0) + compute_time)
-            if c.rebalancer is not None and msg.worker_id in c.live_workers:
-                c.rebalancer.observe_instance(
-                    ctx, grant.block_id, grant.version, msg.worker_id,
-                    compute_time, task_times)
-            for oid, value in values.items():
-                if oid in run.return_cids:
-                    name, _oid = run.return_cids[oid]
-                    run.results[name] = value
+            c._fold_instance(run, msg.worker_id, grant.version,
+                             compute_time, task_times, values)
         grant.progress[msg.worker_id] = (
             grant.progress.get(msg.worker_id, 0) + msg.next_index)
         if msg.stalled:
@@ -460,18 +422,12 @@ class ShardedPolicy(DecentralizedPolicy):
         out.barrier_seq = c.channel_seq(c.workers[worker].name)
         return out
 
-    def _dispatch_grant(self, grant, wts, edits_by_worker) -> None:
+    def _deliver_windows(self, grant, windows) -> None:
         c = self.controller
         per_shard: Dict[int, List] = {}
-        for worker in sorted(grant.per_worker):
-            instances = grant.per_worker[worker]
-            out = self._build_window(grant, worker, instances,
-                                     len(wts.entries[worker]),
-                                     edits=edits_by_worker.get(worker))
+        for worker, out in windows:
             per_shard.setdefault(c.shard_of(worker), []).append(
                 (worker, out))
-            grant.expected.add(worker)
-            grant.progress[worker] = 0
         for shard_id in sorted(per_shard):
             c.send_reliable(c.shards[shard_id], P.ShardWindow(
                 grant.window_id, per_shard[shard_id],

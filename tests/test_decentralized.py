@@ -30,6 +30,7 @@ from repro.apps import (
 )
 from repro.chaos import PROFILES
 from repro.nimbus import NimbusCluster
+from repro.nimbus import protocol as P
 
 from .helpers import computed_values, run_lr
 
@@ -169,6 +170,15 @@ def test_centralized_mode_never_grants_windows():
     cluster = run_lr(iterations=16)
     assert cluster.metrics.count("self_schedule_grants") == 0
     assert cluster.metrics.count("self_schedule_instances") == 0
+
+
+def test_centralized_job_rejects_a_window():
+    """A centralized driver never sends windows; one that arrives is a
+    protocol error, like a ``WindowSummary`` for a centralized job."""
+    cluster = run_lr(iterations=8)
+    window = P.InstantiateWindow("lr.iteration", 1, [(0, 0, {})])
+    with pytest.raises(TypeError, match="is centralized but its driver"):
+        cluster.controller.jobs[0].policy.accept(("window", window))
 
 
 def test_controller_steady_messages_collapse_at_fig07_100():

@@ -198,3 +198,40 @@ def test_edit_cost_charged_per_operation():
     two = run_with_directives(8, directive_at=5, directive=migrate_two)
     assert two.metrics.count("edits_applied") == 2 * one.metrics.count(
         "edits_applied")
+
+
+def _pin_edits(controller):
+    controller.edit_threshold = 0.5
+    controller.migrate_tasks("iter", [(0, 1), (2, 1)])
+
+
+def _pin_reinstall(controller):
+    controller.migrate_tasks("iter", [(i, 1) for i in range(NUM_PARTS)])
+
+
+def _pin_evict(controller):
+    controller.evict_workers([1])
+
+
+#: scenario -> (directive_at, directive, sim.now, sim.events_run,
+#: controller.messages_out, relocation_copies,
+#: worker_template_regenerations). Patch build-and-ship, worker-template
+#: regeneration and re-homing off departed workers run on almost no
+#: benchmark workload, so their exact timeline is held here.
+TIMELINE_PINS = {
+    "none": (None, None, 0.02767672879999999, 237, 32, 0, 0),
+    "edits": (5, _pin_edits, 0.02791348159999999, 260, 34, 2, 0),
+    "reinstall": (5, _pin_reinstall, 0.029316335999999988, 271, 34, 0, 1),
+    "evict": (4, _pin_evict, 0.02885166399999999, 224, 31, 2, 2),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(TIMELINE_PINS))
+def test_dynamic_scheduling_timeline_is_pinned(scenario):
+    at, directive, now, events, out, copies, regens = TIMELINE_PINS[scenario]
+    cluster = run_with_directives(8, directive_at=at, directive=directive)
+    assert (cluster.sim.now, cluster.sim.events_run,
+            cluster.metrics.count("controller.messages_out"),
+            cluster.metrics.count("relocation_copies"),
+            cluster.metrics.count("worker_template_regenerations")) \
+        == (now, events, out, copies, regens)

@@ -86,6 +86,19 @@ def test_worker_failure_recovers_and_finishes():
     assert 2 not in cluster.controller.live_workers
 
 
+def test_recovery_timeline_is_pinned():
+    """Exact timeline of a checkpoint-recovery run: restore re-homes the
+    dead worker's template entries and regenerates both installed blocks,
+    a path no benchmark workload takes."""
+    cluster = build_cluster(iterations=10, fail_worker_after=6)
+    cluster.run_until_finished(max_seconds=1e4)
+    assert (cluster.sim.now, cluster.sim.events_run,
+            cluster.metrics.count("controller.messages_out"),
+            cluster.metrics.count("worker_template_regenerations"),
+            cluster.metrics.count("checkpoints_committed")) \
+        == (0.6168435807999999, 436, 70, 2, 3)
+
+
 def test_recovered_run_produces_correct_results():
     """After a failure mid-job, replay + re-execution must converge to the
     exact values of an undisturbed run."""

@@ -4,7 +4,10 @@ and one-event-per-hop code survives only as oracle and traced path.
 A new path switch — an environment variable, or a constructor argument
 that selects how instances execute — has to change this file first. So
 does a second way for the repository to time itself: ``bench/run.py`` is
-the one performance instrument.
+the one performance instrument. So does a second copy of a control-plane
+decision: the instance lifecycle (decide, ship, fold, close — DESIGN.md
+§14) is written once, in the controller, and a scheduling policy only
+queues and transports.
 """
 
 import inspect
@@ -22,6 +25,8 @@ from repro.nimbus import protocol
 from repro.nimbus.controller import Controller
 from repro.nimbus.driver import Driver
 from repro.nimbus.worker import Worker
+from repro.sched.policy import (CentralizedPolicy, DecentralizedPolicy,
+                                SchedulingPolicy, ShardedPolicy)
 from repro.sim.actor import Message
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -81,3 +86,53 @@ def test_one_message_class_per_hop():
     assert not twins
     for actor in (Controller, Worker, Driver):
         assert "type(self)." not in inspect.getsource(actor), actor
+
+
+def _call_sites(name, text):
+    """Call sites of ``name`` in ``text``: not its import, not a
+    definition or call of a longer name ending in it."""
+    return len(re.findall(r"(?<!\w)" + re.escape(name) + r"\(", text))
+
+
+def test_each_control_plane_decision_has_one_site():
+    """Id allocation, directory deltas and patch shipping are not copied
+    between the controller and the policies: the three scheduling modes
+    are bit-identical because they run the same statements."""
+    controller = (SRC / "nimbus" / "controller.py").read_text()
+    policy = (SRC / "sched" / "policy.py").read_text()
+    both = controller + policy
+    for call in ("delta.apply", "note_instantiation",
+                 "generate_worker_templates", "build_patch",
+                 "P.InstallPatch"):
+        assert _call_sites(call, both) == 1, call
+    assert both.count("_next_instance +=") <= 3
+    for state in ("run.outstanding", "run.return_cids", "c._next_instance"):
+        assigned = re.escape(state) + r"(\[[^\]]*\])?\s*([-+*/|&]|//)?=(?!=)"
+        assert not re.search(assigned, policy), state
+    # one ladder over the kinds of queued submission, one way in
+    ladders = sum(path.read_text().count('== "submit"')
+                  for path in SRC.rglob("*.py"))
+    assert ladders == 1
+    assert not [cls for cls in (SchedulingPolicy, CentralizedPolicy,
+                                DecentralizedPolicy, ShardedPolicy)
+                if {"instantiate", "instantiate_window", "submit_central"}
+                & set(vars(cls))]
+
+
+#: today's sizes, so simplification is monotone until the controller is
+#: split into components (ROADMAP item 4(c))
+LINE_CEILINGS = {
+    "nimbus/controller.py": 1595,
+    "nimbus/worker.py": 1328,
+    "sched/policy.py": 460,
+    "nimbus/protocol.py": 767,
+    "cli.py": 704,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_CEILINGS))
+def test_line_count_ratchet(name):
+    lines = len((SRC / name).read_text().splitlines())
+    assert lines <= LINE_CEILINGS[name], (
+        f"{name} has {lines} lines, ceiling {LINE_CEILINGS[name]}: lower "
+        f"the ceiling when you shrink it, never raise it")
