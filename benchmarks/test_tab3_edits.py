@@ -10,7 +10,14 @@ Paper:
 The shape: a single edit is tiny; edit cost scales linearly with the
 change; edits beat re-installation up to several percent of the template;
 Naiad pays the full installation for *any* change.
+
+``test_edit_cost_scales_with_the_change`` holds the host clock to the same
+shape: planning a move and carrying a worker's compiled plan across a
+batch cost what the batch touches, whatever the size of the half.
 """
+
+import gc
+import time
 
 from repro.apps import LRApp, LRSpec
 from repro.core.controller_template import ControllerTemplate
@@ -54,9 +61,9 @@ def test_single_edit(benchmark, paper_scale):
         dst = (src + n_workers // 2) % n_workers
         return plan_migrations(wts, [(task, dst)], sizes)
 
-    _edits, ops, _relocations = benchmark(migrate_one)
+    batch = benchmark(migrate_one)
     _RESULTS["single_edit_us"] = benchmark.stats.stats.mean * 1e6
-    assert ops >= 3  # t'/S2/R2 (sole-reader inputs relocate)
+    assert batch.total_ops >= 3  # t'/S2/R2 (sole-reader inputs relocate)
 
 
 def test_5pct_migration(benchmark, paper_scale):
@@ -73,11 +80,11 @@ def test_5pct_migration(benchmark, paper_scale):
             moves.append((task, (src + n_workers // 2) % n_workers))
         return plan_migrations(wts, moves, sizes)
 
-    _edits, ops, _relocations = benchmark(migrate_batch)
+    batch = benchmark(migrate_batch)
     # generation time of the fresh template is part of the loop; separate
     # the edit cost using the single-edit rate for the report
     _RESULTS["batch_ms"] = benchmark.stats.stats.mean * 1e3
-    _RESULTS["batch_ops"] = ops
+    _RESULTS["batch_ops"] = batch.total_ops
     _RESULTS["batch_count"] = count
 
 
@@ -121,3 +128,104 @@ def _report():
         ]))
     emit("Shape requirement: single edit ≪ 5% migration < full installation")
     assert single / 1e3 < batch_ms < 10 * reinstall
+
+# ---------------------------------------------------------------------------
+# Scaling gate: edit cost follows the change, not the template
+# ---------------------------------------------------------------------------
+SCALING_WORKERS = 4
+#: partitions per worker -> a half of about that many entries (+3 copies)
+HALF_SIZES = (100, 400, 1600)
+#: moves per batch, and a batch four times as large
+FEW, MANY = 8, 32
+#: the same measurement at the parent commit f03c671 (this machine, min of
+#: 5), where planning scans the destination half and every edited half is
+#: recompiled and given a new frame — both linear in the half:
+#: partitions per worker -> (planning us/move, worker half us/batch) at FEW
+PARENT_US = {100: (71.5, 373.4), 400: (231.6, 1503.0), 1600: (974.8, 7224.4)}
+
+
+def edit_cost_us(partitions_per_worker, moves_per_batch):
+    """(controller-half us per move, worker-half us per batch), each the
+    min of 5 runs on fresh halves.
+
+    Tasks of worker 0 move to worker 2. Both halves are measured warm —
+    one batch applied beforehand — because the accessor indexes are built
+    by the first edit and a half pays that scan once; the worker half has
+    a compiled plan with an idle frame to adopt, as after any instance.
+    """
+    app = LRApp(LRSpec(num_workers=SCALING_WORKERS, iterations=1,
+                       partitions_per_worker=partitions_per_worker))
+    template = ControllerTemplate.from_block(
+        app.iteration_block, anchor_assignment(app))
+    sizes = {oid: size for oid, _n, _p, size, _h in app.variables.definitions}
+    src, dst = 0, SCALING_WORKERS // 2
+    planning, applying = [], []
+    for _ in range(5):
+        gc.collect()
+        wts = generate_worker_templates(template, sizes)
+        halves = {}
+        for worker in (src, dst):
+            entries = [e.clone() for e in wts.entries[worker]]
+            reports = [e.index for e in entries if e.report]
+            halves[worker] = half = WorkerHalf(wts.block_id, 0, entries,
+                                               reports)
+            half.compiled_plan().acquire(worker, app.registry).release()
+        mine = [ct for ct, (worker, _i) in sorted(wts.task_locations.items())
+                if worker == src]
+        warm = plan_migrations(wts, [(ct, dst) for ct in mine[:FEW]], sizes)
+        for worker, half in halves.items():
+            half.apply_edit_ops(warm.edits[worker], worker, app.registry)
+        moves = [(ct, dst) for ct in mine[FEW:FEW + moves_per_batch]]
+        gc.disable()  # as timeit does: no collection inside a timing
+        try:
+            start = time.perf_counter()
+            batch = plan_migrations(wts, moves, sizes)
+            planned = time.perf_counter()
+            for worker, half in halves.items():
+                half.apply_edit_ops(batch.edits[worker], worker, app.registry)
+            applied = time.perf_counter()
+        finally:
+            gc.enable()
+        planning.append((planned - start) / len(moves))
+        applying.append((applied - planned) / len(halves))
+        assert batch.rejected is None and len(batch.moves) == len(moves)
+        for half in halves.values():  # derived, not recompiled
+            assert half._plan is not None and len(half._plan.pool) == 1
+    return min(planning) * 1e6, min(applying) * 1e6
+
+
+def test_edit_cost_scales_with_the_change():
+    """Table 3's "edit cost scales linearly with the change", on the host
+    clock: what a move costs does not grow with the half, and a batch
+    costs in proportion to its moves.
+
+    The worker half is a fixed part per batch — the shallow copies of the
+    plan's arrays, which frames in flight on the pre-edit plan require;
+    C speed, but linear in the half — plus a part per move, so it is the
+    part per move that is held flat and the whole batch to 4x over a 16x
+    larger half (measured 2.2-2.5x; 19x at the parent).
+    """
+    few = {size: edit_cost_us(size, FEW) for size in HALF_SIZES}
+    many = {size: edit_cost_us(size, MANY) for size in HALF_SIZES}
+    per_move = {size: (many[size][1] - few[size][1]) / (MANY - FEW)
+                for size in HALF_SIZES}
+    emit("")
+    emit(render_table(
+        f"Edit cost against half size ({FEW} moves per batch; host us, "
+        f"min of 5; parent = f03c671)",
+        ["entries/half", "plan us/move", "parent", "worker half us/batch",
+         "parent", "of it per move", f"{MANY} moves / {FEW} (plan, apply)"],
+        [[size + 3, f"{few[size][0]:.1f}", f"{PARENT_US[size][0]:.0f}",
+          f"{few[size][1]:.1f}", f"{PARENT_US[size][1]:.0f}",
+          f"{per_move[size]:.1f}",
+          f"{MANY * many[size][0] / (FEW * few[size][0]):.1f}x, "
+          f"{many[size][1] / few[size][1]:.1f}x"] for size in HALF_SIZES]))
+    small, large = HALF_SIZES[0], HALF_SIZES[-1]
+    assert few[large][0] <= 2 * few[small][0], "planning a move"
+    assert per_move[large] <= 2 * per_move[small], "deriving, per move"
+    assert few[large][1] <= 4 * few[small][1], "deriving, per batch"
+    for size in HALF_SIZES:
+        # four times the moves: at most in proportion (a larger batch is a
+        # little cheaper per move, its later moves find the caches warm)
+        assert 2 <= MANY * many[size][0] / (FEW * few[size][0]) <= 5, size
+        assert many[size][1] <= 5 * few[size][1], size  # has a fixed part

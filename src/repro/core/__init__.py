@@ -15,6 +15,7 @@ from .controller_template import (
 )
 from .edits import (
     EditOp,
+    MigrationBatch,
     MigrationError,
     apply_edits,
     plan_migration,
@@ -45,6 +46,7 @@ __all__ = [
     "DirectoryDelta",
     "EditOp",
     "LogicalTask",
+    "MigrationBatch",
     "MigrationError",
     "Patch",
     "PatchCache",

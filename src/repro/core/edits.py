@@ -14,10 +14,11 @@ the destination worker.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from ..nimbus.commands import CommandKind
-from .worker_template import TemplateEntry, WorkerTemplateSet
+from .worker_template import AccessIndex, TemplateEntry, WorkerTemplateSet
 
 
 class MigrationError(ValueError):
@@ -50,47 +51,99 @@ class EditOp:
         return f"<EditOp {self.op} @{self.index}>"
 
 
-def apply_edits(entries: List[Optional[TemplateEntry]],
-                ops: List[EditOp]) -> None:
-    """Apply edit ops to an entry array, in order. Mutates ``entries``."""
+def apply_edits(entries: List[Optional[TemplateEntry]], ops: List[EditOp],
+                access: Optional[AccessIndex] = None) -> None:
+    """Apply edit ops to an entry array, in order. Mutates ``entries``,
+    and ``access`` — the array's accessor index, once it has one — with it."""
     for op in ops:
         if op.op == EditOp.REPLACE:
-            if entries[op.index] is None:
+            old = entries[op.index]
+            if old is None:
                 raise ValueError(f"replacing tombstoned entry {op.index}")
             op.entry.index = op.index
-            entries[op.index] = op.entry
+            entries[op.index] = new = op.entry
         elif op.op == EditOp.APPEND:
             if op.entry.index != len(entries):
                 raise ValueError(
                     f"append index {op.entry.index} != array length {len(entries)}"
                 )
-            entries.append(op.entry)
+            old, new = None, op.entry
+            entries.append(new)
         elif op.op == EditOp.REMOVE:
+            old, new = entries[op.index], None
             entries[op.index] = None
         else:
             raise ValueError(f"unknown edit op {op.op!r}")
+        if access is not None:
+            if old is not None:
+                access.discard(old)
+            if new is not None:
+                access.add(new)
 
 
-def _provider_of(entries: List[Optional[TemplateEntry]], upto: int,
-                 oid: int) -> Optional[int]:
+def _provider_of(access: AccessIndex, upto: int, oid: int) -> Optional[int]:
     """Local index of the entry providing the current version of ``oid``
     at position ``upto`` (None = precondition-fresh)."""
-    for i in range(upto - 1, -1, -1):
-        entry = entries[i]
-        if entry is not None and oid in entry.write:
-            return i
-    return None
+    writers = access.writers(oid)
+    at = bisect_left(writers, upto)
+    return writers[at - 1] if at else None
 
 
-def _sole_reader(entries: List[Optional[TemplateEntry]], reader_idx: int,
-                 oid: int) -> bool:
+def _sole_reader(access: AccessIndex, reader_idx: int, oid: int) -> bool:
     """True when no entry other than ``reader_idx`` reads or writes ``oid``."""
-    for i, entry in enumerate(entries):
-        if i == reader_idx or entry is None:
-            continue
-        if oid in entry.read or oid in entry.write:
-            return False
-    return True
+    return (all(i == reader_idx for i in access.readers(oid))
+            and all(i == reader_idx for i in access.writers(oid)))
+
+
+def _classify(template_set: WorkerTemplateSet, ct_index: int, dst: int):
+    """Validate the move of task ``ct_index`` to worker ``dst`` and sort the
+    task's inputs; touches nothing but the accessor indexes it looks in.
+
+    Returns ``(src, src_idx, task, shared, relocated, copied)``:
+
+    * shared reads — preconditions on the destination too (e.g. the model
+      coefficients every gradient task reads): no copy needed, the
+      destination already holds the pre-block version;
+    * relocated reads — pre-block objects this task is the *sole* reader
+      of (its training-data partition): the object's home moves with the
+      task, a one-time data transfer the caller performs, instead of
+      re-shipping the input every instantiation;
+    * copied reads — everything else ships per instantiation (Fig. 6 S1).
+
+    Raises :class:`MigrationError` when the move cannot be an edit.
+    """
+    location = template_set.task_locations.get(ct_index)
+    if location is None:
+        raise MigrationError(f"no task with controller index {ct_index}")
+    src, src_idx = location
+    if src == dst:
+        raise MigrationError("task already on destination")
+    task = template_set.entries[src][src_idx]
+    if task is None or task.kind != CommandKind.TASK:
+        raise MigrationError(f"entry {src_idx} on worker {src} is not a task")
+    if len(task.write) != 1:
+        raise MigrationError(
+            "edit-based migration supports single-write tasks; "
+            f"task writes {task.write}"
+        )
+    src_access = template_set.access(src)
+    dst_preconds = template_set.preconditions.get(dst, ())
+    shared, relocated, copied = [], [], []
+    for oid in task.read:
+        pre_block = _provider_of(src_access, src_idx, oid) is None
+        if pre_block and oid in dst_preconds:
+            shared.append(oid)
+        elif pre_block and _sole_reader(src_access, src_idx, oid):
+            relocated.append(oid)
+        else:
+            copied.append(oid)
+    dst_access = template_set.access(dst)
+    clash = {oid for oid in copied + relocated + list(task.write)
+             if dst_access.readers(oid) or dst_access.writers(oid)}
+    if clash:
+        raise MigrationError(
+            f"destination worker {dst} already touches objects {sorted(clash)}")
+    return src, src_idx, task, shared, relocated, copied
 
 
 def migration_conflict(
@@ -98,38 +151,16 @@ def migration_conflict(
     ct_index: int,
     dst: int,
 ) -> Optional[str]:
-    """Non-mutating feasibility check for migrating ``ct_index`` to ``dst``.
+    """Feasibility check for migrating ``ct_index`` to ``dst``: ``None``
+    when :func:`plan_migration` would accept the move, else its reason.
 
-    Mirrors the validation :func:`plan_migration` performs without touching
-    the template set. ``plan_migration`` mutates the controller half
-    immediately, so callers batching speculative moves (the adaptive
-    rebalancer) must filter candidates *before* committing — a mid-batch
-    :class:`MigrationError` would leave the halves inconsistent. Returns
-    ``None`` when the move is safe, else a human-readable reason.
+    Callers batching speculative moves (the adaptive rebalancer, the
+    autoscaler's spread) filter candidates with it before committing.
     """
-    location = template_set.task_locations.get(ct_index)
-    if location is None:
-        return f"no task with controller index {ct_index}"
-    src, src_idx = location
-    if src == dst:
-        return "task already on destination"
-    src_entries = template_set.entries[src]
-    task = src_entries[src_idx]
-    if task is None or task.kind != CommandKind.TASK:
-        return f"entry {src_idx} on worker {src} is not a task"
-    if len(task.write) != 1:
-        return f"task writes {task.write}; only single-write tasks migrate"
-    dst_preconds = template_set.preconditions.get(dst, frozenset())
-    touched = set(task.write)
-    for oid in task.read:
-        pre_block = _provider_of(src_entries, src_idx, oid) is None
-        if pre_block and oid in dst_preconds:
-            continue  # shared read: no copy, no conflict surface
-        touched.add(oid)
-    for entry in template_set.entries.get(dst, []):
-        if entry is not None and touched & (set(entry.read) | set(entry.write)):
-            return (f"destination worker {dst} already touches objects "
-                    f"{sorted(touched & (set(entry.read) | set(entry.write)))}")
+    try:
+        _classify(template_set, ct_index, dst)
+    except MigrationError as err:
+        return str(err)
     return None
 
 
@@ -142,68 +173,30 @@ def plan_migration(
     """Plan the edits migrating the task with controller-template index
     ``ct_index`` to worker ``dst`` (Figure 6).
 
-    Mutates the controller half (``template_set``) immediately and returns
-    the per-worker edit ops to attach to the next instantiation messages.
-    The template's external contract — preconditions and directory delta —
-    is preserved: inputs are shipped from their original location each
-    instantiation and the result is shipped back, so validation state stays
-    clean and downstream templates are unaffected.
+    Mutates the controller half (``template_set``) immediately — after
+    every check has passed, so a rejected move changes nothing — and
+    returns the per-worker edit ops to attach to the next instantiation
+    messages. The template's external contract — preconditions and
+    directory delta — is preserved: inputs are shipped from their original
+    location each instantiation and the result is shipped back, so
+    validation state stays clean and downstream templates are unaffected.
     """
     location = template_set.task_locations.get(ct_index)
-    if location is None:
-        raise MigrationError(f"no task with controller index {ct_index}")
-    src, src_idx = location
-    if src == dst:
+    if location is not None and location[0] == dst:
         return {}
-    src_entries = template_set.entries[src]
-    task = src_entries[src_idx]
-    if task is None or task.kind != CommandKind.TASK:
-        raise MigrationError(f"entry {src_idx} on worker {src} is not a task")
-    if len(task.write) != 1:
-        raise MigrationError(
-            "edit-based migration supports single-write tasks; "
-            f"task writes {task.write}"
-        )
+    src, src_idx, task, shared_reads, relocated_reads, copy_reads = _classify(
+        template_set, ct_index, dst)
     result_oid = task.write[0]
+    src_entries = template_set.entries[src]
     dst_entries = template_set.entries.setdefault(dst, [])
-
-    # Classify the task's inputs:
-    # * shared reads — preconditions on the destination too (e.g. the model
-    #   coefficients every gradient task reads): no copy needed, the
-    #   destination already holds the pre-block version;
-    # * relocatable reads — pre-block objects this task is the *sole*
-    #   reader of (its training-data partition): the object's home moves
-    #   with the task, a one-time data transfer the caller performs,
-    #   instead of re-shipping the input every instantiation;
-    # * copied reads — everything else ships per instantiation (Fig. 6 S1).
-    dst_preconds = template_set.preconditions.get(dst, frozenset())
-    shared_reads = []
-    relocated_reads = []
-    copy_reads = []
-    for oid in task.read:
-        pre_block = _provider_of(src_entries, src_idx, oid) is None
-        if pre_block and oid in dst_preconds:
-            shared_reads.append(oid)
-        elif pre_block and _sole_reader(src_entries, src_idx, oid):
-            relocated_reads.append(oid)
-        else:
-            copy_reads.append(oid)
-
-    touched = set(copy_reads) | set(relocated_reads) | set(task.write)
-    for entry in dst_entries:
-        if entry is not None and touched & (set(entry.read) | set(entry.write)):
-            raise MigrationError(
-                f"destination worker {dst} already touches objects {touched}"
-            )
+    src_access, dst_access = template_set.access(src), template_set.access(dst)
 
     ops: Dict[int, List[EditOp]] = {src: [], dst: []}
 
     # Is the migrated task the *final* writer of its result on the source?
     # Only then does the copied-back result leave the destination holding
     # the block's final version (checked before the entry array mutates).
-    final_local_provider = _provider_of(src_entries, len(src_entries),
-                                        result_oid)
-    task_writes_final = final_local_provider == src_idx
+    task_writes_final = src_access.writers(result_oid)[-1] == src_idx
 
     # Input copies: S1 on src (appended), R1 on dst (appended).
     input_recv_indices: List[int] = []
@@ -211,7 +204,7 @@ def plan_migration(
     next_dst = len(dst_entries)
     next_src = len(src_entries)
     for oid in copy_reads:
-        provider = _provider_of(src_entries, src_idx, oid)
+        provider = _provider_of(src_access, src_idx, oid)
         size = object_sizes.get(oid, 0)
         recv_index = next_dst
         send = TemplateEntry(
@@ -246,11 +239,10 @@ def plan_migration(
     # task has read the pre-block version. The reference points *forward*
     # in the index array (two-pass batch resolution handles it).
     for shared_oid in shared_reads:
-        for k, entry in enumerate(dst_entries):
-            if entry is not None and shared_oid in entry.write:
-                guarded = entry.clone()
-                guarded.before = tuple(entry.before) + (task_index,)
-                ops[dst].append(EditOp(EditOp.REPLACE, k, guarded))
+        for k in dst_access.writers(shared_oid):
+            guarded = dst_entries[k].clone()
+            guarded.before += (task_index,)
+            ops[dst].append(EditOp(EditOp.REPLACE, k, guarded))
 
     # Result copy back: S2 on dst, R2 replacing the task's slot on src so
     # the task's dependents (which name this index in their before sets)
@@ -276,8 +268,8 @@ def plan_migration(
     ops[src].append(EditOp(EditOp.REPLACE, src_idx, recv_back))
 
     # Mirror onto the controller half.
-    apply_edits(src_entries, ops[src])
-    apply_edits(dst_entries, ops[dst])
+    apply_edits(src_entries, ops[src], src_access)
+    apply_edits(dst_entries, ops[dst], dst_access)
     template_set.task_locations[ct_index] = (dst, task_index)
 
     # The result also resides on the destination after the block — but
@@ -291,36 +283,61 @@ def plan_migration(
     # destination from now on, and no longer at the source (the task was
     # the sole reader there). The caller must move the data itself.
     if relocated_reads:
-        template_set.preconditions[src] = (
-            template_set.preconditions.get(src, frozenset())
-            - frozenset(relocated_reads))
-        template_set.preconditions[dst] = (
-            template_set.preconditions.get(dst, frozenset())
-            | frozenset(relocated_reads))
+        preconditions = template_set.preconditions
+        preconditions[src].difference_update(relocated_reads)
+        preconditions.setdefault(dst, set()).update(relocated_reads)
     template_set.last_relocations = list(relocated_reads)
     return ops
+
+
+def merge_edits(into: Dict[int, List[EditOp]],
+                edits: Dict[int, List[EditOp]]) -> int:
+    """Append per-worker ``edits`` to the per-worker op lists of ``into``
+    (ops apply in order); returns how many ops that was."""
+    for worker, ops in edits.items():
+        into.setdefault(worker, []).extend(ops)
+    return sum(map(len, edits.values()))
+
+
+class MigrationBatch:
+    """What :func:`plan_migrations` planned: the ``moves`` it accepted, in
+    order, their merged per-worker ``edits``, ``total_ops`` (the number of
+    edit operations, the unit Table 3 prices at 41 µs each) and the
+    ``(oid, dst)`` input ``relocations`` the caller must perform (one-time
+    data moves for sole-reader inputs).
+
+    Planning stops at the first move that cannot be an edit; ``rejected``
+    is its :class:`MigrationError`, else None. The moves before it are on
+    the controller half already, so the caller ships ``edits`` *before* it
+    raises ``rejected`` — otherwise the two halves diverge.
+    """
+
+    __slots__ = ("moves", "edits", "total_ops", "relocations", "rejected")
+
+    def __init__(self) -> None:
+        self.moves: List[Tuple[int, int]] = []
+        self.edits: Dict[int, List[EditOp]] = {}
+        self.total_ops = 0
+        self.relocations: List[Tuple[int, int]] = []
+        self.rejected: Optional[MigrationError] = None
 
 
 def plan_migrations(
     template_set: WorkerTemplateSet,
     moves: List[Tuple[int, int]],
     object_sizes: Dict[int, int],
-) -> Tuple[Dict[int, List[EditOp]], int, List[Tuple[int, int]]]:
-    """Plan a batch of (ct_index, dst) migrations.
-
-    Returns the merged per-worker edit lists, the total number of edit
-    operations (the unit Table 3 prices at 41 µs each), and the list of
-    (oid, dst) input relocations the caller must perform (one-time data
-    moves for sole-reader inputs).
-    """
-    merged: Dict[int, List[EditOp]] = {}
-    total_ops = 0
-    relocations: List[Tuple[int, int]] = []
+) -> MigrationBatch:
+    """Plan a batch of (ct_index, dst) migrations, each against the halves
+    as the moves before it left them."""
+    batch = MigrationBatch()
     for ct_index, dst in moves:
-        ops = plan_migration(template_set, ct_index, dst, object_sizes)
-        for worker, lst in ops.items():
-            merged.setdefault(worker, []).extend(lst)
-            total_ops += len(lst)
-        relocations.extend(
+        try:
+            ops = plan_migration(template_set, ct_index, dst, object_sizes)
+        except MigrationError as err:
+            batch.rejected = err
+            break
+        batch.moves.append((ct_index, dst))
+        batch.total_ops += merge_edits(batch.edits, ops)
+        batch.relocations.extend(
             (oid, dst) for oid in template_set.last_relocations)
-    return merged, total_ops, relocations
+    return batch

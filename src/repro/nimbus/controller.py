@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..core.controller_template import ControllerTemplate
-from ..core.edits import plan_migrations
+from ..core.edits import merge_edits, plan_migrations
 from ..core.patching import Patch, PatchCache, build_patch
 from ..core.spec import BlockSpec
 from ..core.validation import ValidationState, full_validate
@@ -1053,7 +1053,8 @@ class Controller(P.ReliableEndpoint, Actor):
         worker templates exist the block is still dispatched centrally from
         the controller template, so updating the assignment is the whole
         migration ("reassign"). Returns which mechanism was used
-        ("edits", "reinstall", or "reassign").
+        ("edits", "reinstall", or "reassign"). A move that cannot be an
+        edit raises MigrationError once the moves before it are applied.
         """
         ctx = self.jobs.get(job_id)
         if ctx is None:
@@ -1071,42 +1072,40 @@ class Controller(P.ReliableEndpoint, Actor):
         self._require_quiesced(ctx)
         version = ctx.current_version.get(block_id, 0)
         wts = ctx.worker_templates.get((block_id, version))
-        if wts is None or ctx.phase.get(block_id, 0) < self.PHASE_WT_GENERATED:
-            for ct_index, dst in moves:
+        generated = (wts is not None and ctx.phase.get(block_id, 0)
+                     >= self.PHASE_WT_GENERATED)
+        if generated and len(moves) <= self.edit_threshold * template.num_tasks:
+            batch = plan_migrations(wts, moves, self.object_sizes(ctx))
+            self.charge(self.costs.edit_per_task * batch.total_ops)
+            merge_edits(ctx.pending_edits.setdefault(wts.key, {}), batch.edits)
+            for ct_index, dst in batch.moves:
                 template.reassign(ct_index, dst)
+            # one-time data moves for relocated sole-reader inputs: the
+            # objects' homes follow the tasks; stale replicas remain behind
+            stale = [(dst, oid) for oid, dst in batch.relocations
+                     if not ctx.directory.is_fresh(oid, dst)]
+            if stale:
+                self._install_new_patch(ctx, stale)
+                ctx.metrics.incr("relocation_copies", len(stale))
+            for oid, dst in batch.relocations:
+                ctx.placement.migrate(oid, dst)
+            ctx.metrics.incr("edits_applied", batch.total_ops)
+            self.bump_partition_epoch()
+            if batch.rejected is not None:  # what it left planned has shipped
+                raise batch.rejected
+            return "edits"
+        for ct_index, dst in moves:
+            template.reassign(ct_index, dst)
+        if generated:
+            self._regenerate_worker_templates(ctx, block_id)
+        else:
             if (block_id, version) in ctx.assignments:
                 ctx.assignments[(block_id, version)] = [
                     e.worker for e in template.entries
                 ]
             ctx.metrics.incr("migrations_reassigned")
-            self.bump_partition_epoch()
-            return "reassign"
-        if len(moves) <= self.edit_threshold * template.num_tasks:
-            edits, total_ops, relocations = plan_migrations(
-                wts, moves, self.object_sizes(ctx))
-            self.charge(self.costs.edit_per_task * total_ops)
-            pending = ctx.pending_edits.setdefault(wts.key, {})
-            for worker, ops in edits.items():
-                pending.setdefault(worker, []).extend(ops)
-            for ct_index, dst in moves:
-                template.reassign(ct_index, dst)
-            # one-time data moves for relocated sole-reader inputs: the
-            # objects' homes follow the tasks; stale replicas remain behind
-            stale = [(dst, oid) for oid, dst in relocations
-                     if not ctx.directory.is_fresh(oid, dst)]
-            if stale:
-                self._install_new_patch(ctx, stale)
-                ctx.metrics.incr("relocation_copies", len(stale))
-            for oid, dst in relocations:
-                ctx.placement.migrate(oid, dst)
-            ctx.metrics.incr("edits_applied", total_ops)
-            self.bump_partition_epoch()
-            return "edits"
-        for ct_index, dst in moves:
-            template.reassign(ct_index, dst)
-        self._regenerate_worker_templates(ctx, block_id)
         self.bump_partition_epoch()
-        return "reinstall"
+        return "reinstall" if generated else "reassign"
 
     def _drop_pending_edits(self, ctx: JobContext, block_id: str) -> None:
         """Forget queued-but-unshipped worker-half edits for ``block_id``.

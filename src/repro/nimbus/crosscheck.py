@@ -7,8 +7,8 @@ re-derived the slow way and compared:
 
 * the command fields against :func:`instantiate_entries` — one fresh
   command per entry, filled field by field (Figure 5b) — and the plan
-  against a fresh compilation of the entry array (catches
-  stale-plan-after-edit bugs);
+  against a fresh compilation of the entry array (holds every plan an
+  edit derived to :func:`compile_plan`);
 * the cross-batch dependency edges against the plain conflict-tracker
   walk over ``plan.ext_checks`` — edge for edge and in registration
   order, whether the frame got them from a cached seam or the fallback
@@ -194,8 +194,8 @@ class FrameCheck:
         fresh = compile_plan(entries, plan.reports)
         if fresh.signature() != plan.signature():
             raise AssertionError(
-                "compiled plan is stale: recompiling the entry array "
-                "produced a different plan (missing invalidation?)")
+                "compiled plan is stale: compiling the entry array afresh "
+                "gives a different plan (an edit derived it wrongly?)")
         ref = instantiate_entries(
             entries, worker.worker_id, instance_id, cid_base, params)
         if len(ref) != plan.m:

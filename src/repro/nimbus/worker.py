@@ -215,7 +215,7 @@ class Worker(P.ReliableEndpoint, Actor):
         #: per plan, instantiations left until the reader lists of the
         #: objects it only ever reads are pruned of completed readers
         self._prune_in: Dict[CompiledPlan, int] = {}
-        self.plans_compiled = 0  # introspection: plan (re)compilations
+        self.plans_compiled = 0  # introspection: plan compilations
 
         # instances
         self._instances: Dict[Hashable, _InstanceRecord] = {}
@@ -563,11 +563,11 @@ class Worker(P.ReliableEndpoint, Actor):
         # updates: intra-batch churn collapses at compile time). It lands
         # before anything fires, so an instance started from inside the
         # firing pass (a grant self-advance) already sees it.
-        for oid, p, poss in plan.net:
+        for oid, (p, poss) in plan.net.items():
             last_writer[oid] = cids[p]
             readers_since[oid] = [cids[q] for q in poss]
         if plan.readers_append:
-            for oid, poss in plan.readers_append:
+            for oid, poss in plan.readers_append.items():
                 lst = readers_since.get(oid)
                 if lst is None:
                     readers_since[oid] = [cids[p] for p in poss]
@@ -579,7 +579,7 @@ class Worker(P.ReliableEndpoint, Actor):
                 # objects this plan only ever reads gain a reader per
                 # instance and are never reset by a write: drop the
                 # completed ones once the lists may have doubled
-                for oid, _poss in plan.readers_append:
+                for oid in plan.readers_append:
                     left = max(left, self._prune_readers(readers_since[oid]))
                 left = max(left, READERS_PRUNE_MIN)
             self._prune_in[plan] = left
@@ -635,10 +635,10 @@ class Worker(P.ReliableEndpoint, Actor):
         plan.retire()
 
     def _apply_edits(self, half: WorkerHalf, edits) -> None:
-        """Apply shipped template edits to an installed half; the plan
-        compiled from the unedited half is retired."""
-        self._drop_plan(half._plan)
-        half.apply_edit_ops(edits)
+        """Apply shipped template edits to an installed half; the plan of
+        the unedited half, which frames in flight still run on, is retired."""
+        self._drop_plan(
+            half.apply_edit_ops(edits, self.worker_id, self.registry))
         self.charge(self.costs.worker_edit_per_task * len(edits))
 
     def _on_release_job(self, msg: P.ReleaseJob) -> None:

@@ -8,11 +8,14 @@ live in ``repro.nimbus.crosscheck``, and this whole module runs with
 re-derived through the reference (command fields, cross-instance edges,
 ready order, a fresh compilation of the entry array) and any difference
 raises. The sweeps cover 20 seeds of randomized programs, chaos
-profiles, mid-run edits/migration, pipelined seam replay on four apps in
-three scheduling modes, and checkpoint recovery.
+profiles, mid-run edits/migration (plans derived across edits, with and
+without frames in flight), pipelined seam replay on four apps in three
+scheduling modes, and checkpoint recovery.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import (
     KMeansApp,
@@ -25,10 +28,13 @@ from repro.apps import (
     WaterSpec,
 )
 from repro.chaos import PROFILES, FaultPlan
-from repro.core.worker_template import TemplateEntry
+from repro.core.compiled import compile_plan
+from repro.core.edits import EditOp
+from repro.core.worker_template import TemplateEntry, WorkerHalf
 from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
 from repro.nimbus.commands import Command, CommandKind
+from repro.nimbus.worker import Worker
 from repro.obs import COUNTER_HELP
 
 from .helpers import (
@@ -36,6 +42,7 @@ from .helpers import (
     assert_identical as _assert_identical,
     cluster_observables,
     combine_registry,
+    computed_values,
     random_combine_schedule,
     reference_execute,
     simple_define,
@@ -114,8 +121,122 @@ def test_cross_check_is_pure_observation(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Derived plans: an edit batch carries the half's compiled plan along
+# instead of recompiling it. Whatever the entries and the ops, the derived
+# plan is the one a fresh compilation gives, the idle frames it adopts are
+# the ones a fresh build gives, and the plan it came from is untouched.
+# ---------------------------------------------------------------------------
+_KINDS = st.sampled_from(
+    [CommandKind.TASK, CommandKind.SEND, CommandKind.RECV])
+_OID_LISTS = st.lists(st.integers(1, 6), max_size=3)
+
+
+@st.composite
+def _entry(draw, index, limit):
+    """A random entry at ``index`` whose before set may name any index
+    below ``limit`` — itself, twice, or one a later op appends."""
+    kind = draw(_KINDS)
+    before = draw(st.lists(st.integers(0, limit - 1), max_size=4))
+    return TemplateEntry(
+        index, kind, read=draw(_OID_LISTS), write=draw(_OID_LISTS),
+        before=before, function=draw(st.sampled_from(["combine", "nope"])),
+        param_slot=draw(st.sampled_from([None, "p"])),
+        dst_worker=1, dst_index=draw(st.integers(0, 9)), src_worker=2,
+        size_bytes=8, report=draw(st.booleans()))
+
+
+@st.composite
+def _half_and_batches(draw):
+    size = draw(st.integers(0, 7))
+    entries = [draw(_entry(i, size)) for i in range(size)]
+    current = list(entries)  # the array as the ops drawn so far leave it
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        appends = draw(st.integers(0 if current else 1, 3))
+        kinds = [EditOp.APPEND] * appends + [EditOp.REPLACE] * (
+            draw(st.integers(0, 3)) if current else 0)
+        limit = len(current) + appends  # forward references (Fig. 6)
+        batch = []
+        for kind in draw(st.permutations(kinds)):
+            if kind == EditOp.APPEND:
+                index = len(current)
+                current.append(draw(_entry(index, limit)))
+            else:  # any entry, one appended by this batch included
+                index = draw(st.integers(0, len(current) - 1))
+                shape = draw(st.sampled_from(["new", "guard", "rewire"]))
+                if shape == "new":
+                    entry = draw(_entry(index, limit))
+                else:  # the same accesses behind other dependencies
+                    entry = current[index].clone()
+                    more = tuple(draw(st.lists(
+                        st.integers(0, limit - 1), min_size=1, max_size=3)))
+                    # the migration guard only adds to what it waits for
+                    entry.before = (entry.before if shape == "guard"
+                                    else ()) + more
+                current[index] = entry
+            batch.append(EditOp(kind, index, current[index]))
+        batches.append(batch)
+    return entries, batches
+
+
+_COMMAND_FIELDS = ("kind", "worker", "read", "write", "function",
+                   "dst_worker", "src_worker", "size_bytes", "_cpos", "_cfn")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_half_and_batches())
+def test_derived_plan_equals_a_fresh_compilation(case):
+    entries, batches = case
+    registry = combine_registry()
+    half = WorkerHalf("b", 0, entries,
+                      [e.index for e in entries if e.report])
+    plan = half.compiled_plan()
+    idle = [plan.acquire(7, registry) for _ in range(2)]
+    busy = plan.acquire(7, registry)  # in flight across the first batch
+    for frame in idle:
+        frame.release()
+    for batch in batches:
+        before = plan.signature()
+        stale = half.apply_edit_ops(batch, 7, registry)
+        assert stale is plan and stale.signature() == before
+        plan = half._plan
+        fresh = compile_plan(half.entries, half.reports)
+        assert plan is not stale and plan.signature() == fresh.signature()
+        assert plan.miss.fallback == fresh.miss.fallback
+        assert half.reports == {e.index for e in half.entries if e.report}
+        assert stale.pool == [] and plan.pool == idle
+        want = fresh.acquire(7, registry)
+        for frame in idle:
+            assert len(frame.cmds) == len(frame.xsucc) == plan.m
+            for got, ref in zip(frame.cmds, want.cmds):
+                assert got._carena is frame
+                for field in _COMMAND_FIELDS:
+                    assert getattr(got, field) == getattr(ref, field), field
+        assert busy.plan is not plan and len(busy.cmds) == busy.plan.m
+        stale.retire()
+
+
+def test_an_edit_with_a_remove_recompiles():
+    """``REMOVE`` has no producer in ``src/``; a batch with one drops the
+    plan, and so does every later batch on the tombstoned array."""
+    entries = [TemplateEntry(i, CommandKind.TASK, write=(i + 1,),
+                             function="combine") for i in range(3)]
+    half = WorkerHalf("b", 0, entries, [])
+    plan = half.compiled_plan()
+    assert half.apply_edit_ops([EditOp(EditOp.REMOVE, 1)], 7) is plan
+    assert half._plan is None and half.compiled_plan().m == 2
+    appended = TemplateEntry(3, CommandKind.TASK, read=(1,), write=(9,),
+                             function="combine")
+    half.apply_edit_ops([EditOp(EditOp.APPEND, 3, appended)], 7)
+    assert half._plan is None
+    assert half.compiled_plan().signature() == compile_plan(
+        half.entries, half.reports).signature()
+
+
+# ---------------------------------------------------------------------------
 # The fig10 path: mid-run migration edits the installed templates; the
-# compiled plans must be invalidated, recompiled, and still bit-identical.
+# compiled plans are derived across every edit, the pre-edit ones retired,
+# and the run stays bit-identical.
 # ---------------------------------------------------------------------------
 def _run_lr_with_migrations(num_workers=4, iterations=12):
     spec = LRSpec(num_workers=num_workers, iterations=iterations)
@@ -153,16 +274,64 @@ def test_edited_plans_pass_the_oracle_across_migration(num_workers):
     assert cluster.metrics.count("edits_applied") > 0
 
 
-def test_migration_invalidates_and_recompiles_plans():
+def test_migration_derives_plans_without_recompiling():
     cluster = _run_lr_with_migrations()
-    recompiles = sum(w.plans_compiled for w in cluster.workers.values())
-    workers = len(cluster.workers)
-    # every worker compiles its half once; the two edit rounds force
-    # recompiles on the edited workers, so the total must exceed one-per-worker
-    assert recompiles > workers, (
-        f"expected plan recompiles after migration edits, got "
-        f"{recompiles} compilations across {workers} workers"
-    )
+    assert cluster.metrics.count("edits_applied") > 0
+    for worker in cluster.workers.values():
+        # its half once, and each relocation patch once (patches are not
+        # edited): the two edit rounds compiled nothing
+        assert worker.plans_compiled == 1 + len(worker._patch_plans)
+        for half in worker._templates.values():
+            assert half._plan.signature() == compile_plan(
+                half.entries, half.reports).signature()
+
+
+def test_edits_land_while_the_old_plan_has_frames_in_flight(monkeypatch):
+    """Pipelined centralized LR, a migration posted mid-pipeline: edit
+    batches reach workers whose earlier instances are still running on
+    the pre-edit plan. That plan is retired, not mutated — its frames
+    drain against it — and the results are the unmigrated run's."""
+    spec = LRSpec(num_workers=4, iterations=16, partitions_per_worker=4,
+                  real_compute=True, rows_per_partition=8, dim=16)
+    landed = []  # per edit batch: frames of the pre-edit plan pending
+    apply_edits = Worker._apply_edits
+
+    def probe(worker, half, edits):
+        stale = half._plan
+        running = {id(cmd._carena): cmd._carena
+                   for cmd in worker._pending.values()
+                   if cmd._carena is not None and cmd._carena.plan is stale}
+        before = stale.signature()
+        apply_edits(worker, half, edits)
+        landed.append(len(running))
+        assert half._plan is not stale and stale.pool is None
+        assert stale.signature() == before
+        assert all(frame.plan is stale for frame in running.values())
+
+    monkeypatch.setattr(Worker, "_apply_edits", probe)
+
+    def run(migrate_at=None):
+        app = LRApp(spec)
+        cluster = NimbusCluster(4, app.program(blocking=False),
+                                registry=app.registry)
+
+        def migrate(controller):
+            controller.edit_threshold = 0.5
+            assert controller.migrate_tasks(
+                "lr.iteration", [(0, 2), (5, 3)]) == "edits"
+
+        if migrate_at is not None:
+            cluster.sim.schedule_at(
+                migrate_at, cluster.controller.deliver,
+                P.ManagerDirective(migrate))
+        cluster.run_until_finished(max_seconds=1e6)
+        return cluster
+
+    plain = run()
+    edited = run(migrate_at=0.6 * plain.sim.now)
+    _assert_checked(edited)
+    assert landed and max(landed) > 0, landed
+    assert computed_values(edited) == computed_values(plain)
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +488,22 @@ def test_seam_rebuilt_after_version_bump():
 
 def test_seam_rebuilt_after_migration_edits():
     """Cluster level (edit ops come from the controller's planner): every
-    edit round drops the edited plans and their seams, steady replay of
-    the recompiled plans builds new ones, and replay keeps hitting."""
+    edit round retires the edited plans and drops their seams, the derived
+    plans get theirs at the second sighting, and replay keeps hitting."""
     cluster = _run_lr_with_migrations(iterations=16)
     workers = len(cluster.workers)
     assert cluster.metrics.count("edits_applied") > 0
     # one self-seam per worker before the first edit round, and again for
-    # every plan recompiled by the two rounds
+    # every plan derived by the two rounds
     assert cluster.metrics.count("worker.seam_builds") > workers
     assert cluster.metrics.count("worker.seam_hits") > 0
     for worker in cluster.workers.values():
         live_plans = {half._plan for half in worker._templates.values()}
         for pair in worker._seams:
             assert set(pair) <= live_plans | set(
-                worker._patch_plans.values()), "seam of a dropped plan"
+                worker._patch_plans.values()), "seam of a retired plan"
+        # ... and none of it recompiled a half
+        assert worker.plans_compiled == 1 + len(worker._patch_plans)
 
 
 def test_recovery_passes_the_oracle_with_seams():

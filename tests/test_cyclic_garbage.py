@@ -50,8 +50,10 @@ def test_pipelined_lr_leaves_no_cycles(mode):
 @pytest.mark.parametrize("mode", ["centralized", "decentralized"])
 def test_edited_plans_are_freed_at_the_edit(mode):
     """The lr_migrate shape: every other iteration a directive moves a
-    task, the edited halves drop their plans, and the dropped plans (pool,
-    frames, commands, seams) must not outlive the edit."""
+    task, the edited halves derive their next plans and retire the old
+    ones, and a retired plan (the frames the derived plan did not adopt,
+    the commands replaced in those it did, seams) must not outlive the
+    edit."""
     workers, iterations = 4, 12
     app = _lr_app(workers, iterations)
     rounds = []
@@ -74,7 +76,6 @@ def test_edited_plans_are_freed_at_the_edit(mode):
     with cyclic_garbage() as found:
         cluster.run_until_finished()
     assert rounds == ["edits"] * 4
-    assert sum(w.plans_compiled for w in cluster.workers.values()) > workers
     _assert_acyclic(found)
 
 

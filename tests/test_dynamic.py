@@ -3,6 +3,7 @@ Figures 9 and 10) — with end-to-end value correctness after every change."""
 
 import pytest
 
+from repro.core.edits import MigrationError
 from repro.core.spec import BlockSpec, LogicalTask, StageSpec
 from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
@@ -44,20 +45,24 @@ def reference(iterations):
 
 
 def run_with_directives(iterations, directive_at=None, directive=None,
-                        num_workers=2):
+                        num_workers=2, directives=None):
     """Run the iteration program, delivering a ManagerDirective to the
-    controller just before iteration ``directive_at``."""
+    controller just before iteration ``directive_at`` (and one per entry
+    of ``directives``, iteration -> directive)."""
     seed_block, iter_block = blocks()
     objects = {oid: (f"o{oid}", 8) for oid in DATA + OUT + [ACC]}
     cluster_box = {}
+    directives = dict(directives or {})
+    if directive_at is not None:
+        directives[directive_at] = directive
 
     def program(job):
         yield job.define(simple_define(objects))
         yield job.run(seed_block, {"v": 3})
         for i in range(iterations):
-            if directive_at is not None and i == directive_at:
+            if i in directives:
                 cluster_box["cluster"].controller.deliver(
-                    P.ManagerDirective(directive))
+                    P.ManagerDirective(directives[i]))
             yield job.run(iter_block)
 
     cluster = NimbusCluster(num_workers, program, registry=combine_registry(),
@@ -90,6 +95,36 @@ def test_migration_via_edits_preserves_results():
     wts = cluster.controller.worker_templates[("iter", 0)]
     assert wts.task_locations[0][0] == 1
     assert wts.task_locations[2][0] == 1
+
+
+def test_rejected_move_leaves_the_halves_in_agreement():
+    """A batch with a move that cannot be planned raises — after the moves
+    before it, which are on the controller half by then, were queued for
+    the workers like any batch. (They used to be dropped: the next valid
+    migration then appended past the end of the worker's shorter half.)"""
+    def rejected(controller):
+        controller.edit_threshold = 1.0
+        with pytest.raises(MigrationError):
+            controller.migrate_tasks("iter", [(0, 1), (10 ** 9, 1), (2, 1)])
+        wts = controller.worker_templates[("iter", 0)]
+        assert wts.task_locations[0][0] == 1  # planned before the bad one
+        assert wts.task_locations[2][0] == 0  # never reached
+
+    def valid(controller):
+        assert controller.migrate_tasks("iter", [(2, 1)]) == "edits"
+
+    cluster = run_with_directives(10, directives={4: rejected, 6: valid})
+    assert worker_values(cluster, [ACC])[ACC] == reference(10)[ACC]
+    assert cluster.metrics.count("edits_applied") == 6  # two moves, 3 ops
+    wts = cluster.controller.worker_templates[("iter", 0)]
+    assert wts.task_locations[0][0] == wts.task_locations[2][0] == 1
+    assert [e.worker for e in cluster.controller.templates["iter"].entries
+            ] == [1, 1, 1, 1, 0]  # map tasks 0 and 2 joined 1 and 3
+    for worker_id, worker in cluster.workers.items():
+        assert [(e.kind, e.read, e.write, e.before) for e in
+                worker.template_half("iter", 0).entries] == [
+            (e.kind, e.read, e.write, e.before)
+            for e in wts.entries[worker_id]]
 
 
 def test_migration_keeps_auto_validation():

@@ -7,11 +7,16 @@ from repro.core.edits import (
     EditOp,
     MigrationError,
     apply_edits,
+    migration_conflict,
     plan_migration,
     plan_migrations,
 )
 from repro.core.spec import BlockSpec, LogicalTask, StageSpec
-from repro.core.worker_template import TemplateEntry, generate_worker_templates
+from repro.core.worker_template import (
+    AccessIndex,
+    TemplateEntry,
+    generate_worker_templates,
+)
 from repro.nimbus.commands import CommandKind
 
 SIZES = {oid: 32 for oid in range(1, 30)}
@@ -160,7 +165,7 @@ class TestPlanMigration:
         assert replaced.report  # the recv now reports the returned value
 
 
-def test_plan_migrations_batches_and_counts_ops():
+def make_batch_wts():
     block = BlockSpec("batch", [
         StageSpec("p", [LogicalTask("p", read=(), write=(1,)),
                         LogicalTask("p", read=(), write=(2,))]),
@@ -168,13 +173,18 @@ def test_plan_migrations_batches_and_counts_ops():
                         LogicalTask("t", read=(2,), write=(12,))]),
     ])
     template = ControllerTemplate.from_block(block, [0, 0, 0, 0])
-    wts = generate_worker_templates(template, SIZES)
-    edits, total, relocations = plan_migrations(wts, [(2, 1), (3, 2)], SIZES)
+    return generate_worker_templates(template, SIZES)
+
+
+def test_plan_migrations_batches_and_counts_ops():
+    wts = make_batch_wts()
+    batch = plan_migrations(wts, [(2, 1), (3, 2)], SIZES)
     # inputs here are produced *in-block*, so they ship per iteration:
     # each single-input/single-output migration is 5 ops (S1,R1,t',S2,R2)
-    assert total == 10
-    assert set(edits) == {0, 1, 2}
-    assert relocations == []
+    assert batch.total_ops == 10
+    assert set(batch.edits) == {0, 1, 2}
+    assert batch.relocations == []
+    assert batch.moves == [(2, 1), (3, 2)] and batch.rejected is None
 
 
 def test_sole_reader_preblock_inputs_relocate():
@@ -187,11 +197,57 @@ def test_sole_reader_preblock_inputs_relocate():
     ])
     template = ControllerTemplate.from_block(block, [0, 0])
     wts = generate_worker_templates(template, SIZES)
-    edits, total, relocations = plan_migrations(wts, [(0, 1)], SIZES)
-    assert total == 3
-    assert relocations == [(1, 1)]
+    batch = plan_migrations(wts, [(0, 1)], SIZES)
+    assert batch.total_ops == 3
+    assert batch.relocations == [(1, 1)]
     # the precondition moved with the data
     assert 1 not in wts.preconditions[0]
     assert 1 in wts.preconditions[1]
     # object 2 (the other task's input) stays put
     assert 2 in wts.preconditions[0]
+
+
+def test_rejected_move_stops_the_batch_and_keeps_what_was_planned():
+    """The moves before a bad one are on the controller half already; the
+    batch hands them back, with the error, for the caller to ship."""
+    wts = make_batch_wts()
+    batch = plan_migrations(wts, [(2, 1), (99, 1), (3, 2)], SIZES)
+    assert batch.moves == [(2, 1)] and batch.total_ops == 5
+    assert set(batch.edits) == {0, 1}
+    assert isinstance(batch.rejected, MigrationError)
+    assert wts.task_locations[2][0] == 1 and wts.task_locations[3][0] == 0
+
+
+def test_conflict_check_is_the_planners_own_validation():
+    """``migration_conflict`` says no exactly when ``plan_migration``
+    raises, for every (task, destination) of a block with conflicts."""
+    verdicts = set()
+    for ct_index in range(3):
+        for dst in range(3):
+            reason = migration_conflict(
+                make_wts(assignment=(0, 0, 1)), ct_index, dst)
+            wts = make_wts(assignment=(0, 0, 1))
+            src = wts.task_locations[ct_index][0]
+            try:
+                accepted = bool(plan_migration(wts, ct_index, dst, SIZES))
+            except MigrationError as err:
+                assert str(err) == reason
+                accepted = False
+            # moving a task to where it is: no plan, and not a candidate
+            assert accepted == (reason is None), (ct_index, dst, reason)
+            assert (src == dst) == (reason == "task already on destination")
+            verdicts.add(reason is None)
+    assert verdicts == {True, False}
+
+
+def test_access_index_follows_the_edits():
+    """The controller half's accessor index, built by the first move, is
+    what a scan of the edited entry arrays finds after every later one."""
+    wts = make_batch_wts()
+    for moves in ([(2, 1)], [(3, 2), (2, 2)], [(1, 1)]):
+        assert plan_migrations(wts, moves, SIZES).rejected is None
+        for worker, entries in wts.entries.items():
+            index, scan = wts.access(worker), AccessIndex(entries)
+            for oid in SIZES:
+                assert list(index.readers(oid)) == list(scan.readers(oid))
+                assert list(index.writers(oid)) == list(scan.writers(oid))

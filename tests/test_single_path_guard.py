@@ -122,7 +122,7 @@ def test_each_control_plane_decision_has_one_site():
 #: today's sizes, so simplification is monotone until the controller is
 #: split into components (ROADMAP item 4(c))
 LINE_CEILINGS = {
-    "nimbus/controller.py": 1595,
+    "nimbus/controller.py": 1594,
     "nimbus/worker.py": 1328,
     "sched/policy.py": 460,
     "nimbus/protocol.py": 767,
