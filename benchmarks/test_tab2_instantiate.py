@@ -20,13 +20,17 @@ instances in flight — command set-up, cross-instance dependency edges,
 the conflict-tracker update and the ready cascade all included:
 
 * the seam is a cache that pays: in steady pipelined replay (depth 3) a
-  seam hit beats the tracker-walk fallback (seam miss) — measured ≈95 µs
-  against ≈155 µs;
+  seam hit beats the tracker-walk fallback (seam miss) — measured ≈47 µs
+  against ≈155 µs on a two-core Xeon VM (a hit was ≈123 µs there while
+  every instance still wrote its net update into the tracker's maps; it
+  now joins the tracker's chain and is folded only when something reads
+  the maps);
 * blocking replay (depth 1) is reported for both, ungated: its
-  predecessor has drained, so hit and miss do the same work;
+  predecessor has drained, so hit and miss do the same work (≈62 and
+  ≈94 µs; ≈143 and ≈154 with the eager update);
 * a steady instantiation rewrites a pooled frame instead of rebuilding
-  every Command, before-list and tag tuple: 32.1 kB measured, 40 kB
-  asserted.
+  every Command, before-list and tag tuple, and writes no reader list:
+  28.4 kB measured (32.0 with the eager update), 32 kB asserted.
 
 The field-by-field path these rows were once compared against is gone
 from the worker; its last measured figures (≈470 µs, 101.3 kB) are frozen
@@ -206,7 +210,7 @@ def test_steady_instantiation_allocation_bound():
     driver.worker.handle(msg)
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    # ids, dependency counts, tags and the tracker's reader lists still
-    # allocate; the Command objects, before lists and per-command
-    # dependency sets must not be rebuilt
-    assert 0 < peak - base <= 40_000, peak - base
+    # ids, dependency counts and tags still allocate; the Command objects,
+    # before lists, per-command dependency sets and the tracker's reader
+    # lists must not be rebuilt
+    assert 0 < peak - base <= 32_000, peak - base

@@ -277,7 +277,7 @@ def plan_migration(
     # destination's copy is an intermediate version, not the final one).
     holders = template_set.delta.final_holders.get(result_oid)
     if holders is not None and src in holders and task_writes_final:
-        template_set.delta.final_holders[result_oid] = holders | {dst}
+        template_set.delta.widen(result_oid, dst)
 
     # Precondition updates for relocated inputs: required at the
     # destination from now on, and no longer at the source (the task was

@@ -150,9 +150,22 @@ class DirectoryDelta:
                  final_holders: Dict[int, FrozenSet[int]]):
         self.write_counts = dict(write_counts)
         self.final_holders = {k: frozenset(v) for k, v in final_holders.items()}
+        #: ``final_holders`` went to a directory, which may hold it
+        #: unapplied (ObjectDirectory.apply_block_deltas): it must not
+        #: change from then on
+        self._shared = False
 
     def apply(self, directory) -> None:
+        self._shared = True
         directory.apply_block_deltas(self.write_counts, self.final_holders)
+
+    def widen(self, oid: int, worker: int) -> None:
+        """``worker`` also holds the final version of ``oid`` (a migrated
+        task's result); copies the holder map first if it was shared."""
+        if self._shared:
+            self.final_holders = dict(self.final_holders)
+            self._shared = False
+        self.final_holders[oid] = self.final_holders[oid] | {worker}
 
 
 class WorkerTemplateSet:

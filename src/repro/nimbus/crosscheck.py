@@ -9,8 +9,11 @@ re-derived the slow way and compared:
   command per entry, filled field by field (Figure 5b) — and the plan
   against a fresh compilation of the entry array (holds every plan an
   edit derived to :func:`compile_plan`);
+* the conflict tracker, whose compiled updates are deferred, against
+  :class:`TrackerShadow`, an eager one, at every walk and fold;
 * the cross-batch dependency edges against the plain conflict-tracker
-  walk over ``plan.ext_checks`` — edge for edge and in registration
+  walk over ``plan.ext_checks`` (read through the tracker's pending-only
+  view, which never folds) — edge for edge and in registration
   order, whether the frame got them from a cached seam or the fallback
   walk. A seam may drop an edge only when
   the same command also waits for a later command of the same frame that
@@ -129,6 +132,70 @@ def _successors(worker, cmd: Command) -> List[Command]:
     return worker._dependents.get(cmd.cid, [])
 
 
+class TrackerShadow:
+    """The eager conflict tracker a :class:`~repro.nimbus.tracker.
+    ConflictTracker` is held to: every compiled net update and central
+    command lands the moment it happens. At every walk and fold the two
+    must agree on the pending-only view of each object, and a walk the
+    tracker skips must be one that would have found nothing."""
+
+    def __init__(self, tracker):
+        self.tracker = tracker
+        self.last_writer: Dict[int, int] = {}
+        self.readers: Dict[int, List[int]] = {}
+
+    def view(self, oid: int) -> Tuple:
+        pending = self.tracker.pending
+        readers = self.readers.get(oid)
+        if readers:  # exact: a completed reader is never a dependency
+            readers[:] = [r for r in readers if r in pending]
+        writer = self.last_writer.get(oid)
+        return writer if writer in pending else None, sorted(readers or ())
+
+    def compare(self, oids=None) -> None:
+        """Both views agree on ``oids`` (default: every object this shadow
+        has seen, which includes all the deferred tracker holds)."""
+        if oids is None:
+            oids = self.last_writer.keys() | self.readers.keys()
+        for oid in oids:
+            got, want = self.tracker.view(oid), self.view(oid)
+            if got != want:
+                raise AssertionError(
+                    f"object {oid}: the deferred tracker reads {got}, the "
+                    f"eager one {want} (a fold missing?)")
+
+    def admit(self, plan: CompiledPlan, seam, walk: bool) -> None:
+        self.compare({oid for _pos, roids, woids in plan.ext_checks
+                      for oid in roids + woids})
+        if walk:
+            return
+        for _pos, _preds, roids, woids, _recv in seam.rows:
+            for oid in roids + woids:
+                writer, readers = self.view(oid)
+                if writer is not None or (oid in woids and readers):
+                    raise AssertionError(
+                        f"skipped walk: object {oid} has pending "
+                        f"{writer}/{readers}")
+
+    def record(self, plan: CompiledPlan, cids: List[int]) -> None:
+        for oid, (p, poss) in plan.net.items():
+            self.last_writer[oid] = cids[p]
+            self.readers[oid] = [cids[q] for q in poss]
+        for oid, poss in plan.readers_append.items():
+            self.readers.setdefault(oid, []).extend(cids[p] for p in poss)
+
+    def resolve(self, cid: int, read, write) -> None:
+        for oid in read:
+            self.readers.setdefault(oid, []).append(cid)
+        for oid in write:
+            self.last_writer[oid] = cid
+            self.readers[oid] = []
+
+    def clear(self) -> None:
+        self.last_writer.clear()
+        self.readers.clear()
+
+
 class FrameCheck:
     """Reference for one instantiation; build it after the frame's tags
     and cids are written and *before* it registers or links anything."""
@@ -136,16 +203,20 @@ class FrameCheck:
     def __init__(self, worker, frame: CommandArena):
         self.worker, self.frame = worker, frame
         plan, pending = frame.plan, worker._pending
+        view = worker.tracker.view
         self.edges: Dict[int, List[int]] = {}  # pending cid -> positions
         waits = [0] * plan.m
         for pos, roids, woids in plan.ext_checks:
-            deps = {worker._last_writer.get(oid) for oid in roids + woids}
-            for oid in woids:
-                deps.update(worker._readers_since.get(oid, ()))
+            deps = set()
+            for oid in roids + woids:
+                writer, readers = view(oid)
+                deps.add(writer)
+                if oid in woids:
+                    deps.update(readers)
+            deps.discard(None)
             for dep in deps:
-                if dep in pending:
-                    self.edges.setdefault(dep, []).append(pos)
-                    waits[pos] += 1
+                self.edges.setdefault(dep, []).append(pos)
+                waits[pos] += 1
         for pos, _index in plan.recvs:
             if frame.cmds[pos].tag not in worker._data_buffer:
                 waits[pos] += 1

@@ -50,6 +50,11 @@ class ObjectDirectory:
     The directory reflects *planned* state: the controller updates it as it
     schedules commands, before they execute, exactly as a real controller
     reasons about the future state its command stream will produce.
+
+    Template deltas are recorded, not applied (:meth:`apply_block_deltas`):
+    an auto-validated instance follows one of its own, and nothing reads
+    the directory in between. Every read or other mutation folds the
+    recorded deltas in first (:meth:`fold`), so no caller can tell.
     """
 
     #: process-wide id source distinguishing directory instances, so a
@@ -66,6 +71,9 @@ class ObjectDirectory:
         # which each object last changed (latest version or holder set)
         self._stamp: int = 0
         self._stamps: Dict[ObjectId, int] = {}
+        #: recorded template deltas, in order of last application:
+        #: id(final_holders) -> [write_counts, final_holders, times]
+        self._deferred: Dict[int, list] = {}
         ObjectDirectory._next_token += 1
         self.token: int = ObjectDirectory._next_token
 
@@ -73,10 +81,14 @@ class ObjectDirectory:
     @property
     def stamp(self) -> int:
         """Monotone mutation counter; advances on every state change."""
+        if self._deferred:
+            self.fold()
         return self._stamp
 
     def stamp_of(self, oid: ObjectId) -> int:
         """Stamp at which ``oid`` last changed (0 = never touched)."""
+        if self._deferred:
+            self.fold()
         return self._stamps.get(oid, 0)
 
     def _touch(self, oid: ObjectId) -> None:
@@ -86,12 +98,16 @@ class ObjectDirectory:
     # -- registration ---------------------------------------------------
     def register(self, obj: LogicalObject, home: WorkerId) -> None:
         """Register a newly created object resident on ``home`` at version 0."""
+        if self._deferred:
+            self.fold()
         self._objects[obj.oid] = obj
         self._latest[obj.oid] = 0
         self._holders[obj.oid] = {home: 0}
         self._touch(obj.oid)
 
     def unregister(self, oid: ObjectId) -> None:
+        if self._deferred:
+            self.fold()
         self._objects.pop(oid, None)
         self._latest.pop(oid, None)
         self._holders.pop(oid, None)
@@ -108,18 +124,26 @@ class ObjectDirectory:
 
     # -- queries ----------------------------------------------------------
     def latest_version(self, oid: ObjectId) -> int:
+        if self._deferred:
+            self.fold()
         return self._latest[oid]
 
     def holders(self, oid: ObjectId) -> List[WorkerId]:
         """Every worker holding any version of ``oid`` (none if unknown)."""
+        if self._deferred:
+            self.fold()
         return list(self._holders.get(oid, ()))
 
     def holders_of_latest(self, oid: ObjectId) -> List[WorkerId]:
+        if self._deferred:
+            self.fold()
         latest = self._latest[oid]
         return [w for w, v in self._holders[oid].items() if v == latest]
 
     def is_fresh(self, oid: ObjectId, worker: WorkerId) -> bool:
         """True when ``worker`` holds the latest version of ``oid``."""
+        if self._deferred:
+            self.fold()
         return self._holders[oid].get(worker, -1) == self._latest[oid]
 
     def freshness_maps(self) -> Tuple[Dict[ObjectId, Dict[WorkerId, int]],
@@ -133,9 +157,13 @@ class ObjectDirectory:
         :meth:`record_write` / :meth:`record_copy`, which keep the
         validation stamps coherent.
         """
+        if self._deferred:
+            self.fold()
         return self._holders, self._latest
 
     def holds_any(self, oid: ObjectId, worker: WorkerId) -> bool:
+        if self._deferred:
+            self.fold()
         return worker in self._holders[oid]
 
     # -- planned mutations ------------------------------------------------
@@ -144,6 +172,8 @@ class ObjectDirectory:
 
         Other workers keep their (now stale) replicas — mutable objects are
         overwritten in place, not invalidated remotely."""
+        if self._deferred:
+            self.fold()
         version = self._latest[oid] + 1
         self._latest[oid] = version
         self._holders[oid][worker] = version
@@ -153,6 +183,8 @@ class ObjectDirectory:
 
     def record_copy(self, oid: ObjectId, dst: WorkerId) -> None:
         """A copy delivers the latest version of ``oid`` to ``dst``."""
+        if self._deferred:
+            self.fold()
         self._holders[oid][dst] = self._latest[oid]
         self._stamp = stamp = self._stamp + 1
         self._stamps[oid] = stamp
@@ -161,6 +193,8 @@ class ObjectDirectory:
                           final_holders: Iterable[WorkerId]) -> None:
         """Apply a cached template directory delta for one object:
         advance the version by ``bumps`` writes and set the holder set."""
+        if self._deferred:
+            self.fold()
         latest = self._latest[oid] + bumps
         self._latest[oid] = latest
         self._holders[oid] = {w: latest for w in final_holders}
@@ -169,33 +203,49 @@ class ObjectDirectory:
     def apply_block_deltas(self, write_counts: Dict[ObjectId, int],
                            final_holders: Dict[ObjectId, Iterable[WorkerId]],
                            ) -> None:
-        """Bulk :meth:`apply_block_delta` over a whole template delta.
+        """:meth:`apply_block_delta` over a whole template delta, recorded
+        for :meth:`fold`: a delta applied again is one more count. The
+        delta's two maps must never change afterwards."""
+        deferred = self._deferred
+        record = deferred.pop(id(final_holders), None)
+        if record is None:
+            record = [write_counts, final_holders, 0]
+        record[2] += 1
+        deferred[id(final_holders)] = record
 
-        One call per block submission instead of one per written object —
-        a templated block touches thousands of objects every round, so the
-        per-object method dispatch is worth hoisting.
-        """
+    def fold(self) -> None:
+        """Apply the recorded deltas. Version bumps add up, so ``times``
+        applications of one delta advance an object by ``bumps × times``;
+        an object's holders are those of the last delta that wrote it
+        (records are in order of last application), at its final version.
+        Each object gets a fresh stamp, later than any read before."""
+        deferred, self._deferred = self._deferred, {}
         latest_d = self._latest
         holders_d = self._holders
         stamps = self._stamps
         stamp = self._stamp
         fromkeys = dict.fromkeys
-        for oid, bumps in write_counts.items():
-            latest = latest_d[oid] + bumps
-            latest_d[oid] = latest
-            holders_d[oid] = fromkeys(final_holders[oid], latest)
-            stamp += 1
-            stamps[oid] = stamp
+        for write_counts, final_holders, times in deferred.values():
+            for oid, bumps in write_counts.items():
+                latest = latest_d[oid] + bumps * times
+                latest_d[oid] = latest
+                holders_d[oid] = fromkeys(final_holders[oid], latest)
+                stamp += 1
+                stamps[oid] = stamp
         self._stamp = stamp
 
     def evict_worker(self, worker: WorkerId) -> None:
         """Forget all replicas held by ``worker`` (worker failure/eviction)."""
+        if self._deferred:
+            self.fold()
         for oid, holders in self._holders.items():
             if holders.pop(worker, None) is not None:
                 self._touch(oid)
 
     # -- snapshot / restore (checkpointing) -------------------------------
     def snapshot(self) -> Tuple[Dict[ObjectId, int], Dict[ObjectId, Dict[WorkerId, int]]]:
+        if self._deferred:
+            self.fold()
         return (
             dict(self._latest),
             {oid: dict(h) for oid, h in self._holders.items()},
@@ -205,6 +255,8 @@ class ObjectDirectory:
         self,
         snap: Tuple[Dict[ObjectId, int], Dict[ObjectId, Dict[WorkerId, int]]],
     ) -> None:
+        if self._deferred:
+            self.fold()
         latest, holders = snap
         stale = set(self._holders) | set(holders)
         self._latest = dict(latest)

@@ -1,0 +1,262 @@
+"""The worker's object-conflict tracker (§3.1, requirement 1).
+
+Per object, the last command that wrote it and the commands that read it
+since: a new command waits for the pending ones among them. Centrally
+dispatched commands resolve against the tracker one by one
+(:meth:`ConflictTracker.resolve`); a compiled template or patch instance
+takes most of its cross-instance edges from a cached seam
+(:func:`repro.core.compiled.build_seam`) and walks only the objects the
+seam leaves (:meth:`ConflictTracker.walk`).
+
+A compiled instance's *net* update is deferred (DESIGN.md §9). While
+successive instances of one plan replay through a covering seam, each
+appends ``(plan, cids, rem)`` to the chain instead of rewriting the maps:
+the next instance reads none of it, because its seam answers every object
+the plan writes and the objects it walks are ones the plan never writes.
+:meth:`ConflictTracker.fold` writes the chain into the maps before
+anything else reads them, and is the only code that writes a compiled
+instance's update.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Set, Tuple
+
+from ..core.compiled import READERS_PRUNE_MIN, CommandArena, CompiledPlan, Seam
+from .commands import Command
+from .multijob import OID_STRIDE
+
+
+class ConflictTracker:
+    """Last writer and readers-since per object, with compiled instances'
+    updates deferred to a chain of one plan until something reads them."""
+
+    def __init__(self, pending: Dict[int, Command]):
+        self.pending = pending  # the worker's, by id; cleared in place
+        self._last_writer: Dict[int, int] = {}
+        self._readers_since: Dict[int, List[int]] = {}
+        #: per plan, instances left until the reader lists of the objects
+        #: it only ever reads are pruned of completed readers
+        self._prune_in: Dict[CompiledPlan, int] = {}
+        #: deferred instances of one plan, oldest first: ``(plan, cids,
+        #: rem)``. The lists, not the frame: an idle frame is reacquired
+        #: with fresh ones, and a drained instance's ``rem`` is all -1
+        self._chain: List[Tuple[CompiledPlan, List[int], List[int]]] = []
+        #: the frame whose update (folded or not) is the latest, else None;
+        #: the next compiled instance may replay its seam against it
+        self.tail: Optional[CommandArena] = None
+        #: the seam whose last replay since the last fold walked its
+        #: objects and found none of them pending
+        self._idle: Optional[Seam] = None
+        self._found = False
+        self.folds = 0  # introspection
+        #: REPRO_CROSS_CHECK: the eager tracker this one is held to
+        self.shadow = None
+
+    # -- compiled instances --
+    def admit(self, plan: CompiledPlan, seam: Seam):
+        """Start an instance of ``plan`` replaying ``seam`` (its seam after
+        the tail's plan); returns :meth:`walk` for the rows' objects, or
+        None when the walk may be skipped. It continues the chain when the
+        seam covers and the tail ran ``plan``: a plan's seam after itself
+        walks only reads of objects the plan never writes, which the chain
+        cannot have changed; anything else folds first. A seam whose last
+        replay since the last fold found its walked objects idle is not
+        walked again: only a fold writes them, and a completed command
+        never becomes pending again."""
+        chain = self._chain
+        if seam.covered and self.tail.plan is plan:
+            assert not chain or chain[-1][2] is self.tail.rem, \
+                "the chain must end at the tail"
+            walk = self._idle is not seam
+        else:
+            if chain:
+                self.fold()
+            walk = True
+        self._found = False
+        if self.shadow is not None:
+            self.shadow.admit(plan, seam, walk)
+        return self.walk if walk else None
+
+    def record(self, frame: CommandArena, seam: Seam) -> None:
+        """The admitted instance has registered its rows: append its
+        update to the chain and make its frame the tail."""
+        chain = self._chain
+        plan = frame.plan
+        assert not chain or chain[0][0] is plan, "a chain holds one plan"
+        # an instance whose frame drained adds nothing a fold would keep
+        while chain and chain[0][2].count(-1) == plan.m:
+            del chain[0]
+        chain.append((plan, frame.cids, frame.rem))
+        self.tail = frame
+        self._idle = None if self._found else seam
+        if self.shadow is not None:
+            self.shadow.record(plan, frame.cids)
+
+    def fold(self) -> None:
+        """Write the chain into the maps: the readers its instances still
+        have in flight, then the last instance's net update, which
+        supersedes every earlier one object by object."""
+        chain, self._chain = self._chain, []
+        self.folds += 1
+        self._idle = None
+        plan, cids, rem = chain[-1]
+        readers_since = self._readers_since
+        appended = plan.readers_append
+        if appended:
+            for _plan, icids, irem in chain:
+                if irem.count(-1) == plan.m:
+                    continue
+                for oid, poss in appended.items():
+                    for p in poss:
+                        if irem[p] >= 0:
+                            lst = readers_since.get(oid)
+                            if lst is None:
+                                readers_since[oid] = [icids[p]]
+                            else:
+                                lst.append(icids[p])
+            left = self._prune_in.get(plan, READERS_PRUNE_MIN) - len(chain)
+            if left <= 0:
+                # objects this plan only ever reads are never reset by a
+                # write: drop the completed readers once the lists may
+                # have doubled
+                for oid in appended:
+                    lst = readers_since.get(oid)
+                    if lst is not None:
+                        left = max(left, self._prune(lst))
+                left = max(left, READERS_PRUNE_MIN)
+            self._prune_in[plan] = left
+        last_writer = self._last_writer
+        for oid, (p, poss) in plan.net.items():
+            last_writer[oid] = cids[p]
+            readers_since[oid] = [cids[q] for q in poss if rem[q] >= 0]
+        if self.shadow is not None:
+            self.shadow.compare()
+
+    # -- the walk and central commands --
+    def walk(self, roids, woids) -> Optional[Set[Command]]:
+        """The pending commands an access reading ``roids`` and writing
+        ``woids`` waits for — each object's last writer and a written
+        object's readers since — or None if there are none."""
+        pending = self.pending
+        last_writer = self._last_writer
+        deps = None
+        for oid in roids + woids:
+            dep = pending.get(last_writer.get(oid))
+            if dep is not None:
+                if deps is None:
+                    deps = {dep}
+                else:
+                    deps.add(dep)
+        readers_since = self._readers_since
+        for oid in woids:
+            for reader in readers_since.get(oid, ()):
+                dep = pending.get(reader)
+                if dep is not None:
+                    if deps is None:
+                        deps = {dep}
+                    else:
+                        deps.add(dep)
+        if deps is not None:
+            self._found = True
+        return deps
+
+    def resolve(self, cmd: Command) -> Set[Command]:
+        """Walk, then record, one centrally dispatched command; returns the
+        pending commands it waits for (possibly none)."""
+        if self._chain:
+            self.fold()
+        self.tail = None  # no compiled instance's update is the latest now
+        cid, read, write = cmd.cid, cmd.read, cmd.write
+        if self.shadow is not None:
+            self.shadow.compare(read + write)
+        deps = self.walk(read, write) or set()
+        readers_since = self._readers_since
+        for oid in read:
+            readers = readers_since.get(oid)
+            if readers is None:
+                readers_since[oid] = [cid]
+            else:
+                readers.append(cid)
+                n = len(readers)
+                if n >= READERS_PRUNE_MIN and not n & (n - 1):
+                    # read-mostly object: keep the list O(pending readers)
+                    self._prune(readers)
+        last_writer = self._last_writer
+        for oid in write:
+            last_writer[oid] = cid
+            readers_since[oid] = []
+        if self.shadow is not None:
+            self.shadow.resolve(cid, read, write)
+        return deps
+
+    def _prune(self, readers: List[int]) -> int:
+        """Drop completed readers in place (exact: a completed command can
+        never become a dependency); returns the new length."""
+        pending = self.pending
+        readers[:] = [r for r in readers if r in pending]
+        return len(readers)
+
+    # -- plans, tenants, halts --
+    def drop_plan(self, plan: CompiledPlan) -> None:
+        """``plan`` will never run again: forget its prune countdown, and
+        the tail if it is one of its frames."""
+        if self._chain:
+            self.fold()
+        self._prune_in.pop(plan, None)
+        if self.tail is not None and self.tail.plan is plan:
+            self.tail = None
+
+    def scrub(self, released: Set[int]) -> None:
+        """Forget the entries of the ``released`` jobs' completed commands;
+        the worker scrubs again once the rest have drained."""
+        if self._chain:
+            self.fold()
+        self.tail = None
+        pending = self.pending
+        writers, readers_since = self._last_writer, self._readers_since
+        for oid in [o for o, w in writers.items()
+                    if o // OID_STRIDE in released and w not in pending]:
+            del writers[oid]
+        for oid in [o for o in readers_since if o // OID_STRIDE in released]:
+            if not self._prune(readers_since[oid]):
+                del readers_since[oid]
+
+    def clear(self) -> None:
+        """Halt: every command is abandoned."""
+        self._last_writer.clear()
+        self._readers_since.clear()
+        self._chain = []
+        self.tail = None
+        self._idle = None
+        if self.shadow is not None:
+            self.shadow.clear()
+
+    # -- observation (the oracle and tests): never folds --
+    def view(self, oid: int) -> Tuple[Optional[int], List[int]]:
+        """What a fold would leave for ``oid``, pending commands only: its
+        last writer if pending (else None) and its pending readers, sorted."""
+        writer = self._last_writer.get(oid)
+        readers = self._readers_since.get(oid, [])
+        for plan, cids, _rem in self._chain:
+            if oid in plan.net:
+                p, poss = plan.net[oid]
+                writer, readers = cids[p], [cids[q] for q in poss]
+            elif oid in plan.readers_append:
+                readers = readers + [cids[q]
+                                     for q in plan.readers_append[oid]]
+        pending = self.pending
+        readers = [r for r in readers if r in pending]
+        readers.sort()
+        return writer if writer in pending else None, readers
+
+    def stats(self) -> Dict[str, int]:
+        """Sizes: objects with a writer / a reader list, readers held, the
+        longest list, plans counting down to a prune, chained instances."""
+        lists = self._readers_since.values()
+        return {"writers": len(self._last_writer),
+                "reader_lists": len(lists),
+                "readers": sum(map(len, lists)),
+                "longest": max(map(len, lists), default=0),
+                "plans": len(self._prune_in),
+                "chain": len(self._chain)}

@@ -23,24 +23,18 @@ import heapq
 from collections import deque
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from ..core.compiled import (
-    READERS_PRUNE_MIN,
-    CommandArena,
-    CompiledPlan,
-    Seam,
-    build_seam,
-    compile_plan,
-)
+from ..core.compiled import CompiledPlan, Seam, build_seam, compile_plan
 from ..core.worker_template import WorkerHalf
 from ..sim.actor import Actor, Message, _Callback
 from ..sim.engine import Simulator
 from ..sim.metrics import Metrics
 from .commands import Command, CommandKind
 from .costs import CostModel
-from .crosscheck import FrameCheck
+from .crosscheck import FrameCheck, TrackerShadow
 from .data import ObjectStore
 from .multijob import OID_STRIDE
 from .runtime import FunctionRegistry, TaskContext
+from .tracker import ConflictTracker
 from . import protocol as P
 
 
@@ -185,8 +179,9 @@ class Worker(P.ReliableEndpoint, Actor):
         self._dependents: Dict[int, List[Command]] = {}
         self._ready_tasks = deque()
         self._free_slots: int = slots
-        self._last_writer: Dict[int, int] = {}
-        self._readers_since: Dict[int, List[int]] = {}
+        self.tracker = ConflictTracker(self._pending)
+        if self._cross_check:
+            self.tracker.shadow = TrackerShadow(self.tracker)
 
         # copy matching
         self._data_buffer: Dict[Hashable, Tuple[Any, int]] = {}
@@ -205,16 +200,9 @@ class Worker(P.ReliableEndpoint, Actor):
 
         # compiled execution plans (repro.core.compiled): every template
         # and patch instance replays a pooled command arena
-        #: the frame whose net update was the last thing to touch the
-        #: conflict tracker, else None; the next compiled instance may
-        #: replay its cached seam against it (DESIGN.md §9)
-        self._tail: Optional[CommandArena] = None
         #: (predecessor plan, plan) -> its seam; None after one sighting
         self._seams: Dict[Tuple[CompiledPlan, CompiledPlan],
                           Optional[Seam]] = {}
-        #: per plan, instantiations left until the reader lists of the
-        #: objects it only ever reads are pruned of completed readers
-        self._prune_in: Dict[CompiledPlan, int] = {}
         self.plans_compiled = 0  # introspection: plan compilations
 
         # instances
@@ -458,17 +446,20 @@ class Worker(P.ReliableEndpoint, Actor):
         holds it to): external dependencies are read from the pre-batch
         conflict tracker (nothing external can complete mid-handler, so
         checking up front equals the per-command interleaving), the
-        tracker gets the batch's *net* update, and ready positions fire
+        tracker gets the batch's *net* update — deferred to its chain
+        until something reads it — and ready positions fire
         in entry order so zero-dep SEND/RECV/CREATE commands complete
         synchronously at the points a per-command sweep completes them.
 
         The instance runs on a frame (DESIGN.md §9): dependency counts
         start as one list copy, and when the previous thing enqueued here
-        was another compiled instance (``_tail``) the cached seam between
-        the two plans answers every conflict check its net update
-        determines with "is that predecessor position still pending".
+        was another compiled instance (the tracker's ``tail``) the cached
+        seam between the two plans answers every conflict check its net
+        update determines with "is that predecessor position still
+        pending".
         """
-        pred = self._tail
+        tracker = self.tracker
+        pred = tracker.tail
         seam, prem, pxs = plan.miss, (), ()
         if pred is not None:
             key = (pred.plan, plan)
@@ -489,6 +480,7 @@ class Worker(P.ReliableEndpoint, Actor):
         counters = self.metrics.counters
         if seam.covered:
             counters["worker.seam_hits"] += 1.0
+        walk = tracker.admit(plan, seam)
 
         frame = plan.acquire(self.worker_id, self.registry)
         cmds = frame.cmds
@@ -519,8 +511,6 @@ class Worker(P.ReliableEndpoint, Actor):
         counters["worker.seam_fallback_oids"] += seam.fallback
         frame.rem = rem = plan.init_hold[:]
         ready = []
-        last_writer = self._last_writer
-        readers_since = self._readers_since
         data_buffer = self._data_buffer
         for pos, preds, roids, woids, is_recv in seam.rows:
             cmd = cmds[pos]
@@ -529,24 +519,9 @@ class Worker(P.ReliableEndpoint, Actor):
                 if prem[q] >= 0:
                     pxs[q].append(cmd)
                     n += 1
-            if roids or woids:
-                # not covered by the seam: today's tracker walk
-                deps = None
-                for oid in roids + woids:
-                    dep = pending.get(last_writer.get(oid))
-                    if dep is not None:
-                        if deps is None:
-                            deps = {dep}
-                        else:
-                            deps.add(dep)
-                for oid in woids:
-                    for reader in readers_since.get(oid, ()):
-                        dep = pending.get(reader)
-                        if dep is not None:
-                            if deps is None:
-                                deps = {dep}
-                            else:
-                                deps.add(dep)
+            if walk is not None and (roids or woids):
+                # not covered by the seam: the tracker walk
+                deps = walk(roids, woids)
                 if deps is not None:
                     n += len(deps)
                     for dep in deps:
@@ -559,31 +534,11 @@ class Worker(P.ReliableEndpoint, Actor):
             elif not rem[pos]:
                 rem[pos] = 1  # a ready root: held until the firing pass
                 ready.append(pos)
-        # net conflict-tracker update (end state identical to per-command
-        # updates: intra-batch churn collapses at compile time). It lands
-        # before anything fires, so an instance started from inside the
-        # firing pass (a grant self-advance) already sees it.
-        for oid, (p, poss) in plan.net.items():
-            last_writer[oid] = cids[p]
-            readers_since[oid] = [cids[q] for q in poss]
-        if plan.readers_append:
-            for oid, poss in plan.readers_append.items():
-                lst = readers_since.get(oid)
-                if lst is None:
-                    readers_since[oid] = [cids[p] for p in poss]
-                else:
-                    for p in poss:
-                        lst.append(cids[p])
-            left = self._prune_in.get(plan, READERS_PRUNE_MIN) - 1
-            if left <= 0:
-                # objects this plan only ever reads gain a reader per
-                # instance and are never reset by a write: drop the
-                # completed ones once the lists may have doubled
-                for oid in plan.readers_append:
-                    left = max(left, self._prune_readers(readers_since[oid]))
-                left = max(left, READERS_PRUNE_MIN)
-            self._prune_in[plan] = left
-        self._tail = frame
+        # the net tracker update, on the chain (end state identical to
+        # per-command updates: intra-batch churn collapses at compile
+        # time). It lands before anything fires, so an instance started
+        # from inside the firing pass (a grant self-advance) sees it.
+        tracker.record(frame, seam)
 
         # firing pass, in entry order: the ready roots, plus the held
         # positions that synchronous completions have cleared by the time
@@ -601,13 +556,6 @@ class Worker(P.ReliableEndpoint, Actor):
                 on_ready(cmds[pos])
         if self._cross_check:
             check.verify(entries, instance_id, cid_base, params)
-
-    def _prune_readers(self, readers: List[int]) -> int:
-        """Drop completed readers in place (a reader that is no longer
-        pending can never become a dependency); returns the new length."""
-        pending = self._pending
-        readers[:] = [r for r in readers if r in pending]
-        return len(readers)
 
     def _link(self, pred: Command, cmd: Command) -> None:
         """Make ``cmd`` wait for pending ``pred``: successors of a compiled
@@ -629,9 +577,7 @@ class Worker(P.ReliableEndpoint, Actor):
         if plan is None:
             return
         self._seams = {k: v for k, v in self._seams.items() if plan not in k}
-        self._prune_in.pop(plan, None)
-        if self._tail is not None and self._tail.plan is plan:
-            self._tail = None
+        self.tracker.drop_plan(plan)
         plan.retire()
 
     def _apply_edits(self, half: WorkerHalf, edits) -> None:
@@ -684,15 +630,7 @@ class Worker(P.ReliableEndpoint, Actor):
         survive the pass at release; :meth:`_complete` runs it again when
         the last of them is gone.
         """
-        pending, released = self._pending, self._released_jobs
-        self._tail = None
-        writers, readers_since = self._last_writer, self._readers_since
-        for oid in [o for o, w in writers.items()
-                    if o // OID_STRIDE in released and w not in pending]:
-            del writers[oid]
-        for oid in [o for o in readers_since if o // OID_STRIDE in released]:
-            if not self._prune_readers(readers_since[oid]):
-                del readers_since[oid]
+        self.tracker.scrub(self._released_jobs)
         for pid, plan in self._patch_plans.items():
             if (plan is not None and plan.live
                     and self._body_released(plan.live[0])):
@@ -744,44 +682,12 @@ class Worker(P.ReliableEndpoint, Actor):
         self._resolve(cmd)
 
     def _resolve(self, cmd: Command) -> None:
-        cid = cmd.cid
         pending = self._pending
-        last_writer = self._last_writer
-        readers_since = self._readers_since
-        read, write = cmd.read, cmd.write
-        deps = set()
+        deps = self.tracker.resolve(cmd)
         for dep in cmd.before:
-            if dep != cid and dep in pending:
-                deps.add(dep)
-        for oid in read:
-            writer = last_writer.get(oid)
-            if writer is not None and writer != cid and writer in pending:
-                deps.add(writer)
-        for oid in write:
-            writer = last_writer.get(oid)
-            if writer is not None and writer != cid and writer in pending:
-                deps.add(writer)
-            readers = readers_since.get(oid)
-            if readers:
-                for reader in readers:
-                    if reader != cid and reader in pending:
-                        deps.add(reader)
-        # update the conflict tracker
-        self._tail = None  # no compiled frame's update is the latest now
-        for oid in read:
-            readers = readers_since.get(oid)
-            if readers is None:
-                readers_since[oid] = [cid]
-            else:
-                readers.append(cid)
-                n = len(readers)
-                if n >= READERS_PRUNE_MIN and not n & (n - 1):
-                    # read-mostly object: keep the list O(pending readers)
-                    self._prune_readers(readers)
-        for oid in write:
-            last_writer[oid] = cid
-            readers_since[oid] = []
-
+            if dep in pending:
+                deps.add(pending[dep])
+        deps.discard(cmd)
         remaining = len(deps)
         if cmd.kind == CommandKind.RECV:
             if cmd.tag in self._data_buffer:
@@ -791,7 +697,7 @@ class Worker(P.ReliableEndpoint, Actor):
                 remaining += 1
         cmd._rem = remaining
         for dep in deps:
-            self._link(pending[dep], cmd)
+            self._link(dep, cmd)
         if remaining == 0:
             if self._trace is not None:
                 # ready straight from dispatch (grant self-advances thread
@@ -1271,8 +1177,7 @@ class Worker(P.ReliableEndpoint, Actor):
         self._dependents.clear()
         self._ready_tasks.clear()
         self._free_slots = self.slots
-        self._last_writer.clear()
-        self._readers_since.clear()
+        self.tracker.clear()  # and its tail: pools refill on demand
         self._data_buffer.clear()
         self._expected.clear()
         self._instances.clear()
@@ -1280,7 +1185,6 @@ class Worker(P.ReliableEndpoint, Actor):
         self._deferred_windows.clear()
         self._barrier_windows.clear()
         self._completion_buffer.clear()  # stale: their runs were abandoned
-        self._tail = None  # pools refill on demand
         self._released_cids.clear()
         self.send_reliable(self.controller, P.HaltAck(self.worker_id))
 

@@ -470,7 +470,9 @@ def test_seam_dropped_by_halt_and_recovery():
     probe = _SeamProbe()
     probe.assert_steady()
     probe.worker.handle(P.Halt())
-    assert not probe.worker._pending and probe.worker._tail is None
+    tracker = probe.worker.tracker
+    assert not probe.worker._pending and tracker.tail is None
+    assert tracker.stats()["chain"] == 0
     probe.assert_dropped_then_rebuilt(builds_expected=0)
 
 

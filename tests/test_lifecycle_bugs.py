@@ -443,14 +443,14 @@ def test_provisioned_worker_syncs_epoch_after_churn():
 # ---------------------------------------------------------------------------
 def _tenant_state(cluster):
     """Per-worker sizes of everything a worker keeps per tenant."""
-    return {
-        wid: (len(w._last_writer), len(w._readers_since),
-              sum(len(r) for r in w._readers_since.values()),
-              sum(plan is not None for plan in w._patch_plans.values()),
-              len(w._seams), len(w._templates),
-              len(w._prune_in), len(w._released_cids))
-        for wid, w in cluster.workers.items()
-    }
+    def sizes(w):
+        tracker = w.tracker.stats()
+        return (tracker["writers"], tracker["reader_lists"],
+                tracker["readers"],
+                sum(plan is not None for plan in w._patch_plans.values()),
+                len(w._seams), len(w._templates),
+                tracker["plans"], len(w._released_cids), tracker["chain"])
+    return {wid: sizes(w) for wid, w in cluster.workers.items()}
 
 
 def test_released_tenants_leave_no_tracker_plan_or_seam_state():
@@ -534,7 +534,8 @@ def test_tenant_released_mid_run_is_scrubbed_once_drained():
         lambda ctrl: ctrl.release_job(record.job_id)))
     while not any(w._released_jobs for w in workers):
         cluster.sim.step()
-    assert any(w._released_cids and w._last_writer for w in workers)
+    assert any(w._released_cids and w.tracker.stats()["writers"]
+               for w in workers)
     cluster.sim.run(until=cluster.sim.now + 5.0)
     assert all(not w._pending for w in workers)
     assert all(not any(sizes) for sizes in _tenant_state(cluster).values())
@@ -546,9 +547,11 @@ def test_read_only_reader_lists_stay_bounded(use_templates):
     training data) gained one reader cid per instance, forever; a later
     write then walked the whole list. 200 iterations keep the list at
     O(pipeline depth), and a write after them still depends on exactly
-    the readers that are pending. Templated instances prune per plan; a
-    ``use_templates=False`` stream is resolved command by command and
-    prunes in ``_resolve`` at every power-of-two length."""
+    the readers that are pending. Templated instances defer their
+    readers to the tracker's chain, which drops drained instances and
+    prunes per plan when it folds; a ``use_templates=False`` stream is
+    resolved command by command and prunes at every power-of-two
+    length."""
     from repro.apps import LRApp, LRSpec
 
     iterations = 200
@@ -560,8 +563,8 @@ def test_read_only_reader_lists_stay_bounded(use_templates):
 
     def watch(_controller):
         for w in box["cluster"].workers.values():
-            longest[0] = max([longest[0]] + [
-                len(readers) for readers in w._readers_since.values()])
+            stats = w.tracker.stats()
+            longest[0] = max(longest[0], stats["longest"], stats["chain"])
 
     def program(job):
         yield job.define(app.variables.definitions)
@@ -584,8 +587,9 @@ def test_read_only_reader_lists_stay_bounded(use_templates):
     # are the readers still pending (two hand-enqueued ones; nothing runs
     # them, the simulator has stopped)
     from repro.nimbus.commands import make_task
-    oid = max(w._readers_since, key=lambda o: len(w._readers_since[o]))
-    assert w._last_writer.get(oid) not in w._pending
+    oid = next(oid for oid, _n, _p, _s, home in app.variables.definitions
+               if oid in app.tdata and home == w.worker_id)
+    assert w.tracker.view(oid) == (None, [])
     base = 10 ** 9
     for k in range(2):
         w._enqueue(make_task(base + k, 0, "__noop__", (oid,), ()), 0, False)
