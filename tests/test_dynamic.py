@@ -248,23 +248,42 @@ def _pin_evict(controller):
     controller.evict_workers([1])
 
 
-#: scenario -> (directive_at, directive, sim.now, sim.events_run,
+def _pin_evict_then_restore():
+    """Evict worker 1 before iteration 4 and bring it back before 6 onto
+    the placement and versions snapshotted just before the eviction."""
+    state = {}
+
+    def evict(controller):
+        state["placement"] = controller.snapshot_placement()
+        state["versions"] = controller.snapshot_versions()
+        controller.evict_workers([1])
+
+    def restore(controller):
+        controller.restore_workers([1], state["placement"],
+                                   state["versions"])
+
+    return {4: evict, 6: restore}
+
+
+#: scenario -> (iteration -> directive, sim.now, sim.events_run,
 #: controller.messages_out, relocation_copies,
 #: worker_template_regenerations). Patch build-and-ship, worker-template
 #: regeneration and re-homing off departed workers run on almost no
 #: benchmark workload, so their exact timeline is held here.
 TIMELINE_PINS = {
-    "none": (None, None, 0.02767672879999999, 237, 32, 0, 0),
-    "edits": (5, _pin_edits, 0.02791348159999999, 260, 34, 2, 0),
-    "reinstall": (5, _pin_reinstall, 0.029316335999999988, 271, 34, 0, 1),
-    "evict": (4, _pin_evict, 0.02885166399999999, 224, 31, 2, 2),
+    "none": ({}, 0.02767672879999999, 237, 32, 0, 0),
+    "edits": ({5: _pin_edits}, 0.02791348159999999, 260, 34, 2, 0),
+    "reinstall": ({5: _pin_reinstall}, 0.029316335999999988, 271, 34, 0, 1),
+    "evict": ({4: _pin_evict}, 0.02885166399999999, 224, 31, 2, 2),
+    "restore": (_pin_evict_then_restore(), 0.02907775999999999, 238, 33,
+                2, 2),
 }
 
 
 @pytest.mark.parametrize("scenario", sorted(TIMELINE_PINS))
 def test_dynamic_scheduling_timeline_is_pinned(scenario):
-    at, directive, now, events, out, copies, regens = TIMELINE_PINS[scenario]
-    cluster = run_with_directives(8, directive_at=at, directive=directive)
+    directives, now, events, out, copies, regens = TIMELINE_PINS[scenario]
+    cluster = run_with_directives(8, directives=directives)
     assert (cluster.sim.now, cluster.sim.events_run,
             cluster.metrics.count("controller.messages_out"),
             cluster.metrics.count("relocation_copies"),

@@ -36,7 +36,7 @@ def blocks():
 
 
 def build_cluster(iterations, fail_worker_after=None, num_workers=3,
-                  checkpoint_every=3):
+                  checkpoint_every=3, mode="centralized"):
     seed_block, iter_block = blocks()
     objects = {oid: (f"o{oid}", 8) for oid in DATA + OUT + [ACC]}
     box = {}
@@ -54,7 +54,7 @@ def build_cluster(iterations, fail_worker_after=None, num_workers=3,
     cluster = NimbusCluster(
         num_workers, program, registry=combine_registry(),
         use_templates=True, checkpoint_every=checkpoint_every,
-        heartbeat_timeout=0.5,
+        heartbeat_timeout=0.5, mode=mode,
     )
     box["cluster"] = cluster
     cluster.start_fault_tolerance(heartbeat_interval=0.1, check_interval=0.2)
@@ -86,17 +86,49 @@ def test_worker_failure_recovers_and_finishes():
     assert 2 not in cluster.controller.live_workers
 
 
+def _recovery_timeline(cluster):
+    return (cluster.sim.now, cluster.sim.events_run,
+            cluster.metrics.count("controller.messages_out"),
+            cluster.metrics.count("worker_template_regenerations"),
+            cluster.metrics.count("checkpoints_committed"))
+
+
 def test_recovery_timeline_is_pinned():
     """Exact timeline of a checkpoint-recovery run: restore re-homes the
     dead worker's template entries and regenerates both installed blocks,
-    a path no benchmark workload takes."""
-    cluster = build_cluster(iterations=10, fail_worker_after=6)
+    a path no benchmark workload takes. The program blocks on every
+    iteration, so a window holds one entry and the window modes send it
+    as a plain instantiation: all three modes share one timeline."""
+    for mode in ("centralized", "decentralized", "sharded"):
+        cluster = build_cluster(iterations=10, fail_worker_after=6,
+                                mode=mode)
+        cluster.run_until_finished(max_seconds=1e4)
+        assert _recovery_timeline(cluster) \
+            == (0.6168435807999999, 436, 70, 2, 3), mode
+
+
+#: mode -> recovery timeline of a pipelined LR run whose worker 3 dies
+#: while the second self-schedule window is granted: the first window's
+#: boundary is the only checkpoint, and recovery drops the open grant
+WINDOWED_RECOVERY_PINS = {
+    "decentralized": (147.92306741361344, 13738, 79, 2, 1),
+    "sharded": (147.92320749041343, 13758, 74, 2, 1),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(WINDOWED_RECOVERY_PINS))
+def test_windowed_recovery_timeline_is_pinned(mode):
+    from repro.apps import LRApp, LRSpec
+    app = LRApp(LRSpec(num_workers=4, iterations=40,
+                       partitions_per_worker=4))
+    cluster = NimbusCluster(4, app.program(blocking=False),
+                            registry=app.registry, mode=mode,
+                            checkpoint_every=4, heartbeat_timeout=0.5)
+    cluster.start_fault_tolerance(heartbeat_interval=0.1, check_interval=0.2)
+    cluster.sim.schedule_at(70.0, cluster.workers[3].fail)
     cluster.run_until_finished(max_seconds=1e4)
-    assert (cluster.sim.now, cluster.sim.events_run,
-            cluster.metrics.count("controller.messages_out"),
-            cluster.metrics.count("worker_template_regenerations"),
-            cluster.metrics.count("checkpoints_committed")) \
-        == (0.6168435807999999, 436, 70, 2, 3)
+    assert cluster.metrics.count("recoveries_completed") == 1
+    assert _recovery_timeline(cluster) == WINDOWED_RECOVERY_PINS[mode]
 
 
 def test_recovered_run_produces_correct_results():
