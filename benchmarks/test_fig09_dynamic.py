@@ -31,12 +31,12 @@ def run_timeline(num_workers):
     state = {}
 
     def evict(controller):
-        state["placement"] = controller.snapshot_placement()
-        state["versions"] = controller.snapshot_versions()
-        controller.evict_workers(list(range(num_workers // 2, num_workers)))
+        state["placement"] = controller.membership.snapshot_placement()
+        state["versions"] = controller.membership.snapshot_versions()
+        controller.membership.evict_workers(list(range(num_workers // 2, num_workers)))
 
     def restore(controller):
-        controller.restore_workers(
+        controller.membership.restore_workers(
             list(range(num_workers // 2, num_workers)),
             state["placement"], state["versions"])
 

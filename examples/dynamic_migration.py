@@ -30,14 +30,14 @@ def main() -> None:
         print(f"  -> migrated {len(moves)} tasks via {mechanism}")
 
     def evict(controller):
-        state["placement"] = controller.snapshot_placement()
-        state["versions"] = controller.snapshot_versions()
+        state["placement"] = controller.membership.snapshot_placement()
+        state["versions"] = controller.membership.snapshot_versions()
         evicted = list(range(num_workers // 2, num_workers))
-        controller.evict_workers(evicted)
+        controller.membership.evict_workers(evicted)
         print(f"  -> cluster manager revoked workers {evicted[0]}..{evicted[-1]}")
 
     def restore(controller):
-        controller.restore_workers(
+        controller.membership.restore_workers(
             list(range(num_workers // 2, num_workers)),
             state["placement"], state["versions"])
         print("  -> cluster manager returned the workers; cached templates "

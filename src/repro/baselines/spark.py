@@ -95,6 +95,12 @@ class SparkController(Controller):
             self._stage_outstanding = run.outstanding
             return
 
+    def _dispatch(self, run, cmd, report: bool = False) -> None:
+        # no block-wide coalescing: one message per task
+        run.outstanding += 1
+        self.send_reliable(self.workers[cmd.worker],
+                           P.DispatchCommandBatch([(cmd, report)], run.seq))
+
     def _on_command_complete_batch(self, msg: P.CommandCompleteBatch) -> None:
         super()._on_command_complete_batch(msg)
         if self._active is None:

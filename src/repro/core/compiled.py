@@ -126,9 +126,9 @@ class Seam:
 class CompiledPlan:
     """Struct-of-arrays execution plan for one worker half's entry array.
 
-    All arrays are indexed by *batch position* (live entries in entry
-    order); ``index[pos]`` maps back to the original entry index, which is
-    what command ids are based on (tombstoned indices stay reserved).
+    All arrays are indexed by *batch position* (entries in entry order);
+    ``index[pos]`` is the entry index command ids are based on, which
+    equals the position (edits replace or append, never leave a hole).
     """
 
     __slots__ = (
@@ -260,18 +260,18 @@ def _frame_command(arena: CommandArena, pos: int, e, worker_id: int,
     return cmd
 
 
-def compile_plan(entries: List[Optional[Any]], reports) -> CompiledPlan:
+def compile_plan(entries: List[Any], reports) -> CompiledPlan:
     """Compile a worker half's entry array into a :class:`CompiledPlan`.
 
     The compilation simulates a command-by-command resolution sweep
-    symbolically: which before-set edges survive tombstoning, which
+    symbolically: the before-set edges between positions, which
     read/write accesses face *pre-batch* state (and therefore need the
     runtime conflict tracker consulted), and what net update the batch
     applies to the tracker (intra-batch churn collapses to the final
     writer plus the trailing readers of each object).
     """
     plan = CompiledPlan()
-    live = [e for e in entries if e is not None]
+    live = list(entries)
     m = len(live)
     plan.live = live
     plan.reports = frozenset(reports)
@@ -440,9 +440,9 @@ def derive_plan(plan: CompiledPlan, entries: List[Any], access,
       ``access``, the half's :class:`~repro.core.worker_template.AccessIndex`
       (already edited), instead of swept.
 
-    Requires an array without tombstones (position == index) whose before
-    sets name entries of the array they were written against, which is
-    what migration planning produces; ``anc`` stays lazy.
+    Requires an array whose before sets name entries of the array they
+    were written against, which is what migration planning produces;
+    ``anc`` stays lazy.
     """
     task, send, recv = CommandKind.TASK, CommandKind.SEND, CommandKind.RECV
     old_live, n = plan.live, plan.m

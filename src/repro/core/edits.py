@@ -26,11 +26,12 @@ class MigrationError(ValueError):
 
 
 class EditOp:
-    """One edit primitive applied to a worker half's entry array."""
+    """One edit primitive applied to a worker half's entry array: replace
+    the entry at an index, or append one. Removing a task is a REPLACE of
+    its slot, so every index stays occupied and positions equal indices."""
 
     REPLACE = "replace"
     APPEND = "append"
-    REMOVE = "remove"
 
     __slots__ = ("op", "index", "entry")
 
@@ -44,41 +45,35 @@ class EditOp:
         """Deep-enough copy for applying the op to a second entry array
         (the worker half) without sharing TemplateEntry objects with the
         first (the controller half)."""
-        entry = self.entry.clone() if self.entry is not None else None
-        return EditOp(self.op, self.index, entry)
+        return EditOp(self.op, self.index, self.entry.clone())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EditOp {self.op} @{self.index}>"
 
 
-def apply_edits(entries: List[Optional[TemplateEntry]], ops: List[EditOp],
+def apply_edits(entries: List[TemplateEntry], ops: List[EditOp],
                 access: Optional[AccessIndex] = None) -> None:
     """Apply edit ops to an entry array, in order. Mutates ``entries``,
     and ``access`` — the array's accessor index, once it has one — with it."""
     for op in ops:
+        new = op.entry
         if op.op == EditOp.REPLACE:
             old = entries[op.index]
-            if old is None:
-                raise ValueError(f"replacing tombstoned entry {op.index}")
-            op.entry.index = op.index
-            entries[op.index] = new = op.entry
+            new.index = op.index
+            entries[op.index] = new
         elif op.op == EditOp.APPEND:
-            if op.entry.index != len(entries):
+            if new.index != len(entries):
                 raise ValueError(
-                    f"append index {op.entry.index} != array length {len(entries)}"
+                    f"append index {new.index} != array length {len(entries)}"
                 )
-            old, new = None, op.entry
+            old = None
             entries.append(new)
-        elif op.op == EditOp.REMOVE:
-            old, new = entries[op.index], None
-            entries[op.index] = None
         else:
             raise ValueError(f"unknown edit op {op.op!r}")
         if access is not None:
             if old is not None:
                 access.discard(old)
-            if new is not None:
-                access.add(new)
+            access.add(new)
 
 
 def _provider_of(access: AccessIndex, upto: int, oid: int) -> Optional[int]:

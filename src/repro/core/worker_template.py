@@ -96,12 +96,11 @@ class AccessIndex:
 
     __slots__ = ("_reads", "_writes")
 
-    def __init__(self, entries: Iterable[Optional[TemplateEntry]]):
+    def __init__(self, entries: Iterable[TemplateEntry]):
         self._reads: Dict[int, Union[int, List[int]]] = {}
         self._writes: Dict[int, Union[int, List[int]]] = {}
         for entry in entries:
-            if entry is not None:
-                self.add(entry)
+            self.add(entry)
 
     def readers(self, oid: int) -> Sequence[int]:
         have = self._reads.get(oid, ())
@@ -219,7 +218,7 @@ class WorkerTemplateSet:
             entry.ct_index: (worker, entry.index)
             for worker, lst in entries.items()
             for entry in lst
-            if entry is not None and entry.ct_index is not None
+            if entry.ct_index is not None
         }
         #: worker -> AccessIndex of its entries, built by the first
         #: migration that touches the worker (:meth:`access`)
@@ -253,8 +252,6 @@ class WorkerTemplateSet:
         per_kind: Dict[str, int] = {}
         for lst in self.entries.values():
             for entry in lst:
-                if entry is None:
-                    continue
                 kind = entry.kind.name
                 per_kind[kind] = per_kind.get(kind, 0) + 1
         return {
@@ -401,7 +398,7 @@ class WorkerHalf:
                  entries: List[TemplateEntry], reports: List[int]):
         self.block_id = block_id
         self.version = version
-        self.entries: List[Optional[TemplateEntry]] = list(entries)
+        self.entries: List[TemplateEntry] = list(entries)
         self.reports = set(reports)
         #: lazily compiled execution plan (repro.core.compiled); an edit
         #: derives the next one from it
@@ -413,12 +410,6 @@ class WorkerHalf:
     @property
     def key(self) -> Tuple[str, int]:
         return (self.block_id, self.version)
-
-    def live_entries(self) -> List[TemplateEntry]:
-        return [e for e in self.entries if e is not None]
-
-    def num_commands(self) -> int:
-        return sum(1 for e in self.entries if e is not None)
 
     # ------------------------------------------------------------------
     # Compiled execution plan (repro.core.compiled)
@@ -446,17 +437,14 @@ class WorkerHalf:
         alias state cached on the other.
         """
         from .compiled import derive_plan
-        from .edits import EditOp, apply_edits
-        plan = stale = self._plan
-        if plan is not None and (plan.m != len(self.entries) or any(
-                op.op == EditOp.REMOVE for op in ops)):
-            plan = self._plan = None  # tombstones (no producer in src/): recompile
+        from .edits import apply_edits
+        plan = self._plan
         if plan is not None and self._access is None:
             self._access = AccessIndex(self.entries)
         ops = [op.clone() for op in ops]
         apply_edits(self.entries, ops, self._access)
         for op in ops:
-            if op.entry is not None and op.entry.report:
+            if op.entry.report:
                 self.reports.add(op.index)
             else:
                 self.reports.discard(op.index)
@@ -464,4 +452,4 @@ class WorkerHalf:
             self._plan = derive_plan(
                 plan, self.entries, self._access, {op.index for op in ops},
                 self.reports, worker_id, registry)
-        return stale
+        return plan

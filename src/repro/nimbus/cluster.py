@@ -196,7 +196,7 @@ class NimbusCluster:
         The worker joins the shared peer dict immediately (data-plane
         reachable, and in scope for scripted demand events) but is *not*
         yet schedulable: the controller learns of it only when the
-        autoscaler's cold start elapses and ``Controller.add_worker``
+        autoscaler's cold start elapses and ``Membership.add_worker``
         runs. Its task-duration scale starts at the chaos plan's ambient
         demand level, so late joiners feel the same demand as everyone.
         """
@@ -255,7 +255,7 @@ class NimbusCluster:
         self._hb_interval = heartbeat_interval
         for worker in self.workers.values():
             worker.start_heartbeats(heartbeat_interval)
-        self.controller.start_failure_detector(check_interval)
+        self.controller.membership.start_failure_detector(check_interval)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> Job:

@@ -18,9 +18,10 @@ matching the installation staircase of Figure 9:
   7.3 µs/task), patch if needed, and send one instantiation message per
   worker — n+1 control messages for the whole iteration (§2.2).
 
-The controller also owns the object directory, the patch cache, edit-based
-migration, eviction/restore of workers (Figure 9), checkpointing, and
-failure recovery (§4.4).
+The controller also owns the object directory, the patch cache and
+edit-based migration. Every change to the worker set — eviction/restore
+(Figure 9), joins, deaths, checkpointing and failure recovery (§4.4) —
+belongs to its :class:`~repro.nimbus.membership.Membership`.
 
 Multi-tenancy: the controller serves N concurrent jobs. Everything the
 template machinery needs per job — the template namespace, the object
@@ -38,22 +39,23 @@ jobs' completions seeds new jobs' placements on the least-loaded worker.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.controller_template import ControllerTemplate
 from ..core.edits import merge_edits, plan_migrations
 from ..core.patching import Patch, PatchCache, build_patch
 from ..core.spec import BlockSpec
-from ..core.validation import ValidationState, full_validate
+from ..core.validation import full_validate
 from ..core.worker_template import WorkerTemplateSet, generate_worker_templates
 from ..sched.policy import make_policy
 from ..sched.rebalance import LoadTracker
 from ..sim.actor import Actor, Message
 from ..sim.engine import Simulator
 from ..sim.metrics import Metrics
-from .commands import Command, CommandKind, make_copy_pair, make_task
+from .commands import Command, make_copy_pair, make_task
 from .costs import CostModel
-from .data import LogicalObject, ObjectDirectory, PartitionPlacement
+from .data import LogicalObject, PartitionPlacement
+from .membership import Membership
 from .multijob import FairShareQueue, JobContext
 from . import protocol as P
 
@@ -154,27 +156,23 @@ class Controller(P.ReliableEndpoint, Actor):
         self.metrics = metrics
         self._init_reliable(metrics)
         self.slots_per_worker = slots_per_worker
-        self.checkpoint_every = checkpoint_every
-        self.heartbeat_timeout = heartbeat_timeout
         #: migrations touching more than this fraction of a template's tasks
         #: trigger a re-install instead of edits (§2.3)
         self.edit_threshold = edit_threshold
         self._patch_cache_cap = patch_cache_cap
-        #: evictions may never shrink the live set below this floor (the
-        #: autoscaler raises it to its policy's min_workers)
-        self.min_live_workers = 1
 
         self.workers: Dict[int, Actor] = {}
-        self.live_workers: Set[int] = set()
+        #: the worker set and every change to it: eviction, join, restore,
+        #: death, checkpoints and recovery
+        self.membership = Membership(self, checkpoint_every,
+                                     heartbeat_timeout)
+        #: the membership's live set itself, so a hot-path membership test
+        #: is one attribute load; only the membership changes it
+        self.live_workers = self.membership.live_workers
         #: controller shards (sharded mode, DESIGN.md §16): shard id ->
         #: ControllerShard actor. Attached by the cluster; empty is fine
         #: as long as no job runs mode="sharded".
         self.shards: Dict[int, Actor] = {}
-        #: workers the autoscaler is draining (DRAINING lifecycle): still
-        #: live — in-flight work finishes, channels stay open — but no
-        #: *new* placement may target them (new-job registration, spread
-        #: planning). Maintained by scale.ResourceController.
-        self.draining_workers: Set[int] = set()
         #: reverse causal barrier for sharded fan-in: highest reliable
         #: sequence handled per sender (actor name). A shard-relayed
         #: WindowSummary carries the worker→coordinator sequence it must
@@ -220,32 +218,15 @@ class Controller(P.ReliableEndpoint, Actor):
         self._next_cid = 1
         self._next_instance = 1
         self._next_seq = 1
-        self._next_checkpoint = 1
         self._next_patch_id = 1
 
         # per-block-run state
         self.runs: Dict[int, _BlockRun] = {}
-        self._blocks_since_checkpoint = 0
 
         #: while a central block run is being planned, dispatches coalesce
         #: here (worker -> [(command, report)]) into one batch message per
         #: worker instead of one message per command
         self._dispatch_buffer: Optional[Dict[int, List[Tuple[Command, bool]]]] = None
-
-        # checkpoint / recovery state (job 0: fault tolerance predates
-        # multi-tenant serving and is only driven by the legacy driver)
-        self._checkpoint_acks: Set[int] = set()
-        self._halt_acks: Set[int] = set()
-        self._load_acks: Set[int] = set()
-        self._expected_load_acks: Set[int] = set()
-        self._pending_checkpoint_id: Optional[int] = None
-        self._last_committed_checkpoint: Optional[int] = None
-        self._checkpoint_snapshots: Dict[int, Tuple] = {}
-        self._recovering = False
-        self._checkpointing = False
-        self._last_heartbeat: Dict[int, float] = {}
-        self._hb_check_interval = 1.0
-        self._failed_workers: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Legacy flat views (single-job API): all delegate to job 0
@@ -272,7 +253,7 @@ class Controller(P.ReliableEndpoint, Actor):
     # ------------------------------------------------------------------
     def attach_workers(self, workers: Dict[int, Actor]) -> None:
         self.workers = dict(workers)
-        self.live_workers = set(workers)
+        self.membership.attach(workers)
         self._job0.placement = PartitionPlacement(sorted(workers))
 
     def attach_shards(self, shards: Dict[int, Actor]) -> None:
@@ -308,7 +289,7 @@ class Controller(P.ReliableEndpoint, Actor):
             job_id, driver=driver, metrics=metrics, weight=weight,
             patch_cache=PatchCache(capacity=self._patch_cache_cap,
                                    metrics=metrics))
-        order = sorted(self.live_workers - self.draining_workers)
+        order = sorted(self.live_workers - self.membership.draining_workers)
         if not order:
             order = sorted(self.live_workers)
         if order:
@@ -385,18 +366,12 @@ class Controller(P.ReliableEndpoint, Actor):
 
         Evicted workers stay retryable — eviction revokes scheduling, not
         network reachability — so their channels never develop gaps and
-        :meth:`restore_workers` can resume them seamlessly.
+        ``Membership.restore_workers`` can resume them seamlessly.
         """
         wid = getattr(dst, "worker_id", None)
-        if wid is not None and wid in self._failed_workers:
+        if wid is not None and wid in self.membership.failed_workers:
             return False
         return super()._rel_should_retry(dst)
-
-    def start_failure_detector(self, check_interval: float = 1.0) -> None:
-        self._hb_check_interval = check_interval
-        for w in self.live_workers:
-            self._last_heartbeat[w] = self.sim.now
-        self.call_later(check_interval, self._check_heartbeats)
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -446,13 +421,13 @@ class Controller(P.ReliableEndpoint, Actor):
             if ctx is not None:
                 self._on_undefine_objects(ctx, msg)
         elif isinstance(msg, P.Heartbeat):
-            self._last_heartbeat[msg.worker_id] = self.sim.now
+            self.membership.on_heartbeat(msg)
         elif isinstance(msg, P.CheckpointAck):
-            self._on_checkpoint_ack(msg)
+            self.membership.on_checkpoint_ack(msg)
         elif isinstance(msg, P.HaltAck):
-            self._on_halt_ack(msg)
+            self.membership.on_halt_ack(msg)
         elif isinstance(msg, P.LoadAck):
-            self._on_load_ack(msg)
+            self.membership.on_load_ack(msg)
         elif isinstance(msg, P.ManagerDirective):
             msg.action(self)
         else:
@@ -477,7 +452,8 @@ class Controller(P.ReliableEndpoint, Actor):
 
     def _summary_barrier_met(self, summary: P.WindowSummary) -> bool:
         worker = self.workers.get(summary.worker_id)
-        if worker is None or summary.worker_id in self._failed_workers:
+        if (worker is None
+                or summary.worker_id in self.membership.failed_workers):
             # the direct stream will never catch up; release the summary
             # and let the policy's stale-window guards judge it
             return True
@@ -584,15 +560,10 @@ class Controller(P.ReliableEndpoint, Actor):
     def _dispatch(self, run: _BlockRun, cmd: Command, report: bool = False) -> None:
         run.outstanding += 1
         buffer = self._dispatch_buffer
-        if buffer is not None:
-            lst = buffer.get(cmd.worker)
-            if lst is None:
-                lst = buffer[cmd.worker] = []
-            lst.append((cmd, report))
-            return
-        # unbuffered (the Spark baseline): one message per task
-        self.send_reliable(self.workers[cmd.worker],
-                           P.DispatchCommandBatch([(cmd, report)], run.seq))
+        lst = buffer.get(cmd.worker)
+        if lst is None:
+            lst = buffer[cmd.worker] = []
+        lst.append((cmd, report))
 
     def _schedule_task_centrally(
         self,
@@ -881,9 +852,7 @@ class Controller(P.ReliableEndpoint, Actor):
             if worker in wts.installed_on or worker not in self.live_workers:
                 continue
             entries = wts.entries[worker]
-            reports = [
-                e.index for e in entries if e is not None and e.report
-            ]
+            reports = [e.index for e in entries if e.report]
             self.send_reliable(self.workers[worker], P.InstallWorkerTemplate(
                 wts.block_id, wts.version, entries, reports,
                 job_id=ctx.job_id,
@@ -1043,7 +1012,7 @@ class Controller(P.ReliableEndpoint, Actor):
                     f"does this automatically)")
 
     # ------------------------------------------------------------------
-    # Dynamic scheduling: edits, eviction, restore (§2.3, Fig. 9/10)
+    # Dynamic scheduling: edits (§2.3, Fig. 10)
     # ------------------------------------------------------------------
     def migrate_tasks(self, block_id: str, moves: List[Tuple[int, int]],
                       job_id: int = 0) -> str:
@@ -1082,13 +1051,7 @@ class Controller(P.ReliableEndpoint, Actor):
                 template.reassign(ct_index, dst)
             # one-time data moves for relocated sole-reader inputs: the
             # objects' homes follow the tasks; stale replicas remain behind
-            stale = [(dst, oid) for oid, dst in batch.relocations
-                     if not ctx.directory.is_fresh(oid, dst)]
-            if stale:
-                self._install_new_patch(ctx, stale)
-                ctx.metrics.incr("relocation_copies", len(stale))
-            for oid, dst in batch.relocations:
-                ctx.placement.migrate(oid, dst)
+            self._relocate(ctx, batch.relocations)
             ctx.metrics.incr("edits_applied", batch.total_ops)
             self.bump_partition_epoch()
             if batch.rejected is not None:  # what it left planned has shipped
@@ -1107,6 +1070,19 @@ class Controller(P.ReliableEndpoint, Actor):
         self.bump_partition_epoch()
         return "reinstall" if generated else "reassign"
 
+    def _relocate(self, ctx: JobContext,
+                  homes: List[Tuple[int, int]]) -> None:
+        """Move each ``(oid, home)``'s object to its new home, first
+        shipping one relocation patch with a copy to every new home that
+        does not hold the object's latest version."""
+        stale = [(dst, oid) for oid, dst in homes
+                 if not ctx.directory.is_fresh(oid, dst)]
+        if stale:
+            self._install_new_patch(ctx, stale)
+            ctx.metrics.incr("relocation_copies", len(stale))
+        for oid, dst in homes:
+            ctx.placement.migrate(oid, dst)
+
     def _drop_pending_edits(self, ctx: JobContext, block_id: str) -> None:
         """Forget queued-but-unshipped worker-half edits for ``block_id``.
 
@@ -1115,8 +1091,9 @@ class Controller(P.ReliableEndpoint, Actor):
         applies edits to the *controller* half immediately, so a cached
         :class:`WorkerTemplateSet` with dropped pending ops can never be
         brought back in sync with the pre-edit halves workers already hold
-        — drop that cached version too, and let :meth:`restore_workers`
-        fall back to a regeneration if a snapshot still points at it.
+        — drop that cached version too, and let
+        ``Membership.restore_workers`` fall back to a regeneration if a
+        snapshot still points at it.
         """
         for key in [k for k in ctx.pending_edits if k[0] == block_id]:
             del ctx.pending_edits[key]
@@ -1138,196 +1115,6 @@ class Controller(P.ReliableEndpoint, Actor):
         ]
         ctx.validation_state.invalidate()
         ctx.metrics.incr("worker_template_regenerations")
-
-    def evict_workers(self, evicted: List[int]) -> None:
-        """A cluster manager revoked workers: migrate their objects and
-        tasks to the survivors and regenerate worker templates (Fig. 9).
-
-        Re-homed objects are drained through the same ``build_patch``
-        relocation path :meth:`migrate_tasks` uses: the survivors must
-        physically hold the latest version of every object they now home,
-        because the revoked workers stop being schedulable the moment this
-        returns. The drain itself may copy *from* an evicted worker (it is
-        still reachable while the directive runs); afterwards no control
-        message targets an evicted worker until :meth:`restore_workers`.
-        Every registered job is drained — eviction is a cluster event, not
-        a job event.
-        """
-        self._require_quiesced()
-        evicted_set = set(evicted)
-        # every precondition is checked before any state mutates: a failed
-        # eviction must leave placements, templates, and the live set
-        # exactly as they were (no partially drained cluster to unpick)
-        unknown = sorted(evicted_set - self.live_workers)
-        if unknown:
-            raise RuntimeError(
-                f"cannot evict workers {unknown}: not in the live set "
-                f"{sorted(self.live_workers)} (never attached, already "
-                f"evicted, or failed); no state was changed")
-        survivors = sorted(self.live_workers - evicted_set)
-        if not survivors:
-            raise RuntimeError(
-                f"cannot evict every worker: evicting "
-                f"{sorted(evicted_set)} would leave the live set empty "
-                f"with nowhere to re-home their objects and tasks; no "
-                f"state was changed")
-        if len(survivors) < self.min_live_workers:
-            raise RuntimeError(
-                f"cannot evict workers {sorted(evicted_set)}: "
-                f"{len(survivors)} survivor(s) {survivors} would fall "
-                f"below the minimum live worker count "
-                f"{self.min_live_workers}; no state was changed")
-        self.live_workers -= evicted_set
-        # worker-set churn is explicit: load signals for departed workers
-        # die with them, so no placement or scaling policy ever books
-        # load onto a dead worker, and min_samples warmup-gates arrivals
-        for w in sorted(evicted_set):
-            self.load_tracker.drop_worker(w)
-            if self.rebalancer is not None:
-                self.rebalancer.drop_worker(w)
-        for job_id in sorted(self.jobs):
-            ctx = self.jobs[job_id]
-            rr = 0
-            stale: List[Tuple[int, int]] = []
-            for oid in self._placed_objects(ctx):
-                if ctx.placement.home(oid) in evicted_set:
-                    dst = survivors[rr % len(survivors)]
-                    rr += 1
-                    ctx.placement.migrate(oid, dst)
-                    if not ctx.directory.is_fresh(oid, dst):
-                        stale.append((dst, oid))
-            if stale:
-                self._install_new_patch(ctx, stale)
-                ctx.metrics.incr("relocation_copies", len(stale))
-            for block_id, template in ctx.templates.items():
-                # a block with queued edits must regenerate even if none of
-                # its template entries sit on an evicted worker: the queued
-                # ops (or the edited halves they target) may address evicted
-                # peers, and regeneration retires them (_drop_pending_edits)
-                rehomed = self._rehome_entries(ctx, template)
-                changed = rehomed or any(key[0] == block_id
-                                         for key in ctx.pending_edits)
-                if changed and ctx.phase.get(block_id, 0) >= self.PHASE_CT_READY:
-                    self._regenerate_worker_templates(ctx, block_id)
-            ctx.validation_state.invalidate()
-        self.bump_partition_epoch()
-
-    def _rehome_entries(self, ctx: JobContext,
-                        template: ControllerTemplate) -> bool:
-        """Reassign ``template``'s entries that sit on a worker no longer
-        live to the (already re-homed) home of their anchor object; True
-        when any entry moved."""
-        moved = False
-        for entry in template.entries:
-            if entry.worker not in self.live_workers:
-                entry.worker = self._assign_worker(
-                    ctx, entry.read, entry.write)
-                moved = True
-        return moved
-
-    def on_worker_dead(self, worker_id: int) -> None:
-        """A worker died ungracefully (crash fault, forced removal).
-
-        Unlike :meth:`evict_workers` — which requires quiesced jobs —
-        death cannot wait for a window boundary: an outstanding
-        self-schedule grant expecting the dead worker would never drain,
-        wedging every future partition-map change. So the order is:
-        reclaim the dead worker's granted-but-unfinished window
-        participation from every job's policy (making the jobs
-        quiescable), stop retransmitting to it, then re-home its objects
-        and tasks through the normal eviction path. Data the dead worker
-        solely held is *not* resurrected — checkpoint recovery is the
-        data-loss story; this call restores schedulability.
-        """
-        if worker_id not in self.live_workers:
-            return
-        for job_id in sorted(self.jobs):
-            ctx = self.jobs[job_id]
-            if ctx.policy is not None:
-                ctx.policy.drop_worker(worker_id)
-        self._failed_workers.add(worker_id)
-        self.draining_workers.discard(worker_id)  # death outruns the drain
-        self.evict_workers([worker_id])
-        if self._barrier_summaries:
-            # summaries parked behind the dead worker's stream unblock now
-            self._replay_barrier_summaries()
-
-    def add_worker(self, worker_id: int, actor: Actor) -> None:
-        """A provisioned worker finished cold start: join the live set.
-
-        The worker becomes schedulable for every job — future object
-        definitions may place on it, and :meth:`migrate_tasks` may edit
-        tasks onto it (worker template halves ship lazily on first use
-        via ``_install_worker_halves``). Joining moves nothing by
-        itself: an autoscaler that adds a worker and never migrates work
-        onto it leaves the run's dataflow untouched.
-        """
-        if worker_id in self.live_workers:
-            raise ValueError(f"worker {worker_id} is already live")
-        self.workers[worker_id] = actor
-        self.live_workers.add(worker_id)
-        self._failed_workers.discard(worker_id)
-        self._last_heartbeat[worker_id] = self.sim.now
-        for ctx in self.jobs.values():
-            order = ctx.placement.workers
-            if worker_id not in order:
-                order.append(worker_id)
-                ctx.placement.set_workers(order)
-        # late joiners missed earlier epoch broadcasts; sync before any
-        # window is granted to them or they would stall immediately
-        if self._decentralized_active() and self.pm_epoch:
-            self.send_reliable(actor, P.EpochUpdate(self.pm_epoch))
-        self.metrics.incr("scale.workers_added")
-
-    def restore_workers(self, restored: List[int],
-                        placement_snapshot: Dict[int, int],
-                        version_snapshot: Dict[str, int]) -> None:
-        """Workers returned: revert to the cached templates for the old
-        assignment; the next instantiation validates them (Fig. 9).
-
-        Snapshots are per-namespace: this restores job 0 (the legacy
-        dynamic-scheduling experiments drive a single job). The restored
-        workers rejoin the shared live set for every job.
-        """
-        ctx = self._job0
-        self._require_quiesced()
-        self.live_workers |= set(restored)
-        for oid, home in placement_snapshot.items():
-            ctx.placement.migrate(oid, home)
-        for block_id, version in version_snapshot.items():
-            # queued edits were planned against assignments this restore is
-            # undoing — shipping them later would corrupt installed halves
-            self._drop_pending_edits(ctx, block_id)
-            template = ctx.templates[block_id]
-            assignment = ctx.assignments[(block_id, version)]
-            for entry, worker in zip(template.entries, assignment):
-                entry.worker = worker
-            ctx.current_version[block_id] = version
-            if (block_id, version) in ctx.worker_templates:
-                ctx.phase[block_id] = self.PHASE_WT_INSTALLED
-            elif (block_id, version) in ctx.divergent_wts:
-                # the cached set for this version was invalidated while it
-                # had un-shipped edits; re-install instead of resurrecting
-                # worker halves that no longer match the controller half
-                self._regenerate_worker_templates(ctx, block_id)
-            else:
-                # worker templates were never generated for this version
-                # (the block was still pre-WT at snapshot time); rejoin the
-                # staircase so the next instantiation generates them fresh
-                ctx.phase[block_id] = self.PHASE_CT_READY
-        ctx.validation_state.invalidate()
-        self.bump_partition_epoch()
-
-    def snapshot_placement(self) -> Dict[int, int]:
-        ctx = self._job0
-        return {oid: ctx.placement.home(oid)
-                for oid in self._placed_objects(ctx)}
-
-    def snapshot_versions(self) -> Dict[str, int]:
-        return dict(self._job0.current_version)
-
-    def _placed_objects(self, ctx: JobContext):
-        return [obj.oid for obj in ctx.directory.objects()]
 
     # ------------------------------------------------------------------
     # Completions
@@ -1441,154 +1228,17 @@ class Controller(P.ReliableEndpoint, Actor):
         return (run.block_id, run.seq, dict(run.results), run.request_id,
                 finished_at)
 
-    def _count_toward_checkpoint(self, ctx: JobContext, blocks: int) -> None:
-        """Job-0 checkpoint accounting for ``blocks`` runs just closed."""
-        if ctx is not self._job0 or not blocks:
-            return
-        self._blocks_since_checkpoint += blocks
-        if (self.checkpoint_every is not None
-                and self._blocks_since_checkpoint >= self.checkpoint_every
-                and not self.runs and not self._checkpointing
-                and not self._recovering):
-            self._start_checkpoint()
-
     def _finish_block(self, run: _BlockRun) -> None:
         ctx = run.ctx
         self.send_reliable(ctx.driver,
                            P.BlockCompleteBatch([self._close_run(run)]))
         if (self.rebalancer is not None and run.mode == "template"
-                and not self._recovering and not self._checkpointing
+                and not self.membership.stopped()
                 and not (ctx.policy is not None
                          and ctx.policy.outstanding_grants())):
             # a mixed window's fallback runs must not move the partition
             # map while the same job's grant is in flight; the policy
             # rebalances at the window boundary instead
             self.rebalancer.maybe_rebalance(ctx, run.block_id)
-        self._count_toward_checkpoint(ctx, 1)
+        self.membership.count_toward_checkpoint(ctx, 1)
         self._drain_dispatch_queue()
-
-    # ------------------------------------------------------------------
-    # Checkpointing (§4.4) — job 0 (fault tolerance is driven by the
-    # legacy single driver; serve mode does not enable it)
-    # ------------------------------------------------------------------
-    def _start_checkpoint(self) -> None:
-        self._checkpointing = True
-        self._blocks_since_checkpoint = 0
-        checkpoint_id = self._next_checkpoint
-        self._next_checkpoint += 1
-        self._checkpoint_acks = set()
-        self._checkpoint_snapshots[checkpoint_id] = (
-            self._job0.directory.snapshot(),
-            self.snapshot_placement(),
-            list(self._job0.results_history),
-        )
-        for worker in self.live_workers:
-            self.send_reliable(self.workers[worker], P.SaveCheckpoint(checkpoint_id))
-        self._pending_checkpoint_id = checkpoint_id
-        self.metrics.incr("checkpoints_started")
-
-    def _on_checkpoint_ack(self, msg: P.CheckpointAck) -> None:
-        if msg.checkpoint_id != self._pending_checkpoint_id:
-            return
-        self._checkpoint_acks.add(msg.worker_id)
-        if self._checkpoint_acks >= self.live_workers:
-            self._last_committed_checkpoint = msg.checkpoint_id
-            self._checkpointing = False
-            self.metrics.incr("checkpoints_committed")
-
-    # ------------------------------------------------------------------
-    # Failure detection and recovery (§4.4)
-    # ------------------------------------------------------------------
-    def _check_heartbeats(self) -> None:
-        if not self._recovering:
-            now = self.sim.now
-            dead = [
-                w for w in self.live_workers
-                if now - self._last_heartbeat.get(w, now) > self.heartbeat_timeout
-            ]
-            if dead:
-                self._begin_recovery(dead)
-        self.call_later(self._hb_check_interval, self._check_heartbeats)
-
-    def _begin_recovery(self, dead: List[int]) -> None:
-        if self._last_committed_checkpoint is None:
-            raise RuntimeError(
-                f"workers {dead} failed with no committed checkpoint")
-        self._recovering = True
-        self._failed_workers |= set(dead)
-        self.live_workers -= set(dead)
-        for w in sorted(dead):
-            self.load_tracker.drop_worker(w)
-            if self.rebalancer is not None:
-                self.rebalancer.drop_worker(w)
-        # in-flight blocks are abandoned and replayed. The halt wipes every
-        # job's worker-side queues, so all runs are dropped (recovery is a
-        # cluster-wide stop-the-world; serve mode does not enable it)
-        self.runs.clear()
-        for ctx in self.jobs.values():
-            if ctx.policy is not None:
-                ctx.policy.reset()  # the halt wipes worker-side grants too
-        self._halt_acks = set()
-        for worker in self.live_workers:
-            self.send_reliable(self.workers[worker], P.Halt())
-        self.metrics.incr("recoveries_started")
-
-    def _on_halt_ack(self, msg: P.HaltAck) -> None:
-        if not self._recovering:
-            return
-        self._halt_acks.add(msg.worker_id)
-        if self._halt_acks >= self.live_workers:
-            self._restore_from_checkpoint()
-
-    def _restore_from_checkpoint(self) -> None:
-        ctx = self._job0
-        checkpoint_id = self._last_committed_checkpoint
-        dir_snap, placement_snap, history = (
-            self._checkpoint_snapshots[checkpoint_id])
-        ctx.directory.restore(dir_snap)
-        survivors = sorted(self.live_workers)
-        rr = 0
-        per_worker_loads: Dict[int, List[int]] = {}
-        for oid, home in placement_snap.items():
-            if home not in self.live_workers:
-                home = survivors[rr % len(survivors)]
-                rr += 1
-            ctx.placement.migrate(oid, home)
-            per_worker_loads.setdefault(home, []).append(oid)
-        for worker in self._failed_workers:
-            ctx.directory.evict_worker(worker)
-        # every object is reloaded at its (possibly new) home at the
-        # checkpointed version; the directory reflects exactly that
-        for worker, oids in per_worker_loads.items():
-            for oid in oids:
-                ctx.directory.apply_block_delta(oid, 0, [worker])
-        # all cached schedules referenced the dead workers: rebuild
-        for block_id, template in ctx.templates.items():
-            self._rehome_entries(ctx, template)
-            if ctx.phase.get(block_id, 0) >= self.PHASE_CT_READY:
-                self._regenerate_worker_templates(ctx, block_id)
-        ctx.patch_cache.invalidate_all()
-        ctx.validation_state.invalidate()
-        ctx.results_history = list(history)
-        self._load_acks = set()
-        for worker, oids in per_worker_loads.items():
-            self.send_reliable(self.workers[worker],
-                      P.LoadCheckpoint(checkpoint_id, oids))
-        self._expected_load_acks = set(per_worker_loads)
-        if not per_worker_loads:
-            self._finish_recovery()
-
-    def _on_load_ack(self, msg: P.LoadAck) -> None:
-        if not self._recovering:
-            return
-        self._load_acks.add(msg.worker_id)
-        if self._load_acks >= self._expected_load_acks:
-            self._finish_recovery()
-
-    def _finish_recovery(self) -> None:
-        ctx = self._job0
-        self._recovering = False
-        ctx.holder_cids.clear()
-        self.send_reliable(ctx.driver, P.JobRestored(
-            len(ctx.results_history) + 1, list(ctx.results_history)))
-        self.metrics.incr("recoveries_completed")

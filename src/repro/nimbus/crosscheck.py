@@ -55,13 +55,9 @@ def instantiate_entries(
     """Fill a worker half's entries into concrete commands (Figure 5b).
 
     ``cid = cid_base + index``; before sets are rebased the same way.
-    Entries removed by edits are tombstoned (``None``) and skipped, but
-    their indices remain reserved so cached before sets stay valid.
     """
     commands: List[Command] = []
     for entry in entries:
-        if entry is None:  # tombstoned by an edit
-            continue
         cid = cid_base + entry.index
         before = [cid_base + j for j in entry.before]
         if entry.kind == CommandKind.TASK:

@@ -1,0 +1,427 @@
+"""The worker set and every change to it (Fig. 9, §4.4).
+
+Eviction, a join, a restore, a death and checkpoint recovery all change
+the live set, re-home what departed workers held onto the survivors, and
+regenerate the templates that moved. :class:`Membership` does that for the
+controller, on the controller's actor, and owns the state involved: the
+live, draining and failed sets, the eviction floor, heartbeats and
+checkpoints. The steps the paths share are written once (DESIGN.md §6,
+"Membership and recovery"). ``Controller.live_workers`` is this module's
+live set, the same object, so a hot-path test is one attribute load; only
+this module changes it.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, List, Optional, Set, Tuple
+
+from . import protocol as P
+
+
+class Membership:
+    """Owner of the controller's worker set, failure detector, checkpoints
+    and recovery."""
+
+    def __init__(self, controller, checkpoint_every: Optional[int],
+                 heartbeat_timeout: float):
+        self.controller = controller
+        self.live_workers: Set[int] = set()
+        #: workers the autoscaler is draining (DRAINING lifecycle): still
+        #: live — in-flight work finishes, channels stay open — but no
+        #: *new* placement may target them (new-job registration, spread
+        #: planning)
+        self.draining_workers: Set[int] = set()
+        #: workers declared dead: the controller stops retransmitting to
+        #: them (evicted workers stay reachable)
+        self.failed_workers: Set[int] = set()
+        #: evictions may never shrink the live set below this floor (the
+        #: autoscaler raises it to its policy's min_workers)
+        self.min_live_workers = 1
+        self.checkpoint_every = checkpoint_every
+        self.heartbeat_timeout = heartbeat_timeout
+        self._last_heartbeat: Dict[int, float] = {}
+        self._hb_check_interval = 1.0
+        # checkpoint / recovery state (job 0: fault tolerance predates
+        # multi-tenant serving and is only driven by the legacy driver)
+        self.checkpointing = False
+        self.recovering = False
+        self._blocks_since_checkpoint = 0
+        self._next_checkpoint = 1
+        self._pending_checkpoint_id: Optional[int] = None
+        self.last_committed_checkpoint: Optional[int] = None
+        self._checkpoint_snapshots: Dict[int, Tuple] = {}
+        #: ack barrier per stop-the-world step: (acked, expected), where
+        #: expected None means the live set at the moment of each ack
+        self._barriers: Dict[str, Tuple[Set[int], Optional[Set[int]]]] = {
+            "checkpoint": (set(), None),
+            "halt": (set(), None),
+            "load": (set(), set()),
+        }
+
+    def attach(self, workers: Iterable[int]) -> None:
+        """The cluster's initial workers: all live."""
+        self.live_workers.update(workers)
+
+    # ------------------------------------------------------------------
+    # The steps every change shares
+    # ------------------------------------------------------------------
+    def _depart(self, workers: Set[int]) -> None:
+        """Shrink the live set by ``workers``. Load signals die with the
+        departed workers, so no placement or scaling policy ever books
+        load onto them, and min_samples warmup-gates arrivals."""
+        c = self.controller
+        self.live_workers -= workers
+        for w in sorted(workers):
+            c.load_tracker.drop_worker(w)
+            if c.rebalancer is not None:
+                c.rebalancer.drop_worker(w)
+
+    def _rehome_objects(self, homes: Dict[int, int],
+                        departed) -> Dict[int, int]:
+        """New homes for the objects of ``homes`` (oid -> home) whose home
+        is in ``departed``: the surviving live workers, round-robin."""
+        survivors = sorted(self.live_workers)
+        moved: Dict[int, int] = {}
+        for oid, home in homes.items():
+            if home in departed:
+                moved[oid] = survivors[len(moved) % len(survivors)]
+        return moved
+
+    def _rehome_templates(self, ctx, regenerate_all: bool) -> None:
+        """Reassign the template entries on workers no longer live to the
+        (already re-homed) home of their anchor object, then regenerate
+        the worker templates of every block that moved — or of every block
+        with ``regenerate_all``. A block with queued edits regenerates even
+        if none of its entries moved: the queued ops (or the edited halves
+        they target) may address departed peers, and regeneration retires
+        them (``Controller._drop_pending_edits``)."""
+        c = self.controller
+        live = self.live_workers
+        for block_id, template in ctx.templates.items():
+            moved = False
+            for entry in template.entries:
+                if entry.worker not in live:
+                    entry.worker = c._assign_worker(
+                        ctx, entry.read, entry.write)
+                    moved = True
+            if ((regenerate_all or moved
+                 or any(key[0] == block_id for key in ctx.pending_edits))
+                    and ctx.phase.get(block_id, 0) >= c.PHASE_CT_READY):
+                c._regenerate_worker_templates(ctx, block_id)
+
+    def _open(self, barrier: str, expected: Optional[Set[int]] = None):
+        self._barriers[barrier] = (set(), expected)
+
+    def _ack(self, barrier: str, worker: int) -> bool:
+        """Record ``worker``'s ack; True once every worker the barrier
+        waits for has acked: the ``expected`` set it was opened with, or
+        else every worker live right now (a worker that died since the
+        barrier opened is not waited for)."""
+        acked, expected = self._barriers[barrier]
+        acked.add(worker)
+        return acked >= (self.live_workers if expected is None else expected)
+
+    def stopped(self) -> bool:
+        """A stop-the-world phase is in progress (a checkpoint waiting for
+        its acks, or a recovery): no rebalancing, no new checkpoint."""
+        return self.checkpointing or self.recovering
+
+    def _homes(self, ctx) -> Dict[int, int]:
+        return {obj.oid: ctx.placement.home(obj.oid)
+                for obj in ctx.directory.objects()}
+
+    # ------------------------------------------------------------------
+    # Eviction, death, join, restore (§2.3, Fig. 9)
+    # ------------------------------------------------------------------
+    def evict_workers(self, evicted: List[int]) -> None:
+        """A cluster manager revoked workers: migrate their objects and
+        tasks to the survivors and regenerate worker templates (Fig. 9).
+
+        Re-homed objects are drained through the same ``build_patch``
+        relocation path ``Controller.migrate_tasks`` uses: the survivors
+        must physically hold the latest version of every object they now
+        home, because the revoked workers stop being schedulable the
+        moment this returns. The drain itself may copy *from* an evicted
+        worker (it is still reachable while the directive runs);
+        afterwards no control message targets an evicted worker until
+        :meth:`restore_workers`. Every registered job is drained —
+        eviction is a cluster event, not a job event.
+        """
+        c = self.controller
+        c._require_quiesced()
+        evicted_set = set(evicted)
+        # every precondition is checked before any state mutates: a failed
+        # eviction must leave placements, templates, and the live set
+        # exactly as they were (no partially drained cluster to unpick)
+        unknown = sorted(evicted_set - self.live_workers)
+        if unknown:
+            raise RuntimeError(
+                f"cannot evict workers {unknown}: not in the live set "
+                f"{sorted(self.live_workers)} (never attached, already "
+                f"evicted, or failed); no state was changed")
+        survivors = sorted(self.live_workers - evicted_set)
+        if not survivors:
+            raise RuntimeError(
+                f"cannot evict every worker: evicting "
+                f"{sorted(evicted_set)} would leave the live set empty "
+                f"with nowhere to re-home their objects and tasks; no "
+                f"state was changed")
+        if len(survivors) < self.min_live_workers:
+            raise RuntimeError(
+                f"cannot evict workers {sorted(evicted_set)}: "
+                f"{len(survivors)} survivor(s) {survivors} would fall "
+                f"below the minimum live worker count "
+                f"{self.min_live_workers}; no state was changed")
+        self._depart(evicted_set)
+        for job_id in sorted(c.jobs):
+            ctx = c.jobs[job_id]
+            moved = self._rehome_objects(self._homes(ctx), evicted_set)
+            c._relocate(ctx, list(moved.items()))
+            self._rehome_templates(ctx, regenerate_all=False)
+            ctx.validation_state.invalidate()
+        c.bump_partition_epoch()
+
+    def on_worker_dead(self, worker_id: int) -> None:
+        """A worker died ungracefully (crash fault, forced removal).
+
+        Unlike :meth:`evict_workers` — which requires quiesced jobs —
+        death cannot wait for a window boundary: an outstanding
+        self-schedule grant expecting the dead worker would never drain,
+        wedging every future partition-map change. So the order is:
+        reclaim the dead worker's granted-but-unfinished window
+        participation from every job's policy (making the jobs
+        quiescable), stop retransmitting to it, then re-home its objects
+        and tasks through the normal eviction path. Data the dead worker
+        solely held is *not* resurrected — checkpoint recovery is the
+        data-loss story; this call restores schedulability.
+        """
+        if worker_id not in self.live_workers:
+            return
+        c = self.controller
+        for job_id in sorted(c.jobs):
+            ctx = c.jobs[job_id]
+            if ctx.policy is not None:
+                ctx.policy.drop_worker(worker_id)
+        self.failed_workers.add(worker_id)
+        self.draining_workers.discard(worker_id)  # death outruns the drain
+        self.evict_workers([worker_id])
+        if c._barrier_summaries:
+            # summaries parked behind the dead worker's stream unblock now
+            c._replay_barrier_summaries()
+
+    def add_worker(self, worker_id: int, actor) -> None:
+        """A provisioned worker finished cold start: join the live set.
+
+        The worker becomes schedulable for every job — future object
+        definitions may place on it, and ``Controller.migrate_tasks`` may
+        edit tasks onto it (worker template halves ship lazily on first
+        use via ``Controller._install_worker_halves``). Joining moves
+        nothing by itself: an autoscaler that adds a worker and never
+        migrates work onto it leaves the run's dataflow untouched.
+        """
+        if worker_id in self.live_workers:
+            raise ValueError(f"worker {worker_id} is already live")
+        c = self.controller
+        c.workers[worker_id] = actor
+        self.live_workers.add(worker_id)
+        self.failed_workers.discard(worker_id)
+        self._last_heartbeat[worker_id] = c.sim.now
+        for ctx in c.jobs.values():
+            order = ctx.placement.workers
+            if worker_id not in order:
+                order.append(worker_id)
+                ctx.placement.set_workers(order)
+        # late joiners missed earlier epoch broadcasts; sync before any
+        # window is granted to them or they would stall immediately
+        if c._decentralized_active() and c.pm_epoch:
+            c.send_reliable(actor, P.EpochUpdate(c.pm_epoch))
+        c.metrics.incr("scale.workers_added")
+
+    def start_drain(self, workers: Iterable[int]) -> None:
+        """Mark ``workers`` DRAINING: placement paths exclude them while
+        they are still live."""
+        self.draining_workers.update(workers)
+
+    def finish_drain(self, worker_id: int) -> None:
+        """``worker_id`` left the cluster: it is DRAINING no more."""
+        self.draining_workers.discard(worker_id)
+
+    def restore_workers(self, restored: List[int],
+                        placement_snapshot: Dict[int, int],
+                        version_snapshot: Dict[str, int]) -> None:
+        """Workers returned: revert to the cached templates for the old
+        assignment; the next instantiation validates them (Fig. 9).
+
+        Snapshots are per-namespace: this restores job 0 (the legacy
+        dynamic-scheduling experiments drive a single job). The restored
+        workers rejoin the shared live set for every job.
+        """
+        c = self.controller
+        ctx = c._job0
+        c._require_quiesced()
+        self.live_workers |= set(restored)
+        for oid, home in placement_snapshot.items():
+            ctx.placement.migrate(oid, home)
+        for block_id, version in version_snapshot.items():
+            # queued edits were planned against assignments this restore is
+            # undoing — shipping them later would corrupt installed halves
+            c._drop_pending_edits(ctx, block_id)
+            template = ctx.templates[block_id]
+            assignment = ctx.assignments[(block_id, version)]
+            for entry, worker in zip(template.entries, assignment):
+                entry.worker = worker
+            ctx.current_version[block_id] = version
+            if (block_id, version) in ctx.worker_templates:
+                ctx.phase[block_id] = c.PHASE_WT_INSTALLED
+            elif (block_id, version) in ctx.divergent_wts:
+                # the cached set for this version was invalidated while it
+                # had un-shipped edits; re-install instead of resurrecting
+                # worker halves that no longer match the controller half
+                c._regenerate_worker_templates(ctx, block_id)
+            else:
+                # worker templates were never generated for this version
+                # (the block was still pre-WT at snapshot time); rejoin the
+                # staircase so the next instantiation generates them fresh
+                ctx.phase[block_id] = c.PHASE_CT_READY
+        ctx.validation_state.invalidate()
+        c.bump_partition_epoch()
+
+    def snapshot_placement(self) -> Dict[int, int]:
+        return self._homes(self.controller._job0)
+
+    def snapshot_versions(self) -> Dict[str, int]:
+        return dict(self.controller._job0.current_version)
+
+    # ------------------------------------------------------------------
+    # Checkpointing (§4.4) — job 0 (fault tolerance is driven by the
+    # legacy single driver; serve mode does not enable it)
+    # ------------------------------------------------------------------
+    def count_toward_checkpoint(self, ctx, blocks: int) -> None:
+        """Job-0 checkpoint accounting for ``blocks`` runs just closed."""
+        c = self.controller
+        if ctx is not c._job0 or not blocks:
+            return
+        self._blocks_since_checkpoint += blocks
+        if (self.checkpoint_every is not None
+                and self._blocks_since_checkpoint >= self.checkpoint_every
+                and not c.runs and not self.stopped()):
+            self._start_checkpoint()
+
+    def _start_checkpoint(self) -> None:
+        c = self.controller
+        job0 = c._job0
+        self.checkpointing = True
+        self._blocks_since_checkpoint = 0
+        checkpoint_id = self._next_checkpoint
+        self._next_checkpoint += 1
+        self._open("checkpoint")
+        self._checkpoint_snapshots[checkpoint_id] = (
+            job0.directory.snapshot(),
+            self.snapshot_placement(),
+            list(job0.results_history),
+        )
+        for worker in self.live_workers:
+            c.send_reliable(c.workers[worker], P.SaveCheckpoint(checkpoint_id))
+        self._pending_checkpoint_id = checkpoint_id
+        c.metrics.incr("checkpoints_started")
+
+    def on_checkpoint_ack(self, msg: P.CheckpointAck) -> None:
+        if msg.checkpoint_id != self._pending_checkpoint_id:
+            return
+        if self._ack("checkpoint", msg.worker_id):
+            self.last_committed_checkpoint = msg.checkpoint_id
+            self.checkpointing = False
+            self.controller.metrics.incr("checkpoints_committed")
+
+    # ------------------------------------------------------------------
+    # Failure detection and recovery (§4.4)
+    # ------------------------------------------------------------------
+    def start_failure_detector(self, check_interval: float = 1.0) -> None:
+        c = self.controller
+        self._hb_check_interval = check_interval
+        for w in self.live_workers:
+            self._last_heartbeat[w] = c.sim.now
+        c.call_later(check_interval, self._check_heartbeats)
+
+    def on_heartbeat(self, msg: P.Heartbeat) -> None:
+        self._last_heartbeat[msg.worker_id] = self.controller.sim.now
+
+    def _check_heartbeats(self) -> None:
+        c = self.controller
+        if not self.recovering:
+            now = c.sim.now
+            last = self._last_heartbeat
+            dead = [w for w in self.live_workers
+                    if now - last.get(w, now) > self.heartbeat_timeout]
+            if dead:
+                self._begin_recovery(dead)
+        c.call_later(self._hb_check_interval, self._check_heartbeats)
+
+    def _begin_recovery(self, dead: List[int]) -> None:
+        if self.last_committed_checkpoint is None:
+            raise RuntimeError(
+                f"workers {dead} failed with no committed checkpoint")
+        c = self.controller
+        self.recovering = True
+        self.failed_workers |= set(dead)
+        self._depart(set(dead))
+        # in-flight blocks are abandoned and replayed. The halt wipes every
+        # job's worker-side queues, so all runs are dropped (recovery is a
+        # cluster-wide stop-the-world; serve mode does not enable it)
+        c.runs.clear()
+        for ctx in c.jobs.values():
+            if ctx.policy is not None:
+                ctx.policy.reset()  # the halt wipes worker-side grants too
+        self._open("halt")
+        for worker in self.live_workers:
+            c.send_reliable(c.workers[worker], P.Halt())
+        c.metrics.incr("recoveries_started")
+
+    def on_halt_ack(self, msg: P.HaltAck) -> None:
+        if self.recovering and self._ack("halt", msg.worker_id):
+            self._restore_from_checkpoint()
+
+    def _restore_from_checkpoint(self) -> None:
+        c = self.controller
+        ctx = c._job0
+        checkpoint_id = self.last_committed_checkpoint
+        dir_snap, homes, history = self._checkpoint_snapshots[checkpoint_id]
+        ctx.directory.restore(dir_snap)
+        moved = self._rehome_objects(
+            homes, set(homes.values()) - self.live_workers)
+        per_worker_loads: Dict[int, List[int]] = {}
+        for oid, home in homes.items():
+            home = moved.get(oid, home)
+            ctx.placement.migrate(oid, home)
+            per_worker_loads.setdefault(home, []).append(oid)
+        for worker in self.failed_workers:
+            ctx.directory.evict_worker(worker)
+        # every object is reloaded at its (possibly new) home at the
+        # checkpointed version; the directory reflects exactly that
+        for worker, oids in per_worker_loads.items():
+            for oid in oids:
+                ctx.directory.apply_block_delta(oid, 0, [worker])
+        # all cached schedules referenced the dead workers: rebuild
+        self._rehome_templates(ctx, regenerate_all=True)
+        ctx.patch_cache.invalidate_all()
+        ctx.validation_state.invalidate()
+        ctx.results_history = list(history)
+        self._open("load", set(per_worker_loads))
+        for worker, oids in per_worker_loads.items():
+            c.send_reliable(c.workers[worker],
+                            P.LoadCheckpoint(checkpoint_id, oids))
+        if not per_worker_loads:
+            self._finish_recovery()
+
+    def on_load_ack(self, msg: P.LoadAck) -> None:
+        if self.recovering and self._ack("load", msg.worker_id):
+            self._finish_recovery()
+
+    def _finish_recovery(self) -> None:
+        c = self.controller
+        ctx = c._job0
+        self.recovering = False
+        ctx.holder_cids.clear()
+        c.send_reliable(ctx.driver, P.JobRestored(
+            len(ctx.results_history) + 1, list(ctx.results_history)))
+        c.metrics.incr("recoveries_completed")

@@ -262,7 +262,7 @@ class Worker(P.ReliableEndpoint, Actor):
         #: scheduling, finishing in-flight commands) → "drained"
         #: (decommissioned: no queued work, no open grants). Purely
         #: observational — the scheduling revocation itself is the
-        #: controller's evict_workers; a drained worker stays reachable
+        #: membership's evict_workers; a drained worker stays reachable
         #: so late acks and copy reads never dangle.
         self.lifecycle = "live"
         self.tasks_executed = 0
@@ -365,7 +365,7 @@ class Worker(P.ReliableEndpoint, Actor):
             # applied to the cached half
             self._stale()
             return
-        entries = [e.clone() if e is not None else None for e in msg.entries]
+        entries = [e.clone() for e in msg.entries]
         half = WorkerHalf(msg.block_id, msg.version, entries, msg.reports)
         self._templates[(msg.job_id, msg.block_id, msg.version)] = half
         self.charge(

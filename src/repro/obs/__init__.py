@@ -1,6 +1,6 @@
-"""Observability: command-lifecycle tracing, exporters, metric snapshots.
+"""Observability: command-lifecycle tracing and its exporter.
 
-The package has three layers:
+The package has two layers:
 
 * :mod:`repro.obs.trace` — the :class:`Tracer` event recorder plus the
   module-level ``TRACE_ENABLED`` switch (env ``REPRO_TRACE=1`` or CLI
@@ -8,14 +8,10 @@ The package has three layers:
   site is a single ``is not None`` check on a cached attribute.
 * :mod:`repro.obs.export` — the Chrome/Perfetto ``trace_event`` JSON
   exporter (load the file at https://ui.perfetto.dev).
-* :mod:`repro.obs.registry` — versioned snapshots of a
-  :class:`~repro.sim.metrics.Metrics` instance (every counter, series
-  and interval family as one JSON-serializable dict).
 """
 
 from .trace import TRACE_ENABLED, Tracer, trace_enabled_default
 from .export import to_chrome_trace, write_chrome_trace
-from .registry import COUNTER_HELP, SNAPSHOT_VERSION, snapshot_metrics
 
 __all__ = [
     "TRACE_ENABLED",
@@ -23,7 +19,4 @@ __all__ = [
     "trace_enabled_default",
     "to_chrome_trace",
     "write_chrome_trace",
-    "COUNTER_HELP",
-    "SNAPSHOT_VERSION",
-    "snapshot_metrics",
 ]

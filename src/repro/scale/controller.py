@@ -11,8 +11,8 @@
 3. while nothing is in flight, asks its :class:`~repro.scale.policy.
    ScalePolicy` for a worker-count delta and acts on it: **scale-up**
    provisions simulated workers (cold-start delay, then
-   ``Controller.add_worker``), **scale-down** marks victims DRAINING and
-   reuses ``evict_workers``' patch-relocation drain.
+   ``Membership.add_worker``), **scale-down** marks victims DRAINING and
+   reuses ``Membership.evict_workers``' patch-relocation drain.
 
 Determinism contract (mirrors the rebalancer's): the tick is a bare
 simulator callback — no actor, no cost charges, no RNG, no metrics —
@@ -58,8 +58,9 @@ class ResourceController:
         self._spread_targets: List[int] = []
         self.ticks = 0
         # evict_workers enforces the policy floor even for manual drains
-        cluster.controller.min_live_workers = max(
-            cluster.controller.min_live_workers, self.policy.min_workers)
+        membership = cluster.controller.membership
+        membership.min_live_workers = max(
+            membership.min_live_workers, self.policy.min_workers)
 
     # ------------------------------------------------------------------
     # The loop
@@ -76,7 +77,7 @@ class ResourceController:
         self._try_spread(ctrl)
         if not self.pending and not self.draining and not self._spread_targets:
             delta = self.policy.decide(ctrl.load_tracker,
-                                       sorted(ctrl.live_workers))
+                                       sorted(ctrl.membership.live_workers))
             if delta > 0:
                 self._scale_up(delta)
             elif delta < 0:
@@ -111,7 +112,7 @@ class ResourceController:
     def _join(self, worker_ids: List[int]) -> None:
         ctrl = self.cluster.controller
         for wid in worker_ids:
-            ctrl.add_worker(wid, self.cluster.workers[wid])
+            ctrl.membership.add_worker(wid, self.cluster.workers[wid])
             self.pending.remove(wid)
         self._spread_targets.extend(worker_ids)
         self._log("join", workers=list(worker_ids))
@@ -144,8 +145,8 @@ class ResourceController:
         # placed on a leaving worker would drain straight back off it
         # (serve+autoscale regression)
         targets = [w for w in self._spread_targets
-                   if w in ctrl.live_workers
-                   and w not in ctrl.draining_workers]
+                   if w in ctrl.membership.live_workers
+                   and w not in ctrl.membership.draining_workers]
         self._spread_targets = []
         if not targets:
             return
@@ -207,7 +208,8 @@ class ResourceController:
         # DRAINING workers are on their way out: they may be peeled
         # *from* (their entries relocate at eviction anyway) but never
         # counted toward the fair share or targeted
-        live = sorted(ctrl.live_workers - ctrl.draining_workers)
+        ms = ctrl.membership
+        live = sorted(ms.live_workers - ms.draining_workers)
         if not live:
             return []
         fair = template.num_tasks // len(live)
@@ -238,17 +240,17 @@ class ResourceController:
     # ------------------------------------------------------------------
     def _begin_scale_down(self, count: int) -> None:
         ctrl = self.cluster.controller
-        live = sorted(ctrl.live_workers)
+        live = sorted(ctrl.membership.live_workers)
         count = min(count, len(live) - self.policy.min_workers)
         if count <= 0:
             return
         victims = live[-count:]  # newest first: LIFO membership
         for wid in victims:
             self.cluster.workers[wid].lifecycle = "draining"
-        # publish the DRAINING set on the controller so placement paths
+        # publish the DRAINING set on the membership so placement paths
         # (new-job registration, spread planning) can exclude it while
         # the victims are still technically live
-        ctrl.draining_workers.update(victims)
+        ctrl.membership.start_drain(victims)
         self.draining.extend(victims)
         self.cluster.metrics.incr("scale.down_decisions")
         self._log("scale_down", workers=list(victims), count=len(victims))
@@ -263,9 +265,10 @@ class ResourceController:
         for ctx in ctrl.jobs.values():
             if ctx.policy is not None and ctx.policy.outstanding_grants():
                 return
-        victims = [w for w in self.draining if w in ctrl.live_workers]
+        ms = ctrl.membership
+        victims = [w for w in self.draining if w in ms.live_workers]
         if victims:
-            ctrl.evict_workers(victims)
+            ms.evict_workers(victims)
             self._log("evict", workers=list(victims))
         still_draining = []
         for wid in self.draining:
@@ -273,11 +276,11 @@ class ResourceController:
             # never kill a worker with in-flight commands or grants: it
             # stays reachable (finishing work, serving relocation reads)
             # until its queues are empty, then is decommissioned
-            if (wid not in ctrl.live_workers
+            if (wid not in ms.live_workers
                     and worker.queued_commands == 0
                     and not worker._grants):
                 worker.lifecycle = "drained"
-                ctrl.draining_workers.discard(wid)
+                ms.finish_drain(wid)
                 self.cluster.metrics.incr("scale.workers_drained")
                 self._log("drained", workers=[wid])
             else:

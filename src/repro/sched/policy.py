@@ -373,13 +373,12 @@ class DecentralizedPolicy(SchedulingPolicy):
         c.send_reliable(ctx.driver, P.BlockCompleteBatch(items))
         # the window boundary is the quiesce point: no grant is
         # outstanding for this job, so the partition map may change now
-        if (c.rebalancer is not None and not c._recovering
-                and not c._checkpointing):
+        if c.rebalancer is not None and not c.membership.stopped():
             c.rebalancer.maybe_rebalance(ctx, grant.block_id)
         # ... and the checkpoint boundary, through the same accounting
         # a per-instance completion uses (a hand-written mirror here once
         # skipped it, so decentralized job-0 runs never checkpointed)
-        c._count_toward_checkpoint(ctx, len(items))
+        c.membership.count_toward_checkpoint(ctx, len(items))
         self._pump()
         c._drain_dispatch_queue()
 

@@ -35,7 +35,6 @@ from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
 from repro.nimbus.commands import Command, CommandKind
 from repro.nimbus.worker import Worker
-from repro.obs import COUNTER_HELP
 
 from .helpers import (
     WorkerDriver,
@@ -216,23 +215,6 @@ def test_derived_plan_equals_a_fresh_compilation(case):
         stale.retire()
 
 
-def test_an_edit_with_a_remove_recompiles():
-    """``REMOVE`` has no producer in ``src/``; a batch with one drops the
-    plan, and so does every later batch on the tombstoned array."""
-    entries = [TemplateEntry(i, CommandKind.TASK, write=(i + 1,),
-                             function="combine") for i in range(3)]
-    half = WorkerHalf("b", 0, entries, [])
-    plan = half.compiled_plan()
-    assert half.apply_edit_ops([EditOp(EditOp.REMOVE, 1)], 7) is plan
-    assert half._plan is None and half.compiled_plan().m == 2
-    appended = TemplateEntry(3, CommandKind.TASK, read=(1,), write=(9,),
-                             function="combine")
-    half.apply_edit_ops([EditOp(EditOp.APPEND, 3, appended)], 7)
-    assert half._plan is None
-    assert half.compiled_plan().signature() == compile_plan(
-        half.entries, half.reports).signature()
-
-
 # ---------------------------------------------------------------------------
 # The fig10 path: mid-run migration edits the installed templates; the
 # compiled plans are derived across every edit, the pre-edit ones retired,
@@ -379,8 +361,8 @@ def test_seam_replay_matches_the_tracker_walk(name, mode, profile):
     label = f"{name}/{mode}/{profile}/seed {seed}"
     _assert_checked(cluster)
     assert cluster.metrics.count("worker.seam_hits") > 0, label
-    assert set(cluster.metrics.counters_snapshot("worker.seam_")) <= set(
-        COUNTER_HELP)
+    assert set(cluster.metrics.counters_snapshot("worker.seam_")) <= {
+        "worker.seam_builds", "worker.seam_hits", "worker.seam_fallback_oids"}
 
 
 class _SeamProbe:

@@ -54,11 +54,12 @@ def test_checkpoint_commits_only_after_all_acks():
     # the program is done but checkpoint traffic may still be in flight
     cluster.sim.run(until=cluster.sim.now + 1.0)
     controller = cluster.controller
-    assert controller._last_committed_checkpoint is not None
+    assert controller.membership.last_committed_checkpoint is not None
     # a stale/duplicate ack for an old checkpoint is ignored
-    before = controller._last_committed_checkpoint
-    controller._on_checkpoint_ack(P.CheckpointAck(0, checkpoint_id=-5))
-    assert controller._last_committed_checkpoint == before
+    before = controller.membership.last_committed_checkpoint
+    controller.membership.on_checkpoint_ack(
+        P.CheckpointAck(0, checkpoint_id=-5))
+    assert controller.membership.last_committed_checkpoint == before
 
 
 def test_alternating_blocks_never_auto_validate():

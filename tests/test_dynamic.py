@@ -157,9 +157,9 @@ def test_eviction_moves_work_and_preserves_results():
     state = {}
 
     def evict(controller):
-        state["placement"] = controller.snapshot_placement()
-        state["versions"] = controller.snapshot_versions()
-        controller.evict_workers([1])
+        state["placement"] = controller.membership.snapshot_placement()
+        state["versions"] = controller.membership.snapshot_versions()
+        controller.membership.evict_workers([1])
 
     cluster = run_with_directives(8, directive_at=4, directive=evict,
                                   num_workers=2)
@@ -174,13 +174,13 @@ def test_evict_then_restore_reuses_cached_templates():
     state = {}
 
     def evict(controller):
-        state["placement"] = controller.snapshot_placement()
-        state["versions"] = controller.snapshot_versions()
-        controller.evict_workers([1])
+        state["placement"] = controller.membership.snapshot_placement()
+        state["versions"] = controller.membership.snapshot_versions()
+        controller.membership.evict_workers([1])
 
     def restore(controller):
-        controller.restore_workers([1], state["placement"],
-                                   state["versions"])
+        controller.membership.restore_workers([1], state["placement"],
+                                              state["versions"])
 
     seed_block, iter_block = blocks()
     objects = {oid: (f"o{oid}", 8) for oid in DATA + OUT + [ACC]}
@@ -216,7 +216,7 @@ def test_cannot_evict_all_workers():
     cluster = NimbusCluster(2, lambda job: iter(()),
                             registry=combine_registry())
     with pytest.raises(RuntimeError):
-        cluster.controller.evict_workers([0, 1])
+        cluster.controller.membership.evict_workers([0, 1])
 
 
 def test_edit_cost_charged_per_operation():
@@ -245,7 +245,7 @@ def _pin_reinstall(controller):
 
 
 def _pin_evict(controller):
-    controller.evict_workers([1])
+    controller.membership.evict_workers([1])
 
 
 def _pin_evict_then_restore():
@@ -254,13 +254,13 @@ def _pin_evict_then_restore():
     state = {}
 
     def evict(controller):
-        state["placement"] = controller.snapshot_placement()
-        state["versions"] = controller.snapshot_versions()
-        controller.evict_workers([1])
+        state["placement"] = controller.membership.snapshot_placement()
+        state["versions"] = controller.membership.snapshot_versions()
+        controller.membership.evict_workers([1])
 
     def restore(controller):
-        controller.restore_workers([1], state["placement"],
-                                   state["versions"])
+        controller.membership.restore_workers([1], state["placement"],
+                                              state["versions"])
 
     return {4: evict, 6: restore}
 

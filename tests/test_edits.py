@@ -55,17 +55,6 @@ class TestApplyEdits:
         with pytest.raises(ValueError):
             apply_edits(entries, [EditOp(EditOp.APPEND, 5, self.entry(5))])
 
-    def test_remove_tombstones(self):
-        entries = [self.entry(0), self.entry(1)]
-        apply_edits(entries, [EditOp(EditOp.REMOVE, 0)])
-        assert entries[0] is None and entries[1] is not None
-
-    def test_replace_tombstone_rejected(self):
-        entries = [self.entry(0)]
-        apply_edits(entries, [EditOp(EditOp.REMOVE, 0)])
-        with pytest.raises(ValueError):
-            apply_edits(entries, [EditOp(EditOp.REPLACE, 0, self.entry(0))])
-
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
             apply_edits([self.entry(0)], [EditOp("mutate", 0)])

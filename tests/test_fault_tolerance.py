@@ -72,7 +72,7 @@ def test_checkpoints_commit_periodically():
     cluster.run_until_finished(max_seconds=1e4)
     assert cluster.metrics.count("checkpoints_committed") >= 2
     # checkpointed payloads really are in durable storage
-    checkpoint_id = cluster.controller._last_committed_checkpoint
+    checkpoint_id = cluster.controller.membership.last_committed_checkpoint
     assert any(cluster.storage.has(checkpoint_id, oid) for oid in DATA)
 
 

@@ -65,17 +65,17 @@ def test_migrate_then_evict_then_restore_stays_consistent():
         # queue worker-half edit ops (they ship on the *next* instantiation)
         assert controller.migrate_tasks("iter", [(0, 1)]) == "edits"
         assert controller.pending_edits
-        state["placement"] = controller.snapshot_placement()
-        state["versions"] = controller.snapshot_versions()
+        state["placement"] = controller.membership.snapshot_placement()
+        state["versions"] = controller.membership.snapshot_versions()
         # the eviction regenerates before the queued ops ever ship: they
         # must be dropped, along with the now-divergent cached version
-        controller.evict_workers([1])
+        controller.membership.evict_workers([1])
         assert not controller.pending_edits
         assert ("iter", 0) not in controller.worker_templates
 
     def restore(controller):
-        controller.restore_workers([1], state["placement"],
-                                   state["versions"])
+        controller.membership.restore_workers([1], state["placement"],
+                                              state["versions"])
 
     cluster = run_two_directives(12, 5, migrate_then_evict, 9, restore)
     expected = reference(12)
@@ -95,13 +95,13 @@ def test_restore_without_divergence_still_reuses_cache():
     state = {}
 
     def evict(controller):
-        state["placement"] = controller.snapshot_placement()
-        state["versions"] = controller.snapshot_versions()
-        controller.evict_workers([1])
+        state["placement"] = controller.membership.snapshot_placement()
+        state["versions"] = controller.membership.snapshot_versions()
+        controller.membership.evict_workers([1])
 
     def restore(controller):
-        controller.restore_workers([1], state["placement"],
-                                   state["versions"])
+        controller.membership.restore_workers([1], state["placement"],
+                                              state["versions"])
 
     cluster = run_two_directives(12, 5, evict, 9, restore)
     expected = reference(12)
@@ -121,9 +121,9 @@ def test_eviction_relocates_objects_and_quiesces_evicted_worker():
         # queue edit ops addressed to worker 1, then evict it: the ops
         # must never ship (regeneration drops them)
         assert controller.migrate_tasks("iter", [(0, 1)]) == "edits"
-        before = controller.snapshot_placement()
-        controller.evict_workers([1])
-        after = controller.snapshot_placement()
+        before = controller.membership.snapshot_placement()
+        controller.membership.evict_workers([1])
+        after = controller.membership.snapshot_placement()
         moved = [oid for oid in before if before[oid] != after[oid]]
         assert moved, "eviction re-homed nothing"
         # survivors physically hold every object they now home
@@ -217,7 +217,7 @@ def test_eviction_drops_load_signal_for_departed_workers():
 
     def evict():
         state["had_signal"] = 3 in ctrl.load_tracker.load
-        ctrl.evict_workers([3])
+        ctrl.membership.evict_workers([3])
         state["after_evict"] = dict(ctrl.load_tracker.load)
 
     cluster.sim.schedule_at(2.0, evict)
@@ -234,8 +234,8 @@ def test_eviction_drops_load_signal_for_departed_workers():
 
 def _evict_snapshot(controller):
     return (set(controller.live_workers),
-            controller.snapshot_placement(),
-            controller.snapshot_versions())
+            controller.membership.snapshot_placement(),
+            controller.membership.snapshot_versions())
 
 
 def test_evict_unknown_worker_raises_before_mutating():
@@ -244,7 +244,7 @@ def test_evict_unknown_worker_raises_before_mutating():
     def evict(controller):
         before = _evict_snapshot(controller)
         with pytest.raises(RuntimeError) as exc:
-            controller.evict_workers([0, 7])
+            controller.membership.evict_workers([0, 7])
         assert "not in the live set" in str(exc.value)
         assert "no state was changed" in str(exc.value)
         assert _evict_snapshot(controller) == before
@@ -258,7 +258,7 @@ def test_evict_full_live_set_raises_before_mutating():
     def evict(controller):
         before = _evict_snapshot(controller)
         with pytest.raises(RuntimeError) as exc:
-            controller.evict_workers([0, 1])
+            controller.membership.evict_workers([0, 1])
         assert "cannot evict every worker" in str(exc.value)
         assert _evict_snapshot(controller) == before
 
@@ -271,13 +271,14 @@ def test_evict_below_minimum_raises_before_mutating():
     """The autoscaler's policy floor (min_live_workers) applies to manual
     evictions too, and failing it mutates nothing."""
     def evict(controller):
-        controller.min_live_workers = 2
+        controller.membership.min_live_workers = 2
         before = _evict_snapshot(controller)
         with pytest.raises(RuntimeError) as exc:
-            controller.evict_workers([1])
+            controller.membership.evict_workers([1])
         assert "minimum live worker count" in str(exc.value)
         assert _evict_snapshot(controller) == before
-        controller.min_live_workers = 1  # let the run finish unharmed
+        # let the run finish unharmed
+        controller.membership.min_live_workers = 1
 
     cluster = run_with_directives(8, directive_at=4, directive=evict)
     expected = reference(8)
@@ -340,17 +341,16 @@ def test_job_registration_excludes_draining_workers():
     cluster = run_with_directives(4, num_workers=3)
     ctrl = cluster.controller
 
-    ctrl.draining_workers.add(2)
+    ctrl.membership.start_drain([2])
     ctx = ctrl.register_job(99, driver=None, metrics=cluster.metrics)
     assert 2 not in ctx.placement.workers
     assert ctx.placement.workers, "job left with nowhere to place"
 
     # degenerate case: everything draining falls back to the live set
     # rather than an empty placement
-    ctrl.draining_workers.update(ctrl.live_workers)
+    ctrl.membership.start_drain(ctrl.live_workers)
     ctx2 = ctrl.register_job(100, driver=None, metrics=cluster.metrics)
     assert sorted(ctx2.placement.workers) == sorted(ctrl.live_workers)
-    ctrl.draining_workers.clear()
 
 
 def test_job_admitted_mid_drain_lands_off_the_draining_worker():
@@ -369,7 +369,8 @@ def test_job_admitted_mid_drain_lands_off_the_draining_worker():
 
     def drain_and_admit():
         cluster.autoscaler._begin_scale_down(1)
-        box["draining"] = set(cluster.controller.draining_workers)
+        box["draining"] = set(
+            cluster.controller.membership.draining_workers)
         assert box["draining"], "scale-down marked nothing DRAINING"
         box["record"] = cluster.jobs.submit(app.program(blocking=False))
         ctx = cluster.controller.jobs[box["record"].job_id]
@@ -425,7 +426,7 @@ def test_provisioned_worker_syncs_epoch_after_churn():
 
     def join():
         worker = cluster.provision_worker()
-        ctrl.add_worker(worker.worker_id, worker)
+        ctrl.membership.add_worker(worker.worker_id, worker)
         box["worker"] = worker
 
     cluster.sim.schedule_at(0.8, join)

@@ -33,7 +33,7 @@ def test_crash_mid_window_timeline_is_pinned(mode):
 
     def crash():
         cluster.workers[3].fail()
-        cluster.controller.on_worker_dead(3)
+        cluster.controller.membership.on_worker_dead(3)
 
     cluster.sim.schedule_at(0.5, crash)
     cluster.driver.start()

@@ -30,7 +30,6 @@ from repro.nimbus import (
     JobRejected,
     NimbusCluster,
 )
-from repro.obs import snapshot_metrics
 from repro.perf.serve_bench import JOB_MIX, run_job_arrival
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -297,17 +296,16 @@ def _virtual_pair_cluster():
 
 def test_per_job_metrics_round_trip_without_cross_job_leakage():
     cluster, a, b = _virtual_pair_cluster()
-    snap_a = snapshot_metrics(a.metrics)
-    snap_b = snapshot_metrics(b.metrics)
+    snap_a = a.metrics.counters_snapshot()
+    snap_b = b.metrics.counters_snapshot()
     assert json.loads(json.dumps(snap_a)) == snap_a
     assert json.loads(json.dumps(snap_b)) == snap_b
     # each job's control-plane decisions land in its own stream...
-    assert snap_a["counters"]["tasks_scheduled"] > 0
-    assert snap_b["counters"]["tasks_scheduled"] > 0
-    assert snap_a["counters"]["template_instantiations"] > 0
+    assert snap_a["tasks_scheduled"] > 0
+    assert snap_b["tasks_scheduled"] > 0
+    assert snap_a["template_instantiations"] > 0
     # ...sized to that job's own program (B ran fewer iterations)
-    assert (snap_b["counters"]["tasks_scheduled"]
-            < snap_a["counters"]["tasks_scheduled"])
+    assert snap_b["tasks_scheduled"] < snap_a["tasks_scheduled"]
     # and none of it leaks into the shared job-0 stream, which carries
     # only cluster-wide facts (worker execution, admission events)
     assert cluster.metrics.count("tasks_scheduled") == 0
@@ -334,8 +332,8 @@ def test_per_job_snapshots_match_golden():
     decision changes it."""
     cluster, a, b = _virtual_pair_cluster()
     actual = {
-        "job_1": snapshot_metrics(a.metrics)["counters"],
-        "job_2": snapshot_metrics(b.metrics)["counters"],
+        "job_1": a.metrics.counters_snapshot(),
+        "job_2": b.metrics.counters_snapshot(),
         "cluster": {
             name: cluster.metrics.count(name)
             for name in ("jobs_registered", "jobs_admitted",

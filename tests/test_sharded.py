@@ -239,7 +239,7 @@ def test_crashed_worker_releases_outstanding_window_sharded():
         policy = ctrl.jobs[0].policy
         state["grants_before"] = policy.outstanding_grants()
         cluster.workers[3].fail()
-        ctrl.on_worker_dead(3)
+        ctrl.membership.on_worker_dead(3)
         state["grants_after"] = policy.outstanding_grants()
 
     cluster.sim.schedule_at(0.5, crash)

@@ -10,6 +10,7 @@ decision: the instance lifecycle (decide, ship, fold, close — DESIGN.md
 queues and transports.
 """
 
+import ast
 import inspect
 import pathlib
 import pkgutil
@@ -119,10 +120,60 @@ def test_each_control_plane_decision_has_one_site():
                 & set(vars(cls))]
 
 
-#: today's sizes, so simplification is monotone until the controller is
-#: split into components (ROADMAP item 4(c))
+def test_worker_set_has_one_owner():
+    """Every change to the worker set — eviction, join, restore, death,
+    checkpoint recovery — is made by ``nimbus/membership.py``
+    (DESIGN.md §6, "Membership and recovery"). The controller reads the
+    live set through an alias of the same object; nothing else writes it,
+    drops a departed worker's load signal, or starts a stop-the-world
+    step."""
+    sets = r"\b(live_workers|draining_workers|failed_workers)"
+    mutation = re.compile(
+        sets + r"(\s*([-|&^]=|=(?!=))|\.(add|discard|remove|pop|clear|"
+        r"update|difference_update|intersection_update)\()")
+    alias = "self.live_workers = self.membership.live_workers"
+    writers = {
+        path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
+        if mutation.search(path.read_text().replace(alias, ""))
+    }
+    assert writers == {"nimbus/membership.py"}
+    readers = {
+        path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
+        if re.search(r"\.(recovering|checkpointing)\b", path.read_text())
+    }
+    assert readers == {"nimbus/membership.py"}  # one stop-the-world test
+    src = "".join(path.read_text() for path in SRC.rglob("*.py"))
+    assert _call_sites("load_tracker.drop_worker", src) == 1
+    assert _call_sites("rebalancer.drop_worker", src) == 1
+    controller = (SRC / "nimbus" / "controller.py").read_text()
+    for msg in ("P.SaveCheckpoint", "P.Halt", "P.LoadCheckpoint"):
+        assert _call_sites(msg, controller) == 0, msg
+
+
+def test_no_controller_method_only_forwards_to_the_membership():
+    """No shim: a caller of a worker-set change goes to the membership
+    itself. ``Controller.handle`` forwards the four membership messages,
+    one line each, and that is all."""
+    tree = ast.parse(inspect.getsource(Controller))
+    for node in tree.body[0].body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = [stmt for stmt in node.body
+                if not (isinstance(stmt, ast.Expr)
+                        and isinstance(stmt.value, ast.Constant))]
+        if len(body) != 1:
+            continue
+        value = getattr(body[0], "value", None)
+        callee = value.func if isinstance(value, ast.Call) else None
+        assert not (isinstance(callee, ast.Attribute)
+                    and "self.membership" in ast.unparse(callee.value)), \
+            node.name
+
+
+#: today's sizes, so simplification is monotone
 LINE_CEILINGS = {
-    "nimbus/controller.py": 1594,
+    "nimbus/controller.py": 1244,
+    "nimbus/membership.py": 427,
     "nimbus/worker.py": 1232,
     "sched/policy.py": 460,
     "nimbus/protocol.py": 767,

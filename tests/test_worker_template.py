@@ -180,14 +180,6 @@ class TestInstantiation:
         cmd = instantiate_entries(half.entries, 0, 1, 10, {"alpha": 3.5})[0]
         assert cmd.params == 3.5
 
-    def test_tombstoned_entries_skipped_but_indices_reserved(self):
-        _wts, halves = self.make_half((0, 0))
-        half = halves[0]
-        half.entries[0] = None
-        commands = instantiate_entries(half.entries, 0, 1, 100, {})
-        assert [c.cid for c in commands] == [101]
-        assert half.num_commands() == 1
-
     def test_unknown_kind_rejected(self):
         entry = list(gen(producer_consumer_block(), [0, 0]).entries[0])[0]
         entry.kind = CommandKind.SAVE
