@@ -109,7 +109,7 @@ class SparkController(Controller):
         # item that drains it is the last of its batch and pumping after
         # the fold is pumping at that item
         seq = self._active[0].seq
-        self._stage_outstanding -= sum(item[1] == seq for item in msg.items)
+        self._stage_outstanding -= msg.flat[1::4].count(seq)
         if self._stage_outstanding <= 0:
             if not self._active[1]:  # all stages dispatched and done
                 self._active = None

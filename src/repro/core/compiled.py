@@ -17,8 +17,8 @@ module extends the caching one level down, from *decisions* to the
   array of :class:`Command` objects matching the plan (static fields are
   written once when the arena is built; only tags and parameters are
   rewritten per instance) plus the flat per-instance state — dependency
-  counts, command ids, the instance record — held once per frame instead
-  of on every command. Arenas are pooled per plan because the driver
+  counts, the command-id base, the instance record — held once per frame
+  instead of on every command. Arenas are pooled per plan because the driver
   pipelines instances, so several instances of the same block can be in
   flight on a worker at once;
 * :func:`derive_plan` carries a plan across an edit of its half: the
@@ -60,10 +60,13 @@ class CommandArena:
 
     ``rem[pos]`` is the outstanding-dependency count of the command at
     ``pos`` (-1 once it completed, which is how a later instance asks
-    "is this predecessor still pending?"), ``cids[pos]`` its command id,
-    ``xsucc[pos]`` its cross-instance successors (commands of later
+    "is this predecessor still pending?"), ``cid_base + pos`` its command
+    id, ``xsucc[pos]`` its cross-instance successors (commands of later
     frames, or centrally dispatched ones) in registration order — the
     frame-local replacement for the worker's cid-keyed dependents map.
+    A position gets its list when it gains its first such successor and
+    keeps it, emptied, for the frame's next instances; until then it is
+    None.
     ``outstanding`` counts commands not yet completed; the arena returns
     to its plan's pool at zero.
 
@@ -79,15 +82,15 @@ class CommandArena:
     §13).
     """
 
-    __slots__ = ("plan", "cmds", "rem", "cids", "xsucc", "record",
+    __slots__ = ("plan", "cmds", "rem", "cid_base", "xsucc", "record",
                  "outstanding")
 
     def __init__(self, plan: "CompiledPlan", cmds: List[Command]):
         self.plan = plan
         self.cmds = cmds
         self.rem: List[int] = []
-        self.cids: List[int] = []
-        self.xsucc: List[List[Command]] = [[] for _ in cmds]
+        self.cid_base = 0
+        self.xsucc: List[Optional[List[Command]]] = [None] * len(cmds)
         self.record = None
         self.outstanding = 0
 
@@ -126,13 +129,13 @@ class Seam:
 class CompiledPlan:
     """Struct-of-arrays execution plan for one worker half's entry array.
 
-    All arrays are indexed by *batch position* (entries in entry order);
-    ``index[pos]`` is the entry index command ids are based on, which
-    equals the position (edits replace or append, never leave a hole).
+    All arrays are indexed by *batch position* (entries in entry order),
+    which is also the entry index command ids are based on: edits replace
+    or append, never leave a hole.
     """
 
     __slots__ = (
-        "live", "reports", "m", "index", "kinds", "init_before",
+        "live", "reports", "m", "kinds", "init_before",
         "before_pos", "succ", "sends", "recvs", "param_slots",
         "report_flags", "report_positions", "net", "readers_append",
         "init_hold", "held", "miss", "anc", "pool",
@@ -229,7 +232,7 @@ class CompiledPlan:
         equal signatures mean the plan matches the (possibly re-edited)
         entries it claims to represent."""
         return (
-            self.m, tuple(self.index), tuple(self.kinds),
+            self.m, tuple(self.kinds),
             tuple(self.init_before), tuple(self.before_pos),
             tuple(self.succ), tuple(self.sends), tuple(self.recvs),
             tuple(self.param_slots), tuple(self.report_flags),
@@ -276,21 +279,18 @@ def compile_plan(entries: List[Any], reports) -> CompiledPlan:
     plan.live = live
     plan.reports = frozenset(reports)
     plan.m = m
-    pos_of: Dict[int, int] = {}
-    for pos, e in enumerate(live):
-        pos_of[e.index] = pos
-    plan.index = [e.index for e in live]
     plan.kinds = [e.kind for e in live]
 
     # --- before-set edges (intra-batch dependency graph) --------------
     before_pos: List[Tuple[int, ...]] = []
     forward = set()  # positions an *earlier* position waits for (edits)
     for pos, e in enumerate(live):
+        if e.index != pos:
+            raise ValueError(f"entry {e.index} sits at position {pos}")
         deps: List[int] = []
         seen = set()
-        for j in e.before:
-            p = pos_of.get(j)
-            if p is not None and p != pos and p not in seen:
+        for p in e.before:
+            if 0 <= p < m and p != pos and p not in seen:
                 seen.add(p)
                 deps.append(p)
                 if p > pos:
@@ -364,7 +364,8 @@ def compile_plan(entries: List[Any], reports) -> CompiledPlan:
                 woids.append(oid)
         deps = before_pos[pos]
         if roids or woids or e.kind == recv or not deps:
-            rows.append((pos, (), tuple(roids), tuple(woids), e.kind == recv))
+            rows.append((pos, (), _oids(roids, e.read), _oids(woids, e.write),
+                         e.kind == recv))
         if deps and not any(plan.kinds[d] == task for d in deps):
             held.append(pos)
             plan.init_hold[pos] += 1
@@ -394,6 +395,13 @@ def compile_plan(entries: List[Any], reports) -> CompiledPlan:
         if oid not in writers and lst
     }
     return plan
+
+
+def _oids(kept: List[int], accessed: Tuple[int, ...]) -> Tuple[int, ...]:
+    """``kept`` — the objects of ``accessed`` (an entry's or a row's
+    tuple) a row keeps, in order and without repeats — as a tuple:
+    ``accessed`` itself when it kept them all."""
+    return accessed if len(kept) == len(accessed) else tuple(kept)
 
 
 def _faces_pre_batch(pos: int, writers, succ) -> bool:
@@ -452,7 +460,6 @@ def derive_plan(plan: CompiledPlan, entries: List[Any], access,
     new.m = m = len(live)
     new.reports = frozenset(reports)
     pad = m - n
-    new.index = plan.index + list(range(n, m))
     new.kinds = kinds = plan.kinds + [None] * pad
     new.before_pos = before_pos = plan.before_pos + [()] * pad
     new.init_before = init_before = plan.init_before + [0] * pad
@@ -564,7 +571,8 @@ def derive_plan(plan: CompiledPlan, entries: List[Any], access,
         if had:
             fallback -= len(rows[at][2]) + len(rows[at][3])
         if roids or woids or e.kind == recv or not before_pos[p]:
-            row = (p, (), tuple(roids), tuple(woids), e.kind == recv)
+            row = (p, (), _oids(roids, e.read), _oids(woids, e.write),
+                   e.kind == recv)
             fallback += len(roids) + len(woids)
             if had:
                 rows[at] = row
@@ -596,7 +604,7 @@ def derive_plan(plan: CompiledPlan, entries: List[Any], access,
                 cmds[t] = cmd
             else:
                 cmds.append(cmd)
-                frame.xsucc.append([])
+                frame.xsucc.append(None)
     new.pool, plan.pool = plan.pool, []
     return new
 
@@ -646,7 +654,7 @@ def build_seam(pred: CompiledPlan, plan: CompiledPlan) -> Seam:
             fallback += len(left)
             row = (pos, tuple(sorted([q for q in preds
                                       if not implied >> q & 1])),
-                   tuple(left), (), is_recv)
+                   _oids(left, roids), (), is_recv)
         rows.append(row)
     if not covered:
         return plan.miss

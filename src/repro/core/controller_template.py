@@ -12,7 +12,7 @@ task identifiers and a parameter block, touching O(1) state per task.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from .spec import BlockSpec
 
@@ -48,11 +48,10 @@ class ControllerTemplate:
     """
 
     def __init__(self, block_id: str, entries: List[CTEntry],
-                 returns: Dict[str, int], signature: Tuple):
+                 returns: Dict[str, int]):
         self.block_id = block_id
         self.entries = entries
         self.returns = dict(returns)
-        self.signature = signature
         #: bumped every time the assignment is edited (worker-template keys)
         self.assignment_version = 0
 
@@ -106,8 +105,7 @@ class ControllerTemplate:
                     last_writer[oid] = index
                     readers_since[oid] = []
                 index += 1
-        return cls(block.block_id, entries, block.returns,
-                   block.structure_signature())
+        return cls(block.block_id, entries, block.returns)
 
     # ------------------------------------------------------------------
     # Instantiation (Figure 5a)

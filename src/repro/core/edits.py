@@ -41,12 +41,6 @@ class EditOp:
         self.index = index
         self.entry = entry
 
-    def clone(self) -> "EditOp":
-        """Deep-enough copy for applying the op to a second entry array
-        (the worker half) without sharing TemplateEntry objects with the
-        first (the controller half)."""
-        return EditOp(self.op, self.index, self.entry.clone())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EditOp {self.op} @{self.index}>"
 
@@ -54,7 +48,9 @@ class EditOp:
 def apply_edits(entries: List[TemplateEntry], ops: List[EditOp],
                 access: Optional[AccessIndex] = None) -> None:
     """Apply edit ops to an entry array, in order. Mutates ``entries``,
-    and ``access`` — the array's accessor index, once it has one — with it."""
+    and ``access`` — the array's accessor index, once it has one — with it.
+    Both halves apply the same ops, so they hold the same op entries; the
+    only write to one is stamping its index as it is placed."""
     for op in ops:
         new = op.entry
         if op.op == EditOp.REPLACE:

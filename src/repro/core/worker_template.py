@@ -30,7 +30,14 @@ from .controller_template import ControllerTemplate
 
 
 class TemplateEntry:
-    """Fixed structure of one command in a worker template."""
+    """Fixed structure of one command in a worker template.
+
+    Immutable once generation (or an edit's planning) has placed it in an
+    entry array: the controller half, every worker half installed from it
+    and every plan compiled from either hold the *same* entry objects. An
+    edit never changes an entry; it replaces it with a changed
+    :meth:`clone`, and both halves apply the same replacement.
+    """
 
     __slots__ = ("index", "kind", "function", "read", "write", "before",
                  "param_slot", "dst_worker", "dst_index", "src_worker",
@@ -143,12 +150,18 @@ class DirectoryDelta:
     ``write_counts[oid]`` is how many version bumps the block applies;
     ``final_holders[oid]`` is the set of workers holding the final version
     when the block (including its postcondition-closure copies) completes.
+    Equal holder sets are one frozenset: a block writes thousands of
+    objects, and nearly all of them end on the worker that wrote them.
     """
 
     def __init__(self, write_counts: Dict[int, int],
-                 final_holders: Dict[int, FrozenSet[int]]):
+                 final_holders: Dict[int, Iterable[int]]):
         self.write_counts = dict(write_counts)
-        self.final_holders = {k: frozenset(v) for k, v in final_holders.items()}
+        interned: Dict[FrozenSet[int], FrozenSet[int]] = {}
+        self.final_holders: Dict[int, FrozenSet[int]] = {}
+        for oid, holders in final_holders.items():
+            holders = frozenset(holders)
+            self.final_holders[oid] = interned.setdefault(holders, holders)
         #: ``final_holders`` went to a directory, which may hold it
         #: unapplied (ObjectDirectory.apply_block_deltas): it must not
         #: change from then on
@@ -376,9 +389,7 @@ def generate_worker_templates(
                 per_worker[w][idx].report = True
                 report_entries.setdefault(w, []).append(idx)
 
-    final_holders = {
-        oid: frozenset(avail[oid].keys()) for oid in written_in_block
-    }
+    final_holders = {oid: avail[oid].keys() for oid in written_in_block}
     delta = DirectoryDelta(write_counts, final_holders)
     return WorkerTemplateSet(
         template.block_id, version, per_worker, preconds, delta,
@@ -431,17 +442,14 @@ class WorkerHalf:
         idle frames. The current plan is left untouched for the frames
         still running on it and returned: it is the caller's to retire.
 
-        Op entries are cloned before insertion: the controller half applied
-        the same op objects to *its* entry arrays, and a shared
-        TemplateEntry mutated by a later edit on one half must not silently
-        alias state cached on the other.
+        The op entries are the ones the controller half applied: entries
+        are immutable, so the two halves share them.
         """
         from .compiled import derive_plan
         from .edits import apply_edits
         plan = self._plan
         if plan is not None and self._access is None:
             self._access = AccessIndex(self.entries)
-        ops = [op.clone() for op in ops]
         apply_edits(self.entries, ops, self._access)
         for op in ops:
             if op.entry.report:

@@ -94,7 +94,7 @@ class Command:
         self.worker = worker
         self.read = tuple(read)
         self.write = tuple(write)
-        self.before = list(before)
+        self.before = tuple(before)
         self.params = params
         self.function = function
         self.dst_worker = dst_worker  # SEND only

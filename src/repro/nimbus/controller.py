@@ -509,7 +509,6 @@ class Controller(P.ReliableEndpoint, Actor):
             for worker in ctx.directory.holders(goid):
                 per_worker.setdefault(worker, []).append(goid)
             ctx.directory.unregister(goid)
-            ctx.holder_cids.pop(goid, None)
         for worker, oids in per_worker.items():
             if worker in self.live_workers:
                 self.send_reliable(self.workers[worker], P.DestroyObjects(oids))
@@ -578,8 +577,8 @@ class Controller(P.ReliableEndpoint, Actor):
         """Dependency analysis + copy insertion + dispatch for one task.
 
         Copies are inserted when the task reads an object whose latest
-        version is not resident on its worker; the directory and the
-        holder-command map are updated as the plan is built.
+        version is not resident on its worker; the directory is updated
+        as the plan is built.
         """
         ctx = run.ctx
         sizes = None
@@ -599,16 +598,11 @@ class Controller(P.ReliableEndpoint, Actor):
                 self._dispatch(run, send)
                 self._dispatch(run, recv)
                 directory.record_copy(oid, worker)
-                holders = ctx.holder_cids.get(oid)
-                if holders is None:
-                    holders = ctx.holder_cids[oid] = {}
-                holders[worker] = recv_cid
         cid = self._alloc_cids(1)
         task = make_task(cid, worker, function, read, write, params=params)
         report = False
         for oid in write:
             directory.record_write(oid, worker)
-            ctx.holder_cids[oid] = {worker: cid}
             name = returns_rev.get(oid)
             if name is not None:
                 run.return_cids[cid] = name
@@ -1146,15 +1140,17 @@ class Controller(P.ReliableEndpoint, Actor):
     def _on_command_complete_batch(self, msg: P.CommandCompleteBatch) -> None:
         # the per-completion cost is charged per item: coalescing saves
         # messages and event overhead, not modeled controller work
-        items = msg.items
-        self.charge(self.costs.controller_completion_per_task * len(items))
+        flat = msg.flat
+        self.charge(self.costs.controller_completion_per_task
+                    * (len(flat) // 4))
         worker_id = msg.worker_id
         # flat walk over the item array: the run lookup is hoisted per
         # block_seq group (batches overwhelmingly carry one run)
         runs = self.runs
         run = None
         run_seq = None
-        for cid, block_seq, duration, value in items:
+        it = iter(flat)
+        for cid, block_seq, duration, value in zip(it, it, it, it):
             if block_seq != run_seq:
                 run_seq = block_seq
                 run = runs.get(block_seq)

@@ -124,7 +124,7 @@ def _successors(worker, cmd: Command) -> List[Command]:
     """The cross-batch successor list of pending ``cmd``."""
     frame = cmd._carena
     if frame is not None:
-        return frame.xsucc[cmd._cpos]
+        return frame.xsucc[cmd._cpos] or []
     return worker._dependents.get(cmd.cid, [])
 
 
@@ -173,12 +173,12 @@ class TrackerShadow:
                         f"skipped walk: object {oid} has pending "
                         f"{writer}/{readers}")
 
-    def record(self, plan: CompiledPlan, cids: List[int]) -> None:
+    def record(self, plan: CompiledPlan, base: int) -> None:
         for oid, (p, poss) in plan.net.items():
-            self.last_writer[oid] = cids[p]
-            self.readers[oid] = [cids[q] for q in poss]
+            self.last_writer[oid] = base + p
+            self.readers[oid] = [base + q for q in poss]
         for oid, poss in plan.readers_append.items():
-            self.readers.setdefault(oid, []).extend(cids[p] for p in poss)
+            self.readers.setdefault(oid, []).extend(base + p for p in poss)
 
     def resolve(self, cid: int, read, write) -> None:
         for oid in read:

@@ -421,7 +421,6 @@ class Membership:
         c = self.controller
         ctx = c._job0
         self.recovering = False
-        ctx.holder_cids.clear()
         c.send_reliable(ctx.driver, P.JobRestored(
             len(ctx.results_history) + 1, list(ctx.results_history)))
         c.metrics.incr("recoveries_completed")

@@ -67,7 +67,7 @@ class JobContext:
         "job_id", "weight", "driver", "metrics", "directory", "placement",
         "templates", "phase", "worker_templates", "current_version",
         "assignments", "validation_state", "patch_cache", "prev_block_key",
-        "pending_edits", "divergent_wts", "holder_cids", "seen_requests",
+        "pending_edits", "divergent_wts", "seen_requests",
         "results_history", "object_sizes_cache", "_block_cache", "policy",
     )
 
@@ -89,7 +89,6 @@ class JobContext:
         self.prev_block_key: Hashable = "job-start"
         self.pending_edits: Dict[Tuple[str, int], Dict[int, list]] = {}
         self.divergent_wts: Set[Tuple[str, int]] = set()
-        self.holder_cids: Dict[int, Dict[int, int]] = {}
         self.seen_requests: Set[int] = set()
         self.results_history: List[Tuple[str, Dict[str, Any]]] = []
         self.object_sizes_cache: Optional[Dict[int, int]] = None

@@ -362,11 +362,10 @@ class CommandCompleteBatch(Message):
     overhead is saved — never modeled work.
     """
 
-    def __init__(self, worker_id: int,
-                 items: List[Tuple[int, int, float, Any]]):
+    def __init__(self, worker_id: int, flat: List[Any]):
         self.worker_id = worker_id
-        self.items = items  # [(cid, block_seq, duration, value)]
-        self.size_bytes = 64 * len(items)
+        self.flat = flat  # cid, block_seq, duration, value; 4 per completion
+        self.size_bytes = 16 * len(flat)
 
 
 class InstanceComplete(Message):

@@ -10,7 +10,7 @@ seam leaves (:meth:`ConflictTracker.walk`).
 
 A compiled instance's *net* update is deferred (DESIGN.md §9). While
 successive instances of one plan replay through a covering seam, each
-appends ``(plan, cids, rem)`` to the chain instead of rewriting the maps:
+appends ``(plan, cid_base, rem)`` to the chain instead of rewriting the maps:
 the next instance reads none of it, because its seam answers every object
 the plan writes and the objects it walks are ones the plan never writes.
 :meth:`ConflictTracker.fold` writes the chain into the maps before
@@ -20,7 +20,7 @@ instance's update.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..core.compiled import READERS_PRUNE_MIN, CommandArena, CompiledPlan, Seam
 from .commands import Command
@@ -34,14 +34,17 @@ class ConflictTracker:
     def __init__(self, pending: Dict[int, Command]):
         self.pending = pending  # the worker's, by id; cleared in place
         self._last_writer: Dict[int, int] = {}
-        self._readers_since: Dict[int, List[int]] = {}
+        #: per object, its readers since the last write: a lone reader is
+        #: kept bare, a list only from the second on, and no entry means
+        #: none
+        self._readers_since: Dict[int, Union[int, List[int]]] = {}
         #: per plan, instances left until the reader lists of the objects
         #: it only ever reads are pruned of completed readers
         self._prune_in: Dict[CompiledPlan, int] = {}
-        #: deferred instances of one plan, oldest first: ``(plan, cids,
-        #: rem)``. The lists, not the frame: an idle frame is reacquired
-        #: with fresh ones, and a drained instance's ``rem`` is all -1
-        self._chain: List[Tuple[CompiledPlan, List[int], List[int]]] = []
+        #: deferred instances of one plan, oldest first: ``(plan,
+        #: cid_base, rem)``. Not the frame: an idle frame is reacquired
+        #: with a fresh ``rem``, and a drained instance's is all -1
+        self._chain: List[Tuple[CompiledPlan, int, List[int]]] = []
         #: the frame whose update (folded or not) is the latest, else None;
         #: the next compiled instance may replay its seam against it
         self.tail: Optional[CommandArena] = None
@@ -87,11 +90,11 @@ class ConflictTracker:
         # an instance whose frame drained adds nothing a fold would keep
         while chain and chain[0][2].count(-1) == plan.m:
             del chain[0]
-        chain.append((plan, frame.cids, frame.rem))
+        chain.append((plan, frame.cid_base, frame.rem))
         self.tail = frame
         self._idle = None if self._found else seam
         if self.shadow is not None:
-            self.shadow.record(plan, frame.cids)
+            self.shadow.record(plan, frame.cid_base)
 
     def fold(self) -> None:
         """Write the chain into the maps: the readers its instances still
@@ -100,11 +103,11 @@ class ConflictTracker:
         chain, self._chain = self._chain, []
         self.folds += 1
         self._idle = None
-        plan, cids, rem = chain[-1]
+        plan, base, rem = chain[-1]
         readers_since = self._readers_since
         appended = plan.readers_append
         if appended:
-            for _plan, icids, irem in chain:
+            for _plan, ibase, irem in chain:
                 if irem.count(-1) == plan.m:
                     continue
                 for oid, poss in appended.items():
@@ -112,24 +115,25 @@ class ConflictTracker:
                         if irem[p] >= 0:
                             lst = readers_since.get(oid)
                             if lst is None:
-                                readers_since[oid] = [icids[p]]
+                                readers_since[oid] = ibase + p
+                            elif lst.__class__ is int:
+                                readers_since[oid] = [lst, ibase + p]
                             else:
-                                lst.append(icids[p])
+                                lst.append(ibase + p)
             left = self._prune_in.get(plan, READERS_PRUNE_MIN) - len(chain)
             if left <= 0:
                 # objects this plan only ever reads are never reset by a
                 # write: drop the completed readers once the lists may
                 # have doubled
                 for oid in appended:
-                    lst = readers_since.get(oid)
-                    if lst is not None:
-                        left = max(left, self._prune(lst))
+                    if oid in readers_since:
+                        left = max(left, self._prune(oid))
                 left = max(left, READERS_PRUNE_MIN)
             self._prune_in[plan] = left
         last_writer = self._last_writer
         for oid, (p, poss) in plan.net.items():
-            last_writer[oid] = cids[p]
-            readers_since[oid] = [cids[q] for q in poss if rem[q] >= 0]
+            last_writer[oid] = base + p
+            self._store(oid, [base + q for q in poss if rem[q] >= 0])
         if self.shadow is not None:
             self.shadow.compare()
 
@@ -150,7 +154,10 @@ class ConflictTracker:
                     deps.add(dep)
         readers_since = self._readers_since
         for oid in woids:
-            for reader in readers_since.get(oid, ()):
+            readers = readers_since.get(oid, ())
+            if readers.__class__ is int:
+                readers = (readers,)
+            for reader in readers:
                 dep = pending.get(reader)
                 if dep is not None:
                     if deps is None:
@@ -175,27 +182,43 @@ class ConflictTracker:
         for oid in read:
             readers = readers_since.get(oid)
             if readers is None:
-                readers_since[oid] = [cid]
+                readers_since[oid] = cid
+            elif readers.__class__ is int:
+                readers_since[oid] = [readers, cid]
             else:
                 readers.append(cid)
                 n = len(readers)
                 if n >= READERS_PRUNE_MIN and not n & (n - 1):
                     # read-mostly object: keep the list O(pending readers)
-                    self._prune(readers)
+                    readers[:] = [r for r in readers if r in self.pending]
         last_writer = self._last_writer
         for oid in write:
             last_writer[oid] = cid
-            readers_since[oid] = []
+            readers_since.pop(oid, None)
         if self.shadow is not None:
             self.shadow.resolve(cid, read, write)
         return deps
 
-    def _prune(self, readers: List[int]) -> int:
-        """Drop completed readers in place (exact: a completed command can
-        never become a dependency); returns the new length."""
+    def _prune(self, oid: int) -> int:
+        """Drop ``oid``'s completed readers (exact: a completed command
+        can never become a dependency); returns how many are left."""
+        readers = self._readers_since[oid]
+        if readers.__class__ is int:
+            readers = [readers]
         pending = self.pending
-        readers[:] = [r for r in readers if r in pending]
-        return len(readers)
+        return self._store(oid, [r for r in readers if r in pending])
+
+    def _store(self, oid: int, readers: List[int]) -> int:
+        """Make ``readers`` ``oid``'s readers since its last write: no
+        entry for none, the bare id for one; returns how many."""
+        n = len(readers)
+        if n > 1:
+            self._readers_since[oid] = readers
+        elif n:
+            self._readers_since[oid] = readers[0]
+        else:
+            self._readers_since.pop(oid, None)
+        return n
 
     # -- plans, tenants, halts --
     def drop_plan(self, plan: CompiledPlan) -> None:
@@ -219,8 +242,7 @@ class ConflictTracker:
                     if o // OID_STRIDE in released and w not in pending]:
             del writers[oid]
         for oid in [o for o in readers_since if o // OID_STRIDE in released]:
-            if not self._prune(readers_since[oid]):
-                del readers_since[oid]
+            self._prune(oid)
 
     def clear(self) -> None:
         """Halt: every command is abandoned."""
@@ -238,12 +260,14 @@ class ConflictTracker:
         last writer if pending (else None) and its pending readers, sorted."""
         writer = self._last_writer.get(oid)
         readers = self._readers_since.get(oid, [])
-        for plan, cids, _rem in self._chain:
+        if readers.__class__ is int:
+            readers = [readers]
+        for plan, base, _rem in self._chain:
             if oid in plan.net:
                 p, poss = plan.net[oid]
-                writer, readers = cids[p], [cids[q] for q in poss]
+                writer, readers = base + p, [base + q for q in poss]
             elif oid in plan.readers_append:
-                readers = readers + [cids[q]
+                readers = readers + [base + q
                                      for q in plan.readers_append[oid]]
         pending = self.pending
         readers = [r for r in readers if r in pending]
@@ -251,9 +275,10 @@ class ConflictTracker:
         return writer if writer in pending else None, readers
 
     def stats(self) -> Dict[str, int]:
-        """Sizes: objects with a writer / a reader list, readers held, the
+        """Sizes: objects with a writer / with readers, readers held, the
         longest list, plans counting down to a prune, chained instances."""
-        lists = self._readers_since.values()
+        lists = [(r,) if r.__class__ is int else r
+                 for r in self._readers_since.values()]
         return {"writers": len(self._last_writer),
                 "reader_lists": len(lists),
                 "readers": sum(map(len, lists)),

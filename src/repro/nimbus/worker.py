@@ -70,15 +70,14 @@ class _InstanceRecord:
 
     ``task_times`` is non-None only when the worker was asked to report
     per-task timings (adaptive rebalancing): {local entry index ->
-    duration}, where the entry index is recovered as ``cid - cid_base``.
+    duration}.
     """
 
     __slots__ = ("block_id", "instance_id", "block_seq", "remaining",
-                 "compute_time", "values", "version",
-                 "cid_base", "task_times", "grant")
+                 "compute_time", "values", "version", "task_times", "grant")
 
     def __init__(self, block_id, instance_id, block_seq, remaining,
-                 version=0, cid_base=0, task_times=None, grant=None):
+                 version=0, task_times=None, grant=None):
         self.block_id = block_id
         self.instance_id = instance_id
         self.block_seq = block_seq
@@ -86,7 +85,6 @@ class _InstanceRecord:
         self.compute_time = 0.0
         self.values: Dict[int, Any] = {}
         self.version = version
-        self.cid_base = cid_base
         self.task_times: Optional[Dict[int, float]] = task_times
         #: owning self-schedule grant (decentralized mode), else None:
         #: completion folds into a WindowSummary row instead of an
@@ -234,8 +232,9 @@ class Worker(P.ReliableEndpoint, Actor):
         #: instantiates, None otherwise (traced runs only)
         self._advance_release = None
 
-        # central-path completions awaiting the COMPLETION_FLUSH_WINDOW flush
-        self._completion_buffer: List[Tuple[int, int, float, Any]] = []
+        # central-path completions awaiting the COMPLETION_FLUSH_WINDOW
+        # flush, flat: cid, block_seq, duration, value per completion
+        self._completion_buffer: List[Any] = []
         self._completion_flush_pending = False
 
         #: decentralized mode: template instances a self-schedule grant
@@ -365,7 +364,7 @@ class Worker(P.ReliableEndpoint, Actor):
             # applied to the cached half
             self._stale()
             return
-        entries = [e.clone() for e in msg.entries]
+        entries = msg.entries
         half = WorkerHalf(msg.block_id, msg.version, entries, msg.reports)
         self._templates[(msg.job_id, msg.block_id, msg.version)] = half
         self.charge(
@@ -394,16 +393,17 @@ class Worker(P.ReliableEndpoint, Actor):
         self._seen_instances.add(key)
         half = self._templates.get((msg.job_id, msg.block_id, msg.version))
         if half is None:
-            raise KeyError(
-                f"worker {self.worker_id}: job {msg.job_id} asked to "
-                f"instantiate template ({msg.block_id!r}, v{msg.version}) "
-                f"which was never installed here (installed: "
-                f"{sorted(self._templates)})"
-            )
+            raise self._not_installed(msg, "asked to instantiate template")
         if msg.edits:
             self._apply_edits(half, msg.edits)
         self._start_instance(half, msg.block_id, msg.version, msg.instance_id,
                              msg.cid_base, msg.block_seq, msg.params, key)
+
+    def _not_installed(self, msg, asked: str) -> KeyError:
+        return KeyError(
+            f"worker {self.worker_id}: job {msg.job_id} {asked} "
+            f"({msg.block_id!r}, v{msg.version}) which was never installed "
+            f"here (installed: {sorted(self._templates)})")
 
     def _start_instance(self, half: WorkerHalf, block_id, version,
                         instance_id, cid_base, block_seq, params, key,
@@ -416,8 +416,7 @@ class Worker(P.ReliableEndpoint, Actor):
         way — only ``grant`` routing of the completion differs.
         """
         record = _InstanceRecord(
-            block_id, instance_id, block_seq, remaining=0,
-            version=version, cid_base=cid_base,
+            block_id, instance_id, block_seq, remaining=0, version=version,
             task_times={} if self.report_task_times else None,
             grant=grant,
         )
@@ -491,11 +490,12 @@ class Worker(P.ReliableEndpoint, Actor):
         wid = self.worker_id
         for i, entry_index in plan.recvs:
             cmds[i].tag = (instance_id, wid, entry_index)
-        frame.cids = cids = [cid_base + i for i in plan.index]
+        frame.cid_base = cid_base
         frame.record = record
 
         pending = self._pending
         tr = self._trace
+        cids = range(cid_base, cid_base + len(cmds))
         if tr is not None or self._cross_check:
             # only observers need the cid on the command itself
             run_seq = record.block_seq if record is not None else None
@@ -517,6 +517,8 @@ class Worker(P.ReliableEndpoint, Actor):
             n = 0
             for q in preds:
                 if prem[q] >= 0:
+                    if pxs[q] is None:
+                        pxs[q] = []
                     pxs[q].append(cmd)
                     n += 1
             if walk is not None and (roids or woids):
@@ -561,14 +563,15 @@ class Worker(P.ReliableEndpoint, Actor):
         """Make ``cmd`` wait for pending ``pred``: successors of a compiled
         command live on its frame, of any other in ``_dependents``."""
         frame = pred._carena
-        if frame is not None:
-            frame.xsucc[pred._cpos].append(cmd)
-            return
-        lst = self._dependents.get(pred.cid)
-        if lst is None:
-            self._dependents[pred.cid] = [cmd]
+        if frame is None:
+            succs, at = self._dependents, pred.cid
+            lst = succs.get(at)
         else:
-            lst.append(cmd)
+            succs, at = frame.xsucc, pred._cpos
+            lst = succs[at]
+        if lst is None:
+            lst = succs[at] = []
+        lst.append(cmd)
 
     def _drop_plan(self, plan: Optional[CompiledPlan]) -> None:
         """Retire a plan whose half was edited or released: the seams on
@@ -648,7 +651,7 @@ class Worker(P.ReliableEndpoint, Actor):
         if msg.patch_id in self._patch_plans:
             self._stale()  # redelivered install: the patch already ran
             return
-        plan = compile_plan([e.clone() for e in msg.entries], ())
+        plan = compile_plan(msg.entries, ())
         self._patch_plans[msg.patch_id] = plan
         self.plans_compiled += 1
         self._ran_patches.add((msg.patch_id, msg.instance_id))
@@ -786,7 +789,8 @@ class Worker(P.ReliableEndpoint, Actor):
             duration = fn._const_dur
             if duration is None:
                 duration = fn.duration_of(cmd.params, self.worker_id)
-            duration *= scale
+            if scale != 1.0:  # else the function's own float, not a copy
+                duration *= scale
             batch = None
             if cohorts and free > 0 and ready:
                 # cohort entry: consecutive same-duration starts share one
@@ -913,7 +917,7 @@ class Worker(P.ReliableEndpoint, Actor):
             # compiled command: id, metadata and dependency counts live on
             # the instance frame; intra-batch successors are positions
             pos = cmd._cpos
-            cid = frame.cids[pos]
+            cid = frame.cid_base + pos
             del self._pending[cid]
             if tr is not None:
                 tr.cmd_complete(cid)
@@ -959,7 +963,7 @@ class Worker(P.ReliableEndpoint, Actor):
             if cmd.kind == _TASK:
                 record.compute_time += duration
                 if record.task_times is not None:
-                    record.task_times[cid - record.cid_base] = duration
+                    record.task_times[pos] = duration
             if report and cmd.write:
                 record.values[cmd.write[0]] = self.store.get(cmd.write[0])
             if record.remaining == 0:
@@ -975,7 +979,7 @@ class Worker(P.ReliableEndpoint, Actor):
         if frame is not None:
             return  # patch command: no ack needed
         value = self.store.get(cmd.write[0]) if (report and cmd.write) else None
-        self._completion_buffer.append((cid, block_seq, duration, value))
+        self._completion_buffer.extend((cid, block_seq, duration, value))
         if not self._completion_flush_pending:
             self._completion_flush_pending = True
             self.call_later(COMPLETION_FLUSH_WINDOW, self._flush_completions)
@@ -1044,12 +1048,8 @@ class Worker(P.ReliableEndpoint, Actor):
                     (msg.job_id, msg.block_id, msg.version), []).append(msg)
                 self.metrics.incr("self_schedule.deferred_windows")
                 return
-            raise KeyError(
-                f"worker {self.worker_id}: job {msg.job_id} granted a "
-                f"self-schedule window for ({msg.block_id!r}, "
-                f"v{msg.version}) which was never installed here "
-                f"(installed: {sorted(self._templates)})"
-            )
+            raise self._not_installed(
+                msg, "granted a self-schedule window for")
         if msg.edits:
             self._apply_edits(half, msg.edits)
         grant = _WorkerGrant(key, msg.block_id, msg.version, half,

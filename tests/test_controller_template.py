@@ -108,7 +108,10 @@ def test_builder_rejects_wrong_count():
 def test_signature_matches_block():
     block = simple_block()
     template = ControllerTemplate.from_block(block, [0, 1, 0, 0])
-    assert template.signature == block.structure_signature()
+    assert [(e.stage, e.function, e.read, e.write, e.param_slot)
+            for e in template.entries] == [
+        (stage.name, task.function, task.read, task.write, task.param_slot)
+        for stage in block.stages for task in stage.tasks]
 
 
 def test_structure_signature_ignores_ids_not_structure():

@@ -1,0 +1,112 @@
+"""Footprint invariants: each cached control-plane decision is held once.
+
+Structures, not bytes (allocation sizes differ between Python versions):
+after a quick sharded LR run and a quick serve run,
+
+* a worker half holds the controller half's own entry objects;
+* the conflict tracker keeps no empty reader list (no entry means none);
+* a template's directory delta holds one frozenset per distinct holder set;
+* centrally dispatched commands carry tuple before sets;
+* an instance frame keeps a command-id base, not a per-instance id list.
+"""
+
+import pytest
+
+from repro.nimbus.worker import Worker
+from repro.perf.serve_bench import build_job_arrival
+
+from .helpers import run_lr
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """The two clusters, and the ``before`` of every command a worker
+    took off the central dispatch path."""
+    befores = []
+    enqueue = Worker._enqueue
+
+    def recording(self, cmd, block_seq, report):
+        befores.append(cmd.before)
+        enqueue(self, cmd, block_seq, report)
+
+    Worker._enqueue = recording
+    try:
+        lr = run_lr(workers=4, iterations=6, mode="sharded")
+        serve, _names = build_job_arrival(num_workers=4, num_jobs=4)
+        serve.run_until_jobs_finished(max_seconds=1e6)
+    finally:
+        Worker._enqueue = enqueue
+    return [lr, serve], befores
+
+
+def _template_sets(cluster):
+    for job_id, ctx in cluster.controller.jobs.items():
+        for wts in ctx.worker_templates.values():
+            yield job_id, wts
+
+
+def test_worker_halves_share_the_controller_entries(runs):
+    clusters, _ = runs
+    compared = 0
+    for cluster in clusters:
+        for job_id, wts in _template_sets(cluster):
+            for worker in wts.installed_on:
+                half = cluster.workers[worker]._templates.get(
+                    (job_id, wts.block_id, wts.version))
+                if half is None:
+                    continue
+                mine = wts.entries[worker]
+                assert len(half.entries) == len(mine)
+                assert all(a is b for a, b in zip(half.entries, mine)), (
+                    f"job {job_id} {wts.key} worker {worker}: the half "
+                    f"holds copies of the controller's entries")
+                compared += len(mine)
+    assert compared
+
+
+def test_tracker_keeps_no_empty_reader_list(runs):
+    clusters, _ = runs
+    lists = 0
+    for cluster in clusters:
+        for worker in cluster.workers.values():
+            readers = worker.tracker._readers_since
+            empty = [oid for oid, lst in readers.items() if lst == []]
+            assert not empty, (
+                f"worker {worker.worker_id}: empty reader lists for "
+                f"{empty[:5]}")
+            lists += len(readers)
+    assert lists
+
+
+def test_template_delta_interns_holder_sets(runs):
+    clusters, _ = runs
+    shared = 0
+    for cluster in clusters:
+        for _job_id, wts in _template_sets(cluster):
+            holders = list(wts.delta.final_holders.values())
+            distinct = set(holders)
+            assert len({id(h) for h in holders}) == len(distinct), (
+                f"{wts.key}: {len(holders)} holder sets, {len(distinct)} "
+                f"distinct, held as more than one object each")
+            shared += len(holders) - len(distinct)
+    assert shared
+
+
+def test_central_commands_carry_tuple_befores(runs):
+    _, befores = runs
+    assert befores
+    assert all(type(before) is tuple for before in befores)
+
+
+def test_frames_keep_a_cid_base_not_an_id_list(runs):
+    clusters, _ = runs
+    frames = 0
+    for cluster in clusters:
+        for worker in cluster.workers.values():
+            for half in worker._templates.values():
+                plan = half._plan
+                for frame in (plan.pool if plan is not None else ()):
+                    assert isinstance(frame.cid_base, int)
+                    assert not hasattr(frame, "cids")
+                    frames += 1
+    assert frames

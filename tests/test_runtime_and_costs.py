@@ -96,7 +96,7 @@ class TestCommands:
         assert cmd.kind == CommandKind.TASK
         assert cmd.cid == 7 and cmd.worker == 2
         assert cmd.function == "fn" and cmd.params == "p"
-        assert cmd.before == [3]
+        assert cmd.before == (3,)
 
     def test_copy_pair_tags_match(self):
         send, recv = make_copy_pair(1, 2, oid=9, src=0, dst=1,

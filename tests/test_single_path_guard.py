@@ -172,11 +172,11 @@ def test_no_controller_method_only_forwards_to_the_membership():
 
 #: today's sizes, so simplification is monotone
 LINE_CEILINGS = {
-    "nimbus/controller.py": 1244,
-    "nimbus/membership.py": 427,
+    "nimbus/controller.py": 1240,
+    "nimbus/membership.py": 426,
     "nimbus/worker.py": 1232,
     "sched/policy.py": 460,
-    "nimbus/protocol.py": 767,
+    "nimbus/protocol.py": 766,
     "cli.py": 704,
 }
 

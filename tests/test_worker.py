@@ -22,8 +22,9 @@ class FakeController(Actor):
 
     def handle(self, msg):
         if isinstance(msg, P.CommandCompleteBatch):
-            # plain (cid, block_seq, duration, value) tuples, as on the wire
-            self.completions.extend(msg.items)
+            # (cid, block_seq, duration, value), four slots each on the wire
+            it = iter(msg.flat)
+            self.completions.extend(zip(it, it, it, it))
         elif isinstance(msg, P.InstanceComplete):
             self.instances.append(msg)
 

@@ -155,10 +155,10 @@ class TestInstantiation:
         commands = instantiate_entries(halves[0].entries, 0, instance_id=7,
                                        cid_base=100, params={})
         assert [c.cid for c in commands] == [100, 101]
-        assert commands[1].before == [100]  # the send follows the producer
+        assert commands[1].before == (100,)  # the send follows the producer
         commands2 = instantiate_entries(halves[1].entries, 1, instance_id=7,
                                         cid_base=200, params={})
-        assert commands2[1].before == [200]  # task after its recv
+        assert commands2[1].before == (200,)  # task after its recv
 
     def test_copy_tags_match_across_workers(self):
         _wts, halves = self.make_half()
