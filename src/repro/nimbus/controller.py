@@ -71,7 +71,7 @@ _STEADY_IN = frozenset((
 _STEADY_OUT = frozenset((
     P.InstantiateWorkerTemplate, P.SelfScheduleWindow,
     P.BlockCompleteBatch, P.EpochUpdate,
-    P.ShardWindow, P.ShardRegrant,
+    P.ShardWindow,
 ))
 
 
@@ -173,15 +173,6 @@ class Controller(P.ReliableEndpoint, Actor):
         #: ControllerShard actor. Attached by the cluster; empty is fine
         #: as long as no job runs mode="sharded".
         self.shards: Dict[int, Actor] = {}
-        #: reverse causal barrier for sharded fan-in: highest reliable
-        #: sequence handled per sender (actor name). A shard-relayed
-        #: WindowSummary carries the worker→coordinator sequence it must
-        #: not overtake (``ctrl_seq``); summaries arriving early park in
-        #: ``_barrier_summaries`` until the worker's direct stream
-        #: catches up — otherwise a window's blocks could complete at
-        #: the driver before an earlier centrally-dispatched block.
-        self._handled_seq: Dict[str, int] = {}
-        self._barrier_summaries: List[Tuple[int, P.WindowSummary]] = []
 
         # per-job state: job 0 is the legacy single-driver job, sharing the
         # controller's metrics object (the bit-identity seam — every
@@ -316,8 +307,6 @@ class Controller(P.ReliableEndpoint, Actor):
         if ctx is None:
             return
         self._dispatch_queue.drop_job(job_id)
-        self._barrier_summaries = [(j, s) for j, s in self._barrier_summaries
-                                   if j != job_id]
         for seq in [s for s, run in self.runs.items() if run.ctx is ctx]:
             del self.runs[seq]
         per_worker: Dict[int, List[int]] = {}
@@ -331,14 +320,10 @@ class Controller(P.ReliableEndpoint, Actor):
             self.send_reliable(self.workers[worker],
                                P.ReleaseJob(job_id,
                                             per_worker.get(worker, [])))
-        # close any sharded window state *before* late summaries can
-        # arrive: shards holding fan-in for the dead job's windows would
-        # otherwise wait forever on workers that just dropped their
-        # grants (release-mid-window regression)
-        if ctx.policy is not None and ctx.policy.mode == "sharded":
-            for shard_id in sorted(self.shards):
-                self.send_reliable(self.shards[shard_id],
-                                   P.ShardAbort(job_id, None))
+        # close relay state *before* late summaries can arrive: shards
+        # holding fan-in for the dead job's windows would otherwise wait
+        # forever on workers that just dropped their grants
+        ctx.policy.abort_relays()
         # the context and its policy point at each other: cut the loop so
         # the tenant's templates are freed here, not by a collector pass
         ctx.policy = None
@@ -382,8 +367,6 @@ class Controller(P.ReliableEndpoint, Actor):
         self.metrics.incr("controller.messages_in")
         if type(msg) in _STEADY_IN:
             self.metrics.incr("controller.steady_messages_in")
-        if msg.rel_seq is not None:
-            self._handled_seq[msg.rel_src] = msg.rel_seq
         if isinstance(msg, P.CommandCompleteBatch):
             self._on_command_complete_batch(msg)
         elif isinstance(msg, P.InstanceComplete):
@@ -411,7 +394,7 @@ class Controller(P.ReliableEndpoint, Actor):
             ctx = self._ctx_of(msg)
             if ctx is not None:
                 for summary in msg.summaries:
-                    self._fold_or_park_summary(msg.job_id, summary)
+                    ctx.policy.on_window_summary(summary)
         elif isinstance(msg, P.DefineObjects):
             ctx = self._ctx_of(msg)
             if ctx is not None:
@@ -432,45 +415,6 @@ class Controller(P.ReliableEndpoint, Actor):
             msg.action(self)
         else:
             raise TypeError(f"controller got unexpected message {msg!r}")
-        if self._barrier_summaries:
-            # the message above may have been the last direct message a
-            # parked shard-relayed summary was stamped against
-            self._replay_barrier_summaries()
-
-    def _fold_or_park_summary(self, job_id: int,
-                              summary: P.WindowSummary) -> None:
-        """Fold a shard-relayed per-worker summary, or park it until the
-        worker's direct stream catches up to ``ctrl_seq`` (the reverse
-        causal barrier — see ``_barrier_summaries``)."""
-        if not self._summary_barrier_met(summary):
-            self._barrier_summaries.append((job_id, summary))
-            self.metrics.incr("self_schedule.summary_barrier_deferrals")
-            return
-        ctx = self.jobs.get(job_id)
-        if ctx is not None:
-            ctx.policy.on_window_summary(summary)
-
-    def _summary_barrier_met(self, summary: P.WindowSummary) -> bool:
-        worker = self.workers.get(summary.worker_id)
-        if (worker is None
-                or summary.worker_id in self.membership.failed_workers):
-            # the direct stream will never catch up; release the summary
-            # and let the policy's stale-window guards judge it
-            return True
-        return summary.ctrl_seq <= self._handled_seq.get(worker.name, 0)
-
-    def _replay_barrier_summaries(self) -> None:
-        ready = [(j, s) for j, s in self._barrier_summaries
-                 if self._summary_barrier_met(s)]
-        if not ready:
-            return
-        self._barrier_summaries = [
-            (j, s) for j, s in self._barrier_summaries
-            if not self._summary_barrier_met(s)]
-        for job_id, summary in ready:
-            ctx = self.jobs.get(job_id)
-            if ctx is not None:  # released while parked: drop whole
-                ctx.policy.on_window_summary(summary)
 
     # ------------------------------------------------------------------
     # Object definition

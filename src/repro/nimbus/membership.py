@@ -203,11 +203,9 @@ class Membership:
             if ctx.policy is not None:
                 ctx.policy.drop_worker(worker_id)
         self.failed_workers.add(worker_id)
+        c.release_holds(c.workers[worker_id].name)  # its stream is over
         self.draining_workers.discard(worker_id)  # death outruns the drain
         self.evict_workers([worker_id])
-        if c._barrier_summaries:
-            # summaries parked behind the dead worker's stream unblock now
-            c._replay_barrier_summaries()
 
     def add_worker(self, worker_id: int, actor) -> None:
         """A provisioned worker finished cold start: join the live set.
@@ -364,6 +362,8 @@ class Membership:
         c = self.controller
         self.recovering = True
         self.failed_workers |= set(dead)
+        for w in dead:
+            c.release_holds(c.workers[w].name)
         self._depart(set(dead))
         # in-flight blocks are abandoned and replayed. The halt wipes every
         # job's worker-side queues, so all runs are dropped (recovery is a

@@ -17,7 +17,7 @@ parameter block).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..sim.actor import Message
 from .commands import Command
@@ -251,18 +251,9 @@ class SelfScheduleWindow(Message):
     controller, which knows the entry count).
     """
 
-    def __init__(
-        self,
-        window_id: int,
-        block_id: str,
-        version: int,
-        epoch: int,
-        instances,
-        job_id: int = 0,
-        edits=None,
-        reply_to=None,
-        barrier_seq: int = 0,
-    ):
+    def __init__(self, window_id: int, block_id: str, version: int,
+                 epoch: int, instances, job_id: int = 0, edits=None,
+                 reply_to=None):
         # instances: [(instance_id, cid_base, block_seq, params)]
         self.window_id = window_id
         self.block_id = block_id
@@ -274,13 +265,6 @@ class SelfScheduleWindow(Message):
         # sharded mode: actor name the WindowSummary goes back to (the
         # owning shard); None sends it to the coordinator as before
         self.reply_to = reply_to
-        # sharded mode: the coordinator→worker channel sequence this
-        # window must not overtake. A shard-relayed window travels a
-        # different channel than the coordinator's own dispatch stream,
-        # so without this causal barrier it could start instance N+1
-        # before the (retransmitting) central dispatch of instance N has
-        # even arrived. 0 means no barrier (decentralized mode).
-        self.barrier_seq = barrier_seq
         self.size_bytes = PARAM_BLOCK_BYTES * max(1, len(instances))
 
 
@@ -405,8 +389,7 @@ class WindowSummary(Message):
     """
 
     def __init__(self, worker_id: int, window_id: int, rows,
-                 job_id: int = 0, stalled: bool = False, next_index: int = 0,
-                 ctrl_seq: int = 0):
+                 job_id: int = 0, stalled: bool = False, next_index: int = 0):
         # rows: [(instance_id, block_seq, compute_time, values, task_times,
         #         finished_at)] — finished_at is the worker-local completion
         # time, so block-end statistics stay honest even though the
@@ -417,11 +400,6 @@ class WindowSummary(Message):
         self.job_id = job_id
         self.stalled = stalled
         self.next_index = next_index
-        # sharded mode: the worker→coordinator channel sequence this
-        # summary must not overtake (the reverse causal barrier — a
-        # shard-relayed summary must not be folded before the worker's
-        # earlier direct completions have been handled). 0 = no barrier.
-        self.ctrl_seq = ctrl_seq
         self.size_bytes = 64 + sum(32 * len(values)
                                    for _i, _s, _c, values, _t, _f in rows)
 
@@ -462,29 +440,17 @@ class ShardWindowSummary(Message):
         self.window_id = window_id
         self.summaries = summaries
         self.job_id = job_id
+        self.rel_after = tuple(  # every bundled summary's stamp
+            stamp for s in summaries for stamp in s.rel_after)
         self.size_bytes = 32 + sum(s.size_bytes for s in summaries)
 
 
-class ShardRegrant(Message):
-    """Re-grant a stalled worker's window remainder via its shard."""
-
-    def __init__(self, worker_id: int, window, job_id: int = 0):
-        self.worker_id = worker_id
-        self.window = window  # SelfScheduleWindow for the remainder
-        self.job_id = job_id
-        self.size_bytes = 16 + window.size_bytes
-
-
 class ShardAbort(Message):
-    """Drop a shard's window state (worker death or job release).
+    """Drop a shard's window state for ``job_id`` (worker death or job
+    release); a job has at most one window at a shard at a time."""
 
-    ``window_id=None`` drops every window of ``job_id`` — the release
-    path's bulk form.
-    """
-
-    def __init__(self, job_id: int, window_id=None):
+    def __init__(self, job_id: int):
         self.job_id = job_id
-        self.window_id = window_id
         self.size_bytes = 16
 
 
@@ -593,12 +559,41 @@ class ReliableEndpoint:
         self._rel_wheel: List[Tuple[float, str, int]] = []
         self._rel_wake = None  # pending engine Event, if armed
         self._rel_wake_time = float("inf")
+        self._rel_waiting: List[Message] = []  # relayed, behind a stamp
+        self._rel_gone: Set[str] = set()  # dead origins: stamps count as met
 
-    def channel_seq(self, dst_name: str) -> int:
-        """Last sequence number sent to ``dst_name`` on this endpoint's
-        reliable channel — the causal-barrier stamp for messages that
-        travel a *different* channel but must not overtake this one."""
-        return self._rel_send_seq.get(dst_name, 0)
+    # -- cross-channel order (DESIGN.md §7) -----------------------------
+    def stamp(self, msg: Message, dst) -> Message:
+        """Stamp ``msg``, bound for ``dst`` by way of a relay: ``dst`` holds
+        it until this endpoint's channel to ``dst`` has delivered (hence
+        handled) everything sent on it before now."""
+        msg.rel_after = ((self.name, self._rel_send_seq.get(dst.name, 0)),)
+        return msg
+
+    def _rel_unmet(self, msg: Message) -> bool:
+        # not checked on the origin's own hop to the relay, where the
+        # stamp names another channel
+        return any(origin != msg.rel_src and origin not in self._rel_gone
+                   and self._rel_recv_next.get(origin, 1) <= seq
+                   for origin, seq in msg.rel_after)
+
+    def _rel_release(self) -> None:
+        held, self._rel_waiting = self._rel_waiting, []
+        for msg in held:  # in arrival order
+            if self._rel_unmet(msg):
+                self._rel_waiting.append(msg)
+            else:
+                super().deliver(msg)
+
+    def release_holds(self, origin: str) -> None:
+        """``origin`` died: its stamps count as met from now on."""
+        self._rel_gone.add(origin)
+        if self._rel_waiting:  # delivered after the running handler
+            self.sim.schedule_fast(self.sim._now, self._rel_release, ())
+
+    def drop_holds(self) -> None:
+        """Forget every held message (a halt abandons their work)."""
+        self._rel_waiting = []
 
     # -- sender side ---------------------------------------------------
     def send_reliable(self, dst, msg: Message) -> None:
@@ -739,19 +734,21 @@ class ReliableEndpoint:
             held[seq] = msg  # out of order: hold until the gap fills
             self._rel_incr("protocol.reorder_holds")
             return
-        self._rel_recv_next[src] = seq + 1
-        if self._trace is not None:
-            self._trace.flow_recv(src, self.name, seq)
-        super().deliver(msg)
         while True:
-            nxt = self._rel_recv_next[src]
-            pending = held.pop(nxt, None)
-            if pending is None:
-                break
-            self._rel_recv_next[src] = nxt + 1
+            self._rel_recv_next[src] = seq + 1
             if self._trace is not None:
-                self._trace.flow_recv(src, self.name, nxt)
-            super().deliver(pending)
+                self._trace.flow_recv(src, self.name, seq)
+            if msg.rel_after and self._rel_unmet(msg):
+                self._rel_waiting.append(msg)
+                self._rel_incr("protocol.causal_holds")
+            else:
+                super().deliver(msg)
+                if self._rel_waiting:
+                    self._rel_release()
+            seq += 1
+            msg = held.pop(seq, None)
+            if msg is None:
+                return
 
     def _rel_alive(self) -> bool:
         return True

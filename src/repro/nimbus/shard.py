@@ -66,8 +66,6 @@ class ControllerShard(P.ReliableEndpoint, Actor):
             self._on_summary(msg)
         elif isinstance(msg, P.ShardWindow):
             self._on_window(msg)
-        elif isinstance(msg, P.ShardRegrant):
-            self._on_regrant(msg)
         elif isinstance(msg, P.ShardAbort):
             self._on_abort(msg)
         else:
@@ -79,10 +77,14 @@ class ControllerShard(P.ReliableEndpoint, Actor):
 
         The per-worker dispatch work is charged on *this* shard's control
         thread — N shards fan out in parallel where the decentralized
-        coordinator serialized the whole loop.
+        coordinator serialized the whole loop. A stalled worker's re-grant
+        is a one-grant slice of a window tracked here (the worker stayed
+        expected when its stalled summary was forwarded): the coordinator
+        re-grants only a window it still holds open, and its abort comes
+        down this same channel, so a re-grant never finds its window gone.
         """
-        state = _ShardWindowState()
-        self._windows[(msg.job_id, msg.window_id)] = state
+        state = self._windows.setdefault((msg.job_id, msg.window_id),
+                                         _ShardWindowState())
         workers = self.controller.workers
         for worker_id, window in msg.grants:
             self.charge(self.costs.self_schedule_grant_per_task
@@ -90,24 +92,6 @@ class ControllerShard(P.ReliableEndpoint, Actor):
             state.expected.add(worker_id)
             self.send_reliable(workers[worker_id], window)
         self.windows_relayed += 1
-
-    def _on_regrant(self, msg: P.ShardRegrant) -> None:
-        """Relay a stalled worker's re-granted remainder.
-
-        The worker stayed in ``expected`` when its stalled summary was
-        forwarded, so no fan-in state changes here. A missing window
-        means the job was released (or the window aborted) between stall
-        and re-grant — drop it; the worker never sees the grant and the
-        coordinator's abort already cleaned up.
-        """
-        window = msg.window
-        state = self._windows.get((msg.job_id, window.window_id))
-        if state is None or msg.worker_id not in state.expected:
-            self.metrics.incr("shard.orphan_regrants")
-            return
-        self.charge(self.costs.self_schedule_grant_per_task
-                    * len(window.instances))
-        self.send_reliable(self.controller.workers[msg.worker_id], window)
 
     def _on_summary(self, msg: P.WindowSummary) -> None:
         """Fold one worker's summary into the window's fan-in.
@@ -140,12 +124,7 @@ class ControllerShard(P.ReliableEndpoint, Actor):
                 job_id=msg.job_id))
 
     def _on_abort(self, msg: P.ShardAbort) -> None:
-        if msg.window_id is None:
-            keys = [k for k in self._windows if k[0] == msg.job_id]
-        else:
-            key = (msg.job_id, msg.window_id)
-            keys = [key] if key in self._windows else []
-        for key in keys:
+        for key in [k for k in self._windows if k[0] == msg.job_id]:
             del self._windows[key]
             self.metrics.incr("shard.aborted_windows")
 

@@ -211,19 +211,6 @@ class Worker(P.ReliableEndpoint, Actor):
 
         #: self-schedule grants in flight, keyed (job_id, window_id)
         self._grants: Dict[Tuple[int, int], _WorkerGrant] = {}
-        #: shard-relayed windows that outran their template install on
-        #: the direct controller channel, keyed (job_id, block_id,
-        #: version); started the moment the install lands
-        self._deferred_windows: Dict[Tuple[int, str, int],
-                                     List[P.SelfScheduleWindow]] = {}
-        #: shard-relayed windows held behind their causal barrier: the
-        #: coordinator stamped each with the controller→worker channel
-        #: sequence it must not overtake (``barrier_seq``), and the
-        #: window starts only once every earlier direct message has been
-        #: *handled* (not merely delivered)
-        self._barrier_windows: List[P.SelfScheduleWindow] = []
-        #: highest controller-channel sequence this worker has handled
-        self._ctrl_handled_seq = 0
         #: last partition-map epoch observed (EpochUpdate broadcasts);
         #: distinct from ``_epoch``, the local halt generation below
         self._pm_epoch = 0
@@ -281,8 +268,6 @@ class Worker(P.ReliableEndpoint, Actor):
     def handle(self, msg: Message) -> None:
         if self._dead:
             return
-        if msg.rel_seq is not None and msg.rel_src == self.controller.name:
-            self._ctrl_handled_seq = msg.rel_seq
         if isinstance(msg, P.DataMessage):
             self._on_data(msg)
         elif isinstance(msg, P.DispatchCommandBatch):
@@ -320,22 +305,6 @@ class Worker(P.ReliableEndpoint, Actor):
             self._on_halt()
         else:
             raise TypeError(f"worker got unexpected message {msg!r}")
-        if self._barrier_windows:
-            # the message above may have been the last one a parked
-            # shard-relayed window was stamped against — replaying *after*
-            # the dispatch restores the handled-order the decentralized
-            # single channel gives for free
-            self._replay_barrier_windows()
-
-    def _replay_barrier_windows(self) -> None:
-        ready = [w for w in self._barrier_windows
-                 if w.barrier_seq <= self._ctrl_handled_seq]
-        if not ready:
-            return
-        self._barrier_windows = [w for w in self._barrier_windows
-                                 if w.barrier_seq > self._ctrl_handled_seq]
-        for window in ready:
-            self._on_self_schedule(window)
 
     # ------------------------------------------------------------------
     # Central dispatch path
@@ -375,12 +344,6 @@ class Worker(P.ReliableEndpoint, Actor):
             self._trace.instant(self.name, "template", "template.install",
                                 block_id=msg.block_id, version=msg.version,
                                 entries=len(entries))
-        # start any shard-relayed window that arrived before this install
-        deferred = self._deferred_windows.pop(
-            (msg.job_id, msg.block_id, msg.version), None)
-        if deferred:
-            for window in deferred:
-                self._on_self_schedule(window)
 
     def _on_instantiate_template(self, msg: P.InstantiateWorkerTemplate) -> None:
         key = (msg.block_id, msg.instance_id)
@@ -599,20 +562,14 @@ class Worker(P.ReliableEndpoint, Actor):
         bodies (see :meth:`_task_finished`), so pipelines never wedge and
         no task ever touches the destroyed data.
 
-        Windows close *first*: with the grants (and any deferred
-        windows) gone before the objects are destroyed, the draining
-        commands can no longer self-advance a fresh instance of the dead
-        job or emit a WindowSummary for it — the release-mid-window
-        race this ordering used to leave open.
+        Windows close *first*: with the grants gone before the objects
+        are destroyed, the draining commands can no longer self-advance
+        a fresh instance of the dead job or emit a WindowSummary for it
+        — the release-mid-window race this ordering used to leave open.
         """
         self._released_jobs.add(msg.job_id)
         for key in [k for k in self._grants if k[0] == msg.job_id]:
             del self._grants[key]  # in-flight instances drain body-less
-        for key in [k for k in self._deferred_windows
-                    if k[0] == msg.job_id]:
-            del self._deferred_windows[key]
-        self._barrier_windows = [w for w in self._barrier_windows
-                                 if w.job_id != msg.job_id]
         for oid in msg.oids:
             self.store.destroy(oid)
         for key in [k for k in self._templates if k[0] == msg.job_id]:
@@ -1028,26 +985,10 @@ class Worker(P.ReliableEndpoint, Actor):
             # controller-side abort already cleaned up the fan-in
             self.metrics.incr("self_schedule.released_window_drops")
             return
-        if msg.barrier_seq > self._ctrl_handled_seq:
-            # shard-relayed window outran the coordinator's own dispatch
-            # stream (different channels): park it until every direct
-            # message it was stamped against has been handled, or
-            # instances would register into the conflict tracker ahead
-            # of the centrally-dispatched instances they depend on
-            self._barrier_windows.append(msg)
-            self.metrics.incr("self_schedule.barrier_deferrals")
-            return
         half = self._templates.get((msg.job_id, msg.block_id, msg.version))
         if half is None:
-            if msg.reply_to is not None:
-                # sharded relay beat the template install, which rides
-                # the direct controller channel: park the window until
-                # the install lands (impossible in decentralized mode,
-                # where both share one in-order channel)
-                self._deferred_windows.setdefault(
-                    (msg.job_id, msg.block_id, msg.version), []).append(msg)
-                self.metrics.incr("self_schedule.deferred_windows")
-                return
+            # the install went out on the direct channel before the
+            # window did (and before the stamp a relayed window waits on)
             raise self._not_installed(
                 msg, "granted a self-schedule window for")
         if msg.edits:
@@ -1116,22 +1057,14 @@ class Worker(P.ReliableEndpoint, Actor):
         if self._completion_buffer:
             self._flush_completions()  # keep the in-order channel honest
         job_id, window_id = grant.key
-        dst = self.controller
-        ctrl_seq = 0
-        if grant.reply_to is not None:
-            # sharded mode: the summary returns to the owning shard; a
-            # shard gone missing (hand-built cluster) falls back to the
-            # controller, whose orphan guard handles it
-            dst = self.network.actors.get(grant.reply_to, self.controller)
-            # reverse causal barrier: the coordinator must not fold this
-            # summary before handling everything this worker already
-            # sent it directly (the completion flush above included)
-            ctrl_seq = self.channel_seq(self.controller.name)
-        self.send_reliable(dst, P.WindowSummary(
+        summary = P.WindowSummary(
             self.worker_id, window_id, grant.rows, job_id=job_id,
-            stalled=grant.stalled, next_index=grant.next,
-            ctrl_seq=ctrl_seq,
-        ))
+            stalled=grant.stalled, next_index=grant.next)
+        if grant.reply_to is None:
+            self.send_reliable(self.controller, summary)
+        else:  # sharded mode: back by way of the owning shard
+            self.send_reliable(self.network.actors[grant.reply_to],
+                               self.stamp(summary, self.controller))
 
     # ------------------------------------------------------------------
     # Checkpointing and recovery (§4.4)
@@ -1182,8 +1115,7 @@ class Worker(P.ReliableEndpoint, Actor):
         self._expected.clear()
         self._instances.clear()
         self._grants.clear()  # abandoned: recovery re-grants from scratch
-        self._deferred_windows.clear()
-        self._barrier_windows.clear()
+        self.drop_holds()  # and so are relayed windows held behind the halt
         self._completion_buffer.clear()  # stale: their runs were abandoned
         self._released_cids.clear()
         self.send_reliable(self.controller, P.HaltAck(self.worker_id))

@@ -95,6 +95,10 @@ class SchedulingPolicy:
     def reset(self) -> None:
         """Drop in-flight policy state (recovery or job release)."""
 
+    def abort_relays(self) -> None:
+        """Drop what this job's windows left at relays (a participant
+        died, or the job was released)."""
+
 
 class CentralizedPolicy(SchedulingPolicy):
     """The paper's centralized control plane: one decision per instance."""
@@ -256,7 +260,7 @@ class DecentralizedPolicy(SchedulingPolicy):
     def _deliver_windows(self, grant: _WindowGrant, windows) -> None:
         """Ship the granted ``(worker, window)`` pairs — one message
         straight to each worker. The sharded policy overrides this seam
-        (and the regrant/abort relays below) to route via shards."""
+        (and :meth:`abort_relays`) to route via shards."""
         c = self.controller
         for worker, out in windows:
             c.send_reliable(c.workers[worker], out)
@@ -328,14 +332,11 @@ class DecentralizedPolicy(SchedulingPolicy):
                 continue
             reclaimed += len(run.expected_workers)
         self._grant = None
-        self._abort_granted(grant)
+        self.abort_relays()
         c.metrics.incr("self_schedule.reclaimed_instances", reclaimed)
         c.metrics.incr("self_schedule.aborted_windows")
         # do NOT pump the queue: later windows read this one's lost
         # outputs; recovery (or job teardown) decides what runs next
-
-    def _abort_granted(self, grant: _WindowGrant) -> None:
-        """Hook for relayed-dispatch policies to tear down relay state."""
 
     def _regrant(self, worker: int) -> None:
         """Re-issue a stalled worker's remaining instances under the
@@ -347,12 +348,8 @@ class DecentralizedPolicy(SchedulingPolicy):
         wts = self.ctx.worker_templates.get((grant.block_id, grant.version))
         entries = len(wts.entries[worker]) if wts is not None else 1
         out = self._build_window(grant, worker, remaining, entries)
-        self._deliver_regrant(worker, out)
+        self._deliver_windows(grant, [(worker, out)])
         c.metrics.incr("self_schedule.regrants")
-
-    def _deliver_regrant(self, worker: int, out: P.SelfScheduleWindow) -> None:
-        c = self.controller
-        c.send_reliable(c.workers[worker], out)
 
     def _finish_window(self, grant: _WindowGrant) -> None:
         """Close every run of the window (in seq order) and notify the
@@ -412,14 +409,9 @@ class ShardedPolicy(DecentralizedPolicy):
                                     edits=edits)
         c = self.controller
         out.reply_to = c.shards[c.shard_of(worker)].name
-        # causal barrier: the relayed window travels shard channels, so
-        # it could overtake the coordinator's own (possibly
-        # retransmitting) dispatch stream to this worker. Stamp the
-        # coordinator→worker sequence the worker must have handled
-        # before opening the window — restoring exactly the ordering the
-        # decentralized single channel gives for free.
-        out.barrier_seq = c.channel_seq(c.workers[worker].name)
-        return out
+        # relayed, the window must still not overtake what the
+        # coordinator sent this worker directly (its install included)
+        return c.stamp(out, c.workers[worker])
 
     def _deliver_windows(self, grant, windows) -> None:
         c = self.controller
@@ -432,19 +424,13 @@ class ShardedPolicy(DecentralizedPolicy):
                 grant.window_id, per_shard[shard_id],
                 job_id=self.ctx.job_id))
 
-    def _deliver_regrant(self, worker: int, out: P.SelfScheduleWindow) -> None:
-        c = self.controller
-        c.send_reliable(c.shards[c.shard_of(worker)], P.ShardRegrant(
-            worker, out, job_id=self.ctx.job_id))
-
-    def _abort_granted(self, grant) -> None:
-        # every shard drops its fan-in state for the aborted window; the
-        # unconditional broadcast is O(shards) and saves tracking which
-        # shards the window actually touched
+    def abort_relays(self) -> None:
+        # every shard drops the job's fan-in state; the unconditional
+        # broadcast is O(shards) and saves tracking which shards the
+        # window actually touched
         c = self.controller
         for shard_id in sorted(c.shards):
-            c.send_reliable(c.shards[shard_id], P.ShardAbort(
-                self.ctx.job_id, grant.window_id))
+            c.send_reliable(c.shards[shard_id], P.ShardAbort(self.ctx.job_id))
 
 
 def make_policy(mode: str, controller, ctx) -> SchedulingPolicy:

@@ -39,11 +39,14 @@ class Message:
     ``rel_seq``/``rel_src`` are stamped onto instances by the reliable
     channel layer; the class-level ``None`` makes the unreliable-message
     check in :meth:`ReliableEndpoint.deliver` a plain attribute load.
+    ``rel_after`` holds the causal stamps of a relayed message
+    (:meth:`ReliableEndpoint.stamp`); empty for everything else.
     """
 
     size_bytes: int = 256
     rel_seq = None
     rel_src = None
+    rel_after = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"

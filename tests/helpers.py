@@ -266,6 +266,32 @@ def assert_identical(actual, expected, label: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Delivery order at one actor (the cross-channel causal barrier)
+# ---------------------------------------------------------------------------
+def handled_by(actor, *types):
+    """The type names of the ``types`` messages ``actor`` handles from
+    now on, in order."""
+    handled = []
+    handle = actor.handle
+
+    def recording(msg):
+        if isinstance(msg, types):
+            handled.append(type(msg).__name__)
+        handle(msg)
+
+    actor.handle = recording
+    return handled
+
+
+def stamped_ahead(origin, msg, dst, ahead=1):
+    """Stamp ``msg`` against the ``ahead``-th next message ``origin``
+    sends ``dst`` directly."""
+    ((name, seq),) = origin.stamp(msg, dst).rel_after
+    msg.rel_after = ((name, seq + ahead),)
+    return msg
+
+
+# ---------------------------------------------------------------------------
 # One real worker, driven through template instantiations
 # ---------------------------------------------------------------------------
 def _busiest_lr_half(num_workers: int):

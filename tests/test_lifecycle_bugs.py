@@ -27,7 +27,8 @@ import pytest
 from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
 
-from .helpers import combine_registry, simple_define, worker_values
+from .helpers import (combine_registry, handled_by, simple_define,
+                      stamped_ahead, worker_values)
 from .test_dynamic import ACC, DATA, OUT, blocks, reference, run_with_directives
 
 
@@ -305,33 +306,38 @@ def test_evict_below_minimum_raises_before_mutating():
 def test_release_mid_window_scrubs_parked_and_late_windows():
     """Bug A, worker side: release closes every window *first*.
 
-    A window parked behind its causal barrier is purged by the release,
-    and a window that was already in flight when the release landed is
-    dropped (counted) instead of raising on the scrubbed template."""
+    A shard-relayed window stamped against the ``ReleaseJob`` itself is
+    held by the worker's transport until the release has been handled,
+    then dropped (counted) instead of raising on the scrubbed template;
+    so is a window that was already in flight when the release landed."""
     cluster = run_with_directives(2)
-    w = cluster.workers[0]
+    ctrl, w, shard = cluster.controller, cluster.workers[0], cluster.shards[0]
     m = cluster.metrics
+    drops = m.count("self_schedule.released_window_drops")
+    handled = handled_by(w, P.ReleaseJob, P.SelfScheduleWindow)
 
-    # a shard-relayed window parked behind its causal barrier
-    w._on_self_schedule(P.SelfScheduleWindow(
-        7, "iter", 0, 0, [(100, 0, 0, {})], job_id=5,
-        reply_to="shard-0", barrier_seq=10 ** 9))
-    assert any(win.job_id == 5 for win in w._barrier_windows)
+    def window(window_id, instance_id):
+        return P.SelfScheduleWindow(window_id, "iter", 0, 0,
+                                    [(instance_id, 0, 0, {})], job_id=5,
+                                    reply_to=shard.name)
 
-    w._on_release_job(P.ReleaseJob(5, []))
-    assert not any(win.job_id == 5 for win in w._barrier_windows)
+    # relayed ahead of the ReleaseJob its stamp names
+    shard.send_reliable(w, stamped_ahead(ctrl, window(7, 100), w))
+    cluster.sim.run(until=cluster.sim.now + 1.0)
+    assert handled == []
+
+    ctrl.send_reliable(w, P.ReleaseJob(5, []))
+    cluster.sim.run(until=cluster.sim.now + 1.0)
+    assert handled == ["ReleaseJob", "SelfScheduleWindow"]
+    assert m.count("self_schedule.released_window_drops") == drops + 1
     assert not any(k[0] == 5 for k in w._grants)
-    assert not any(k[0] == 5 for k in w._deferred_windows)
 
     # a window that was already in flight when the release landed:
-    # pre-fix this raised KeyError on the scrubbed template (direct
-    # channel) or parked forever as a deferred window (shard relay)
-    before = m.count("self_schedule.released_window_drops")
-    w._on_self_schedule(P.SelfScheduleWindow(
-        8, "iter", 0, 0, [(101, 0, 0, {})], job_id=5, reply_to="shard-0"))
-    assert m.count("self_schedule.released_window_drops") == before + 1
+    # pre-fix this raised KeyError on the scrubbed template
+    shard.send_reliable(w, ctrl.stamp(window(8, 101), w))
+    cluster.sim.run(until=cluster.sim.now + 1.0)
+    assert m.count("self_schedule.released_window_drops") == drops + 2
     assert (5, 8) not in w._grants
-    assert not any(k[0] == 5 for k in w._deferred_windows)
 
 
 def test_job_registration_excludes_draining_workers():
