@@ -1,7 +1,8 @@
 """Pin the exact virtual timeline of the configurations whose control
 traffic is per-command central dispatch (Spark, no templates) next to the
-three template modes that only warm up on it — and hold the three modes
-to one per-worker instance/command id stream.
+three template modes that only warm up on it and the Naiad baseline that
+never uses it — and hold the three modes to one per-worker
+instance/command id stream.
 
 Messages are counted per *hop* (dispatch, completion, block-complete) by
 class-name prefix, so the constants hold whether a hop has one message
@@ -13,7 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.apps import LRApp, LRSpec
-from repro.baselines import SparkCluster
+from repro.baselines import NaiadCluster, SparkCluster
 from repro.nimbus import NimbusCluster
 from repro.nimbus.worker import Worker
 
@@ -30,6 +31,8 @@ CASES = {
                      6.378218438006575, 14473, (104, 1185, 13)),
     "spark": (SparkCluster, {},
               7.503403614006549, 34420, (8813, 2425, 13)),
+    "naiad": (NaiadCluster, {},
+              6.3994336396065705, 11064, (0, 0, 13)),
 }
 
 
