@@ -88,7 +88,7 @@ def test_central_schedule_task(benchmark, paper_scale):
         from repro.nimbus.protocol import DefineObjects
         controller._on_define_objects(
             controller._job0, DefineObjects(app.variables.definitions))
-        run = controller._run_block_centrally(
+        run = controller.central.run_block(
             controller._job0, app.iteration_block, {"step": 0.1},
             capture=False)
         return run

@@ -52,7 +52,7 @@ class NaiadController(Controller):
             raise RuntimeError("Naiad data flow already installed")
         self.charge(self.costs.naiad_install_per_task * block.num_tasks)
         assignment = [
-            self._assign_worker(ctx, task.read, task.write)
+            self.central.assign_worker(ctx, task.read, task.write)
             for _stage, task in block.all_tasks()
         ]
         template = ControllerTemplate.from_block(block, assignment)
@@ -128,6 +128,8 @@ class NaiadController(Controller):
 class NaiadCluster(NimbusCluster):
     """A Naiad-like deployment built on the shared worker substrate."""
 
+    controller_class = NaiadController
+
     def __init__(
         self,
         num_workers: int,
@@ -144,16 +146,5 @@ class NaiadCluster(NimbusCluster):
             use_templates=True,  # the driver instantiates after install
             **kwargs,
         )
-        # swap the controller for the Naiad variant, rewiring everyone
-        naiad = NaiadController(
-            self.sim, self.costs, self.metrics,
-            slots_per_worker=self.controller.slots_per_worker,
-        )
-        self.network.attach(naiad)
-        naiad.attach_workers(self.workers)
-        naiad.driver = self.driver
-        self.driver.controller = naiad
         for worker in self.workers.values():
-            worker.controller = naiad
             worker.callback_overhead = self.costs.naiad_callback_per_task
-        self.controller = naiad

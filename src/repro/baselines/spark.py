@@ -3,21 +3,22 @@
 Spark's driver/controller dispatches every task individually and processes
 every completion; the paper measures its per-task scheduling cost at 166 µs
 (Table 1), which caps throughput near 6,000 tasks/second (Fig. 8). The
-baseline reuses the Nimbus workers and network verbatim — only the control
-plane differs: templates are disabled and the central path charges Spark's
-per-task cost. Task bodies follow the paper's "Spark-opt" methodology:
-spin waits as long as the C++ tasks, so the comparison isolates the control
-plane.
+baseline reuses the Nimbus cluster verbatim — its controller, workers and
+network — and differs only in the control plane's central path: templates
+are disabled, the controller's central scheduler is the BSP variant
+:class:`SparkScheduler`, and scheduling charges Spark's per-task cost.
+Task bodies follow the paper's "Spark-opt" methodology: spin waits as long
+as the C++ tasks, so the comparison isolates the control plane.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Optional, Tuple
 
+from ..nimbus.central import CentralScheduler
 from ..nimbus.cluster import NimbusCluster
-from ..nimbus.controller import Controller
 from ..nimbus.costs import CostModel, PAPER_COSTS
 from ..nimbus.runtime import FunctionRegistry
 from ..nimbus import protocol as P
@@ -37,86 +38,71 @@ def make_spark_costs(base: Optional[CostModel] = None) -> CostModel:
     )
 
 
-class SparkController(Controller):
+class SparkScheduler(CentralScheduler):
     """Spark's BSP scheduler: one stage in flight at a time.
 
     Spark dispatches a stage's tasks, waits for all of them to complete at
-    the driver, then launches the next stage; independent jobs queue behind
-    the active one. This keeps completion processing interleaved with
-    dispatch (as Spark's driver threads do) and reproduces the per-stage
-    barriers of its execution model.
+    the driver, then launches the next stage; independent blocks queue
+    behind the active one. Every command is its own dispatch message, so
+    completion processing interleaves with dispatch (as Spark's driver
+    threads do) and each stage ends at a barrier.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # queue of (run, [(stage_name, [(task, params)])], returns_rev)
-        self._stage_queue: Deque[Tuple] = deque()
-        self._active: Optional[Tuple] = None
-        self._stage_outstanding = 0
+    def __init__(self, controller):
+        super().__init__(controller)
+        #: (run, stages not yet dispatched, returns_rev) per submitted
+        #: block, in submission order; the head has a stage in flight
+        self._blocks: Deque[Tuple] = deque()
 
-    def _on_submit_block(self, ctx, msg: P.SubmitBlock) -> None:
-        self.charge(self.costs.message_handling)
-        run = self._new_run(ctx, msg.block.block_id, msg.block.num_tasks,
-                            "central", request_id=msg.request_id)
-        run.open = True
-        returns_rev = {oid: name for name, oid in msg.block.returns.items()}
-        stages = [
-            (stage.name,
-             [(task, msg.params.get(task.param_slot) if task.param_slot
-               else None) for task in stage.tasks])
-            for stage in msg.block.stages
-        ]
-        self._stage_queue.append((run, deque(stages), returns_rev))
-        self._pump()
+    def run_block(self, ctx, block, params, capture, request_id=0):
+        run = self.controller._new_run(ctx, block.block_id, block.num_tasks,
+                                       "central", request_id)
+        # one outstanding count beyond its commands holds the run open
+        # across its stage barriers, until its last stage is dispatched
+        run.outstanding = 1
+        stages = deque(
+            [(task, params.get(task.param_slot) if task.param_slot else None)
+             for task in stage.tasks]
+            for stage in block.stages)
+        returns_rev = {oid: name for name, oid in block.returns.items()}
+        self._blocks.append((run, stages, returns_rev))
+        if len(self._blocks) == 1:
+            self._dispatch_stage()
+        return run
 
-    def _pump(self) -> None:
-        """Dispatch the next stage if none is in flight."""
-        if self._active is not None and self._stage_outstanding > 0:
-            return
-        while self._stage_queue or self._active:
-            if self._active is None:
-                self._active = self._stage_queue.popleft()
-            run, stages, returns_rev = self._active
-            if not stages:
-                self._active = None
-                continue
-            _name, tasks = stages.popleft()
-            if not stages:
-                run.open = False  # last stage: completion may close the run
-            for task, params in tasks:
-                worker = self._assign_worker(run.ctx, task.read, task.write)
-                self.charge(self.costs.central_schedule_per_task)
-                self._schedule_task_centrally(
-                    run, task.function, task.read, task.write, worker,
-                    params, returns_rev)
-            self.metrics.incr("tasks_scheduled", len(tasks))
-            # prior stages fully drained at the barrier, so everything
-            # outstanding belongs to the stage just dispatched
-            self._stage_outstanding = run.outstanding
-            return
+    def _dispatch_stage(self) -> None:
+        """Dispatch the head block's next stage, one message per command."""
+        c = self.controller
+        run, stages, returns_rev = self._blocks[0]
+        tasks = stages.popleft()
+        if not stages:
+            run.outstanding -= 1  # last stage: its completions close the run
 
-    def _dispatch(self, run, cmd, report: bool = False) -> None:
-        # no block-wide coalescing: one message per task
-        run.outstanding += 1
-        self.send_reliable(self.workers[cmd.worker],
-                           P.DispatchCommandBatch([(cmd, report)], run.seq))
+        def emit(cmd, report: bool) -> None:
+            c.send_reliable(c.workers[cmd.worker],
+                            P.DispatchCommandBatch([(cmd, report)], run.seq))
 
-    def _on_command_complete_batch(self, msg: P.CommandCompleteBatch) -> None:
-        super()._on_command_complete_batch(msg)
-        if self._active is None:
-            return
+        for task, params in tasks:
+            worker = self.assign_worker(run.ctx, task.read, task.write)
+            c.charge(c.costs.central_schedule_per_task)
+            self.schedule_task(run, task.function, task.read, task.write,
+                               worker, params, returns_rev, emit)
+        run.ctx.metrics.incr("tasks_scheduled", len(tasks))
+
+    def on_command_complete_batch(self, msg: P.CommandCompleteBatch) -> None:
+        super().on_command_complete_batch(msg)
         # the stage barrier: one stage is in flight cluster-wide, so the
-        # item that drains it is the last of its batch and pumping after
-        # the fold is pumping at that item
-        seq = self._active[0].seq
-        self._stage_outstanding -= msg.flat[1::4].count(seq)
-        if self._stage_outstanding <= 0:
-            if not self._active[1]:  # all stages dispatched and done
-                self._active = None
-            self._pump()
-
-    def _on_instantiate_block(self, ctx, msg: P.InstantiateBlock) -> None:
-        raise RuntimeError("Spark has no templates to instantiate")
+        # item that drains it is the last of its batch, and dispatching
+        # after the fold is dispatching at that item
+        if not self._blocks:
+            return
+        run, stages, _returns_rev = self._blocks[0]
+        if run.outstanding == 0:  # its last stage drained: the fold closed it
+            self._blocks.popleft()
+            if self._blocks:
+                self._dispatch_stage()
+        elif run.outstanding == 1 and stages:
+            self._dispatch_stage()
 
 
 class SparkCluster(NimbusCluster):
@@ -138,14 +124,4 @@ class SparkCluster(NimbusCluster):
             use_templates=False,
             **kwargs,
         )
-        spark = SparkController(
-            self.sim, self.costs, self.metrics,
-            slots_per_worker=self.controller.slots_per_worker,
-        )
-        self.network.attach(spark)
-        spark.attach_workers(self.workers)
-        spark.driver = self.driver
-        self.driver.controller = spark
-        for worker in self.workers.values():
-            worker.controller = spark
-        self.controller = spark
+        self.controller.central = SparkScheduler(self.controller)

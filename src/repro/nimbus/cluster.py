@@ -31,6 +31,10 @@ class NimbusCluster:
     ``JobManager`` at :attr:`jobs` directly) — the multi-tenant path.
     """
 
+    #: the controller this deployment runs (a baseline may substitute a
+    #: subclass; it is built with the same settings)
+    controller_class = Controller
+
     def __init__(
         self,
         num_workers: int,
@@ -92,7 +96,7 @@ class NimbusCluster:
         self.slots_per_worker = slots_per_worker
         self._hb_interval: Optional[float] = None
 
-        self.controller = Controller(
+        self.controller = self.controller_class(
             self.sim, self.costs, self.metrics,
             slots_per_worker=slots_per_worker,
             checkpoint_every=checkpoint_every,

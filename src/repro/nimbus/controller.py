@@ -2,13 +2,15 @@
 
 The controller receives blocks from drivers, transforms them into an
 execution plan, and dispatches commands to workers. Execution templates
-live here: per basic block the controller moves through four phases,
-matching the installation staircase of Figure 9:
+live here, as a cache in front of the per-task central scheduler
+(:class:`~repro.nimbus.central.CentralScheduler`, ``controller.central``):
+per basic block the controller moves through four phases, matching the
+installation staircase of Figure 9:
 
-* ``CENTRAL`` — no template: the block's task stream is scheduled centrally,
-  one dispatch message per command (134 µs/task). If the driver marked the
-  block, the stream is simultaneously captured into a controller template
-  (+25 µs/task).
+* ``CENTRAL`` — no template: the central scheduler plans the block's task
+  stream task by task (134 µs/task) and sends each worker one batch of its
+  commands. If the driver marked the block, the stream is simultaneously
+  captured into a controller template (+25 µs/task).
 * ``CT_READY`` — the controller template exists: instantiation requests are
   parameter fills (0.2 µs/task); tasks are still dispatched centrally while
   the controller half of the worker templates is generated (+15 µs/task).
@@ -41,10 +43,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..core.controller_template import ControllerTemplate
 from ..core.edits import merge_edits, plan_migrations
 from ..core.patching import Patch, PatchCache, build_patch
-from ..core.spec import BlockSpec
 from ..core.validation import full_validate
 from ..core.worker_template import WorkerTemplateSet, generate_worker_templates
 from ..sched.policy import make_policy
@@ -52,7 +52,7 @@ from ..sched.rebalance import LoadTracker
 from ..sim.actor import Actor, Message
 from ..sim.engine import Simulator
 from ..sim.metrics import Metrics
-from .commands import Command, make_copy_pair, make_task
+from .central import CentralScheduler
 from .costs import CostModel
 from .data import LogicalObject, PartitionPlacement
 from .membership import Membership
@@ -80,8 +80,7 @@ class _BlockRun:
 
     __slots__ = ("seq", "block_id", "num_tasks", "mode", "outstanding",
                  "expected_workers", "results", "return_cids", "start_time",
-                 "compute_by_worker", "instance_id", "request_id", "open",
-                 "ctx")
+                 "compute_by_worker", "instance_id", "request_id", "ctx")
 
     def __init__(self, seq, block_id, num_tasks, mode, start_time,
                  request_id=0, ctx=None):
@@ -99,9 +98,6 @@ class _BlockRun:
         self.compute_by_worker: Dict[int, float] = {}
         self.instance_id: Optional[int] = None
         self.request_id = request_id
-        #: True while the scheduler still has commands to dispatch for this
-        #: run (staged dispatch must not complete the block at a barrier)
-        self.open = False
         #: owning job context (resolves completions without a job id)
         self.ctx: Optional[JobContext] = ctx
 
@@ -214,10 +210,9 @@ class Controller(P.ReliableEndpoint, Actor):
         # per-block-run state
         self.runs: Dict[int, _BlockRun] = {}
 
-        #: while a central block run is being planned, dispatches coalesce
-        #: here (worker -> [(command, report)]) into one batch message per
-        #: worker instead of one message per command
-        self._dispatch_buffer: Optional[Dict[int, List[Tuple[Command, bool]]]] = None
+        #: per-task scheduling: the path every block takes until its
+        #: templates are installed (a baseline may install a variant)
+        self.central = CentralScheduler(self)
 
     # ------------------------------------------------------------------
     # Legacy flat views (single-job API): all delegate to job 0
@@ -368,7 +363,7 @@ class Controller(P.ReliableEndpoint, Actor):
         if type(msg) in _STEADY_IN:
             self.metrics.incr("controller.steady_messages_in")
         if isinstance(msg, P.CommandCompleteBatch):
-            self._on_command_complete_batch(msg)
+            self.central.on_command_complete_batch(msg)
         elif isinstance(msg, P.InstanceComplete):
             self._on_instance_complete(msg)
         elif isinstance(msg, P.SubmitBlock):
@@ -470,26 +465,8 @@ class Controller(P.ReliableEndpoint, Actor):
         return ctx.object_sizes_cache
 
     # ------------------------------------------------------------------
-    # Central scheduling path
+    # Id allocation (shared by every scheduling path)
     # ------------------------------------------------------------------
-    def _assign_worker(self, ctx: Optional[JobContext] = None,
-                       read: Tuple[int, ...] = (),
-                       write: Tuple[int, ...] = ()) -> int:
-        """Anchor a task at the home of its first written (or read) object."""
-        if ctx is None:
-            ctx = self._job0
-        anchor = write[0] if write else (read[0] if read else None)
-        if anchor is None:
-            return min(self.live_workers)
-        try:
-            return ctx.placement.home(anchor)
-        except KeyError:
-            raise KeyError(
-                f"job {ctx.job_id}: cannot place a task touching unknown "
-                f"object id {ctx.local_oid(anchor)} (global id {anchor}); "
-                f"the job never defined it"
-            ) from None
-
     def _alloc_cids(self, n: int) -> int:
         base = self._next_cid
         self._next_cid += n
@@ -499,123 +476,6 @@ class Controller(P.ReliableEndpoint, Actor):
         wid = self._next_window
         self._next_window += 1
         return wid
-
-    def _dispatch(self, run: _BlockRun, cmd: Command, report: bool = False) -> None:
-        run.outstanding += 1
-        buffer = self._dispatch_buffer
-        lst = buffer.get(cmd.worker)
-        if lst is None:
-            lst = buffer[cmd.worker] = []
-        lst.append((cmd, report))
-
-    def _schedule_task_centrally(
-        self,
-        run: _BlockRun,
-        function: str,
-        read: Tuple[int, ...],
-        write: Tuple[int, ...],
-        worker: int,
-        params: Any,
-        returns_rev: Dict[int, str],
-    ) -> None:
-        """Dependency analysis + copy insertion + dispatch for one task.
-
-        Copies are inserted when the task reads an object whose latest
-        version is not resident on its worker; the directory is updated
-        as the plan is built.
-        """
-        ctx = run.ctx
-        sizes = None
-        directory = ctx.directory
-        holders_d, latest_d = directory.freshness_maps()
-        for oid in read:
-            if holders_d[oid].get(worker, -1) != latest_d[oid]:
-                src = min(directory.holders_of_latest(oid))
-                if sizes is None:
-                    sizes = self.object_sizes(ctx)
-                send_cid = self._alloc_cids(1)
-                recv_cid = self._alloc_cids(1)
-                send, recv = make_copy_pair(
-                    send_cid, recv_cid, oid, src, worker,
-                    size_bytes=sizes.get(oid, 0),
-                )
-                self._dispatch(run, send)
-                self._dispatch(run, recv)
-                directory.record_copy(oid, worker)
-        cid = self._alloc_cids(1)
-        task = make_task(cid, worker, function, read, write, params=params)
-        report = False
-        for oid in write:
-            directory.record_write(oid, worker)
-            name = returns_rev.get(oid)
-            if name is not None:
-                run.return_cids[cid] = name
-                report = True
-        self._dispatch(run, task, report=report)
-
-    def _dispatch_centrally(self, ctx: JobContext, source, tasks,
-                            workers: List[int], params: Dict[str, Any],
-                            cost: float, request_id: int) -> _BlockRun:
-        """Schedule one run of ``source`` centrally — a :class:`BlockSpec`,
-        or the :class:`ControllerTemplate` captured from one: ``tasks`` in
-        program order, each on its entry of ``workers``, ``cost`` charged
-        per task."""
-        run = self._new_run(ctx, source.block_id, source.num_tasks,
-                            "central", request_id)
-        returns_rev = {oid: name for name, oid in source.returns.items()}
-        # the per-task cost is constant across the block, and nothing in the
-        # loop observes _charged (dispatches stay buffered until the flush),
-        # so the charge folds into a local accumulator — same float-addition
-        # sequence as per-task self.charge(cost), one attribute store
-        schedule = self._schedule_task_centrally
-        charged = self._charged
-        buffer = self._dispatch_buffer = {}
-        for task, worker in zip(tasks, workers):
-            charged += cost
-            task_params = params.get(task.param_slot) if task.param_slot else None
-            schedule(run, task.function, task.read, task.write, worker,
-                     task_params, returns_rev)
-        self._charged = charged
-        # one coalesced message per worker, in first-dispatch order (plain
-        # dict insertion order); each worker's list keeps its dispatch
-        # order, so worker-side conflict tracking resolves the same
-        # dependencies as one-message-per-command dispatch
-        self._dispatch_buffer = None
-        for worker, items in buffer.items():
-            self.send_reliable(self.workers[worker],
-                               P.DispatchCommandBatch(items, run.seq))
-        ctx.metrics.incr("tasks_scheduled", source.num_tasks)
-        # Central execution leaves template validation state unknown.
-        ctx.validation_state.invalidate()
-        ctx.prev_block_key = ("central", source.block_id)
-        if self._trace is not None:
-            self._trace_decided(run)
-        return run
-
-    def _run_block_centrally(self, ctx: JobContext, block: BlockSpec,
-                             params: Dict[str, Any], capture: bool,
-                             request_id: int = 0) -> _BlockRun:
-        """Schedule a driver-submitted block centrally, capturing it into
-        a controller template on the way if the driver marked it."""
-        if capture and block.block_id in ctx.templates:
-            capture = False  # already installed (e.g. resubmitted after recovery)
-        cost = (self.costs.central_schedule_per_task
-                + self.costs.central_receive_per_task)
-        if capture:
-            cost += self.costs.install_controller_template_per_task
-        tasks = [task for _stage_name, task in block.all_tasks()]
-        assignment = [self._assign_worker(ctx, task.read, task.write)
-                      for task in tasks]
-        run = self._dispatch_centrally(ctx, block, tasks, assignment, params,
-                                       cost, request_id)
-        if capture:
-            template = ControllerTemplate.from_block(block, assignment)
-            ctx.templates[block.block_id] = template
-            ctx.phase[block.block_id] = self.PHASE_CT_READY
-            ctx.current_version[block.block_id] = 0
-            ctx.assignments[(block.block_id, 0)] = list(assignment)
-            ctx.metrics.incr("controller_templates_installed")
-        return run
 
     # ------------------------------------------------------------------
     # Driver block submission (central / capture path)
@@ -730,7 +590,7 @@ class Controller(P.ReliableEndpoint, Actor):
                 self._install_worker_halves(
                     ctx, ctx.worker_templates[(block_id, version)])
                 ctx.phase[block_id] = self.PHASE_WT_INSTALLED
-            self._dispatch_centrally(
+            self.central.dispatch(
                 ctx, template, template.entries,
                 [entry.worker for entry in template.entries], msg.params,
                 self.costs.central_schedule_per_task, msg.request_id)
@@ -1080,34 +940,6 @@ class Controller(P.ReliableEndpoint, Actor):
         same instant the dispatch messages depart the controller.
         """
         self._trace.run_decided(run.seq, self._handler_start + self._charged)
-
-    def _on_command_complete_batch(self, msg: P.CommandCompleteBatch) -> None:
-        # the per-completion cost is charged per item: coalescing saves
-        # messages and event overhead, not modeled controller work
-        flat = msg.flat
-        self.charge(self.costs.controller_completion_per_task
-                    * (len(flat) // 4))
-        worker_id = msg.worker_id
-        # flat walk over the item array: the run lookup is hoisted per
-        # block_seq group (batches overwhelmingly carry one run)
-        runs = self.runs
-        run = None
-        run_seq = None
-        it = iter(flat)
-        for cid, block_seq, duration, value in zip(it, it, it, it):
-            if block_seq != run_seq:
-                run_seq = block_seq
-                run = runs.get(block_seq)
-            if run is None:
-                continue  # dropped by recovery (or a released job)
-            run.outstanding -= 1
-            cbw = run.compute_by_worker
-            cbw[worker_id] = cbw.get(worker_id, 0.0) + duration
-            if cid in run.return_cids:
-                run.results[run.return_cids[cid]] = value
-            if run.outstanding == 0 and not run.open:
-                self._finish_block(run)
-                run = runs.get(block_seq)  # gone now; later items drop
 
     def _on_instance_complete(self, msg: P.InstanceComplete) -> None:
         self.charge(self.costs.controller_block_completion)

@@ -101,7 +101,7 @@ class Membership:
             moved = False
             for entry in template.entries:
                 if entry.worker not in live:
-                    entry.worker = c._assign_worker(
+                    entry.worker = c.central.assign_worker(
                         ctx, entry.read, entry.write)
                     moved = True
             if ((regenerate_all or moved

@@ -1,8 +1,8 @@
 """Scheduling policies: how block instantiations become worker work.
 
-The controller owns every decision — id allocation, run bookkeeping,
-the directory, validation, patching, completion folds — each written
-once (DESIGN.md §14, "Instance lifecycle"). A per-job
+The controller and its central scheduler own every decision — id
+allocation, run bookkeeping, the directory, validation, patching,
+completion folds — each written once (DESIGN.md §14). A per-job
 :class:`SchedulingPolicy` owns only *queueing* (when a submission runs)
 and *transport* (how a decided instance reaches the workers and how its
 completions come back):
@@ -32,10 +32,10 @@ completions come back):
 
 Entries that do not auto-validate — the install staircase, blocks
 needing full validation or patches — fall back to the centralized
-per-entry path inside the window, and granted entries are decided by the
-same ``Controller._decide_instance`` a centralized instantiation uses, so
-all modes draw the same id streams and produce bit-identical computed
-values.
+per-entry path inside the window (the staircase dispatches through
+``controller.central``), and granted entries are decided by the same
+``Controller._decide_instance`` a centralized instantiation uses, so
+all modes draw the same id streams and compute bit-identical values.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class SchedulingPolicy:
         kind = item[0]
         if kind == "submit":
             _kind, block, params, template_start, request_id = item
-            c._run_block_centrally(self.ctx, block, params,
-                                   capture=template_start,
-                                   request_id=request_id)
+            c.central.run_block(self.ctx, block, params,
+                                capture=template_start,
+                                request_id=request_id)
         elif kind == "instantiate":
             c._process_instantiate(self.ctx, item[1])
         else:

@@ -137,6 +137,21 @@ class TestNaiad:
             cluster.costs.naiad_callback_per_task)
 
 
+@pytest.mark.parametrize("cluster_cls", [SparkCluster, NaiadCluster])
+def test_baselines_keep_the_cluster_controller_settings(cluster_cls):
+    """A baseline runs the one controller its cluster built, with every
+    setting passed to the cluster, and its shards talk to that controller."""
+    app = timing_lr(4, iterations=6)
+    cluster = cluster_cls(4, app.program(blocking=True),
+                          registry=app.registry, checkpoint_every=1)
+    cluster.run_until_finished(max_seconds=1e5)
+    cluster.sim.run(until=cluster.sim.now + 1.0)
+    assert cluster.controller.membership.last_committed_checkpoint is not None
+    assert cluster.driver.controller is cluster.controller
+    assert all(shard.controller is cluster.controller
+               for shard in cluster.shards.values())
+
+
 class TestMPI:
     def test_zero_control_costs(self):
         costs = make_mpi_costs()

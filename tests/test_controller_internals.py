@@ -25,20 +25,6 @@ def test_define_objects_honors_placement_hints():
     assert 2 in cluster.workers[0].store
 
 
-def test_assign_worker_anchor_rules():
-    cluster = NimbusCluster(3, lambda job: iter(()),
-                            registry=combine_registry())
-    controller = cluster.controller
-    controller.placement.place(1, worker=2)
-    controller.placement.place(5, worker=1)
-    # write anchor wins
-    assert controller._assign_worker(read=(5,), write=(1,)) == 2
-    # read anchor as fallback
-    assert controller._assign_worker(read=(5,), write=()) == 1
-    # no objects at all: deterministic fallback
-    assert controller._assign_worker(read=(), write=()) == 0
-
-
 def test_checkpoint_commits_only_after_all_acks():
     blocks = [BlockSpec("b", [StageSpec("s", [
         LogicalTask("seed", read=(), write=(1,), param_slot="v")])])]

@@ -97,7 +97,8 @@ def test_bug4_unknown_object_placement_error_names_job_and_ids():
     with pytest.raises(KeyError, match=(
             r"job 0: cannot place a task touching unknown object id 999999 "
             r"\(global id 999999\); the job never defined it")):
-        cluster.controller._assign_worker(read=(999999,))
+        cluster.controller.central.assign_worker(
+            cluster.controller._job0, read=(999999,), write=())
 
 
 def test_bug4_unknown_block_instantiation_error_lists_installed_blocks():

@@ -21,9 +21,11 @@ import pytest
 import repro
 import repro.perf
 from repro.cli import build_parser
+from repro.baselines import spark
 from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol
-from repro.nimbus.controller import Controller
+from repro.nimbus.central import CentralScheduler
+from repro.nimbus.controller import Controller, _BlockRun
 from repro.nimbus.driver import Driver
 from repro.nimbus.worker import Worker
 from repro.sched.policy import (CentralizedPolicy, DecentralizedPolicy,
@@ -154,8 +156,9 @@ def test_worker_set_has_one_owner():
 
 def test_no_controller_method_only_forwards_to_the_membership():
     """No shim: a caller of a worker-set change goes to the membership
-    itself. ``Controller.handle`` forwards the four membership messages,
-    one line each, and that is all."""
+    itself, and a caller of per-task scheduling to the central scheduler.
+    ``Controller.handle`` forwards the four membership messages and the
+    command completions, one line each, and that is all."""
     tree = ast.parse(inspect.getsource(Controller))
     for node in tree.body[0].body:
         if not isinstance(node, ast.FunctionDef):
@@ -168,19 +171,38 @@ def test_no_controller_method_only_forwards_to_the_membership():
         value = getattr(body[0], "value", None)
         callee = value.func if isinstance(value, ast.Call) else None
         assert not (isinstance(callee, ast.Attribute)
-                    and "self.membership" in ast.unparse(callee.value)), \
-            node.name
+                    and re.match(r"self\.(membership|central)\b",
+                                 ast.unparse(callee.value))), node.name
+
+
+def test_one_central_scheduler():
+    """Per-task dispatch lives in ``nimbus/central.py`` (DESIGN.md §3):
+    the controller keeps none of it, and the Spark baseline is a variant
+    of the scheduler, not a second controller."""
+    for gone in ("_dispatch", "_dispatch_buffer", "_assign_worker",
+                 "_schedule_task_centrally", "_dispatch_centrally",
+                 "_run_block_centrally", "_on_command_complete_batch"):
+        assert not hasattr(Controller, gone), gone
+    assert "open" not in _BlockRun.__slots__
+    controller = (SRC / "nimbus" / "controller.py").read_text()
+    assert "_dispatch_buffer" not in controller
+    assert "DispatchCommandBatch" not in controller
+    assert not [cls for cls in vars(spark).values()
+                if inspect.isclass(cls) and issubclass(cls, Controller)]
+    assert issubclass(spark.SparkScheduler, CentralScheduler)
 
 
 #: today's sizes, so simplification is monotone
 LINE_CEILINGS = {
-    "nimbus/controller.py": 1184,
+    "nimbus/controller.py": 1016,
+    "nimbus/central.py": 187,
     "nimbus/membership.py": 426,
     "nimbus/worker.py": 1164,
     "sched/policy.py": 445,
     "nimbus/protocol.py": 763,
     "nimbus/shard.py": 141,
     "cli.py": 704,
+    "baselines/spark.py": 127,
 }
 
 
