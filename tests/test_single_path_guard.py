@@ -179,13 +179,13 @@ def test_one_central_scheduler():
     """Per-task dispatch lives in ``nimbus/central.py`` (DESIGN.md §3):
     the controller keeps none of it, and the Spark baseline is a variant
     of the scheduler, not a second controller."""
-    for gone in ("_dispatch", "_dispatch_buffer", "_assign_worker",
-                 "_schedule_task_centrally", "_dispatch_centrally",
-                 "_run_block_centrally", "_on_command_complete_batch"):
+    for gone in ("_dispatch", "_assign_worker", "_schedule_task_centrally",
+                 "_dispatch_centrally", "_run_block_centrally",
+                 "_on_command_complete_batch"):
         assert not hasattr(Controller, gone), gone
     assert "open" not in _BlockRun.__slots__
     controller = (SRC / "nimbus" / "controller.py").read_text()
-    assert "_dispatch_buffer" not in controller
+    assert "_dispatch_buffer" not in controller  # an instance attribute
     assert "DispatchCommandBatch" not in controller
     assert not [cls for cls in vars(spark).values()
                 if inspect.isclass(cls) and issubclass(cls, Controller)]
