@@ -128,6 +128,9 @@ class TestNaiad:
         # install(init) + install(iteration) + reinstall(migration)
         assert cluster.metrics.count("naiad_installs") == 3
         assert cluster.metrics.count("edits_applied") == 0
+        # the exact timeline of install, migration and reinstall
+        assert (cluster.sim.now, cluster.sim.events_run) == (
+            2.3462147116655756, 358)
 
     def test_workers_charge_callback_overhead(self):
         app = small_lr()

@@ -244,6 +244,12 @@ def _pin_reinstall(controller):
     controller.migrate_tasks("iter", [(i, 1) for i in range(NUM_PARTS)])
 
 
+def _pin_reassign(controller):
+    """A migration one templated run in: the controller template exists,
+    the worker templates do not yet."""
+    assert controller.migrate_tasks("iter", [(0, 1)]) == "reassign"
+
+
 def _pin_evict(controller):
     controller.membership.evict_workers([1])
 
@@ -268,11 +274,13 @@ def _pin_evict_then_restore():
 #: scenario -> (iteration -> directive, sim.now, sim.events_run,
 #: controller.messages_out, relocation_copies,
 #: worker_template_regenerations). Patch build-and-ship, worker-template
-#: regeneration and re-homing off departed workers run on almost no
-#: benchmark workload, so their exact timeline is held here.
+#: regeneration, re-homing off departed workers and a migration before
+#: the worker templates exist run on almost no benchmark workload, so
+#: their exact timeline is held here.
 TIMELINE_PINS = {
     "none": ({}, 0.02767672879999999, 237, 32, 0, 0),
     "edits": ({5: _pin_edits}, 0.02791348159999999, 260, 34, 2, 0),
+    "reassign": ({1: _pin_reassign}, 0.02779445199999999, 255, 32, 0, 0),
     "reinstall": ({5: _pin_reinstall}, 0.029316335999999988, 271, 34, 0, 1),
     "evict": ({4: _pin_evict}, 0.02885166399999999, 224, 31, 2, 2),
     "restore": (_pin_evict_then_restore(), 0.02907775999999999, 238, 33,
