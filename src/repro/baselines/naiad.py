@@ -13,116 +13,98 @@ data directly. Strong points and weaknesses both follow:
   job, recompiling the flow graph, and reinstalling it everywhere, a fixed
   ~230 ms for the 8,000-task logistic regression (Table 3).
 
-The implementation reuses the worker-template machinery as the installed
-data flow (the paper notes Naiad's graphs "can be thought of as an extreme
-case of execution templates": one very large, long-running basic block) but
-charges no validation/instantiation costs and performs no patching or
-edits — the graph is static.
+The paper notes Naiad's graphs "can be thought of as an extreme case of
+execution templates" (one very large, long-running basic block), and so
+the implementation is a variant of the template cache,
+:class:`NaiadTemplates`, installed on the controller :class:`NimbusCluster`
+builds. It charges no validation/instantiation costs and performs no
+patching or edits: the graph is static.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ..core.controller_template import ControllerTemplate
 from ..core.validation import full_validate
 from ..core.worker_template import generate_worker_templates
 from ..nimbus.cluster import NimbusCluster
 from ..nimbus.controller import Controller
-from ..nimbus.costs import CostModel, PAPER_COSTS
-from ..nimbus.runtime import FunctionRegistry
+from ..nimbus.templates import TemplateCache
 from ..nimbus import protocol as P
-from ..core.controller_template import ControllerTemplate
-from ..core.patching import build_patch
 
 
-class NaiadController(Controller):
-    """Controller variant modeling Naiad's static-dataflow control plane."""
+class NaiadTemplates(TemplateCache):
+    """Naiad's data flow as a template cache: one static install per
+    block, epochs with no validation, patching or edits, and a reinstall
+    on any change."""
 
-    def _on_submit_block(self, ctx, msg: P.SubmitBlock) -> None:
-        """First submission of a block: compile + install the data flow.
-
-        Charged at the paper's measured rate (~28.75 µs/task, i.e. 230 ms
-        for 8,000 tasks, Table 3). The initial data distribution is loaded
-        into the flow at install time (no patching exists afterwards).
-        """
-        block = msg.block
-        if block.block_id in self.templates:
+    def install(self, ctx, block, params, request_id: int) -> None:
+        """First submission of a block: compile + install the data flow,
+        at the paper's measured rate (~28.75 µs/task, i.e. 230 ms for
+        8,000 tasks, Table 3), then run its first epoch."""
+        c = self.controller
+        if block.block_id in ctx.templates:
             # a re-submission without templates enabled cannot happen: the
             # Naiad driver always instantiates after the first install
             raise RuntimeError("Naiad data flow already installed")
-        self.charge(self.costs.naiad_install_per_task * block.num_tasks)
-        assignment = [
-            self.central.assign_worker(ctx, task.read, task.write)
-            for _stage, task in block.all_tasks()
-        ]
+        assignment = [c.central.assign_worker(ctx, task.read, task.write)
+                      for _stage, task in block.all_tasks()]
         template = ControllerTemplate.from_block(block, assignment)
-        self.templates[block.block_id] = template
-        self.phase[block.block_id] = self.PHASE_WT_INSTALLED
-        self.current_version[block.block_id] = 0
-        self.assignments[(block.block_id, 0)] = assignment
-        wts = generate_worker_templates(template, self.object_sizes(), 0)
-        self.worker_templates[wts.key] = wts
-        self._install_worker_halves(ctx, wts)
-        self.metrics.incr("naiad_installs")
+        ctx.templates[block.block_id] = template
+        wts = self._install(ctx, template, 0)
+        self._send_instance(ctx, wts, params, request_id)
 
-        # initial data distribution: part of graph installation, not a
-        # runtime patch (Naiad has none)
-        self._distribute_data(wts)
+    def installed(self, ctx, block_id: str):
+        """A data flow is installed from its first submission on: there is
+        no staircase."""
+        return ctx.worker_templates.get(
+            (block_id, ctx.current_version.get(block_id)))
 
-        self._instantiate_worker_templates(ctx, wts, msg.params,
-                                           msg.request_id)
-
-    def _distribute_data(self, wts) -> None:
-        """Move every object to where ``wts`` expects it. Part of graph
-        installation — sent outside the reliable channels, with ids from
-        the patch cache's own sequence — not a runtime patch."""
-        violations = full_validate(wts, self.directory, self._cross_check)
-        if not violations:
-            return
-        patch = build_patch(violations, self.directory, self.object_sizes(),
-                            patch_id=self.patch_cache.allocate_id())
-        instance_id = self._next_instance
-        self._next_instance += 1
-        for worker in patch.workers():
-            cid_base = self._alloc_cids(patch.entry_count(worker))
-            self.send(self.workers[worker], P.InstallPatch(
-                patch.patch_id, patch.entries[worker], cid_base,
-                instance_id))
-        patch.apply_to_directory(self.directory)
-
-    def _on_instantiate_block(self, ctx, msg: P.InstantiateBlock) -> None:
+    def instantiate(self, ctx, msg: P.InstantiateBlock) -> None:
         """Epochs run with no central validation, patching, or edits."""
-        version = self.current_version[msg.block_id]
-        wts = self.worker_templates[(msg.block_id, version)]
-        self._instantiate_worker_templates(ctx, wts, msg.params,
-                                           msg.request_id)
-        self.metrics.incr("tasks_scheduled", 0)  # already counted inside
+        self._send_instance(ctx, self.installed(ctx, msg.block_id),
+                            msg.params, msg.request_id)
 
-    def reinstall(self, block_id: str) -> None:
-        """Any scheduling change: stop, recompile, reinstall (Table 3)."""
-        template = self.templates[block_id]
-        self.charge(self.costs.naiad_install_per_task * template.num_tasks)
-        template.assignment_version += 1
-        version = template.assignment_version
-        self.current_version[block_id] = version
-        wts = generate_worker_templates(
-            template, self.object_sizes(), version)
-        self.worker_templates[wts.key] = wts
-        self._install_worker_halves(self._job0, wts)
-        self.assignments[(block_id, version)] = [
-            e.worker for e in template.entries
-        ]
-        # data redistribution to the new placement, also at install time
-        self._distribute_data(wts)
-        self.metrics.incr("naiad_installs")
-
-    def migrate_tasks(self, block_id: str, moves, job_id: int = 0) -> str:
-        """Naiad cannot edit an installed graph: every change reinstalls."""
-        template = self.templates[block_id]
+    def migrate(self, ctx, template, moves):
+        """Naiad cannot edit an installed graph: any scheduling change
+        stops, recompiles and reinstalls it (Table 3)."""
         for ct_index, dst in moves:
             template.reassign(ct_index, dst)
-        self.reinstall(block_id)
-        return "reinstall"
+        template.assignment_version += 1
+        self._install(ctx, template, template.assignment_version)
+        return "reinstall", None
+
+    def _install(self, ctx, template, version: int):
+        """Compile ``template`` at ``version`` and install it on every
+        worker, data included (no patching exists afterwards)."""
+        c = self.controller
+        c.charge(c.costs.naiad_install_per_task * template.num_tasks)
+        ctx.current_version[template.block_id] = version
+        wts = generate_worker_templates(template, c.object_sizes(ctx),
+                                        version)
+        ctx.worker_templates[wts.key] = wts
+        ctx.assignments[wts.key] = template.assignment()
+        self.install_halves(ctx, wts)
+        ctx.metrics.incr("naiad_installs")
+        # data distribution is part of graph installation, not a runtime
+        # patch (Naiad has none): sent outside the reliable channels
+        violations = full_validate(wts, ctx.directory, c._cross_check)
+        if violations:
+            self._new_patch(ctx, violations, c.send)
+        return wts
+
+
+class NaiadController(Controller):
+    """Naiad's entry points, straight into :class:`NaiadTemplates`: no
+    per-message handling charge and no request dedup."""
+
+    def _on_submit_block(self, ctx, msg: P.SubmitBlock) -> None:
+        self.cache.install(ctx, ctx.translate_block(msg.block), msg.params,
+                           msg.request_id)
+
+    def _on_instantiate_block(self, ctx, msg: P.InstantiateBlock) -> None:
+        self.cache.instantiate(ctx, msg)
 
 
 class NaiadCluster(NimbusCluster):
@@ -130,21 +112,10 @@ class NaiadCluster(NimbusCluster):
 
     controller_class = NaiadController
 
-    def __init__(
-        self,
-        num_workers: int,
-        program: Callable,
-        registry: Optional[FunctionRegistry] = None,
-        costs: Optional[CostModel] = None,
-        **kwargs,
-    ):
-        super().__init__(
-            num_workers,
-            program,
-            registry=registry,
-            costs=costs or PAPER_COSTS,
-            use_templates=True,  # the driver instantiates after install
-            **kwargs,
-        )
+    def __init__(self, num_workers: int, program: Optional[Callable],
+                 **kwargs):
+        # the driver instantiates after install
+        super().__init__(num_workers, program, use_templates=True, **kwargs)
+        self.controller.cache = NaiadTemplates(self.controller)
         for worker in self.workers.values():
             worker.callback_overhead = self.costs.naiad_callback_per_task

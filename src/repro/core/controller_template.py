@@ -128,6 +128,10 @@ class ControllerTemplate:
         """Move one task's cached assignment to another worker."""
         self.entries[entry_index].worker = worker
 
+    def assignment(self) -> List[int]:
+        """Each entry's worker, in entry order."""
+        return [e.worker for e in self.entries]
+
     def workers_used(self) -> List[int]:
         return sorted({e.worker for e in self.entries})
 

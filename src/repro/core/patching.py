@@ -120,11 +120,7 @@ class PatchCache:
 
     The cache is bounded: entries evict least-recently-used once
     ``capacity`` is exceeded (a hit refreshes recency), and evictions are
-    reported to ``metrics`` under ``patch_cache.evictions``. The cache
-    also allocates patch ids for its owning controller — ids survive
-    :meth:`invalidate_all` because workers keep their installed-patch
-    caches across a controller-side invalidation, and a reused id would
-    collide with a patch a worker already ran.
+    reported to ``metrics`` under ``patch_cache.evictions``.
     """
 
     def __init__(self, capacity: int = 256, metrics=None) -> None:
@@ -135,13 +131,6 @@ class PatchCache:
         self.misses = 0
         self.evictions = 0
         self._metrics = metrics
-        self._next_patch_id = 1
-
-    def allocate_id(self) -> int:
-        """Allocate a patch id unique within this controller's lifetime."""
-        pid = self._next_patch_id
-        self._next_patch_id += 1
-        return pid
 
     def lookup(
         self,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
-from ..core.controller_template import ControllerTemplate
 from ..core.spec import BlockSpec
 from .commands import Command, make_copy_pair, make_task
 from . import protocol as P
@@ -90,9 +89,9 @@ class CentralScheduler:
     def dispatch(self, ctx, source, tasks, workers: List[int],
                  params: Dict[str, Any], cost: float, request_id: int):
         """Schedule one run of ``source`` — a :class:`BlockSpec`, or the
-        :class:`ControllerTemplate` captured from one: ``tasks`` in
-        program order, each on its entry of ``workers``, ``cost`` charged
-        per task."""
+        controller template captured from one: ``tasks`` in program
+        order, each on its entry of ``workers``, ``cost`` charged per
+        task."""
         c = self.controller
         run = c._new_run(ctx, source.block_id, source.num_tasks, "central",
                          request_id)
@@ -137,8 +136,8 @@ class CentralScheduler:
         """Schedule a driver-submitted block, capturing it into a
         controller template on the way if the driver marked it."""
         c = self.controller
-        if capture and block.block_id in ctx.templates:
-            capture = False  # already installed (e.g. resubmitted after recovery)
+        # a block resubmitted after recovery is captured already
+        capture = capture and block.block_id not in ctx.templates
         cost = (c.costs.central_schedule_per_task
                 + c.costs.central_receive_per_task)
         if capture:
@@ -149,12 +148,7 @@ class CentralScheduler:
         run = self.dispatch(ctx, block, tasks, assignment, params, cost,
                             request_id)
         if capture:
-            template = ControllerTemplate.from_block(block, assignment)
-            ctx.templates[block.block_id] = template
-            ctx.phase[block.block_id] = c.PHASE_CT_READY
-            ctx.current_version[block.block_id] = 0
-            ctx.assignments[(block.block_id, 0)] = list(assignment)
-            ctx.metrics.incr("controller_templates_installed")
+            c.cache.capture(ctx, block, assignment)
         return run
 
     def on_command_complete_batch(self, msg: P.CommandCompleteBatch) -> None:

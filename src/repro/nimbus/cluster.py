@@ -7,10 +7,9 @@ on c3.2xlarge (8 cores), all nodes in one full-bisection placement group.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from ..obs import Tracer, trace_enabled_default
-from ..sim.actor import Actor
 from ..sim.engine import Simulator
 from ..sim.metrics import Metrics
 from ..sim.network import Network
@@ -242,8 +241,6 @@ class NimbusCluster:
         decentralized, or sharded), defaulting to the cluster-wide
         mode — co-scheduled jobs may mix modes freely.
         """
-        if use_templates is None:
-            use_templates = self.default_use_templates
         return self.jobs.submit(program, weight=weight,
                                 use_templates=use_templates,
                                 max_inflight=max_inflight,

@@ -1,52 +1,32 @@
 """The Nimbus controller (§3.2, §4).
 
-The controller receives blocks from drivers, transforms them into an
-execution plan, and dispatches commands to workers. Execution templates
-live here, as a cache in front of the per-task central scheduler
-(:class:`~repro.nimbus.central.CentralScheduler`, ``controller.central``):
-per basic block the controller moves through four phases, matching the
-installation staircase of Figure 9:
+The controller receives blocks from drivers, admits them and hands each
+to its job's scheduling policy. It keeps what every path shares: id
+allocation, the run table and run close, the object directory and the
+partition-map epoch. Three owners on its actor do the rest: the per-task
+central scheduler (``controller.central``,
+:class:`~repro.nimbus.central.CentralScheduler`), the execution templates
+in front of it (``controller.cache``,
+:class:`~repro.nimbus.templates.TemplateCache`) and the worker set
+(``controller.membership``, :class:`~repro.nimbus.membership.Membership`).
 
-* ``CENTRAL`` — no template: the central scheduler plans the block's task
-  stream task by task (134 µs/task) and sends each worker one batch of its
-  commands. If the driver marked the block, the stream is simultaneously
-  captured into a controller template (+25 µs/task).
-* ``CT_READY`` — the controller template exists: instantiation requests are
-  parameter fills (0.2 µs/task); tasks are still dispatched centrally while
-  the controller half of the worker templates is generated (+15 µs/task).
-* ``WT_GENERATED`` — worker halves are shipped to the workers (9 µs/task at
-  each worker) alongside one last central dispatch.
-* ``WT_INSTALLED`` — the steady state: validate (auto 1.7 µs/task, full
-  7.3 µs/task), patch if needed, and send one instantiation message per
-  worker — n+1 control messages for the whole iteration (§2.2).
-
-The controller also owns the object directory, the patch cache and
-edit-based migration. Every change to the worker set — eviction/restore
-(Figure 9), joins, deaths, checkpointing and failure recovery (§4.4) —
-belongs to its :class:`~repro.nimbus.membership.Membership`.
-
-Multi-tenancy: the controller serves N concurrent jobs. Everything the
-template machinery needs per job — the template namespace, the object
-directory and version map, placement, patch cache, driver channel, and
-metrics stream — lives in a :class:`~repro.nimbus.multijob.JobContext`
-keyed by job id. Job 0 is created eagerly with the controller's own
-metrics object and an identity oid namespace, so a single-job cluster
-behaves bit-identically to the pre-multi-tenant system; the legacy flat
-attributes (``controller.templates`` and friends) remain as views onto
-job 0. Blocks dispatch behind an optional concurrency cap
-(``dispatch_inflight_cap``) with weighted fair-share ordering, and the
-shared :class:`~repro.sched.rebalance.LoadTracker` observed from all
-jobs' completions seeds new jobs' placements on the least-loaded worker.
+Multi-tenancy: the controller serves N concurrent jobs, each with its own
+:class:`~repro.nimbus.multijob.JobContext` (templates, directory and
+version map, placement, patch cache, driver channel, metrics). Job 0 is
+created eagerly with the controller's own metrics object and an identity
+oid namespace, so a single-job cluster behaves bit-identically to the
+pre-multi-tenant system; the flat attributes (``controller.templates``
+and friends) are views onto job 0. Blocks dispatch behind an optional
+concurrency cap (``dispatch_inflight_cap``) in weighted fair-share order,
+and the shared :class:`~repro.sched.rebalance.LoadTracker` seeds new
+jobs' placements on the least-loaded worker.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..core.edits import merge_edits, plan_migrations
-from ..core.patching import Patch, PatchCache, build_patch
-from ..core.validation import full_validate
-from ..core.worker_template import WorkerTemplateSet, generate_worker_templates
+from ..core.patching import PatchCache
 from ..sched.policy import make_policy
 from ..sched.rebalance import LoadTracker
 from ..sim.actor import Actor, Message
@@ -57,6 +37,7 @@ from .costs import CostModel
 from .data import LogicalObject, PartitionPlacement
 from .membership import Membership
 from .multijob import FairShareQueue, JobContext
+from .templates import TemplateCache
 from . import protocol as P
 
 #: the steady-state control-plane message types — the traffic Fig. 7
@@ -127,12 +108,6 @@ class Controller(P.ReliableEndpoint, Actor):
     by request id so a redelivered :class:`~repro.nimbus.protocol.
     InstantiateBlock` can never apply a template's directory delta twice.
     """
-
-    # template phases per block
-    PHASE_NONE = 0
-    PHASE_CT_READY = 1
-    PHASE_WT_GENERATED = 2
-    PHASE_WT_INSTALLED = 3
 
     def __init__(
         self,
@@ -213,6 +188,8 @@ class Controller(P.ReliableEndpoint, Actor):
         #: per-task scheduling: the path every block takes until its
         #: templates are installed (a baseline may install a variant)
         self.central = CentralScheduler(self)
+        #: the templates in front of it (a baseline may install a variant)
+        self.cache = TemplateCache(self)
 
     # ------------------------------------------------------------------
     # Legacy flat views (single-job API): all delegate to job 0
@@ -221,18 +198,14 @@ class Controller(P.ReliableEndpoint, Actor):
     directory = _job0_view("directory", "job 0's object directory")
     placement = _job0_view("placement", "job 0's placement", settable=True)
     templates = _job0_view("templates", "job 0's controller templates")
-    phase = _job0_view("phase", "job 0's per-block template phase")
     worker_templates = _job0_view("worker_templates",
                                   "job 0's worker template sets")
     current_version = _job0_view("current_version",
                                  "job 0's current template versions")
-    assignments = _job0_view("assignments", "job 0's assignment snapshots")
     validation_state = _job0_view("validation_state",
                                   "job 0's validation automaton")
     patch_cache = _job0_view("patch_cache", "job 0's patch cache")
     pending_edits = _job0_view("pending_edits", "job 0's un-shipped edits")
-    _results_history = _job0_view("results_history",
-                                  "job 0's recorded block results")
 
     # ------------------------------------------------------------------
     # Setup
@@ -453,11 +426,9 @@ class Controller(P.ReliableEndpoint, Actor):
                 self.send_reliable(self.workers[worker], P.DestroyObjects(oids))
         self.send_reliable(ctx.driver, P.ObjectsReady())
 
-    def object_sizes(self, ctx: Optional[JobContext] = None) -> Dict[int, int]:
+    def object_sizes(self, ctx: JobContext) -> Dict[int, int]:
         # sizes are fixed at definition, so the map only changes when
         # objects are defined or undefined (which drop the cache)
-        if ctx is None:
-            ctx = self._job0
         if ctx.object_sizes_cache is None:
             ctx.object_sizes_cache = {
                 obj.oid: obj.size_bytes for obj in ctx.directory.objects()
@@ -476,6 +447,16 @@ class Controller(P.ReliableEndpoint, Actor):
         wid = self._next_window
         self._next_window += 1
         return wid
+
+    def _alloc_instance_id(self) -> int:
+        iid = self._next_instance
+        self._next_instance += 1
+        return iid
+
+    def _alloc_patch_id(self) -> int:
+        pid = self._next_patch_id
+        self._next_patch_id += 1
+        return pid
 
     # ------------------------------------------------------------------
     # Driver block submission (central / capture path)
@@ -562,213 +543,6 @@ class Controller(P.ReliableEndpoint, Actor):
         self._gate_dispatch(ctx, ("window", msg),
                             msg.num_tasks * max(1, len(msg.entries)))
 
-    def _process_instantiate(self, ctx: JobContext,
-                             msg: P.InstantiateBlock) -> None:
-        block_id = msg.block_id
-        template = ctx.templates.get(block_id)
-        if template is None:
-            raise KeyError(
-                f"job {ctx.job_id}: no controller template installed for "
-                f"block {block_id!r} (installed blocks: "
-                f"{sorted(ctx.templates)})"
-            )
-        phase = ctx.phase[block_id]
-        n = template.num_tasks
-        # parameter fill of the controller template (Table 2, row 1)
-        self.charge(self.costs.instantiate_controller_template_per_task * n)
-        ctx.metrics.incr("template_instantiations")
-
-        version = ctx.current_version[block_id]
-        if phase != self.PHASE_WT_INSTALLED:
-            # the install staircase (Fig. 9): generate the controller half
-            # of the worker templates (iteration 11), then ship the worker
-            # halves (iteration 12), each while dispatching the iteration
-            # centrally from the controller template's cached assignment
-            if phase == self.PHASE_CT_READY:
-                self._generate_worker_templates(ctx, block_id, version)
-            else:
-                self._install_worker_halves(
-                    ctx, ctx.worker_templates[(block_id, version)])
-                ctx.phase[block_id] = self.PHASE_WT_INSTALLED
-            self.central.dispatch(
-                ctx, template, template.entries,
-                [entry.worker for entry in template.entries], msg.params,
-                self.costs.central_schedule_per_task, msg.request_id)
-            return
-
-        # steady state (iteration 13+): validate, patch, instantiate
-        wts = ctx.worker_templates[(block_id, version)]
-        self._install_worker_halves(ctx, wts)  # no-op for already-installed workers
-        c0 = self._charged
-        if ctx.validation_state.auto_validates(wts.key):
-            self.charge(
-                self.costs.instantiate_worker_template_auto_per_task * n)
-            ctx.metrics.incr("auto_validations")
-            if self._trace is not None:
-                self._trace.span(
-                    self.name, "template", "validate.auto",
-                    self._handler_start + c0, self._charged - c0,
-                    block_id=block_id)
-        else:
-            self.charge(
-                self.costs.instantiate_worker_template_validate_per_task * n)
-            ctx.metrics.incr("full_validations")
-            violations = full_validate(wts, ctx.directory,
-                                       self._cross_check)
-            if self._trace is not None:
-                self._trace.span(
-                    self.name, "template", "validate.full",
-                    self._handler_start + c0, self._charged - c0,
-                    block_id=block_id, violations=len(violations))
-            if violations:
-                self._apply_patch(ctx, wts, violations)
-        self._instantiate_worker_templates(ctx, wts, msg.params,
-                                           msg.request_id)
-
-    def _generate_worker_templates(self, ctx: JobContext, block_id: str,
-                                   version: int) -> None:
-        """Generate the controller half of ``block_id``'s worker templates
-        for its current assignment; the halves ship at the next
-        instantiation (Fig. 9, iteration 11)."""
-        template = ctx.templates[block_id]
-        c0 = self._charged
-        self.charge(self.costs.install_worker_template_controller_per_task
-                    * template.num_tasks)
-        wts = generate_worker_templates(
-            template, self.object_sizes(ctx), version)
-        if self._trace is not None:
-            self._trace.span(
-                self.name, "template", "template.generate",
-                self._handler_start + c0, self._charged - c0,
-                block_id=block_id, **wts.stats())
-        ctx.worker_templates[wts.key] = wts
-        ctx.phase[block_id] = self.PHASE_WT_GENERATED
-
-    def _install_worker_halves(self, ctx: JobContext,
-                               wts: WorkerTemplateSet) -> None:
-        for worker in wts.workers():
-            if worker in wts.installed_on or worker not in self.live_workers:
-                continue
-            entries = wts.entries[worker]
-            reports = [e.index for e in entries if e.report]
-            self.send_reliable(self.workers[worker], P.InstallWorkerTemplate(
-                wts.block_id, wts.version, entries, reports,
-                job_id=ctx.job_id,
-            ))
-            wts.installed_on.add(worker)
-            if self._trace is not None:
-                self._trace.instant(self.name, "template", "template.ship",
-                                    block_id=wts.block_id,
-                                    version=wts.version, worker=worker,
-                                    entries=len(entries))
-            # a fresh install ships the controller half verbatim, which
-            # already contains any planned edits — drop them so they are
-            # not applied a second time at instantiation
-            pending = ctx.pending_edits.get(wts.key)
-            if pending:
-                pending.pop(worker, None)
-
-    def _decide_instance(self, ctx: JobContext, wts: WorkerTemplateSet,
-                         mode: str, request_id: int, ship) -> _BlockRun:
-        """Decide one instance of an installed template: a new run, its
-        instance id, one command-id base per worker (in worker order), the
-        return map, and the template's effect on the directory and the
-        validation state. ``ship(run, worker, cid_base)`` is the caller's
-        transport — a message per worker, or a row of a window grant — so
-        every scheduling mode draws the same id streams."""
-        num_tasks = ctx.templates[wts.block_id].num_tasks
-        run = self._new_run(ctx, wts.block_id, num_tasks, mode, request_id)
-        run.instance_id = self._next_instance
-        self._next_instance += 1
-        for worker in wts.workers():
-            ship(run, worker, self._alloc_cids(len(wts.entries[worker])))
-            run.expected_workers.add(worker)
-        run.outstanding = len(run.expected_workers)
-        for name, oid in wts.returns.items():
-            # values arrive keyed by oid (InstanceComplete, summary rows)
-            run.return_cids[oid] = name
-        wts.delta.apply(ctx.directory)
-        ctx.validation_state.note_instantiation(wts.key)
-        ctx.prev_block_key = wts.key
-        ctx.metrics.incr("tasks_scheduled", num_tasks)
-        if self._trace is not None:
-            self._trace_decided(run)
-        return run
-
-    def _instantiate_worker_templates(self, ctx: JobContext,
-                                      wts: WorkerTemplateSet,
-                                      params: Dict[str, Any],
-                                      request_id: int = 0) -> None:
-        """The fast path: one message per worker (§2.2: n+1 total)."""
-        edits_by_worker = ctx.pending_edits.pop(wts.key, {})
-
-        def ship(run: _BlockRun, worker: int, cid_base: int) -> None:
-            msg = P.InstantiateWorkerTemplate(
-                wts.block_id, wts.version, run.instance_id, cid_base,
-                params, run.seq, edits=edits_by_worker.get(worker),
-                job_id=ctx.job_id,
-            )
-            msg.size_bytes = (P.TASK_ID_BYTES * len(wts.entries[worker])
-                              + P.PARAM_BLOCK_BYTES)
-            self.send_reliable(self.workers[worker], msg)
-
-        self._decide_instance(ctx, wts, "template", request_id, ship)
-
-    # ------------------------------------------------------------------
-    # Patching (§4.2)
-    # ------------------------------------------------------------------
-    def _install_new_patch(self, ctx: JobContext,
-                           violations: List[Tuple[int, int]]) -> Patch:
-        """Compute the copies that bring each ``(worker, oid)`` in
-        ``violations`` up to the object's latest version, ship every
-        involved worker its half as one fresh patch instance, and record
-        the copies in the directory."""
-        # patch ids are controller-global: a worker's patch cache is keyed
-        # by bare patch id, so ids from different jobs must never collide
-        patch = build_patch(violations, ctx.directory,
-                            self.object_sizes(ctx),
-                            patch_id=self._next_patch_id)
-        self._next_patch_id += 1
-        instance_id = self._next_instance
-        self._next_instance += 1
-        for worker in patch.workers():
-            cid_base = self._alloc_cids(patch.entry_count(worker))
-            self.send_reliable(self.workers[worker], P.InstallPatch(
-                patch.patch_id, patch.entries[worker], cid_base,
-                instance_id))
-        patch.apply_to_directory(ctx.directory)
-        return patch
-
-    def _apply_patch(self, ctx: JobContext, wts: WorkerTemplateSet,
-                     violations: List[Tuple[int, int]]) -> None:
-        c0 = self._charged
-        patch = ctx.patch_cache.lookup(
-            ctx.prev_block_key, wts.key, violations, ctx.directory)
-        if patch is not None:
-            span = "patch.cache_hit"
-            self.charge(self.costs.patch_cache_invoke)
-            instance_id = self._next_instance
-            self._next_instance += 1
-            for worker in patch.workers():
-                cid_base = self._alloc_cids(patch.entry_count(worker))
-                self.send_reliable(self.workers[worker], P.InstantiatePatch(
-                    patch.patch_id, cid_base, instance_id))
-            patch.apply_to_directory(ctx.directory)
-            ctx.metrics.incr("patch_cache_hits")
-        else:
-            span = "patch.compute"
-            # one copy per violation, charged before the halves depart
-            self.charge(self.costs.patch_compute_per_copy * len(violations))
-            patch = self._install_new_patch(ctx, violations)
-            ctx.patch_cache.store(ctx.prev_block_key, wts.key, patch)
-            ctx.metrics.incr("patches_computed")
-        if self._trace is not None:
-            self._trace.span(
-                self.name, "template", span,
-                self._handler_start + c0, self._charged - c0,
-                patch_id=patch.patch_id, num_copies=patch.num_copies())
-        ctx.metrics.incr("patch_copies", patch.num_copies())
-
     # ------------------------------------------------------------------
     # Partition-map epochs (decentralized mode, DESIGN.md §14)
     # ------------------------------------------------------------------
@@ -814,15 +588,10 @@ class Controller(P.ReliableEndpoint, Actor):
     # ------------------------------------------------------------------
     def migrate_tasks(self, block_id: str, moves: List[Tuple[int, int]],
                       job_id: int = 0) -> str:
-        """Move tasks (by controller-template entry index) to new workers.
-
-        Small changes become template edits; large ones re-install. Before
-        worker templates exist the block is still dispatched centrally from
-        the controller template, so updating the assignment is the whole
-        migration ("reassign"). Returns which mechanism was used
-        ("edits", "reinstall", or "reassign"). A move that cannot be an
-        edit raises MigrationError once the moves before it are applied.
-        """
+        """Move tasks to new workers (:meth:`TemplateCache.migrate`) and
+        advance the partition-map epoch; returns the mechanism used. A
+        move that cannot be an edit raises MigrationError once the moves
+        before it are applied."""
         ctx = self.jobs.get(job_id)
         if ctx is None:
             raise KeyError(
@@ -837,82 +606,11 @@ class Controller(P.ReliableEndpoint, Actor):
                 f"{sorted(ctx.templates)})"
             )
         self._require_quiesced(ctx)
-        version = ctx.current_version.get(block_id, 0)
-        wts = ctx.worker_templates.get((block_id, version))
-        generated = (wts is not None and ctx.phase.get(block_id, 0)
-                     >= self.PHASE_WT_GENERATED)
-        if generated and len(moves) <= self.edit_threshold * template.num_tasks:
-            batch = plan_migrations(wts, moves, self.object_sizes(ctx))
-            self.charge(self.costs.edit_per_task * batch.total_ops)
-            merge_edits(ctx.pending_edits.setdefault(wts.key, {}), batch.edits)
-            for ct_index, dst in batch.moves:
-                template.reassign(ct_index, dst)
-            # one-time data moves for relocated sole-reader inputs: the
-            # objects' homes follow the tasks; stale replicas remain behind
-            self._relocate(ctx, batch.relocations)
-            ctx.metrics.incr("edits_applied", batch.total_ops)
-            self.bump_partition_epoch()
-            if batch.rejected is not None:  # what it left planned has shipped
-                raise batch.rejected
-            return "edits"
-        for ct_index, dst in moves:
-            template.reassign(ct_index, dst)
-        if generated:
-            self._regenerate_worker_templates(ctx, block_id)
-        else:
-            if (block_id, version) in ctx.assignments:
-                ctx.assignments[(block_id, version)] = [
-                    e.worker for e in template.entries
-                ]
-            ctx.metrics.incr("migrations_reassigned")
+        mechanism, rejected = self.cache.migrate(ctx, template, moves)
         self.bump_partition_epoch()
-        return "reinstall" if generated else "reassign"
-
-    def _relocate(self, ctx: JobContext,
-                  homes: List[Tuple[int, int]]) -> None:
-        """Move each ``(oid, home)``'s object to its new home, first
-        shipping one relocation patch with a copy to every new home that
-        does not hold the object's latest version."""
-        stale = [(dst, oid) for oid, dst in homes
-                 if not ctx.directory.is_fresh(oid, dst)]
-        if stale:
-            self._install_new_patch(ctx, stale)
-            ctx.metrics.incr("relocation_copies", len(stale))
-        for oid, dst in homes:
-            ctx.placement.migrate(oid, dst)
-
-    def _drop_pending_edits(self, ctx: JobContext, block_id: str) -> None:
-        """Forget queued-but-unshipped worker-half edits for ``block_id``.
-
-        Called whenever a regeneration, eviction, or restore supersedes the
-        assignment the edits were planned against. ``plan_migration``
-        applies edits to the *controller* half immediately, so a cached
-        :class:`WorkerTemplateSet` with dropped pending ops can never be
-        brought back in sync with the pre-edit halves workers already hold
-        — drop that cached version too, and let
-        ``Membership.restore_workers`` fall back to a regeneration if a
-        snapshot still points at it.
-        """
-        for key in [k for k in ctx.pending_edits if k[0] == block_id]:
-            del ctx.pending_edits[key]
-            wts = ctx.worker_templates.get(key)
-            if wts is not None and wts.installed_on:
-                del ctx.worker_templates[key]
-                ctx.divergent_wts.add(key)
-
-    def _regenerate_worker_templates(self, ctx: JobContext,
-                                     block_id: str) -> None:
-        self._drop_pending_edits(ctx, block_id)
-        template = ctx.templates[block_id]
-        template.assignment_version += 1
-        version = template.assignment_version
-        ctx.current_version[block_id] = version
-        self._generate_worker_templates(ctx, block_id, version)
-        ctx.assignments[(block_id, version)] = [
-            e.worker for e in template.entries
-        ]
-        ctx.validation_state.invalidate()
-        ctx.metrics.incr("worker_template_regenerations")
+        if rejected is not None:  # what it left planned has shipped
+            raise rejected
+        return mechanism
 
     # ------------------------------------------------------------------
     # Completions

@@ -2,10 +2,11 @@
 
 Eviction, a join, a restore, a death and checkpoint recovery all change
 the live set, re-home what departed workers held onto the survivors, and
-regenerate the templates that moved. :class:`Membership` does that for the
-controller, on the controller's actor, and owns the state involved: the
-live, draining and failed sets, the eviction floor, heartbeats and
-checkpoints. The steps the paths share are written once (DESIGN.md §6,
+have the template cache (``controller.cache``) re-home and regenerate the
+templates that moved. :class:`Membership` does that for the controller,
+on the controller's actor, and owns the state involved: the live,
+draining and failed sets, the eviction floor, heartbeats and checkpoints.
+The steps the paths share are written once (DESIGN.md §6,
 "Membership and recovery"). ``Controller.live_workers`` is this module's
 live set, the same object, so a hot-path test is one attribute load; only
 this module changes it.
@@ -87,28 +88,6 @@ class Membership:
                 moved[oid] = survivors[len(moved) % len(survivors)]
         return moved
 
-    def _rehome_templates(self, ctx, regenerate_all: bool) -> None:
-        """Reassign the template entries on workers no longer live to the
-        (already re-homed) home of their anchor object, then regenerate
-        the worker templates of every block that moved — or of every block
-        with ``regenerate_all``. A block with queued edits regenerates even
-        if none of its entries moved: the queued ops (or the edited halves
-        they target) may address departed peers, and regeneration retires
-        them (``Controller._drop_pending_edits``)."""
-        c = self.controller
-        live = self.live_workers
-        for block_id, template in ctx.templates.items():
-            moved = False
-            for entry in template.entries:
-                if entry.worker not in live:
-                    entry.worker = c.central.assign_worker(
-                        ctx, entry.read, entry.write)
-                    moved = True
-            if ((regenerate_all or moved
-                 or any(key[0] == block_id for key in ctx.pending_edits))
-                    and ctx.phase.get(block_id, 0) >= c.PHASE_CT_READY):
-                c._regenerate_worker_templates(ctx, block_id)
-
     def _open(self, barrier: str, expected: Optional[Set[int]] = None):
         self._barriers[barrier] = (set(), expected)
 
@@ -176,8 +155,8 @@ class Membership:
         for job_id in sorted(c.jobs):
             ctx = c.jobs[job_id]
             moved = self._rehome_objects(self._homes(ctx), evicted_set)
-            c._relocate(ctx, list(moved.items()))
-            self._rehome_templates(ctx, regenerate_all=False)
+            c.cache.relocate(ctx, list(moved.items()))
+            c.cache.rehome(ctx, regenerate_all=False)
             ctx.validation_state.invalidate()
         c.bump_partition_epoch()
 
@@ -213,7 +192,7 @@ class Membership:
         The worker becomes schedulable for every job — future object
         definitions may place on it, and ``Controller.migrate_tasks`` may
         edit tasks onto it (worker template halves ship lazily on first
-        use via ``Controller._install_worker_halves``). Joining moves
+        use via ``TemplateCache.install_halves``). Joining moves
         nothing by itself: an autoscaler that adds a worker and never
         migrates work onto it leaves the run's dataflow untouched.
         """
@@ -260,27 +239,7 @@ class Membership:
         self.live_workers |= set(restored)
         for oid, home in placement_snapshot.items():
             ctx.placement.migrate(oid, home)
-        for block_id, version in version_snapshot.items():
-            # queued edits were planned against assignments this restore is
-            # undoing — shipping them later would corrupt installed halves
-            c._drop_pending_edits(ctx, block_id)
-            template = ctx.templates[block_id]
-            assignment = ctx.assignments[(block_id, version)]
-            for entry, worker in zip(template.entries, assignment):
-                entry.worker = worker
-            ctx.current_version[block_id] = version
-            if (block_id, version) in ctx.worker_templates:
-                ctx.phase[block_id] = c.PHASE_WT_INSTALLED
-            elif (block_id, version) in ctx.divergent_wts:
-                # the cached set for this version was invalidated while it
-                # had un-shipped edits; re-install instead of resurrecting
-                # worker halves that no longer match the controller half
-                c._regenerate_worker_templates(ctx, block_id)
-            else:
-                # worker templates were never generated for this version
-                # (the block was still pre-WT at snapshot time); rejoin the
-                # staircase so the next instantiation generates them fresh
-                ctx.phase[block_id] = c.PHASE_CT_READY
+        c.cache.revert(ctx, version_snapshot)
         ctx.validation_state.invalidate()
         c.bump_partition_epoch()
 
@@ -402,7 +361,7 @@ class Membership:
             for oid in oids:
                 ctx.directory.apply_block_delta(oid, 0, [worker])
         # all cached schedules referenced the dead workers: rebuild
-        self._rehome_templates(ctx, regenerate_all=True)
+        c.cache.rehome(ctx, regenerate_all=True)
         ctx.patch_cache.invalidate_all()
         ctx.validation_state.invalidate()
         ctx.results_history = list(history)

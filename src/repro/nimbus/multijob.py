@@ -36,7 +36,7 @@ coordinator regardless of mode.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..core.spec import BlockSpec, LogicalTask, StageSpec
 from ..core.validation import ValidationState
@@ -275,9 +275,10 @@ class JobManager:
 
     # -- submission ------------------------------------------------------
     def submit(self, program, weight: float = 1.0,
-               use_templates: bool = True,
+               use_templates: Optional[bool] = None,
                max_inflight: int = 4,
                mode: Optional[str] = None) -> JobRecord:
+        """``use_templates`` and ``mode`` default to the cluster's."""
         sim = self.cluster.sim
         if (len(self.running()) >= self.max_concurrent
                 and len(self._pending) >= self.queue_cap):
@@ -289,6 +290,8 @@ class JobManager:
             self.rejections.append((sim.now, message))
             self.cluster.metrics.incr("jobs_rejected")
             raise JobRejected(message)
+        if use_templates is None:
+            use_templates = self.cluster.default_use_templates
         record = JobRecord(self._next_job_id, program, weight,
                            use_templates, max_inflight, sim.now,
                            mode=mode or self.cluster.mode)

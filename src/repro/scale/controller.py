@@ -162,10 +162,7 @@ class ResourceController:
                 # and let the next tick retry against a quiesced map
                 self._spread_targets = targets
                 return
-            for block_id in sorted(ctx.templates):
-                if ctx.phase.get(block_id, 0) < ctrl.PHASE_CT_READY:
-                    continue
-                template = ctx.templates[block_id]
+            for block_id, template in sorted(ctx.templates.items()):
                 moves = self._plan_spread(ctrl, ctx, block_id, targets)
                 if not moves:
                     continue

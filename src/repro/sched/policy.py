@@ -1,8 +1,8 @@
 """Scheduling policies: how block instantiations become worker work.
 
-The controller and its central scheduler own every decision — id
-allocation, run bookkeeping, the directory, validation, patching,
-completion folds — each written once (DESIGN.md §14). A per-job
+The controller, its central scheduler and its template cache own every
+decision — id allocation, run bookkeeping, the directory, validation,
+patching, completion folds — each written once (DESIGN.md §14). A per-job
 :class:`SchedulingPolicy` owns only *queueing* (when a submission runs)
 and *transport* (how a decided instance reaches the workers and how its
 completions come back):
@@ -34,8 +34,8 @@ Entries that do not auto-validate — the install staircase, blocks
 needing full validation or patches — fall back to the centralized
 per-entry path inside the window (the staircase dispatches through
 ``controller.central``), and granted entries are decided by the same
-``Controller._decide_instance`` a centralized instantiation uses, so
-all modes draw the same id streams and compute bit-identical values.
+``TemplateCache.decide`` a centralized instantiation uses, so all modes
+draw the same id streams and compute bit-identical values.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class SchedulingPolicy:
                                 capture=template_start,
                                 request_id=request_id)
         elif kind == "instantiate":
-            c._process_instantiate(self.ctx, item[1])
+            c.cache.instantiate(self.ctx, item[1])
         else:
             self._process_window(item[1])
 
@@ -172,19 +172,6 @@ class DecentralizedPolicy(SchedulingPolicy):
             self._run(self._queue.pop(0))
 
     # -- the grant path ------------------------------------------------
-    def _grantable_wts(self, block_id: str):
-        """The window's WorkerTemplateSet iff it auto-validates (no side
-        effects — fallback entries must reach ``_process_instantiate``
-        with pristine state)."""
-        ctx = self.ctx
-        if ctx.phase.get(block_id) != self.controller.PHASE_WT_INSTALLED:
-            return None
-        wts = ctx.worker_templates.get(
-            (block_id, ctx.current_version[block_id]))
-        if wts is None or not ctx.validation_state.auto_validates(wts.key):
-            return None
-        return wts
-
     def _process_window(self, msg: P.InstantiateWindow) -> None:
         """Fallback-or-grant each entry, in submission order.
 
@@ -203,15 +190,18 @@ class DecentralizedPolicy(SchedulingPolicy):
             if c._duplicate_request(ctx, request_id):
                 continue
             if grant is None:
-                wts = self._grantable_wts(msg.block_id)
-                if wts is None:
-                    c._process_instantiate(ctx, P.InstantiateBlock(
+                # only an auto-validating entry is granted; the rest reach
+                # the cache's instantiation with pristine state
+                wts = c.cache.installed(ctx, msg.block_id)
+                if (wts is None
+                        or not ctx.validation_state.auto_validates(wts.key)):
+                    c.cache.instantiate(ctx, P.InstantiateBlock(
                         msg.block_id, n, task_id_base, params,
                         request_id, job_id=msg.job_id))
                     continue
                 # one validation covers the whole window: the grant is
                 # the controller's *last* per-instance decision
-                c._install_worker_halves(ctx, wts)
+                c.cache.install_halves(ctx, wts)
                 c.charge(
                     c.costs.instantiate_worker_template_auto_per_task * n)
                 ctx.metrics.incr("auto_validations")
@@ -227,7 +217,7 @@ class DecentralizedPolicy(SchedulingPolicy):
                 grant.per_worker.setdefault(worker, []).append(
                     (run.instance_id, cid_base, run.seq, params))
 
-            run = c._decide_instance(ctx, wts, "self", request_id, ship)
+            run = c.cache.decide(ctx, wts, "self", request_id, ship)
             ctx.metrics.incr("self_schedule_instances")
             grant.seqs.append(run.seq)
         if grant is None:

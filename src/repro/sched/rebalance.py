@@ -293,10 +293,7 @@ class Rebalancer:
                 # post-edit placements; start the next window clean
                 tracker.reset()
             return []
-        if ctx.phase.get(block_id, 0) != ctrl.PHASE_WT_INSTALLED:
-            return []
-        version = ctx.current_version.get(block_id)
-        wts = ctx.worker_templates.get((block_id, version))
+        wts = ctrl.cache.installed(ctx, block_id)
         if wts is None:
             return []
         live = ctrl.live_workers
@@ -335,7 +332,7 @@ class Rebalancer:
             (ctrl.sim.now, block_id, list(applied), mechanism))
         self._cooldown_left[tkey] = self.cooldown
         tracker.reset()
-        self._locations_rev.pop((ctx.job_id, block_id, version), None)
+        self._locations_rev.pop((ctx.job_id, block_id, wts.version), None)
         if ctrl._trace is not None:
             ctrl._trace.span(
                 ctrl.name, "rebalance", "rebalance.decision",

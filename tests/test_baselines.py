@@ -132,6 +132,27 @@ class TestNaiad:
         assert (cluster.sim.now, cluster.sim.events_run) == (
             2.3462147116655756, 358)
 
+    def test_serves_concurrent_jobs_like_a_solo_run(self):
+        """Each of two served jobs installs its data flow in its own
+        namespace and computes what job 0 computes alone."""
+        app = small_lr()
+        solo = NaiadCluster(2, app.program(blocking=True),
+                            registry=app.registry)
+        solo.run_until_finished(max_seconds=1e5)
+        expected = solo.workers[0].store.get(app.coeff)
+        cluster = NaiadCluster(2, program=None, registry=app.registry)
+        records = [cluster.jobs.submit(app.program(blocking=True))
+                   for _ in range(2)]
+        cluster.run_until_jobs_finished(max_seconds=1e5)
+        for record in records:
+            assert record.state == "finished"
+            assert record.metrics.count("naiad_installs") == 2
+            ctx = cluster.controller.jobs[record.job_id]
+            goid = ctx.goid(app.coeff)
+            holder = min(ctx.directory.holders_of_latest(goid))
+            assert np.array_equal(cluster.workers[holder].store.get(goid),
+                                  expected)
+
     def test_workers_charge_callback_overhead(self):
         app = small_lr()
         cluster = NaiadCluster(2, app.program(blocking=True),

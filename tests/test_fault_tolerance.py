@@ -5,6 +5,7 @@ import pytest
 from repro.core.spec import BlockSpec, LogicalTask, StageSpec
 from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
+from repro.nimbus.templates import PHASE_WT_INSTALLED
 
 from .helpers import (
     combine_registry,
@@ -219,6 +220,6 @@ def test_templates_survive_recovery():
     cluster.run_until_finished(max_seconds=1e4)
     controller = cluster.controller
     assert "iter" in controller.templates
-    assert controller.phase["iter"] == controller.PHASE_WT_INSTALLED
+    assert controller._job0.phase["iter"] == PHASE_WT_INSTALLED
     # post-recovery iterations ran through templates again
     assert cluster.metrics.count("auto_validations") >= 2

@@ -11,6 +11,7 @@ import pytest
 from repro.core.spec import BlockSpec, LogicalTask, StageSpec
 from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
+from repro.nimbus.templates import PHASE_WT_INSTALLED
 
 from .helpers import (
     combine_registry,
@@ -95,7 +96,7 @@ def test_template_phase_progression():
     program, *_ = diamond_program(iterations=6)
     cluster = run_program(program, combine_registry(), 2)
     controller = cluster.controller
-    assert controller.phase["diamond"] == controller.PHASE_WT_INSTALLED
+    assert controller._job0.phase["diamond"] == PHASE_WT_INSTALLED
     metrics = cluster.metrics
     # 6 iterations: capture, generate, install, then 3 templated runs
     template_runs = [iv for iv in metrics.intervals["block"]

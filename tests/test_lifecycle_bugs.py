@@ -26,6 +26,7 @@ import pytest
 
 from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
+from repro.nimbus.templates import PHASE_WT_GENERATED
 
 from .helpers import (combine_registry, handled_by, simple_define,
                       stamped_ahead, worker_values)
@@ -151,7 +152,7 @@ def test_eviction_relocates_objects_and_quiesces_evicted_worker():
 
 
 # ---------------------------------------------------------------------------
-# Bug 3: migrate_tasks before PHASE_WT_GENERATED
+# Bug 3: migrate_tasks before the worker templates are generated
 # ---------------------------------------------------------------------------
 def test_migrate_before_capture_raises_descriptive_error():
     cluster = NimbusCluster(2, lambda job: iter(()),
@@ -165,7 +166,7 @@ def test_migrate_before_worker_templates_falls_back_to_reassign():
     def migrate(controller):
         # one templated run so far: controller template captured, worker
         # halves not yet generated
-        assert controller.phase["iter"] < controller.PHASE_WT_GENERATED
+        assert controller._job0.phase["iter"] < PHASE_WT_GENERATED
         assert controller.migrate_tasks("iter", [(0, 1)]) == "reassign"
 
     cluster = run_with_directives(8, directive_at=1, directive=migrate)

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.apps import LRApp, LRSpec
+from repro.baselines import SparkCluster
 from repro.chaos import FaultPlan
 from repro.nimbus import (
     OID_STRIDE,
@@ -169,6 +170,28 @@ def test_cojob_isolation_holds_behind_dispatch_cap_and_weights():
 # ---------------------------------------------------------------------------
 # Fair-share queue semantics
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("submit", ["submit_job", "submit_at"])
+@pytest.mark.parametrize("cluster_cls", [NimbusCluster, SparkCluster])
+def test_served_jobs_take_the_clusters_use_templates(cluster_cls, submit):
+    """A served job runs with the cluster's ``use_templates`` whichever
+    way it arrives (Spark has no templates; this Nimbus turns them off)."""
+    app = small_lr_app()
+    kwargs = {"use_templates": False} if cluster_cls is NimbusCluster else {}
+    cluster = cluster_cls(app.spec.num_workers, program=None,
+                          registry=app.registry, **kwargs)
+    program = app.program(blocking=False)
+    if submit == "submit_job":
+        cluster.submit_job(program)
+    else:
+        cluster.jobs.submit_at(0.0, program)
+    cluster.run_until_jobs_finished(max_seconds=1e6)
+    record = cluster.jobs.records[1]
+    assert record.state == "finished"
+    assert record.use_templates is False
+    assert record.metrics.count("template_instantiations") == 0
+    assert record.metrics.count("controller_templates_installed") == 0
+
+
 def test_fair_share_queue_serves_weighted_order():
     q = FairShareQueue()
     for i in range(3):

@@ -64,27 +64,6 @@ def test_sources_still_valid_tracks_writes():
     assert not patch.sources_still_valid(directory)
 
 
-def test_patch_ids_allocated_by_cache():
-    directory = make_directory()
-    cache = PatchCache()
-    a = build_patch([(1, 10)], directory, SIZES, patch_id=cache.allocate_id())
-    b = build_patch([(1, 10)], directory, SIZES, patch_id=cache.allocate_id())
-    assert a.patch_id != b.patch_id
-    # the sequence belongs to the cache, not the process: a second cache
-    # (another controller) may reuse ids without colliding
-    other = PatchCache()
-    assert other.allocate_id() == 1
-
-
-def test_patch_id_sequence_survives_invalidate_all():
-    cache = PatchCache()
-    before = cache.allocate_id()
-    cache.invalidate_all()
-    # workers cache installed patches by id across controller-side
-    # invalidation, so ids must never be reissued
-    assert cache.allocate_id() > before
-
-
 class TestPatchCache:
     def test_miss_then_hit(self):
         directory = make_directory()

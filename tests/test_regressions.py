@@ -108,7 +108,7 @@ def test_bug4_unknown_block_instantiation_error_lists_installed_blocks():
     controller = cluster.controller
     msg = P.InstantiateBlock("ghost", 0, 0, {})
     with pytest.raises(KeyError) as err:
-        controller._process_instantiate(controller._job0, msg)
+        controller.cache.instantiate(controller._job0, msg)
     text = str(err.value)
     assert "job 0: no controller template installed for block 'ghost'" in text
     assert "installed blocks:" in text

@@ -6,8 +6,8 @@ that selects how instances execute — has to change this file first. So
 does a second way for the repository to time itself: ``bench/run.py`` is
 the one performance instrument. So does a second copy of a control-plane
 decision: the instance lifecycle (decide, ship, fold, close — DESIGN.md
-§14) is written once, in the controller, and a scheduling policy only
-queues and transports.
+§14) is written once, in the controller and its template cache, and a
+scheduling policy only queues and transports.
 """
 
 import ast
@@ -21,12 +21,14 @@ import pytest
 import repro
 import repro.perf
 from repro.cli import build_parser
-from repro.baselines import spark
+from repro.baselines import naiad, spark
 from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol
 from repro.nimbus.central import CentralScheduler
 from repro.nimbus.controller import Controller, _BlockRun
 from repro.nimbus.driver import Driver
+from repro.nimbus.membership import Membership
+from repro.nimbus.templates import TemplateCache
 from repro.nimbus.worker import Worker
 from repro.sched.policy import (CentralizedPolicy, DecentralizedPolicy,
                                 SchedulingPolicy, ShardedPolicy)
@@ -101,16 +103,19 @@ def _call_sites(name, text):
 
 def test_each_control_plane_decision_has_one_site():
     """Id allocation, directory deltas and patch shipping are not copied
-    between the controller and the policies: the three scheduling modes
-    are bit-identical because they run the same statements."""
-    controller = (SRC / "nimbus" / "controller.py").read_text()
+    between the controller, the template cache and the policies: the
+    three scheduling modes are bit-identical because they run the same
+    statements."""
     policy = (SRC / "sched" / "policy.py").read_text()
-    both = controller + policy
+    decisions = policy + "".join(
+        (SRC / "nimbus" / name).read_text()
+        for name in ("controller.py", "templates.py"))
     for call in ("delta.apply", "note_instantiation",
                  "generate_worker_templates", "build_patch",
                  "P.InstallPatch"):
-        assert _call_sites(call, both) == 1, call
-    assert both.count("_next_instance +=") <= 3
+        assert _call_sites(call, decisions) == 1, call
+    src = "".join(path.read_text() for path in SRC.rglob("*.py"))
+    assert src.count("_next_instance +=") == 1
     for state in ("run.outstanding", "run.return_cids", "c._next_instance"):
         assigned = re.escape(state) + r"(\[[^\]]*\])?\s*([-+*/|&]|//)?=(?!=)"
         assert not re.search(assigned, policy), state
@@ -156,7 +161,8 @@ def test_worker_set_has_one_owner():
 
 def test_no_controller_method_only_forwards_to_the_membership():
     """No shim: a caller of a worker-set change goes to the membership
-    itself, and a caller of per-task scheduling to the central scheduler.
+    itself, a caller of per-task scheduling to the central scheduler, and
+    a caller of the template lifecycle to the template cache.
     ``Controller.handle`` forwards the four membership messages and the
     command completions, one line each, and that is all."""
     tree = ast.parse(inspect.getsource(Controller))
@@ -171,7 +177,7 @@ def test_no_controller_method_only_forwards_to_the_membership():
         value = getattr(body[0], "value", None)
         callee = value.func if isinstance(value, ast.Call) else None
         assert not (isinstance(callee, ast.Attribute)
-                    and re.match(r"self\.(membership|central)\b",
+                    and re.match(r"self\.(membership|central|cache)\b",
                                  ast.unparse(callee.value))), node.name
 
 
@@ -192,17 +198,44 @@ def test_one_central_scheduler():
     assert issubclass(spark.SparkScheduler, CentralScheduler)
 
 
+def test_template_staircase_has_one_owner():
+    """The install staircase, validation, patching and edits live in
+    ``nimbus/templates.py`` (DESIGN.md §3): every other module asks
+    ``TemplateCache.installed``, and the Naiad baseline is a variant of
+    the cache, not a second controller."""
+    readers = {
+        path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
+        if re.search(r"PHASE_|\.phase\[|\.phase\.get\(", path.read_text())
+    }
+    assert readers == {"nimbus/templates.py"}
+    for gone in ("_process_instantiate", "_generate_worker_templates",
+                 "_install_worker_halves", "_decide_instance",
+                 "_instantiate_worker_templates", "_install_new_patch",
+                 "_apply_patch", "_relocate", "_drop_pending_edits",
+                 "_regenerate_worker_templates", "phase"):
+        assert not hasattr(Controller, gone), gone
+    assert not [name for name in vars(Controller) if name.startswith("PHASE")]
+    assert not hasattr(Membership, "_rehome_templates")
+    assert "_grantable_wts" not in (SRC / "sched" / "policy.py").read_text()
+    assert {name for name, value in vars(naiad.NaiadController).items()
+            if callable(value)} == {"_on_submit_block",
+                                    "_on_instantiate_block"}
+    assert issubclass(naiad.NaiadTemplates, TemplateCache)
+
+
 #: today's sizes, so simplification is monotone
 LINE_CEILINGS = {
-    "nimbus/controller.py": 1016,
-    "nimbus/central.py": 187,
-    "nimbus/membership.py": 426,
+    "nimbus/controller.py": 714,
+    "nimbus/central.py": 181,
+    "nimbus/templates.py": 400,
+    "nimbus/membership.py": 385,
     "nimbus/worker.py": 1164,
-    "sched/policy.py": 445,
+    "sched/policy.py": 435,
     "nimbus/protocol.py": 763,
     "nimbus/shard.py": 141,
     "cli.py": 704,
     "baselines/spark.py": 127,
+    "baselines/naiad.py": 121,
 }
 
 
