@@ -136,8 +136,8 @@ class CentralScheduler:
         """Schedule a driver-submitted block, capturing it into a
         controller template on the way if the driver marked it."""
         c = self.controller
-        # a block resubmitted after recovery is captured already
-        capture = capture and block.block_id not in ctx.templates
+        if capture and block.block_id in ctx.templates:
+            capture = False  # already installed (e.g. resubmitted after recovery)
         cost = (c.costs.central_schedule_per_task
                 + c.costs.central_receive_per_task)
         if capture:

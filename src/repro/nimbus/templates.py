@@ -37,7 +37,7 @@ from ..core.validation import full_validate
 from ..core.worker_template import WorkerTemplateSet, generate_worker_templates
 from . import protocol as P
 
-# staircase phases per block; a block with a controller template has one
+# staircase phases per block (``ctx.phase``), from its capture on
 PHASE_CT_READY = 1
 PHASE_WT_GENERATED = 2
 PHASE_WT_INSTALLED = 3
