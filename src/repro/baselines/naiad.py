@@ -7,18 +7,16 @@ data directly. Strong points and weaknesses both follow:
 
 * per-epoch central work is ~zero — iterations run at full distributed
   speed, with a small per-task progress-tracking callback overhead at each
-  worker (the paper's §5.3 note about "many callbacks for the small data
-  partitions");
-* *any* scheduling change — even migrating one task — requires stopping the
-  job, recompiling the flow graph, and reinstalling it everywhere, a fixed
-  ~230 ms for the 8,000-task logistic regression (Table 3).
+  worker (§5.3: "many callbacks for the small data partitions");
+* *any* scheduling change — migrating one task, or losing a worker —
+  stops the job, recompiles the flow graph and reinstalls it everywhere,
+  a fixed ~230 ms for the 8,000-task logistic regression (Table 3).
 
-The paper notes Naiad's graphs "can be thought of as an extreme case of
-execution templates" (one very large, long-running basic block), and so
-the implementation is a variant of the template cache,
-:class:`NaiadTemplates`, installed on the controller :class:`NimbusCluster`
-builds. It charges no validation/instantiation costs and performs no
-patching or edits: the graph is static.
+Naiad's graphs are "an extreme case of execution templates" (one very
+large, long-running basic block), so the implementation is a variant of
+the template cache, :class:`NaiadTemplates`, installed on the controller
+:class:`NimbusCluster` builds: no validation/instantiation costs, no
+patching and no edits.
 """
 
 from __future__ import annotations
@@ -45,8 +43,7 @@ class NaiadTemplates(TemplateCache):
         8,000 tasks, Table 3), then run its first epoch."""
         c = self.controller
         if block.block_id in ctx.templates:
-            # a re-submission without templates enabled cannot happen: the
-            # Naiad driver always instantiates after the first install
+            # the Naiad driver always instantiates after the first install
             raise RuntimeError("Naiad data flow already installed")
         assignment = [c.central.assign_worker(ctx, task.read, task.write)
                       for _stage, task in block.all_tasks()]
@@ -56,8 +53,7 @@ class NaiadTemplates(TemplateCache):
         self._send_instance(ctx, wts, params, request_id)
 
     def installed(self, ctx, block_id: str):
-        """A data flow is installed from its first submission on: there is
-        no staircase."""
+        """Installed from the first submission on: there is no staircase."""
         return ctx.worker_templates.get(
             (block_id, ctx.current_version.get(block_id)))
 
@@ -67,13 +63,18 @@ class NaiadTemplates(TemplateCache):
                             msg.params, msg.request_id)
 
     def migrate(self, ctx, template, moves):
-        """Naiad cannot edit an installed graph: any scheduling change
-        stops, recompiles and reinstalls it (Table 3)."""
+        """No edits: any scheduling change reinstalls the graph (Table 3)."""
         for ct_index, dst in moves:
             template.reassign(ct_index, dst)
+        self._regenerate(ctx, template.block_id)
+        return "reinstall", None
+
+    def _regenerate(self, ctx, block_id: str) -> None:
+        """A new assignment (a migration, or re-homing after a worker-set
+        change) is a new graph, installed and shipped like the first."""
+        template = ctx.templates[block_id]
         template.assignment_version += 1
         self._install(ctx, template, template.assignment_version)
-        return "reinstall", None
 
     def _install(self, ctx, template, version: int):
         """Compile ``template`` at ``version`` and install it on every
@@ -81,8 +82,7 @@ class NaiadTemplates(TemplateCache):
         c = self.controller
         c.charge(c.costs.naiad_install_per_task * template.num_tasks)
         ctx.current_version[template.block_id] = version
-        wts = generate_worker_templates(template, c.object_sizes(ctx),
-                                        version)
+        wts = generate_worker_templates(template, c.object_sizes(ctx), version)
         ctx.worker_templates[wts.key] = wts
         ctx.assignments[wts.key] = template.assignment()
         self.install_halves(ctx, wts)

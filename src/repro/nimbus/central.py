@@ -55,20 +55,19 @@ class CentralScheduler:
         writes one of the block's returns (``returns_rev``: oid -> name).
         """
         c = self.controller
-        ctx = run.ctx
-        sizes = None
-        directory = ctx.directory
-        holders_d, latest_d = directory.freshness_maps()
+        directory = run.ctx.directory
+        records = directory.records()
         for oid in read:
-            if holders_d[oid].get(worker, -1) != latest_d[oid]:
+            rec = records[oid]
+            held = rec.holders
+            if (held != worker if held.__class__ is int
+                    else held.get(worker, -1) != rec.latest):
                 src = min(directory.holders_of_latest(oid))
-                if sizes is None:
-                    sizes = c.object_sizes(ctx)
                 send_cid = c._alloc_cids(1)
                 recv_cid = c._alloc_cids(1)
                 send, recv = make_copy_pair(
                     send_cid, recv_cid, oid, src, worker,
-                    size_bytes=sizes.get(oid, 0),
+                    size_bytes=rec.size_bytes,
                 )
                 run.outstanding += 2
                 emit(send, False)

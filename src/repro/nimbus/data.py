@@ -10,7 +10,10 @@ Two structures implement the model:
 
 * :class:`ObjectDirectory` — the controller's authoritative map from object
   id to latest version and to the set of workers holding each version. All
-  copy insertion, template validation, and patching decisions read it.
+  copy insertion, template validation, and patching decisions read it. It
+  keeps one record per object, the registered :class:`LogicalObject`, and
+  stores the common case — one worker holding the latest version — as that
+  worker's id rather than a ``{worker: version}`` map.
 * :class:`ObjectStore` — a worker's local store of object payloads. Payloads
   are real Python values (numpy arrays in the bundled applications), so
   integration tests can check end-to-end dataflow correctness, not just
@@ -19,16 +22,26 @@ Two structures implement the model:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 ObjectId = int
 WorkerId = int
+#: a record's holders: the sole holder of the latest version, or
+#: ``{worker: version}``
+Holders = Union[WorkerId, Dict[WorkerId, int]]
 
 
 class LogicalObject:
-    """Driver-level handle to one partition of an application variable."""
+    """Driver-level handle to one partition of an application variable.
 
-    __slots__ = ("oid", "variable", "partition", "size_bytes")
+    Once registered with an :class:`ObjectDirectory`, the handle is also
+    the directory's record of the object: ``latest`` (its latest version),
+    ``holders`` (who holds which version) and ``stamp`` (when either last
+    changed). Only the directory writes those three slots.
+    """
+
+    __slots__ = ("oid", "variable", "partition", "size_bytes",
+                 "latest", "holders", "stamp")
 
     def __init__(self, oid: ObjectId, variable: str, partition: int, size_bytes: int = 0):
         self.oid = oid
@@ -40,12 +53,34 @@ class LogicalObject:
         return f"<{self.variable}[{self.partition}] oid={self.oid}>"
 
 
+def _holding(holders: Dict[WorkerId, int], latest: int) -> Holders:
+    """The record form of a ``{worker: version}`` holder map: the worker
+    id itself when it is the one holder and holds ``latest``."""
+    if len(holders) == 1:
+        for worker, version in holders.items():
+            if version == latest:
+                return worker
+    return holders
+
+
 class ObjectDirectory:
     """Controller-side map of object versions and their holders.
 
     The directory tracks, per object id, the latest version number and which
     workers hold which version. Scheduling a write bumps the version and
     narrows the holder set to the writer; scheduling a copy widens it.
+
+    One record per object: the registered :class:`LogicalObject` carries
+    ``latest``, ``holders`` and ``stamp``, and ``_objects`` is the only
+    per-object map. ``holders`` has two forms. It is the worker id itself
+    (an ``int``) when exactly one worker holds the object and holds its
+    latest version — nearly every object, since a write leaves its result
+    on the writer alone — and the ``{worker: version}`` dict in every other
+    case. Every mutator keeps that rule, so a dict never has a single
+    entry at the latest version, and every query answers as if every
+    record held the dict. An unregistered object's record survives in a
+    small side map: its stamp, so a cached validation still sees it
+    change, and its handle, so a checkpoint that names it can restore it.
 
     The directory reflects *planned* state: the controller updates it as it
     schedules commands, before they execute, exactly as a real controller
@@ -63,14 +98,14 @@ class ObjectDirectory:
     _next_token = 0
 
     def __init__(self) -> None:
-        self._latest: Dict[ObjectId, int] = {}
-        self._holders: Dict[ObjectId, Dict[WorkerId, int]] = {}
         self._objects: Dict[ObjectId, LogicalObject] = {}
         # dirty tracking for incremental template validation: a global
-        # monotone stamp, advanced on every mutation, and the stamp at
-        # which each object last changed (latest version or holder set)
+        # monotone stamp, advanced on every mutation; each record keeps
+        # the stamp at which its object last changed (latest version or
+        # holder set)
         self._stamp: int = 0
-        self._stamps: Dict[ObjectId, int] = {}
+        #: the records of unregistered objects
+        self._gone: Dict[ObjectId, LogicalObject] = {}
         #: recorded template deltas, in order of last application:
         #: id(final_holders) -> [write_counts, final_holders, times]
         self._deferred: Dict[int, list] = {}
@@ -89,35 +124,49 @@ class ObjectDirectory:
         """Stamp at which ``oid`` last changed (0 = never touched)."""
         if self._deferred:
             self.fold()
-        return self._stamps.get(oid, 0)
+        rec = self._objects.get(oid) or self._gone.get(oid)
+        return rec.stamp if rec is not None else 0
 
     def _touch(self, oid: ObjectId) -> None:
         self._stamp += 1
-        self._stamps[oid] = self._stamp
+        (self._objects.get(oid) or self._gone[oid]).stamp = self._stamp
 
     # -- registration ---------------------------------------------------
     def register(self, obj: LogicalObject, home: WorkerId) -> None:
-        """Register a newly created object resident on ``home`` at version 0."""
+        """Register a newly created object resident on ``home`` at version
+        0; ``obj`` becomes its record."""
         if self._deferred:
             self.fold()
         self._objects[obj.oid] = obj
-        self._latest[obj.oid] = 0
-        self._holders[obj.oid] = {home: 0}
+        self._gone.pop(obj.oid, None)
+        obj.latest = 0
+        obj.holders = home
         self._touch(obj.oid)
 
     def unregister(self, oid: ObjectId) -> None:
         if self._deferred:
             self.fold()
-        self._objects.pop(oid, None)
-        self._latest.pop(oid, None)
-        self._holders.pop(oid, None)
-        self._touch(oid)  # stamp survives so cached validations re-check
+        rec = self._objects.pop(oid, None)
+        if rec is not None:
+            self._gone[oid] = rec
+        if oid in self._gone:
+            self._touch(oid)  # stamp survives so cached validations re-check
 
     def object(self, oid: ObjectId) -> LogicalObject:
         return self._objects[oid]
 
     def objects(self) -> Iterable[LogicalObject]:
         return self._objects.values()
+
+    def records(self) -> Dict[ObjectId, LogicalObject]:
+        """The records by object id, for a caller that checks freshness
+        inline: the central scheduler's per-read walk checks hundreds of
+        thousands of (oid, worker) pairs per paper-scale warm-up and cannot
+        afford a method call per check. Read-only: every change goes
+        through a mutator, which keeps the stamps and the holder rule."""
+        if self._deferred:
+            self.fold()
+        return self._objects
 
     def __contains__(self, oid: ObjectId) -> bool:
         return oid in self._objects
@@ -126,45 +175,43 @@ class ObjectDirectory:
     def latest_version(self, oid: ObjectId) -> int:
         if self._deferred:
             self.fold()
-        return self._latest[oid]
+        return self._objects[oid].latest
 
     def holders(self, oid: ObjectId) -> List[WorkerId]:
         """Every worker holding any version of ``oid`` (none if unknown)."""
         if self._deferred:
             self.fold()
-        return list(self._holders.get(oid, ()))
+        rec = self._objects.get(oid)
+        if rec is None:
+            return []
+        held = rec.holders
+        return [held] if held.__class__ is int else list(held)
 
     def holders_of_latest(self, oid: ObjectId) -> List[WorkerId]:
         if self._deferred:
             self.fold()
-        latest = self._latest[oid]
-        return [w for w, v in self._holders[oid].items() if v == latest]
+        rec = self._objects[oid]
+        held = rec.holders
+        if held.__class__ is int:
+            return [held]
+        latest = rec.latest
+        return [w for w, v in held.items() if v == latest]
 
     def is_fresh(self, oid: ObjectId, worker: WorkerId) -> bool:
         """True when ``worker`` holds the latest version of ``oid``."""
         if self._deferred:
             self.fold()
-        return self._holders[oid].get(worker, -1) == self._latest[oid]
-
-    def freshness_maps(self) -> Tuple[Dict[ObjectId, Dict[WorkerId, int]],
-                                      Dict[ObjectId, int]]:
-        """The raw ``(holders, latest)`` maps behind :meth:`is_fresh`.
-
-        Read-only view for the central scheduler's per-read freshness walk,
-        which at paper scale checks hundreds of thousands of (oid, worker)
-        pairs per warm-up and cannot afford a method call per check. Callers
-        must treat both maps as immutable and route every mutation through
-        :meth:`record_write` / :meth:`record_copy`, which keep the
-        validation stamps coherent.
-        """
-        if self._deferred:
-            self.fold()
-        return self._holders, self._latest
+        rec = self._objects[oid]
+        held = rec.holders
+        if held.__class__ is int:
+            return held == worker
+        return held.get(worker, -1) == rec.latest
 
     def holds_any(self, oid: ObjectId, worker: WorkerId) -> bool:
         if self._deferred:
             self.fold()
-        return worker in self._holders[oid]
+        held = self._objects[oid].holders
+        return held == worker if held.__class__ is int else worker in held
 
     # -- planned mutations ------------------------------------------------
     def record_write(self, oid: ObjectId, worker: WorkerId) -> int:
@@ -174,20 +221,36 @@ class ObjectDirectory:
         overwritten in place, not invalidated remotely."""
         if self._deferred:
             self.fold()
-        version = self._latest[oid] + 1
-        self._latest[oid] = version
-        self._holders[oid][worker] = version
+        rec = self._objects[oid]
+        version = rec.latest + 1
+        rec.latest = version
+        held = rec.holders
+        if held.__class__ is int:
+            if held != worker:
+                rec.holders = {held: version - 1, worker: version}
+        elif len(held) > 1 or (held and worker not in held):
+            held[worker] = version
+        else:
+            rec.holders = worker  # the writer is (now) the one holder
         self._stamp = stamp = self._stamp + 1
-        self._stamps[oid] = stamp
+        rec.stamp = stamp
         return version
 
     def record_copy(self, oid: ObjectId, dst: WorkerId) -> None:
         """A copy delivers the latest version of ``oid`` to ``dst``."""
         if self._deferred:
             self.fold()
-        self._holders[oid][dst] = self._latest[oid]
+        rec = self._objects[oid]
+        held = rec.holders
+        if held.__class__ is int:
+            if held != dst:
+                rec.holders = {held: rec.latest, dst: rec.latest}
+        else:
+            held[dst] = rec.latest
+            if len(held) == 1:
+                rec.holders = dst
         self._stamp = stamp = self._stamp + 1
-        self._stamps[oid] = stamp
+        rec.stamp = stamp
 
     def apply_block_delta(self, oid: ObjectId, bumps: int,
                           final_holders: Iterable[WorkerId]) -> None:
@@ -195,9 +258,10 @@ class ObjectDirectory:
         advance the version by ``bumps`` writes and set the holder set."""
         if self._deferred:
             self.fold()
-        latest = self._latest[oid] + bumps
-        self._latest[oid] = latest
-        self._holders[oid] = {w: latest for w in final_holders}
+        rec = self._objects[oid]
+        latest = rec.latest + bumps
+        rec.latest = latest
+        rec.holders = _holding(dict.fromkeys(final_holders, latest), latest)
         self._touch(oid)
 
     def apply_block_deltas(self, write_counts: Dict[ObjectId, int],
@@ -220,48 +284,70 @@ class ObjectDirectory:
         (records are in order of last application), at its final version.
         Each object gets a fresh stamp, later than any read before."""
         deferred, self._deferred = self._deferred, {}
-        latest_d = self._latest
-        holders_d = self._holders
-        stamps = self._stamps
+        objects = self._objects
         stamp = self._stamp
         fromkeys = dict.fromkeys
         for write_counts, final_holders, times in deferred.values():
             for oid, bumps in write_counts.items():
-                latest = latest_d[oid] + bumps * times
-                latest_d[oid] = latest
-                holders_d[oid] = fromkeys(final_holders[oid], latest)
+                rec = objects[oid]
+                latest = rec.latest + bumps * times
+                rec.latest = latest
+                held = final_holders[oid]
+                if len(held) == 1:
+                    rec.holders, = held
+                else:
+                    rec.holders = fromkeys(held, latest)
                 stamp += 1
-                stamps[oid] = stamp
+                rec.stamp = stamp
         self._stamp = stamp
 
     def evict_worker(self, worker: WorkerId) -> None:
         """Forget all replicas held by ``worker`` (worker failure/eviction)."""
         if self._deferred:
             self.fold()
-        for oid, holders in self._holders.items():
-            if holders.pop(worker, None) is not None:
-                self._touch(oid)
+        for rec in self._objects.values():
+            held = rec.holders
+            if held.__class__ is int:
+                if held != worker:
+                    continue
+                rec.holders = {}
+            elif held.pop(worker, None) is None:
+                continue
+            else:
+                rec.holders = _holding(held, rec.latest)
+            self._stamp = stamp = self._stamp + 1
+            rec.stamp = stamp
 
     # -- snapshot / restore (checkpointing) -------------------------------
     def snapshot(self) -> Tuple[Dict[ObjectId, int], Dict[ObjectId, Dict[WorkerId, int]]]:
         if self._deferred:
             self.fold()
+        records = self._objects.values()
         return (
-            dict(self._latest),
-            {oid: dict(h) for oid, h in self._holders.items()},
+            {rec.oid: rec.latest for rec in records},
+            {rec.oid: ({rec.holders: rec.latest}
+                       if rec.holders.__class__ is int else dict(rec.holders))
+             for rec in records},
         )
 
     def restore(
         self,
         snap: Tuple[Dict[ObjectId, int], Dict[ObjectId, Dict[WorkerId, int]]],
     ) -> None:
+        """Put every object the snapshot names back at its snapshotted
+        version and holders, registering again one unregistered since. An
+        object registered since keeps its state; its stamp advances, like
+        that of every restored object."""
         if self._deferred:
             self.fold()
         latest, holders = snap
-        stale = set(self._holders) | set(holders)
-        self._latest = dict(latest)
-        self._holders = {oid: dict(h) for oid, h in holders.items()}
-        for oid in stale:
+        objects = self._objects
+        for oid in set(objects) | set(holders):
+            if oid in holders:
+                rec = objects.get(oid) or self._gone.pop(oid)
+                objects[oid] = rec
+                rec.latest = latest[oid]
+                rec.holders = _holding(dict(holders[oid]), rec.latest)
             self._touch(oid)
 
 

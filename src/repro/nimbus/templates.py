@@ -115,8 +115,7 @@ class TemplateCache:
             if c._trace is not None:
                 self._span("validate.auto", c0, block_id=block_id)
         else:
-            c.charge(
-                c.costs.instantiate_worker_template_validate_per_task * n)
+            c.charge(c.costs.instantiate_worker_template_validate_per_task * n)
             ctx.metrics.incr("full_validations")
             violations = full_validate(wts, ctx.directory, c._cross_check)
             if c._trace is not None:
@@ -274,6 +273,10 @@ class TemplateCache:
     # ------------------------------------------------------------------
     # Edits (§2.3, Fig. 10)
     # ------------------------------------------------------------------
+    def edit_limit(self, template: ControllerTemplate) -> int:
+        """The most moves of ``template`` that are edits, not a reinstall."""
+        return int(self.controller.edit_threshold * template.num_tasks)
+
     def migrate(self, ctx, template: ControllerTemplate,
                 moves: List[Tuple[int, int]]) -> Tuple[str, Any]:
         """Move tasks (by controller-template entry index) to new workers:
@@ -288,7 +291,7 @@ class TemplateCache:
         wts = ctx.worker_templates.get((block_id, version))
         generated = (wts is not None
                      and ctx.phase.get(block_id, 0) >= PHASE_WT_GENERATED)
-        if generated and len(moves) <= c.edit_threshold * template.num_tasks:
+        if generated and len(moves) <= self.edit_limit(template):
             batch = plan_migrations(wts, moves, c.object_sizes(ctx))
             c.charge(c.costs.edit_per_task * batch.total_ops)
             merge_edits(ctx.pending_edits.setdefault(wts.key, {}), batch.edits)
@@ -323,16 +326,13 @@ class TemplateCache:
             ctx.placement.migrate(oid, dst)
 
     def _drop_pending_edits(self, ctx, block_id: str) -> None:
-        """Forget queued-but-unshipped worker-half edits for ``block_id``.
-
-        Called whenever a regeneration, eviction, or restore supersedes the
-        assignment the edits were planned against. ``plan_migration``
-        applies edits to the *controller* half immediately, so a cached
-        :class:`WorkerTemplateSet` with dropped pending ops can never be
-        brought back in sync with the pre-edit halves workers already hold
-        — drop that cached version too, and let :meth:`revert` fall back
-        to a regeneration if a snapshot still points at it.
-        """
+        """Forget queued-but-unshipped worker-half edits for ``block_id``:
+        a regeneration, eviction or restore superseded the assignment they
+        were planned against. ``plan_migration`` applies edits to the
+        *controller* half at once, so a cached :class:`WorkerTemplateSet`
+        with dropped pending ops can never match the pre-edit halves the
+        workers hold: drop that cached version too, and let :meth:`revert`
+        regenerate if a snapshot still points at it."""
         for key in [k for k in ctx.pending_edits if k[0] == block_id]:
             del ctx.pending_edits[key]
             wts = ctx.worker_templates.get(key)

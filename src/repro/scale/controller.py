@@ -166,7 +166,7 @@ class ResourceController:
                 moves = self._plan_spread(ctrl, ctx, block_id, targets)
                 if not moves:
                     continue
-                if len(moves) <= ctrl.edit_threshold * template.num_tasks:
+                if len(moves) <= ctrl.cache.edit_limit(template):
                     # small delta: per-move edits, re-checking conflicts
                     # against the current worker templates before each
                     for ct_index, dst in moves:

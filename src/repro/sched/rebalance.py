@@ -300,7 +300,7 @@ class Rebalancer:
         if len(live) < 2 or tracker.min_samples(live) < self.warmup:
             return []
         template = ctx.templates[block_id]
-        max_moves = int(ctrl.edit_threshold * template.num_tasks)
+        max_moves = ctrl.cache.edit_limit(template)
         if max_moves <= 0:
             return []
 

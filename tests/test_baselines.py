@@ -15,6 +15,9 @@ from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
 from repro.analysis import mean_iteration_time, task_throughput
 
+from .helpers import combine_registry, simple_define, worker_values
+from .test_dynamic import ACC, DATA, OUT, blocks, reference
+
 
 def small_lr(**kwargs):
     defaults = dict(num_workers=2, data_bytes=2e9, partitions_per_worker=2,
@@ -131,6 +134,38 @@ class TestNaiad:
         # the exact timeline of install, migration and reinstall
         assert (cluster.sim.now, cluster.sim.events_run) == (
             2.3462147116655756, 358)
+
+    def test_eviction_reinstalls_each_rehomed_graph(self):
+        """The dynamic-scheduling program with worker 1 evicted before
+        iteration 4: each block with tasks on worker 1 is recompiled and
+        reinstalled through the one install path, and the run computes
+        the reference value. (The re-homed graphs used to be generated but
+        never shipped, and the next epoch failed on a worker that had
+        never installed them.)"""
+        seed_block, iter_block = blocks()
+        objects = {oid: (f"o{oid}", 8) for oid in DATA + OUT + [ACC]}
+        box = {}
+
+        def program(job):
+            yield job.define(simple_define(objects))
+            yield job.run(seed_block, {"v": 3})
+            for i in range(8):
+                if i == 4:
+                    box["cluster"].controller.deliver(P.ManagerDirective(
+                        lambda c: c.membership.evict_workers([1])))
+                yield job.run(iter_block)
+
+        cluster = NaiadCluster(2, program, registry=combine_registry())
+        box["cluster"] = cluster
+        cluster.run_until_finished(max_seconds=1e5)
+        assert worker_values(cluster, [ACC])[ACC] == reference(8)[ACC]
+        templates = cluster.controller.templates
+        assert {e.worker for t in templates.values() for e in t.entries} \
+            == {0}
+        # one install per block, then one more per block (both had tasks
+        # on worker 1)
+        assert cluster.metrics.count("naiad_installs") == 2 + 2
+        assert cluster.controller.current_version == {"seed": 1, "iter": 1}
 
     def test_serves_concurrent_jobs_like_a_solo_run(self):
         """Each of two served jobs installs its data flow in its own

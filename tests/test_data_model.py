@@ -85,6 +85,42 @@ class TestObjectDirectory:
         directory.unregister(1)
         assert 1 not in directory
 
+    def test_sole_holder_of_the_latest_version_is_its_id(self):
+        """The record's holder encoding at each transition: the worker id
+        while one worker holds the latest version, else the map."""
+        directory = make_directory()
+        record = directory.object(1)
+        assert record.holders == 0  # registered on its home
+        directory.record_write(1, 0)
+        assert record.holders == 0  # a write at the sole holder
+        directory.record_write(1, 1)
+        assert record.holders == {0: 1, 1: 2}
+        directory.evict_worker(1)
+        assert record.holders == {0: 1}  # alone, but stale
+        directory.record_write(1, 0)
+        assert record.holders == 0
+        directory.evict_worker(0)
+        assert record.holders == {}
+        directory.record_copy(1, 1)
+        assert record.holders == 1
+        directory.record_copy(1, 0)
+        directory.evict_worker(1)
+        assert record.holders == 0  # the other holder was current
+        directory.apply_block_delta(1, 2, [1, 1])
+        assert record.holders == 1
+        assert directory.holders(1) == [1]
+        assert directory.latest_version(1) == 5
+
+    def test_restore_brings_back_an_object_unregistered_since(self):
+        directory = make_directory()
+        snap = directory.snapshot()
+        directory.unregister(1)
+        stamp = directory.stamp_of(1)
+        assert stamp > 0 and 1 not in directory
+        directory.restore(snap)
+        assert 1 in directory and directory.stamp_of(1) > stamp
+        assert directory.holders_of_latest(1) == [0]
+
 
 class TestObjectStore:
     def test_put_get(self):

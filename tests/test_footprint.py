@@ -7,7 +7,9 @@ after a quick sharded LR run and a quick serve run,
 * the conflict tracker keeps no empty reader list (no entry means none);
 * a template's directory delta holds one frozenset per distinct holder set;
 * centrally dispatched commands carry tuple before sets;
-* an instance frame keeps a command-id base, not a per-instance id list.
+* an instance frame keeps a command-id base, not a per-instance id list;
+* the object directory stores a sole holder of the latest version as the
+  worker id, not as a one-entry ``{worker: version}`` map.
 """
 
 import pytest
@@ -110,3 +112,20 @@ def test_frames_keep_a_cid_base_not_an_id_list(runs):
                     assert not hasattr(frame, "cids")
                     frames += 1
     assert frames
+
+
+def test_directory_keeps_a_sole_holder_as_its_id(runs):
+    clusters, _ = runs
+    sole = 0
+    for cluster in clusters:
+        for job_id, ctx in cluster.controller.jobs.items():
+            for rec in ctx.directory.records().values():
+                held = rec.holders
+                if type(held) is int:
+                    sole += 1
+                    continue
+                assert not (len(held) == 1
+                            and rec.latest in held.values()), (
+                    f"job {job_id} {rec!r}: the sole holder of the latest "
+                    f"version is kept as a map, {held}")
+    assert sole

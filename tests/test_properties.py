@@ -13,6 +13,8 @@ The central invariants:
    values of a sequential interpreter.
 4. **Patching** — for any directory state, the built patch repairs every
    validation violation.
+5. **The directory's encoding is invisible** — under any sequence of
+   mutations, every query answers as a plain dict-of-dicts model does.
 """
 
 from typing import Dict, List, Tuple
@@ -209,7 +211,212 @@ def test_patch_repairs_any_state(writes, copies, block_assignment):
 
 
 # ---------------------------------------------------------------------------
-# 5. Migration equivalence: edits never change results
+# 5. The directory answers like a plain dict-of-dicts model
+# ---------------------------------------------------------------------------
+DIR_OIDS = range(1, 6)
+DIR_WORKERS = range(3)
+
+
+class _ModelDirectory:
+    """The directory as a ``{oid: {worker: version}}`` map beside an
+    ``{oid: latest}`` map and an ``{oid: stamp}`` map, with none of the
+    encoding: the specification :class:`ObjectDirectory` must answer like.
+    Recorded deltas fold in order of their last application, each applied
+    ``times`` times at once; every change takes the next stamp."""
+
+    def __init__(self):
+        self.latest, self.holders, self.stamps = {}, {}, {}
+        self.stamp = 0
+        self.pending = []
+
+    def touch(self, oid):
+        self.stamp += 1
+        self.stamps[oid] = self.stamp
+
+    def fold(self):
+        order = {}  # by identity: two equal deltas are still two
+        for delta in self.pending:
+            order.pop(id(delta), None)
+            order[id(delta)] = delta
+        for delta in order.values():
+            times = sum(d is delta for d in self.pending)
+            write_counts, final_holders = delta
+            for oid, bumps in write_counts.items():
+                latest = self.latest[oid] + bumps * times
+                self.latest[oid] = latest
+                self.holders[oid] = {w: latest for w in final_holders[oid]}
+                self.touch(oid)
+        self.pending = []
+
+    def register(self, oid, home):
+        self.latest[oid] = 0
+        self.holders[oid] = {home: 0}
+        self.touch(oid)
+
+    def unregister(self, oid):
+        self.latest.pop(oid, None)
+        self.holders.pop(oid, None)
+        if oid in self.stamps:  # every oid here was registered once
+            self.touch(oid)
+
+    def write(self, oid, worker):
+        self.latest[oid] += 1
+        self.holders[oid][worker] = self.latest[oid]
+        self.touch(oid)
+
+    def copy(self, oid, worker):
+        self.holders[oid][worker] = self.latest[oid]
+        self.touch(oid)
+
+    def single(self, oid, bumps, final):
+        self.latest[oid] += bumps
+        self.holders[oid] = {w: self.latest[oid] for w in final}
+        self.touch(oid)
+
+    def evict(self, worker):
+        for oid, held in self.holders.items():
+            if held.pop(worker, None) is not None:
+                self.touch(oid)
+
+    def snapshot(self):
+        return (dict(self.latest),
+                {oid: dict(held) for oid, held in self.holders.items()})
+
+    def restore(self, snap):
+        latest, holders = snap
+        for oid in sorted(set(self.holders) | set(holders)):
+            if oid in holders:  # registered again if it was unregistered
+                self.latest[oid] = latest[oid]
+                self.holders[oid] = dict(holders[oid])
+            self.touch(oid)
+
+    # queries, with the directory's KeyError for an unregistered oid
+    def answers(self, oid):
+        fresh = {}
+        if oid in self.holders:
+            latest, held = self.latest[oid], self.holders[oid]
+            fresh = {w: (held.get(w, -1) == latest, w in held)
+                     for w in DIR_WORKERS}
+            at_latest = [w for w, v in held.items() if v == latest]
+        else:
+            latest = at_latest = KeyError
+        return (latest, list(self.holders.get(oid, ())), at_latest, fresh,
+                self.stamps.get(oid, 0))
+
+
+def _directory_answers(directory, oid):
+    def answer(query, *args):
+        try:
+            return query(oid, *args)
+        except KeyError:
+            return KeyError
+
+    fresh = {}
+    if oid in directory:
+        fresh = {w: (directory.is_fresh(oid, w), directory.holds_any(oid, w))
+                 for w in DIR_WORKERS}
+    else:
+        assert answer(directory.is_fresh, 0) is KeyError
+        assert answer(directory.holds_any, 0) is KeyError
+    return (answer(directory.latest_version), directory.holders(oid),
+            answer(directory.holders_of_latest), fresh,
+            directory.stamp_of(oid))
+
+
+_DELTA = st.dictionaries(
+    st.sampled_from(DIR_OIDS),
+    st.tuples(st.integers(0, 2),
+              st.frozensets(st.sampled_from(DIR_WORKERS), min_size=1)),
+    min_size=1, max_size=4)
+_DIR_OID = st.sampled_from(DIR_OIDS)
+_DIR_WORKER = st.sampled_from(DIR_WORKERS)
+_DIRECTORY_STEPS = st.one_of(
+    st.tuples(st.just("register"), _DIR_OID, _DIR_WORKER),
+    st.tuples(st.just("write"), _DIR_OID, _DIR_WORKER),
+    st.tuples(st.just("write"), _DIR_OID, _DIR_WORKER),
+    st.tuples(st.just("copy"), _DIR_OID, _DIR_WORKER),
+    st.tuples(st.just("copy"), _DIR_OID, _DIR_WORKER),
+    # several recorded deltas (from a pool of three), then one fold
+    st.tuples(st.just("deltas"),
+              st.lists(st.integers(0, 2), min_size=1, max_size=4)),
+    st.tuples(st.just("single"), _DIR_OID, st.integers(0, 2),
+              st.lists(_DIR_WORKER, max_size=3)),
+    st.tuples(st.just("fold")),
+    st.tuples(st.just("evict"), _DIR_WORKER),
+    st.tuples(st.just("unregister"), _DIR_OID),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore"), st.integers(0, 9)),
+)
+
+
+@given(homes=st.lists(_DIR_WORKER, min_size=len(DIR_OIDS),
+                      max_size=len(DIR_OIDS)),
+       pool=st.lists(_DELTA, min_size=3, max_size=3),
+       steps=st.lists(_DIRECTORY_STEPS, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_directory_matches_reference_model(homes, pool, steps):
+    directory, model = ObjectDirectory(), _ModelDirectory()
+    for oid, home in zip(DIR_OIDS, homes):
+        directory.register(LogicalObject(oid, f"o{oid}", 0, 8), home)
+        model.register(oid, home)
+    # each pooled delta is one pair of maps, so a repeat is one more count
+    deltas = [({oid: b for oid, (b, _h) in delta.items()},
+               {oid: h for oid, (_b, h) in delta.items()}) for delta in pool]
+    snapshots = []
+    for step in steps:
+        kind, args = step[0], step[1:]
+        if kind in ("write", "copy", "single") and args[0] not in directory:
+            continue  # only registered objects are written or copied
+        if kind == "register":
+            directory.register(LogicalObject(args[0], "o", 0, 8), args[1])
+            model.register(*args)
+        elif kind == "write":
+            assert directory.record_write(*args) == model.latest[args[0]] + 1
+            model.write(*args)
+        elif kind == "copy":
+            directory.record_copy(*args)
+            model.copy(*args)
+        elif kind == "deltas":
+            chosen = [deltas[i] for i in args[0]
+                      if all(oid in directory for oid in deltas[i][0])]
+            for delta in chosen:
+                directory.apply_block_deltas(*delta)
+                model.pending.append(delta)
+        elif kind == "single":
+            directory.apply_block_delta(*args)
+            model.single(*args)
+        elif kind == "fold":
+            directory.fold()
+        elif kind == "evict":
+            directory.evict_worker(*args)
+            model.evict(*args)
+        elif kind == "unregister":
+            directory.unregister(*args)
+            model.unregister(*args)
+        elif kind == "snapshot":
+            snap = directory.snapshot()
+            model.fold()
+            assert snap == model.snapshot()
+            snapshots.append(snap)
+        elif snapshots:
+            snap = snapshots[args[0] % len(snapshots)]
+            directory.restore(snap)
+            model.fold()
+            model.restore(snap)
+        model.fold()  # the directory folds on its first read below
+        for oid in DIR_OIDS:
+            assert _directory_answers(directory, oid) == model.answers(oid), (
+                step, oid)
+        assert directory.stamp == model.stamp
+        # the encoding: a sole holder of the latest version is its id
+        for rec in directory.records().values():
+            if type(rec.holders) is not int:
+                assert not (len(rec.holders) == 1
+                            and rec.latest in rec.holders.values())
+
+
+# ---------------------------------------------------------------------------
+# 6. Migration equivalence: edits never change results
 # ---------------------------------------------------------------------------
 @given(
     block_assignment=block_and_assignment(num_workers=3),

@@ -26,6 +26,7 @@ from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol
 from repro.nimbus.central import CentralScheduler
 from repro.nimbus.controller import Controller, _BlockRun
+from repro.nimbus.data import LogicalObject, ObjectDirectory
 from repro.nimbus.driver import Driver
 from repro.nimbus.membership import Membership
 from repro.nimbus.templates import TemplateCache
@@ -116,6 +117,8 @@ def test_each_control_plane_decision_has_one_site():
         assert _call_sites(call, decisions) == 1, call
     src = "".join(path.read_text() for path in SRC.rglob("*.py"))
     assert src.count("_next_instance +=") == 1
+    # edits or a reinstall: TemplateCache.edit_limit
+    assert src.count("edit_threshold *") == 1
     for state in ("run.outstanding", "run.return_cids", "c._next_instance"):
         assigned = re.escape(state) + r"(\[[^\]]*\])?\s*([-+*/|&]|//)?=(?!=)"
         assert not re.search(assigned, policy), state
@@ -223,10 +226,34 @@ def test_template_staircase_has_one_owner():
     assert issubclass(naiad.NaiadTemplates, TemplateCache)
 
 
+def _names(tree):
+    """Every identifier, attribute, definition and argument name in
+    ``tree``."""
+    return {getattr(node, field) for node in ast.walk(tree)
+            for field in ("id", "attr", "name", "arg")
+            if isinstance(getattr(node, field, None), str)}
+
+
+def test_directory_keeps_one_record_per_object():
+    """The object directory's per-object state is the registered
+    ``LogicalObject`` (DESIGN.md §13): ``_objects`` is its one per-object
+    map (plus the records of unregistered objects), and no other module
+    names the parallel maps it replaced or the raw view of them."""
+    assert set(vars(ObjectDirectory())) == {
+        "_objects", "_stamp", "_gone", "_deferred", "token"}
+    assert {"latest", "holders", "stamp"} <= set(LogicalObject.__slots__)
+    retired = {"freshness_maps", "_holders", "_latest", "_stamps"}
+    for path in [*SRC.rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
+        if path != SRC / "nimbus" / "data.py":
+            named = _names(ast.parse(path.read_text())) & retired
+            assert not named, (path.relative_to(REPO).as_posix(), named)
+
+
 #: today's sizes, so simplification is monotone
 LINE_CEILINGS = {
     "nimbus/controller.py": 714,
-    "nimbus/central.py": 181,
+    "nimbus/central.py": 180,
+    "nimbus/data.py": 421,
     "nimbus/templates.py": 400,
     "nimbus/membership.py": 385,
     "nimbus/worker.py": 1164,
@@ -250,10 +277,7 @@ def test_cross_channel_order_lives_in_the_transport():
         r"_rel_(waiting|gone|recv_next)")
     for name in ("nimbus/controller.py", "nimbus/worker.py",
                  "nimbus/membership.py"):
-        tree = ast.parse((SRC / name).read_text())
-        names = {getattr(node, field) for node in ast.walk(tree)
-                 for field in ("id", "attr", "name", "arg")
-                 if isinstance(getattr(node, field, None), str)}
+        names = _names(ast.parse((SRC / name).read_text()))
         assert not sorted(n for n in names if state.search(n)), name
 
 
