@@ -11,7 +11,7 @@ with the rebalancer off shows the counterfactual: the job stays degraded
 for the rest of the run.
 """
 
-from repro.perf.rebalance_bench import run_fig09_auto
+from repro.apps.scenarios import run_fig09_auto
 from repro.analysis import render_table
 
 from conftest import emit, once

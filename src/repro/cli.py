@@ -10,6 +10,9 @@ Examples::
     python -m repro --profile lr.prof lr --workers 100
     python -m repro sweep --workload lr --seeds 8 --parallel 4
 
+The five app subcommands are rows of :data:`APPS`, run by one runner that
+``repro trace`` and ``repro sweep`` share.
+
 Timing the simulator itself is not done here: ``python3 bench/run.py`` is
 the one performance instrument (``--trace 1`` attributes host time per
 layer); ``--profile PATH`` above is the ad-hoc cProfile hook.
@@ -18,61 +21,66 @@ layer); ``--profile PATH`` above is the ad-hoc cProfile hook.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import math
+import multiprocessing
 import sys
-from typing import Optional, Tuple
+import time
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Tuple
 
-from .analysis import (
-    critical_path,
-    iteration_breakdowns,
-    mean_iteration_time,
-    render_critical_path,
-    render_table,
-    task_throughput,
-)
-from .apps import (
-    KMeansApp,
-    KMeansSpec,
-    LRApp,
-    LRSpec,
-    RegressionApp,
-    RegressionSpec,
-    RotationApp,
-    RotationSpec,
-    WaterApp,
-    WaterSpec,
-)
+from .analysis import (critical_path, mean_iteration_time,
+                       render_critical_path, render_table, task_throughput)
+from .apps import (KMeansApp, KMeansSpec, LRApp, LRSpec, RegressionApp,
+                   RegressionSpec, RotationApp, RotationSpec, WaterApp,
+                   WaterSpec, scenarios)
 from .baselines import MPICluster, NaiadCluster, SparkCluster
 from .chaos import PROFILES, FaultPlan
 from .nimbus import NimbusCluster
+from .obs import write_chrome_trace
 
-SYSTEMS = {
-    "nimbus": NimbusCluster,
-    "spark": SparkCluster,
-    "naiad": NaiadCluster,
-    "mpi": MPICluster,
-}
+SYSTEMS = {"nimbus": NimbusCluster, "spark": SparkCluster,
+           "naiad": NaiadCluster, "mpi": MPICluster}
+
+
+def positive_int(text: str) -> int:
+    """The argparse type of a count flag: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _add_mode(parser, mode_help: str,
+              shards_help="controller shard count for --mode sharded"):
+    parser.add_argument("--mode",
+                        choices=("centralized", "decentralized", "sharded"),
+                        default="centralized", help=mode_help)
+    parser.add_argument("--shards", type=positive_int, default=None,
+                        metavar="N", help=shards_help)
+
+
+def _scheduling(args) -> dict:
+    """The cluster keyword arguments ``--mode`` and ``--shards`` ask for."""
+    if args.shards is not None and args.mode != "sharded":
+        raise SystemExit("--shards requires --mode sharded")
+    return {"mode": args.mode, "shards": args.shards}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=20,
+    parser.add_argument("--workers", type=positive_int, default=20,
                         help="number of worker nodes")
     parser.add_argument("--system", choices=sorted(SYSTEMS), default="nimbus",
                         help="control plane to run under")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mode",
-                        choices=("centralized", "decentralized", "sharded"),
-                        default="centralized",
-                        help="scheduling mode: 'centralized' is the "
-                             "paper's per-instance control plane; "
-                             "'decentralized' grants windows that workers "
-                             "self-schedule (DESIGN.md §14); 'sharded' "
-                             "relays those windows through controller "
-                             "shards so the coordinator leaves the "
-                             "steady-state path (§16); nimbus only")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="controller shard count for --mode sharded "
-                             "(default: min(16, max(2, sqrt(workers))))")
+    _add_mode(parser,
+              "scheduling mode: 'centralized' is the paper's per-instance "
+              "control plane; 'decentralized' grants windows that workers "
+              "self-schedule (DESIGN.md §14); 'sharded' relays those "
+              "windows through controller shards so the coordinator leaves "
+              "the steady-state path (§16); nimbus only",
+              "controller shard count for --mode sharded "
+              "(default: min(16, max(2, sqrt(workers))))")
     parser.add_argument("--chaos-profile", choices=sorted(PROFILES),
                         default=None, metavar="PROFILE",
                         help="inject network faults from a stock plan "
@@ -81,36 +89,31 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="seed for the chaos fault schedule "
                              "(same seed => identical faults)")
     parser.add_argument("--patch-cache-cap", type=int, default=256,
-                        metavar="N",
-                        help="LRU capacity of the controller patch cache "
-                             "(default 256); nimbus only")
+                        metavar="N", help="LRU capacity of the controller "
+                        "patch cache (default 256); nimbus only")
     parser.add_argument("--rebalance", action="store_true",
                         help="enable the adaptive rebalancer (workers "
                              "report per-task timings; the controller "
                              "migrates tasks off stragglers via template "
                              "edits); nimbus only")
     parser.add_argument("--rebalance-threshold", type=float, default=1.4,
-                        metavar="X",
-                        help="straggler threshold: rebalance when a "
-                             "worker's load estimate exceeds X times the "
-                             "live-worker mean (default 1.4)")
+                        metavar="X", help="straggler threshold: rebalance "
+                        "when a worker's load estimate exceeds X times the "
+                        "live-worker mean (default 1.4)")
     parser.add_argument("--autoscale", action="store_true",
                         help="enable the elastic autoscaler (desired-state "
                              "reconciliation against the load EWMA; scales "
                              "up via provision+spread, down via the "
                              "DRAINING drain); nimbus only")
     parser.add_argument("--autoscale-interval", type=float, default=None,
-                        metavar="S",
-                        help="reconciliation tick period in virtual "
-                             "seconds (default 0.25)")
+                        metavar="S", help="reconciliation tick period in "
+                        "virtual seconds (default 0.25)")
     parser.add_argument("--autoscale-cold-start", type=float, default=None,
-                        metavar="S",
-                        help="provisioning delay before a new worker "
-                             "joins the live set (default 1.0)")
-    parser.add_argument("--autoscale-max-workers", type=int, default=None,
-                        metavar="N",
-                        help="upper bound on the live worker count "
-                             "(default 4x the initial size)")
+                        metavar="S", help="provisioning delay before a new "
+                        "worker joins the live set (default 1.0)")
+    parser.add_argument("--autoscale-max-workers", type=positive_int,
+                        default=None, metavar="N", help="upper bound on the "
+                        "live worker count (default 4x the initial size)")
     parser.add_argument("--trace", action="store_true",
                         help="record a command-lifecycle trace (also "
                              "enabled by REPRO_TRACE=1); nimbus only")
@@ -119,74 +122,62 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "(default: trace_<command>.json)")
 
 
+def _needs_nimbus(args, what: str, why: str) -> None:
+    if args.system != "nimbus":
+        raise SystemExit(f"{what} requires --system nimbus ({why})")
+
+
 def _cluster_kwargs(args) -> dict:
     kwargs = {"seed": args.seed}
-    if args.system == "nimbus" and getattr(args, "no_templates", False):
-        kwargs["use_templates"] = False
+    if args.mode != "centralized":
+        _needs_nimbus(args, f"--mode {args.mode}",
+                      "the baselines have no self-scheduling path")
+    scheduling = _scheduling(args)  # checks --shards on every system
     if args.system == "nimbus":
-        kwargs["patch_cache_cap"] = args.patch_cache_cap
-    if getattr(args, "mode", "centralized") != "centralized":
-        if args.system != "nimbus":
-            raise SystemExit(f"--mode {args.mode} requires --system nimbus "
-                             "(the baselines have no self-scheduling path)")
-        kwargs["mode"] = args.mode
-    if getattr(args, "shards", None) is not None:
-        if getattr(args, "mode", "centralized") != "sharded":
-            raise SystemExit("--shards requires --mode sharded")
-        kwargs["shards"] = args.shards
-    if getattr(args, "chaos_profile", None):
-        if args.system != "nimbus":
-            raise SystemExit(
-                "--chaos-profile requires --system nimbus (the baselines "
-                "do not model the hardened control-plane protocol)"
-            )
+        kwargs.update(scheduling, patch_cache_cap=args.patch_cache_cap,
+                      use_templates=not getattr(args, "no_templates", False))
+    if args.chaos_profile:
+        _needs_nimbus(args, "--chaos-profile", "the baselines do not model "
+                      "the hardened control-plane protocol")
         kwargs["chaos_plan"] = FaultPlan.from_profile(
             args.chaos_profile, seed=args.chaos_seed)
-    if getattr(args, "rebalance", False):
-        if args.system != "nimbus":
-            raise SystemExit("--rebalance requires --system nimbus (the "
-                             "baselines cannot edit installed templates)")
-        kwargs["rebalance"] = True
-        kwargs["rebalance_threshold"] = args.rebalance_threshold
-    if getattr(args, "autoscale", False):
-        if args.system != "nimbus":
-            raise SystemExit("--autoscale requires --system nimbus (the "
-                             "baselines cannot re-home installed templates "
-                             "onto provisioned workers)")
+    if args.rebalance:
+        _needs_nimbus(args, "--rebalance",
+                      "the baselines cannot edit installed templates")
+        kwargs.update(rebalance=True,
+                      rebalance_threshold=args.rebalance_threshold)
+    if args.autoscale:
+        _needs_nimbus(args, "--autoscale", "the baselines cannot re-home "
+                      "installed templates onto provisioned workers")
         kwargs["autoscale"] = True
-        if getattr(args, "autoscale_interval", None) is not None:
-            kwargs["autoscale_interval"] = args.autoscale_interval
-        if getattr(args, "autoscale_cold_start", None) is not None:
-            kwargs["autoscale_cold_start"] = args.autoscale_cold_start
-        if getattr(args, "autoscale_max_workers", None) is not None:
-            kwargs["autoscale_max_workers"] = args.autoscale_max_workers
-    if getattr(args, "trace", False):
-        if args.system != "nimbus":
-            raise SystemExit("--trace requires --system nimbus (the "
-                             "baselines carry no trace hooks)")
+        for name in ("autoscale_interval", "autoscale_cold_start",
+                     "autoscale_max_workers"):
+            if getattr(args, name) is not None:
+                kwargs[name] = getattr(args, name)
+    if args.trace:
+        _needs_nimbus(args, "--trace", "the baselines carry no trace hooks")
         kwargs["trace"] = True
     return kwargs
 
 
 def _finish_trace(cluster, args) -> None:
     """Export the run's trace and print the critical-path report."""
-    tracer = getattr(cluster, "tracer", None)
-    if tracer is None:
+    if getattr(cluster, "tracer", None) is None:  # untraced, or a baseline
         return
-    from .obs import write_chrome_trace
-
-    out = getattr(args, "trace_out", None) or f"trace_{args.command}.json"
-    doc = write_chrome_trace(tracer, out)
+    out = args.trace_out or f"trace_{args.command}.json"
+    doc = write_chrome_trace(cluster.tracer, out)
     print(f"trace: {len(doc['traceEvents'])} events -> {out} "
           f"(load at https://ui.perfetto.dev)")
-    print(render_critical_path(critical_path(tracer)))
+    print(render_critical_path(critical_path(cluster.tracer)))
 
 
-def _summary(cluster, block_id: str, skip: int) -> None:
+def _summary(cluster, args) -> None:
     metrics = cluster.metrics
+    app = APPS[args.command]
+    skip = args.iterations // 2 if app.halve else 0
     try:
-        iteration = mean_iteration_time(metrics, block_id, skip=skip)
-        throughput = task_throughput(metrics, block_id, skip=skip)
+        iteration = mean_iteration_time(metrics, app.block, skip=skip)
+        throughput = task_throughput(metrics, app.block, skip=skip)
         print(f"steady-state iteration time: {iteration * 1000:.2f} ms")
         if math.isnan(throughput):
             # degenerate run: every kept iteration finished at the same
@@ -196,21 +187,18 @@ def _summary(cluster, block_id: str, skip: int) -> None:
             print(f"task throughput:             {throughput:,.0f} tasks/s")
     except ValueError:
         pass
-    rows = [
-        [name, f"{metrics.count(name):.0f}"]
-        for name in (
-            "tasks_executed", "tasks_scheduled",
-            "controller_templates_installed", "template_instantiations",
-            "auto_validations", "full_validations",
-            "patches_computed", "patch_cache_hits", "edits_applied",
-            "controller.messages_in", "controller.messages_out",
-            "controller.steady_messages_in", "controller.steady_messages_out",
-            "chaos.drops", "chaos.delays", "chaos.duplicates",
-            "chaos.reorders", "protocol.retries", "protocol.dup_discards",
-            "protocol.reorder_holds", "protocol.stale_discards",
-            "net.partition_drops",
-        ) if metrics.count(name)
-    ]
+    rows = [[name, f"{metrics.count(name):.0f}"] for name in (
+        "tasks_executed", "tasks_scheduled",
+        "controller_templates_installed", "template_instantiations",
+        "auto_validations", "full_validations",
+        "patches_computed", "patch_cache_hits", "edits_applied",
+        "controller.messages_in", "controller.messages_out",
+        "controller.steady_messages_in", "controller.steady_messages_out",
+        "chaos.drops", "chaos.delays", "chaos.duplicates",
+        "chaos.reorders", "protocol.retries", "protocol.dup_discards",
+        "protocol.reorder_holds", "protocol.stale_discards",
+        "net.partition_drops",
+    ) if metrics.count(name)]
     tasks = metrics.count("tasks_executed")
     steady = (metrics.count("controller.steady_messages_in")
               + metrics.count("controller.steady_messages_out"))
@@ -224,110 +212,115 @@ def _summary(cluster, block_id: str, skip: int) -> None:
           f"events: {cluster.sim.events_run:,}")
 
 
-def cmd_lr(args) -> None:
-    spec = LRSpec(num_workers=args.workers, iterations=args.iterations,
-                  data_bytes=args.data_gb * 1e9, real_compute=args.real,
-                  seed=args.seed)
-    app = LRApp(spec)
-    cluster_cls = SYSTEMS[args.system]
-    cluster = cluster_cls(args.workers, app.program(blocking=args.blocking),
-                          registry=app.registry, **_cluster_kwargs(args))
-    cluster.run_until_finished(max_seconds=1e7)
-    print(f"logistic regression: {spec.num_partitions} partitions, "
-          f"{args.iterations} iterations, system={args.system}")
-    _summary(cluster, "lr.iteration", skip=args.iterations // 2)
-    _finish_trace(cluster, args)
+def _iterative(app_cls, spec_cls, title: str, args):
+    spec = spec_cls(num_workers=args.workers, iterations=args.iterations,
+                    data_bytes=args.data_gb * 1e9, real_compute=args.real,
+                    seed=args.seed)
+    app = app_cls(spec)
+    header = (f"{title}: {spec.num_partitions} partitions, "
+              f"{args.iterations} iterations, system={args.system}")
+    return app, app.program(blocking=args.blocking), lambda cluster: header
 
 
-def cmd_kmeans(args) -> None:
-    spec = KMeansSpec(num_workers=args.workers, iterations=args.iterations,
-                      data_bytes=args.data_gb * 1e9, real_compute=args.real,
-                      seed=args.seed)
-    app = KMeansApp(spec)
-    cluster_cls = SYSTEMS[args.system]
-    cluster = cluster_cls(args.workers, app.program(blocking=args.blocking),
-                          registry=app.registry, **_cluster_kwargs(args))
-    cluster.run_until_finished(max_seconds=1e7)
-    print(f"k-means: {spec.num_partitions} partitions, "
-          f"{args.iterations} iterations, system={args.system}")
-    _summary(cluster, "km.iteration", skip=args.iterations // 2)
-    _finish_trace(cluster, args)
-
-
-def cmd_water(args) -> None:
+def _water(args):
     spec = WaterSpec(num_workers=args.workers, scale=args.scale,
                      frame_duration=args.frame_duration, frames=args.frames)
     app = WaterApp(spec)
-    cluster_cls = SYSTEMS[args.system]
     frame_log: list = []
-    cluster = cluster_cls(args.workers, app.program(frame_log=frame_log),
-                          registry=app.registry, **_cluster_kwargs(args))
-    cluster.run_until_finished(max_seconds=1e7)
-    print(f"water simulation: {app.num_variables} variables, "
-          f"{spec.num_partitions} partitions, system={args.system}")
-    boundaries = [0.0] + frame_log
-    for i, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
-        print(f"  frame {i}: {b - a:.3f} s")
-    _summary(cluster, "water.cg", skip=0)
-    _finish_trace(cluster, args)
+
+    def header(cluster) -> str:
+        boundaries = [0.0] + frame_log
+        return "\n".join(
+            [f"water simulation: {app.num_variables} variables, "
+             f"{spec.num_partitions} partitions, system={args.system}"]
+            + [f"  frame {i}: {b - a:.3f} s"
+               for i, (a, b) in enumerate(zip(boundaries, boundaries[1:]))])
+
+    return app, app.program(frame_log=frame_log), header
 
 
-def cmd_rotation(args) -> None:
-    if args.system != "nimbus":
-        raise SystemExit("rotation requires --system nimbus (it measures "
-                         "the patch cache, a Nimbus-only mechanism)")
+def _regression(args):
+    app = RegressionApp(RegressionSpec(num_workers=args.workers,
+                                       seed=args.seed))
+
+    def header(cluster) -> str:
+        errors = [iv.labels["results"].get("error")
+                  for iv in cluster.metrics.intervals["block"]
+                  if iv.labels["block_id"] == "reg.estimate"]
+        return (f"nested regression (Figure 3): {len(errors)} outer "
+                f"iterations, final error {errors[-1]:.4f}"
+                if errors else "no outer iterations")
+
+    return app, app.program(), header
+
+
+def _rotation(args):
+    _needs_nimbus(args, "rotation", "it measures the patch cache, a "
+                  "Nimbus-only mechanism")
     spec = RotationSpec(num_workers=args.workers,
                         iterations=args.iterations, seed=args.seed)
     app = RotationApp(spec)
-    cluster = NimbusCluster(args.workers, app.program(),
-                            registry=app.registry, **_cluster_kwargs(args))
-    cluster.run_until_finished(max_seconds=1e7)
-    print(f"patch rotation: {spec.num_partitions} partitions, "
-          f"{args.iterations} rounds, "
-          f"patch cache cap {args.patch_cache_cap}")
-    _summary(cluster, "rot.consume", skip=args.iterations // 2)
-    _finish_trace(cluster, args)
+    header = (f"patch rotation: {spec.num_partitions} partitions, "
+              f"{args.iterations} rounds, "
+              f"patch cache cap {args.patch_cache_cap}")
+    return app, app.program(), lambda cluster: header
 
 
-def cmd_regression(args) -> None:
-    spec = RegressionSpec(num_workers=args.workers, seed=args.seed)
-    app = RegressionApp(spec)
-    cluster_cls = SYSTEMS[args.system]
-    cluster = cluster_cls(args.workers, app.program(),
-                          registry=app.registry, **_cluster_kwargs(args))
-    cluster.run_until_finished(max_seconds=1e7)
-    errors = [iv.labels["results"].get("error")
-              for iv in cluster.metrics.intervals["block"]
-              if iv.labels["block_id"] == "reg.estimate"]
-    print(f"nested regression (Figure 3): {len(errors)} outer iterations, "
-          f"final error {errors[-1]:.4f}" if errors else "no outer iterations")
-    _summary(cluster, "reg.optimize", skip=0)
-    _finish_trace(cluster, args)
+class App(NamedTuple):
+    """An app subcommand: ``build(args)`` returns (app, program, header),
+    ``header(cluster)`` being the report's first line(s); the summary
+    measures ``block``, skipping half of ``--iterations`` if ``halve``."""
+
+    build: Callable
+    block: str
+    halve: bool
 
 
-_SWEEP_APPS = {
-    "lr": (LRApp, LRSpec, "lr.iteration"),
-    "kmeans": (KMeansApp, KMeansSpec, "km.iteration"),
+APPS = {
+    "lr": App(partial(_iterative, LRApp, LRSpec, "logistic regression"),
+              "lr.iteration", True),
+    "kmeans": App(partial(_iterative, KMeansApp, KMeansSpec, "k-means"),
+                  "km.iteration", True),
+    "water": App(_water, "water.cg", False),
+    "regression": App(_regression, "reg.optimize", False),
+    "rotation": App(_rotation, "rot.consume", True),
 }
 
 
-def _sweep_one(job: Tuple[str, int, int, int]) -> Tuple[int, float, float]:
-    """Run one (workload, workers, iterations, seed) combo.
-
-    Module-level so it pickles for ``multiprocessing.Pool``.
-    """
-    import time
-
-    workload, workers, iterations, seed = job
-    app_cls, spec_cls, block_id = _SWEEP_APPS[workload]
-    app = app_cls(spec_cls(num_workers=workers, iterations=iterations,
-                           seed=seed))
-    cluster = NimbusCluster(workers, app.program(blocking=False),
-                            registry=app.registry, seed=seed)
+def _run(args) -> Tuple[object, str, float]:
+    """Build the app ``args.command`` names and run it to the end; return
+    the cluster, the report's header and the run's wall-clock seconds."""
+    app, program, header = APPS[args.command].build(args)
+    cluster = SYSTEMS[args.system](
+        args.workers, program, registry=app.registry, **_cluster_kwargs(args))
     start = time.perf_counter()
     cluster.run_until_finished(max_seconds=1e7)
-    wall = time.perf_counter() - start
-    iteration = mean_iteration_time(cluster.metrics, block_id,
+    return cluster, header(cluster), time.perf_counter() - start
+
+
+def cmd_app(args, header: Optional[Callable] = None) -> None:
+    """Run an app subcommand; report it under ``header(cluster)`` if given."""
+    cluster, app_header, _wall = _run(args)
+    print(app_header if header is None else header(cluster))
+    _summary(cluster, args)
+    _finish_trace(cluster, args)
+
+
+def _app_args(command: str, workers: int, iterations: int, seed: int,
+              *flags: str) -> argparse.Namespace:
+    """``repro <command>`` at this size, every other option at that
+    subcommand's default: how trace and sweep run an app."""
+    return build_parser().parse_args(
+        [command, "--workers", str(workers), "--iterations", str(iterations),
+         "--seed", str(seed), *flags])
+
+
+def _sweep_one(job: Tuple[str, int, int, int]) -> Tuple[int, float, float]:
+    """Run one (workload, workers, iterations, seed) combo; module-level
+    so it pickles for ``multiprocessing.Pool``."""
+    workload, _workers, iterations, seed = job
+    cluster, _header, wall = _run(_app_args(*job))
+    iteration = mean_iteration_time(cluster.metrics, APPS[workload].block,
                                     skip=iterations // 2)
     return seed, iteration, wall
 
@@ -336,8 +329,6 @@ def cmd_sweep(args) -> None:
     jobs = [(args.workload, args.workers, args.iterations, seed)
             for seed in range(args.seeds)]
     if args.parallel > 1:
-        import multiprocessing
-
         with multiprocessing.Pool(args.parallel) as pool:
             results = pool.map(_sweep_one, jobs)
     else:
@@ -354,8 +345,8 @@ def cmd_sweep(args) -> None:
           f"max {max(iterations) * 1000:.2f} ms")
 
 
+#: aliases -> the app subcommand traced
 _TRACE_WORKLOADS = {
-    # aliases -> (app class, spec class, iteration block, blocking kwarg)
     "fig07": "lr", "fig07_lr": "lr", "lr": "lr",
     "fig08": "kmeans", "fig08_kmeans": "kmeans", "kmeans": "kmeans",
     "rotation": "rotation", "patch_rotation": "rotation",
@@ -364,68 +355,39 @@ _TRACE_WORKLOADS = {
 
 def cmd_trace(args) -> None:
     """Run one workload traced and emit the Perfetto JSON + critical path."""
-    from .obs import write_chrome_trace
+    cmd_app(_app_args(_TRACE_WORKLOADS[args.workload], args.workers,
+                      args.iterations, args.seed, "--trace", "--trace-out",
+                      args.out or f"trace_{args.workload}.json"),
+            lambda cluster: f"{args.workload}: {args.workers} workers, "
+                            f"{args.iterations} iterations, "
+                            f"virtual time {cluster.sim.now:.4f} s")
 
-    workload = _TRACE_WORKLOADS[args.workload]
-    if workload == "lr":
-        spec = LRSpec(num_workers=args.workers, iterations=args.iterations,
-                      seed=args.seed)
-        app = LRApp(spec)
-        program = app.program(blocking=False)
-        block_id = "lr.iteration"
-    elif workload == "kmeans":
-        spec = KMeansSpec(num_workers=args.workers,
-                          iterations=args.iterations, seed=args.seed)
-        app = KMeansApp(spec)
-        program = app.program(blocking=False)
-        block_id = "km.iteration"
-    else:
-        spec = RotationSpec(num_workers=args.workers,
-                            iterations=args.iterations, seed=args.seed)
-        app = RotationApp(spec)
-        program = app.program()
-        block_id = "rot.consume"
-    cluster = NimbusCluster(args.workers, program, registry=app.registry,
-                            seed=args.seed, trace=True)
-    cluster.run_until_finished(max_seconds=1e7)
-    out = args.out or f"trace_{args.workload}.json"
-    doc = write_chrome_trace(cluster.tracer, out)
-    report = critical_path(cluster.tracer)
-    print(f"{args.workload}: {args.workers} workers, "
-          f"{args.iterations} iterations, "
-          f"virtual time {cluster.sim.now:.4f} s")
-    _summary(cluster, block_id, skip=args.iterations // 2)
-    print(f"trace: {len(doc['traceEvents'])} events -> {out} "
-          f"(load at https://ui.perfetto.dev)")
-    print(render_critical_path(report))
+
+def _ms(seconds: Optional[float], missing: str = "-") -> str:
+    return missing if seconds is None else f"{seconds * 1000:.2f}"
+
+
+def _or(value, missing: str = "-") -> str:
+    return missing if value is None else str(value)
 
 
 def cmd_rebalance(args) -> None:
-    from .perf.rebalance_bench import run_fig09_auto
-
-    result = run_fig09_auto(
-        num_workers=args.workers,
-        iterations=args.iterations,
-        seed=args.seed,
-        scale=args.scale,
-        fault_iteration=args.fault_iteration,
-        rebalance=not args.off,
-    )
+    result = scenarios.run_fig09_auto(
+        num_workers=args.workers, iterations=args.iterations, seed=args.seed,
+        scale=args.scale, fault_iteration=args.fault_iteration,
+        rebalance=not args.off)
     print(f"automated fig09: {result['workers']} workers, "
           f"{result['iterations']} iterations, "
           f"{result['scale']}x straggler (worker {result['straggler']}) "
           f"injected after iteration {result['fault_iteration']}, "
           f"rebalancer {'OFF' if args.off else 'ON'}")
     rows = [
-        ["pre-fault iteration (ms)",
-         f"{result['pre_fault_iteration_time'] * 1000:.2f}"],
-        ["post-fault peak (ms)", f"{result['post_fault_peak'] * 1000:.2f}"],
-        ["recovered iteration (ms)",
-         f"{result['recovered_iteration_time'] * 1000:.2f}"],
+        ["pre-fault iteration (ms)", _ms(result["pre_fault_iteration_time"])],
+        ["post-fault peak (ms)", _ms(result["post_fault_peak"])],
+        ["recovered iteration (ms)", _ms(result["recovered_iteration_time"])],
         ["recovery ratio", f"{result['recovery_ratio']:.3f}"],
         ["iterations to recover",
-         "never" if result["iterations_to_recover"] is None
-         else str(result["iterations_to_recover"])],
+         _or(result["iterations_to_recover"], "never")],
         ["decisions", str(result["decisions"])],
         ["moves", str(result["moves"])],
         ["mechanisms", ", ".join(result["mechanisms"]) or "-"],
@@ -435,41 +397,23 @@ def cmd_rebalance(args) -> None:
 
 
 def cmd_autoscale(args) -> None:
-    from .perf.scale_bench import run_scale_step
-
-    if args.shards is not None and args.mode != "sharded":
-        raise SystemExit("--shards requires --mode sharded")
-    result = run_scale_step(
-        num_workers=args.workers,
-        iterations=args.iterations,
-        seed=args.seed,
-        step=args.step,
-        step_iteration=args.step_iteration,
-        interval=args.interval,
-        cold_start=args.cold_start,
-        mode=args.mode,
-        shards=args.shards,
-    )
-    direction = "up" if result["step"] > 1.0 else "down"
+    result = scenarios.run_scale_step(
+        num_workers=args.workers, iterations=args.iterations, seed=args.seed,
+        step=args.step, step_iteration=args.step_iteration,
+        interval=args.interval, cold_start=args.cold_start,
+        **_scheduling(args))
     print(f"scale step: {result['workers']} workers, "
           f"{result['iterations']} iterations ({result['mode']}), "
-          f"{result['step']}x demand "
-          f"step after iteration {result['step_iteration']} "
-          f"(scale {direction})")
+          f"{result['step']}x demand step after iteration "
+          f"{result['step_iteration']} "
+          f"(scale {'up' if result['step'] > 1.0 else 'down'})")
     rows = [
-        ["reconciliation interval (ms)", f"{result['interval'] * 1000:.2f}"],
-        ["cold start (ms)", f"{result['cold_start'] * 1000:.2f}"],
-        ["pre-step iteration (ms)",
-         f"{result['pre_step_iteration_time'] * 1000:.2f}"],
-        ["final iteration (ms)",
-         "-" if result["final_iteration_time"] is None
-         else f"{result['final_iteration_time'] * 1000:.2f}"],
-        ["time to stable (ms)",
-         "no decisions" if result["time_to_stable"] is None
-         else f"{result['time_to_stable'] * 1000:.2f}"],
-        ["ticks to stable",
-         "-" if result["ticks_to_stable"] is None
-         else str(result["ticks_to_stable"])],
+        ["reconciliation interval (ms)", _ms(result["interval"])],
+        ["cold start (ms)", _ms(result["cold_start"])],
+        ["pre-step iteration (ms)", _ms(result["pre_step_iteration_time"])],
+        ["final iteration (ms)", _ms(result["final_iteration_time"])],
+        ["time to stable (ms)", _ms(result["time_to_stable"], "no decisions")],
+        ["ticks to stable", _or(result["ticks_to_stable"])],
         ["workers final", str(result["workers_final"])],
         ["workers added", str(result["workers_added"])],
         ["workers drained", str(result["workers_drained"])],
@@ -484,44 +428,29 @@ def cmd_autoscale(args) -> None:
 
 
 def cmd_serve(args) -> None:
-    from .perf.serve_bench import run_job_arrival
-
-    if args.shards is not None and args.mode != "sharded":
-        raise SystemExit("--shards requires --mode sharded")
-    result = run_job_arrival(
-        num_workers=args.workers,
-        num_jobs=args.jobs,
-        seed=args.seed,
-        mean_interarrival=args.mean_interarrival,
-        iterations=args.iterations,
-        max_concurrent=args.max_concurrent,
-        queue_cap=args.queue_cap,
-        dispatch_inflight_cap=args.dispatch_cap,
-        mode=args.mode,
-        shards=args.shards,
-    )
+    result = scenarios.run_job_arrival(
+        num_workers=args.workers, num_jobs=args.jobs, seed=args.seed,
+        mean_interarrival=args.mean_interarrival, iterations=args.iterations,
+        max_concurrent=args.max_concurrent, queue_cap=args.queue_cap,
+        dispatch_inflight_cap=args.dispatch_cap, **_scheduling(args))
     print(f"job_arrival: {result['jobs']} jobs over {result['workers']} "
           f"workers (concurrency cap {result['max_concurrent']}, queue cap "
           f"{result['queue_cap']}, dispatch cap "
           f"{result['dispatch_inflight_cap']})")
-    rows = [
-        [str(job["job_id"]), job["workload"], f"{job['submit_time']:.4f}",
-         "-" if job["start_time"] is None else f"{job['start_time']:.4f}",
-         "-" if job["latency"] is None else f"{job['latency'] * 1000:.2f}"]
-        for job in result["per_job"]
-    ]
-    print(render_table("job arrivals",
-                       ["job", "workload", "submit (s)", "start (s)",
-                        "latency (ms)"], rows))
+    rows = [[str(job["job_id"]), job["workload"],
+             f"{job['submit_time']:.4f}",
+             "-" if job["start_time"] is None else f"{job['start_time']:.4f}",
+             _ms(job["latency"])] for job in result["per_job"]]
+    print(render_table("job arrivals", ["job", "workload", "submit (s)",
+                                        "start (s)", "latency (ms)"], rows))
     print(render_table("serving metrics", ["metric", "value"], [
         ["jobs finished", str(result["jobs_finished"])],
         ["jobs rejected", str(result["jobs_rejected"])],
         ["tasks executed", f"{result['tasks_executed']:.0f}"],
         ["aggregate task throughput (tasks/s)",
          f"{result['aggregate_task_throughput']:,.0f}"],
-        ["p95 job latency (ms)", f"{result['p95_job_latency'] * 1000:.2f}"],
-        ["mean job latency (ms)",
-         f"{result['mean_job_latency'] * 1000:.2f}"],
+        ["p95 job latency (ms)", _ms(result["p95_job_latency"])],
+        ["mean job latency (ms)", _ms(result["mean_job_latency"])],
     ]))
     print(f"virtual time: {result['virtual_seconds']:.4f} s; "
           f"events: {result['events']:,} "
@@ -530,10 +459,8 @@ def cmd_serve(args) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Execution-templates reproduction: run the paper's "
-                    "workloads on a simulated cluster.",
-    )
+        prog="repro", description="Execution-templates reproduction: run "
+        "the paper's workloads on a simulated cluster.")
     parser.add_argument("--profile", metavar="PATH", default=None,
                         help="run the command under cProfile and write "
                              "stats to PATH (inspect with pstats/snakeviz)")
@@ -541,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lr = sub.add_parser("lr", help="logistic regression (Figs. 1/7a/8/9/10)")
     _add_common(lr)
-    lr.add_argument("--iterations", type=int, default=12)
+    lr.add_argument("--iterations", type=positive_int, default=12)
     lr.add_argument("--data-gb", type=float, default=100.0)
     lr.add_argument("--real", action="store_true",
                     help="run real numpy task bodies (small scale)")
@@ -549,51 +476,48 @@ def build_parser() -> argparse.ArgumentParser:
                     help="driver waits for each iteration")
     lr.add_argument("--no-templates", action="store_true",
                     help="disable execution templates (central scheduling)")
-    lr.set_defaults(fn=cmd_lr)
 
     km = sub.add_parser("kmeans", help="k-means clustering (Fig. 7b)")
     _add_common(km)
-    km.add_argument("--iterations", type=int, default=12)
+    km.add_argument("--iterations", type=positive_int, default=12)
     km.add_argument("--data-gb", type=float, default=100.0)
     km.add_argument("--real", action="store_true")
     km.add_argument("--blocking", action="store_true")
     km.add_argument("--no-templates", action="store_true")
-    km.set_defaults(fn=cmd_kmeans)
 
     water = sub.add_parser("water", help="water-simulation proxy (Fig. 11)")
     _add_common(water)
     water.add_argument("--scale", type=float, default=0.1,
                        help="stage-duration scale factor")
-    water.add_argument("--frames", type=int, default=1)
+    water.add_argument("--frames", type=positive_int, default=1)
     water.add_argument("--frame-duration", type=float, default=0.004)
     water.add_argument("--no-templates", action="store_true")
-    water.set_defaults(fn=cmd_water)
 
     reg = sub.add_parser("regression",
                          help="the paper's Figure-3 nested training loop")
     _add_common(reg)
     reg.add_argument("--no-templates", action="store_true")
-    reg.set_defaults(fn=cmd_regression)
 
     rot = sub.add_parser(
         "rotation", help="rotating producer/consumer loop (patch-cache "
                          "exerciser; every round validates, patches once, "
                          "then hits the cache)")
     _add_common(rot)
-    rot.add_argument("--iterations", type=int, default=14)
-    rot.set_defaults(fn=cmd_rotation)
+    rot.add_argument("--iterations", type=positive_int, default=14)
+    for app in (lr, km, water, reg, rot):
+        app.set_defaults(fn=cmd_app)
 
     sweep = sub.add_parser(
         "sweep", help="run one workload across seeds (optionally in "
                       "parallel worker processes)")
-    sweep.add_argument("--workload", choices=sorted(_SWEEP_APPS),
-                       default="lr")
-    sweep.add_argument("--workers", type=int, default=20)
-    sweep.add_argument("--iterations", type=int, default=12)
-    sweep.add_argument("--seeds", type=int, default=4,
+    sweep.add_argument("--workload", choices=("kmeans", "lr"), default="lr")
+    sweep.add_argument("--workers", type=positive_int, default=20)
+    sweep.add_argument("--iterations", type=positive_int, default=12)
+    sweep.add_argument("--seeds", type=positive_int, default=4,
                        help="run seeds 0..N-1")
-    sweep.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="number of worker processes (1 = in-process)")
+    sweep.add_argument("--parallel", type=positive_int, default=1,
+                       metavar="N", help="number of worker processes "
+                       "(1 = in-process)")
     sweep.set_defaults(fn=cmd_sweep)
 
     trace = sub.add_parser(
@@ -602,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("workload", choices=sorted(_TRACE_WORKLOADS),
                        help="workload to trace (fig07=lr, fig08=kmeans, "
                             "rotation=patch exerciser)")
-    trace.add_argument("--workers", type=int, default=8)
-    trace.add_argument("--iterations", type=int, default=12)
+    trace.add_argument("--workers", type=positive_int, default=8)
+    trace.add_argument("--iterations", type=positive_int, default=12)
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--out", metavar="PATH", default=None,
                        help="output JSON path "
@@ -613,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     reb = sub.add_parser(
         "rebalance", help="automated fig09: inject a straggler mid-run and "
                           "let the adaptive rebalancer route around it")
-    reb.add_argument("--workers", type=int, default=16)
-    reb.add_argument("--iterations", type=int, default=40)
+    reb.add_argument("--workers", type=positive_int, default=16)
+    reb.add_argument("--iterations", type=positive_int, default=40)
     reb.add_argument("--seed", type=int, default=0)
     reb.add_argument("--scale", type=float, default=2.0,
                      help="straggler slowdown factor (default 2.0)")
@@ -622,14 +546,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="inject the slowdown after this iteration")
     reb.add_argument("--off", action="store_true",
                      help="control run: leave the rebalancer disabled")
-    reb.set_defaults(fn=cmd_rebalance)
+    reb.set_defaults(fn=cmd_rebalance, parser=reb)
 
     autos = sub.add_parser(
         "autoscale", help="demand-step reconciliation: inject a scripted "
                           "demand step mid-run and let the elastic "
                           "autoscaler re-stabilize the cluster")
-    autos.add_argument("--workers", type=int, default=16)
-    autos.add_argument("--iterations", type=int, default=40)
+    autos.add_argument("--workers", type=positive_int, default=16)
+    autos.add_argument("--iterations", type=positive_int, default=40)
     autos.add_argument("--seed", type=int, default=0)
     autos.add_argument("--step", type=float, default=2.0,
                        help="demand multiplier (>1 scales up, <1 drains; "
@@ -642,41 +566,30 @@ def build_parser() -> argparse.ArgumentParser:
     autos.add_argument("--cold-start", type=float, default=None, metavar="S",
                        help="worker provisioning delay "
                             "(default: 4 intervals)")
-    autos.add_argument("--mode",
-                       choices=("centralized", "decentralized", "sharded"),
-                       default="centralized",
-                       help="scheduling mode the stepped run uses")
-    autos.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="controller shard count for --mode sharded")
-    autos.set_defaults(fn=cmd_autoscale)
+    _add_mode(autos, "scheduling mode the stepped run uses")
+    autos.set_defaults(fn=cmd_autoscale, parser=autos)
 
     serve = sub.add_parser(
         "serve", help="multi-tenant serving: seeded Poisson job arrivals "
                       "through admission control and fair-share dispatch")
-    serve.add_argument("--workers", type=int, default=8)
-    serve.add_argument("--jobs", type=int, default=6,
+    serve.add_argument("--workers", type=positive_int, default=8)
+    serve.add_argument("--jobs", type=positive_int, default=6,
                        help="number of scheduled job arrivals")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--mode",
-                       choices=("centralized", "decentralized", "sharded"),
-                       default="centralized",
-                       help="scheduling mode every admitted job runs under")
-    serve.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="controller shard count for --mode sharded")
+    _add_mode(serve, "scheduling mode every admitted job runs under")
     serve.add_argument("--mean-interarrival", type=float, default=0.05,
-                       metavar="S",
-                       help="mean Poisson interarrival gap in virtual "
-                            "seconds (default 0.05)")
-    serve.add_argument("--iterations", type=int, default=6,
+                       metavar="S", help="mean Poisson interarrival gap in "
+                       "virtual seconds (default 0.05)")
+    serve.add_argument("--iterations", type=positive_int, default=6,
                        help="iterations per job")
-    serve.add_argument("--max-concurrent", type=int, default=3,
+    serve.add_argument("--max-concurrent", type=positive_int, default=3,
                        help="admission cap: jobs running at once")
     serve.add_argument("--queue-cap", type=int, default=8,
                        help="wait-queue length; overflow is rejected")
-    serve.add_argument("--dispatch-cap", type=int, default=4,
-                       metavar="N",
-                       help="controller dispatch cap: concurrent block "
-                            "instances before fair-share queueing kicks in")
+    serve.add_argument("--dispatch-cap", type=positive_int, default=4,
+                       metavar="N", help="controller dispatch cap: "
+                       "concurrent block instances before fair-share "
+                       "queueing kicks in")
     serve.set_defaults(fn=cmd_serve)
 
     return parser
@@ -684,19 +597,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
+    profiler = cProfile.Profile() if args.profile else None
+    if profiler is not None:
         profiler.enable()
-        try:
-            args.fn(args)
-        finally:
+    try:
+        args.fn(args)
+    except scenarios.NoRoom as err:  # only rebalance and autoscale raise it
+        args.parser.error(str(err))
+    finally:
+        if profiler is not None:
             profiler.disable()
             profiler.dump_stats(args.profile)
             print(f"profile written to {args.profile}")
-    else:
-        args.fn(args)
     return 0
 
 

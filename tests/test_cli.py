@@ -121,3 +121,27 @@ def test_lr_accepts_autoscale_flag(capsys):
 def test_autoscale_flag_requires_nimbus():
     with pytest.raises(SystemExit, match="nimbus"):
         main(["lr", "--workers", "4", "--system", "spark", "--autoscale"])
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["sweep", "--seeds", "0"], "--seeds"),
+    (["lr", "--workers", "0"], "--workers"),
+    (["trace", "fig07", "--workers", "0"], "--workers"),
+    (["serve", "--jobs", "0"], "--jobs"),
+    (["serve", "--max-concurrent", "0"], "--max-concurrent"),
+    (["serve", "--dispatch-cap", "0"], "--dispatch-cap"),
+    (["lr", "--mode", "sharded", "--shards", "0"], "--shards"),
+    (["rebalance", "--iterations", "10"], "fault_iteration 12"),
+    (["rebalance", "--fault-iteration", "4"], "fault_iteration 4"),
+    (["autoscale", "--iterations", "10"], "step_iteration 12"),
+    (["autoscale", "--step-iteration", "0"], "step_iteration 0"),
+])
+def test_counts_and_event_positions_are_checked_as_usage_errors(
+        argv, named, capsys):
+    """A count of zero, or a scripted event with no room to measure
+    around it, is a usage error: exit status 2 and a message naming the
+    option, not a traceback, a hang or a silently ignored value."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err

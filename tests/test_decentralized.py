@@ -285,7 +285,7 @@ def test_wait_queued_job_window_respects_dispatch_fifo():
     (FIFO within a job), not overtake it and try to instantiate a
     template that does not exist yet (KeyError before the fix: windows
     bypassed _gate_dispatch)."""
-    from repro.perf.serve_bench import run_job_arrival
+    from repro.apps.scenarios import run_job_arrival
 
     cent = run_job_arrival(num_workers=8, num_jobs=4, seed=0,
                            mode="centralized")

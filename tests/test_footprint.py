@@ -14,8 +14,8 @@ after a quick sharded LR run and a quick serve run,
 
 import pytest
 
+from repro.apps.scenarios import build_job_arrival
 from repro.nimbus.worker import Worker
-from repro.perf.serve_bench import build_job_arrival
 
 from .helpers import run_lr
 

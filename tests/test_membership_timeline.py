@@ -10,7 +10,7 @@ exact virtual timeline, next to the eviction/restore rows in
 
 import pytest
 
-import repro.perf.scale_bench as scale_bench
+import repro.apps.scenarios as scenarios
 from repro.apps import LRApp, LRSpec
 from repro.nimbus import NimbusCluster
 
@@ -58,7 +58,7 @@ SCALE_STEP_PINS = {
 @pytest.mark.parametrize("step", sorted(SCALE_STEP_PINS))
 def test_scale_step_timeline_is_pinned(step, monkeypatch):
     autoscaled = []
-    build = scale_bench.build_scale_step
+    build = scenarios.build_lr_step
 
     def recording(*args, **kwargs):
         app, cluster = build(*args, **kwargs)
@@ -66,8 +66,8 @@ def test_scale_step_timeline_is_pinned(step, monkeypatch):
             autoscaled.append(cluster)
         return app, cluster
 
-    monkeypatch.setattr(scale_bench, "build_scale_step", recording)
-    report = scale_bench.run_scale_step(
+    monkeypatch.setattr(scenarios, "build_lr_step", recording)
+    report = scenarios.run_scale_step(
         num_workers=4, iterations=20, step=step, step_iteration=8,
         control=False)
     (cluster,) = autoscaled

@@ -31,7 +31,7 @@ from repro.nimbus import (
     JobRejected,
     NimbusCluster,
 )
-from repro.perf.serve_bench import JOB_MIX, run_job_arrival
+from repro.apps.scenarios import JOB_MIX, run_job_arrival
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_SNAPSHOT = os.path.join(DATA_DIR, "golden_multijob_metrics.json")

@@ -262,7 +262,7 @@ def test_sharded_checkpoints_actually_commit():
 
 
 def test_sharded_serve_matches_other_modes_through_job_arrival():
-    from repro.perf.serve_bench import run_job_arrival
+    from repro.apps.scenarios import run_job_arrival
 
     cent = run_job_arrival(num_workers=8, num_jobs=4, seed=0,
                            mode="centralized")

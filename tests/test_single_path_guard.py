@@ -11,15 +11,15 @@ scheduling policy only queues and transports.
 """
 
 import ast
+import importlib
 import inspect
 import pathlib
-import pkgutil
 import re
 
 import pytest
 
 import repro
-import repro.perf
+from repro import cli
 from repro.cli import build_parser
 from repro.baselines import naiad, spark
 from repro.nimbus import NimbusCluster
@@ -66,20 +66,37 @@ def test_collector_state_has_one_owner():
 
 def test_bench_is_the_one_performance_instrument():
     """The wall-clock harness, its results file and its two subcommands
-    are gone; ``repro.perf`` is only the scenario drivers behind
-    ``repro serve|autoscale|rebalance``."""
-    assert not (SRC / "perf" / "harness.py").exists()
+    are gone, and so is ``repro.perf``: the scenarios behind ``repro
+    serve|autoscale|rebalance`` are ``repro.apps.scenarios``."""
     assert not (REPO / "BENCH_control_plane.json").exists()
     assert not [path for path in SRC.rglob("*.py")
                 if "BENCH_control_plane" in path.read_text()]
     for gone in ("perf", "profile"):
         with pytest.raises(SystemExit):
             build_parser().parse_args([gone])
-    drivers = {"serve_bench", "scale_bench", "rebalance_bench"}
-    assert {m.name for m in pkgutil.iter_modules(repro.perf.__path__)} \
-        == drivers
-    assert {name for name in vars(repro.perf)
-            if not name.startswith("_")} <= drivers
+    assert not (SRC / "perf").exists()
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.perf")
+
+
+def test_cli_runs_every_app_through_one_runner():
+    """The app subcommands are rows of one table behind one runner
+    (``cli.APPS``), which ``repro trace`` and ``repro sweep`` use too; the
+    step scenarios share one probe, and ``--shards`` is checked in one
+    place."""
+    assert set(cli.APPS) == {"lr", "kmeans", "water", "regression",
+                             "rotation"}
+    assert not {"cmd_lr", "cmd_kmeans", "cmd_water", "cmd_regression",
+                "cmd_rotation"} & set(vars(cli))
+    files = {path.relative_to(SRC).as_posix(): path.read_text()
+             for path in SRC.rglob("*.py")}
+    src = "".join(files.values())
+    assert src.count("requires --mode sharded") == 1
+    assert src.count("def _iteration_ends(") == 1
+    assert [name for name, text in files.items()
+            if "_iteration_ends" in text] == ["apps/scenarios.py"]
+    # nothing the benchmark imports loads the scenarios
+    assert "scenarios" not in (SRC / "apps" / "__init__.py").read_text()
 
 
 def test_one_message_class_per_hop():
@@ -260,7 +277,8 @@ LINE_CEILINGS = {
     "sched/policy.py": 435,
     "nimbus/protocol.py": 763,
     "nimbus/shard.py": 141,
-    "cli.py": 704,
+    "cli.py": 616,
+    "apps/scenarios.py": 372,
     "baselines/spark.py": 127,
     "baselines/naiad.py": 121,
 }
