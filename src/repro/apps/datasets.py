@@ -9,9 +9,10 @@ paper's "-opt" spin-wait mode and need no payloads).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Variables:
@@ -81,6 +82,8 @@ def make_regression_data(
     Pass ``truth`` to draw fresh samples for an existing model (held-out
     estimation data).
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     if truth is None:
         truth = rng.normal(size=dim)
@@ -103,6 +106,8 @@ def make_cluster_data(
     spread: float = 0.15,
 ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Synthetic k-means data drawn around well-separated centers."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-1.0, 1.0, size=(num_clusters, dim))
     partitions = []

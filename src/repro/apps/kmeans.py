@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..core.spec import BlockSpec, LogicalTask, StageSpec
 from ..nimbus.multijob import OID_STRIDE
 from ..nimbus.runtime import FunctionRegistry
@@ -192,6 +190,8 @@ def _load_partition(spec: KMeansSpec, kdata_base_oid: int):
 
 
 def _init_centroids(spec: KMeansSpec):
+    import numpy as np
+
     def init(ctx):
         rng = np.random.default_rng(spec.seed + 1)
         centroids = rng.uniform(-1.0, 1.0, size=(spec.num_clusters, spec.dim))
@@ -201,6 +201,8 @@ def _init_centroids(spec: KMeansSpec):
 
 
 def _assign(ctx):
+    import numpy as np
+
     points = ctx.read(ctx.read_set[0])
     centroids = ctx.read(ctx.read_set[1])["centroids"]
     dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -230,6 +232,8 @@ def _sum_stats(ctx):
 
 
 def _update_centroids(spec: KMeansSpec):
+    import numpy as np
+
     def update(ctx):
         partials = ctx.reads()
         total = None

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..core.spec import BlockSpec, LogicalTask, StageSpec
 from ..nimbus.multijob import OID_STRIDE
 from ..nimbus.runtime import FunctionRegistry
@@ -217,6 +215,8 @@ def _load_partition(spec: LRSpec, tdata_base_oid: int):
 
 
 def _init_coeff(spec: LRSpec):
+    import numpy as np
+
     def init(ctx):
         ctx.write(ctx.write_set[0], np.zeros(spec.dim))
 
@@ -224,6 +224,8 @@ def _init_coeff(spec: LRSpec):
 
 
 def _gradient(ctx):
+    import numpy as np
+
     (x, y) = ctx.read(ctx.read_set[0])
     coeff = ctx.read(ctx.read_set[1])
     logits = x @ coeff
@@ -240,6 +242,8 @@ def _sum_partials(ctx):
 
 
 def _update_coeff(spec: LRSpec):
+    import numpy as np
+
     def update(ctx):
         *partials, coeff = ctx.reads()
         grad = None

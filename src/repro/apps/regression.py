@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..core.spec import BlockSpec, LogicalTask, StageSpec
 from ..nimbus.runtime import FunctionRegistry
 from .datasets import Variables, block_home, make_regression_data
@@ -77,6 +75,8 @@ class RegressionApp:
 
     # ------------------------------------------------------------------
     def _build_registry(self) -> FunctionRegistry:
+        import numpy as np
+
         spec = self.spec
         registry = FunctionRegistry()
         tparts, truth = make_regression_data(

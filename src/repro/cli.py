@@ -43,12 +43,17 @@ SYSTEMS = {"nimbus": NimbusCluster, "spark": SparkCluster,
            "naiad": NaiadCluster, "mpi": MPICluster}
 
 
-def positive_int(text: str) -> int:
-    """The argparse type of a count flag: a positive integer."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def count_at_least(low: int) -> Callable[[str], int]:
+    """The argparse type of a count flag: an integer of at least ``low``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+
+    return count
 
 
 def _add_mode(parser, mode_help: str,
@@ -56,7 +61,7 @@ def _add_mode(parser, mode_help: str,
     parser.add_argument("--mode",
                         choices=("centralized", "decentralized", "sharded"),
                         default="centralized", help=mode_help)
-    parser.add_argument("--shards", type=positive_int, default=None,
+    parser.add_argument("--shards", type=count_at_least(1), default=None,
                         metavar="N", help=shards_help)
 
 
@@ -68,7 +73,7 @@ def _scheduling(args) -> dict:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=positive_int, default=20,
+    parser.add_argument("--workers", type=count_at_least(1), default=20,
                         help="number of worker nodes")
     parser.add_argument("--system", choices=sorted(SYSTEMS), default="nimbus",
                         help="control plane to run under")
@@ -88,9 +93,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chaos-seed", type=int, default=0,
                         help="seed for the chaos fault schedule "
                              "(same seed => identical faults)")
-    parser.add_argument("--patch-cache-cap", type=int, default=256,
-                        metavar="N", help="LRU capacity of the controller "
-                        "patch cache (default 256); nimbus only")
+    parser.add_argument("--patch-cache-cap", type=count_at_least(0),
+                        default=256, metavar="N", help="LRU capacity of the "
+                        "controller patch cache (default 256); nimbus only")
     parser.add_argument("--rebalance", action="store_true",
                         help="enable the adaptive rebalancer (workers "
                              "report per-task timings; the controller "
@@ -111,7 +116,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--autoscale-cold-start", type=float, default=None,
                         metavar="S", help="provisioning delay before a new "
                         "worker joins the live set (default 1.0)")
-    parser.add_argument("--autoscale-max-workers", type=positive_int,
+    parser.add_argument("--autoscale-max-workers", type=count_at_least(1),
                         default=None, metavar="N", help="upper bound on the "
                         "live worker count (default 4x the initial size)")
     parser.add_argument("--trace", action="store_true",
@@ -467,29 +472,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     lr = sub.add_parser("lr", help="logistic regression (Figs. 1/7a/8/9/10)")
-    _add_common(lr)
-    lr.add_argument("--iterations", type=positive_int, default=12)
-    lr.add_argument("--data-gb", type=float, default=100.0)
-    lr.add_argument("--real", action="store_true",
-                    help="run real numpy task bodies (small scale)")
-    lr.add_argument("--blocking", action="store_true",
-                    help="driver waits for each iteration")
-    lr.add_argument("--no-templates", action="store_true",
-                    help="disable execution templates (central scheduling)")
-
     km = sub.add_parser("kmeans", help="k-means clustering (Fig. 7b)")
-    _add_common(km)
-    km.add_argument("--iterations", type=positive_int, default=12)
-    km.add_argument("--data-gb", type=float, default=100.0)
-    km.add_argument("--real", action="store_true")
-    km.add_argument("--blocking", action="store_true")
-    km.add_argument("--no-templates", action="store_true")
+    for app in (lr, km):
+        _add_common(app)
+        app.add_argument("--iterations", type=count_at_least(1), default=12)
+        app.add_argument("--data-gb", type=float, default=100.0)
+        app.add_argument("--real", action="store_true",
+                         help="run real numpy task bodies (small scale)")
+        app.add_argument("--blocking", action="store_true",
+                         help="driver waits for each iteration")
+        app.add_argument("--no-templates", action="store_true", help="disable "
+                         "execution templates (central scheduling)")
 
     water = sub.add_parser("water", help="water-simulation proxy (Fig. 11)")
     _add_common(water)
     water.add_argument("--scale", type=float, default=0.1,
                        help="stage-duration scale factor")
-    water.add_argument("--frames", type=positive_int, default=1)
+    water.add_argument("--frames", type=count_at_least(1), default=1)
     water.add_argument("--frame-duration", type=float, default=0.004)
     water.add_argument("--no-templates", action="store_true")
 
@@ -503,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "exerciser; every round validates, patches once, "
                          "then hits the cache)")
     _add_common(rot)
-    rot.add_argument("--iterations", type=positive_int, default=14)
+    rot.add_argument("--iterations", type=count_at_least(1), default=14)
     for app in (lr, km, water, reg, rot):
         app.set_defaults(fn=cmd_app)
 
@@ -511,11 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run one workload across seeds (optionally in "
                       "parallel worker processes)")
     sweep.add_argument("--workload", choices=("kmeans", "lr"), default="lr")
-    sweep.add_argument("--workers", type=positive_int, default=20)
-    sweep.add_argument("--iterations", type=positive_int, default=12)
-    sweep.add_argument("--seeds", type=positive_int, default=4,
+    sweep.add_argument("--workers", type=count_at_least(1), default=20)
+    # the mean spans the later half and needs two completions in it
+    sweep.add_argument("--iterations", type=count_at_least(3), default=12)
+    sweep.add_argument("--seeds", type=count_at_least(1), default=4,
                        help="run seeds 0..N-1")
-    sweep.add_argument("--parallel", type=positive_int, default=1,
+    sweep.add_argument("--parallel", type=count_at_least(1), default=1,
                        metavar="N", help="number of worker processes "
                        "(1 = in-process)")
     sweep.set_defaults(fn=cmd_sweep)
@@ -526,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("workload", choices=sorted(_TRACE_WORKLOADS),
                        help="workload to trace (fig07=lr, fig08=kmeans, "
                             "rotation=patch exerciser)")
-    trace.add_argument("--workers", type=positive_int, default=8)
-    trace.add_argument("--iterations", type=positive_int, default=12)
+    trace.add_argument("--workers", type=count_at_least(1), default=8)
+    trace.add_argument("--iterations", type=count_at_least(1), default=12)
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--out", metavar="PATH", default=None,
                        help="output JSON path "
@@ -537,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     reb = sub.add_parser(
         "rebalance", help="automated fig09: inject a straggler mid-run and "
                           "let the adaptive rebalancer route around it")
-    reb.add_argument("--workers", type=positive_int, default=16)
-    reb.add_argument("--iterations", type=positive_int, default=40)
+    reb.add_argument("--workers", type=count_at_least(1), default=16)
+    reb.add_argument("--iterations", type=count_at_least(1), default=40)
     reb.add_argument("--seed", type=int, default=0)
     reb.add_argument("--scale", type=float, default=2.0,
                      help="straggler slowdown factor (default 2.0)")
@@ -552,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
         "autoscale", help="demand-step reconciliation: inject a scripted "
                           "demand step mid-run and let the elastic "
                           "autoscaler re-stabilize the cluster")
-    autos.add_argument("--workers", type=positive_int, default=16)
-    autos.add_argument("--iterations", type=positive_int, default=40)
+    autos.add_argument("--workers", type=count_at_least(1), default=16)
+    autos.add_argument("--iterations", type=count_at_least(1), default=40)
     autos.add_argument("--seed", type=int, default=0)
     autos.add_argument("--step", type=float, default=2.0,
                        help="demand multiplier (>1 scales up, <1 drains; "
@@ -572,21 +572,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="multi-tenant serving: seeded Poisson job arrivals "
                       "through admission control and fair-share dispatch")
-    serve.add_argument("--workers", type=positive_int, default=8)
-    serve.add_argument("--jobs", type=positive_int, default=6,
+    serve.add_argument("--workers", type=count_at_least(1), default=8)
+    serve.add_argument("--jobs", type=count_at_least(1), default=6,
                        help="number of scheduled job arrivals")
     serve.add_argument("--seed", type=int, default=0)
     _add_mode(serve, "scheduling mode every admitted job runs under")
     serve.add_argument("--mean-interarrival", type=float, default=0.05,
                        metavar="S", help="mean Poisson interarrival gap in "
                        "virtual seconds (default 0.05)")
-    serve.add_argument("--iterations", type=positive_int, default=6,
+    serve.add_argument("--iterations", type=count_at_least(1), default=6,
                        help="iterations per job")
-    serve.add_argument("--max-concurrent", type=positive_int, default=3,
+    serve.add_argument("--max-concurrent", type=count_at_least(1), default=3,
                        help="admission cap: jobs running at once")
     serve.add_argument("--queue-cap", type=int, default=8,
                        help="wait-queue length; overflow is rejected")
-    serve.add_argument("--dispatch-cap", type=positive_int, default=4,
+    serve.add_argument("--dispatch-cap", type=count_at_least(1), default=4,
                        metavar="N", help="controller dispatch cap: "
                        "concurrent block instances before fair-share "
                        "queueing kicks in")

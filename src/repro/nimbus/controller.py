@@ -161,9 +161,9 @@ class Controller(P.ReliableEndpoint, Actor):
         self.pm_epoch = 0
         self._next_window = 1
 
-        #: optional adaptive rebalancer (sched.Rebalancer), attached by the
-        #: cluster when --rebalance is on; None leaves behavior untouched
-        self.rebalancer = None
+        #: optional rebalancer (sched.Rebalancer) and autoscaler (scale.
+        #: ResourceController), attached by the cluster; None is inert
+        self.rebalancer = self.autoscaler = None
         #: cross-job load signal: every block completion folds its per-
         #: worker compute into this EWMA (pure bookkeeping, no RNG/charge);
         #: new jobs' placements start at the least-loaded worker

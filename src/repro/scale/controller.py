@@ -57,6 +57,8 @@ class ResourceController:
         #: worker ids joined but not yet spread onto (quiesce pending)
         self._spread_targets: List[int] = []
         self.ticks = 0
+        # window modes call back at every window boundary
+        cluster.controller.autoscaler = self
         # evict_workers enforces the policy floor even for manual drains
         membership = cluster.controller.membership
         membership.min_live_workers = max(
@@ -71,8 +73,16 @@ class ResourceController:
 
     def _tick(self) -> None:
         sim = self.cluster.sim
-        ctrl = self.cluster.controller
         self.ticks += 1
+        self.reconcile()
+        sim.schedule_at(sim.now + self.interval, self._tick)
+
+    def reconcile(self) -> None:
+        """Advance drains and spreads, then decide if nothing is in
+        flight: every tick, and at every self-schedule window boundary —
+        the only instant a window mode's partition map is quiesced and
+        its load observations are new."""
+        ctrl = self.cluster.controller
         self._advance_drains(ctrl)
         self._try_spread(ctrl)
         if not self.pending and not self.draining and not self._spread_targets:
@@ -82,7 +92,15 @@ class ResourceController:
                 self._scale_up(delta)
             elif delta < 0:
                 self._begin_scale_down(-delta)
-        sim.schedule_at(sim.now + self.interval, self._tick)
+
+    def observe_run(self) -> None:
+        """One closed run's load is in the tracker: a window reports all
+        its runs at its boundary, and calibrating run by run keeps the
+        target on the runs before a demand change, not the window's
+        last EWMA."""
+        ctrl = self.cluster.controller
+        self.policy.calibrate(ctrl.load_tracker,
+                              sorted(ctrl.membership.live_workers))
 
     def _log(self, action: str, **detail) -> None:
         entry = {"t": self.cluster.sim.now, "action": action, **detail}

@@ -33,6 +33,12 @@ class ScalePolicy:
         """
         raise NotImplementedError
 
+    def calibrate(self, tracker, live) -> Optional[float]:
+        """Take in one round of new samples without deciding: a closing
+        self-schedule window folds its runs one at a time through here.
+        Pure bookkeeping, like a ``decide`` that returns 0."""
+        return None
+
 
 class TargetUtilizationPolicy(ScalePolicy):
     """Target-utilization band with hysteresis and cooldown.
@@ -84,21 +90,20 @@ class TargetUtilizationPolicy(ScalePolicy):
         #: are only compared across rounds that brought new observations
         self._calib: Optional[tuple] = None
 
-    def decide(self, tracker, live) -> int:
-        if self._cooldown_left > 0:
-            self._cooldown_left -= 1
-            return 0
+    def calibrate(self, tracker, live) -> Optional[float]:
+        """The summed load of ``live`` once every worker is past warmup
+        (None before), pinning the self-calibrated target on the way."""
         if not live:
-            return 0
+            return None
         # warmup-gates arrivals: an unseen (just-provisioned) worker pins
         # min_samples at 0, so decisions wait for real post-change data
         samples = tracker.min_samples(live)
         if samples < self.warmup:
-            return 0
+            return None
         total = sum(tracker.load.get(w, 0.0) for w in live)
         mean = total / len(live)
         if mean <= 0.0:
-            return 0
+            return None
         if self.target_load is None:
             # self-calibration is pure bookkeeping on the policy object —
             # the simulation cannot observe it (determinism contract).
@@ -111,9 +116,16 @@ class TargetUtilizationPolicy(ScalePolicy):
                     self.target_load = mean
             if self._calib is None or samples > self._calib[0]:
                 self._calib = (samples, mean)
-            if self.target_load is None:
-                return 0
-        util = mean / self.target_load
+        return total
+
+    def decide(self, tracker, live) -> int:
+        if self._cooldown_left > 0:
+            self._cooldown_left -= 1
+            return 0
+        total = self.calibrate(tracker, live)
+        if total is None or self.target_load is None:
+            return 0
+        util = total / len(live) / self.target_load
         if self.low <= util <= self.high:
             return 0
         desired = round(total / self.target_load)

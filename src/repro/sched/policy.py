@@ -346,7 +346,6 @@ class DecentralizedPolicy(SchedulingPolicy):
         driver once: ``Controller._close_run`` per run, with the per-run
         driver items batched into one message."""
         c = self.controller
-        ctx = self.ctx
         items = []
         for seq in grant.seqs:
             run = c.runs.get(seq)
@@ -356,16 +355,20 @@ class DecentralizedPolicy(SchedulingPolicy):
             # at the fold: iteration-time statistics stay meaningful even
             # when a whole steady-state run fits in one window
             items.append(c._close_run(run, grant.ends.get(seq, c.sim.now)))
+            if c.autoscaler is not None:
+                c.autoscaler.observe_run()
         self._grant = None
-        c.send_reliable(ctx.driver, P.BlockCompleteBatch(items))
+        c.send_reliable(self.ctx.driver, P.BlockCompleteBatch(items))
         # the window boundary is the quiesce point: no grant is
         # outstanding for this job, so the partition map may change now
         if c.rebalancer is not None and not c.membership.stopped():
-            c.rebalancer.maybe_rebalance(ctx, grant.block_id)
+            c.rebalancer.maybe_rebalance(self.ctx, grant.block_id)
+        if c.autoscaler is not None and not c.membership.stopped():
+            c.autoscaler.reconcile()
         # ... and the checkpoint boundary, through the same accounting
         # a per-instance completion uses (a hand-written mirror here once
         # skipped it, so decentralized job-0 runs never checkpointed)
-        c.membership.count_toward_checkpoint(ctx, len(items))
+        c.membership.count_toward_checkpoint(self.ctx, len(items))
         self._pump()
         c._drain_dispatch_queue()
 
@@ -424,12 +427,9 @@ class ShardedPolicy(DecentralizedPolicy):
 
 
 def make_policy(mode: str, controller, ctx) -> SchedulingPolicy:
-    if mode == "centralized":
-        return CentralizedPolicy(controller, ctx)
-    if mode == "decentralized":
-        return DecentralizedPolicy(controller, ctx)
-    if mode == "sharded":
-        return ShardedPolicy(controller, ctx)
+    for cls in (CentralizedPolicy, DecentralizedPolicy, ShardedPolicy):
+        if cls.mode == mode:
+            return cls(controller, ctx)
     raise ValueError(
         f"unknown scheduling mode {mode!r}; "
         f"choose 'centralized', 'decentralized', or 'sharded'")

@@ -22,6 +22,7 @@ here:
 
 import pytest
 
+import repro.apps.scenarios as scenarios
 from repro.apps import KMeansApp, KMeansSpec, WaterApp, WaterSpec
 from repro.chaos import FaultPlan
 from repro.nimbus import NimbusCluster
@@ -30,6 +31,7 @@ from repro.scale import TargetUtilizationPolicy
 from .helpers import computed_values, run_lr
 
 SEEDS = range(10)
+MODES = ("centralized", "decentralized", "sharded")
 CHAOS_SEEDS = (3, 11)
 
 
@@ -117,6 +119,14 @@ def test_steady_run_takes_no_decisions():
     assert cluster.autoscaler.decisions == []
 
 
+@pytest.mark.parametrize("mode", ["decentralized", "sharded"])
+def test_steady_window_run_takes_no_decisions(mode):
+    """Nor does the reconciliation a window mode runs at each window
+    boundary act on a steady run."""
+    cluster = run_lr(iterations=30, autoscale=True, mode=mode)
+    assert cluster.autoscaler.decisions == []
+
+
 # ---------------------------------------------------------------------------
 # Convergence: a 2x demand step scales up and re-stabilizes
 # ---------------------------------------------------------------------------
@@ -146,6 +156,31 @@ def test_demand_step_scales_up_and_restabilizes():
 
     # ... and changed nothing about what was computed
     assert computed_values(auto) == computed_values(fixed)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_demand_step_takes_decisions_in_every_mode(mode, monkeypatch):
+    """A window mode reports load only when a window closes. The
+    autoscaler calibrates on the window's runs one at a time and decides
+    at the boundary, so a 2x step scales up in every mode, against the
+    target the centralized ticks pin before the step."""
+    policies = []
+    build = scenarios.build_lr_step
+
+    def recording(*args, **kwargs):
+        app, cluster = build(*args, **kwargs)
+        if cluster.autoscaler is not None:
+            policies.append(cluster.autoscaler.policy)
+        return app, cluster
+
+    monkeypatch.setattr(scenarios, "build_lr_step", recording)
+    report = scenarios.run_scale_step(
+        num_workers=8, iterations=30, step_iteration=10, mode=mode,
+        control=False)
+    assert report["decisions"] > 0
+    assert report["actions"][0] == "scale_up"
+    (policy,) = policies
+    assert policy.target_load == pytest.approx(0.0418, rel=0.01)
 
 
 def test_new_workers_receive_work():

@@ -135,6 +135,9 @@ def test_autoscale_flag_requires_nimbus():
     (["rebalance", "--fault-iteration", "4"], "fault_iteration 4"),
     (["autoscale", "--iterations", "10"], "step_iteration 12"),
     (["autoscale", "--step-iteration", "0"], "step_iteration 0"),
+    (["rotation", "--patch-cache-cap", "-1"], "--patch-cache-cap"),
+    (["sweep", "--iterations", "1"], "--iterations"),
+    (["sweep", "--iterations", "2"], "--iterations"),
 ])
 def test_counts_and_event_positions_are_checked_as_usage_errors(
         argv, named, capsys):
