@@ -12,31 +12,29 @@ and the sensitivity to control-plane speed:
    templates keep the job compute-bound; the central path degrades 4x.
 """
 
-from dataclasses import replace
-
-from repro.analysis import mean_iteration_time, render_table
-from repro.apps import LRApp, LRSpec, RegressionApp, RegressionSpec
-from repro.core import validation as validation_mod
-from repro.core import worker_template as wt_mod
-from repro.nimbus import NimbusCluster
+from repro.analysis import render_table
+from repro.apps import LRSpec, RegressionSpec
+from repro.apps.runner import RunSpec, execute
 from repro.nimbus.costs import PAPER_COSTS
 
 from conftest import emit, once
 
 
-def run_lr(num_workers=50, iterations=14, costs=None, use_templates=True,
-           no_auto_validation=False):
-    app = LRApp(LRSpec(num_workers=num_workers, iterations=iterations))
-    cluster = NimbusCluster(num_workers, app.program(blocking=False),
-                            registry=app.registry, costs=costs,
-                            use_templates=use_templates)
-    if no_auto_validation:
-        cluster.controller.validation_state.auto_validates = (
-            lambda key: False)
-    cluster.run_until_finished(max_seconds=1e6)
-    time = mean_iteration_time(cluster.metrics, "lr.iteration",
-                               skip=iterations // 2)
-    return time, cluster.metrics
+def no_auto_validation(cluster):
+    cluster.controller.validation_state.auto_validates = lambda key: False
+
+
+def no_patch_cache(cluster):
+    cluster.controller.patch_cache.lookup = lambda *args, **kwargs: None
+
+
+def run_lr(num_workers=50, iterations=14, costs=None, use_templates=None,
+           prepare=None):
+    run = execute(RunSpec(
+        LRSpec(num_workers=num_workers, iterations=iterations), costs=costs,
+        use_templates=use_templates, warmup=iterations // 2,
+        prepare=prepare))
+    return run.iteration_time, run.cluster.metrics
 
 
 def test_ablation_auto_validation(benchmark, paper_scale):
@@ -46,7 +44,7 @@ def test_ablation_auto_validation(benchmark, paper_scale):
 
     def compare():
         with_auto, m1 = run_lr(num_workers=n)
-        without_auto, m2 = run_lr(num_workers=n, no_auto_validation=True)
+        without_auto, m2 = run_lr(num_workers=n, prepare=no_auto_validation)
         return with_auto, m1, without_auto, m2
 
     with_auto, m1, without_auto, m2 = once(benchmark, compare)
@@ -74,18 +72,11 @@ def test_ablation_patch_cache(benchmark, paper_scale):
     spec = RegressionSpec(num_workers=6, threshold_e=0.0, threshold_g=0.2,
                           max_outer=8)
 
-    def run(disable_cache):
-        app = RegressionApp(replace(spec))
-        cluster = NimbusCluster(spec.num_workers, app.program(),
-                                registry=app.registry)
-        if disable_cache:
-            cluster.controller.patch_cache.lookup = (
-                lambda *args, **kwargs: None)
-        cluster.run_until_finished(max_seconds=1e6)
-        return cluster.metrics
+    def run(prepare):
+        return execute(RunSpec(spec, prepare=prepare)).cluster.metrics
 
     def compare():
-        return run(False), run(True)
+        return run(None), run(no_patch_cache)
 
     with_cache, without_cache = once(benchmark, compare)
     emit("")

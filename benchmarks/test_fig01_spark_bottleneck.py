@@ -11,10 +11,9 @@ tasks (8x slower than C++, §5.1). The required shape: computation strictly
 decreases with workers while total time is U-shaped / increasing.
 """
 
-from repro.analysis import mean_iteration_time, render_series
-from repro.analysis.breakdown import mean_compute_time
-from repro.apps import LRApp, LRSpec, MLLIB_RATE
-from repro.baselines import SparkCluster
+from repro.analysis import render_series
+from repro.apps import LRSpec, MLLIB_RATE
+from repro.apps.runner import RunSpec, execute
 
 from conftest import emit, once
 
@@ -23,15 +22,11 @@ PAPER_TOTALS = {30: 1.44, 40: 1.38, 50: 1.33, 60: 1.34, 70: 1.38,
 
 
 def run_spark_mllib(num_workers: int, iterations: int = 8):
-    app = LRApp(LRSpec(num_workers=num_workers, iterations=iterations,
-                       compute_rate=MLLIB_RATE))
-    cluster = SparkCluster(num_workers, app.program(blocking=False),
-                           registry=app.registry)
-    cluster.run_until_finished(max_seconds=1e6)
-    skip = iterations // 2
-    total = mean_iteration_time(cluster.metrics, "lr.iteration", skip=skip)
-    compute = mean_compute_time(cluster.metrics, "lr.iteration", skip=skip)
-    return total, compute
+    run = execute(RunSpec(
+        LRSpec(num_workers=num_workers, iterations=iterations,
+               compute_rate=MLLIB_RATE),
+        system="spark", warmup=iterations // 2))
+    return run.iteration_time, run.compute_time
 
 
 def test_fig01_spark_mllib_scaling(benchmark, paper_scale):

@@ -14,10 +14,9 @@ Shape: Nimbus ≈ Naiad, both scale out nearly linearly; Spark scales
 
 import pytest
 
-from repro.analysis import mean_iteration_time, render_series
-from repro.apps import KMeansApp, KMeansSpec, LRApp, LRSpec
-from repro.baselines import NaiadCluster, SparkCluster
-from repro.nimbus import NimbusCluster
+from repro.analysis import render_series
+from repro.apps import KMeansSpec, LRSpec
+from repro.apps.runner import RunSpec, execute
 
 from conftest import emit, once
 
@@ -30,39 +29,25 @@ PAPER = {
                "Nimbus": [0.32, 0.15, 0.10]},
 }
 
-SYSTEMS = [("Spark-opt", SparkCluster), ("Naiad-opt", NaiadCluster),
-           ("Nimbus", NimbusCluster)]
+SYSTEMS = [("Spark-opt", "spark"), ("Naiad-opt", "naiad"),
+           ("Nimbus", "nimbus")]
 
-_MEASURED = {}
-
-
-def run_app(app_cls, spec_cls, cluster_cls, num_workers, iterations=14):
-    app = app_cls(spec_cls(num_workers=num_workers, iterations=iterations))
-    cluster = cluster_cls(num_workers, app.program(blocking=False),
-                          registry=app.registry)
-    cluster.run_until_finished(max_seconds=1e6)
-    block_id = app.iteration_block.block_id
-    return mean_iteration_time(cluster.metrics, block_id,
-                               skip=iterations // 2)
+def run_app(spec_cls, system, num_workers, iterations=14):
+    return execute(RunSpec(
+        spec_cls(num_workers=num_workers, iterations=iterations),
+        system=system, warmup=iterations // 2)).iteration_time
 
 
-def sweep(app_cls, spec_cls, worker_counts):
-    results = {}
-    for name, cluster_cls in SYSTEMS:
-        results[name] = [
-            run_app(app_cls, spec_cls, cluster_cls, n)
-            for n in worker_counts
-        ]
-    return results
+def sweep(spec_cls, worker_counts):
+    return {name: [run_app(spec_cls, system, n) for n in worker_counts]
+            for name, system in SYSTEMS}
 
 
 @pytest.mark.parametrize("workload", ["lr", "kmeans"])
 def test_fig07_iteration_time(benchmark, paper_scale, workload):
     worker_counts = [20, 50, 100] if paper_scale else [10, 20]
-    app_cls, spec_cls = ((LRApp, LRSpec) if workload == "lr"
-                         else (KMeansApp, KMeansSpec))
-    results = once(benchmark, sweep, app_cls, spec_cls, worker_counts)
-    _MEASURED[workload] = results
+    spec_cls = LRSpec if workload == "lr" else KMeansSpec
+    results = once(benchmark, sweep, spec_cls, worker_counts)
 
     label = ("7a — logistic regression" if workload == "lr"
              else "7b — k-means clustering")

@@ -5,21 +5,17 @@ Nimbus grows superlinearly to ~128,000 tasks/second at 100 workers (more
 workers simultaneously create more tasks *and* make each task shorter).
 """
 
-from repro.analysis import render_series, task_throughput
-from repro.apps import LRApp, LRSpec
-from repro.baselines import SparkCluster
-from repro.nimbus import NimbusCluster
+from repro.analysis import render_series
+from repro.apps import LRSpec
+from repro.apps.runner import RunSpec, execute
 
 from conftest import emit, once
 
 
-def run_throughput(cluster_cls, num_workers, iterations=14):
-    app = LRApp(LRSpec(num_workers=num_workers, iterations=iterations))
-    cluster = cluster_cls(num_workers, app.program(blocking=False),
-                          registry=app.registry)
-    cluster.run_until_finished(max_seconds=1e6)
-    return task_throughput(cluster.metrics, "lr.iteration",
-                           skip=iterations // 2)
+def run_throughput(system, num_workers, iterations=14):
+    return execute(RunSpec(
+        LRSpec(num_workers=num_workers, iterations=iterations),
+        system=system, warmup=iterations // 2)).throughput
 
 
 def test_fig08_task_throughput(benchmark, paper_scale):
@@ -28,8 +24,8 @@ def test_fig08_task_throughput(benchmark, paper_scale):
 
     def sweep():
         return (
-            [run_throughput(SparkCluster, n) for n in worker_counts],
-            [run_throughput(NimbusCluster, n) for n in worker_counts],
+            [run_throughput("spark", n) for n in worker_counts],
+            [run_throughput("nimbus", n) for n in worker_counts],
         )
 
     spark, nimbus = once(benchmark, sweep)

@@ -11,10 +11,9 @@ reverts to the cached 100-worker templates, explicitly validates them
 once, and iteration time returns to 60 ms.
 """
 
-from repro.analysis import iteration_breakdowns, render_table
-from repro.apps import LRApp, LRSpec
-from repro.nimbus import NimbusCluster
-from repro.nimbus import protocol as P
+from repro.analysis import render_table
+from repro.apps import LRSpec
+from repro.apps.runner import RunSpec, execute
 
 from conftest import emit, once
 
@@ -25,40 +24,22 @@ TOTAL_ITERS = 36
 
 
 def run_timeline(num_workers):
-    spec = LRSpec(num_workers=num_workers, iterations=TOTAL_ITERS)
-    app = LRApp(spec)
-    box = {}
     state = {}
+    half = list(range(num_workers // 2, num_workers))
 
     def evict(controller):
         state["placement"] = controller.membership.snapshot_placement()
         state["versions"] = controller.membership.snapshot_versions()
-        controller.membership.evict_workers(list(range(num_workers // 2, num_workers)))
+        controller.membership.evict_workers(half)
 
     def restore(controller):
         controller.membership.restore_workers(
-            list(range(num_workers // 2, num_workers)),
-            state["placement"], state["versions"])
+            half, state["placement"], state["versions"])
 
-    def program(job):
-        job.disable_templates()
-        yield job.define(app.variables.definitions)
-        yield job.run(app.init_block)
-        controller = box["cluster"].controller
-        for i in range(TOTAL_ITERS):
-            if i == ENABLE_AT:
-                job.enable_templates()
-            elif i == EVICT_AT:
-                controller.deliver(P.ManagerDirective(evict))
-            elif i == RESTORE_AT:
-                controller.deliver(P.ManagerDirective(restore))
-            yield job.run(app.iteration_block, {"step": spec.step_size})
-
-    cluster = NimbusCluster(num_workers, program, registry=app.registry,
-                            use_templates=False)
-    box["cluster"] = cluster
-    cluster.run_until_finished(max_seconds=1e6)
-    return iteration_breakdowns(cluster.metrics, block_id="lr.iteration")
+    return execute(RunSpec(
+        LRSpec(num_workers=num_workers, iterations=TOTAL_ITERS),
+        use_templates=False, blocking=True, enable_templates_at=ENABLE_AT,
+        directives=((EVICT_AT, evict), (RESTORE_AT, restore)))).breakdowns
 
 
 def test_fig09_dynamic_timeline(benchmark, paper_scale):

@@ -9,10 +9,8 @@ twice as fast.
 """
 
 from repro.analysis import render_table
-from repro.apps import LRApp, LRSpec
-from repro.baselines import NaiadCluster
-from repro.nimbus import NimbusCluster
-from repro.nimbus import protocol as P
+from repro.apps import LRSpec
+from repro.apps.runner import RunSpec, execute
 
 from conftest import emit, once
 
@@ -21,30 +19,22 @@ MIGRATE_EVERY = 5
 WARMUP = 4  # template installation iterations before measurement starts
 
 
-def run_baseline(cluster_cls, num_workers):
+def measured_span(run):
+    """Span of the 20 measured iterations (after the warm-up window)."""
+    return run.iteration_ends[-1] - run.iteration_ends[WARMUP - 1]
+
+
+def run_baseline(system, num_workers):
     """20 iterations with no migrations (for the paper's Naiad methodology:
     'the curve here is simulated from the numbers in Table 3 and Fig 7a')."""
-    spec = LRSpec(num_workers=num_workers, iterations=WARMUP + ITERATIONS)
-    app = LRApp(spec)
-
-    def program(job):
-        yield job.define(app.variables.definitions)
-        yield job.run(app.init_block)
-        for _ in range(WARMUP + ITERATIONS):
-            yield job.run(app.iteration_block, {"step": spec.step_size})
-
-    cluster = cluster_cls(num_workers, program, registry=app.registry)
-    cluster.run_until_finished(max_seconds=1e6)
-    ends = sorted(iv.end for iv in cluster.metrics.intervals["driver_block"]
-                  if iv.labels["block_id"] == "lr.iteration")
-    return ends[-1] - ends[WARMUP - 1]
+    return measured_span(execute(RunSpec(
+        LRSpec(num_workers=num_workers, iterations=WARMUP + ITERATIONS),
+        system=system, blocking=True)))
 
 
-def run_with_migrations(cluster_cls, num_workers, fraction=0.05):
+def run_with_migrations(system, num_workers, fraction=0.05):
     spec = LRSpec(num_workers=num_workers,
                   iterations=WARMUP + ITERATIONS)
-    app = LRApp(spec)
-    box = {}
     count = max(1, int(fraction * spec.num_partitions))
     state = {"round": 0}
 
@@ -62,24 +52,11 @@ def run_with_migrations(cluster_cls, num_workers, fraction=0.05):
             moves.append((task, (src + num_workers // 2) % num_workers))
         controller.migrate_tasks("lr.iteration", moves)
 
-    def program(job):
-        yield job.define(app.variables.definitions)
-        yield job.run(app.init_block)
-        controller = box["cluster"].controller
-        for _ in range(WARMUP):  # install templates before measuring
-            yield job.run(app.iteration_block, {"step": spec.step_size})
-        for i in range(ITERATIONS):
-            if i % MIGRATE_EVERY == 0:  # 4 rounds: iterations 0/5/10/15
-                controller.deliver(P.ManagerDirective(migrate))
-            yield job.run(app.iteration_block, {"step": spec.step_size})
-
-    cluster = cluster_cls(num_workers, program, registry=app.registry)
-    box["cluster"] = cluster
-    cluster.run_until_finished(max_seconds=1e6)
-    # span of the 20 measured iterations (after the warm-up window)
-    ends = sorted(iv.end for iv in cluster.metrics.intervals["driver_block"]
-                  if iv.labels["block_id"] == "lr.iteration")
-    return ends[-1] - ends[WARMUP - 1], cluster.metrics
+    # 4 rounds, at measured iterations 0/5/10/15: templates are installed
+    # in the warm-up window before the first
+    run = execute(RunSpec(spec, system=system, blocking=True, directives=tuple(
+        (WARMUP + i, migrate) for i in range(0, ITERATIONS, MIGRATE_EVERY))))
+    return measured_span(run), run.cluster.metrics
 
 
 def test_fig10_migration_overhead(benchmark, paper_scale):
@@ -89,10 +66,10 @@ def test_fig10_migration_overhead(benchmark, paper_scale):
 
     def compare():
         nimbus_time, nimbus_metrics = run_with_migrations(
-            NimbusCluster, num_workers)
+            "nimbus", num_workers)
         naiad_measured, naiad_metrics = run_with_migrations(
-            NaiadCluster, num_workers)
-        naiad_base = run_baseline(NaiadCluster, num_workers)
+            "naiad", num_workers)
+        naiad_base = run_baseline("naiad", num_workers)
         return (nimbus_time, nimbus_metrics, naiad_measured, naiad_metrics,
                 naiad_base)
 

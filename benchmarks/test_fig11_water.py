@@ -16,9 +16,8 @@ times slower, bottlenecked on the controller.
 """
 
 from repro.analysis import render_table
-from repro.apps import WaterApp, WaterSpec
-from repro.baselines import MPICluster
-from repro.nimbus import NimbusCluster
+from repro.apps import WaterSpec
+from repro.apps.runner import RunSpec, execute
 
 from conftest import emit, once
 
@@ -31,32 +30,25 @@ def make_spec(paper_scale, frames):
                      scale=0.2, frame_duration=0.004, frames=frames)
 
 
-def run_water(cluster_cls, paper_scale, use_templates=True, frames=2):
+def run_water(system, paper_scale, use_templates=None, frames=2):
     """Run ``frames`` frames and return the *steady-state* frame time (the
     last frame: templates are installed during the first one, matching the
     paper's measurement of the main outer loop in steady state)."""
-    spec = make_spec(paper_scale, frames)
-    app = WaterApp(spec)
-    frame_log = []
-    kwargs = {}
-    if cluster_cls is NimbusCluster:
-        kwargs["use_templates"] = use_templates
-    cluster = cluster_cls(spec.num_workers, app.program(frame_log=frame_log),
-                          registry=app.registry, **kwargs)
-    cluster.run_until_finished(max_seconds=1e7)
-    boundaries = [0.0] + frame_log
+    run = execute(RunSpec(make_spec(paper_scale, frames), system=system,
+                          use_templates=use_templates))
+    boundaries = [0.0] + run.frame_ends
     frame_times = [b - a for a, b in zip(boundaries, boundaries[1:])]
-    return frame_times[-1], cluster
+    return frame_times[-1], run.cluster
 
 
 def test_fig11_water_simulation(benchmark, paper_scale):
     spec = make_spec(paper_scale, frames=2)
 
     def compare():
-        mpi_time, _ = run_water(MPICluster, paper_scale)
-        nimbus_time, nimbus = run_water(NimbusCluster, paper_scale,
+        mpi_time, _ = run_water("mpi", paper_scale)
+        nimbus_time, nimbus = run_water("nimbus", paper_scale,
                                         use_templates=True)
-        central_time, _ = run_water(NimbusCluster, paper_scale,
+        central_time, _ = run_water("nimbus", paper_scale,
                                     use_templates=False)
         return mpi_time, nimbus_time, central_time, nimbus
 

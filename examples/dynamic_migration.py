@@ -9,17 +9,13 @@ revalidated and reused). Prints the per-iteration timeline.
 Run:  python examples/dynamic_migration.py
 """
 
-from repro.analysis import iteration_breakdowns
-from repro.apps import LRApp, LRSpec
-from repro.nimbus import NimbusCluster
-from repro.nimbus import protocol as P
+from repro.apps import LRSpec
+from repro.apps.runner import RunSpec, execute
 
 
 def main() -> None:
     num_workers = 16
-    spec = LRSpec(num_workers=num_workers, data_bytes=10e9, iterations=1)
-    app = LRApp(spec)
-    box = {}
+    spec = LRSpec(num_workers=num_workers, data_bytes=10e9, iterations=24)
     state = {}
 
     def migrate(controller):
@@ -43,27 +39,11 @@ def main() -> None:
         print("  -> cluster manager returned the workers; cached templates "
               "revalidate")
 
-    def program(job):
-        yield job.define(app.variables.definitions)
-        yield job.run(app.init_block)
-        controller = box["cluster"].controller
-        for i in range(24):
-            if i == 8:
-                controller.deliver(P.ManagerDirective(migrate))
-            elif i == 12:
-                controller.deliver(P.ManagerDirective(evict))
-            elif i == 18:
-                controller.deliver(P.ManagerDirective(restore))
-            yield job.run(app.iteration_block, {"step": spec.step_size})
-
-    cluster = NimbusCluster(num_workers, program, registry=app.registry,
-                            use_templates=True)
-    box["cluster"] = cluster
-    cluster.run_until_finished(max_seconds=1e5)
+    run = execute(RunSpec(spec, use_templates=True, blocking=True, directives=(
+        (8, migrate), (12, evict), (18, restore))))
 
     print("\nPer-iteration timeline (cf. Fig. 9):")
-    rows = iteration_breakdowns(cluster.metrics, block_id="lr.iteration")
-    for i, row in enumerate(rows):
+    for i, row in enumerate(run.breakdowns):
         note = {8: "  <- 12.5% migrated via edits",
                 12: "  <- half the workers evicted",
                 18: "  <- workers restored"}.get(i, "")
@@ -71,7 +51,7 @@ def main() -> None:
               f"(compute {row.compute * 1000:7.1f} ms, "
               f"control {row.control * 1000:7.1f} ms, {row.mode}){note}")
 
-    metrics = cluster.metrics
+    metrics = run.cluster.metrics
     print(f"\nEdits applied: {metrics.count('edits_applied'):.0f} "
           f"(41 us each in the paper's Table 3)")
     print(f"Worker-template regenerations: "

@@ -11,9 +11,9 @@ Run:  python examples/kmeans_clustering.py
 
 import numpy as np
 
-from repro.apps import KMeansApp, KMeansSpec
+from repro.apps import KMeansSpec
 from repro.apps.datasets import make_cluster_data
-from repro.nimbus import NimbusCluster
+from repro.apps.runner import RunSpec, execute
 
 
 def main() -> None:
@@ -26,11 +26,8 @@ def main() -> None:
         real_compute=True,
         rows_per_partition=250,
     )
-    app = KMeansApp(spec)
-    cluster = NimbusCluster(spec.num_workers,
-                            app.convergence_program(tolerance=1e-3),
-                            registry=app.registry, use_templates=True)
-    cluster.run_until_finished(max_seconds=1e4)
+    run = execute(RunSpec(spec, use_templates=True, tolerance=1e-3))
+    cluster = run.cluster
 
     inertia = [iv.labels["results"]["inertia"]
                for iv in cluster.metrics.intervals["block"]
@@ -39,7 +36,7 @@ def main() -> None:
     for i, value in enumerate(inertia, start=1):
         print(f"  iteration {i:2d}: {value:12.2f}")
 
-    learned = cluster.workers[0].store.get(app.centroids)["centroids"]
+    learned = cluster.workers[0].store.get(run.app.centroids)["centroids"]
     _parts, centers = make_cluster_data(
         spec.num_partitions, spec.rows_per_partition, spec.dim,
         spec.num_clusters, spec.seed)

@@ -13,26 +13,19 @@ Run:  python examples/lr_scaling.py          (~1 minute)
 
 import sys
 
-from repro.analysis import mean_iteration_time, render_series, task_throughput
-from repro.apps import LRApp, LRSpec
-from repro.baselines import NaiadCluster, SparkCluster
-from repro.nimbus import NimbusCluster
+from repro.analysis import render_series
+from repro.apps import LRSpec
+from repro.apps.runner import RunSpec, execute
 
-SYSTEMS = [
-    ("Spark-opt", SparkCluster),
-    ("Naiad-opt", NaiadCluster),
-    ("Nimbus", NimbusCluster),
-]
+SYSTEMS = [("Spark-opt", "spark"), ("Naiad-opt", "naiad"),
+           ("Nimbus", "nimbus")]
 
 
-def run_one(cls, num_workers: int, iterations: int = 14):
-    app = LRApp(LRSpec(num_workers=num_workers, iterations=iterations))
-    cluster = cls(num_workers, app.program(blocking=False),
-                  registry=app.registry)
-    cluster.run_until_finished(max_seconds=1e5)
-    skip = iterations // 2
-    return (mean_iteration_time(cluster.metrics, "lr.iteration", skip=skip),
-            task_throughput(cluster.metrics, "lr.iteration", skip=skip))
+def run_one(system: str, num_workers: int, iterations: int = 14):
+    run = execute(RunSpec(
+        LRSpec(num_workers=num_workers, iterations=iterations),
+        system=system, warmup=iterations // 2))
+    return run.iteration_time, run.throughput
 
 
 def main() -> None:
@@ -41,8 +34,8 @@ def main() -> None:
     times = {name: [] for name, _ in SYSTEMS}
     throughputs = {name: [] for name, _ in SYSTEMS}
     for n in worker_counts:
-        for name, cls in SYSTEMS:
-            iteration_s, tput = run_one(cls, n)
+        for name, system in SYSTEMS:
+            iteration_s, tput = run_one(system, n)
             times[name].append(iteration_s)
             throughputs[name].append(tput)
             print(f"  {name:10s} @ {n:3d} workers: "

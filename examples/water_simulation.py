@@ -12,8 +12,8 @@ Run:  python examples/water_simulation.py
 
 from collections import Counter
 
-from repro.apps import WaterApp, WaterSpec
-from repro.nimbus import NimbusCluster
+from repro.apps import WaterSpec
+from repro.apps.runner import RunSpec, execute
 
 
 def main() -> None:
@@ -24,15 +24,12 @@ def main() -> None:
         frame_duration=0.01,   # a short frame: ~5 substeps
         reseed_every=3,
     )
-    app = WaterApp(spec)
-    print(f"Simulation variables: {app.num_variables} "
+    run = execute(RunSpec(spec, use_templates=True))
+    cluster = run.cluster
+    print(f"Simulation variables: {run.app.num_variables} "
           f"(paper: 'over 40 different variables')")
     print(f"Computational stages per substep: 21")
     print(f"Expected substeps this frame: {spec.expected_substeps()}\n")
-
-    cluster = NimbusCluster(spec.num_workers, app.program(),
-                            registry=app.registry, use_templates=True)
-    cluster.run_until_finished(max_seconds=1e5)
 
     blocks = Counter(iv.labels["block_id"]
                      for iv in cluster.metrics.intervals["block"])

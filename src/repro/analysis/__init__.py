@@ -3,6 +3,7 @@
 from .breakdown import (
     IterationBreakdown,
     iteration_breakdowns,
+    iteration_ends,
     mean_iteration_time,
     task_throughput,
 )
@@ -18,6 +19,7 @@ __all__ = [
     "IterationBreakdown",
     "critical_path",
     "iteration_breakdowns",
+    "iteration_ends",
     "mean_iteration_time",
     "render_bars",
     "render_critical_path",

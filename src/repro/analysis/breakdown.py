@@ -75,7 +75,7 @@ def mean_iteration_time(metrics: Metrics, block_id: str,
     iterations (template installation warm-up) seed the baseline and are
     excluded from the mean.
     """
-    ends = _completion_times(metrics, block_id)
+    ends = iteration_ends(metrics, block_id)
     if len(ends) <= skip + 1:
         raise ValueError(
             f"need more than {skip + 1} iterations of {block_id!r}; "
@@ -130,7 +130,9 @@ def _iteration_intervals(metrics: Metrics, block_id: str):
     return intervals
 
 
-def _completion_times(metrics: Metrics, block_id: str) -> List[float]:
+def iteration_ends(metrics: Metrics, block_id: str) -> List[float]:
+    """When each iteration of ``block_id`` ended, in order, leaving out
+    the ones in flight when recovery restored the job (``aborted``)."""
     return [iv.end for iv in _iteration_intervals(metrics, block_id)]
 
 

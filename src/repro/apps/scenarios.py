@@ -35,10 +35,10 @@ measured run's prefix is bit-identical to the probe.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import time
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..chaos import FaultPlan
@@ -46,6 +46,7 @@ from ..nimbus import NimbusCluster, merged_registry
 from .kmeans import KMeansApp, KMeansSpec
 from .lr import LRApp, LRSpec
 from .rotation import RotationApp, RotationSpec
+from .runner import Run, RunSpec, execute
 
 #: job mix, cycled in arrival order. Sized well below the paper-figure
 #: runs: the point is concurrency and queueing, not per-job scale.
@@ -158,8 +159,6 @@ def run_job_arrival(
     )
 
 
-BLOCK_ID = "lr.iteration"
-
 #: tdata partition size: small enough that the one-time relocation copies
 #: (~26 ms each at 1.25 GB/s) cost well under one iteration, large enough
 #: that the 10.5 ms gradient dominates the 0.3–2 ms reduction tasks
@@ -170,49 +169,22 @@ class NoRoom(ValueError):
     """The scripted event leaves no iterations to measure on one side."""
 
 
-def build_lr_step(
-    num_workers: int, iterations: int, seed: int = 0,
-    partitions_per_worker: int = 4,
-    fault: Optional[Callable[[FaultPlan], FaultPlan]] = None,
-    **cluster_kwargs: Any,
-) -> Tuple[LRApp, NimbusCluster]:
-    """Wire the step scenarios' LR cluster. ``fault`` scripts the event
-    onto a fresh ``FaultPlan(seed)`` (None runs fault-free);
-    ``cluster_kwargs`` switch on the rebalancer or the autoscaler."""
-    app = LRApp(LRSpec(
-        num_workers=num_workers,
-        data_bytes=BYTES_PER_PARTITION * num_workers * partitions_per_worker,
-        partitions_per_worker=partitions_per_worker, iterations=iterations))
-    plan = None if fault is None else fault(FaultPlan(seed))
-    cluster = NimbusCluster(
-        num_workers, app.program(blocking=False), registry=app.registry,
-        seed=seed, chaos_plan=plan, trace=False, **cluster_kwargs)
-    return app, cluster
-
-
-def _iteration_ends(cluster) -> Tuple[List[float], List[float]]:
-    """When each iteration of the run ended, and the spacing of those ends
-    (``spacing[k]`` is iteration k + 2's)."""
-    ends = sorted(iv.end for iv in cluster.metrics.intervals["driver_block"]
-                  if iv.labels.get("block_id") == BLOCK_ID
-                  and not iv.labels.get("aborted"))
-    return ends, [b - a for a, b in zip(ends, ends[1:])]
-
-
 def _probe(num_workers: int, iterations: int, seed: int,
            partitions_per_worker: int, at: int, skip: int, window: int,
-           name: str) -> Tuple[float, float]:
-    """Run the scenario fault-free: the virtual time iteration ``at``
-    ends, and the mean iteration time after the ``skip`` warm-up
-    iterations up to there."""
+           name: str) -> Tuple[RunSpec, float, float]:
+    """The step scenarios' pipelined LR run, and from running it
+    fault-free: the virtual time iteration ``at`` ends, and the mean
+    iteration time after the ``skip`` warm-up iterations up to there."""
     if not skip < at < iterations - window:
         raise NoRoom(f"{name} {at} leaves no room to measure recovery: it "
                      f"must be above {skip} and below {iterations - window}")
-    _, probe = build_lr_step(num_workers, iterations, seed,
-                             partitions_per_worker)
-    probe.run_until_finished()
-    ends, _ = _iteration_ends(probe)
-    return ends[at - 1], (ends[at - 1] - ends[skip - 1]) / (at - skip)
+    spec = RunSpec(LRSpec(
+        num_workers=num_workers,
+        data_bytes=BYTES_PER_PARTITION * num_workers * partitions_per_worker,
+        partitions_per_worker=partitions_per_worker, iterations=iterations),
+        seed=seed, trace=False)
+    ends = execute(spec).iteration_ends
+    return spec, ends[at - 1], (ends[at - 1] - ends[skip - 1]) / (at - skip)
 
 
 def run_fig09_auto(
@@ -229,16 +201,15 @@ def run_fig09_auto(
     ``rebalance=False``, the control experiment). ``recovered_iteration_
     time`` is the mean spacing of the final ``window`` iterations.
     """
-    fault_at, pre = _probe(num_workers, iterations, seed,
-                           partitions_per_worker, fault_iteration, skip,
-                           window, "fault_iteration")
+    spec, fault_at, pre = _probe(num_workers, iterations, seed,
+                                 partitions_per_worker, fault_iteration,
+                                 skip, window, "fault_iteration")
     straggler = num_workers - 1
-    _, cluster = build_lr_step(
-        num_workers, iterations, seed, partitions_per_worker,
-        fault=lambda plan: plan.slow_worker(fault_at, straggler, scale),
-        rebalance=rebalance)
-    cluster.run_until_finished()
-    _, spacing = _iteration_ends(cluster)
+    run = execute(replace(
+        spec, rebalance=rebalance,
+        chaos_plan=FaultPlan(seed).slow_worker(fault_at, straggler, scale)))
+    ends = run.iteration_ends
+    spacing = [b - a for a, b in zip(ends, ends[1:])]
     peak = max(spacing[fault_iteration - 1:])
     recovered = sum(spacing[-window:]) / window
     threshold = recovery_slack * pre
@@ -252,8 +223,7 @@ def run_fig09_auto(
         # spacing[k] measures iteration k+2; the first clean one is k+3
         iterations_to_recover = (bad[-1] + 3) - fault_iteration
 
-    counters = cluster.metrics.counters_snapshot()
-    decisions = list(getattr(cluster.rebalancer, "decisions", ()))
+    decisions = list(getattr(run.cluster.rebalancer, "decisions", ()))
     moves = sum(len(applied) for (_t, _b, applied, _m) in decisions)
     mechanisms = sorted({mech for (_t, _b, _a, mech) in decisions})
     converged = (iterations_to_recover is not None
@@ -271,21 +241,12 @@ def run_fig09_auto(
         recovery_ratio=recovered / pre if pre > 0 else float("inf"),
         iterations_to_recover=iterations_to_recover,
         decisions=len(decisions), moves=moves, mechanisms=mechanisms,
-        edits_applied=counters.get("edits_applied", 0.0),
-        rebalance_moves=counters.get("rebalance_moves", 0.0),
-        worker_template_regenerations=counters.get(
-            "worker_template_regenerations", 0.0),
+        edits_applied=run.count("edits_applied"),
+        rebalance_moves=run.count("rebalance_moves"),
+        worker_template_regenerations=run.count(
+            "worker_template_regenerations"),
         converged=converged,
     )
-
-
-def _values_digest(cluster) -> str:
-    """sha256 over the job-0 results history — placement-independent."""
-    ctx = cluster.controller.jobs[0]
-    h = hashlib.sha256()
-    for block_id, results in ctx.results_history:
-        h.update(repr((block_id, sorted(results.items()))).encode())
-    return h.hexdigest()
 
 
 def run_scale_step(
@@ -311,23 +272,22 @@ def run_scale_step(
     run with the identical step: equal executed-task counts and an
     identical results digest.
     """
-    step_at, pre = _probe(num_workers, iterations, seed,
-                          partitions_per_worker, step_iteration, skip,
-                          window, "step_iteration")
+    spec, step_at, pre = _probe(num_workers, iterations, seed,
+                                partitions_per_worker, step_iteration, skip,
+                                window, "step_iteration")
     interval = pre if interval is None else interval
     cold_start = 4 * interval if cold_start is None else cold_start
 
-    def stepped(**cluster_kwargs):
-        _, cluster = build_lr_step(
-            num_workers, iterations, seed, partitions_per_worker,
-            fault=lambda plan: plan.demand_step(step_at, step),
-            mode=mode, shards=shards, **cluster_kwargs)
-        cluster.run_until_finished()
-        return cluster
+    def stepped(**settings) -> Run:
+        return execute(replace(
+            spec, chaos_plan=FaultPlan(seed).demand_step(step_at, step),
+            mode=mode, shards=shards, **settings))
 
-    cluster = stepped(autoscale=True, autoscale_interval=interval,
-                      autoscale_cold_start=cold_start)
-    _, spacing = _iteration_ends(cluster)
+    run = stepped(autoscale=True, autoscale_interval=interval,
+                  autoscale_cold_start=cold_start)
+    cluster = run.cluster
+    ends = run.iteration_ends
+    spacing = [b - a for a, b in zip(ends, ends[1:])]
     final = sum(spacing[-window:]) / window if len(spacing) >= window else None
 
     decisions = list(cluster.autoscaler.decisions)
@@ -338,7 +298,6 @@ def run_scale_step(
                       if decisions else None)
     ticks_to_stable = (int(round(time_to_stable / interval))
                        if time_to_stable is not None else None)
-    counters = cluster.metrics.counters_snapshot()
     converged = (cluster.job.finished
                  and (time_to_stable is None
                       or ticks_to_stable <= stable_ticks_bound))
@@ -354,19 +313,18 @@ def run_scale_step(
         final_iteration_time=final, time_to_stable=time_to_stable,
         ticks_to_stable=ticks_to_stable,
         workers_final=len(cluster.controller.live_workers),
-        workers_added=int(counters.get("scale.workers_added", 0.0)),
-        workers_drained=int(counters.get("scale.workers_drained", 0.0)),
-        spread_moves=int(counters.get("scale.spread_moves", 0.0)),
+        workers_added=int(run.count("scale.workers_added")),
+        workers_drained=int(run.count("scale.workers_drained")),
+        spread_moves=int(run.count("scale.spread_moves")),
         decisions=len(decisions), actions=actions, mechanisms=mechanisms,
-        tasks_executed=int(counters.get("tasks_executed", 0.0)),
+        tasks_executed=int(run.count("tasks_executed")),
         converged=converged,
     )
     if control:
         fixed = stepped()
-        report["control_tasks_executed"] = int(
-            fixed.metrics.count("tasks_executed"))
+        report["control_tasks_executed"] = int(fixed.count("tasks_executed"))
         report["zero_loss"] = (
             report["tasks_executed"] == report["control_tasks_executed"]
-            and _values_digest(cluster) == _values_digest(fixed))
+            and run.digest == fixed.digest)
         report["converged"] = converged and report["zero_loss"]
     return report

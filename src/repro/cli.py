@@ -25,22 +25,15 @@ import cProfile
 import math
 import multiprocessing
 import sys
-import time
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from .analysis import (critical_path, mean_iteration_time,
-                       render_critical_path, render_table, task_throughput)
-from .apps import (KMeansApp, KMeansSpec, LRApp, LRSpec, RegressionApp,
-                   RegressionSpec, RotationApp, RotationSpec, WaterApp,
+from .analysis import critical_path, render_critical_path, render_table
+from .apps import (KMeansSpec, LRSpec, RegressionSpec, RotationSpec,
                    WaterSpec, scenarios)
-from .baselines import MPICluster, NaiadCluster, SparkCluster
+from .apps.runner import SYSTEMS, Run, RunSpec, execute
 from .chaos import PROFILES, FaultPlan
-from .nimbus import NimbusCluster
 from .obs import write_chrome_trace
-
-SYSTEMS = {"nimbus": NimbusCluster, "spark": SparkCluster,
-           "naiad": NaiadCluster, "mpi": MPICluster}
 
 
 def count_at_least(low: int) -> Callable[[str], int]:
@@ -54,6 +47,21 @@ def count_at_least(low: int) -> Callable[[str], int]:
         return value
 
     return count
+
+
+def float_above(low: float, inclusive: bool = False) -> Callable[[str], float]:
+    """The argparse type of a float flag: a number above ``low`` (at
+    least ``low`` if ``inclusive``)."""
+
+    def number(text: str) -> float:
+        value = float(text)
+        if not (value >= low if inclusive else value > low):  # NaN too
+            raise argparse.ArgumentTypeError(
+                f"must be {'at least' if inclusive else 'above'} {low}, "
+                f"got {value}")
+        return value
+
+    return number
 
 
 def _add_mode(parser, mode_help: str,
@@ -110,10 +118,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "reconciliation against the load EWMA; scales "
                              "up via provision+spread, down via the "
                              "DRAINING drain); nimbus only")
-    parser.add_argument("--autoscale-interval", type=float, default=None,
-                        metavar="S", help="reconciliation tick period in "
-                        "virtual seconds (default 0.25)")
-    parser.add_argument("--autoscale-cold-start", type=float, default=None,
+    parser.add_argument("--autoscale-interval", type=float_above(0),
+                        default=None, metavar="S", help="reconciliation "
+                        "tick period in virtual seconds (default 0.25)")
+    parser.add_argument("--autoscale-cold-start",
+                        type=float_above(0, inclusive=True), default=None,
                         metavar="S", help="provisioning delay before a new "
                         "worker joins the live set (default 1.0)")
     parser.add_argument("--autoscale-max-workers", type=count_at_least(1),
@@ -154,35 +163,33 @@ def _cluster_kwargs(args) -> dict:
     if args.autoscale:
         _needs_nimbus(args, "--autoscale", "the baselines cannot re-home "
                       "installed templates onto provisioned workers")
-        kwargs["autoscale"] = True
-        for name in ("autoscale_interval", "autoscale_cold_start",
-                     "autoscale_max_workers"):
-            if getattr(args, name) is not None:
-                kwargs[name] = getattr(args, name)
+        kwargs.update(autoscale=True,  # a None leaves the default
+                      autoscale_interval=args.autoscale_interval,
+                      autoscale_cold_start=args.autoscale_cold_start,
+                      autoscale_max_workers=args.autoscale_max_workers)
     if args.trace:
         _needs_nimbus(args, "--trace", "the baselines carry no trace hooks")
         kwargs["trace"] = True
     return kwargs
 
 
-def _finish_trace(cluster, args) -> None:
+def _finish_trace(run: Run, args) -> None:
     """Export the run's trace and print the critical-path report."""
-    if getattr(cluster, "tracer", None) is None:  # untraced, or a baseline
+    tracer = run.cluster.tracer
+    if tracer is None:  # untraced
         return
     out = args.trace_out or f"trace_{args.command}.json"
-    doc = write_chrome_trace(cluster.tracer, out)
+    doc = write_chrome_trace(tracer, out)
     print(f"trace: {len(doc['traceEvents'])} events -> {out} "
           f"(load at https://ui.perfetto.dev)")
-    print(render_critical_path(critical_path(cluster.tracer)))
+    print(render_critical_path(critical_path(tracer)))
 
 
-def _summary(cluster, args) -> None:
-    metrics = cluster.metrics
-    app = APPS[args.command]
-    skip = args.iterations // 2 if app.halve else 0
+def _summary(run: Run) -> None:
+    metrics = run.cluster.metrics
     try:
-        iteration = mean_iteration_time(metrics, app.block, skip=skip)
-        throughput = task_throughput(metrics, app.block, skip=skip)
+        iteration = run.iteration_time
+        throughput = run.throughput
         print(f"steady-state iteration time: {iteration * 1000:.2f} ms")
         if math.isnan(throughput):
             # degenerate run: every kept iteration finished at the same
@@ -213,50 +220,44 @@ def _summary(cluster, args) -> None:
         rows.append(["controller.steady_messages_per_task",
                      f"{steady / tasks:.6f}"])
     print(render_table("control-plane counters", ["counter", "value"], rows))
-    print(f"virtual time: {cluster.sim.now:.4f} s; "
-          f"events: {cluster.sim.events_run:,}")
+    print(f"virtual time: {run.cluster.sim.now:.4f} s; "
+          f"events: {run.cluster.sim.events_run:,}")
 
 
-def _iterative(app_cls, spec_cls, title: str, args):
+def _iterative(spec_cls, title: str, args):
     spec = spec_cls(num_workers=args.workers, iterations=args.iterations,
                     data_bytes=args.data_gb * 1e9, real_compute=args.real,
                     seed=args.seed)
-    app = app_cls(spec)
     header = (f"{title}: {spec.num_partitions} partitions, "
               f"{args.iterations} iterations, system={args.system}")
-    return app, app.program(blocking=args.blocking), lambda cluster: header
+    return spec, lambda run: header
 
 
 def _water(args):
     spec = WaterSpec(num_workers=args.workers, scale=args.scale,
                      frame_duration=args.frame_duration, frames=args.frames)
-    app = WaterApp(spec)
-    frame_log: list = []
 
-    def header(cluster) -> str:
-        boundaries = [0.0] + frame_log
+    def header(run) -> str:
+        boundaries = [0.0] + run.frame_ends
         return "\n".join(
-            [f"water simulation: {app.num_variables} variables, "
+            [f"water simulation: {run.app.num_variables} variables, "
              f"{spec.num_partitions} partitions, system={args.system}"]
             + [f"  frame {i}: {b - a:.3f} s"
                for i, (a, b) in enumerate(zip(boundaries, boundaries[1:]))])
 
-    return app, app.program(frame_log=frame_log), header
+    return spec, header
 
 
 def _regression(args):
-    app = RegressionApp(RegressionSpec(num_workers=args.workers,
-                                       seed=args.seed))
-
-    def header(cluster) -> str:
+    def header(run) -> str:
         errors = [iv.labels["results"].get("error")
-                  for iv in cluster.metrics.intervals["block"]
+                  for iv in run.cluster.metrics.intervals["block"]
                   if iv.labels["block_id"] == "reg.estimate"]
         return (f"nested regression (Figure 3): {len(errors)} outer "
                 f"iterations, final error {errors[-1]:.4f}"
                 if errors else "no outer iterations")
 
-    return app, app.program(), header
+    return RegressionSpec(num_workers=args.workers, seed=args.seed), header
 
 
 def _rotation(args):
@@ -264,51 +265,40 @@ def _rotation(args):
                   "Nimbus-only mechanism")
     spec = RotationSpec(num_workers=args.workers,
                         iterations=args.iterations, seed=args.seed)
-    app = RotationApp(spec)
     header = (f"patch rotation: {spec.num_partitions} partitions, "
               f"{args.iterations} rounds, "
               f"patch cache cap {args.patch_cache_cap}")
-    return app, app.program(), lambda cluster: header
+    return spec, lambda run: header
 
 
-class App(NamedTuple):
-    """An app subcommand: ``build(args)`` returns (app, program, header),
-    ``header(cluster)`` being the report's first line(s); the summary
-    measures ``block``, skipping half of ``--iterations`` if ``halve``."""
-
-    build: Callable
-    block: str
-    halve: bool
-
-
+#: app subcommand -> build(args), which returns the app's spec and
+#: header(run), the report's first line(s)
 APPS = {
-    "lr": App(partial(_iterative, LRApp, LRSpec, "logistic regression"),
-              "lr.iteration", True),
-    "kmeans": App(partial(_iterative, KMeansApp, KMeansSpec, "k-means"),
-                  "km.iteration", True),
-    "water": App(_water, "water.cg", False),
-    "regression": App(_regression, "reg.optimize", False),
-    "rotation": App(_rotation, "rot.consume", True),
+    "lr": partial(_iterative, LRSpec, "logistic regression"),
+    "kmeans": partial(_iterative, KMeansSpec, "k-means"),
+    "water": _water,
+    "regression": _regression,
+    "rotation": _rotation,
 }
 
 
-def _run(args) -> Tuple[object, str, float]:
-    """Build the app ``args.command`` names and run it to the end; return
-    the cluster, the report's header and the run's wall-clock seconds."""
-    app, program, header = APPS[args.command].build(args)
-    cluster = SYSTEMS[args.system](
-        args.workers, program, registry=app.registry, **_cluster_kwargs(args))
-    start = time.perf_counter()
-    cluster.run_until_finished(max_seconds=1e7)
-    return cluster, header(cluster), time.perf_counter() - start
+def _run(args) -> Tuple[Run, str]:
+    """Run the app ``args.command`` names to the end; return the run and
+    the report's header. An app with ``--iterations`` is measured over
+    the later half of them."""
+    spec, header = APPS[args.command](args)
+    run = execute(RunSpec(
+        spec, system=args.system, blocking=getattr(args, "blocking", False),
+        warmup=getattr(args, "iterations", 0) // 2, **_cluster_kwargs(args)))
+    return run, header(run)
 
 
 def cmd_app(args, header: Optional[Callable] = None) -> None:
-    """Run an app subcommand; report it under ``header(cluster)`` if given."""
-    cluster, app_header, _wall = _run(args)
-    print(app_header if header is None else header(cluster))
-    _summary(cluster, args)
-    _finish_trace(cluster, args)
+    """Run an app subcommand; report it under ``header(run)`` if given."""
+    run, app_header = _run(args)
+    print(app_header if header is None else header(run))
+    _summary(run)
+    _finish_trace(run, args)
 
 
 def _app_args(command: str, workers: int, iterations: int, seed: int,
@@ -323,11 +313,8 @@ def _app_args(command: str, workers: int, iterations: int, seed: int,
 def _sweep_one(job: Tuple[str, int, int, int]) -> Tuple[int, float, float]:
     """Run one (workload, workers, iterations, seed) combo; module-level
     so it pickles for ``multiprocessing.Pool``."""
-    workload, _workers, iterations, seed = job
-    cluster, _header, wall = _run(_app_args(*job))
-    iteration = mean_iteration_time(cluster.metrics, APPS[workload].block,
-                                    skip=iterations // 2)
-    return seed, iteration, wall
+    run, _header = _run(_app_args(*job))
+    return job[3], run.iteration_time, run.wall
 
 
 def cmd_sweep(args) -> None:
@@ -363,9 +350,9 @@ def cmd_trace(args) -> None:
     cmd_app(_app_args(_TRACE_WORKLOADS[args.workload], args.workers,
                       args.iterations, args.seed, "--trace", "--trace-out",
                       args.out or f"trace_{args.workload}.json"),
-            lambda cluster: f"{args.workload}: {args.workers} workers, "
-                            f"{args.iterations} iterations, "
-                            f"virtual time {cluster.sim.now:.4f} s")
+            lambda run: f"{args.workload}: {args.workers} workers, "
+                        f"{args.iterations} iterations, "
+                        f"virtual time {run.cluster.sim.now:.4f} s")
 
 
 def _ms(seconds: Optional[float], missing: str = "-") -> str:
@@ -476,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     for app in (lr, km):
         _add_common(app)
         app.add_argument("--iterations", type=count_at_least(1), default=12)
-        app.add_argument("--data-gb", type=float, default=100.0)
+        app.add_argument("--data-gb", type=float_above(0, inclusive=True),
+                         default=100.0)
         app.add_argument("--real", action="store_true",
                          help="run real numpy task bodies (small scale)")
         app.add_argument("--blocking", action="store_true",
@@ -486,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     water = sub.add_parser("water", help="water-simulation proxy (Fig. 11)")
     _add_common(water)
-    water.add_argument("--scale", type=float, default=0.1,
-                       help="stage-duration scale factor")
+    water.add_argument("--scale", type=float_above(0, inclusive=True),
+                       default=0.1, help="stage-duration scale factor")
     water.add_argument("--frames", type=count_at_least(1), default=1)
     water.add_argument("--frame-duration", type=float, default=0.004)
     water.add_argument("--no-templates", action="store_true")
@@ -540,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     reb.add_argument("--workers", type=count_at_least(1), default=16)
     reb.add_argument("--iterations", type=count_at_least(1), default=40)
     reb.add_argument("--seed", type=int, default=0)
-    reb.add_argument("--scale", type=float, default=2.0,
+    reb.add_argument("--scale", type=float_above(0, inclusive=True),
+                     default=2.0,
                      help="straggler slowdown factor (default 2.0)")
     reb.add_argument("--fault-iteration", type=int, default=12,
                      help="inject the slowdown after this iteration")
@@ -555,15 +544,18 @@ def build_parser() -> argparse.ArgumentParser:
     autos.add_argument("--workers", type=count_at_least(1), default=16)
     autos.add_argument("--iterations", type=count_at_least(1), default=40)
     autos.add_argument("--seed", type=int, default=0)
-    autos.add_argument("--step", type=float, default=2.0,
+    autos.add_argument("--step", type=float_above(0, inclusive=True),
+                       default=2.0,
                        help="demand multiplier (>1 scales up, <1 drains; "
                             "default 2.0)")
     autos.add_argument("--step-iteration", type=int, default=12,
                        help="inject the demand step after this iteration")
-    autos.add_argument("--interval", type=float, default=None, metavar="S",
-                       help="reconciliation tick period (default: the "
-                            "probe run's pre-step mean iteration time)")
-    autos.add_argument("--cold-start", type=float, default=None, metavar="S",
+    autos.add_argument("--interval", type=float_above(0), default=None,
+                       metavar="S", help="reconciliation tick period "
+                       "(default: the probe run's pre-step mean iteration "
+                       "time)")
+    autos.add_argument("--cold-start", type=float_above(0, inclusive=True),
+                       default=None, metavar="S",
                        help="worker provisioning delay "
                             "(default: 4 intervals)")
     _add_mode(autos, "scheduling mode the stepped run uses")
@@ -577,9 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of scheduled job arrivals")
     serve.add_argument("--seed", type=int, default=0)
     _add_mode(serve, "scheduling mode every admitted job runs under")
-    serve.add_argument("--mean-interarrival", type=float, default=0.05,
-                       metavar="S", help="mean Poisson interarrival gap in "
-                       "virtual seconds (default 0.05)")
+    serve.add_argument("--mean-interarrival", type=float_above(0),
+                       default=0.05, metavar="S", help="mean Poisson "
+                       "interarrival gap in virtual seconds (default 0.05)")
     serve.add_argument("--iterations", type=count_at_least(1), default=6,
                        help="iterations per job")
     serve.add_argument("--max-concurrent", type=count_at_least(1), default=3,

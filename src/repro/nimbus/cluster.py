@@ -15,7 +15,7 @@ from ..sim.metrics import Metrics
 from ..sim.network import Network
 from ..sim.rng import SeedSequence
 from .controller import Controller
-from .costs import CostModel, PAPER_COSTS
+from .costs import SLOTS_PER_WORKER, CostModel, PAPER_COSTS
 from .driver import Driver, Job
 from .multijob import JobManager, JobRecord
 from .runtime import FunctionRegistry
@@ -41,7 +41,6 @@ class NimbusCluster:
         registry: Optional[FunctionRegistry] = None,
         costs: Optional[CostModel] = None,
         use_templates: bool = True,
-        slots_per_worker: int = 8,
         seed: int = 0,
         latency: float = 100e-6,
         bandwidth: float = 1.25e9,
@@ -61,9 +60,6 @@ class NimbusCluster:
         autoscale: bool = False,
         autoscale_interval: float = 0.25,
         autoscale_cold_start: float = 1.0,
-        autoscale_policy=None,
-        autoscale_target_load: Optional[float] = None,
-        autoscale_min_workers: Optional[int] = None,
         autoscale_max_workers: Optional[int] = None,
     ):
         if mode not in ("centralized", "decentralized", "sharded"):
@@ -92,12 +88,10 @@ class NimbusCluster:
         self.costs = costs or PAPER_COSTS
         self.registry = registry or FunctionRegistry()
         self.storage = DurableStorage()
-        self.slots_per_worker = slots_per_worker
         self._hb_interval: Optional[float] = None
 
         self.controller = self.controller_class(
             self.sim, self.costs, self.metrics,
-            slots_per_worker=slots_per_worker,
             checkpoint_every=checkpoint_every,
             heartbeat_timeout=heartbeat_timeout,
             patch_cache_cap=patch_cache_cap,
@@ -111,7 +105,7 @@ class NimbusCluster:
         for wid in range(num_workers):
             worker = Worker(
                 self.sim, wid, self.controller, self.registry, self.costs,
-                self.metrics, self.storage, slots=slots_per_worker,
+                self.metrics, self.storage, slots=SLOTS_PER_WORKER,
                 duration_scale=straggler_scales.get(wid, 1.0),
             )
             self.network.attach(worker)
@@ -178,13 +172,8 @@ class NimbusCluster:
         self.autoscaler = None
         if autoscale:
             from ..scale import ResourceController, TargetUtilizationPolicy
-            policy = autoscale_policy
-            if policy is None:
-                policy = TargetUtilizationPolicy(
-                    target_load=autoscale_target_load,
-                    min_workers=autoscale_min_workers or 1,
-                    max_workers=autoscale_max_workers or 4 * num_workers,
-                )
+            policy = TargetUtilizationPolicy(
+                max_workers=autoscale_max_workers or 4 * num_workers)
             self.autoscaler = ResourceController(
                 self, policy, interval=autoscale_interval,
                 cold_start=autoscale_cold_start)
@@ -209,7 +198,7 @@ class NimbusCluster:
             scale = self.chaos_plan.ambient_demand_scale(self.sim.now)
         worker = Worker(
             self.sim, wid, self.controller, self.registry, self.costs,
-            self.metrics, self.storage, slots=self.slots_per_worker,
+            self.metrics, self.storage, slots=SLOTS_PER_WORKER,
             duration_scale=scale,
         )
         worker.peers = self.workers

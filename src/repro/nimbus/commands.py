@@ -19,7 +19,7 @@ enqueued (the push model of §3.4).
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Hashable, Iterable, Optional, Tuple
 
 from .data import ObjectId, WorkerId
 
@@ -104,10 +104,6 @@ class Command:
         self._carena = None
         self._cfn = None
 
-    def conflicts(self) -> Tuple[Tuple[ObjectId, ...], Tuple[ObjectId, ...]]:
-        """(reads, writes) used for object-conflict dependency tracking."""
-        return self.read, self.write
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fn = f" fn={self.function}" if self.function else ""
         return (
@@ -174,25 +170,3 @@ def make_copy_pair(
         size_bytes=size_bytes,
     )
     return send, recv
-
-
-def make_local_copy(
-    cid: CommandId,
-    worker: WorkerId,
-    src_oid: ObjectId,
-    dst_oid: ObjectId,
-    before: Iterable[CommandId] = (),
-    size_bytes: int = 0,
-) -> Command:
-    """An intra-worker copy from one object to another (no network)."""
-    return Command(
-        cid,
-        CommandKind.TASK,
-        worker,
-        read=(src_oid,),
-        write=(dst_oid,),
-        before=before,
-        function="__local_copy__",
-        params={"src": src_oid, "dst": dst_oid},
-        size_bytes=size_bytes,
-    )

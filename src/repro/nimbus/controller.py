@@ -33,7 +33,7 @@ from ..sim.actor import Actor, Message
 from ..sim.engine import Simulator
 from ..sim.metrics import Metrics
 from .central import CentralScheduler
-from .costs import CostModel
+from .costs import SLOTS_PER_WORKER, CostModel
 from .data import LogicalObject, PartitionPlacement
 from .membership import Membership
 from .multijob import FairShareQueue, JobContext
@@ -114,7 +114,6 @@ class Controller(P.ReliableEndpoint, Actor):
         sim: Simulator,
         costs: CostModel,
         metrics: Metrics,
-        slots_per_worker: int = 8,
         checkpoint_every: Optional[int] = None,
         heartbeat_timeout: float = 3.0,
         edit_threshold: float = 0.25,
@@ -126,7 +125,6 @@ class Controller(P.ReliableEndpoint, Actor):
         self.costs = costs
         self.metrics = metrics
         self._init_reliable(metrics)
-        self.slots_per_worker = slots_per_worker
         #: migrations touching more than this fraction of a template's tasks
         #: trigger a re-install instead of edits (§2.3)
         self.edit_threshold = edit_threshold
@@ -684,7 +682,7 @@ class Controller(P.ReliableEndpoint, Actor):
             self._trace.run_finish(run.seq)
         compute = 0.0
         if run.compute_by_worker:
-            compute = max(run.compute_by_worker.values()) / self.slots_per_worker
+            compute = max(run.compute_by_worker.values()) / SLOTS_PER_WORKER
         ctx.metrics.end("block", end, key=run.seq,
                         compute=compute, results=dict(run.results))
         ctx.results_history.append((run.block_id, dict(run.results)))

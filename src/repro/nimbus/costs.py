@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+#: task slots per worker: the paper's c3.2xlarge workers have 8 cores
+SLOTS_PER_WORKER = 8
+
 
 @dataclass
 class CostModel:

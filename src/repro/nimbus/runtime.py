@@ -79,7 +79,6 @@ class FunctionRegistry:
 
     def __init__(self) -> None:
         self._functions: Dict[str, TaskFunction] = {}
-        self.register("__local_copy__", fn=_local_copy, duration=0.0)
         self.register("__noop__", fn=None, duration=0.0)
 
     def register(
@@ -103,7 +102,3 @@ class FunctionRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._functions
 
-
-def _local_copy(ctx: TaskContext) -> None:
-    """Built-in intra-worker copy (used by patches on co-resident objects)."""
-    ctx.write(ctx.params["dst"], ctx.read(ctx.params["src"]))

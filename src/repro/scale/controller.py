@@ -44,6 +44,11 @@ class ResourceController:
 
     def __init__(self, cluster, policy: Optional[ScalePolicy] = None,
                  interval: float = 0.25, cold_start: float = 1.0):
+        if not interval > 0:  # a zero tick would never let time advance
+            raise ValueError(f"interval must be above 0, got {interval}")
+        if not cold_start >= 0:  # a join may not land in the past
+            raise ValueError(f"cold_start must be at least 0, got "
+                             f"{cold_start}")
         self.cluster = cluster
         self.policy = policy or TargetUtilizationPolicy()
         self.interval = interval

@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.edits import migration_conflict
 from ..core.worker_template import WorkerTemplateSet
+from ..nimbus.costs import SLOTS_PER_WORKER
 
 #: signature of the feasibility callback handed to policies
 ConflictFn = Callable[[int, int], Optional[str]]
@@ -308,7 +309,7 @@ class Rebalancer:
             return migration_conflict(wts, ct_index, dst)
 
         moves = self.policy.propose(tracker, wts, live, max_moves, conflict,
-                                    slots=ctrl.slots_per_worker)
+                                    slots=SLOTS_PER_WORKER)
         if not moves:
             return []
 

@@ -127,6 +127,20 @@ def test_steady_window_run_takes_no_decisions(mode):
     assert cluster.autoscaler.decisions == []
 
 
+@pytest.mark.parametrize("settings, named", [
+    ({"autoscale_interval": 0.0}, "interval"),
+    ({"autoscale_interval": -0.5}, "interval"),
+    ({"autoscale_cold_start": -1.0}, "cold_start"),
+])
+def test_autoscaler_rejects_a_tick_or_join_that_cannot_happen(settings,
+                                                              named):
+    """A zero tick reschedules itself at the same instant forever, so a
+    run never stops; a negative one or a negative cold start schedules
+    into the past. All are refused when the cluster is built."""
+    with pytest.raises(ValueError, match=named):
+        NimbusCluster(2, None, autoscale=True, **settings)
+
+
 # ---------------------------------------------------------------------------
 # Convergence: a 2x demand step scales up and re-stabilizes
 # ---------------------------------------------------------------------------
@@ -165,15 +179,15 @@ def test_demand_step_takes_decisions_in_every_mode(mode, monkeypatch):
     at the boundary, so a 2x step scales up in every mode, against the
     target the centralized ticks pin before the step."""
     policies = []
-    build = scenarios.build_lr_step
+    execute = scenarios.execute
 
-    def recording(*args, **kwargs):
-        app, cluster = build(*args, **kwargs)
-        if cluster.autoscaler is not None:
-            policies.append(cluster.autoscaler.policy)
-        return app, cluster
+    def recording(spec):
+        run = execute(spec)
+        if run.cluster.autoscaler is not None:
+            policies.append(run.cluster.autoscaler.policy)
+        return run
 
-    monkeypatch.setattr(scenarios, "build_lr_step", recording)
+    monkeypatch.setattr(scenarios, "execute", recording)
     report = scenarios.run_scale_step(
         num_workers=8, iterations=30, step_iteration=10, mode=mode,
         control=False)

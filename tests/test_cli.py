@@ -138,11 +138,26 @@ def test_autoscale_flag_requires_nimbus():
     (["rotation", "--patch-cache-cap", "-1"], "--patch-cache-cap"),
     (["sweep", "--iterations", "1"], "--iterations"),
     (["sweep", "--iterations", "2"], "--iterations"),
+    (["lr", "--workers", "4", "--iterations", "4", "--autoscale",
+      "--autoscale-interval", "0"], "--autoscale-interval"),
+    (["lr", "--workers", "4", "--iterations", "4", "--autoscale",
+      "--autoscale-interval", "-0.5"], "--autoscale-interval"),
+    (["lr", "--workers", "4", "--iterations", "4", "--autoscale",
+      "--autoscale-cold-start", "-1"], "--autoscale-cold-start"),
+    (["lr", "--workers", "4", "--iterations", "4", "--data-gb", "-1"],
+     "--data-gb"),
+    (["autoscale", "--step", "-1"], "--step"),
+    (["autoscale", "--interval", "0"], "--interval"),
+    (["autoscale", "--cold-start", "-1"], "--cold-start"),
+    (["rebalance", "--scale", "-2"], "--scale"),
+    (["water", "--scale", "-1"], "--scale"),
+    (["serve", "--mean-interarrival", "0"], "--mean-interarrival"),
 ])
 def test_counts_and_event_positions_are_checked_as_usage_errors(
         argv, named, capsys):
-    """A count of zero, or a scripted event with no room to measure
-    around it, is a usage error: exit status 2 and a message naming the
+    """A count of zero, a period that cannot advance time, a negative
+    delay or scale, or a scripted event with no room to measure around
+    it, is a usage error: exit status 2 and a message naming the
     option, not a traceback, a hang or a silently ignored value."""
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -58,15 +58,15 @@ SCALE_STEP_PINS = {
 @pytest.mark.parametrize("step", sorted(SCALE_STEP_PINS))
 def test_scale_step_timeline_is_pinned(step, monkeypatch):
     autoscaled = []
-    build = scenarios.build_lr_step
+    execute = scenarios.execute
 
-    def recording(*args, **kwargs):
-        app, cluster = build(*args, **kwargs)
-        if cluster.autoscaler is not None:
-            autoscaled.append(cluster)
-        return app, cluster
+    def recording(spec):
+        run = execute(spec)
+        if run.cluster.autoscaler is not None:
+            autoscaled.append(run.cluster)
+        return run
 
-    monkeypatch.setattr(scenarios, "build_lr_step", recording)
+    monkeypatch.setattr(scenarios, "execute", recording)
     report = scenarios.run_scale_step(
         num_workers=4, iterations=20, step=step, step_iteration=8,
         control=False)

@@ -6,7 +6,6 @@ from repro.nimbus.commands import (
     Command,
     CommandKind,
     make_copy_pair,
-    make_local_copy,
     make_task,
 )
 from repro.nimbus.costs import CostModel, PAPER_COSTS
@@ -41,15 +40,6 @@ class TestFunctionRegistry:
         registry = FunctionRegistry()
         registry.register("f", duration=lambda params, wid: params * wid)
         assert registry.get("f").duration_of(2.0, 3) == 6.0
-
-    def test_builtin_local_copy(self):
-        registry = FunctionRegistry()
-        store = ObjectStore()
-        store.put(1, "payload")
-        store.create(2)
-        ctx = TaskContext(store, {"src": 1, "dst": 2}, 0, (1,), (2,))
-        registry.get("__local_copy__").fn(ctx)
-        assert store.get(2) == "payload"
 
     def test_task_context_reads_in_order(self):
         store = ObjectStore()
@@ -106,15 +96,6 @@ class TestCommands:
         assert send.read == (9,) and recv.write == (9,)
         assert send.dst_worker == 1 and recv.src_worker == 0
         assert send.size_bytes == recv.size_bytes == 128
-
-    def test_local_copy_command(self):
-        cmd = make_local_copy(5, 0, src_oid=1, dst_oid=2)
-        assert cmd.function == "__local_copy__"
-        assert cmd.read == (1,) and cmd.write == (2,)
-
-    def test_conflicts_view(self):
-        cmd = make_task(1, 0, "f", read=(1, 2), write=(3,))
-        assert cmd.conflicts() == ((1, 2), (3,))
 
 
 class TestProtocolSizes:

@@ -82,8 +82,8 @@ def test_bench_is_the_one_performance_instrument():
 def test_cli_runs_every_app_through_one_runner():
     """The app subcommands are rows of one table behind one runner
     (``cli.APPS``), which ``repro trace`` and ``repro sweep`` use too; the
-    step scenarios share one probe, and ``--shards`` is checked in one
-    place."""
+    step scenarios share one probe, ``--shards`` is checked in one place,
+    and an iteration's end has one definition."""
     assert set(cli.APPS) == {"lr", "kmeans", "water", "regression",
                              "rotation"}
     assert not {"cmd_lr", "cmd_kmeans", "cmd_water", "cmd_regression",
@@ -92,11 +92,48 @@ def test_cli_runs_every_app_through_one_runner():
              for path in SRC.rglob("*.py")}
     src = "".join(files.values())
     assert src.count("requires --mode sharded") == 1
-    assert src.count("def _iteration_ends(") == 1
-    assert [name for name, text in files.items()
-            if "_iteration_ends" in text] == ["apps/scenarios.py"]
-    # nothing the benchmark imports loads the scenarios
+    assert len(re.findall(r"^def iteration_ends\(", src, re.M)) == 1
+    assert "_iteration_ends" not in src
+    # nothing the benchmark imports loads the scenarios or the runner
     assert "scenarios" not in (SRC / "apps" / "__init__.py").read_text()
+    assert not [name for name, text in files.items()
+                if name.startswith(("apps/__init__", "nimbus/"))
+                and "runner" in text]
+
+
+#: the figure files and examples whose runs are ``RunSpec``s
+RUN_SPEC_FILES = (
+    "benchmarks/test_ablations.py",
+    "benchmarks/test_fig01_spark_bottleneck.py",
+    "benchmarks/test_fig07_iteration_time.py",
+    "benchmarks/test_fig08_throughput.py",
+    "benchmarks/test_fig09_dynamic.py",
+    "benchmarks/test_fig10_migration.py",
+    "benchmarks/test_fig11_water.py",
+    "examples/dynamic_migration.py",
+    "examples/kmeans_clustering.py",
+    "examples/lr_scaling.py",
+    "examples/water_simulation.py",
+)
+
+
+def test_figures_and_examples_run_through_execute():
+    """A figure or an example states its runs as ``RunSpec``s and runs
+    them with ``repro.apps.runner.execute``: it builds no cluster and
+    writes no driver program of its own."""
+    clusters = {"NimbusCluster", "SparkCluster", "NaiadCluster",
+                "MPICluster"}
+    for name in RUN_SPEC_FILES:
+        tree = ast.parse((REPO / name).read_text())
+        built = [ast.unparse(node.func) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and ast.unparse(node.func).split(".")[-1] in clusters]
+        programs = [node.name for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and (node.name == "program"
+                         or [arg.arg for arg in node.args.args] == ["job"])]
+        assert not built and not programs, (name, built, programs)
+        assert "execute" in _names(tree), name
 
 
 def test_one_message_class_per_hop():
@@ -268,7 +305,7 @@ def test_directory_keeps_one_record_per_object():
 
 #: today's sizes, so simplification is monotone
 LINE_CEILINGS = {
-    "nimbus/controller.py": 714,
+    "nimbus/controller.py": 712,
     "nimbus/central.py": 180,
     "nimbus/data.py": 421,
     "nimbus/templates.py": 400,
@@ -277,8 +314,9 @@ LINE_CEILINGS = {
     "sched/policy.py": 435,
     "nimbus/protocol.py": 763,
     "nimbus/shard.py": 141,
-    "cli.py": 616,
-    "apps/scenarios.py": 372,
+    "cli.py": 608,
+    "apps/runner.py": 180,
+    "apps/scenarios.py": 330,
     "apps/datasets.py": 119,
     "apps/lr.py": 257,
     "apps/kmeans.py": 254,

@@ -75,13 +75,19 @@ def test_task_executes_and_acks():
 
 
 def test_before_set_ordering():
+    """The before set alone orders two commands that share no object:
+    the predecessor takes ten times as long, and the worker has a free
+    slot for the dependent, so without the before set it would finish
+    first."""
     registry = FunctionRegistry()
     log = []
     registry.register("log", fn=lambda ctx: log.append(ctx.params),
                       duration=0.01)
+    registry.register("slow_log", fn=lambda ctx: log.append(ctx.params),
+                      duration=0.1)
     sim, _controller, workers = build(registry=registry)
     worker = workers[0]
-    first = make_task(1, 0, "log", read=(), write=(), params="first")
+    first = make_task(1, 0, "slow_log", read=(), write=(), params="first")
     second = Command(2, CommandKind.TASK, 0, params="second",
                      before=[1], function="log")
     # deliver in reverse dependency order is impossible over FIFO, but the
