@@ -349,8 +349,22 @@ class JobManager:
         record.state = "finished"
         record.finish_time = self.cluster.sim.now
         self.cluster.metrics.incr("jobs_finished")
+        self._free_finished(record.job_id)
         self._admit_next()
         self._maybe_halt()
+
+    def _free_finished(self, job_id: int) -> None:
+        """Free the host-side state a finished tenant left that no later
+        event reads or that is rebuilt on demand (DESIGN.md §12). Nothing
+        modelled moves: no message, charge or event. Its templates,
+        directory and results stay; the modelled teardown is a release."""
+        cluster = self.cluster
+        ctx = cluster.controller.jobs.get(job_id)
+        if ctx is not None:
+            ctx._block_cache = {}
+            ctx.object_sizes_cache = None
+        for worker in cluster.workers.values():
+            worker.job_finished(job_id)
 
     def cancel(self, job_id: int) -> None:
         """Tear a job down mid-run: its namespace is released and its
@@ -358,6 +372,8 @@ class JobManager:
         record = self.records.get(job_id)
         if record is None:
             raise KeyError(f"unknown job {job_id}")
+        if record.state in ("finished", "cancelled"):
+            return  # already over: its record and counters stand
         if record.state == "queued":
             self._pending.remove(record)
         elif record.state == "running":

@@ -230,18 +230,19 @@ class ConflictTracker:
         if self.tail is not None and self.tail.plan is plan:
             self.tail = None
 
-    def scrub(self, released: Set[int]) -> None:
-        """Forget the entries of the ``released`` jobs' completed commands;
-        the worker scrubs again once the rest have drained."""
+    def scrub(self, jobs) -> None:
+        """Forget the entries of the finished or released ``jobs``'
+        completed commands; the worker scrubs a released job again once
+        the rest have drained."""
         if self._chain:
             self.fold()
         self.tail = None
         pending = self.pending
         writers, readers_since = self._last_writer, self._readers_since
         for oid in [o for o, w in writers.items()
-                    if o // OID_STRIDE in released and w not in pending]:
+                    if o // OID_STRIDE in jobs and w not in pending]:
             del writers[oid]
-        for oid in [o for o in readers_since if o // OID_STRIDE in released]:
+        for oid in [o for o in readers_since if o // OID_STRIDE in jobs]:
             self._prune(oid)
 
     def clear(self) -> None:

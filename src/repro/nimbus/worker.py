@@ -129,14 +129,11 @@ class Worker(P.ReliableEndpoint, Actor):
     instance to instance locally — checking the partition-map epoch at
     every block boundary — reporting one summary when the window drains.
 
-    Workers speak the reliable channel protocol for all control traffic
-    and direct data exchange, and keep idempotent-receive guards at the
-    application layer: a redelivered template instantiation, patch
-    install, or patch invocation is discarded (counted under
-    ``protocol.stale_discards``) instead of re-enqueueing commands whose
-    ids are already live — which would silently corrupt the local
-    conflict tracker and, through bogus completions, the controller's
-    object-version map.
+    Workers speak the reliable channel protocol, with idempotent-receive
+    guards on top: a redelivered instantiation, patch install or patch
+    invocation is discarded (``protocol.stale_discards``), never run again
+    under ids already live — which would corrupt the conflict tracker and,
+    through bogus completions, the controller's object-version map.
     """
 
     def __init__(
@@ -190,9 +187,13 @@ class Worker(P.ReliableEndpoint, Actor):
         # block id can never clobber each other's halves
         self._templates: Dict[Tuple[int, str, int], WorkerHalf] = {}
         #: patch id -> its compiled plan (the plan keeps the entries), or
-        #: None once the owning job was released: the body is freed, the
-        #: id stays so a redelivered InstallPatch is still discarded
+        #: None once the owning job finished or was released: the body is
+        #: freed, the id stays so a redelivered InstallPatch is discarded
         self._patch_plans: Dict[int, Optional[CompiledPlan]] = {}
+        #: per job, its template keys and live patch ids: a finish or a
+        #: release reaches one job's state without scanning every tenant
+        self._job_keys: Dict[int, List[Tuple[int, str, int]]] = {}
+        self._job_patches: Dict[int, List[int]] = {}
         #: every (patch_id, instance_id) ever run; guards redelivery
         self._ran_patches: set = set()
 
@@ -225,14 +226,10 @@ class Worker(P.ReliableEndpoint, Actor):
         self._completion_flush_pending = False
 
         #: decentralized mode: template instances a self-schedule grant
-        #: keeps in flight at once. Instances of one block RMW the same
-        #: partitions, so conflict tracking serializes them anyway —
-        #: measured: depths 1/2/4 produce identical virtual timelines on
-        #: fig07@400 while depth 4 costs ~60% more host wall, because
-        #: every instantiated-but-blocked instance inflates the pending
-        #: dependency graph that each later ext check and completion
-        #: cascade must walk. Instantiation itself is one 2 µs charge, so
-        #: eager depth buys no pipelining the tracker would permit.
+        #: keeps in flight. Instances of one block RMW the same partitions,
+        #: so the tracker serializes them anyway: depths 1/2/4 give one
+        #: virtual timeline on fig07@400, and depth 4 ~60% more host wall
+        #: (each blocked instance grows the graph later walks traverse).
         self.self_schedule_depth = 1
 
         #: job ids the controller has released (cancel/crash); in-flight
@@ -244,12 +241,9 @@ class Worker(P.ReliableEndpoint, Actor):
 
         self._epoch = 0  # bumped on halt; stale completions are dropped
         self._dead = False
-        #: autoscaler lifecycle: "live" → "draining" (evicted from
-        #: scheduling, finishing in-flight commands) → "drained"
-        #: (decommissioned: no queued work, no open grants). Purely
-        #: observational — the scheduling revocation itself is the
-        #: membership's evict_workers; a drained worker stays reachable
-        #: so late acks and copy reads never dangle.
+        #: autoscaler lifecycle, observational only (the membership's
+        #: evict_workers revokes scheduling): "live" → "draining" →
+        #: "drained"; a drained worker stays reachable for late acks.
         self.lifecycle = "live"
         self.tasks_executed = 0
         #: why the next _on_ready fired: None (ready at enqueue),
@@ -310,13 +304,9 @@ class Worker(P.ReliableEndpoint, Actor):
     # Central dispatch path
     # ------------------------------------------------------------------
     def _on_dispatch_batch(self, msg: P.DispatchCommandBatch) -> None:
-        """Central dispatch: enqueue cost is per command, not per message.
-
-        Commands resolve one by one: a central stream carries no cached
-        before sets, so the conflict tracker must see each command
-        exactly as it would have arrived in one-message-per-command
-        dispatch.
-        """
+        """Central dispatch: enqueue cost is per command, not per message,
+        and commands resolve one by one, exactly as if each came alone (a
+        central stream carries no cached before sets)."""
         self.charge(self.costs.worker_enqueue_per_command * len(msg.items))
         for cmd, report in msg.items:
             self._enqueue(cmd, msg.block_seq, report)
@@ -335,7 +325,9 @@ class Worker(P.ReliableEndpoint, Actor):
             return
         entries = msg.entries
         half = WorkerHalf(msg.block_id, msg.version, entries, msg.reports)
-        self._templates[(msg.job_id, msg.block_id, msg.version)] = half
+        key = (msg.job_id, msg.block_id, msg.version)
+        self._templates[key] = half
+        self._job_keys.setdefault(msg.job_id, []).append(key)
         self.charge(
             self.costs.install_worker_template_worker_per_task * len(entries)
         )
@@ -536,73 +528,83 @@ class Worker(P.ReliableEndpoint, Actor):
             lst = succs[at] = []
         lst.append(cmd)
 
-    def _drop_plan(self, plan: Optional[CompiledPlan]) -> None:
-        """Retire a plan whose half was edited or released: the seams on
-        either side of it, the tail if it is one of its frames, and its
-        pooled frames — nothing is left for a collector pass to find."""
-        if plan is None:
+    def _drop_plans(self, plans) -> None:
+        """Retire the plans of edited, finished or released halves: their
+        seams (one pass over the cache), the tail if it is one of their
+        frames, and their pooled frames — none left for a collector."""
+        plans = {plan for plan in plans if plan is not None}
+        if not plans:
             return
-        self._seams = {k: v for k, v in self._seams.items() if plan not in k}
-        self.tracker.drop_plan(plan)
-        plan.retire()
+        self._seams = {k: v for k, v in self._seams.items()
+                       if k[0] not in plans and k[1] not in plans}
+        for plan in plans:
+            self.tracker.drop_plan(plan)
+            plan.retire()
 
     def _apply_edits(self, half: WorkerHalf, edits) -> None:
         """Apply shipped template edits to an installed half; the plan of
         the unedited half, which frames in flight still run on, is retired."""
-        self._drop_plan(
-            half.apply_edit_ops(edits, self.worker_id, self.registry))
+        self._drop_plans(
+            (half.apply_edit_ops(edits, self.worker_id, self.registry),))
         self.charge(self.costs.worker_edit_per_task * len(edits))
+
+    def job_finished(self, job_id: int) -> None:
+        """A tenant finished: free its state (host side only). Its halves
+        stay installed — a half instantiated again would recompile."""
+        self._free_jobs((job_id,), [self._templates[key]
+                                    for key in self._job_keys.get(job_id, ())])
 
     def _on_release_job(self, msg: P.ReleaseJob) -> None:
         """A tenant was cancelled or crashed: scrub it from this worker.
 
-        Its objects are destroyed and its template halves dropped. Queued
-        and in-flight commands are left to drain through the normal
-        dependency machinery — they complete without executing their task
-        bodies (see :meth:`_task_finished`), so pipelines never wedge and
-        no task ever touches the destroyed data.
-
-        Windows close *first*: with the grants gone before the objects
-        are destroyed, the draining commands can no longer self-advance
-        a fresh instance of the dead job or emit a WindowSummary for it
-        — the release-mid-window race this ordering used to leave open.
+        Its objects are destroyed and its halves dropped. Its queued and
+        in-flight commands drain through the dependency machinery without
+        their task bodies (:meth:`_task_finished`): nothing wedges, and
+        no task touches the destroyed data. Windows close *first*, so no
+        draining command can self-advance a fresh instance of the dead
+        job or emit a WindowSummary for it.
         """
         self._released_jobs.add(msg.job_id)
         for key in [k for k in self._grants if k[0] == msg.job_id]:
             del self._grants[key]  # in-flight instances drain body-less
         for oid in msg.oids:
             self.store.destroy(oid)
-        for key in [k for k in self._templates if k[0] == msg.job_id]:
-            self._drop_plan(self._templates.pop(key)._plan)
+        halves = [self._templates.pop(key)
+                  for key in self._job_keys.pop(msg.job_id, ())]
         self._released_cids.update(
             cid for cid, cmd in self._pending.items()
             if self._body_released(cmd))
-        self._scrub_released()
+        self._free_jobs(self._released_jobs, halves)
         self.metrics.incr("jobs.worker_releases")
 
-    def _scrub_released(self) -> None:
-        """Forget what released jobs left in the conflict tracker and the
-        patch cache — a long-running service must not grow with every
-        tenant it ever served.
-
-        Exact: a tracker entry whose command is no longer pending can
-        never create a dependency. Entries of commands still draining
-        survive the pass at release; :meth:`_complete` runs it again when
-        the last of them is gone.
-        """
-        self.tracker.scrub(self._released_jobs)
-        for pid, plan in self._patch_plans.items():
-            if (plan is not None and plan.live
-                    and self._body_released(plan.live[0])):
-                self._drop_plan(plan)
+    def _free_jobs(self, jobs, halves=()) -> None:
+        """Free what ``jobs`` left here that no later event reads (a
+        service must not grow with every tenant it served; DESIGN.md §12):
+        the plans of ``halves``, the jobs' patch bodies (the ids stay, the
+        redelivery guard) and the tracker entries of their completed
+        commands — exact, as a completed command is never a dependency.
+        Entries of released commands still draining go when the last of
+        them completes (:meth:`_complete`)."""
+        plans = []
+        for half in halves:
+            plans.append(half._plan)
+            half._plan = None
+        for job in jobs:
+            for pid in self._job_patches.pop(job, ()):
+                plans.append(self._patch_plans[pid])
                 self._patch_plans[pid] = None  # tombstone: body freed
+        self._drop_plans(plans)
+        self.tracker.scrub(jobs)
+
+    def _job_of(self, cmd) -> Optional[int]:
+        """The job owning a command or entry, by its first object."""
+        anchor = cmd.write[0] if cmd.write else (
+            cmd.read[0] if cmd.read else None)
+        return None if anchor is None else anchor // OID_STRIDE
 
     def _body_released(self, cmd: Command) -> bool:
         """True when ``cmd`` belongs to a released job (skip its body)."""
-        anchor = cmd.write[0] if cmd.write else (
-            cmd.read[0] if cmd.read else None)
-        return (anchor is not None
-                and anchor // OID_STRIDE in self._released_jobs)
+        return self._job_of(cmd) in self._released_jobs
 
     def _on_install_patch(self, msg: P.InstallPatch) -> None:
         if msg.patch_id in self._patch_plans:
@@ -610,6 +612,9 @@ class Worker(P.ReliableEndpoint, Actor):
             return
         plan = compile_plan(msg.entries, ())
         self._patch_plans[msg.patch_id] = plan
+        if plan.m:  # an empty patch has no body to free
+            self._job_patches.setdefault(self._job_of(plan.live[0]),
+                                         []).append(msg.patch_id)
         self.plans_compiled += 1
         self._ran_patches.add((msg.patch_id, msg.instance_id))
         self._run_patch(plan, msg.instance_id, msg.cid_base)
@@ -896,7 +901,8 @@ class Worker(P.ReliableEndpoint, Actor):
         if self._released_cids:
             self._released_cids.discard(cid)
             if not self._released_cids:
-                self._scrub_released()  # the released jobs have drained
+                # the released jobs have drained
+                self._free_jobs(self._released_jobs)
         if succs:
             # cross-batch successors, in the order they registered
             for succ in succs:
@@ -942,14 +948,10 @@ class Worker(P.ReliableEndpoint, Actor):
             self.call_later(COMPLETION_FLUSH_WINDOW, self._flush_completions)
 
     def _flush_completions(self) -> None:
-        """Send buffered completions now.
-
-        Called from the timer, and synchronously before any *other*
-        controller-bound message leaves this worker: buffered completions
-        must not be overtaken on the in-order channel (e.g. a later run's
-        InstanceComplete beating an earlier run's final command
-        completion would complete blocks out of request order at the driver).
-        """
+        """Send buffered completions now: from the timer, and before any
+        *other* controller-bound message (:meth:`_to_controller`) — a later
+        run's InstanceComplete must not overtake an earlier run's final
+        command completion on the in-order channel."""
         self._completion_flush_pending = False
         items, self._completion_buffer = self._completion_buffer, []
         if items and not self._dead:
@@ -961,13 +963,18 @@ class Worker(P.ReliableEndpoint, Actor):
         if record.grant is not None:
             self._grant_instance_done(record)
             return
-        if self._completion_buffer:
-            self._flush_completions()
-        self.send_reliable(self.controller, P.InstanceComplete(
+        self._to_controller(P.InstanceComplete(
             self.worker_id, record.block_id, record.instance_id,
             record.block_seq, record.compute_time, record.values,
             version=record.version, task_times=record.task_times,
         ))
+
+    def _to_controller(self, msg: Message) -> None:
+        """Send ``msg`` behind the buffered completions it must not
+        overtake on the in-order channel."""
+        if self._completion_buffer:
+            self._flush_completions()
+        self.send_reliable(self.controller, msg)
 
     # ------------------------------------------------------------------
     # Decentralized self-scheduling (DESIGN.md §14)
@@ -1077,26 +1084,16 @@ class Worker(P.ReliableEndpoint, Actor):
             total_bytes += 1024  # accounting proxy; sizes modeled below
         delay = (self.costs.storage_latency
                  + total_bytes / self.costs.storage_bandwidth)
-        self.call_later(delay, self._ack_checkpoint, msg.checkpoint_id)
-
-    def _ack_checkpoint(self, checkpoint_id: int) -> None:
-        if self._completion_buffer:
-            self._flush_completions()
-        self.send_reliable(self.controller,
-                           P.CheckpointAck(self.worker_id, checkpoint_id))
+        self.call_later(delay, self._to_controller,
+                        P.CheckpointAck(self.worker_id, msg.checkpoint_id))
 
     def _on_load_checkpoint(self, msg: P.LoadCheckpoint) -> None:
         for oid in msg.oids:
             self.store.put(oid, self.storage.load(msg.checkpoint_id, oid))
         delay = (self.costs.storage_latency
                  + 1024 * len(msg.oids) / self.costs.storage_bandwidth)
-        self.call_later(delay, self._ack_load, msg.checkpoint_id)
-
-    def _ack_load(self, checkpoint_id: int) -> None:
-        if self._completion_buffer:
-            self._flush_completions()
-        self.send_reliable(self.controller,
-                           P.LoadAck(self.worker_id, checkpoint_id))
+        self.call_later(delay, self._to_controller,
+                        P.LoadAck(self.worker_id, msg.checkpoint_id))
 
     def _on_halt(self) -> None:
         """Terminate ongoing tasks, flush queues, respond (§4.4)."""

@@ -10,6 +10,10 @@ after a quick sharded LR run and a quick serve run,
 * an instance frame keeps a command-id base, not a per-instance id list;
 * the object directory stores a sole holder of the latest version as the
   worker id, not as a one-entry ``{worker: version}`` map.
+
+A finished tenant's frames and tracker entries go with it (DESIGN.md
+§12), so the serve cluster has none left at its end: the frame and reader
+list checks also look at it as it was while its last job still ran.
 """
 
 import pytest
@@ -20,10 +24,25 @@ from repro.nimbus.worker import Worker
 from .helpers import run_lr
 
 
+def _frames(cluster):
+    """The pooled frames of every compiled half."""
+    return [frame for worker in cluster.workers.values()
+            for half in worker._templates.values() if half._plan is not None
+            for frame in half._plan.pool]
+
+
+def _reader_maps(cluster):
+    """A copy of every worker's readers-since map."""
+    return [{oid: lst if lst.__class__ is int else list(lst)
+             for oid, lst in worker.tracker._readers_since.items()}
+            for worker in cluster.workers.values()]
+
+
 @pytest.fixture(scope="module")
 def runs():
-    """The two clusters, and the ``before`` of every command a worker
-    took off the central dispatch path."""
+    """The two clusters, the ``before`` of every command a worker took
+    off the central dispatch path, and the serve cluster's frames and
+    reader lists while its last job still ran."""
     befores = []
     enqueue = Worker._enqueue
 
@@ -35,10 +54,13 @@ def runs():
     try:
         lr = run_lr(workers=4, iterations=6, mode="sharded")
         serve, _names = build_job_arrival(num_workers=4, num_jobs=4)
+        while serve.metrics.count("jobs_finished") < 3:
+            assert serve.sim.step()
+        live = {"frames": _frames(serve), "readers": _reader_maps(serve)}
         serve.run_until_jobs_finished(max_seconds=1e6)
     finally:
         Worker._enqueue = enqueue
-    return [lr, serve], befores
+    return [lr, serve], befores, live
 
 
 def _template_sets(cluster):
@@ -48,7 +70,7 @@ def _template_sets(cluster):
 
 
 def test_worker_halves_share_the_controller_entries(runs):
-    clusters, _ = runs
+    clusters, _, _ = runs
     compared = 0
     for cluster in clusters:
         for job_id, wts in _template_sets(cluster):
@@ -67,21 +89,21 @@ def test_worker_halves_share_the_controller_entries(runs):
 
 
 def test_tracker_keeps_no_empty_reader_list(runs):
-    clusters, _ = runs
-    lists = 0
-    for cluster in clusters:
-        for worker in cluster.workers.values():
-            readers = worker.tracker._readers_since
+    clusters, _, live = runs
+    maps = {"lr": _reader_maps(clusters[0]),
+            "serve": _reader_maps(clusters[1]),
+            "serve while running": live["readers"]}
+    for label, readers_per_worker in maps.items():
+        for wid, readers in enumerate(readers_per_worker):
             empty = [oid for oid, lst in readers.items() if lst == []]
             assert not empty, (
-                f"worker {worker.worker_id}: empty reader lists for "
-                f"{empty[:5]}")
-            lists += len(readers)
-    assert lists
+                f"{label}, worker {wid}: empty reader lists for {empty[:5]}")
+    assert any(map(len, maps["lr"]))
+    assert any(map(len, maps["serve while running"]))
 
 
 def test_template_delta_interns_holder_sets(runs):
-    clusters, _ = runs
+    clusters, _, _ = runs
     shared = 0
     for cluster in clusters:
         for _job_id, wts in _template_sets(cluster):
@@ -95,27 +117,22 @@ def test_template_delta_interns_holder_sets(runs):
 
 
 def test_central_commands_carry_tuple_befores(runs):
-    _, befores = runs
+    _, befores, _ = runs
     assert befores
     assert all(type(before) is tuple for before in befores)
 
 
 def test_frames_keep_a_cid_base_not_an_id_list(runs):
-    clusters, _ = runs
-    frames = 0
-    for cluster in clusters:
-        for worker in cluster.workers.values():
-            for half in worker._templates.values():
-                plan = half._plan
-                for frame in (plan.pool if plan is not None else ()):
-                    assert isinstance(frame.cid_base, int)
-                    assert not hasattr(frame, "cids")
-                    frames += 1
-    assert frames
+    clusters, _, live = runs
+    lr, serve = _frames(clusters[0]), _frames(clusters[1]) + live["frames"]
+    for frame in lr + serve:
+        assert isinstance(frame.cid_base, int)
+        assert not hasattr(frame, "cids")
+    assert lr and live["frames"]
 
 
 def test_directory_keeps_a_sole_holder_as_its_id(runs):
-    clusters, _ = runs
+    clusters, _, _ = runs
     sole = 0
     for cluster in clusters:
         for job_id, ctx in cluster.controller.jobs.items():

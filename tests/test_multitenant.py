@@ -271,6 +271,124 @@ def test_queued_job_admitted_after_a_cancellation():
     assert cluster.jobs.records[b.job_id].state == "finished"
 
 
+def test_cancelling_an_ended_job_changes_nothing():
+    """``cancel`` on a job that already finished, or was already
+    cancelled, leaves its record and the cluster's counters as they are —
+    pre-fix it rewrote a finished job as cancelled at the current time
+    (stretching its latency) and counted one more cancellation per call."""
+    app = small_lr_app()
+    cluster = serve_cluster(app)
+    a = cluster.jobs.submit(app.program(blocking=False,
+                                        iterations=SHORT_ITERS))
+    b = cluster.jobs.submit(app.program(blocking=False))
+    cluster.run_until_jobs_finished(max_seconds=1e6)
+    assert a.state == b.state == "finished" and a.finish_time < b.finish_time
+    latency = a.latency
+    cancelled = cluster.metrics.count("jobs_cancelled")
+    for _ in range(2):
+        cluster.jobs.cancel(a.job_id)
+    assert a.state == "finished" and a.latency == latency
+    assert cluster.metrics.count("jobs_cancelled") == cancelled
+
+    queued = serve_cluster(app, max_concurrent_jobs=1, job_queue_cap=2)
+    queued.jobs.submit(app.program(blocking=False, iterations=SHORT_ITERS))
+    c = queued.jobs.submit(app.program(blocking=False))
+    queued.jobs.cancel(c.job_id)
+    ended = c.finish_time
+    queued.run_until_jobs_finished(max_seconds=1e6)
+    queued.jobs.cancel(c.job_id)
+    assert c.state == "cancelled" and c.finish_time == ended
+    assert queued.metrics.count("jobs_cancelled") == 1
+
+
+# ---------------------------------------------------------------------------
+# A finished tenant takes its host-side state with it (DESIGN.md §12)
+# ---------------------------------------------------------------------------
+def _plan_job(plan):
+    """The job a compiled plan runs for, by its first entry's object."""
+    entry = plan.live[0]
+    return (entry.write or entry.read)[0] // OID_STRIDE
+
+
+def _held_of(worker, job_id):
+    """Everything ``worker`` still holds of ``job_id``, by structure."""
+    halves = [half for key, half in worker._templates.items()
+              if key[0] == job_id]
+    tracker = worker.tracker
+    reachable = {plan for pair in worker._seams for plan in pair}
+    reachable.update(tracker._prune_in, (p for p, _b, _r in tracker._chain))
+    reachable.update(half._plan for half in halves)
+    reachable.update(worker._patch_plans.values())
+    if tracker.tail is not None:
+        reachable.add(tracker.tail.plan)
+    plans = {plan for plan in reachable
+             if plan is not None and plan.m and _plan_job(plan) == job_id}
+    return {
+        "halves": len(halves),
+        "plans": sum(half._plan is not None for half in halves),
+        "frames": sum(len(plan.pool or ()) for plan in plans),
+        "seams": sum(a in plans or b in plans for a, b in worker._seams),
+        "prune_in": sum(plan in plans for plan in tracker._prune_in),
+        "patch_bodies": sum(plan in plans
+                            for plan in worker._patch_plans.values()),
+        "tracker": sum(oid // OID_STRIDE == job_id
+                       for entries in (tracker._last_writer,
+                                       tracker._readers_since)
+                       for oid in entries),
+    }
+
+
+def _structure_counts(cluster):
+    """Per worker: plans held, their pooled frames, seams, tracker
+    entries — counts, not bytes."""
+    counts = {}
+    for wid, worker in cluster.workers.items():
+        plans = {half._plan for half in worker._templates.values()}
+        plans.update(worker._patch_plans.values())
+        plans.discard(None)
+        stats = worker.tracker.stats()
+        counts[wid] = (len(plans), sum(len(p.pool or ()) for p in plans),
+                       len(worker._seams), stats["writers"],
+                       stats["reader_lists"], stats["plans"])
+    return counts
+
+
+@pytest.mark.parametrize("mode", ["centralized", "decentralized"])
+def test_finished_tenants_leave_only_their_halves(mode):
+    """After a served run, no worker holds anything of a finished job —
+    no compiled plan, pooled frame, seam, prune countdown, live patch
+    body or tracker entry — but its halves are still installed (the
+    redelivery guard; a half instantiated again would recompile)."""
+    from repro.apps.scenarios import build_job_arrival
+
+    cluster, _names = build_job_arrival(num_workers=4, num_jobs=4, mode=mode)
+    cluster.run_until_jobs_finished(max_seconds=1e6)
+    records = cluster.jobs.records.values()
+    assert all(r.state == "finished" for r in records)
+    assert any(any(w._patch_plans) for w in cluster.workers.values())
+    for record in records:
+        held = {wid: _held_of(worker, record.job_id)
+                for wid, worker in cluster.workers.items()}
+        assert any(h["halves"] for h in held.values()), record.job_id
+        leftover = {wid: {k: n for k, n in h.items() if n and k != "halves"}
+                    for wid, h in held.items()}
+        assert not any(leftover.values()), (record.job_id, leftover)
+
+
+def test_worker_state_does_not_grow_with_jobs_served():
+    """A 3-job and a 6-job serve run end with equal worker structure
+    counts: what a worker holds is bounded by the tenants it is serving,
+    not by the tenants it has served."""
+    from repro.apps.scenarios import build_job_arrival
+
+    ends = []
+    for jobs in (3, 6):
+        cluster, _names = build_job_arrival(num_workers=4, num_jobs=jobs)
+        cluster.run_until_jobs_finished(max_seconds=1e6)
+        ends.append(_structure_counts(cluster))
+    assert ends[0] == ends[1], ends
+
+
 @pytest.mark.parametrize("kwargs, rejected, throughput, p95", [
     # a rejected arrival takes no job id, so ids and arrival indices part
     # ways after the first rejection
