@@ -591,11 +591,11 @@ class Controller(P.ReliableEndpoint, Actor):
         move that cannot be an edit raises MigrationError once the moves
         before it are applied."""
         ctx = self.jobs.get(job_id)
-        if ctx is None:
+        if ctx is None or ctx.finished:
             raise KeyError(
                 f"cannot migrate tasks of block {block_id!r}: job {job_id} "
-                f"is not registered (live jobs: {sorted(self.jobs)})"
-            )
+                + ("has finished" if ctx is not None else
+                   f"is not registered (live jobs: {sorted(self.jobs)})"))
         template = ctx.templates.get(block_id)
         if template is None:
             raise KeyError(

@@ -16,9 +16,11 @@ exactly the driver-program model of Figure 3::
 ``yield job.run(...)`` blocks on the block's completion and returns the
 declared driver values. ``job.post(...)`` is fire-and-forget (the dataflow
 ordering is enforced by the workers, not the driver), with ``yield
-job.drain()`` as a barrier. ``job.enable_templates()`` switches the driver
-from streaming task descriptions to installing/instantiating templates —
-it can be called mid-run, as in the experiment of Figure 9.
+job.drain()`` as a barrier; returning from the program drains too, so a
+job finishes only once its last request completed.
+``job.enable_templates()`` switches the driver from streaming task
+descriptions to installing/instantiating templates — it can be called
+mid-run, as in the experiment of Figure 9.
 
 On failure recovery the controller replays the results history: the driver
 restarts the program generator and feeds it recorded results without
@@ -132,8 +134,9 @@ class Driver(P.ReliableEndpoint, Actor):
         #: channels are keyed by actor name, so concurrent drivers must
         #: also carry unique names (the JobManager uses "driver-<id>").
         self.job_id = job_id
-        #: callback invoked (with this driver) when the program finishes;
-        #: the JobManager uses it to admit queued jobs
+        #: callback invoked (with this driver) when the program has
+        #: returned and its last request completed; the JobManager uses it
+        #: to admit queued jobs
         self.on_finish: Optional[Callable[["Driver"], None]] = None
         #: submission backpressure: at most this many blocks in flight.
         #: Enough to pipeline control plane against computation, without
@@ -196,6 +199,11 @@ class Driver(P.ReliableEndpoint, Actor):
                 directive = self._gen.send(value)
             except StopIteration:
                 self._flush_window()  # posted-but-buffered work still runs
+                if self._outstanding:
+                    # finished means drained: the posted work completes
+                    # before the job is over (and its state is freed)
+                    self._wait = ("drain",)
+                    return
                 self.job.finished = True
                 self.job.finish_time = self.sim.now
                 if self._trace is not None:

@@ -51,6 +51,13 @@ from .runtime import FunctionRegistry
 OID_STRIDE = 1 << 20
 
 
+def job_of(cmd) -> Optional[int]:
+    """The job owning a command or entry, by its first global object."""
+    anchor = cmd.write[0] if cmd.write else (
+        cmd.read[0] if cmd.read else None)
+    return None if anchor is None else anchor // OID_STRIDE
+
+
 class JobRejected(RuntimeError):
     """Admission control refused a job submission (queue overflow)."""
 
@@ -69,6 +76,7 @@ class JobContext:
         "assignments", "validation_state", "patch_cache", "prev_block_key",
         "pending_edits", "divergent_wts", "seen_requests",
         "results_history", "object_sizes_cache", "_block_cache", "policy",
+        "finished",
     )
 
     def __init__(self, job_id: int, driver=None, metrics=None,
@@ -97,6 +105,26 @@ class JobContext:
         # translated-block cache: keeps the original alive so the id key
         # can never be recycled under us
         self._block_cache: Dict[int, Tuple[BlockSpec, BlockSpec]] = {}
+        #: FINISHED (:meth:`finish`): off the scheduling surface for good
+        self.finished = False
+
+    def finish(self) -> None:
+        """FINISHED: the job leaves the scheduling surface (DESIGN.md §12).
+
+        Its template side goes — controller templates, worker template
+        sets, assignments, queued edits and cached patches (the cache
+        object stays) — so no path edits, spreads or regenerates it again:
+        they all walk the emptied maps. What a later event or an observer
+        reads stays: directory, placement, results, metrics, policy,
+        driver and seen requests. Host side only: nothing modelled moves."""
+        self.finished = True
+        self.templates, self.phase, self.current_version = {}, {}, {}
+        self.worker_templates, self.assignments = {}, {}
+        self.pending_edits, self.divergent_wts = {}, set()
+        self.validation_state.invalidate()
+        self.patch_cache.invalidate_all()
+        self._block_cache = {}
+        self.object_sizes_cache = None
 
     # -- oid namespacing -------------------------------------------------
     def goid(self, oid: int) -> int:
@@ -354,16 +382,21 @@ class JobManager:
         self._maybe_halt()
 
     def _free_finished(self, job_id: int) -> None:
-        """Free the host-side state a finished tenant left that no later
-        event reads or that is rebuilt on demand (DESIGN.md §12). Nothing
-        modelled moves: no message, charge or event. Its templates,
-        directory and results stay; the modelled teardown is a release."""
-        cluster = self.cluster
-        ctx = cluster.controller.jobs.get(job_id)
+        """Mark a finished tenant FINISHED and free its template side on
+        the controller, the rebalancer and every worker (DESIGN.md §12).
+        Nothing modelled moves: no message, charge or event. Its data and
+        its record stay; the modelled teardown is a release."""
+        controller = self.cluster.controller
+        ctx = controller.jobs.get(job_id)
         if ctx is not None:
-            ctx._block_cache = {}
-            ctx.object_sizes_cache = None
-        for worker in cluster.workers.values():
+            ctx.finish()
+        if controller._dispatch_queue.drop_job(job_id):
+            # the driver reports a finish only once its last request
+            # completed, so nothing of the job can still be queued
+            raise RuntimeError(f"job {job_id} finished with queued work")
+        if controller.rebalancer is not None:
+            controller.rebalancer.forget_job(job_id)
+        for worker in self.cluster.workers.values():
             worker.job_finished(job_id)
 
     def cancel(self, job_id: int) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..core.compiled import CompiledPlan, Seam, build_seam, compile_plan
@@ -32,7 +32,7 @@ from .commands import Command, CommandKind
 from .costs import CostModel
 from .crosscheck import FrameCheck, TrackerShadow
 from .data import ObjectStore
-from .multijob import OID_STRIDE
+from .multijob import job_of
 from .runtime import FunctionRegistry, TaskContext
 from .tracker import ConflictTracker
 from . import protocol as P
@@ -194,8 +194,12 @@ class Worker(P.ReliableEndpoint, Actor):
         #: release reaches one job's state without scanning every tenant
         self._job_keys: Dict[int, List[Tuple[int, str, int]]] = {}
         self._job_patches: Dict[int, List[int]] = {}
-        #: every (patch_id, instance_id) ever run; guards redelivery
-        self._ran_patches: set = set()
+        #: redelivery guards, kept across halts: per patch id the instance
+        #: ids it ran, per job every (block_id, instance_id) started; once
+        #: the job ends a patch tombstone or the finished marker answers
+        self._ran_patches: Dict[int, set] = {}
+        self._seen_instances: Dict[int, set] = defaultdict(set)
+        self._finished_jobs: set = set()
 
         # compiled execution plans (repro.core.compiled): every template
         # and patch instance replays a pooled command arena
@@ -206,9 +210,6 @@ class Worker(P.ReliableEndpoint, Actor):
 
         # instances
         self._instances: Dict[Hashable, _InstanceRecord] = {}
-        #: every (block_id, instance_id) ever started — survives halts so
-        #: instantiations redelivered across a recovery stay discarded
-        self._seen_instances: set = set()
 
         #: self-schedule grants in flight, keyed (job_id, window_id)
         self._grants: Dict[Tuple[int, int], _WorkerGrant] = {}
@@ -318,9 +319,10 @@ class Worker(P.ReliableEndpoint, Actor):
         self.metrics.incr("protocol.stale_discards")
 
     def _on_install_template(self, msg: P.InstallWorkerTemplate) -> None:
-        if (msg.job_id, msg.block_id, msg.version) in self._templates:
+        if ((msg.job_id, msg.block_id, msg.version) in self._templates
+                or msg.job_id in self._finished_jobs):
             # redelivered install: reinstalling would wipe edits already
-            # applied to the cached half
+            # applied to the cached half (or revive a finished job's)
             self._stale()
             return
         entries = msg.entries
@@ -339,13 +341,14 @@ class Worker(P.ReliableEndpoint, Actor):
 
     def _on_instantiate_template(self, msg: P.InstantiateWorkerTemplate) -> None:
         key = (msg.block_id, msg.instance_id)
-        if key in self._seen_instances:
+        if (msg.job_id in self._finished_jobs
+                or key in self._seen_instances.get(msg.job_id, ())):
             # redelivered (or stale pre-halt) instantiation: its command
             # ids were already allocated once; running it again would
             # collide with live commands and double-apply edits
             self._stale()
             return
-        self._seen_instances.add(key)
+        self._seen_instances[msg.job_id].add(key)
         half = self._templates.get((msg.job_id, msg.block_id, msg.version))
         if half is None:
             raise self._not_installed(msg, "asked to instantiate template")
@@ -549,10 +552,11 @@ class Worker(P.ReliableEndpoint, Actor):
         self.charge(self.costs.worker_edit_per_task * len(edits))
 
     def job_finished(self, job_id: int) -> None:
-        """A tenant finished: free its state (host side only). Its halves
-        stay installed — a half instantiated again would recompile."""
-        self._free_jobs((job_id,), [self._templates[key]
-                                    for key in self._job_keys.get(job_id, ())])
+        """A tenant finished (DESIGN.md §12): its halves, guards and plans
+        go, the finished marker answers for them; its objects stay."""
+        self._finished_jobs.add(job_id)
+        self._seen_instances.pop(job_id, None)
+        self._free_jobs((job_id,))
 
     def _on_release_job(self, msg: P.ReleaseJob) -> None:
         """A tenant was cancelled or crashed: scrub it from this worker.
@@ -569,42 +573,34 @@ class Worker(P.ReliableEndpoint, Actor):
             del self._grants[key]  # in-flight instances drain body-less
         for oid in msg.oids:
             self.store.destroy(oid)
-        halves = [self._templates.pop(key)
-                  for key in self._job_keys.pop(msg.job_id, ())]
         self._released_cids.update(
             cid for cid, cmd in self._pending.items()
             if self._body_released(cmd))
-        self._free_jobs(self._released_jobs, halves)
+        self._free_jobs(self._released_jobs)
         self.metrics.incr("jobs.worker_releases")
 
-    def _free_jobs(self, jobs, halves=()) -> None:
+    def _free_jobs(self, jobs) -> None:
         """Free what ``jobs`` left here that no later event reads (a
         service must not grow with every tenant it served; DESIGN.md §12):
-        the plans of ``halves``, the jobs' patch bodies (the ids stay, the
-        redelivery guard) and the tracker entries of their completed
-        commands — exact, as a completed command is never a dependency.
-        Entries of released commands still draining go when the last of
-        them completes (:meth:`_complete`)."""
+        their halves and plans, their patch bodies and patch guards (the
+        ids stay, a tombstone that answers a redelivery) and the tracker
+        entries of their completed commands — exact, as a completed
+        command is never a dependency. Entries of released commands still
+        draining go when the last of them completes (:meth:`_complete`)."""
         plans = []
-        for half in halves:
-            plans.append(half._plan)
-            half._plan = None
         for job in jobs:
+            for key in self._job_keys.pop(job, ()):
+                plans.append(self._templates.pop(key)._plan)
             for pid in self._job_patches.pop(job, ()):
                 plans.append(self._patch_plans[pid])
                 self._patch_plans[pid] = None  # tombstone: body freed
+                self._ran_patches.pop(pid, None)  # the tombstone answers
         self._drop_plans(plans)
         self.tracker.scrub(jobs)
 
-    def _job_of(self, cmd) -> Optional[int]:
-        """The job owning a command or entry, by its first object."""
-        anchor = cmd.write[0] if cmd.write else (
-            cmd.read[0] if cmd.read else None)
-        return None if anchor is None else anchor // OID_STRIDE
-
     def _body_released(self, cmd: Command) -> bool:
         """True when ``cmd`` belongs to a released job (skip its body)."""
-        return self._job_of(cmd) in self._released_jobs
+        return job_of(cmd) in self._released_jobs
 
     def _on_install_patch(self, msg: P.InstallPatch) -> None:
         if msg.patch_id in self._patch_plans:
@@ -613,17 +609,18 @@ class Worker(P.ReliableEndpoint, Actor):
         plan = compile_plan(msg.entries, ())
         self._patch_plans[msg.patch_id] = plan
         if plan.m:  # an empty patch has no body to free
-            self._job_patches.setdefault(self._job_of(plan.live[0]),
+            self._job_patches.setdefault(job_of(plan.live[0]),
                                          []).append(msg.patch_id)
         self.plans_compiled += 1
-        self._ran_patches.add((msg.patch_id, msg.instance_id))
+        self._ran_patches[msg.patch_id] = {msg.instance_id}
         self._run_patch(plan, msg.instance_id, msg.cid_base)
 
     def _on_instantiate_patch(self, msg: P.InstantiatePatch) -> None:
-        if (msg.patch_id, msg.instance_id) in self._ran_patches:
-            self._stale()  # redelivered invocation of an already-run patch
+        ran = self._ran_patches.get(msg.patch_id)
+        if ran is None or msg.instance_id in ran:
+            self._stale()  # redelivered, or its job ended: the body is gone
             return
-        self._ran_patches.add((msg.patch_id, msg.instance_id))
+        ran.add(msg.instance_id)
         self._run_patch(self._patch_plans[msg.patch_id], msg.instance_id,
                         msg.cid_base)
 
@@ -981,8 +978,8 @@ class Worker(P.ReliableEndpoint, Actor):
     # ------------------------------------------------------------------
     def _on_self_schedule(self, msg: P.SelfScheduleWindow) -> None:
         key = (msg.job_id, msg.window_id)
-        if key in self._grants:
-            self._stale()  # redelivered grant: already being consumed
+        if key in self._grants or msg.job_id in self._finished_jobs:
+            self._stale()  # redelivered grant: being consumed, or all run
             return
         if msg.job_id in self._released_jobs:
             # a shard-relayed window crossing a ReleaseJob on the direct
@@ -1021,7 +1018,7 @@ class Worker(P.ReliableEndpoint, Actor):
         # fold forward, and stall only on a genuinely *stale* grant
         if grant.epoch > self._pm_epoch:
             self._pm_epoch = grant.epoch
-        instances = grant.instances
+        instances, seen = grant.instances, self._seen_instances[grant.key[0]]
         while (grant.active < self.self_schedule_depth
                and grant.next < len(instances)
                and not grant.stalled):
@@ -1032,10 +1029,10 @@ class Worker(P.ReliableEndpoint, Actor):
             instance_id, cid_base, block_seq, params = instances[grant.next]
             grant.next += 1
             key = (grant.block_id, instance_id)
-            if key in self._seen_instances:
+            if key in seen:
                 self._stale()  # re-granted instance that already ran here
                 continue
-            self._seen_instances.add(key)
+            seen.add(key)
             self.charge(self.costs.worker_self_schedule_per_instance)
             grant.active += 1
             self._start_instance(grant.half, grant.block_id, grant.version,

@@ -244,6 +244,14 @@ class Rebalancer:
         for tracker in self.trackers.values():
             tracker.drop_worker(worker)
 
+    def forget_job(self, job_id: int) -> None:
+        """Drop a finished job's trackers, cooldowns and reverse maps:
+        :meth:`maybe_rebalance` never runs for it again."""
+        for state in (self.trackers, self._cooldown_left,
+                      self._locations_rev):
+            for key in [k for k in state if k[0] == job_id]:
+                del state[key]
+
     # -- observe -------------------------------------------------------
     def observe_instance(self, ctx, block_id: str, version: int, worker: int,
                          compute_time: float,

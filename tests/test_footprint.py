@@ -11,9 +11,9 @@ after a quick sharded LR run and a quick serve run,
 * the object directory stores a sole holder of the latest version as the
   worker id, not as a one-entry ``{worker: version}`` map.
 
-A finished tenant's frames and tracker entries go with it (DESIGN.md
-§12), so the serve cluster has none left at its end: the frame and reader
-list checks also look at it as it was while its last job still ran.
+A finished tenant's template sets, halves, frames and tracker entries go
+with it (DESIGN.md §12), so the serve cluster has none left at its end:
+the checks also look at it as it was while its last job still ran.
 """
 
 import pytest
@@ -31,6 +31,15 @@ def _frames(cluster):
             for frame in half._plan.pool]
 
 
+def _installed(cluster):
+    """Each job's template sets, with the half each worker installed."""
+    return [(job_id, wts, {w: cluster.workers[w]._templates.get(
+                (job_id, wts.block_id, wts.version))
+             for w in wts.installed_on})
+            for job_id, ctx in cluster.controller.jobs.items()
+            for wts in ctx.worker_templates.values()]
+
+
 def _reader_maps(cluster):
     """A copy of every worker's readers-since map."""
     return [{oid: lst if lst.__class__ is int else list(lst)
@@ -41,8 +50,8 @@ def _reader_maps(cluster):
 @pytest.fixture(scope="module")
 def runs():
     """The two clusters, the ``before`` of every command a worker took
-    off the central dispatch path, and the serve cluster's frames and
-    reader lists while its last job still ran."""
+    off the central dispatch path, and the serve cluster's frames, reader
+    lists and installed template sets while its last job still ran."""
     befores = []
     enqueue = Worker._enqueue
 
@@ -56,36 +65,32 @@ def runs():
         serve, _names = build_job_arrival(num_workers=4, num_jobs=4)
         while serve.metrics.count("jobs_finished") < 3:
             assert serve.sim.step()
-        live = {"frames": _frames(serve), "readers": _reader_maps(serve)}
+        live = {"frames": _frames(serve), "readers": _reader_maps(serve),
+                "installed": _installed(serve)}
         serve.run_until_jobs_finished(max_seconds=1e6)
     finally:
         Worker._enqueue = enqueue
     return [lr, serve], befores, live
 
 
-def _template_sets(cluster):
-    for job_id, ctx in cluster.controller.jobs.items():
-        for wts in ctx.worker_templates.values():
-            yield job_id, wts
-
-
 def test_worker_halves_share_the_controller_entries(runs):
-    clusters, _, _ = runs
-    compared = 0
-    for cluster in clusters:
-        for job_id, wts in _template_sets(cluster):
-            for worker in wts.installed_on:
-                half = cluster.workers[worker]._templates.get(
-                    (job_id, wts.block_id, wts.version))
+    clusters, _, live = runs
+    compared = {}
+    for label, installed in (("lr", _installed(clusters[0])),
+                             ("serve while running", live["installed"])):
+        compared[label] = 0
+        for job_id, wts, halves in installed:
+            for worker, half in halves.items():
                 if half is None:
                     continue
                 mine = wts.entries[worker]
                 assert len(half.entries) == len(mine)
                 assert all(a is b for a, b in zip(half.entries, mine)), (
-                    f"job {job_id} {wts.key} worker {worker}: the half "
-                    f"holds copies of the controller's entries")
-                compared += len(mine)
-    assert compared
+                    f"{label}: job {job_id} {wts.key} worker {worker}: the "
+                    f"half holds copies of the controller's entries")
+                compared[label] += len(mine)
+    assert all(compared.values()), compared
+    assert not _installed(clusters[1])  # finished tenants keep no set
 
 
 def test_tracker_keeps_no_empty_reader_list(runs):
@@ -103,10 +108,10 @@ def test_tracker_keeps_no_empty_reader_list(runs):
 
 
 def test_template_delta_interns_holder_sets(runs):
-    clusters, _, _ = runs
+    clusters, _, live = runs
     shared = 0
-    for cluster in clusters:
-        for _job_id, wts in _template_sets(cluster):
+    for installed in (_installed(clusters[0]), live["installed"]):
+        for _job_id, wts, _halves in installed:
             holders = list(wts.delta.final_holders.values())
             distinct = set(holders)
             assert len({id(h) for h in holders}) == len(distinct), (

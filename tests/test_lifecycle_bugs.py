@@ -466,9 +466,9 @@ def test_released_tenants_leave_no_tracker_plan_or_seam_state():
     patch cache and the seam cache return to what they held after the
     first cycle (pre-fix only ``_on_halt`` ever cleared them, so each
     released tenant left its oids and patch bodies behind). Already at
-    the finish a tenant holds nothing here but its halves; a released
-    patch keeps its id as a tombstone — the redelivery guard — and
-    nothing else."""
+    the finish a tenant holds none of it, halves included; a finished or
+    released patch keeps its id as a tombstone — the redelivery guard —
+    and nothing else."""
     from repro.apps import LRApp, LRSpec, RotationApp, RotationSpec
     from repro.nimbus import merged_registry
 
@@ -484,11 +484,10 @@ def test_released_tenants_leave_no_tracker_plan_or_seam_state():
         record = cluster.jobs.submit(programs[cycle % 2])
         cluster.run_until_jobs_finished(max_seconds=1e6)
         assert record.state == "finished"
-        # finished, not yet released: the finish already freed all but
-        # the tenant's installed halves
+        # finished, not yet released: the finish already freed it all,
+        # the tenant's installed halves too
         live = _tenant_state(cluster)
-        assert all(state[5] and not any(state[:5] + state[6:])
-                   for state in live.values()), live
+        assert all(not any(state) for state in live.values()), live
         cluster.controller.deliver(P.ManagerDirective(
             lambda ctrl, jid=record.job_id: ctrl.release_job(jid)))
         cluster.sim.run(until=cluster.sim.now + 1.0)

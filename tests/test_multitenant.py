@@ -302,7 +302,8 @@ def test_cancelling_an_ended_job_changes_nothing():
 
 
 # ---------------------------------------------------------------------------
-# A finished tenant takes its host-side state with it (DESIGN.md §12)
+# A finished tenant leaves the scheduling surface and keeps only its data
+# and its record (DESIGN.md §12)
 # ---------------------------------------------------------------------------
 def _plan_job(plan):
     """The job a compiled plan runs for, by its first entry's object."""
@@ -325,6 +326,8 @@ def _held_of(worker, job_id):
              if plan is not None and plan.m and _plan_job(plan) == job_id}
     return {
         "halves": len(halves),
+        "job_keys": len(worker._job_keys.get(job_id, ())),
+        "seen_instances": len(worker._seen_instances.get(job_id, ())),
         "plans": sum(half._plan is not None for half in halves),
         "frames": sum(len(plan.pool or ()) for plan in plans),
         "seams": sum(a in plans or b in plans for a, b in worker._seams),
@@ -338,9 +341,23 @@ def _held_of(worker, job_id):
     }
 
 
+def _template_side(ctx):
+    """The template-side state a job context holds, by structure."""
+    return {
+        "templates": len(ctx.templates),
+        "phases": len(ctx.phase) + len(ctx.current_version),
+        "template_sets": len(ctx.worker_templates),
+        "assignments": len(ctx.assignments),
+        "pending_edits": len(ctx.pending_edits) + len(ctx.divergent_wts),
+        "validation_state": ctx.validation_state.last_key is not None,
+        "patch_entries": len(ctx.patch_cache),
+    }
+
+
 def _structure_counts(cluster):
     """Per worker: plans held, their pooled frames, seams, tracker
-    entries — counts, not bytes."""
+    entries, halves and redelivery guards; on the controller: templates,
+    template sets and cached patches — counts, not bytes."""
     counts = {}
     for wid, worker in cluster.workers.items():
         plans = {half._plan for half in worker._templates.values()}
@@ -349,16 +366,24 @@ def _structure_counts(cluster):
         stats = worker.tracker.stats()
         counts[wid] = (len(plans), sum(len(p.pool or ()) for p in plans),
                        len(worker._seams), stats["writers"],
-                       stats["reader_lists"], stats["plans"])
+                       stats["reader_lists"], stats["plans"],
+                       len(worker._templates), len(worker._ran_patches),
+                       sum(map(len, worker._seen_instances.values())))
+    contexts = cluster.controller.jobs.values()
+    counts["controller"] = tuple(
+        sum(len(getattr(ctx, name)) for ctx in contexts)
+        for name in ("templates", "worker_templates", "patch_cache"))
     return counts
 
 
 @pytest.mark.parametrize("mode", ["centralized", "decentralized"])
-def test_finished_tenants_leave_only_their_halves(mode):
-    """After a served run, no worker holds anything of a finished job —
-    no compiled plan, pooled frame, seam, prune countdown, live patch
-    body or tracker entry — but its halves are still installed (the
-    redelivery guard; a half instantiated again would recompile)."""
+def test_finished_tenants_leave_only_their_data(mode):
+    """After a served run a finished job keeps no controller template,
+    template set, assignment, queued edit, live validation state or cached
+    patch, and no worker keeps its half, plan, pooled frame, seam, prune
+    countdown, live patch body, tracker entry or redelivery guard — the
+    per-worker finished marker answers instead. Its data and its record
+    stay: directory, placement, store objects, results and metrics."""
     from repro.apps.scenarios import build_job_arrival
 
     cluster, _names = build_job_arrival(num_workers=4, num_jobs=4, mode=mode)
@@ -367,18 +392,35 @@ def test_finished_tenants_leave_only_their_halves(mode):
     assert all(r.state == "finished" for r in records)
     assert any(any(w._patch_plans) for w in cluster.workers.values())
     for record in records:
-        held = {wid: _held_of(worker, record.job_id)
+        job_id = record.job_id
+        ctx = cluster.controller.jobs[job_id]
+        assert ctx.finished
+        kept = {k: n for k, n in _template_side(ctx).items() if n}
+        assert not kept, (job_id, kept)
+        held = {wid: _held_of(worker, job_id)
                 for wid, worker in cluster.workers.items()}
-        assert any(h["halves"] for h in held.values()), record.job_id
-        leftover = {wid: {k: n for k, n in h.items() if n and k != "halves"}
+        leftover = {wid: {k: n for k, n in h.items() if n}
                     for wid, h in held.items()}
-        assert not any(leftover.values()), (record.job_id, leftover)
+        assert not any(leftover.values()), (job_id, leftover)
+        assert all(job_id in w._finished_jobs
+                   for w in cluster.workers.values())
+        # what stays: the data and the record
+        assert ctx.results_history and ctx.placement is not None
+        assert any(o.oid // OID_STRIDE == job_id
+                   for o in ctx.directory.objects())
+        assert any(oid // OID_STRIDE == job_id
+                   for w in cluster.workers.values()
+                   for oid in w.store.live_objects())
+        assert record.metrics.count("template_instantiations")
+    # every tenant finished: no guard entry of any job is left
+    assert not any(w._ran_patches or w._seen_instances
+                   for w in cluster.workers.values())
 
 
 def test_worker_state_does_not_grow_with_jobs_served():
-    """A 3-job and a 6-job serve run end with equal worker structure
-    counts: what a worker holds is bounded by the tenants it is serving,
-    not by the tenants it has served."""
+    """A 3-job and a 6-job serve run end with equal worker and controller
+    structure counts: what the cluster holds is bounded by the tenants it
+    is serving, not by the tenants it has served."""
     from repro.apps.scenarios import build_job_arrival
 
     ends = []
@@ -387,6 +429,162 @@ def test_worker_state_does_not_grow_with_jobs_served():
         cluster.run_until_jobs_finished(max_seconds=1e6)
         ends.append(_structure_counts(cluster))
     assert ends[0] == ends[1], ends
+
+
+def test_finished_tenant_is_off_the_scheduling_surface():
+    """After tenant A finished, a spread onto a joined worker and an
+    eviction leave A's templates alone: no edit, reassignment or
+    regeneration of A. The eviction still relocates A's objects, and
+    both tenants compute what they compute alone. Pre-fix the spread
+    edited the dead tenant's templates and the eviction regenerated
+    them, spending controller time on a job that never runs again."""
+    app = small_lr_app()
+    solo_a = run_solo(app, iterations=SHORT_ITERS)
+    solo_b = run_solo(app, iterations=40)
+    cluster = serve_cluster(app, autoscale=True, autoscale_cold_start=0.0)
+    a = cluster.jobs.submit(app.program(blocking=False,
+                                        iterations=SHORT_ITERS))
+    b = cluster.jobs.submit(app.program(blocking=False, iterations=40))
+    while a.state != "finished":
+        assert cluster.sim.step()
+    assert b.state == "running"
+    counted = ("edits_applied", "migrations_reassigned",
+               "worker_template_regenerations")
+
+    def counts(record):
+        return [record.metrics.count(name) for name in counted]
+
+    at_finish, b_before = counts(a), counts(b)
+    scaler, ctrl = cluster.autoscaler, cluster.controller
+    scaler._scale_up(1)  # joins after a zero cold start, then spreads
+    while not any(d["action"] == "spread" for d in scaler.decisions):
+        assert cluster.sim.step()
+    assert b.state == "running" and counts(b) != b_before  # B did move
+    assert counts(a) == at_finish
+    copies = a.metrics.count("relocation_copies")
+    ctrl.membership.evict_workers([0])
+    assert counts(a) == at_finish
+    assert a.metrics.count("relocation_copies") > copies  # A's data moved
+    cluster.run_until_jobs_finished(max_seconds=1e6)
+    assert counts(a) == at_finish
+    assert job_observables(cluster, a.job_id, app) == solo_a
+    assert job_observables(cluster, b.job_id, app) == solo_b
+
+
+@pytest.mark.parametrize("mode", ["centralized", "decentralized"])
+def test_a_program_ending_in_posts_finishes_once_drained(mode):
+    """A program that returns right after ``job.post`` finishes only when
+    its last posted block has completed: the finish frees the job's
+    templates and guards, so work still in flight would find them gone.
+    Co-scheduled with a longer tenant, it computes what it computes
+    alone (whose program ends in a drain)."""
+    app = small_lr_app()
+    iters = 6
+
+    def posting(job):
+        yield job.define(app.variables.definitions)
+        yield job.run(app.init_block)
+        for _ in range(iters):
+            job.post(app.iteration_block, {"step": app.spec.step_size})
+
+    solo = run_solo(app, iterations=iters, mode=mode)
+    solo_b = run_solo(app, iterations=12, mode=mode)
+    cluster = serve_cluster(app, mode=mode)
+    a = cluster.jobs.submit(posting)
+    b = cluster.jobs.submit(app.program(blocking=False, iterations=12))
+    while a.state != "finished":
+        assert cluster.sim.step()
+    assert b.state == "running" and a.driver._outstanding == 0
+    assert a.finish_time >= max(end for _r, _s, end in a.driver.iteration_log)
+    cluster.run_until_jobs_finished(max_seconds=1e6)
+    assert job_observables(cluster, a.job_id, app) == solo
+    assert job_observables(cluster, b.job_id, app) == solo_b
+
+
+def test_migrating_a_finished_job_raises_before_any_change():
+    """``migrate_tasks`` on a finished job names it as finished and
+    changes nothing — pre-fix it edited the dead tenant's templates and
+    bumped the partition-map epoch."""
+    app = small_lr_app()
+    cluster = serve_cluster(app)
+    a = cluster.jobs.submit(app.program(blocking=False))
+    cluster.run_until_jobs_finished(max_seconds=1e6)
+    ctrl = cluster.controller
+    epoch, edits = ctrl.pm_epoch, a.metrics.count("edits_applied")
+    with pytest.raises(KeyError, match=f"job {a.job_id} has finished"):
+        ctrl.migrate_tasks("lr.iteration", [(0, 1)], job_id=a.job_id)
+    assert ctrl.pm_epoch == epoch
+    assert a.metrics.count("edits_applied") == edits
+
+
+def test_redelivery_to_a_finished_job_is_stale_and_runs_nothing(monkeypatch):
+    """A redelivered install, instantiation or patch invocation of a
+    finished job is discarded as stale once its guards are gone: no half
+    comes back, no command runs. Releasing the finished job afterwards
+    still destroys its objects."""
+    from repro.apps.scenarios import build_job_arrival
+    from repro.nimbus import protocol as P
+    from repro.nimbus.worker import Worker
+
+    seen = []
+    for name in ("_on_install_template", "_on_instantiate_template",
+                 "_on_instantiate_patch"):
+        def recording(self, msg, _handler=getattr(Worker, name)):
+            if self.worker_id == 0:
+                seen.append(msg)
+            _handler(self, msg)
+        monkeypatch.setattr(Worker, name, recording)
+    cluster, _names = build_job_arrival(num_workers=4, num_jobs=4)
+    cluster.run_until_jobs_finished(max_seconds=1e6)
+    monkeypatch.undo()
+    kinds = {type(msg) for msg in seen}
+    assert kinds == {P.InstallWorkerTemplate, P.InstantiateWorkerTemplate,
+                     P.InstantiatePatch}, kinds
+    w = cluster.workers[0]
+    executed, compiled = w.tasks_executed, w.plans_compiled
+    stale = cluster.metrics.count("protocol.stale_discards")
+    for msg in seen:
+        w.handle(msg)
+    assert cluster.metrics.count("protocol.stale_discards") == (
+        stale + len(seen))
+    assert not w._pending and not w._templates and not w._seen_instances
+    assert (w.tasks_executed, w.plans_compiled) == (executed, compiled)
+
+    job_id = max(cluster.jobs.records)
+    owned = [oid for worker in cluster.workers.values()
+             for oid in worker.store.live_objects()
+             if oid // OID_STRIDE == job_id]
+    assert owned
+    cluster.controller.deliver(P.ManagerDirective(
+        lambda ctrl: ctrl.release_job(job_id)))
+    cluster.sim.run(until=cluster.sim.now + 1.0)
+    assert not any(oid // OID_STRIDE == job_id
+                   for worker in cluster.workers.values()
+                   for oid in worker.store.live_objects())
+
+
+def test_rebalancer_forgets_finished_tenants():
+    """The rebalancer's per-(job, block) trackers, cooldowns and reverse
+    location maps go at a tenant's finish, not never."""
+    app = small_lr_app()
+    cluster = serve_cluster(app, rebalance=True)
+    a = cluster.jobs.submit(app.program(blocking=False, iterations=8))
+    b = cluster.jobs.submit(app.program(blocking=False, iterations=16))
+    rebalancer = cluster.rebalancer
+    states = (rebalancer.trackers, rebalancer._cooldown_left,
+              rebalancer._locations_rev)
+
+    def keys_of(job_id):
+        return [key for state in states for key in state
+                if key[0] == job_id]
+
+    grew = False
+    while a.state != "finished":
+        grew = grew or bool(keys_of(a.job_id))
+        assert cluster.sim.step()
+    assert grew and not keys_of(a.job_id)
+    cluster.run_until_jobs_finished(max_seconds=1e6)
+    assert b.state == "finished" and not any(states)
 
 
 @pytest.mark.parametrize("kwargs, rejected, throughput, p95", [
