@@ -202,6 +202,9 @@ class NimbusCluster:
             duration_scale=scale,
         )
         worker.peers = self.workers
+        for job_id, ctx in self.controller.jobs.items():
+            if ctx.finished:  # a late joiner knows them too (DESIGN.md §12)
+                worker.job_finished(job_id)
         self.network.attach(worker)
         self.workers[wid] = worker
         if self.tracer is not None:

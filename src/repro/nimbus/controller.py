@@ -671,10 +671,11 @@ class Controller(P.ReliableEndpoint, Actor):
     def _close_run(self, run: _BlockRun,
                    finished_at: Optional[float] = None) -> Tuple:
         """Retire a run whose last completion has been folded and return
-        its ``BlockCompleteBatch`` item. Shared by the per-instance close
-        and the window close, which differ only in the end timestamp: a
-        window passes each run's worker-local ``finished_at``; ``None``
-        ends the run now and has the driver stamp it at message arrival."""
+        its ``BlockCompleteBatch`` item; the block interval, the history and
+        the driver share its results dict, read-only. The per-instance and
+        the window close differ only in the end timestamp: a window passes
+        each run's worker-local ``finished_at``; ``None`` ends the run now
+        and has the driver stamp it at message arrival."""
         ctx = run.ctx
         end = self.sim.now if finished_at is None else finished_at
         del self.runs[run.seq]
@@ -684,8 +685,8 @@ class Controller(P.ReliableEndpoint, Actor):
         if run.compute_by_worker:
             compute = max(run.compute_by_worker.values()) / SLOTS_PER_WORKER
         ctx.metrics.end("block", end, key=run.seq,
-                        compute=compute, results=dict(run.results))
-        ctx.results_history.append((run.block_id, dict(run.results)))
+                        compute=compute, results=run.results)
+        ctx.results_history.append((run.block_id, run.results))
         # pure bookkeeping for cross-job placement: dict folds only, no
         # charge, no RNG — the virtual timeline is untouched. Departed
         # workers are filtered so a run that straddled an eviction does
@@ -693,8 +694,7 @@ class Controller(P.ReliableEndpoint, Actor):
         for worker, compute_time in run.compute_by_worker.items():
             if worker in self.live_workers:
                 self.load_tracker.observe(worker, compute_time, {})
-        return (run.block_id, run.seq, dict(run.results), run.request_id,
-                finished_at)
+        return run.block_id, run.seq, run.results, run.request_id, finished_at
 
     def _finish_block(self, run: _BlockRun) -> None:
         ctx = run.ctx

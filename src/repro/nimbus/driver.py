@@ -87,10 +87,6 @@ class Job:
         self._driver.use_templates = False
 
     @property
-    def templates_enabled(self) -> bool:
-        return self._driver.use_templates
-
-    @property
     def now(self) -> float:
         return self._driver.sim.now
 
@@ -155,7 +151,6 @@ class Driver(P.ReliableEndpoint, Actor):
         self._next_task_id = 1
         self._installed: set = set()  # block_ids with a controller template
         self._submit_times: Dict[int, float] = {}
-        self._block_results: Dict[int, Dict[str, Any]] = {}
         self._backlog = []  # (request_id, block, params) awaiting a slot
         #: decentralized mode: buffered (request_id, block, params) of one
         #: block awaiting window flush (all entries share a block_id)
@@ -385,7 +380,6 @@ class Driver(P.ReliableEndpoint, Actor):
             self.iteration_log.append((request_id, submit_time, end))
             self.metrics.end("driver_block", end,
                              key=request_id, results=results)
-        self._block_results[request_id] = results
         if self._wait is None:
             self._trace_cause = None
             return

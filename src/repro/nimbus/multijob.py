@@ -116,8 +116,12 @@ class JobContext:
         object stays) — so no path edits, spreads or regenerates it again:
         they all walk the emptied maps. What a later event or an observer
         reads stays: directory, placement, results, metrics, policy,
-        driver and seen requests. Host side only: nothing modelled moves."""
+        driver and seen requests. The directory folds its recorded
+        template deltas now, as any later read of it would first: their
+        maps have no other reader left. Host side only: nothing modelled
+        moves."""
         self.finished = True
+        self.directory.fold()
         self.templates, self.phase, self.current_version = {}, {}, {}
         self.worker_templates, self.assignments = {}, {}
         self.pending_edits, self.divergent_wts = {}, set()

@@ -3,7 +3,8 @@
 Per object, the last command that wrote it and the commands that read it
 since: a new command waits for the pending ones among them. Centrally
 dispatched commands resolve against the tracker one by one
-(:meth:`ConflictTracker.resolve`); a compiled template or patch instance
+(:meth:`ConflictTracker.resolve`) and leave it as they complete
+(:meth:`ConflictTracker.forget`); a compiled template or patch instance
 takes most of its cross-instance edges from a cached seam
 (:func:`repro.core.compiled.build_seam`) and walks only the objects the
 seam leaves (:meth:`ConflictTracker.walk`).
@@ -132,7 +133,12 @@ class ConflictTracker:
             self._prune_in[plan] = left
         last_writer = self._last_writer
         for oid, (p, poss) in plan.net.items():
-            last_writer[oid] = base + p
+            if rem[p] >= 0:
+                last_writer[oid] = base + p
+            else:
+                # completed, and so is every earlier writer: each write
+                # waited for the one before it
+                last_writer.pop(oid, None)
             self._store(oid, [base + q for q in poss if rem[q] >= 0])
         if self.shadow is not None:
             self.shadow.compare()
@@ -186,11 +192,7 @@ class ConflictTracker:
             elif readers.__class__ is int:
                 readers_since[oid] = [readers, cid]
             else:
-                readers.append(cid)
-                n = len(readers)
-                if n >= READERS_PRUNE_MIN and not n & (n - 1):
-                    # read-mostly object: keep the list O(pending readers)
-                    readers[:] = [r for r in readers if r in self.pending]
+                readers.append(cid)  # leaves at its completion (forget)
         last_writer = self._last_writer
         for oid in write:
             last_writer[oid] = cid
@@ -198,6 +200,24 @@ class ConflictTracker:
         if self.shadow is not None:
             self.shadow.resolve(cid, read, write)
         return deps
+
+    def forget(self, cmd: Command) -> None:
+        """A centrally dispatched command completed: drop the entries that
+        still name it (exact: a completed command is never a dependency)."""
+        cid = cmd.cid
+        last_writer = self._last_writer
+        for oid in cmd.write:
+            if last_writer.get(oid) == cid:
+                del last_writer[oid]
+        readers_since = self._readers_since
+        for oid in cmd.read:
+            readers = readers_since.get(oid)
+            if readers == cid:
+                del readers_since[oid]
+            elif readers.__class__ is list and cid in readers:
+                readers.remove(cid)
+                if len(readers) < 2:
+                    self._store(oid, readers)
 
     def _prune(self, oid: int) -> int:
         """Drop ``oid``'s completed readers (exact: a completed command

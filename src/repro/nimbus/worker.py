@@ -585,8 +585,8 @@ class Worker(P.ReliableEndpoint, Actor):
         their halves and plans, their patch bodies and patch guards (the
         ids stay, a tombstone that answers a redelivery) and the tracker
         entries of their completed commands — exact, as a completed
-        command is never a dependency. Entries of released commands still
-        draining go when the last of them completes (:meth:`_complete`)."""
+        command is never a dependency. Released jobs' commands, and a
+        finished job's patch, go again once drained (:meth:`_complete`)."""
         plans = []
         for job in jobs:
             for key in self._job_keys.pop(job, ()):
@@ -867,6 +867,7 @@ class Worker(P.ReliableEndpoint, Actor):
         if frame is None:
             cid = cmd.cid
             del self._pending[cid]
+            self.tracker.forget(cmd)
             if tr is not None:
                 tr.cmd_complete(cid)
             block_seq, report = cmd._wmeta
@@ -936,8 +937,10 @@ class Worker(P.ReliableEndpoint, Actor):
                 else:
                     self._finish_instance(record)
             return
-        if frame is not None:
-            return  # patch command: no ack needed
+        if frame is not None:  # patch command: no ack needed
+            if not left and job_of(cmd) in self._finished_jobs:
+                self._free_jobs((job_of(cmd),))  # its patch has drained
+            return
         value = self.store.get(cmd.write[0]) if (report and cmd.write) else None
         self._completion_buffer.extend((cid, block_seq, duration, value))
         if not self._completion_flush_pending:

@@ -150,6 +150,18 @@ def test_chained_replay_defers_then_folds_on_a_plan_switch():
         assert run.tracker.stats()["chain"] <= len(run.inflight) + 2
 
 
+def test_a_fold_writes_no_completed_writer():
+    """A chain folded after its instances drained leaves no last-writer
+    entry: a completed net writer is never a dependency, and nor is any
+    earlier writer of its objects, which it waited for."""
+    run = _TrackerRun()
+    for op in ["a", "a", ("complete", 0), ("complete", 0)]:
+        run.apply(op if isinstance(op, tuple) else (op,))
+    assert not run.worker._pending and run.tracker.stats()["chain"]
+    run.apply(("b",))  # a plan switch: the drained chain folds
+    assert run.tracker.folds and not run.tracker._last_writer
+
+
 def test_seam_hit_step_makes_no_per_object_tracker_write():
     """Steady pipelined replay (depth 3): a seam-hit instantiation folds
     nothing, so the tracker's maps are not written at all — only the

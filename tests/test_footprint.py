@@ -9,7 +9,12 @@ after a quick sharded LR run and a quick serve run,
 * centrally dispatched commands carry tuple before sets;
 * an instance frame keeps a command-id base, not a per-instance id list;
 * the object directory stores a sole holder of the latest version as the
-  worker id, not as a one-entry ``{worker: version}`` map.
+  worker id, not as a one-entry ``{worker: version}`` map;
+* a closed run's results dict is one object, shared by its block interval
+  and the job's results history.
+
+A drained central command stream leaves no conflict-tracker entry: each
+command leaves the tracker as it completes (DESIGN.md §9).
 
 A finished tenant's template sets, halves, frames and tracker entries go
 with it (DESIGN.md §12), so the serve cluster has none left at its end:
@@ -151,3 +156,28 @@ def test_directory_keeps_a_sole_holder_as_its_id(runs):
                     f"job {job_id} {rec!r}: the sole holder of the latest "
                     f"version is kept as a map, {held}")
     assert sole
+
+
+def test_a_closed_runs_results_are_held_once(runs):
+    clusters, _, _ = runs
+    closed = 0
+    for cluster in clusters:
+        for job_id, ctx in cluster.controller.jobs.items():
+            blocks = ctx.metrics.intervals.get("block", [])
+            assert len(blocks) == len(ctx.results_history)
+            for interval, (_block_id, results) in zip(
+                    blocks, ctx.results_history):
+                assert interval.labels["results"] is results, (
+                    f"job {job_id} run {interval.labels['seq']}: the history "
+                    f"holds a copy of the interval's results")
+                closed += 1
+    assert closed
+
+
+def test_a_drained_central_stream_leaves_the_tracker_empty():
+    cluster = run_lr(workers=4, iterations=6, use_templates=False)
+    assert cluster.metrics.count("template_instantiations") == 0
+    assert sum(w.tasks_executed for w in cluster.workers.values())
+    for wid, worker in cluster.workers.items():
+        stats = worker.tracker.stats()
+        assert (stats["writers"], stats["readers"]) == (0, 0), (wid, stats)

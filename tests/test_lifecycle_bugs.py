@@ -556,26 +556,20 @@ def test_tenant_released_mid_run_is_scrubbed_once_drained():
 def test_read_only_reader_lists_stay_bounded(use_templates):
     """An object read every iteration and never rewritten (fig07's
     training data) gained one reader cid per instance, forever; a later
-    write then walked the whole list. 200 iterations keep the list at
+    write then walked the whole list. Over 200 iterations, sampled after
+    every event while instances are in flight, the lists stay at
     O(pipeline depth), and a write after them still depends on exactly
     the readers that are pending. Templated instances defer their
     readers to the tracker's chain, which drops drained instances and
     prunes per plan when it folds; a ``use_templates=False`` stream is
-    resolved command by command and prunes at every power-of-two
-    length."""
+    resolved command by command, and each command leaves the lists as it
+    completes."""
     from repro.apps import LRApp, LRSpec
 
     iterations = 200
     spec = LRSpec(num_workers=2, iterations=iterations,
                   partitions_per_worker=2, data_bytes=1e6)
     app = LRApp(spec)
-    longest = [0]
-    box = {}
-
-    def watch(_controller):
-        for w in box["cluster"].workers.values():
-            stats = w.tracker.stats()
-            longest[0] = max(longest[0], stats["longest"], stats["chain"])
 
     def program(job):
         yield job.define(app.variables.definitions)
@@ -584,15 +578,19 @@ def test_read_only_reader_lists_stay_bounded(use_templates):
             job.post(app.iteration_block, {"step": spec.step_size})
             if i % 20 == 19:
                 yield job.drain()
-                box["cluster"].controller.deliver(P.ManagerDirective(watch))
         yield job.drain()
 
-    cluster = box["cluster"] = NimbusCluster(
-        2, program, registry=app.registry, use_templates=use_templates)
-    cluster.run_until_finished(max_seconds=1e6)
+    cluster = NimbusCluster(2, program, registry=app.registry,
+                            use_templates=use_templates)
+    cluster.driver.start()
+    longest = 0
+    while not cluster.job.finished:
+        assert cluster.sim.step()
+        for worker in cluster.workers.values():
+            stats = worker.tracker.stats()
+            longest = max(longest, stats["longest"], stats["chain"])
+    assert 0 < longest <= 32, longest
     w = cluster.workers[0]
-    watch(None)
-    assert 0 < longest[0] <= 32, longest[0]
 
     # now write an object that 200 instances read: its only dependencies
     # are the readers still pending (two hand-enqueued ones; nothing runs

@@ -357,7 +357,8 @@ def _template_side(ctx):
 def _structure_counts(cluster):
     """Per worker: plans held, their pooled frames, seams, tracker
     entries, halves and redelivery guards; on the controller: templates,
-    template sets and cached patches — counts, not bytes."""
+    template sets, cached patches and the template deltas finished jobs'
+    directories still record — counts, not bytes."""
     counts = {}
     for wid, worker in cluster.workers.items():
         plans = {half._plan for half in worker._templates.values()}
@@ -370,9 +371,11 @@ def _structure_counts(cluster):
                        len(worker._templates), len(worker._ran_patches),
                        sum(map(len, worker._seen_instances.values())))
     contexts = cluster.controller.jobs.values()
-    counts["controller"] = tuple(
-        sum(len(getattr(ctx, name)) for ctx in contexts)
-        for name in ("templates", "worker_templates", "patch_cache"))
+    counts["controller"] = {
+        name: sum(len(getattr(ctx, name)) for ctx in contexts)
+        for name in ("templates", "worker_templates", "patch_cache")}
+    counts["controller"]["finished_deltas"] = sum(
+        len(ctx.directory._deferred) for ctx in contexts if ctx.finished)
     return counts
 
 
@@ -391,6 +394,8 @@ def test_finished_tenants_leave_only_their_data(mode):
     records = cluster.jobs.records.values()
     assert all(r.state == "finished" for r in records)
     assert any(any(w._patch_plans) for w in cluster.workers.values())
+    # the finish folded each directory's recorded deltas
+    assert _structure_counts(cluster)["controller"]["finished_deltas"] == 0
     for record in records:
         job_id = record.job_id
         ctx = cluster.controller.jobs[job_id]
@@ -437,7 +442,10 @@ def test_finished_tenant_is_off_the_scheduling_surface():
     regeneration of A. The eviction still relocates A's objects, and
     both tenants compute what they compute alone. Pre-fix the spread
     edited the dead tenant's templates and the eviction regenerated
-    them, spending controller time on a job that never runs again."""
+    them, spending controller time on a job that never runs again.
+    Once the relocation has drained, no worker keeps anything of A's
+    relocation patch: no body, pooled frame or tracker entry (pre-fix
+    each receiving worker kept them until a release that never came)."""
     app = small_lr_app()
     solo_a = run_solo(app, iterations=SHORT_ITERS)
     solo_b = run_solo(app, iterations=40)
@@ -467,6 +475,9 @@ def test_finished_tenant_is_off_the_scheduling_surface():
     assert a.metrics.count("relocation_copies") > copies  # A's data moved
     cluster.run_until_jobs_finished(max_seconds=1e6)
     assert counts(a) == at_finish
+    held = {wid: {k: n for k, n in _held_of(worker, a.job_id).items() if n}
+            for wid, worker in cluster.workers.items()}
+    assert not any(held.values()), held
     assert job_observables(cluster, a.job_id, app) == solo_a
     assert job_observables(cluster, b.job_id, app) == solo_b
 
