@@ -91,7 +91,7 @@ class NaiadTemplates(TemplateCache):
         # patch (Naiad has none): sent outside the reliable channels
         violations = full_validate(wts, ctx.directory, c._cross_check)
         if violations:
-            self._new_patch(ctx, violations, c.send)
+            self._new_patch(ctx, violations, c.send).retire()  # one-shot
         return wts
 
 

@@ -104,7 +104,9 @@ class CommandArena:
             pool.append(self)
 
     def dismantle(self) -> None:
-        """Cut the commands' back-pointers: this frame never runs again."""
+        """Cut the commands' back-pointers: this frame never runs again,
+        so nothing of it is outstanding."""
+        self.outstanding = 0
         for cmd in self.cmds:
             cmd._carena = None
 

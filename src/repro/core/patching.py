@@ -10,7 +10,10 @@ instantiated with fresh command ids. Workers cache patches by id, and the
 controller keeps a **patch cache** indexed by what executed before the
 failing template (§4.2 optimization 2). On a hit, invoking the patch is a
 single message per involved worker; only on a miss does the controller
-compute a new patch and ship its full command list.
+compute a new patch and ship its full command list. A worker keeps a patch
+only while the controller can still invoke it: a patch that leaves the
+cache (evicted, replaced, invalidated), or was never cached (a one-shot
+relocation), is retired on its workers (:meth:`Patch.retire`).
 """
 
 from __future__ import annotations
@@ -31,19 +34,29 @@ class Patch:
     ``entries`` holds per-worker SEND/RECV template entries (the same
     structure worker templates use, so workers instantiate patches through
     the identical fast path). ``copies`` is the logical copy list used for
-    cache-validity checks and directory updates.
+    cache-validity checks and directory updates. ``holders`` are the
+    worker actors it was installed on and ``last_instance`` the id of the
+    last instance sent to them.
     """
 
     def __init__(self, copies: List[CopySpec],
                  entries: Dict[int, List[TemplateEntry]],
-                 patch_id: int = 0):
-        # ids are allocated by the owning controller's PatchCache so
-        # independent controllers (and test fixtures) never share a
-        # process-global sequence
+                 patch_id: int = 0, instance_id: int = 0):
+        # ids are allocated by the owning controller so independent
+        # controllers (and test fixtures) never share a process-global
+        # sequence
         self.patch_id = patch_id
         self.copies = list(copies)
         self.entries = entries
-        self.installed_on: set = set()
+        self.holders: list = []
+        self.last_instance = instance_id
+
+    def retire(self) -> None:
+        """No instance follows ``last_instance``: each holder frees the
+        patch once that one has drained. A host-side call, like a
+        finished job's; nothing modelled moves."""
+        for worker in self.holders:
+            worker.retire_patch(self.patch_id, self.last_instance)
 
     @property
     def violation_set(self) -> FrozenSet[Tuple[int, int]]:
@@ -73,6 +86,7 @@ def build_patch(
     directory: ObjectDirectory,
     object_sizes: Dict[int, int],
     patch_id: int = 0,
+    instance_id: int = 0,
 ) -> Patch:
     """Compute a patch that repairs ``violations``.
 
@@ -108,7 +122,7 @@ def build_patch(
             index=recv_index, kind=CommandKind.RECV, write=(oid,),
             src_worker=src, size_bytes=size,
         ))
-    return Patch(copies, entries, patch_id)
+    return Patch(copies, entries, patch_id, instance_id)
 
 
 class PatchCache:
@@ -120,7 +134,8 @@ class PatchCache:
 
     The cache is bounded: entries evict least-recently-used once
     ``capacity`` is exceeded (a hit refreshes recency), and evictions are
-    reported to ``metrics`` under ``patch_cache.evictions``.
+    reported to ``metrics`` under ``patch_cache.evictions``. Every patch
+    that leaves the cache is retired on its workers.
     """
 
     def __init__(self, capacity: int = 256, metrics=None) -> None:
@@ -156,16 +171,22 @@ class PatchCache:
     def store(self, prev_key: Hashable, target_key: Tuple[str, int],
               patch: Patch) -> None:
         key = (prev_key, target_key)
+        replaced = self._cache.get(key)
+        if replaced is not None and replaced is not patch:
+            replaced.retire()
         self._cache[key] = patch
         self._cache.move_to_end(key)
         while len(self._cache) > self.capacity:
-            self._cache.popitem(last=False)
+            self._cache.popitem(last=False)[1].retire()
             self.evictions += 1
             if self._metrics is not None:
                 self._metrics.incr("patch_cache.evictions")
 
     def invalidate_all(self) -> None:
-        """Drop every cached patch; the id sequence keeps advancing."""
+        """Drop (and retire) every cached patch; the id sequence keeps
+        advancing."""
+        for patch in self._cache.values():
+            patch.retire()
         self._cache.clear()
 
     def __len__(self) -> int:

@@ -468,13 +468,10 @@ class Controller(P.ReliableEndpoint, Actor):
         Request id 0 marks directly injected traffic (tests, benchmarks)
         and is never deduplicated.
         """
-        if not request_id:
+        if not request_id or ctx.take_request(request_id):
             return False
-        if request_id in ctx.seen_requests:
-            ctx.metrics.incr("protocol.stale_discards")
-            return True
-        ctx.seen_requests.add(request_id)
-        return False
+        ctx.metrics.incr("protocol.stale_discards")
+        return True
 
     def _on_submit_block(self, ctx: JobContext, msg: P.SubmitBlock) -> None:
         self.charge(self.costs.message_handling)

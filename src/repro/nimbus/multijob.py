@@ -74,7 +74,7 @@ class JobContext:
         "job_id", "weight", "driver", "metrics", "directory", "placement",
         "templates", "phase", "worker_templates", "current_version",
         "assignments", "validation_state", "patch_cache", "prev_block_key",
-        "pending_edits", "divergent_wts", "seen_requests",
+        "pending_edits", "divergent_wts", "last_request", "skipped_requests",
         "results_history", "object_sizes_cache", "_block_cache", "policy",
         "finished",
     )
@@ -97,7 +97,10 @@ class JobContext:
         self.prev_block_key: Hashable = "job-start"
         self.pending_edits: Dict[Tuple[str, int], Dict[int, list]] = {}
         self.divergent_wts: Set[Tuple[str, int]] = set()
-        self.seen_requests: Set[int] = set()
+        #: driver request dedup (:meth:`take_request`): the highest
+        #: request id taken, and the ids below it not taken yet
+        self.last_request = 0
+        self.skipped_requests: Set[int] = set()
         self.results_history: List[Tuple[str, Dict[str, Any]]] = []
         self.object_sizes_cache: Optional[Dict[int, int]] = None
         #: scheduling policy (set by Controller.register_job)
@@ -108,6 +111,22 @@ class JobContext:
         #: FINISHED (:meth:`finish`): off the scheduling surface for good
         self.finished = False
 
+    def take_request(self, request_id: int) -> bool:
+        """Take a driver request id; False if it was taken before. Exact
+        in any arrival order: an id at or below the mark and not skipped
+        was taken. The skipped set holds only ids that a later one
+        overtook — a window can overtake the driver's backlog (DESIGN.md
+        §7) — so it stays as small as that overtaking."""
+        if request_id > self.last_request:
+            self.skipped_requests.update(
+                range(self.last_request + 1, request_id))
+            self.last_request = request_id
+            return True
+        if request_id in self.skipped_requests:
+            self.skipped_requests.remove(request_id)
+            return True
+        return False
+
     def finish(self) -> None:
         """FINISHED: the job leaves the scheduling surface (DESIGN.md §12).
 
@@ -116,7 +135,7 @@ class JobContext:
         object stays) — so no path edits, spreads or regenerates it again:
         they all walk the emptied maps. What a later event or an observer
         reads stays: directory, placement, results, metrics, policy,
-        driver and seen requests. The directory folds its recorded
+        driver and request marks. The directory folds its recorded
         template deltas now, as any later read of it would first: their
         maps have no other reader left. Host side only: nothing modelled
         moves."""

@@ -232,13 +232,13 @@ class TemplateCache:
         # patch ids are controller-global: a worker's patch cache is keyed
         # by bare patch id, so ids from different jobs must never collide
         patch = build_patch(violations, ctx.directory, c.object_sizes(ctx),
-                            patch_id=c._alloc_patch_id())
-        instance_id = c._alloc_instance_id()
+                            c._alloc_patch_id(), c._alloc_instance_id())
         for worker in patch.workers():
             cid_base = c._alloc_cids(patch.entry_count(worker))
-            send(c.workers[worker], P.InstallPatch(
+            patch.holders.append(c.workers[worker])
+            send(patch.holders[-1], P.InstallPatch(
                 patch.patch_id, patch.entries[worker], cid_base,
-                instance_id))
+                patch.last_instance))
         patch.apply_to_directory(ctx.directory)
         return patch
 
@@ -251,7 +251,7 @@ class TemplateCache:
         if patch is not None:
             span = "patch.cache_hit"
             c.charge(c.costs.patch_cache_invoke)
-            instance_id = c._alloc_instance_id()
+            instance_id = patch.last_instance = c._alloc_instance_id()
             for worker in patch.workers():
                 cid_base = c._alloc_cids(patch.entry_count(worker))
                 c.send_reliable(c.workers[worker], P.InstantiatePatch(
@@ -319,8 +319,8 @@ class TemplateCache:
         c = self.controller
         stale = [(dst, oid) for oid, dst in homes
                  if not ctx.directory.is_fresh(oid, dst)]
-        if stale:
-            self._new_patch(ctx, stale, c.send_reliable)
+        if stale:  # one-shot: its install is its last instance
+            self._new_patch(ctx, stale, c.send_reliable).retire()
             ctx.metrics.incr("relocation_copies", len(stale))
         for oid, dst in homes:
             ctx.placement.migrate(oid, dst)

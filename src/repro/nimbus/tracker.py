@@ -243,27 +243,34 @@ class ConflictTracker:
     # -- plans, tenants, halts --
     def drop_plan(self, plan: CompiledPlan) -> None:
         """``plan`` will never run again: forget its prune countdown, and
-        the tail if it is one of its frames."""
-        if self._chain:
-            self.fold()
-        self._prune_in.pop(plan, None)
+        the tail if it is one of its frames — folding the chain first,
+        which then holds that plan's instances. A chain of another plan
+        stays deferred."""
         if self.tail is not None and self.tail.plan is plan:
+            if self._chain:
+                self.fold()
             self.tail = None
+        self._prune_in.pop(plan, None)
 
-    def scrub(self, jobs) -> None:
-        """Forget the entries of the finished or released ``jobs``'
-        completed commands; the worker scrubs a released job again once
-        the rest have drained."""
-        if self._chain:
-            self.fold()
-        self.tail = None
+    def scrub(self, jobs=(), oids=()) -> None:
+        """Forget the entries of completed commands on the objects of the
+        finished or released ``jobs`` (the worker scrubs a released job
+        again once the rest have drained), or on ``oids`` (those of a
+        freed patch: its completed copies; a deferred chain may read them
+        and stays deferred, as a fold writes only pending commands)."""
         pending = self.pending
         writers, readers_since = self._last_writer, self._readers_since
-        for oid in [o for o, w in writers.items()
-                    if o // OID_STRIDE in jobs and w not in pending]:
-            del writers[oid]
-        for oid in [o for o in readers_since if o // OID_STRIDE in jobs]:
-            self._prune(oid)
+        if jobs:
+            if self._chain:
+                self.fold()
+            self.tail = None
+            oids = [o for o in {**writers, **readers_since}
+                    if o // OID_STRIDE in jobs]
+        for oid in oids:
+            if oid in writers and writers[oid] not in pending:
+                del writers[oid]
+            if oid in readers_since:
+                self._prune(oid)
 
     def clear(self) -> None:
         """Halt: every command is abandoned."""

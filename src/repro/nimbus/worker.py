@@ -186,19 +186,16 @@ class Worker(P.ReliableEndpoint, Actor):
         # (job_id, block_id, version) — so concurrent jobs reusing a
         # block id can never clobber each other's halves
         self._templates: Dict[Tuple[int, str, int], WorkerHalf] = {}
-        #: patch id -> its compiled plan (the plan keeps the entries), or
-        #: None once the owning job finished or was released: the body is
-        #: freed, the id stays so a redelivered InstallPatch is discarded
-        self._patch_plans: Dict[int, Optional[CompiledPlan]] = {}
-        #: per job, its template keys and live patch ids: a finish or a
-        #: release reaches one job's state without scanning every tenant
-        self._job_keys: Dict[int, List[Tuple[int, str, int]]] = {}
-        self._job_patches: Dict[int, List[int]] = {}
-        #: redelivery guards, kept across halts: per patch id the instance
-        #: ids it ran, per job every (block_id, instance_id) started; once
-        #: the job ends a patch tombstone or the finished marker answers
-        self._ran_patches: Dict[int, set] = {}
-        self._seen_instances: Dict[int, set] = defaultdict(set)
+        #: only what the controller can still invoke (DESIGN.md §12): per
+        #: live patch id [plan, last instance id run, that one's frame];
+        #: per retired id the last instance sent it (:meth:`retire_patch`)
+        self._patches: Dict[int, list] = {}
+        self._retire_at: Dict[int, int] = {}
+        #: redelivery watermarks, kept across halts (DESIGN.md §7): the
+        #: highest patch id installed, and per job and block the highest
+        #: instance id started; a finished job's marker answers for it
+        self._patch_mark = -1
+        self._instance_marks: Dict[int, Dict[str, int]] = defaultdict(dict)
         self._finished_jobs: set = set()
 
         # compiled execution plans (repro.core.compiled): every template
@@ -207,9 +204,6 @@ class Worker(P.ReliableEndpoint, Actor):
         self._seams: Dict[Tuple[CompiledPlan, CompiledPlan],
                           Optional[Seam]] = {}
         self.plans_compiled = 0  # introspection: plan compilations
-
-        # instances
-        self._instances: Dict[Hashable, _InstanceRecord] = {}
 
         #: self-schedule grants in flight, keyed (job_id, window_id)
         self._grants: Dict[Tuple[int, int], _WorkerGrant] = {}
@@ -319,17 +313,15 @@ class Worker(P.ReliableEndpoint, Actor):
         self.metrics.incr("protocol.stale_discards")
 
     def _on_install_template(self, msg: P.InstallWorkerTemplate) -> None:
-        if ((msg.job_id, msg.block_id, msg.version) in self._templates
-                or msg.job_id in self._finished_jobs):
+        key = (msg.job_id, msg.block_id, msg.version)
+        if key in self._templates or msg.job_id in self._finished_jobs:
             # redelivered install: reinstalling would wipe edits already
             # applied to the cached half (or revive a finished job's)
             self._stale()
             return
         entries = msg.entries
-        half = WorkerHalf(msg.block_id, msg.version, entries, msg.reports)
-        key = (msg.job_id, msg.block_id, msg.version)
-        self._templates[key] = half
-        self._job_keys.setdefault(msg.job_id, []).append(key)
+        self._templates[key] = WorkerHalf(msg.block_id, msg.version, entries,
+                                          msg.reports)
         self.charge(
             self.costs.install_worker_template_worker_per_task * len(entries)
         )
@@ -340,31 +332,41 @@ class Worker(P.ReliableEndpoint, Actor):
                                 entries=len(entries))
 
     def _on_instantiate_template(self, msg: P.InstantiateWorkerTemplate) -> None:
-        key = (msg.block_id, msg.instance_id)
         if (msg.job_id in self._finished_jobs
-                or key in self._seen_instances.get(msg.job_id, ())):
+                or self._seen(msg.job_id, msg.block_id, msg.instance_id)):
             # redelivered (or stale pre-halt) instantiation: its command
             # ids were already allocated once; running it again would
             # collide with live commands and double-apply edits
             self._stale()
             return
-        self._seen_instances[msg.job_id].add(key)
+        half = self._installed_half(msg, "asked to instantiate template")
+        self._start_instance(half, msg.block_id, msg.version, msg.instance_id,
+                             msg.cid_base, msg.block_seq, msg.params)
+
+    def _seen(self, job_id: int, block_id: str, instance_id: int) -> bool:
+        """Has this instance, or a later one of its block, started here?
+        Else it is marked started. Exact: per worker the controller sends
+        a job's instances in allocation order (DESIGN.md §7)."""
+        marks = self._instance_marks[job_id]
+        if instance_id <= marks.get(block_id, -1):
+            return True
+        marks[block_id] = instance_id
+        return False
+
+    def _installed_half(self, msg, asked: str) -> WorkerHalf:
+        """The half ``msg`` names, with the edits it ships applied."""
         half = self._templates.get((msg.job_id, msg.block_id, msg.version))
         if half is None:
-            raise self._not_installed(msg, "asked to instantiate template")
+            raise KeyError(
+                f"worker {self.worker_id}: job {msg.job_id} {asked} "
+                f"({msg.block_id!r}, v{msg.version}) which was never "
+                f"installed here (installed: {sorted(self._templates)})")
         if msg.edits:
             self._apply_edits(half, msg.edits)
-        self._start_instance(half, msg.block_id, msg.version, msg.instance_id,
-                             msg.cid_base, msg.block_seq, msg.params, key)
-
-    def _not_installed(self, msg, asked: str) -> KeyError:
-        return KeyError(
-            f"worker {self.worker_id}: job {msg.job_id} {asked} "
-            f"({msg.block_id!r}, v{msg.version}) which was never installed "
-            f"here (installed: {sorted(self._templates)})")
+        return half
 
     def _start_instance(self, half: WorkerHalf, block_id, version,
-                        instance_id, cid_base, block_seq, params, key,
+                        instance_id, cid_base, block_seq, params,
                         grant: Optional[_WorkerGrant] = None) -> None:
         """Instantiate one template instance from an installed half.
 
@@ -378,7 +380,6 @@ class Worker(P.ReliableEndpoint, Actor):
             task_times={} if self.report_task_times else None,
             grant=grant,
         )
-        self._instances[key] = record
         fresh_plan = half._plan is None
         plan = half.compiled_plan()
         if fresh_plan:
@@ -516,6 +517,7 @@ class Worker(P.ReliableEndpoint, Actor):
                 on_ready(cmds[pos])
         if self._cross_check:
             check.verify(entries, instance_id, cid_base, params)
+        return frame
 
     def _link(self, pred: Command, cmd: Command) -> None:
         """Make ``cmd`` wait for pending ``pred``: successors of a compiled
@@ -555,7 +557,7 @@ class Worker(P.ReliableEndpoint, Actor):
         """A tenant finished (DESIGN.md §12): its halves, guards and plans
         go, the finished marker answers for them; its objects stay."""
         self._finished_jobs.add(job_id)
-        self._seen_instances.pop(job_id, None)
+        self._instance_marks.pop(job_id, None)
         self._free_jobs((job_id,))
 
     def _on_release_job(self, msg: P.ReleaseJob) -> None:
@@ -582,53 +584,72 @@ class Worker(P.ReliableEndpoint, Actor):
     def _free_jobs(self, jobs) -> None:
         """Free what ``jobs`` left here that no later event reads (a
         service must not grow with every tenant it served; DESIGN.md §12):
-        their halves and plans, their patch bodies and patch guards (the
-        ids stay, a tombstone that answers a redelivery) and the tracker
-        entries of their completed commands — exact, as a completed
-        command is never a dependency. Released jobs' commands, and a
-        finished job's patch, go again once drained (:meth:`_complete`)."""
-        plans = []
-        for job in jobs:
-            for key in self._job_keys.pop(job, ()):
-                plans.append(self._templates.pop(key)._plan)
-            for pid in self._job_patches.pop(job, ()):
-                plans.append(self._patch_plans[pid])
-                self._patch_plans[pid] = None  # tombstone: body freed
-                self._ran_patches.pop(pid, None)  # the tombstone answers
+        their halves and plans, their patches once drained (nothing sends
+        them another instance) and the tracker entries of their completed
+        commands — exact, as a completed command is never a dependency.
+        Released jobs' commands go again once drained (:meth:`_complete`)."""
+        plans = [self._templates.pop(key)._plan
+                 for key in [k for k in self._templates if k[0] in jobs]]
+        for pid, (plan, ran, _frame) in self._patches.items():
+            if job_of(plan.live[0]) in jobs:
+                self._retire_at[pid] = ran
         self._drop_plans(plans)
         self.tracker.scrub(jobs)
+        self._free_spent()
+
+    def retire_patch(self, patch_id: int, last_instance: int) -> None:
+        """No instance of ``patch_id`` follows ``last_instance``: free the
+        patch once that one has drained (a host-side call, like
+        :meth:`job_finished`; the patch may not have arrived yet)."""
+        if patch_id in self._patches or patch_id > self._patch_mark:
+            self._retire_at[patch_id] = last_instance
+            self._free_spent()
+
+    def _free_spent(self) -> None:
+        """The one teardown of a patch: free each retired patch whose last
+        instance has drained — plan, pooled frames, seams and the tracker
+        entries of its completed copies."""
+        plans = []
+        for pid, last in list(self._retire_at.items()):
+            live = self._patches.get(pid)
+            if live and live[1] >= last and not live[2].outstanding:
+                plans.append(self._patches.pop(pid)[0])
+                del self._retire_at[pid]
+        if plans:
+            self._drop_plans(plans)
+            self.tracker.scrub(oids={oid for plan in plans for e in plan.live
+                                     for oid in e.read + e.write})
 
     def _body_released(self, cmd: Command) -> bool:
         """True when ``cmd`` belongs to a released job (skip its body)."""
         return job_of(cmd) in self._released_jobs
 
     def _on_install_patch(self, msg: P.InstallPatch) -> None:
-        if msg.patch_id in self._patch_plans:
+        if msg.patch_id <= self._patch_mark:  # exact: DESIGN.md §7
             self._stale()  # redelivered install: the patch already ran
             return
-        plan = compile_plan(msg.entries, ())
-        self._patch_plans[msg.patch_id] = plan
-        if plan.m:  # an empty patch has no body to free
-            self._job_patches.setdefault(job_of(plan.live[0]),
-                                         []).append(msg.patch_id)
+        self._patch_mark = msg.patch_id
         self.plans_compiled += 1
-        self._ran_patches[msg.patch_id] = {msg.instance_id}
-        self._run_patch(plan, msg.instance_id, msg.cid_base)
+        self._run_patch(msg.patch_id, compile_plan(msg.entries, ()),
+                        msg.instance_id, msg.cid_base)
 
     def _on_instantiate_patch(self, msg: P.InstantiatePatch) -> None:
-        ran = self._ran_patches.get(msg.patch_id)
-        if ran is None or msg.instance_id in ran:
-            self._stale()  # redelivered, or its job ended: the body is gone
+        pid, iid = msg.patch_id, msg.instance_id
+        live = self._patches.get(pid)
+        if live is None or not live[1] < iid <= self._retire_at.get(pid, iid):
+            self._stale()  # redelivered, or past its last instance
             return
-        ran.add(msg.instance_id)
-        self._run_patch(self._patch_plans[msg.patch_id], msg.instance_id,
-                        msg.cid_base)
+        self._run_patch(pid, live[0], iid, msg.cid_base)
 
-    def _run_patch(self, plan: CompiledPlan, instance_id, cid_base) -> None:
+    def _run_patch(self, patch_id: int, plan: CompiledPlan, instance_id,
+                   cid_base) -> None:
         self.charge(self.costs.worker_instantiate_per_command * plan.m)
-        if plan.m:
-            self._run_compiled_plan(plan, plan.live, cid_base, instance_id,
-                                    {}, None)
+        frame = self._run_compiled_plan(plan, plan.live, cid_base,
+                                        instance_id, {}, None)
+        # recorded once it ran: a drain inside the run finds it not spent
+        self._patches[patch_id] = [plan, instance_id, frame]
+        if patch_id in self._retire_at:
+            self._free_spent()  # a one-shot patch may drain at once
 
     # ------------------------------------------------------------------
     # Central command queue: per-command readiness resolution (§3.1
@@ -651,12 +672,9 @@ class Worker(P.ReliableEndpoint, Actor):
                 deps.add(pending[dep])
         deps.discard(cmd)
         remaining = len(deps)
-        if cmd.kind == CommandKind.RECV:
-            if cmd.tag in self._data_buffer:
-                pass  # data already here; no extra dependency
-            else:
-                self._expected[cmd.tag] = cmd
-                remaining += 1
+        if cmd.kind == CommandKind.RECV and cmd.tag not in self._data_buffer:
+            self._expected[cmd.tag] = cmd  # else the data is already here
+            remaining += 1
         cmd._rem = remaining
         for dep in deps:
             self._link(dep, cmd)
@@ -673,12 +691,9 @@ class Worker(P.ReliableEndpoint, Actor):
             self._trace.copy_arrive(msg.tag, self.name)
             self._trace_release = ("data", msg.tag)
         cmd = self._expected.pop(msg.tag, None)
-        if cmd is not None:
-            self._dec(cmd)
-
-    def _dec(self, cmd: Command) -> None:
-        """One dependency of pending ``cmd`` is satisfied."""
-        frame = cmd._carena
+        if cmd is None:
+            return
+        frame = cmd._carena  # the payload was one dependency of ``cmd``
         if frame is None:
             cmd._rem = left = cmd._rem - 1
         else:
@@ -938,8 +953,8 @@ class Worker(P.ReliableEndpoint, Actor):
                     self._finish_instance(record)
             return
         if frame is not None:  # patch command: no ack needed
-            if not left and job_of(cmd) in self._finished_jobs:
-                self._free_jobs((job_of(cmd),))  # its patch has drained
+            if not left and self._retire_at:
+                self._free_spent()  # a retired patch may have drained
             return
         value = self.store.get(cmd.write[0]) if (report and cmd.write) else None
         self._completion_buffer.extend((cid, block_seq, duration, value))
@@ -959,7 +974,6 @@ class Worker(P.ReliableEndpoint, Actor):
                                P.CommandCompleteBatch(self.worker_id, items))
 
     def _finish_instance(self, record: _InstanceRecord) -> None:
-        del self._instances[(record.block_id, record.instance_id)]
         if record.grant is not None:
             self._grant_instance_done(record)
             return
@@ -986,20 +1000,14 @@ class Worker(P.ReliableEndpoint, Actor):
             return
         if msg.job_id in self._released_jobs:
             # a shard-relayed window crossing a ReleaseJob on the direct
-            # controller channel: the job is dead here — dropping the
-            # grant (instead of the pre-fix KeyError on the scrubbed
-            # template) closes the release-mid-window race; the
+            # controller channel: the job is dead here, so dropping the
+            # grant closes the release-mid-window race; the
             # controller-side abort already cleaned up the fan-in
             self.metrics.incr("self_schedule.released_window_drops")
             return
-        half = self._templates.get((msg.job_id, msg.block_id, msg.version))
-        if half is None:
-            # the install went out on the direct channel before the
-            # window did (and before the stamp a relayed window waits on)
-            raise self._not_installed(
-                msg, "granted a self-schedule window for")
-        if msg.edits:
-            self._apply_edits(half, msg.edits)
+        # the install went out on the direct channel before the window
+        # did (and before the stamp a relayed window waits on)
+        half = self._installed_half(msg, "granted a self-schedule window for")
         grant = _WorkerGrant(key, msg.block_id, msg.version, half,
                              msg.instances, msg.epoch,
                              reply_to=msg.reply_to)
@@ -1021,7 +1029,7 @@ class Worker(P.ReliableEndpoint, Actor):
         # fold forward, and stall only on a genuinely *stale* grant
         if grant.epoch > self._pm_epoch:
             self._pm_epoch = grant.epoch
-        instances, seen = grant.instances, self._seen_instances[grant.key[0]]
+        instances = grant.instances
         while (grant.active < self.self_schedule_depth
                and grant.next < len(instances)
                and not grant.stalled):
@@ -1031,16 +1039,14 @@ class Worker(P.ReliableEndpoint, Actor):
                 break
             instance_id, cid_base, block_seq, params = instances[grant.next]
             grant.next += 1
-            key = (grant.block_id, instance_id)
-            if key in seen:
+            if self._seen(grant.key[0], grant.block_id, instance_id):
                 self._stale()  # re-granted instance that already ran here
                 continue
-            seen.add(key)
             self.charge(self.costs.worker_self_schedule_per_instance)
             grant.active += 1
             self._start_instance(grant.half, grant.block_id, grant.version,
                                  instance_id, cid_base, block_seq, params,
-                                 key, grant=grant)
+                                 grant=grant)
         # synchronous completions can recurse through _grant_instance_done
         # and finish the window inside _start_instance above — the grant
         # membership check keeps the summary from being sent twice
@@ -1110,11 +1116,11 @@ class Worker(P.ReliableEndpoint, Actor):
         self.tracker.clear()  # and its tail: pools refill on demand
         self._data_buffer.clear()
         self._expected.clear()
-        self._instances.clear()
         self._grants.clear()  # abandoned: recovery re-grants from scratch
         self.drop_holds()  # and so are relayed windows held behind the halt
         self._completion_buffer.clear()  # stale: their runs were abandoned
         self._released_cids.clear()
+        self._free_spent()  # a retired patch's abandoned frame has drained
         self.send_reliable(self.controller, P.HaltAck(self.worker_id))
 
     # ------------------------------------------------------------------
@@ -1151,11 +1157,3 @@ class Worker(P.ReliableEndpoint, Actor):
     @property
     def queued_commands(self) -> int:
         return len(self._pending)
-
-    def has_template(self, block_id: str, version: int,
-                     job_id: int = 0) -> bool:
-        return (job_id, block_id, version) in self._templates
-
-    def template_half(self, block_id: str, version: int,
-                      job_id: int = 0) -> WorkerHalf:
-        return self._templates[(job_id, block_id, version)]

@@ -256,13 +256,26 @@ def test_edited_plans_pass_the_oracle_across_migration(num_workers):
     assert cluster.metrics.count("edits_applied") > 0
 
 
-def test_migration_derives_plans_without_recompiling():
+def _count_patch_installs(monkeypatch):
+    """Per worker, the patches it installed (each compiles once)."""
+    installs = {}
+    install = Worker._on_install_patch
+
+    def counting(self, msg):
+        installs[self.worker_id] = installs.get(self.worker_id, 0) + 1
+        install(self, msg)
+    monkeypatch.setattr(Worker, "_on_install_patch", counting)
+    return installs
+
+
+def test_migration_derives_plans_without_recompiling(monkeypatch):
+    installs = _count_patch_installs(monkeypatch)
     cluster = _run_lr_with_migrations()
     assert cluster.metrics.count("edits_applied") > 0
-    for worker in cluster.workers.values():
+    for wid, worker in cluster.workers.items():
         # its half once, and each relocation patch once (patches are not
         # edited): the two edit rounds compiled nothing
-        assert worker.plans_compiled == 1 + len(worker._patch_plans)
+        assert worker.plans_compiled == 1 + installs.get(wid, 0)
         for half in worker._templates.values():
             assert half._plan.signature() == compile_plan(
                 half.entries, half.reports).signature()
@@ -470,10 +483,11 @@ def test_seam_rebuilt_after_version_bump():
     probe.assert_dropped_then_rebuilt(builds_expected=1)
 
 
-def test_seam_rebuilt_after_migration_edits():
+def test_seam_rebuilt_after_migration_edits(monkeypatch):
     """Cluster level (edit ops come from the controller's planner): every
     edit round retires the edited plans and drops their seams, the derived
     plans get theirs at the second sighting, and replay keeps hitting."""
+    installs = _count_patch_installs(monkeypatch)
     cluster = _run_lr_with_migrations(iterations=16)
     workers = len(cluster.workers)
     assert cluster.metrics.count("edits_applied") > 0
@@ -481,13 +495,14 @@ def test_seam_rebuilt_after_migration_edits():
     # every plan derived by the two rounds
     assert cluster.metrics.count("worker.seam_builds") > workers
     assert cluster.metrics.count("worker.seam_hits") > 0
-    for worker in cluster.workers.values():
+    for wid, worker in cluster.workers.items():
         live_plans = {half._plan for half in worker._templates.values()}
         for pair in worker._seams:
-            assert set(pair) <= live_plans | set(
-                worker._patch_plans.values()), "seam of a retired plan"
+            assert set(pair) <= live_plans | {
+                live[0] for live in worker._patches.values()}, \
+                "seam of a retired plan"
         # ... and none of it recompiled a half
-        assert worker.plans_compiled == 1 + len(worker._patch_plans)
+        assert worker.plans_compiled == 1 + installs.get(wid, 0)
 
 
 def test_recovery_passes_the_oracle_with_seams():

@@ -46,7 +46,7 @@ class _TrackerRun:
         self.worker = worker = self.driver.worker
         self.tracker = worker.tracker
         assert self.tracker.shadow is not None
-        half = worker.template_half(WorkerDriver.BLOCK, 0)
+        half = worker._templates[(0, WorkerDriver.BLOCK, 0)]
         worker.handle(P.InstallWorkerTemplate(
             OTHER, 0, half.entries, sorted(half.reports)))
         self.objects = sorted({oid for e in half.entries if e is not None

@@ -122,7 +122,7 @@ def test_rejected_move_leaves_the_halves_in_agreement():
             ] == [1, 1, 1, 1, 0]  # map tasks 0 and 2 joined 1 and 3
     for worker_id, worker in cluster.workers.items():
         assert [(e.kind, e.read, e.write, e.before) for e in
-                worker.template_half("iter", 0).entries] == [
+                worker._templates[(0, "iter", 0)].entries] == [
             (e.kind, e.read, e.write, e.before)
             for e in wts.entries[worker_id]]
 
@@ -208,8 +208,8 @@ def test_evict_then_restore_reuses_cached_templates():
     # restore reused cached version-0 templates instead of regenerating
     assert cluster.metrics.count("worker_template_regenerations") == 2
     # worker halves for version 0 are still cached on both workers
-    assert cluster.workers[0].has_template("iter", 0)
-    assert cluster.workers[1].has_template("iter", 0)
+    assert (0, "iter", 0) in cluster.workers[0]._templates
+    assert (0, "iter", 0) in cluster.workers[1]._templates
 
 
 def test_cannot_evict_all_workers():

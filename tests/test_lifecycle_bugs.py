@@ -455,7 +455,7 @@ def _tenant_state(cluster):
         tracker = w.tracker.stats()
         return (tracker["writers"], tracker["reader_lists"],
                 tracker["readers"],
-                sum(plan is not None for plan in w._patch_plans.values()),
+                len(w._patches) + len(w._retire_at),
                 len(w._seams), len(w._templates),
                 tracker["plans"], len(w._released_cids), tracker["chain"])
     return {wid: sizes(w) for wid, w in cluster.workers.items()}
@@ -467,8 +467,8 @@ def test_released_tenants_leave_no_tracker_plan_or_seam_state():
     first cycle (pre-fix only ``_on_halt`` ever cleared them, so each
     released tenant left its oids and patch bodies behind). Already at
     the finish a tenant holds none of it, halves included; a finished or
-    released patch keeps its id as a tombstone — the redelivery guard —
-    and nothing else."""
+    released patch id stays covered by the worker's patch mark — the
+    redelivery guard — and nothing else is kept."""
     from repro.apps import LRApp, LRSpec, RotationApp, RotationSpec
     from repro.nimbus import merged_registry
 
@@ -496,16 +496,16 @@ def test_released_tenants_leave_no_tracker_plan_or_seam_state():
             baseline = state  # one released LR tenant + one rotation
         else:
             assert state == baseline, f"cycle {cycle}: worker state grew"
-    # the rotation tenants did run patches: the ids are still guarded,
-    # the bodies (counted in the state above) went with their tenant
-    assert any(w._patch_plans for w in cluster.workers.values())
+    # the rotation tenants did run patches: the ids are still guarded by
+    # the mark, the bodies (counted in the state above) went with them
+    assert any(w._patch_mark > 0 for w in cluster.workers.values())
     assert all(not any(sizes) for sizes in baseline.values()), baseline
 
 
 def test_redelivered_patch_install_after_release_is_still_discarded():
-    """The scrub frees a released tenant's patch body but keeps its id:
-    an ``InstallPatch`` redelivered after the release must hit the
-    idempotence guard, not run the patch a second time."""
+    """The scrub frees a released tenant's patch body, and the patch mark
+    still covers its id: an ``InstallPatch`` redelivered after the release
+    must hit the idempotence guard, not run the patch a second time."""
     from repro.core.worker_template import TemplateEntry
     from repro.nimbus.commands import CommandKind
     from repro.nimbus.multijob import OID_STRIDE
@@ -518,9 +518,9 @@ def test_redelivered_patch_install_after_release_is_still_discarded():
         10 ** 6, "p")
     w.handle(install)
     w.handle(P.DataMessage(("p", 0, 0), oid, None, 8))
-    assert w._patch_plans[9] is not None and not w._pending
+    assert 9 in w._patches and not w._pending
     w.handle(P.ReleaseJob(3, [oid]))
-    assert w._patch_plans == {9: None}
+    assert not w._patches and w._patch_mark == 9
     stale = cluster.metrics.count("protocol.stale_discards")
     w.handle(install)
     assert cluster.metrics.count("protocol.stale_discards") == stale + 1

@@ -319,21 +319,20 @@ def _held_of(worker, job_id):
     reachable = {plan for pair in worker._seams for plan in pair}
     reachable.update(tracker._prune_in, (p for p, _b, _r in tracker._chain))
     reachable.update(half._plan for half in halves)
-    reachable.update(worker._patch_plans.values())
+    reachable.update(live[0] for live in worker._patches.values())
     if tracker.tail is not None:
         reachable.add(tracker.tail.plan)
     plans = {plan for plan in reachable
              if plan is not None and plan.m and _plan_job(plan) == job_id}
     return {
         "halves": len(halves),
-        "job_keys": len(worker._job_keys.get(job_id, ())),
-        "seen_instances": len(worker._seen_instances.get(job_id, ())),
+        "instance_marks": len(worker._instance_marks.get(job_id, ())),
         "plans": sum(half._plan is not None for half in halves),
         "frames": sum(len(plan.pool or ()) for plan in plans),
         "seams": sum(a in plans or b in plans for a, b in worker._seams),
         "prune_in": sum(plan in plans for plan in tracker._prune_in),
-        "patch_bodies": sum(plan in plans
-                            for plan in worker._patch_plans.values()),
+        "patch_bodies": sum(live[0] in plans
+                            for live in worker._patches.values()),
         "tracker": sum(oid // OID_STRIDE == job_id
                        for entries in (tracker._last_writer,
                                        tracker._readers_since)
@@ -362,14 +361,15 @@ def _structure_counts(cluster):
     counts = {}
     for wid, worker in cluster.workers.items():
         plans = {half._plan for half in worker._templates.values()}
-        plans.update(worker._patch_plans.values())
+        plans.update(live[0] for live in worker._patches.values())
         plans.discard(None)
         stats = worker.tracker.stats()
         counts[wid] = (len(plans), sum(len(p.pool or ()) for p in plans),
                        len(worker._seams), stats["writers"],
                        stats["reader_lists"], stats["plans"],
-                       len(worker._templates), len(worker._ran_patches),
-                       sum(map(len, worker._seen_instances.values())))
+                       len(worker._templates), len(worker._patches),
+                       len(worker._retire_at),
+                       sum(map(len, worker._instance_marks.values())))
     contexts = cluster.controller.jobs.values()
     counts["controller"] = {
         name: sum(len(getattr(ctx, name)) for ctx in contexts)
@@ -393,7 +393,7 @@ def test_finished_tenants_leave_only_their_data(mode):
     cluster.run_until_jobs_finished(max_seconds=1e6)
     records = cluster.jobs.records.values()
     assert all(r.state == "finished" for r in records)
-    assert any(any(w._patch_plans) for w in cluster.workers.values())
+    assert any(w._patch_mark > 0 for w in cluster.workers.values())
     # the finish folded each directory's recorded deltas
     assert _structure_counts(cluster)["controller"]["finished_deltas"] == 0
     for record in records:
@@ -417,8 +417,8 @@ def test_finished_tenants_leave_only_their_data(mode):
                    for w in cluster.workers.values()
                    for oid in w.store.live_objects())
         assert record.metrics.count("template_instantiations")
-    # every tenant finished: no guard entry of any job is left
-    assert not any(w._ran_patches or w._seen_instances
+    # every tenant finished: no patch or guard entry of any job is left
+    assert not any(w._patches or w._retire_at or w._instance_marks
                    for w in cluster.workers.values())
 
 
@@ -558,7 +558,7 @@ def test_redelivery_to_a_finished_job_is_stale_and_runs_nothing(monkeypatch):
         w.handle(msg)
     assert cluster.metrics.count("protocol.stale_discards") == (
         stale + len(seen))
-    assert not w._pending and not w._templates and not w._seen_instances
+    assert not w._pending and not w._templates and not w._instance_marks
     assert (w.tasks_executed, w.plans_compiled) == (executed, compiled)
 
     job_id = max(cluster.jobs.records)
