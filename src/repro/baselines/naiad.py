@@ -45,9 +45,9 @@ class NaiadTemplates(TemplateCache):
         if block.block_id in ctx.templates:
             # the Naiad driver always instantiates after the first install
             raise RuntimeError("Naiad data flow already installed")
-        assignment = [c.central.assign_worker(ctx, task.read, task.write)
-                      for _stage, task in block.all_tasks()]
-        template = ControllerTemplate.from_block(block, assignment)
+        tasks = [task for stage in block.stages for task in stage.tasks]
+        assignment = [c.central.assign_worker(ctx, t.read, t.write) for t in tasks]
+        template = ControllerTemplate.from_block(block, assignment, tasks)
         ctx.templates[block.block_id] = template
         wts = self._install(ctx, template, 0)
         self._send_instance(ctx, wts, params, request_id)

@@ -9,9 +9,7 @@ task-migration planning (§2.3/§4.3/Fig. 6).
 
 from .controller_template import (
     ControllerTemplate,
-    ControllerTemplateBuilder,
     ControllerTemplateInstance,
-    CTEntry,
 )
 from .edits import (
     EditOp,
@@ -39,9 +37,7 @@ from .worker_template import (
 
 __all__ = [
     "BlockSpec",
-    "CTEntry",
     "ControllerTemplate",
-    "ControllerTemplateBuilder",
     "ControllerTemplateInstance",
     "DirectoryDelta",
     "EditOp",

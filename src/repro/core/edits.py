@@ -274,9 +274,7 @@ def plan_migration(
     # destination from now on, and no longer at the source (the task was
     # the sole reader there). The caller must move the data itself.
     if relocated_reads:
-        preconditions = template_set.preconditions
-        preconditions[src].difference_update(relocated_reads)
-        preconditions.setdefault(dst, set()).update(relocated_reads)
+        template_set.move_preconditions(relocated_reads, src, dst)
     template_set.last_relocations = list(relocated_reads)
     return ops
 

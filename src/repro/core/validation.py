@@ -21,11 +21,11 @@ template set caches the outcome of its previous full validation together
 with the directory stamp it was computed at. A revalidation then re-checks
 only the *dirty intersection* — precondition objects touched since the
 cached pass — and merges with the cached violations. The first validation
-of a template (or a validation against a different directory) falls back
-to the brute-force scan over the precomputed precondition pairs. Under
-``REPRO_CROSS_CHECK=1`` the controller passes ``cross_check=True`` and
-every incremental result is compared against brute force, raising on
-divergence.
+of a template (or a validation against a different directory, or the first
+after an edit relocated a precondition) falls back to the brute-force scan
+of the precondition map. Under ``REPRO_CROSS_CHECK=1`` the controller
+passes ``cross_check=True`` and every incremental result is compared
+against brute force, raising on divergence.
 """
 
 from __future__ import annotations
@@ -83,10 +83,13 @@ class ValidationState:
 
 def brute_force_validate(template_set: WorkerTemplateSet,
                          directory: ObjectDirectory) -> List[Violation]:
-    """Check every precondition pair; return the violations."""
+    """Check every precondition pair, in (worker, oid) order; return the
+    violations."""
     is_fresh = directory.is_fresh
+    preconditions = template_set.preconditions
     return [(worker, oid)
-            for worker, oid in template_set.precondition_pairs
+            for worker in sorted(preconditions)
+            for oid in sorted(preconditions[worker])
             if not is_fresh(oid, worker)]
 
 
@@ -109,7 +112,7 @@ def full_validate(template_set: WorkerTemplateSet,
 
     _token, last_stamp, cached = cache
     stamp_of = directory.stamp_of
-    by_oid = template_set.precondition_workers
+    by_oid = template_set.precondition_index()
     dirty = [oid for oid in by_oid if stamp_of(oid) > last_stamp]
     if not dirty:
         violations = sorted(cached)

@@ -152,16 +152,13 @@ class DirectoryDelta:
     when the block (including its postcondition-closure copies) completes.
     Equal holder sets are one frozenset: a block writes thousands of
     objects, and nearly all of them end on the worker that wrote them.
+    The delta owns both maps it is given.
     """
 
     def __init__(self, write_counts: Dict[int, int],
-                 final_holders: Dict[int, Iterable[int]]):
-        self.write_counts = dict(write_counts)
-        interned: Dict[FrozenSet[int], FrozenSet[int]] = {}
-        self.final_holders: Dict[int, FrozenSet[int]] = {}
-        for oid, holders in final_holders.items():
-            holders = frozenset(holders)
-            self.final_holders[oid] = interned.setdefault(holders, holders)
+                 final_holders: Dict[int, FrozenSet[int]]):
+        self.write_counts = write_counts
+        self.final_holders = final_holders
         #: ``final_holders`` went to a directory, which may hold it
         #: unapplied (ObjectDirectory.apply_block_deltas): it must not
         #: change from then on
@@ -184,7 +181,10 @@ class WorkerTemplateSet:
     """Controller half of the worker templates for one (block, assignment).
 
     Holds per-worker entry lists, preconditions, the directory delta, and
-    bookkeeping for which workers have the worker half installed.
+    bookkeeping for which workers have the worker half installed. The
+    precondition map is the one statement of the template's contract;
+    what validation and edits need beyond it — the by-object precondition
+    index, each task's location — is derived from it on first use.
     """
 
     def __init__(
@@ -201,6 +201,7 @@ class WorkerTemplateSet:
         self.version = version
         self.entries = entries  # worker -> [TemplateEntry]
         #: worker -> set(oid); a migration moves relocated inputs across
+        #: (:meth:`move_preconditions`)
         self.preconditions = preconditions
         self.delta = delta
         self.returns = returns  # result name -> oid
@@ -208,31 +209,15 @@ class WorkerTemplateSet:
         self.installed_on: Set[int] = set()
         #: input objects relocated by the most recent plan_migration call
         self.last_relocations: List[int] = []
-        # validation fast-path structures, precomputed once at generation
-        # time so full validation never re-sorts the precondition map:
-        #: every (worker, oid) precondition pair, in check order
-        self.precondition_pairs: Tuple[Tuple[int, int], ...] = tuple(
-            (worker, oid)
-            for worker in sorted(preconditions)
-            for oid in sorted(preconditions[worker])
-        )
-        #: reverse index: oid -> workers that require it fresh locally
-        by_oid: Dict[int, List[int]] = {}
-        for worker, oid in self.precondition_pairs:
-            by_oid.setdefault(oid, []).append(worker)
-        self.precondition_workers: Dict[int, Tuple[int, ...]] = {
-            oid: tuple(workers) for oid, workers in by_oid.items()
-        }
         #: incremental-validation cache managed by repro.core.validation:
         #: (directory token, directory stamp, frozenset of violations)
         self.validation_cache: Optional[Tuple[int, int, FrozenSet]] = None
-        #: controller-template entry index -> (worker, local index)
-        self.task_locations: Dict[int, Tuple[int, int]] = {
-            entry.ct_index: (worker, entry.index)
-            for worker, lst in entries.items()
-            for entry in lst
-            if entry.ct_index is not None
-        }
+        #: oid -> workers that require it fresh locally, built by the first
+        #: incremental validation (:meth:`precondition_index`)
+        self._by_oid: Optional[Dict[int, Tuple[int, ...]]] = None
+        #: controller-template entry index -> (worker, local index), built
+        #: by the first edit or rebalancing pass (:attr:`task_locations`)
+        self._task_locations: Optional[Dict[int, Tuple[int, int]]] = None
         #: worker -> AccessIndex of its entries, built by the first
         #: migration that touches the worker (:meth:`access`)
         self._access: Dict[int, AccessIndex] = {}
@@ -240,6 +225,47 @@ class WorkerTemplateSet:
     @property
     def key(self) -> Tuple[str, int]:
         return (self.block_id, self.version)
+
+    @property
+    def task_locations(self) -> Dict[int, Tuple[int, int]]:
+        """Where each controller-template task sits: ``(worker, local
+        index)``. Whoever edits the entry arrays keeps it current
+        (:func:`repro.core.edits.plan_migration`)."""
+        locations = self._task_locations
+        if locations is None:
+            locations = self._task_locations = {
+                entry.ct_index: (worker, entry.index)
+                for worker, lst in self.entries.items()
+                for entry in lst
+                if entry.ct_index is not None
+            }
+        return locations
+
+    def precondition_index(self) -> Dict[int, Tuple[int, ...]]:
+        """Per precondition object, the workers that require it fresh, in
+        ascending order; :meth:`move_preconditions` keeps it current."""
+        index = self._by_oid
+        if index is None:
+            by_oid: Dict[int, List[int]] = {}
+            for worker in sorted(self.preconditions):
+                for oid in self.preconditions[worker]:
+                    by_oid.setdefault(oid, []).append(worker)
+            index = self._by_oid = {
+                oid: tuple(workers) for oid, workers in by_oid.items()}
+        return index
+
+    def move_preconditions(self, oids: Iterable[int], src: int,
+                           dst: int) -> None:
+        """``dst`` requires ``oids`` fresh from now on and ``src`` no
+        longer (a relocating edit). The cached validation outcome checked
+        the old pairs, so it goes."""
+        self.preconditions[src].difference_update(oids)
+        self.preconditions.setdefault(dst, set()).update(oids)
+        by_oid = self._by_oid
+        if by_oid is not None:
+            for oid in oids:
+                by_oid[oid] = tuple(sorted({*by_oid[oid], dst} - {src}))
+        self.validation_cache = None
 
     def access(self, worker: int) -> AccessIndex:
         """The accessor index of ``worker``'s entries. Whoever edits the
@@ -270,7 +296,7 @@ class WorkerTemplateSet:
         return {
             "workers": len([w for w, lst in self.entries.items() if lst]),
             "entries": self.num_commands(),
-            "preconditions": len(self.precondition_pairs),
+            "preconditions": sum(map(len, self.preconditions.values())),
             **{f"kind_{k}": v for k, v in sorted(per_kind.items())},
         }
 
@@ -287,93 +313,90 @@ def generate_worker_templates(
     consumer on different workers). State-dependent copies are never baked
     in — they are the province of patches (§2.4). Finally the template is
     closed under its own preconditions (§4.2 optimization 1).
+
+    Only objects the block writes need tracking beyond the precondition
+    map: an object it only reads is never copied, overwritten or
+    reported, so its precondition entry is all it gets.
     """
+    tasks, workers = template.tasks, template.workers
+    written = {oid for task in tasks for oid in task.write}
     per_worker: Dict[int, List[TemplateEntry]] = {}
-    # oid -> {worker: providing local index or None (precondition-fresh)}
-    avail: Dict[int, Dict[int, Optional[int]]] = {}
-    written_in_block: Set[int] = set()
+    # written oid -> {worker: local index providing its current version};
+    # an oid enters at its first write in the block
+    avail: Dict[int, Dict[int, int]] = {}
     final_writer: Dict[int, int] = {}
     write_counts: Dict[int, int] = {}
-    # (oid, worker) -> local indices reading the current local version
+    # (written oid, worker) -> local indices reading the current local
+    # version (the pre-block one until the oid's first write); no entry
+    # while there are none
     local_readers: Dict[Tuple[int, int], List[int]] = {}
     preconds: Dict[int, Set[int]] = {}
 
     def wlist(w: int) -> List[TemplateEntry]:
         return per_worker.setdefault(w, [])
 
-    def add_copy(oid: int, src: int, src_idx: Optional[int], dst: int) -> int:
+    def add_copy(oid: int, src: int, dst: int) -> int:
         """Insert a SEND on src and a RECV on dst; returns the recv index."""
         src_list, dst_list = wlist(src), wlist(dst)
         recv_index = len(dst_list)
-        send_before = (src_idx,) if src_idx is not None else ()
         send = TemplateEntry(
             index=len(src_list), kind=CommandKind.SEND, read=(oid,),
-            before=send_before, dst_worker=dst, dst_index=recv_index,
+            before=(avail[oid][src],), dst_worker=dst, dst_index=recv_index,
             size_bytes=object_sizes.get(oid, 0),
         )
         src_list.append(send)
         local_readers.setdefault((oid, src), []).append(send.index)
-        recv_before = tuple(local_readers.get((oid, dst), ()))
         recv = TemplateEntry(
             index=recv_index, kind=CommandKind.RECV, write=(oid,),
-            before=recv_before, src_worker=src,
+            before=tuple(local_readers.get((oid, dst), ())), src_worker=src,
             size_bytes=object_sizes.get(oid, 0),
         )
         dst_list.append(recv)
-        avail.setdefault(oid, {})[dst] = recv_index
-        local_readers[(oid, dst)] = []
+        avail[oid][dst] = recv_index
+        local_readers.pop((oid, dst), None)
         return recv_index
 
-    for ct_entry in template.entries:
-        w = ct_entry.worker
+    for ct_index, task in enumerate(tasks):
+        w = workers[ct_index]
         lst = wlist(w)
         before: Set[int] = set()
-        for oid in ct_entry.read:
-            if oid not in written_in_block:
+        for oid in task.read:
+            if oid not in final_writer:
                 # Read of pre-block state: precondition on this worker.
                 preconds.setdefault(w, set()).add(oid)
-                avail.setdefault(oid, {}).setdefault(w, None)
             else:
-                holders = avail[oid]
-                if w in holders:
-                    if holders[w] is not None:
-                        before.add(holders[w])
-                else:
-                    src = final_writer[oid]
-                    recv_index = add_copy(oid, src, holders[src], w)
-                    before.add(recv_index)
-        for oid in ct_entry.write:
-            holders = avail.get(oid, {})
-            local = holders.get(w)
-            if local is not None:
-                before.add(local)
+                local = avail[oid].get(w)
+                before.add(local if local is not None
+                           else add_copy(oid, final_writer[oid], w))
+        for oid in task.write:
+            holders = avail.get(oid)
+            if holders is not None and w in holders:
+                before.add(holders[w])
             before.update(local_readers.get((oid, w), ()))
         my_index = len(lst)
-        entry = TemplateEntry(
+        lst.append(TemplateEntry(
             index=my_index, kind=CommandKind.TASK,
-            read=ct_entry.read, write=ct_entry.write,
+            read=task.read, write=task.write,
             before=tuple(sorted(before)),
-            function=ct_entry.function, param_slot=ct_entry.param_slot,
-            ct_index=ct_entry.index,
-        )
-        lst.append(entry)
-        for oid in ct_entry.read:
-            local_readers.setdefault((oid, w), []).append(my_index)
-        for oid in ct_entry.write:
-            written_in_block.add(oid)
+            function=task.function, param_slot=task.param_slot,
+            ct_index=ct_index,
+        ))
+        for oid in task.read:
+            if oid in written:
+                local_readers.setdefault((oid, w), []).append(my_index)
+        for oid in task.write:
             final_writer[oid] = w
             write_counts[oid] = write_counts.get(oid, 0) + 1
             avail[oid] = {w: my_index}
-            local_readers[(oid, w)] = []
+            local_readers.pop((oid, w), None)
 
     # Postcondition closure (§4.2 opt. 1): every precondition object that
     # the block overwrote is copied back to the workers that require it, so
     # repeated instantiation of this template auto-validates.
     for w, oids in sorted(preconds.items()):
         for oid in sorted(oids):
-            if oid in written_in_block and w not in avail[oid]:
-                src = final_writer[oid]
-                add_copy(oid, src, avail[oid][src], w)
+            if oid in final_writer and w not in avail[oid]:
+                add_copy(oid, final_writer[oid], w)
 
     # Report flags: the final writer entry of each returned object reports
     # its value to the controller with its completion.
@@ -381,15 +404,15 @@ def generate_worker_templates(
     for oid in template.returns.values():
         if oid in final_writer:
             w = final_writer[oid]
-            idx = None
-            # final local version provider on the final writer
-            holders = avail[oid]
-            idx = holders[w]
-            if idx is not None:
-                per_worker[w][idx].report = True
-                report_entries.setdefault(w, []).append(idx)
+            idx = avail[oid][w]
+            per_worker[w][idx].report = True
+            report_entries.setdefault(w, []).append(idx)
 
-    final_holders = {oid: avail[oid].keys() for oid in written_in_block}
+    interned: Dict[FrozenSet[int], FrozenSet[int]] = {}
+    final_holders = {}
+    for oid, holders in avail.items():
+        holders = frozenset(holders)
+        final_holders[oid] = interned.setdefault(holders, holders)
     delta = DirectoryDelta(write_counts, final_holders)
     return WorkerTemplateSet(
         template.block_id, version, per_worker, preconds, delta,

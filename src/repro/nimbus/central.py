@@ -141,13 +141,13 @@ class CentralScheduler:
                 + c.costs.central_receive_per_task)
         if capture:
             cost += c.costs.install_controller_template_per_task
-        tasks = [task for _stage_name, task in block.all_tasks()]
+        tasks = [task for stage in block.stages for task in stage.tasks]
         assignment = [self.assign_worker(ctx, task.read, task.write)
                       for task in tasks]
         run = self.dispatch(ctx, block, tasks, assignment, params, cost,
                             request_id)
         if capture:
-            c.cache.capture(ctx, block, assignment)
+            c.cache.capture(ctx, block, tasks, assignment)
         return run
 
     def on_command_complete_batch(self, msg: P.CommandCompleteBatch) -> None:

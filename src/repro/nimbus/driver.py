@@ -295,13 +295,15 @@ class Driver(P.ReliableEndpoint, Actor):
         Only installed blocks under templates in a window-granting mode
         (decentralized or sharded): the pre-install staircase and the
         central path stay byte-identical to centralized mode. Windowed
-        submissions bypass the ``max_inflight`` backlog — the
-        controller's policy serializes whole windows instead (one grant
-        in flight per job) — but still count as outstanding so ``drain``
-        keeps its barrier semantics.
+        submissions bypass the ``max_inflight`` limit — the controller's
+        policy serializes whole windows instead (one grant in flight per
+        job) — but still count as outstanding so ``drain`` keeps its
+        barrier semantics. While the backlog holds an earlier submission
+        nothing joins a window: it queues behind, so the job's blocks
+        reach the controller in program order.
         """
         return (self.mode in ("decentralized", "sharded")
-                and self.use_templates
+                and self.use_templates and not self._backlog
                 and block.block_id in self._installed)
 
     def _flush_window(self) -> None:

@@ -115,8 +115,8 @@ class JobContext:
         """Take a driver request id; False if it was taken before. Exact
         in any arrival order: an id at or below the mark and not skipped
         was taken. The skipped set holds only ids that a later one
-        overtook — a window can overtake the driver's backlog (DESIGN.md
-        §7) — so it stays as small as that overtaking."""
+        jumped over — the driver abandons a few unsent at a recovery
+        (DESIGN.md §7) — so it stays as small as that gap."""
         if request_id > self.last_request:
             self.skipped_requests.update(
                 range(self.last_request + 1, request_id))

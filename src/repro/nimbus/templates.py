@@ -57,12 +57,12 @@ class TemplateCache:
         return ctx.worker_templates.get(
             (block_id, ctx.current_version[block_id]))
 
-    def capture(self, ctx, block, assignment: List[int]) -> None:
-        """Record the controller template of a centrally scheduled block:
-        the first step of the staircase."""
+    def capture(self, ctx, block, tasks, assignment: List[int]) -> None:
+        """Record the controller template of a centrally scheduled block
+        (``tasks``: its task list): the first step of the staircase."""
         block_id = block.block_id
         ctx.templates[block_id] = ControllerTemplate.from_block(
-            block, assignment)
+            block, assignment, tasks)
         ctx.phase[block_id] = PHASE_CT_READY
         ctx.current_version[block_id] = 0
         ctx.assignments[(block_id, 0)] = list(assignment)
@@ -100,7 +100,7 @@ class TemplateCache:
                     ctx, ctx.worker_templates[(block_id, version)])
                 ctx.phase[block_id] = PHASE_WT_INSTALLED
             c.central.dispatch(
-                ctx, template, template.entries, template.assignment(),
+                ctx, template, template.tasks, template.workers,
                 msg.params, c.costs.central_schedule_per_task,
                 msg.request_id)
             return
@@ -365,10 +365,11 @@ class TemplateCache:
         c = self.controller
         for block_id, template in ctx.templates.items():
             moved = False
-            for entry in template.entries:
-                if entry.worker not in c.live_workers:
-                    entry.worker = c.central.assign_worker(
-                        ctx, entry.read, entry.write)
+            workers = template.workers
+            for i, task in enumerate(template.tasks):
+                if workers[i] not in c.live_workers:
+                    workers[i] = c.central.assign_worker(
+                        ctx, task.read, task.write)
                     moved = True
             if (regenerate_all or moved
                     or any(key[0] == block_id for key in ctx.pending_edits)):
@@ -381,10 +382,8 @@ class TemplateCache:
             # queued edits were planned against assignments this restore is
             # undoing — shipping them later would corrupt installed halves
             self._drop_pending_edits(ctx, block_id)
-            template = ctx.templates[block_id]
-            assignment = ctx.assignments[(block_id, version)]
-            for entry, worker in zip(template.entries, assignment):
-                entry.worker = worker
+            ctx.templates[block_id].workers[:] = ctx.assignments[
+                (block_id, version)]
             ctx.current_version[block_id] = version
             if (block_id, version) in ctx.worker_templates:
                 ctx.phase[block_id] = PHASE_WT_INSTALLED

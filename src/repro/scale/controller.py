@@ -237,9 +237,9 @@ class ResourceController:
             return []
         counts: Dict[int, int] = {w: 0 for w in live}
         by_worker: Dict[int, List[int]] = {w: [] for w in live}
-        for i, entry in enumerate(template.entries):
-            counts[entry.worker] = counts.get(entry.worker, 0) + 1
-            by_worker.setdefault(entry.worker, []).append(i)
+        for i, worker in enumerate(template.workers):
+            counts[worker] = counts.get(worker, 0) + 1
+            by_worker.setdefault(worker, []).append(i)
         moves: List[Tuple[int, int]] = []
         for dst in sorted(targets):
             while counts.get(dst, 0) < fair:

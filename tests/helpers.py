@@ -294,9 +294,10 @@ def stamped_ahead(origin, msg, dst, ahead=1):
 # ---------------------------------------------------------------------------
 # One real worker, driven through template instantiations
 # ---------------------------------------------------------------------------
-def _busiest_lr_half(num_workers: int):
-    """(worker_id, entries, report indices) of the largest worker half of
-    the LR iteration block, generated the way the controller does."""
+def lr_iteration_template(num_workers: int):
+    """(controller template, object sizes) of the LR iteration block, each
+    task at the home of its anchor object as the central scheduler
+    places it."""
     app = LRApp(LRSpec(num_workers=num_workers, iterations=2))
     block = app.iteration_block
     home = {oid: h for oid, _n, _p, _s, h in app.variables.definitions}
@@ -305,8 +306,14 @@ def _busiest_lr_half(num_workers: int):
     for _stage, task in block.all_tasks():
         anchor = task.write[0] if task.write else task.read[0]
         assignment.append(home[anchor] if home[anchor] is not None else 0)
-    template = ControllerTemplate.from_block(block, assignment)
-    template_set = generate_worker_templates(template, sizes)
+    return ControllerTemplate.from_block(block, assignment), sizes
+
+
+def _busiest_lr_half(num_workers: int):
+    """(worker_id, entries, report indices) of the largest worker half of
+    the LR iteration block, generated the way the controller does."""
+    template_set = generate_worker_templates(
+        *lr_iteration_template(num_workers))
     worker_id, entries = max(template_set.entries.items(),
                              key=lambda kv: len(kv[1]))
     reports = tuple(e.index for e in entries if e is not None and e.report)

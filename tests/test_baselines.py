@@ -160,7 +160,7 @@ class TestNaiad:
         cluster.run_until_finished(max_seconds=1e5)
         assert worker_values(cluster, [ACC])[ACC] == reference(8)[ACC]
         templates = cluster.controller.templates
-        assert {e.worker for t in templates.values() for e in t.entries} \
+        assert {w for t in templates.values() for w in t.workers} \
             == {0}
         # one install per block, then one more per block (both had tasks
         # on worker 1)

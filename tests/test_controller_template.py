@@ -1,12 +1,17 @@
-"""Unit tests for controller templates (Figure 5a)."""
+"""Unit tests for controller templates (Figure 5a).
+
+A controller template is a table — the block's task list and a parallel
+worker array — and stores no dependencies: the task-level dependency
+rules are checked where they are derived, on the ``before`` sets of the
+worker templates generated from it (all tasks on one worker, so every
+dependency is a local one and no copy is inserted).
+"""
 
 import pytest
 
-from repro.core.controller_template import (
-    ControllerTemplate,
-    ControllerTemplateBuilder,
-)
+from repro.core.controller_template import ControllerTemplate
 from repro.core.spec import BlockSpec, LogicalTask, StageSpec
+from repro.core.worker_template import generate_worker_templates
 
 
 def simple_block():
@@ -25,23 +30,34 @@ def simple_block():
     ], returns={"out": 3})
 
 
+def one_worker_entries(block):
+    """The entries generated for ``block`` with every task on worker 0."""
+    template = ControllerTemplate.from_block(block, [0] * block.num_tasks)
+    entries = generate_worker_templates(template, {}).entries[0]
+    assert [e.ct_index for e in entries] == list(range(block.num_tasks))
+    return entries
+
+
 def test_from_block_structure():
     template = ControllerTemplate.from_block(simple_block(), [0, 1, 0, 0])
     assert template.num_tasks == 4
     assert template.block_id == "blk"
-    assert [e.worker for e in template.entries] == [0, 1, 0, 0]
+    assert template.workers == [0, 1, 0, 0]
     assert template.returns == {"out": 3}
 
 
+def test_from_block_rejects_wrong_count():
+    with pytest.raises(ValueError):
+        ControllerTemplate.from_block(simple_block(), [0])
+
+
 def test_read_after_write_dependencies():
-    template = ControllerTemplate.from_block(simple_block(), [0, 1, 0, 0])
-    consumer = template.entries[2]
+    consumer = one_worker_entries(simple_block())[2]
     assert set(consumer.before) == {0, 1}
 
 
 def test_write_after_read_and_write_dependencies():
-    template = ControllerTemplate.from_block(simple_block(), [0, 1, 0, 0])
-    updater = template.entries[3]
+    updater = one_worker_entries(simple_block())[3]
     # h writes object 3: it must follow g (the writer); h also reads 3
     assert updater.before == (2,)
 
@@ -53,18 +69,17 @@ def test_anti_dependency_on_readers():
                          LogicalTask("g", read=(1,), write=(3,))]),
         StageSpec("s3", [LogicalTask("f", read=(), write=(1,))]),
     ])
-    template = ControllerTemplate.from_block(block, [0, 0, 0, 0])
-    overwriter = template.entries[3]
+    overwriter = one_worker_entries(block)[3]
     # the overwrite of object 1 must wait for both readers
     assert set(overwriter.before) == {0, 1, 2}
 
 
 def test_param_slots_cached_not_values():
     template = ControllerTemplate.from_block(simple_block(), [0, 1, 0, 0])
-    assert template.entries[2].param_slot == "p"
+    assert template.tasks[2].param_slot == "p"
     instance = template.instantiate(100, {"p": 42})
-    assert instance.param_of(template.entries[2]) == 42
-    assert instance.param_of(template.entries[0]) is None
+    assert instance.param_of(2) == 42
+    assert instance.param_of(0) is None
 
 
 def test_instantiate_task_ids_index_into_array():
@@ -82,36 +97,20 @@ def test_instantiations_share_fixed_structure():
 
 
 def test_reassign_and_queries():
-    template = ControllerTemplate.from_block(simple_block(), [0, 1, 0, 0])
+    assignment = [0, 1, 0, 0]
+    template = ControllerTemplate.from_block(simple_block(), assignment)
     template.reassign(2, 1)
-    assert template.entries[2].worker == 1
-    assert template.workers_used() == [0, 1]
-    assert len(template.entries_on(0)) == 2
-
-
-def test_builder_records_assignments():
-    block = simple_block()
-    builder = ControllerTemplateBuilder(block)
-    for worker in (0, 1, 0, 1):
-        builder.record(worker)
-    template = builder.finish()
-    assert [e.worker for e in template.entries] == [0, 1, 0, 1]
-
-
-def test_builder_rejects_wrong_count():
-    builder = ControllerTemplateBuilder(simple_block())
-    builder.record(0)
-    with pytest.raises(ValueError):
-        builder.finish()
+    assert template.workers == [0, 1, 1, 0]
+    assert template.assignment() == [0, 1, 1, 0]
+    assert template.assignment() is not template.workers
+    assert assignment == [0, 1, 0, 0]  # the caller's list is not the table
 
 
 def test_signature_matches_block():
     block = simple_block()
     template = ControllerTemplate.from_block(block, [0, 1, 0, 0])
-    assert [(e.stage, e.function, e.read, e.write, e.param_slot)
-            for e in template.entries] == [
-        (stage.name, task.function, task.read, task.write, task.param_slot)
-        for stage in block.stages for task in stage.tasks]
+    assert template.tasks == [task for stage in block.stages
+                              for task in stage.tasks]
 
 
 def test_structure_signature_ignores_ids_not_structure():

@@ -256,7 +256,7 @@ def test_crashed_worker_releases_outstanding_window():
     # the current controller template still targets worker 3
     ctx = ctrl.jobs[0]
     for block_id, template in ctx.templates.items():
-        workers = {entry.worker for entry in template.entries}
+        workers = set(template.workers)
         assert 3 not in workers, f"{block_id} still targets the dead worker"
 
 

@@ -118,8 +118,8 @@ def test_rejected_move_leaves_the_halves_in_agreement():
     assert cluster.metrics.count("edits_applied") == 6  # two moves, 3 ops
     wts = cluster.controller.worker_templates[("iter", 0)]
     assert wts.task_locations[0][0] == wts.task_locations[2][0] == 1
-    assert [e.worker for e in cluster.controller.templates["iter"].entries
-            ] == [1, 1, 1, 1, 0]  # map tasks 0 and 2 joined 1 and 3
+    assert cluster.controller.templates["iter"].workers == [
+        1, 1, 1, 1, 0]  # map tasks 0 and 2 joined 1 and 3
     for worker_id, worker in cluster.workers.items():
         assert [(e.kind, e.read, e.write, e.before) for e in
                 worker._templates[(0, "iter", 0)].entries] == [
@@ -167,7 +167,7 @@ def test_eviction_moves_work_and_preserves_results():
     assert worker_values(cluster, [ACC])[ACC] == expected[ACC]
     # all template entries now live on worker 0
     template = cluster.controller.templates["iter"]
-    assert set(e.worker for e in template.entries) == {0}
+    assert set(template.workers) == {0}
 
 
 def test_evict_then_restore_reuses_cached_templates():

@@ -12,12 +12,14 @@ from repro.core.edits import (
     plan_migrations,
 )
 from repro.core.spec import BlockSpec, LogicalTask, StageSpec
+from repro.core.validation import brute_force_validate, full_validate
 from repro.core.worker_template import (
     AccessIndex,
     TemplateEntry,
     generate_worker_templates,
 )
 from repro.nimbus.commands import CommandKind
+from repro.nimbus.data import LogicalObject, ObjectDirectory
 
 SIZES = {oid: 32 for oid in range(1, 30)}
 
@@ -194,6 +196,32 @@ def test_sole_reader_preblock_inputs_relocate():
     assert 1 in wts.preconditions[1]
     # object 2 (the other task's input) stays put
     assert 2 in wts.preconditions[0]
+
+
+def test_validation_checks_a_relocated_precondition_at_its_new_home():
+    """After a relocating edit, full validation checks the destination's
+    copy of the relocated input, not the source's: the incremental pass
+    (whose cached outcome predates the edit), the brute-force scan and
+    the cross-checked pass all report the destination's stale copy."""
+    block = BlockSpec("b", [StageSpec("t", [
+        LogicalTask("t", read=(10,), write=(2,))])])
+    wts = generate_worker_templates(
+        ControllerTemplate.from_block(block, [0]), SIZES)
+    directory = ObjectDirectory()
+    for oid in (2, 10):
+        directory.register(LogicalObject(oid, f"o{oid}", 0, 8), 0)
+    directory.record_copy(10, 1)
+    for _ in range(2):  # a cached outcome and a by-object index, pre-edit
+        assert full_validate(wts, directory) == []
+    plan_migration(wts, 0, 1, SIZES)
+    assert wts.preconditions == {0: set(), 1: {10}}
+    directory.record_write(10, 0)  # the destination's copy is stale now
+    assert brute_force_validate(wts, directory) == [(1, 10)]
+    assert full_validate(wts, directory, cross_check=True) == [(1, 10)]
+    directory.record_copy(10, 1)
+    assert full_validate(wts, directory, cross_check=True) == []
+    directory.record_write(10, 0)
+    assert full_validate(wts, directory, cross_check=True) == [(1, 10)]
 
 
 def test_rejected_move_stops_the_batch_and_keeps_what_was_planned():

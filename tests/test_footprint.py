@@ -11,7 +11,17 @@ after a quick sharded LR run and a quick serve run,
 * the object directory stores a sole holder of the latest version as the
   worker id, not as a one-entry ``{worker: version}`` map;
 * a closed run's results dict is one object, shared by its block interval
-  and the job's results history.
+  and the job's results history;
+* a controller template is a table: the block's own task objects and one
+  worker id per task, no per-task object of its own;
+* a template set holds one precondition map; the by-object index and the
+  task locations are derived on first use, and a set that was never
+  migrated or rebalanced has no task locations.
+
+Generating worker templates keeps little transient state beside what it
+returns: it tracks only the objects the block writes, so its traced
+peak stays within 2.5 times what it keeps (a ratio, so it holds across
+Python versions).
 
 A drained central command stream leaves no conflict-tracker entry: each
 command leaves the tracker as it completes (DESIGN.md §9).
@@ -21,12 +31,17 @@ with it (DESIGN.md §12), so the serve cluster has none left at its end:
 the checks also look at it as it was while its last job still ran.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.apps.scenarios import build_job_arrival
+from repro.core.spec import LogicalTask
+from repro.core.worker_template import generate_worker_templates
 from repro.nimbus.worker import Worker
 
-from .helpers import run_lr
+from .helpers import lr_iteration_template, run_lr
 
 
 def _frames(cluster):
@@ -172,6 +187,52 @@ def test_a_closed_runs_results_are_held_once(runs):
                     f"holds a copy of the interval's results")
                 closed += 1
     assert closed
+
+
+def test_a_controller_template_is_a_table(runs):
+    clusters, _, _ = runs
+    tables = [template for ctx in clusters[0].controller.jobs.values()
+              for template in ctx.templates.values()]
+    assert tables
+    for template in tables:
+        assert set(vars(template)) == {
+            "block_id", "tasks", "workers", "returns", "assignment_version"}
+        assert all(type(task) is LogicalTask for task in template.tasks)
+        assert all(type(worker) is int for worker in template.workers)
+        assert len(template.workers) == len(template.tasks)
+
+
+def test_a_template_set_holds_one_precondition_map(runs):
+    clusters, _, live = runs
+    checked = 0
+    for installed in (_installed(clusters[0]), live["installed"]):
+        for job_id, wts, _halves in installed:
+            state = vars(wts)
+            assert [name for name in state if "precondition" in name] == [
+                "preconditions"], f"job {job_id} {wts.key}"
+            assert state["_task_locations"] is None, (
+                f"job {job_id} {wts.key}: task locations of a set no "
+                f"migration or rebalancing pass read")
+            by_oid = state["_by_oid"]
+            if by_oid is not None:
+                wts._by_oid = None
+                assert by_oid == wts.precondition_index()
+            checked += 1
+    assert checked
+
+
+def test_generation_keeps_most_of_what_it_allocates():
+    template, sizes = lr_iteration_template(25)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        wts = generate_worker_templates(template, sizes)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert wts.num_commands() > template.num_tasks
+    assert peak <= 2.5 * kept, (
+        f"generation peaked at {peak / kept:.2f}x what it keeps")
 
 
 def test_a_drained_central_stream_leaves_the_tracker_empty():

@@ -11,8 +11,8 @@
   redelivered instantiation, patch install or patch invocation, or a
   re-granted window instance, of a live job is stale and runs nothing.
 * The controller's driver-request guard is exact in any arrival order,
-  including the one path where requests arrive out of order: a window
-  that overtakes the driver's backlog.
+  and the driver sends its requests in program order: a window never
+  overtakes the driver's backlog.
 """
 
 import random
@@ -436,12 +436,12 @@ def test_request_guard_is_exact_in_any_order():
     assert ctx.last_request == 199 and not ctx.skipped_requests
 
 
-def test_a_window_overtaking_the_backlog_keeps_its_requests(monkeypatch):
-    """Decentralized mode: a block submitted while the driver's backlog is
-    full waits there, and a window of an installed block submitted after
-    it reaches the controller first (windows bypass the backlog). The
-    request guard must take the overtaken id when it arrives — a bare
-    watermark would discard it as a duplicate and wedge the job."""
+def test_a_window_waits_behind_the_backlog(monkeypatch):
+    """A block submitted while the driver's backlog is full waits there,
+    and the installed blocks posted after it queue behind it instead of
+    leaving as a window: every mode sends the job's requests in program
+    order and computes the centralized mode's value (a window that went
+    ahead of the backlog once left x = 5 against 16 869)."""
     a = BlockSpec("A", [StageSpec("s", [
         LogicalTask("combine", read=(1,), write=(1,))])])
     b = BlockSpec("B", [StageSpec("s", [
@@ -453,21 +453,24 @@ def test_a_window_overtaking_the_backlog_keeps_its_requests(monkeypatch):
             job.post(a)
         job.post(b, {"v": 5})  # backlogged: 12 requests outstanding
         for _ in range(32):
-            job.post(a)  # one full window, sent ahead of the backlog
+            job.post(a)  # a full window's worth, queued behind b
         yield job.drain()
 
-    order = []
+    values, orders = {}, {}
     take = JobContext.take_request
 
     def recording(ctx, request_id):
-        order.append(request_id)
+        orders[mode].append(request_id)
         return take(ctx, request_id)
     monkeypatch.setattr(JobContext, "take_request", recording)
-    cluster = NimbusCluster(2, program, registry=combine_registry(),
-                            mode="decentralized")
-    cluster.run_until_finished(max_seconds=1e6)
-    ctx = cluster.controller.jobs[0]
-    assert order != sorted(order)  # the window did overtake
-    assert sorted(order) == list(range(1, 45))
-    assert cluster.metrics.count("protocol.stale_discards") == 0
-    assert ctx.last_request == 44 and not ctx.skipped_requests
+    for mode in ("centralized", "decentralized", "sharded"):
+        orders[mode] = []
+        cluster = NimbusCluster(2, program, registry=combine_registry(),
+                                mode=mode)
+        cluster.run_until_finished(max_seconds=1e6)
+        assert not cluster.controller.jobs[0].skipped_requests
+        values[mode] = computed_values(cluster)
+    assert values["decentralized"] == values["centralized"]
+    assert values["sharded"] == values["centralized"]
+    for mode, order in orders.items():
+        assert order == list(range(1, 45)), mode
