@@ -1,7 +1,7 @@
 """Logical-object bookkeeping and synthetic dataset generators.
 
 :class:`Variables` allocates object ids for an application's partitioned
-variables and produces the definition list the driver hands to
+variables and builds, on demand, the definition list the driver hands to
 ``job.define``. Synthetic data generators produce the real numpy payloads
 used by the examples and integration tests (the benchmarks run in the
 paper's "-opt" spin-wait mode and need no payloads).
@@ -9,19 +9,22 @@ paper's "-opt" spin-wait mode and need no payloads).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 
 class Variables:
-    """Allocates object ids for named, partitioned application variables."""
+    """Allocates object ids for named, partitioned application variables:
+    one ``(name, oids, size_bytes, home)`` entry per variable, the oids
+    the list returned to the caller, expanded per object only when
+    :attr:`definitions` is read (its tuples share those oid objects)."""
 
     def __init__(self) -> None:
         self._next_oid = 1
-        self.definitions: List[Tuple[int, str, int, int, Optional[int]]] = []
-        self._by_name: Dict[str, List[int]] = {}
+        self._variables: List[Tuple[str, List[int], int,
+                                    Optional[Callable[[int], int]]]] = []
 
     def partitioned(
         self,
@@ -35,14 +38,9 @@ class Variables:
         ``home(p)`` pins partition ``p`` to a worker (otherwise placement is
         the controller's round-robin default).
         """
-        oids = []
-        for p in range(partitions):
-            oid = self._next_oid
-            self._next_oid += 1
-            worker = home(p) if home is not None else None
-            self.definitions.append((oid, name, p, size_bytes, worker))
-            oids.append(oid)
-        self._by_name[name] = oids
+        oids = list(range(self._next_oid, self._next_oid + partitions))
+        self._next_oid += partitions
+        self._variables.append((name, oids, size_bytes, home))
         return oids
 
     def scalar(self, name: str, size_bytes: int = 8,
@@ -51,12 +49,13 @@ class Variables:
         return self.partitioned(name, 1, size_bytes,
                                 (lambda _p: home) if home is not None else None)[0]
 
-    def oids(self, name: str) -> List[int]:
-        return list(self._by_name[name])
-
     @property
-    def num_objects(self) -> int:
-        return len(self.definitions)
+    def definitions(self) -> List[Tuple[int, str, int, int, Optional[int]]]:
+        """``(oid, name, partition, size_bytes, home or None)`` per object,
+        in declaration order: what ``job.define`` takes."""
+        return [(oid, name, p, size, home(p) if home is not None else None)
+                for name, oids, size, home in self._variables
+                for p, oid in enumerate(oids)]
 
 
 def block_home(partitions_per_worker: int) -> Callable[[int], int]:

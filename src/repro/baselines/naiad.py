@@ -82,7 +82,7 @@ class NaiadTemplates(TemplateCache):
         c = self.controller
         c.charge(c.costs.naiad_install_per_task * template.num_tasks)
         ctx.current_version[template.block_id] = version
-        wts = generate_worker_templates(template, c.object_sizes(ctx), version)
+        wts = generate_worker_templates(template, ctx.directory.sizes, version)
         ctx.worker_templates[wts.key] = wts
         ctx.assignments[wts.key] = template.assignment()
         self.install_halves(ctx, wts)

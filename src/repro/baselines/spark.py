@@ -79,8 +79,8 @@ class SparkScheduler(CentralScheduler):
             run.outstanding -= 1  # last stage: its completions close the run
 
         def emit(cmd, report: bool) -> None:
-            c.send_reliable(c.workers[cmd.worker],
-                            P.DispatchCommandBatch([(cmd, report)], run.seq))
+            c.send_reliable(c.workers[cmd.worker], P.DispatchCommandBatch(
+                [cmd], run.seq, (cmd.cid,) if report else ()))
 
         for task, params in tasks:
             worker = self.assign_worker(run.ctx, task.read, task.write)

@@ -118,11 +118,11 @@ def _classify(template_set: WorkerTemplateSet, ct_index: int, dst: int):
             f"task writes {task.write}"
         )
     src_access = template_set.access(src)
-    dst_preconds = template_set.preconditions.get(dst, ())
+    required = template_set.precondition_index()
     shared, relocated, copied = [], [], []
     for oid in task.read:
         pre_block = _provider_of(src_access, src_idx, oid) is None
-        if pre_block and oid in dst_preconds:
+        if pre_block and dst in required.get(oid, ()):
             shared.append(oid)
         elif pre_block and _sole_reader(src_access, src_idx, oid):
             relocated.append(oid)

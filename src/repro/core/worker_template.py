@@ -192,7 +192,7 @@ class WorkerTemplateSet:
         block_id: str,
         version: int,
         entries: Dict[int, List[TemplateEntry]],
-        preconditions: Dict[int, Set[int]],
+        preconditions: Dict[int, Tuple[int, ...]],
         delta: DirectoryDelta,
         returns: Dict[str, int],
         report_entries: Dict[int, List[int]],
@@ -200,8 +200,8 @@ class WorkerTemplateSet:
         self.block_id = block_id
         self.version = version
         self.entries = entries  # worker -> [TemplateEntry]
-        #: worker -> set(oid); a migration moves relocated inputs across
-        #: (:meth:`move_preconditions`)
+        #: worker -> sorted tuple of oids; a migration moves relocated
+        #: inputs across (:meth:`move_preconditions`)
         self.preconditions = preconditions
         self.delta = delta
         self.returns = returns  # result name -> oid
@@ -259,8 +259,12 @@ class WorkerTemplateSet:
         """``dst`` requires ``oids`` fresh from now on and ``src`` no
         longer (a relocating edit). The cached validation outcome checked
         the old pairs, so it goes."""
-        self.preconditions[src].difference_update(oids)
-        self.preconditions.setdefault(dst, set()).update(oids)
+        oids = set(oids)
+        preconditions = self.preconditions
+        preconditions[src] = tuple(
+            oid for oid in preconditions[src] if oid not in oids)
+        preconditions[dst] = tuple(sorted({*preconditions.get(dst, ()),
+                                           *oids}))
         by_oid = self._by_oid
         if by_oid is not None:
             for oid in oids:
@@ -321,19 +325,42 @@ def generate_worker_templates(
     tasks, workers = template.tasks, template.workers
     written = {oid for task in tasks for oid in task.write}
     per_worker: Dict[int, List[TemplateEntry]] = {}
-    # written oid -> {worker: local index providing its current version};
+    # written oid -> local index of its current version on its last
+    # writer, or {worker: local index} once a copy made a second holder;
     # an oid enters at its first write in the block
-    avail: Dict[int, Dict[int, int]] = {}
+    avail: Dict[int, Union[int, Dict[int, int]]] = {}
     final_writer: Dict[int, int] = {}
     write_counts: Dict[int, int] = {}
-    # (written oid, worker) -> local indices reading the current local
-    # version (the pre-block one until the oid's first write); no entry
-    # while there are none
-    local_readers: Dict[Tuple[int, int], List[int]] = {}
-    preconds: Dict[int, Set[int]] = {}
+    # worker -> written oid -> local indices (a lone one bare) reading the
+    # current local version (the pre-block one until the oid's first
+    # write); no entry while there are none
+    local_readers: Dict[int, Dict[int, Union[int, List[int]]]] = {}
+    # worker -> pre-block oids it reads, repeats included until the end
+    preconds: Dict[int, List[int]] = {}
 
     def wlist(w: int) -> List[TemplateEntry]:
         return per_worker.setdefault(w, [])
+
+    def local(oid: int, w: int) -> Optional[int]:
+        """The local index providing ``oid``'s current version on ``w``."""
+        have = avail[oid]
+        if have.__class__ is int:
+            return have if final_writer[oid] == w else None
+        return have.get(w)
+
+    def add_reader(oid: int, w: int, index: int) -> None:
+        readers = local_readers.setdefault(w, {})
+        have = readers.get(oid)
+        if have is None:
+            readers[oid] = index
+        elif have.__class__ is int:
+            readers[oid] = [have, index]
+        else:
+            have.append(index)
+
+    def readers_of(oid: int, w: int) -> Tuple[int, ...]:
+        have = local_readers.get(w, {}).get(oid, ())
+        return (have,) if have.__class__ is int else tuple(have)
 
     def add_copy(oid: int, src: int, dst: int) -> int:
         """Insert a SEND on src and a RECV on dst; returns the recv index."""
@@ -341,19 +368,23 @@ def generate_worker_templates(
         recv_index = len(dst_list)
         send = TemplateEntry(
             index=len(src_list), kind=CommandKind.SEND, read=(oid,),
-            before=(avail[oid][src],), dst_worker=dst, dst_index=recv_index,
+            before=(local(oid, src),), dst_worker=dst, dst_index=recv_index,
             size_bytes=object_sizes.get(oid, 0),
         )
         src_list.append(send)
-        local_readers.setdefault((oid, src), []).append(send.index)
+        add_reader(oid, src, send.index)
         recv = TemplateEntry(
             index=recv_index, kind=CommandKind.RECV, write=(oid,),
-            before=tuple(local_readers.get((oid, dst), ())), src_worker=src,
+            before=readers_of(oid, dst), src_worker=src,
             size_bytes=object_sizes.get(oid, 0),
         )
         dst_list.append(recv)
-        avail[oid][dst] = recv_index
-        local_readers.pop((oid, dst), None)
+        local_readers.get(dst, {}).pop(oid, None)
+        have = avail[oid]
+        if have.__class__ is int:
+            avail[oid] = {final_writer[oid]: have, dst: recv_index}
+        else:
+            have[dst] = recv_index
         return recv_index
 
     for ct_index, task in enumerate(tasks):
@@ -363,16 +394,17 @@ def generate_worker_templates(
         for oid in task.read:
             if oid not in final_writer:
                 # Read of pre-block state: precondition on this worker.
-                preconds.setdefault(w, set()).add(oid)
+                preconds.setdefault(w, []).append(oid)
             else:
-                local = avail[oid].get(w)
-                before.add(local if local is not None
+                index = local(oid, w)
+                before.add(index if index is not None
                            else add_copy(oid, final_writer[oid], w))
         for oid in task.write:
-            holders = avail.get(oid)
-            if holders is not None and w in holders:
-                before.add(holders[w])
-            before.update(local_readers.get((oid, w), ()))
+            if oid in final_writer:
+                index = local(oid, w)
+                if index is not None:
+                    before.add(index)
+            before.update(readers_of(oid, w))
         my_index = len(lst)
         lst.append(TemplateEntry(
             index=my_index, kind=CommandKind.TASK,
@@ -383,19 +415,25 @@ def generate_worker_templates(
         ))
         for oid in task.read:
             if oid in written:
-                local_readers.setdefault((oid, w), []).append(my_index)
+                add_reader(oid, w, my_index)
         for oid in task.write:
             final_writer[oid] = w
             write_counts[oid] = write_counts.get(oid, 0) + 1
-            avail[oid] = {w: my_index}
-            local_readers.pop((oid, w), None)
+            avail[oid] = my_index
+            local_readers.get(w, {}).pop(oid, None)
+
+    # Each worker's preconditions as one sorted tuple, repeats dropped.
+    for w, oids in preconds.items():
+        oids.sort()
+        preconds[w] = tuple(
+            oid for i, oid in enumerate(oids) if not i or oids[i - 1] != oid)
 
     # Postcondition closure (§4.2 opt. 1): every precondition object that
     # the block overwrote is copied back to the workers that require it, so
     # repeated instantiation of this template auto-validates.
     for w, oids in sorted(preconds.items()):
-        for oid in sorted(oids):
-            if oid in final_writer and w not in avail[oid]:
+        for oid in oids:
+            if oid in final_writer and local(oid, w) is None:
                 add_copy(oid, final_writer[oid], w)
 
     # Report flags: the final writer entry of each returned object reports
@@ -404,14 +442,15 @@ def generate_worker_templates(
     for oid in template.returns.values():
         if oid in final_writer:
             w = final_writer[oid]
-            idx = avail[oid][w]
+            idx = local(oid, w)
             per_worker[w][idx].report = True
             report_entries.setdefault(w, []).append(idx)
 
     interned: Dict[FrozenSet[int], FrozenSet[int]] = {}
     final_holders = {}
-    for oid, holders in avail.items():
-        holders = frozenset(holders)
+    for oid, have in avail.items():
+        holders = frozenset((final_writer[oid],) if have.__class__ is int
+                            else have)
         final_holders[oid] = interned.setdefault(holders, holders)
     delta = DirectoryDelta(write_counts, final_holders)
     return WorkerTemplateSet(

@@ -35,12 +35,12 @@ class CentralScheduler:
         if anchor is None:
             return min(self.controller.live_workers)
         try:
-            return ctx.placement.home(anchor)
+            return ctx.directory.home(anchor)
         except KeyError:
             raise KeyError(
                 f"job {ctx.job_id}: cannot place a task touching unknown "
                 f"object id {ctx.local_oid(anchor)} (global id {anchor}); "
-                f"the job never defined it"
+                f"the job never defined it, or undefined it"
             ) from None
 
     def schedule_task(self, run, function: str, read: Tuple[int, ...],
@@ -95,14 +95,14 @@ class CentralScheduler:
         run = c._new_run(ctx, source.block_id, source.num_tasks, "central",
                          request_id)
         returns_rev = {oid: name for name, oid in source.returns.items()}
-        # one list of (command, report) per worker, in first-dispatch order
-        batches: Dict[int, List[Tuple[Command, bool]]] = {}
+        # one command list per worker, in first-dispatch order
+        batches: Dict[int, List[Command]] = {}
 
-        def emit(cmd: Command, report: bool) -> None:
+        def emit(cmd: Command, _report: bool) -> None:
             lst = batches.get(cmd.worker)
             if lst is None:
                 lst = batches[cmd.worker] = []
-            lst.append((cmd, report))
+            lst.append(cmd)
 
         # the per-task cost is constant across the block, and nothing in the
         # loop observes _charged (dispatches stay buffered until the flush),
@@ -116,12 +116,12 @@ class CentralScheduler:
             schedule(run, task.function, task.read, task.write, worker,
                      task_params, returns_rev, emit)
         c._charged = charged
-        # each worker's list keeps its dispatch order, so worker-side
-        # conflict tracking resolves the same dependencies as
-        # one-message-per-command dispatch
-        for worker, items in batches.items():
+        # each worker's list keeps its dispatch order: worker-side conflict
+        # tracking resolves the same dependencies as one message per command
+        reports = frozenset(run.return_cids)
+        for worker, commands in batches.items():
             c.send_reliable(c.workers[worker],
-                            P.DispatchCommandBatch(items, run.seq))
+                            P.DispatchCommandBatch(commands, run.seq, reports))
         ctx.metrics.incr("tasks_scheduled", source.num_tasks)
         # Central execution leaves template validation state unknown.
         ctx.validation_state.invalidate()

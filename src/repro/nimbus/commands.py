@@ -58,8 +58,8 @@ class Command:
         "size_bytes",
         # worker-local scheduling state of a centrally dispatched command,
         # stamped by Worker._enqueue: outstanding-dependency count and
-        # (block_seq, report) metadata. Kept on the command, not in side
-        # dicts keyed by cid.
+        # (block_seq, report) metadata, a pair shared by the command's
+        # batch. Kept on the command, not in side dicts keyed by cid.
         "_rem",
         "_wmeta",
         # compiled-plan state (repro.core.compiled): owning arena (the

@@ -387,13 +387,12 @@ class Controller(P.ReliableEndpoint, Actor):
     # ------------------------------------------------------------------
     def _on_define_objects(self, ctx: JobContext,
                            msg: P.DefineObjects) -> None:
-        ctx.object_sizes_cache = None
         per_worker: Dict[int, List[int]] = {}
         for oid, variable, partition, size, home in msg.objects:
             goid = ctx.goid(oid)
-            obj = LogicalObject(goid, variable, partition, size)
-            worker = ctx.placement.place(goid, home)
-            ctx.directory.register(obj, worker)
+            worker = ctx.placement.place(home)
+            ctx.directory.register(
+                LogicalObject(goid, variable, partition, size), worker)
             per_worker.setdefault(worker, []).append(goid)
         self.charge(self.costs.message_handling * max(1, len(msg.objects) // 64))
         for worker, oids in per_worker.items():
@@ -410,7 +409,6 @@ class Controller(P.ReliableEndpoint, Actor):
         the data lifecycle).
         """
         self.charge(self.costs.message_handling)
-        ctx.object_sizes_cache = None
         per_worker: Dict[int, List[int]] = {}
         for oid in msg.oids:
             goid = ctx.goid(oid)
@@ -423,15 +421,6 @@ class Controller(P.ReliableEndpoint, Actor):
             if worker in self.live_workers:
                 self.send_reliable(self.workers[worker], P.DestroyObjects(oids))
         self.send_reliable(ctx.driver, P.ObjectsReady())
-
-    def object_sizes(self, ctx: JobContext) -> Dict[int, int]:
-        # sizes are fixed at definition, so the map only changes when
-        # objects are defined or undefined (which drop the cache)
-        if ctx.object_sizes_cache is None:
-            ctx.object_sizes_cache = {
-                obj.oid: obj.size_bytes for obj in ctx.directory.objects()
-            }
-        return ctx.object_sizes_cache
 
     # ------------------------------------------------------------------
     # Id allocation (shared by every scheduling path)

@@ -35,13 +35,13 @@ class LogicalObject:
     """Driver-level handle to one partition of an application variable.
 
     Once registered with an :class:`ObjectDirectory`, the handle is also
-    the directory's record of the object: ``latest`` (its latest version),
-    ``holders`` (who holds which version) and ``stamp`` (when either last
-    changed). Only the directory writes those three slots.
+    the directory's record of the object: ``home``, ``latest`` (its latest
+    version), ``holders`` (who holds which version) and ``stamp`` (when
+    either of the last two changed). Only the directory writes them.
     """
 
     __slots__ = ("oid", "variable", "partition", "size_bytes",
-                 "latest", "holders", "stamp")
+                 "home", "latest", "holders", "stamp")
 
     def __init__(self, oid: ObjectId, variable: str, partition: int, size_bytes: int = 0):
         self.oid = oid
@@ -71,16 +71,17 @@ class ObjectDirectory:
     narrows the holder set to the writer; scheduling a copy widens it.
 
     One record per object: the registered :class:`LogicalObject` carries
-    ``latest``, ``holders`` and ``stamp``, and ``_objects`` is the only
-    per-object map. ``holders`` has two forms. It is the worker id itself
-    (an ``int``) when exactly one worker holds the object and holds its
-    latest version — nearly every object, since a write leaves its result
-    on the writer alone — and the ``{worker: version}`` dict in every other
-    case. Every mutator keeps that rule, so a dict never has a single
-    entry at the latest version, and every query answers as if every
-    record held the dict. An unregistered object's record survives in a
-    small side map: its stamp, so a cached validation still sees it
-    change, and its handle, so a checkpoint that names it can restore it.
+    its size, ``home``, ``latest``, ``holders`` and ``stamp``, and
+    ``_objects`` is the only per-object map. ``holders`` has two forms. It
+    is the worker id itself (an ``int``) when exactly one worker holds the
+    object and holds its latest version — nearly every object, since a
+    write leaves its result on the writer alone — and the ``{worker:
+    version}`` dict in every other case. Every mutator keeps that rule, so
+    a dict never has a single entry at the latest version, and every query
+    answers as if every record held the dict. An unregistered object's
+    record survives in a small side map: its stamp, so a cached validation
+    still sees it change, and its handle, so a checkpoint that names it
+    can restore it (at the home it had).
 
     The directory reflects *planned* state: the controller updates it as it
     schedules commands, before they execute, exactly as a real controller
@@ -139,6 +140,7 @@ class ObjectDirectory:
             self.fold()
         self._objects[obj.oid] = obj
         self._gone.pop(obj.oid, None)
+        obj.home = home
         obj.latest = 0
         obj.holders = home
         self._touch(obj.oid)
@@ -152,8 +154,18 @@ class ObjectDirectory:
         if oid in self._gone:
             self._touch(oid)  # stamp survives so cached validations re-check
 
-    def object(self, oid: ObjectId) -> LogicalObject:
-        return self._objects[oid]
+    def home(self, oid: ObjectId) -> WorkerId:
+        """The worker a registered object lives on (KeyError otherwise)."""
+        return self._objects[oid].home
+
+    def rehome(self, oid: ObjectId, worker: WorkerId) -> None:
+        """Move ``oid``'s home; its data moves by copy, not here."""
+        (self._objects.get(oid) or self._gone[oid]).home = worker
+
+    @property
+    def sizes(self) -> "Sizes":
+        """Each registered object's size, read from its record."""
+        return Sizes(self._objects)
 
     def objects(self) -> Iterable[LogicalObject]:
         return self._objects.values()
@@ -206,12 +218,6 @@ class ObjectDirectory:
         if held.__class__ is int:
             return held == worker
         return held.get(worker, -1) == rec.latest
-
-    def holds_any(self, oid: ObjectId, worker: WorkerId) -> bool:
-        if self._deferred:
-            self.fold()
-        held = self._objects[oid].holders
-        return held == worker if held.__class__ is int else worker in held
 
     # -- planned mutations ------------------------------------------------
     def record_write(self, oid: ObjectId, worker: WorkerId) -> int:
@@ -354,9 +360,7 @@ class ObjectDirectory:
 class ObjectStore:
     """A worker's local payload store.
 
-    Maps object id → payload. Version numbers are a controller concept; the
-    store also remembers an opaque ``stamp`` per object (set by copies and
-    task writes) that tests use to verify read-latest-value semantics.
+    Maps object id → payload; version numbers are a controller concept.
     """
 
     def __init__(self) -> None:
@@ -381,41 +385,37 @@ class ObjectStore:
         return list(self._payloads.keys())
 
 
-class PartitionPlacement:
-    """Assignment of logical objects to home workers.
+class Sizes:
+    """Object sizes by id from the directory's records: the ``.get``
+    mapping template generation, patching and migration planning take."""
 
-    The paper explicitly leaves scheduling *policy* out of scope (§6); the
-    reproduction places partitions round-robin and exposes :meth:`migrate`
-    for the dynamic-scheduling experiments, where the policy decisions come
-    from the experiment script (evict 50 workers, migrate 5 % of tasks, ...).
-    """
+    __slots__ = ("_objects",)
+
+    def __init__(self, objects: Dict[ObjectId, LogicalObject]):
+        self._objects = objects
+
+    def get(self, oid: ObjectId, default: int = 0) -> int:
+        rec = self._objects.get(oid)
+        return default if rec is None else rec.size_bytes
+
+
+class PartitionPlacement:
+    """Picks a new object's home worker: the driver's pin, else the next
+    worker of the job's order, round-robin (scheduling *policy* is out of
+    the paper's scope, §6). The home is then a fact on the object's
+    directory record (:meth:`ObjectDirectory.home`, ``rehome``)."""
 
     def __init__(self, workers: Iterable[WorkerId]):
-        self._workers: List[WorkerId] = list(workers)
-        self._home: Dict[ObjectId, WorkerId] = {}
-        self._rr = 0
-
-    @property
-    def workers(self) -> List[WorkerId]:
-        return list(self._workers)
+        self.set_workers(workers)
 
     def set_workers(self, workers: Iterable[WorkerId]) -> None:
-        self._workers = list(workers)
+        """A new worker order; the round-robin starts over at its head."""
+        self.workers: List[WorkerId] = list(workers)
         self._rr = 0
 
-    def place(self, oid: ObjectId, worker: Optional[WorkerId] = None) -> WorkerId:
-        """Assign a home worker (round-robin when not given). Returns it."""
+    def place(self, worker: Optional[WorkerId] = None) -> WorkerId:
+        """A new object's home: ``worker`` if given, else round-robin."""
         if worker is None:
-            worker = self._workers[self._rr % len(self._workers)]
+            worker = self.workers[self._rr % len(self.workers)]
             self._rr += 1
-        self._home[oid] = worker
         return worker
-
-    def home(self, oid: ObjectId) -> WorkerId:
-        return self._home[oid]
-
-    def migrate(self, oid: ObjectId, dst: WorkerId) -> None:
-        self._home[oid] = dst
-
-    def objects_on(self, worker: WorkerId) -> List[ObjectId]:
-        return [oid for oid, w in self._home.items() if w == worker]

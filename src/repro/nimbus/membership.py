@@ -106,8 +106,7 @@ class Membership:
         return self.checkpointing or self.recovering
 
     def _homes(self, ctx) -> Dict[int, int]:
-        return {obj.oid: ctx.placement.home(obj.oid)
-                for obj in ctx.directory.objects()}
+        return {obj.oid: obj.home for obj in ctx.directory.objects()}
 
     # ------------------------------------------------------------------
     # Eviction, death, join, restore (§2.3, Fig. 9)
@@ -238,7 +237,7 @@ class Membership:
         c._require_quiesced()
         self.live_workers |= set(restored)
         for oid, home in placement_snapshot.items():
-            ctx.placement.migrate(oid, home)
+            ctx.directory.rehome(oid, home)
         c.cache.revert(ctx, version_snapshot)
         ctx.validation_state.invalidate()
         c.bump_partition_epoch()
@@ -351,7 +350,7 @@ class Membership:
         per_worker_loads: Dict[int, List[int]] = {}
         for oid, home in homes.items():
             home = moved.get(oid, home)
-            ctx.placement.migrate(oid, home)
+            ctx.directory.rehome(oid, home)
             per_worker_loads.setdefault(home, []).append(oid)
         for worker in self.failed_workers:
             ctx.directory.evict_worker(worker)

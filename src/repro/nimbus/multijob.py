@@ -75,7 +75,7 @@ class JobContext:
         "templates", "phase", "worker_templates", "current_version",
         "assignments", "validation_state", "patch_cache", "prev_block_key",
         "pending_edits", "divergent_wts", "last_request", "skipped_requests",
-        "results_history", "object_sizes_cache", "_block_cache", "policy",
+        "results_history", "_block_cache", "policy",
         "finished",
     )
 
@@ -102,7 +102,6 @@ class JobContext:
         self.last_request = 0
         self.skipped_requests: Set[int] = set()
         self.results_history: List[Tuple[str, Dict[str, Any]]] = []
-        self.object_sizes_cache: Optional[Dict[int, int]] = None
         #: scheduling policy (set by Controller.register_job)
         self.policy = None
         # translated-block cache: keeps the original alive so the id key
@@ -147,7 +146,6 @@ class JobContext:
         self.validation_state.invalidate()
         self.patch_cache.invalidate_all()
         self._block_cache = {}
-        self.object_sizes_cache = None
 
     # -- oid namespacing -------------------------------------------------
     def goid(self, oid: int) -> int:

@@ -17,7 +17,7 @@ parameter block).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Collection, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..sim.actor import Message
 from .commands import Command
@@ -181,22 +181,22 @@ class UndefineObjects(Message):
 
 
 class DispatchCommandBatch(Message):
-    """Centrally dispatch a command list to one worker.
+    """Centrally dispatch a command list to one worker, plus the cids
+    (``reports``) whose written value goes back with their completion.
 
-    One message carries every command a block run schedules on that worker
-    (in dispatch order, so worker-side conflict tracking sees the same
-    sequence as individual dispatches); the Spark baseline's one message
-    per task is a batch of one. The wire size and the worker's
-    per-command enqueue cost are both charged per task — batching saves
-    messages and per-message control-plane work, not modeled task work.
+    One message carries every command a block run schedules on that
+    worker, in dispatch order (worker-side conflict tracking sees the
+    sequence of individual dispatches); the Spark baseline's one message
+    per task is a batch of one. Wire size and the worker's enqueue cost
+    are charged per command: batching saves messages, not modeled work.
     """
 
-    def __init__(self, items: List[Tuple[Command, bool]], block_seq: int):
-        # [(command, report)]; report: send the written value back with
-        # the completion
-        self.items = items
+    def __init__(self, commands: List[Command], block_seq: int,
+                 reports: Collection[int] = ()):
+        self.commands = commands
         self.block_seq = block_seq
-        self.size_bytes = TASK_DESC_BYTES * len(items)
+        self.reports = reports
+        self.size_bytes = TASK_DESC_BYTES * len(commands)
 
 
 class InstallWorkerTemplate(Message):

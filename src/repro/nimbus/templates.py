@@ -140,8 +140,7 @@ class TemplateCache:
         c0 = c._charged
         c.charge(c.costs.install_worker_template_controller_per_task
                  * template.num_tasks)
-        wts = generate_worker_templates(
-            template, c.object_sizes(ctx), version)
+        wts = generate_worker_templates(template, ctx.directory.sizes, version)
         if c._trace is not None:
             self._span("template.generate", c0, block_id=block_id,
                        **wts.stats())
@@ -231,7 +230,7 @@ class TemplateCache:
         c = self.controller
         # patch ids are controller-global: a worker's patch cache is keyed
         # by bare patch id, so ids from different jobs must never collide
-        patch = build_patch(violations, ctx.directory, c.object_sizes(ctx),
+        patch = build_patch(violations, ctx.directory, ctx.directory.sizes,
                             c._alloc_patch_id(), c._alloc_instance_id())
         for worker in patch.workers():
             cid_base = c._alloc_cids(patch.entry_count(worker))
@@ -292,7 +291,7 @@ class TemplateCache:
         generated = (wts is not None
                      and ctx.phase.get(block_id, 0) >= PHASE_WT_GENERATED)
         if generated and len(moves) <= self.edit_limit(template):
-            batch = plan_migrations(wts, moves, c.object_sizes(ctx))
+            batch = plan_migrations(wts, moves, ctx.directory.sizes)
             c.charge(c.costs.edit_per_task * batch.total_ops)
             merge_edits(ctx.pending_edits.setdefault(wts.key, {}), batch.edits)
             for ct_index, dst in batch.moves:
@@ -323,7 +322,7 @@ class TemplateCache:
             self._new_patch(ctx, stale, c.send_reliable).retire()
             ctx.metrics.incr("relocation_copies", len(stale))
         for oid, dst in homes:
-            ctx.placement.migrate(oid, dst)
+            ctx.directory.rehome(oid, dst)
 
     def _drop_pending_edits(self, ctx, block_id: str) -> None:
         """Forget queued-but-unshipped worker-half edits for ``block_id``:

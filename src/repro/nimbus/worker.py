@@ -299,12 +299,12 @@ class Worker(P.ReliableEndpoint, Actor):
     # Central dispatch path
     # ------------------------------------------------------------------
     def _on_dispatch_batch(self, msg: P.DispatchCommandBatch) -> None:
-        """Central dispatch: enqueue cost is per command, not per message,
-        and commands resolve one by one, exactly as if each came alone (a
-        central stream carries no cached before sets)."""
-        self.charge(self.costs.worker_enqueue_per_command * len(msg.items))
-        for cmd, report in msg.items:
-            self._enqueue(cmd, msg.block_seq, report)
+        """Enqueue cost is per command, not per message, and commands
+        resolve one by one, as if each came alone (no cached befores)."""
+        self.charge(self.costs.worker_enqueue_per_command * len(msg.commands))
+        metas = ((msg.block_seq, False), (msg.block_seq, True))
+        for cmd in msg.commands:
+            self._enqueue(cmd, metas[cmd.cid in msg.reports])
 
     # ------------------------------------------------------------------
     # Template install / instantiate
@@ -655,13 +655,13 @@ class Worker(P.ReliableEndpoint, Actor):
     # Central command queue: per-command readiness resolution (§3.1
     # requirement 1) for commands that arrive without a template
     # ------------------------------------------------------------------
-    def _enqueue(self, cmd: Command, block_seq: int, report: bool) -> None:
+    def _enqueue(self, cmd: Command, meta: Tuple[int, bool]) -> None:
         self._pending[cmd.cid] = cmd
-        cmd._wmeta = (block_seq, report)
+        cmd._wmeta = meta  # (block_seq, report), shared by its batch
         cmd._rem = -1  # not yet resolved
         if self._trace is not None:
             self._trace.cmd_enqueue(cmd.cid, cmd.kind, cmd.function,
-                                    self.name, block_seq)
+                                    self.name, meta[0])
         self._resolve(cmd)
 
     def _resolve(self, cmd: Command) -> None:

@@ -377,9 +377,9 @@ class WorkerDriver:
     def step(self) -> None:
         worker, i = self.worker, self.instances
         if not self.seam:
-            worker.handle(P.DispatchCommandBatch([(Command(
-                -1 - i, CommandKind.CREATE, worker.worker_id, write=(-1,)),
-                False)], 0))
+            worker.handle(P.DispatchCommandBatch([Command(
+                -1 - i, CommandKind.CREATE, worker.worker_id, write=(-1,))],
+                0))
         msg = self.next_message()
         start = time.perf_counter()
         worker.handle(msg)

@@ -26,7 +26,7 @@ class TestVariables:
         assert len(set(oids)) == 4
         homes = [d[4] for d in variables.definitions]
         assert homes == [0, 1, 0, 1]
-        assert variables.oids("x") == oids
+        assert [d[0] for d in variables.definitions] == oids
 
     def test_scalar(self):
         variables = Variables()

@@ -20,8 +20,8 @@ def controller():
 
 def define(controller, oid, home):
     ctx = controller._job0
-    ctx.placement.place(oid, worker=home)
-    ctx.directory.register(LogicalObject(oid, f"v{oid}", 0, 64), home)
+    ctx.directory.register(LogicalObject(oid, f"v{oid}", 0, 64),
+                           ctx.placement.place(home))
 
 
 def schedule(controller, worker, read=(), write=(), returns_rev=None):
@@ -38,8 +38,8 @@ def schedule(controller, worker, read=(), write=(), returns_rev=None):
 def test_assign_worker_anchor_rules(controller):
     assign = controller.central.assign_worker
     ctx = controller._job0
-    ctx.placement.place(1, worker=2)
-    ctx.placement.place(5, worker=1)
+    define(controller, 1, 2)
+    define(controller, 5, 1)
     # write anchor wins
     assert assign(ctx, read=(5,), write=(1,)) == 2
     # read anchor as fallback

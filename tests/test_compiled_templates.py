@@ -435,8 +435,8 @@ def test_seam_dropped_by_interleaved_central_command():
     probe = _SeamProbe()
     probe.assert_steady()
     probe.worker.handle(P.DispatchCommandBatch(
-        [(Command(-5, CommandKind.CREATE, probe.worker.worker_id,
-                  write=(-5,)), False)], 0))
+        [Command(-5, CommandKind.CREATE, probe.worker.worker_id,
+                 write=(-5,))], 0))
     probe.assert_dropped_then_rebuilt(builds_expected=0)
 
 

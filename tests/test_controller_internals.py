@@ -17,8 +17,8 @@ def test_define_objects_honors_placement_hints():
     cluster = NimbusCluster(2, program, registry=combine_registry())
     cluster.run_until_finished(max_seconds=1e4)
     controller = cluster.controller
-    assert controller.placement.home(1) == 1
-    assert controller.placement.home(2) == 0
+    assert controller.directory.home(1) == 1
+    assert controller.directory.home(2) == 0
     assert controller.directory.holders_of_latest(1) == [1]
     # the objects physically exist at their homes
     assert 1 in cluster.workers[1].store

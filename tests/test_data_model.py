@@ -47,7 +47,7 @@ class TestObjectDirectory:
         directory.record_copy(1, 1)  # version 0 copy
         directory.record_write(1, 0)  # version 1 at worker 0
         assert directory.holders_of_latest(1) == [0]
-        assert directory.holds_any(1, 1)
+        assert 1 in directory.holders(1)
 
     def test_snapshot_restore_roundtrip(self):
         directory = make_directory()
@@ -89,7 +89,7 @@ class TestObjectDirectory:
         """The record's holder encoding at each transition: the worker id
         while one worker holds the latest version, else the map."""
         directory = make_directory()
-        record = directory.object(1)
+        record = directory.records()[1]
         assert record.holders == 0  # registered on its home
         directory.record_write(1, 0)
         assert record.holders == 0  # a write at the sole holder
@@ -146,25 +146,36 @@ class TestObjectStore:
 
 
 class TestPartitionPlacement:
+    """The placement only picks a new object's home; the home itself is
+    a fact on the object's directory record."""
+
     def test_round_robin_default(self):
         placement = PartitionPlacement([0, 1, 2])
-        homes = [placement.place(oid) for oid in range(6)]
+        homes = [placement.place() for _ in range(6)]
         assert homes == [0, 1, 2, 0, 1, 2]
 
     def test_explicit_placement(self):
         placement = PartitionPlacement([0, 1])
-        assert placement.place(7, worker=1) == 1
-        assert placement.home(7) == 1
+        assert placement.place(worker=1) == 1
+        assert placement.place() == 0  # a pin takes no round-robin turn
+        placement.set_workers([1, 0])
+        assert placement.place() == 1  # a new order starts at its head
 
     def test_migrate(self):
-        placement = PartitionPlacement([0, 1])
-        placement.place(1, worker=0)
-        placement.migrate(1, 1)
-        assert placement.home(1) == 1
+        directory = ObjectDirectory()
+        directory.register(LogicalObject(1, "x", 0, 8),
+                           PartitionPlacement([0, 1]).place())
+        stamp = directory.stamp_of(1)
+        directory.rehome(1, 1)
+        assert directory.home(1) == 1
+        # moving the home moves no data and is no change of state
+        assert directory.holders(1) == [0]
+        assert directory.stamp_of(1) == stamp
 
     def test_objects_on(self):
-        placement = PartitionPlacement([0, 1])
-        placement.place(1, worker=0)
-        placement.place(2, worker=1)
-        placement.place(3, worker=0)
-        assert sorted(placement.objects_on(0)) == [1, 3]
+        directory, placement = ObjectDirectory(), PartitionPlacement([0, 1])
+        for oid, pin in ((1, 0), (2, 1), (3, None)):
+            directory.register(LogicalObject(oid, "x", 0, 8),
+                               placement.place(pin))
+        assert [rec.oid for rec in directory.objects()
+                if rec.home == 0] == [1, 3]

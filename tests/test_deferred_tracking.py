@@ -94,7 +94,7 @@ class _TrackerRun:
             if oid in written:
                 expected.update(readers)
         expected.discard(None)
-        self.worker._enqueue(cmd, 0, False)
+        self.worker._enqueue(cmd, (0, False))
         assert cmd._rem == len(expected)
         pending = self.worker._pending
         assert all(cmd in _successors(self.worker, pending[cid])
@@ -237,7 +237,7 @@ def _reads(directory, oid, worker, mark):
             sorted(directory.holders_of_latest(oid)),
             sorted(directory.holders(oid)),
             directory.is_fresh(oid, worker),
-            directory.holds_any(oid, worker))
+            worker in directory.holders(oid))
 
 
 _DIRECTORY_OPS = st.one_of(

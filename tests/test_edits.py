@@ -214,7 +214,7 @@ def test_validation_checks_a_relocated_precondition_at_its_new_home():
     for _ in range(2):  # a cached outcome and a by-object index, pre-edit
         assert full_validate(wts, directory) == []
     plan_migration(wts, 0, 1, SIZES)
-    assert wts.preconditions == {0: set(), 1: {10}}
+    assert wts.preconditions == {0: (), 1: (10,)}
     directory.record_write(10, 0)  # the destination's copy is stale now
     assert brute_force_validate(wts, directory) == [(1, 10)]
     assert full_validate(wts, directory, cross_check=True) == [(1, 10)]

@@ -6,7 +6,9 @@ after a quick sharded LR run and a quick serve run,
 * a worker half holds the controller half's own entry objects;
 * the conflict tracker keeps no empty reader list (no entry means none);
 * a template's directory delta holds one frozenset per distinct holder set;
-* centrally dispatched commands carry tuple before sets;
+* centrally dispatched commands carry tuple before sets, and a dispatch
+  batch is a command list plus a set of reporting cids — no per-command
+  tuple — whose commands share their ``(block_seq, report)`` metadata;
 * an instance frame keeps a command-id base, not a per-instance id list;
 * the object directory stores a sole holder of the latest version as the
   worker id, not as a one-entry ``{worker: version}`` map;
@@ -14,14 +16,18 @@ after a quick sharded LR run and a quick serve run,
   and the job's results history;
 * a controller template is a table: the block's own task objects and one
   worker id per task, no per-task object of its own;
-* a template set holds one precondition map; the by-object index and the
-  task locations are derived on first use, and a set that was never
-  migrated or rebalanced has no task locations.
+* a template set holds one precondition map, of sorted tuples; the
+  by-object index and the task locations are derived on first use, and a
+  set that was never migrated or rebalanced has no task locations;
+* each object's size and home are facts on its directory record: no job
+  context or placement holds a map keyed by object id, and an app's
+  ``Variables`` keep one entry per variable, not a tuple per object.
 
 Generating worker templates keeps little transient state beside what it
-returns: it tracks only the objects the block writes, so its traced
-peak stays within 2.5 times what it keeps (a ratio, so it holds across
-Python versions).
+returns: it tracks only the objects the block writes, keeps a sole
+holder or a lone reader as a bare index and collects preconditions
+without sets, so its traced peak stays within 1.9 times what it keeps (a
+ratio, about 1.7x on Python 3.11; the bound was set there only).
 
 A drained central command stream leaves no conflict-tracker entry: each
 command leaves the tracker as it completes (DESIGN.md §9).
@@ -36,9 +42,11 @@ import tracemalloc
 
 import pytest
 
+from repro.apps import LRApp, LRSpec
 from repro.apps.scenarios import build_job_arrival
 from repro.core.spec import LogicalTask
 from repro.core.worker_template import generate_worker_templates
+from repro.nimbus.commands import Command
 from repro.nimbus.worker import Worker
 
 from .helpers import lr_iteration_template, run_lr
@@ -67,30 +75,46 @@ def _reader_maps(cluster):
             for worker in cluster.workers.values()]
 
 
+def _per_object_maps(cluster):
+    """Every map keyed by object id that a job context or its placement
+    holds, as ``(job, holder, attribute)``."""
+    found = []
+    for job_id, ctx in cluster.controller.jobs.items():
+        oids = set(ctx.directory.records())
+        for holder in (ctx, ctx.placement):
+            names = getattr(type(holder), "__slots__", ()) or vars(holder)
+            for name in names:
+                value = getattr(holder, name, None)
+                if isinstance(value, dict) and oids & set(value):
+                    found.append((job_id, type(holder).__name__, name))
+    return found
+
+
 @pytest.fixture(scope="module")
 def runs():
-    """The two clusters, the ``before`` of every command a worker took
-    off the central dispatch path, and the serve cluster's frames, reader
-    lists and installed template sets while its last job still ran."""
-    befores = []
-    enqueue = Worker._enqueue
+    """The two clusters, every central dispatch batch a worker took, and
+    the serve cluster's frames, reader lists, installed template sets and
+    per-object maps while its last job still ran."""
+    batches = []
+    on_batch = Worker._on_dispatch_batch
 
-    def recording(self, cmd, block_seq, report):
-        befores.append(cmd.before)
-        enqueue(self, cmd, block_seq, report)
+    def recording(self, msg):
+        batches.append(msg)
+        on_batch(self, msg)
 
-    Worker._enqueue = recording
+    Worker._on_dispatch_batch = recording
     try:
         lr = run_lr(workers=4, iterations=6, mode="sharded")
         serve, _names = build_job_arrival(num_workers=4, num_jobs=4)
         while serve.metrics.count("jobs_finished") < 3:
             assert serve.sim.step()
         live = {"frames": _frames(serve), "readers": _reader_maps(serve),
-                "installed": _installed(serve)}
+                "installed": _installed(serve),
+                "per_object_maps": _per_object_maps(serve)}
         serve.run_until_jobs_finished(max_seconds=1e6)
     finally:
-        Worker._enqueue = enqueue
-    return [lr, serve], befores, live
+        Worker._on_dispatch_batch = on_batch
+    return [lr, serve], batches, live
 
 
 def test_worker_halves_share_the_controller_entries(runs):
@@ -142,9 +166,38 @@ def test_template_delta_interns_holder_sets(runs):
 
 
 def test_central_commands_carry_tuple_befores(runs):
-    _, befores, _ = runs
+    _, batches, _ = runs
+    befores = [cmd.before for msg in batches for cmd in msg.commands]
     assert befores
     assert all(type(before) is tuple for before in befores)
+
+
+def test_a_dispatch_batch_holds_no_per_command_tuple(runs):
+    _, batches, _ = runs
+    reported = 0
+    for msg in batches:
+        assert all(type(cmd) is Command for cmd in msg.commands)
+        assert all(type(cid) is int for cid in msg.reports)
+        for name, value in vars(msg).items():
+            if isinstance(value, (list, tuple)):
+                assert not any(type(x) is tuple for x in value), name
+        reported += len(msg.reports)
+    assert reported and reported < len(batches)
+
+
+def test_a_batchs_commands_share_their_metadata(runs):
+    _, batches, _ = runs
+    shared = 0
+    for msg in batches:
+        for report in (False, True):
+            metas = [cmd._wmeta for cmd in msg.commands
+                     if (cmd.cid in msg.reports) is report]
+            assert len({id(meta) for meta in metas}) <= 1, (
+                f"run {msg.block_seq}: {len(metas)} commands, one "
+                f"(block_seq, report) pair each")
+            assert all(meta == (msg.block_seq, report) for meta in metas)
+            shared += max(0, len(metas) - 1)
+    assert shared
 
 
 def test_frames_keep_a_cid_base_not_an_id_list(runs):
@@ -202,6 +255,38 @@ def test_a_controller_template_is_a_table(runs):
         assert len(template.workers) == len(template.tasks)
 
 
+def test_a_generated_sets_preconditions_are_sorted_tuples(runs):
+    clusters, _, live = runs
+    checked = 0
+    for installed in (_installed(clusters[0]), live["installed"]):
+        for job_id, wts, _halves in installed:
+            for worker, oids in wts.preconditions.items():
+                assert type(oids) is tuple, (job_id, wts.key, worker)
+                assert list(oids) == sorted(set(oids))
+                checked += len(oids)
+    assert checked
+
+
+def test_job_state_holds_no_per_object_map(runs):
+    clusters, _, live = runs
+    assert not live["per_object_maps"]
+    for cluster in clusters:
+        assert not _per_object_maps(cluster)
+        assert any(ctx.directory.records()
+                   for ctx in cluster.controller.jobs.values())
+
+
+def test_variables_hold_no_per_object_tuple():
+    variables = LRApp(LRSpec(num_workers=8, iterations=2)).variables
+    definitions = variables.definitions
+    declared = len({name for _oid, name, _p, _s, _h in definitions})
+    assert len(definitions) > 4 * declared
+    for name, value in vars(variables).items():
+        if isinstance(value, (list, tuple, dict, set)):
+            assert len(value) <= declared, name
+    assert variables.definitions == definitions  # built again on demand
+
+
 def test_a_template_set_holds_one_precondition_map(runs):
     clusters, _, live = runs
     checked = 0
@@ -231,7 +316,7 @@ def test_generation_keeps_most_of_what_it_allocates():
     finally:
         tracemalloc.stop()
     assert wts.num_commands() > template.num_tasks
-    assert peak <= 2.5 * kept, (
+    assert peak <= 1.9 * kept, (
         f"generation peaked at {peak / kept:.2f}x what it keeps")
 
 

@@ -601,7 +601,7 @@ def test_read_only_reader_lists_stay_bounded(use_templates):
     assert w.tracker.view(oid) == (None, [])
     base = 10 ** 9
     for k in range(2):
-        w._enqueue(make_task(base + k, 0, "__noop__", (oid,), ()), 0, False)
+        w._enqueue(make_task(base + k, 0, "__noop__", (oid,), ()), (0, False))
     writer = make_task(base + 9, 0, "__noop__", (), (oid,))
-    w._enqueue(writer, 0, False)
+    w._enqueue(writer, (0, False))
     assert writer._rem == 2

@@ -1,5 +1,7 @@
 """Data-command lifecycle: create and destroy objects (§3.4)."""
 
+import pytest
+
 from repro.core.spec import BlockSpec, LogicalTask, StageSpec
 from repro.nimbus import NimbusCluster
 
@@ -57,3 +59,26 @@ def test_space_can_be_reused_after_undefine():
     cluster.run_until_finished(max_seconds=1e4)
     assert results and results[0] is not None
     assert 1 not in cluster.controller.directory
+
+
+def test_a_block_touching_an_undefined_object_names_it():
+    """An undefined object takes its home with it: a later block that
+    writes it fails with the same descriptive error as a never-defined
+    object, not a bare ``KeyError`` from the directory's write."""
+    first = BlockSpec("first", [StageSpec("s", [
+        LogicalTask("combine", read=(1,), write=(2,))])])
+    late = BlockSpec("late", [StageSpec("s", [
+        LogicalTask("combine", read=(3,), write=(1,))])])
+
+    def program(job):
+        yield job.define(simple_define({1: ("x", 8), 2: ("y", 8),
+                                        3: ("z", 8)}))
+        yield job.run(first)
+        yield job.undefine([1, 2])
+        yield job.run(late)
+
+    cluster = NimbusCluster(2, program, registry=combine_registry())
+    with pytest.raises(KeyError, match=(
+            r"job 0: cannot place a task touching unknown object id 1 "
+            r"\(global id 1\); the job never defined it")):
+        cluster.run_until_finished(max_seconds=1e4)

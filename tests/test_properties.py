@@ -219,13 +219,18 @@ DIR_WORKERS = range(3)
 
 class _ModelDirectory:
     """The directory as a ``{oid: {worker: version}}`` map beside an
-    ``{oid: latest}`` map and an ``{oid: stamp}`` map, with none of the
-    encoding: the specification :class:`ObjectDirectory` must answer like.
-    Recorded deltas fold in order of their last application, each applied
-    ``times`` times at once; every change takes the next stamp."""
+    ``{oid: latest}`` map, an ``{oid: stamp}`` map and an ``{oid: home}``
+    map, with none of the encoding: the specification
+    :class:`ObjectDirectory` must answer like. Recorded deltas fold in
+    order of their last application, each applied ``times`` times at
+    once; every change of version or holders takes the next stamp. A home
+    outlives its object's unregistration (a restore brings it back with
+    it) but is answered only while the object is registered, and moving
+    it is no change of state."""
 
     def __init__(self):
         self.latest, self.holders, self.stamps = {}, {}, {}
+        self.homes = {}
         self.stamp = 0
         self.pending = []
 
@@ -251,7 +256,11 @@ class _ModelDirectory:
     def register(self, oid, home):
         self.latest[oid] = 0
         self.holders[oid] = {home: 0}
+        self.homes[oid] = home
         self.touch(oid)
+
+    def rehome(self, oid, worker):
+        self.homes[oid] = worker
 
     def unregister(self, oid):
         self.latest.pop(oid, None)
@@ -298,10 +307,11 @@ class _ModelDirectory:
             fresh = {w: (held.get(w, -1) == latest, w in held)
                      for w in DIR_WORKERS}
             at_latest = [w for w, v in held.items() if v == latest]
+            home = self.homes[oid]
         else:
-            latest = at_latest = KeyError
+            latest = at_latest = home = KeyError
         return (latest, list(self.holders.get(oid, ())), at_latest, fresh,
-                self.stamps.get(oid, 0))
+                self.stamps.get(oid, 0), home)
 
 
 def _directory_answers(directory, oid):
@@ -313,14 +323,13 @@ def _directory_answers(directory, oid):
 
     fresh = {}
     if oid in directory:
-        fresh = {w: (directory.is_fresh(oid, w), directory.holds_any(oid, w))
+        fresh = {w: (directory.is_fresh(oid, w), w in directory.holders(oid))
                  for w in DIR_WORKERS}
     else:
         assert answer(directory.is_fresh, 0) is KeyError
-        assert answer(directory.holds_any, 0) is KeyError
     return (answer(directory.latest_version), directory.holders(oid),
             answer(directory.holders_of_latest), fresh,
-            directory.stamp_of(oid))
+            directory.stamp_of(oid), answer(directory.home))
 
 
 _DELTA = st.dictionaries(
@@ -344,6 +353,7 @@ _DIRECTORY_STEPS = st.one_of(
     st.tuples(st.just("fold")),
     st.tuples(st.just("evict"), _DIR_WORKER),
     st.tuples(st.just("unregister"), _DIR_OID),
+    st.tuples(st.just("rehome"), _DIR_OID, _DIR_WORKER),
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("restore"), st.integers(0, 9)),
 )
@@ -393,6 +403,9 @@ def test_directory_matches_reference_model(homes, pool, steps):
         elif kind == "unregister":
             directory.unregister(*args)
             model.unregister(*args)
+        elif kind == "rehome":  # registered now or once: both keep a home
+            directory.rehome(*args)
+            model.rehome(*args)
         elif kind == "snapshot":
             snap = directory.snapshot()
             model.fold()

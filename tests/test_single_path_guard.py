@@ -305,11 +305,11 @@ def test_directory_keeps_one_record_per_object():
 
 #: today's sizes, so simplification is monotone
 LINE_CEILINGS = {
-    "nimbus/controller.py": 709,
+    "nimbus/controller.py": 698,
     "nimbus/central.py": 180,
     "nimbus/data.py": 421,
-    "nimbus/templates.py": 399,
-    "nimbus/membership.py": 385,
+    "nimbus/templates.py": 398,
+    "nimbus/membership.py": 384,
     "nimbus/worker.py": 1159,
     "sched/policy.py": 435,
     "nimbus/protocol.py": 763,
@@ -317,7 +317,7 @@ LINE_CEILINGS = {
     "cli.py": 608,
     "apps/runner.py": 180,
     "apps/scenarios.py": 330,
-    "apps/datasets.py": 119,
+    "apps/datasets.py": 118,
     "apps/lr.py": 257,
     "apps/kmeans.py": 254,
     "apps/regression.py": 236,

@@ -48,7 +48,8 @@ def build(num_workers=2, registry=None):
 
 
 def dispatch(worker, cmd, seq=1, report=False):
-    worker.deliver(P.DispatchCommandBatch([(cmd, report)], seq))
+    reports = {cmd.cid} if report else ()
+    worker.deliver(P.DispatchCommandBatch([cmd], seq, reports))
 
 
 def stamp_registry():

@@ -63,12 +63,12 @@ def test_preconditions_from_pre_block_reads():
         StageSpec("s", [LogicalTask("g", read=(1, 2), write=(3,))]),
     ])
     wts = gen(block, [0])
-    assert wts.preconditions == {0: frozenset({1, 2})}
+    assert wts.preconditions == {0: (1, 2)}
 
 
 def test_objects_written_before_read_are_not_preconditions():
     wts = gen(producer_consumer_block(), [0, 0])
-    assert wts.preconditions.get(0, frozenset()) == frozenset()
+    assert wts.preconditions.get(0, ()) == ()
 
 
 def test_postcondition_closure_restores_preconditions():
