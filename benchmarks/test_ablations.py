@@ -21,11 +21,13 @@ from conftest import emit, once
 
 
 def no_auto_validation(cluster):
-    cluster.controller.validation_state.auto_validates = lambda key: False
+    job = cluster.controller.jobs[0]
+    job.validation_state.auto_validates = lambda key: False
 
 
 def no_patch_cache(cluster):
-    cluster.controller.patch_cache.lookup = lambda *args, **kwargs: None
+    cache = cluster.controller.jobs[0].patch_cache
+    cache.lookup = lambda *args, **kwargs: None
 
 
 def run_lr(num_workers=50, iterations=14, costs=None, use_templates=None,

@@ -28,13 +28,13 @@ def run_timeline(num_workers):
     half = list(range(num_workers // 2, num_workers))
 
     def evict(controller):
-        state["placement"] = controller.membership.snapshot_placement()
-        state["versions"] = controller.membership.snapshot_versions()
+        state["placement"] = controller.membership.snapshot_placement(0)
+        state["versions"] = controller.membership.snapshot_versions(0)
         controller.membership.evict_workers(half)
 
     def restore(controller):
         controller.membership.restore_workers(
-            half, state["placement"], state["versions"])
+            0, half, state["placement"], state["versions"])
 
     return execute(RunSpec(
         LRSpec(num_workers=num_workers, iterations=TOTAL_ITERS),

@@ -44,8 +44,9 @@ def run_with_migrations(system, num_workers, fraction=0.05):
         state["round"] += 1
         stride = spec.num_partitions // count
         moves = []
-        wts_key = ("lr.iteration", controller.current_version["lr.iteration"])
-        wts = controller.worker_templates[wts_key]
+        job = controller.jobs[0]
+        wts_key = ("lr.iteration", job.current_version["lr.iteration"])
+        wts = job.worker_templates[wts_key]
         for i in range(count):
             task = (i * stride + offset) % spec.num_partitions
             src = wts.task_locations[task][0]

@@ -87,9 +87,9 @@ def test_central_schedule_task(benchmark, paper_scale):
         # register the objects directly (setup, not measured elsewhere)
         from repro.nimbus.protocol import DefineObjects
         controller._on_define_objects(
-            controller._job0, DefineObjects(app.variables.definitions))
+            controller.jobs[0], DefineObjects(app.variables.definitions))
         run = controller.central.run_block(
-            controller._job0, app.iteration_block, {"step": 0.1},
+            controller.jobs[0], app.iteration_block, {"step": 0.1},
             capture=False)
         return run
 

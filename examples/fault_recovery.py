@@ -86,7 +86,7 @@ def run(kill: bool) -> float:
         print(f"  recoveries completed:  "
               f"{metrics.count('recoveries_completed'):.0f}")
         print(f"  driver replays:        {metrics.count('driver_replays'):.0f}")
-    holders = cluster.controller.directory.holders_of_latest(TOTAL)
+    holders = cluster.controller.jobs[0].directory.holders_of_latest(TOTAL)
     return cluster.workers[min(holders)].store.get(TOTAL)
 
 

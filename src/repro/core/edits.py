@@ -162,10 +162,25 @@ def plan_migration(
     object_sizes: Dict[int, int],
 ) -> Dict[int, List[EditOp]]:
     """Plan the edits migrating the task with controller-template index
-    ``ct_index`` to worker ``dst`` (Figure 6).
+    ``ct_index`` to worker ``dst`` (Figure 6); a batch of moves goes
+    through :func:`plan_migrations`."""
+    ops, relocations = _plan_move(template_set, ct_index, dst, object_sizes)
+    template_set.move_preconditions(relocations)
+    return ops
+
+
+def _plan_move(
+    template_set: WorkerTemplateSet,
+    ct_index: int,
+    dst: int,
+    object_sizes: Dict[int, int],
+) -> Tuple[Dict[int, List[EditOp]], List[Tuple[int, int, int]]]:
+    """The edits of one move, and its ``(oid, src, dst)`` relocations.
 
     Mutates the controller half (``template_set``) immediately — after
-    every check has passed, so a rejected move changes nothing — and
+    every check has passed, so a rejected move changes nothing — except
+    its precondition tuples, which the caller moves
+    (:meth:`WorkerTemplateSet.move_preconditions`), and
     returns the per-worker edit ops to attach to the next instantiation
     messages. The template's external contract — preconditions and
     directory delta — is preserved: inputs are shipped from their original
@@ -174,7 +189,7 @@ def plan_migration(
     """
     location = template_set.task_locations.get(ct_index)
     if location is not None and location[0] == dst:
-        return {}
+        return {}, []
     src, src_idx, task, shared_reads, relocated_reads, copy_reads = _classify(
         template_set, ct_index, dst)
     result_oid = task.write[0]
@@ -272,11 +287,11 @@ def plan_migration(
 
     # Precondition updates for relocated inputs: required at the
     # destination from now on, and no longer at the source (the task was
-    # the sole reader there). The caller must move the data itself.
+    # the sole reader there). The caller moves the per-worker tuples and
+    # the data itself.
     if relocated_reads:
-        template_set.move_preconditions(relocated_reads, src, dst)
-    template_set.last_relocations = list(relocated_reads)
-    return ops
+        template_set.move_precondition_index(relocated_reads, src, dst)
+    return ops, [(oid, src, dst) for oid in relocated_reads]
 
 
 def merge_edits(into: Dict[int, List[EditOp]],
@@ -317,16 +332,19 @@ def plan_migrations(
     object_sizes: Dict[int, int],
 ) -> MigrationBatch:
     """Plan a batch of (ct_index, dst) migrations, each against the halves
-    as the moves before it left them."""
+    as the moves before it left them; the precondition tuples move once
+    for the batch."""
     batch = MigrationBatch()
+    relocations: List[Tuple[int, int, int]] = []
     for ct_index, dst in moves:
         try:
-            ops = plan_migration(template_set, ct_index, dst, object_sizes)
+            ops, moved = _plan_move(template_set, ct_index, dst, object_sizes)
         except MigrationError as err:
             batch.rejected = err
             break
         batch.moves.append((ct_index, dst))
         batch.total_ops += merge_edits(batch.edits, ops)
-        batch.relocations.extend(
-            (oid, dst) for oid in template_set.last_relocations)
+        relocations.extend(moved)
+    template_set.move_preconditions(relocations)
+    batch.relocations = [(oid, dst) for oid, _src, dst in relocations]
     return batch

@@ -207,8 +207,6 @@ class WorkerTemplateSet:
         self.returns = returns  # result name -> oid
         self.report_entries = report_entries  # worker -> [entry indices]
         self.installed_on: Set[int] = set()
-        #: input objects relocated by the most recent plan_migration call
-        self.last_relocations: List[int] = []
         #: incremental-validation cache managed by repro.core.validation:
         #: (directory token, directory stamp, frozenset of violations)
         self.validation_cache: Optional[Tuple[int, int, FrozenSet]] = None
@@ -254,22 +252,39 @@ class WorkerTemplateSet:
                 oid: tuple(workers) for oid, workers in by_oid.items()}
         return index
 
-    def move_preconditions(self, oids: Iterable[int], src: int,
-                           dst: int) -> None:
-        """``dst`` requires ``oids`` fresh from now on and ``src`` no
-        longer (a relocating edit). The cached validation outcome checked
-        the old pairs, so it goes."""
-        oids = set(oids)
-        preconditions = self.preconditions
-        preconditions[src] = tuple(
-            oid for oid in preconditions[src] if oid not in oids)
-        preconditions[dst] = tuple(sorted({*preconditions.get(dst, ()),
-                                           *oids}))
+    def move_precondition_index(self, oids: Iterable[int], src: int,
+                                dst: int) -> None:
+        """One relocating edit, as planned: ``dst`` requires ``oids``
+        fresh from now on and ``src`` no longer. The by-object index moves
+        now, as the next move of a batch classifies against it; the
+        per-worker tuples move once for the batch
+        (:meth:`move_preconditions`). The cached validation outcome
+        checked the old pairs, so it goes."""
         by_oid = self._by_oid
         if by_oid is not None:
             for oid in oids:
                 by_oid[oid] = tuple(sorted({*by_oid[oid], dst} - {src}))
         self.validation_cache = None
+
+    def move_preconditions(self,
+                           moves: Iterable[Tuple[int, int, int]]) -> None:
+        """Apply a batch's relocating edits, each ``(oid, src, dst)`` in
+        order, to the per-worker tuples: each worker they touch is copied
+        out and stored back once, whatever the number of moves."""
+        preconditions = self.preconditions
+        edited: Dict[int, List[int]] = {}
+        for oid, src, dst in moves:
+            for worker in (src, dst):
+                if worker not in edited:
+                    edited[worker] = list(preconditions.get(worker, ()))
+            held, at = edited[src], bisect_left(edited[src], oid)
+            if at < len(held) and held[at] == oid:
+                del held[at]
+            held, at = edited[dst], bisect_left(edited[dst], oid)
+            if at == len(held) or held[at] != oid:
+                held.insert(at, oid)
+        for worker, oids in edited.items():
+            preconditions[worker] = tuple(oids)
 
     def access(self, worker: int) -> AccessIndex:
         """The accessor index of ``worker``'s entries. Whoever edits the

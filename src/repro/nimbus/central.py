@@ -6,11 +6,10 @@ of a configuration without templates, is scheduled here one task at a time
 read) object; each read of an object whose latest version is not resident
 there gets a send/recv copy from the lowest-id holder of that version; the
 directory records copies and writes as the plan is built. A block run's
-commands leave as one ``DispatchCommandBatch`` per worker, and their
-completions fold back into the run here. The controller owns this
-scheduler (``controller.central``) and keeps the id counters, the run
-table and the run close it shares with the template path; the Spark
-baseline is a variant (:class:`repro.baselines.spark.SparkScheduler`).
+commands leave as one ``DispatchCommandBatch`` per worker; completions
+fold back here. The controller owns this scheduler (``controller.central``)
+and the id counters, run table and run close it shares with the template
+path; the Spark baseline is :class:`repro.baselines.spark.SparkScheduler`.
 """
 
 from __future__ import annotations
@@ -20,6 +19,13 @@ from typing import Any, Callable, Dict, List, Tuple
 from ..core.spec import BlockSpec
 from .commands import Command, make_copy_pair, make_task
 from . import protocol as P
+
+
+def unknown_object(ctx, oid: int) -> KeyError:
+    """The error for a task touching an object its job does not have."""
+    return KeyError(f"job {ctx.job_id}: cannot place a task touching unknown "
+                    f"object id {ctx.local_oid(oid)} (global id {oid}); "
+                    f"the job never defined it, or undefined it")
 
 
 class CentralScheduler:
@@ -37,11 +43,7 @@ class CentralScheduler:
         try:
             return ctx.directory.home(anchor)
         except KeyError:
-            raise KeyError(
-                f"job {ctx.job_id}: cannot place a task touching unknown "
-                f"object id {ctx.local_oid(anchor)} (global id {anchor}); "
-                f"the job never defined it, or undefined it"
-            ) from None
+            raise unknown_object(ctx, anchor) from None
 
     def schedule_task(self, run, function: str, read: Tuple[int, ...],
                       write: Tuple[int, ...], worker: int, params: Any,
@@ -58,7 +60,10 @@ class CentralScheduler:
         directory = run.ctx.directory
         records = directory.records()
         for oid in read:
-            rec = records[oid]
+            try:
+                rec = records[oid]
+            except KeyError:
+                raise unknown_object(run.ctx, oid) from None
             held = rec.holders
             if (held != worker if held.__class__ is int
                     else held.get(worker, -1) != rec.latest):
@@ -104,10 +109,8 @@ class CentralScheduler:
                 lst = batches[cmd.worker] = []
             lst.append(cmd)
 
-        # the per-task cost is constant across the block, and nothing in the
-        # loop observes _charged (dispatches stay buffered until the flush),
-        # so the charge folds into a local accumulator — same float-addition
-        # sequence as per-task charge(cost), one attribute store
+        # nothing in the loop observes _charged, so the constant per-task
+        # cost folds into a local: charge(cost)'s float additions, one store
         schedule = self.schedule_task
         charged = c._charged
         for task, worker in zip(tasks, workers):
@@ -153,16 +156,13 @@ class CentralScheduler:
     def on_command_complete_batch(self, msg: P.CommandCompleteBatch) -> None:
         """Fold a worker's command completions into their runs."""
         c = self.controller
-        # the per-completion cost is charged per item: coalescing saves
-        # messages and event overhead, not modeled controller work
+        # charged per item: coalescing saves messages, not modeled work
         flat = msg.flat
         c.charge(c.costs.controller_completion_per_task * (len(flat) // 4))
         worker_id = msg.worker_id
-        # flat walk over the item array: the run lookup is hoisted per
-        # block_seq group (batches overwhelmingly carry one run)
+        # flat walk; the run lookup is hoisted per block_seq group
         runs = c.runs
-        run = None
-        run_seq = None
+        run = run_seq = None
         it = iter(flat)
         for cid, block_seq, duration, value in zip(it, it, it, it):
             if block_seq != run_seq:

@@ -25,9 +25,12 @@ from .worker import DurableStorage, Worker
 class NimbusCluster:
     """A fully wired simulated Nimbus deployment.
 
-    ``program=None`` builds the cluster in *serve mode*: no job-0 driver
-    is created and work arrives through :meth:`submit_job` (or the
-    ``JobManager`` at :attr:`jobs` directly) — the multi-tenant path.
+    ``program`` runs as job 0, registered with the controller like every
+    tenant (``Controller.register_job``) once workers and shards are
+    attached. ``program=None`` builds the cluster in *serve mode*: job 0
+    is registered empty, with no driver, and work arrives through
+    :meth:`submit_job` (or the ``JobManager`` at :attr:`jobs` directly) —
+    the multi-tenant path.
     """
 
     #: the controller this deployment runs (a baseline may substitute a
@@ -128,18 +131,17 @@ class NimbusCluster:
         self.controller.attach_shards(self.shards)
 
         self.default_use_templates = use_templates
+        self.driver: Optional[Driver] = None
         if program is not None:
-            self.driver: Optional[Driver] = Driver(
+            self.driver = Driver(
                 self.sim, self.controller, program, self.metrics,
                 use_templates=use_templates, mode=mode,
             )
             self.network.attach(self.driver)
-            self.controller.driver = self.driver
-        else:
-            self.driver = None
+        self.controller.register_job(0, self.driver, self.metrics, mode=mode)
 
         #: multi-tenant admission: jobs submitted here run as independent
-        #: namespaces alongside (or instead of) the legacy job-0 driver
+        #: namespaces alongside (or instead of) job 0
         self.jobs = JobManager(self, max_concurrent=max_concurrent_jobs,
                                queue_cap=job_queue_cap)
 

@@ -12,14 +12,14 @@ in front of it (``controller.cache``,
 
 Multi-tenancy: the controller serves N concurrent jobs, each with its own
 :class:`~repro.nimbus.multijob.JobContext` (templates, directory and
-version map, placement, patch cache, driver channel, metrics). Job 0 is
-created eagerly with the controller's own metrics object and an identity
-oid namespace, so a single-job cluster behaves bit-identically to the
-pre-multi-tenant system; the flat attributes (``controller.templates``
-and friends) are views onto job 0. Blocks dispatch behind an optional
-concurrency cap (``dispatch_inflight_cap``) in weighted fair-share order,
-and the shared :class:`~repro.sched.rebalance.LoadTracker` seeds new
-jobs' placements on the least-loaded worker.
+version map, placement, patch cache, driver channel, metrics), all made by
+:meth:`Controller.register_job`. Job 0 is a tenant like any other: the
+cluster registers it with its metrics object and driver (none in serve
+mode), and its oid namespace starts at 0. Blocks dispatch behind an
+optional concurrency cap (``dispatch_inflight_cap``) in weighted
+fair-share order, and the shared
+:class:`~repro.sched.rebalance.LoadTracker` seeds new jobs' placements on
+the least-loaded worker.
 """
 
 from __future__ import annotations
@@ -83,20 +83,6 @@ class _BlockRun:
         self.ctx: Optional[JobContext] = ctx
 
 
-def _job0_view(attr, doc, settable=False):
-    """A legacy flat-attribute view onto the job-0 context."""
-    def fget(self):
-        return getattr(self._job0, attr)
-
-    if not settable:
-        return property(fget, doc=doc)
-
-    def fset(self, value):
-        setattr(self._job0, attr, value)
-
-    return property(fget, fset, doc=doc)
-
-
 class Controller(P.ReliableEndpoint, Actor):
     """Centralized Nimbus controller with execution-template support.
 
@@ -143,17 +129,10 @@ class Controller(P.ReliableEndpoint, Actor):
         #: as long as no job runs mode="sharded".
         self.shards: Dict[int, Actor] = {}
 
-        # per-job state: job 0 is the legacy single-driver job, sharing the
-        # controller's metrics object (the bit-identity seam — every
-        # counter lands exactly where the flat controller put it)
-        self._job0 = JobContext(
-            0, metrics=metrics,
-            patch_cache=PatchCache(capacity=patch_cache_cap,
-                                   metrics=metrics))
-        self.jobs: Dict[int, JobContext] = {0: self._job0}
+        #: per-job state, one context per registered job (register_job)
+        self.jobs: Dict[int, JobContext] = {}
         #: scheduling mode for jobs that don't pick their own (DESIGN.md §14)
         self.default_mode = default_mode
-        self._job0.policy = make_policy(default_mode, self, self._job0)
         #: partition-map epoch: bumped on every map change; decentralized
         #: workers must observe it before crossing a block boundary
         self.pm_epoch = 0
@@ -189,21 +168,18 @@ class Controller(P.ReliableEndpoint, Actor):
         #: the templates in front of it (a baseline may install a variant)
         self.cache = TemplateCache(self)
 
-    # ------------------------------------------------------------------
-    # Legacy flat views (single-job API): all delegate to job 0
-    # ------------------------------------------------------------------
-    driver = _job0_view("driver", "job 0's driver channel", settable=True)
-    directory = _job0_view("directory", "job 0's object directory")
-    placement = _job0_view("placement", "job 0's placement", settable=True)
-    templates = _job0_view("templates", "job 0's controller templates")
-    worker_templates = _job0_view("worker_templates",
-                                  "job 0's worker template sets")
-    current_version = _job0_view("current_version",
-                                 "job 0's current template versions")
-    validation_state = _job0_view("validation_state",
-                                  "job 0's validation automaton")
-    patch_cache = _job0_view("patch_cache", "job 0's patch cache")
-    pending_edits = _job0_view("pending_edits", "job 0's un-shipped edits")
+    @property
+    def current_version(self) -> Dict[str, int]:
+        """Job 0's current template versions. This and
+        :attr:`worker_templates` stay for the benchmark's migration
+        workload, which reads them; they go once it reads
+        ``controller.jobs[0]``."""
+        return self.jobs[0].current_version
+
+    @property
+    def worker_templates(self) -> Dict[Tuple[str, int], Any]:
+        """Job 0's worker template sets (see :attr:`current_version`)."""
+        return self.jobs[0].worker_templates
 
     # ------------------------------------------------------------------
     # Setup
@@ -211,7 +187,6 @@ class Controller(P.ReliableEndpoint, Actor):
     def attach_workers(self, workers: Dict[int, Actor]) -> None:
         self.workers = dict(workers)
         self.membership.attach(workers)
-        self._job0.placement = PartitionPlacement(sorted(workers))
 
     def attach_shards(self, shards: Dict[int, Actor]) -> None:
         self.shards = dict(shards)
@@ -257,7 +232,6 @@ class Controller(P.ReliableEndpoint, Actor):
         ctx.placement = PartitionPlacement(order)
         ctx.policy = make_policy(mode or self.default_mode, self, ctx)
         self.jobs[job_id] = ctx
-        self.metrics.incr("jobs_registered")
         return ctx
 
     def release_job(self, job_id: int) -> None:
@@ -267,8 +241,6 @@ class Controller(P.ReliableEndpoint, Actor):
         job's objects destroyed on every worker holding them — so a dead
         job can never stall or leak into the jobs still being served.
         """
-        if job_id == 0:
-            raise ValueError("job 0 (the legacy driver) cannot be released")
         ctx = self.jobs.pop(job_id, None)
         if ctx is None:
             return
@@ -694,5 +666,5 @@ class Controller(P.ReliableEndpoint, Actor):
             # map while the same job's grant is in flight; the policy
             # rebalances at the window boundary instead
             self.rebalancer.maybe_rebalance(ctx, run.block_id)
-        self.membership.count_toward_checkpoint(ctx, 1)
+        self.membership.count_toward_checkpoint(1)
         self._drain_dispatch_queue()

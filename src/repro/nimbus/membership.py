@@ -42,15 +42,14 @@ class Membership:
         self.heartbeat_timeout = heartbeat_timeout
         self._last_heartbeat: Dict[int, float] = {}
         self._hb_check_interval = 1.0
-        # checkpoint / recovery state (job 0: fault tolerance predates
-        # multi-tenant serving and is only driven by the legacy driver)
         self.checkpointing = False
         self.recovering = False
         self._blocks_since_checkpoint = 0
         self._next_checkpoint = 1
         self._pending_checkpoint_id: Optional[int] = None
         self.last_committed_checkpoint: Optional[int] = None
-        self._checkpoint_snapshots: Dict[int, Tuple] = {}
+        #: checkpoint id -> job id -> (directory, homes, results history)
+        self._checkpoint_snapshots: Dict[int, Dict[int, Tuple]] = {}
         #: ack barrier per stop-the-world step: (acked, expected), where
         #: expected None means the live set at the moment of each ack
         self._barriers: Dict[str, Tuple[Set[int], Optional[Set[int]]]] = {
@@ -115,15 +114,14 @@ class Membership:
         """A cluster manager revoked workers: migrate their objects and
         tasks to the survivors and regenerate worker templates (Fig. 9).
 
-        Re-homed objects are drained through the same ``build_patch``
+        Re-homed objects are drained through the ``build_patch``
         relocation path ``Controller.migrate_tasks`` uses: the survivors
-        must physically hold the latest version of every object they now
-        home, because the revoked workers stop being schedulable the
-        moment this returns. The drain itself may copy *from* an evicted
-        worker (it is still reachable while the directive runs);
-        afterwards no control message targets an evicted worker until
-        :meth:`restore_workers`. Every registered job is drained —
-        eviction is a cluster event, not a job event.
+        must hold the latest version of every object they now home, as
+        the revoked workers stop being schedulable the moment this
+        returns. The drain may copy *from* an evicted worker (still
+        reachable while the directive runs); afterwards no control
+        message targets it until :meth:`restore_workers`. Every job is
+        drained: eviction is a cluster event, not a job event.
         """
         c = self.controller
         c._require_quiesced()
@@ -151,8 +149,7 @@ class Membership:
                 f"below the minimum live worker count "
                 f"{self.min_live_workers}; no state was changed")
         self._depart(evicted_set)
-        for job_id in sorted(c.jobs):
-            ctx = c.jobs[job_id]
+        for _job_id, ctx in sorted(c.jobs.items()):
             moved = self._rehome_objects(self._homes(ctx), evicted_set)
             c.cache.relocate(ctx, list(moved.items()))
             c.cache.rehome(ctx, regenerate_all=False)
@@ -162,22 +159,19 @@ class Membership:
     def on_worker_dead(self, worker_id: int) -> None:
         """A worker died ungracefully (crash fault, forced removal).
 
-        Unlike :meth:`evict_workers` — which requires quiesced jobs —
-        death cannot wait for a window boundary: an outstanding
-        self-schedule grant expecting the dead worker would never drain,
-        wedging every future partition-map change. So the order is:
-        reclaim the dead worker's granted-but-unfinished window
-        participation from every job's policy (making the jobs
-        quiescable), stop retransmitting to it, then re-home its objects
-        and tasks through the normal eviction path. Data the dead worker
-        solely held is *not* resurrected — checkpoint recovery is the
-        data-loss story; this call restores schedulability.
+        Unlike :meth:`evict_workers`, death cannot wait for a window
+        boundary: a self-schedule grant expecting the dead worker would
+        never drain and wedge every later partition-map change. So every
+        job's policy first reclaims the worker's granted window share
+        (the jobs become quiescable), retransmissions to it stop, and the
+        eviction path re-homes its objects and tasks. Data only it held
+        is *not* resurrected: checkpoint recovery is the data-loss story;
+        this restores schedulability.
         """
         if worker_id not in self.live_workers:
             return
         c = self.controller
-        for job_id in sorted(c.jobs):
-            ctx = c.jobs[job_id]
+        for _job_id, ctx in sorted(c.jobs.items()):
             if ctx.policy is not None:
                 ctx.policy.drop_worker(worker_id)
         self.failed_workers.add(worker_id)
@@ -188,12 +182,11 @@ class Membership:
     def add_worker(self, worker_id: int, actor) -> None:
         """A provisioned worker finished cold start: join the live set.
 
-        The worker becomes schedulable for every job — future object
+        The worker becomes schedulable for every job: future object
         definitions may place on it, and ``Controller.migrate_tasks`` may
-        edit tasks onto it (worker template halves ship lazily on first
-        use via ``TemplateCache.install_halves``). Joining moves
-        nothing by itself: an autoscaler that adds a worker and never
-        migrates work onto it leaves the run's dataflow untouched.
+        edit tasks onto it (halves ship lazily on first use,
+        ``TemplateCache.install_halves``). Joining moves nothing by
+        itself: a worker no work migrates onto leaves the dataflow as is.
         """
         if worker_id in self.live_workers:
             raise ValueError(f"worker {worker_id} is already live")
@@ -222,18 +215,15 @@ class Membership:
         """``worker_id`` left the cluster: it is DRAINING no more."""
         self.draining_workers.discard(worker_id)
 
-    def restore_workers(self, restored: List[int],
+    def restore_workers(self, job_id: int, restored: List[int],
                         placement_snapshot: Dict[int, int],
                         version_snapshot: Dict[str, int]) -> None:
-        """Workers returned: revert to the cached templates for the old
-        assignment; the next instantiation validates them (Fig. 9).
-
-        Snapshots are per-namespace: this restores job 0 (the legacy
-        dynamic-scheduling experiments drive a single job). The restored
-        workers rejoin the shared live set for every job.
-        """
+        """Workers returned: revert job ``job_id`` to its snapshots
+        (:meth:`snapshot_placement`, :meth:`snapshot_versions`); the next
+        instantiation validates them (Fig. 9). The restored workers rejoin
+        the live set of every job."""
         c = self.controller
-        ctx = c._job0
+        ctx = c.jobs[job_id]
         c._require_quiesced()
         self.live_workers |= set(restored)
         for oid, home in placement_snapshot.items():
@@ -242,40 +232,35 @@ class Membership:
         ctx.validation_state.invalidate()
         c.bump_partition_epoch()
 
-    def snapshot_placement(self) -> Dict[int, int]:
-        return self._homes(self.controller._job0)
+    def snapshot_placement(self, job_id: int) -> Dict[int, int]:
+        return self._homes(self.controller.jobs[job_id])
 
-    def snapshot_versions(self) -> Dict[str, int]:
-        return dict(self.controller._job0.current_version)
+    def snapshot_versions(self, job_id: int) -> Dict[str, int]:
+        return dict(self.controller.jobs[job_id].current_version)
 
     # ------------------------------------------------------------------
-    # Checkpointing (§4.4) — job 0 (fault tolerance is driven by the
-    # legacy single driver; serve mode does not enable it)
+    # Checkpointing (§4.4): cluster-wide, one snapshot per unfinished job
     # ------------------------------------------------------------------
-    def count_toward_checkpoint(self, ctx, blocks: int) -> None:
-        """Job-0 checkpoint accounting for ``blocks`` runs just closed."""
+    def count_toward_checkpoint(self, blocks: int) -> None:
+        """Count ``blocks`` runs of any job just closed."""
         c = self.controller
-        if ctx is not c._job0 or not blocks:
-            return
         self._blocks_since_checkpoint += blocks
-        if (self.checkpoint_every is not None
+        if (blocks and self.checkpoint_every is not None
                 and self._blocks_since_checkpoint >= self.checkpoint_every
                 and not c.runs and not self.stopped()):
             self._start_checkpoint()
 
     def _start_checkpoint(self) -> None:
         c = self.controller
-        job0 = c._job0
         self.checkpointing = True
         self._blocks_since_checkpoint = 0
         checkpoint_id = self._next_checkpoint
         self._next_checkpoint += 1
         self._open("checkpoint")
-        self._checkpoint_snapshots[checkpoint_id] = (
-            job0.directory.snapshot(),
-            self.snapshot_placement(),
-            list(job0.results_history),
-        )
+        self._checkpoint_snapshots[checkpoint_id] = {
+            job_id: (ctx.directory.snapshot(), self._homes(ctx),
+                     list(ctx.results_history))
+            for job_id, ctx in c.jobs.items() if not ctx.finished}
         for worker in self.live_workers:
             c.send_reliable(c.workers[worker], P.SaveCheckpoint(checkpoint_id))
         self._pending_checkpoint_id = checkpoint_id
@@ -314,10 +299,18 @@ class Membership:
         c.call_later(self._hb_check_interval, self._check_heartbeats)
 
     def _begin_recovery(self, dead: List[int]) -> None:
-        if self.last_committed_checkpoint is None:
+        snapshot = self._checkpoint_snapshots.get(
+            self.last_committed_checkpoint)
+        if snapshot is None:
             raise RuntimeError(
                 f"workers {dead} failed with no committed checkpoint")
         c = self.controller
+        late = [job_id for job_id, ctx in c.jobs.items()
+                if not (ctx.finished or job_id in snapshot)]
+        if late:
+            raise RuntimeError(
+                f"workers {dead} failed, and jobs {late} were registered "
+                f"after the last committed checkpoint")
         self.recovering = True
         self.failed_workers |= set(dead)
         for w in dead:
@@ -325,7 +318,7 @@ class Membership:
         self._depart(set(dead))
         # in-flight blocks are abandoned and replayed. The halt wipes every
         # job's worker-side queues, so all runs are dropped (recovery is a
-        # cluster-wide stop-the-world; serve mode does not enable it)
+        # cluster-wide stop-the-world)
         c.runs.clear()
         for ctx in c.jobs.values():
             if ctx.policy is not None:
@@ -341,29 +334,34 @@ class Membership:
 
     def _restore_from_checkpoint(self) -> None:
         c = self.controller
-        ctx = c._job0
         checkpoint_id = self.last_committed_checkpoint
-        dir_snap, homes, history = self._checkpoint_snapshots[checkpoint_id]
-        ctx.directory.restore(dir_snap)
-        moved = self._rehome_objects(
-            homes, set(homes.values()) - self.live_workers)
         per_worker_loads: Dict[int, List[int]] = {}
-        for oid, home in homes.items():
-            home = moved.get(oid, home)
-            ctx.directory.rehome(oid, home)
-            per_worker_loads.setdefault(home, []).append(oid)
-        for worker in self.failed_workers:
-            ctx.directory.evict_worker(worker)
-        # every object is reloaded at its (possibly new) home at the
-        # checkpointed version; the directory reflects exactly that
-        for worker, oids in per_worker_loads.items():
-            for oid in oids:
-                ctx.directory.apply_block_delta(oid, 0, [worker])
-        # all cached schedules referenced the dead workers: rebuild
-        c.cache.rehome(ctx, regenerate_all=True)
-        ctx.patch_cache.invalidate_all()
-        ctx.validation_state.invalidate()
-        ctx.results_history = list(history)
+        snapshot = self._checkpoint_snapshots[checkpoint_id]
+        for job_id, (dir_snap, homes, history) in snapshot.items():
+            ctx = c.jobs.get(job_id)
+            if ctx is None or ctx.finished:
+                continue  # released or finished since: nothing to replay
+            ctx.directory.restore(dir_snap)
+            moved = self._rehome_objects(
+                homes, set(homes.values()) - self.live_workers)
+            loads: Dict[int, List[int]] = {}
+            for oid, home in homes.items():
+                home = moved.get(oid, home)
+                ctx.directory.rehome(oid, home)
+                loads.setdefault(home, []).append(oid)
+            for worker in self.failed_workers:
+                ctx.directory.evict_worker(worker)
+            # every object is reloaded at its (possibly new) home at the
+            # checkpointed version; the directory reflects exactly that
+            for worker, oids in loads.items():
+                for oid in oids:
+                    ctx.directory.apply_block_delta(oid, 0, [worker])
+                per_worker_loads.setdefault(worker, []).extend(oids)
+            # all cached schedules referenced the dead workers: rebuild
+            c.cache.rehome(ctx, regenerate_all=True)
+            ctx.patch_cache.invalidate_all()
+            ctx.validation_state.invalidate()
+            ctx.results_history = list(history)
         self._open("load", set(per_worker_loads))
         for worker, oids in per_worker_loads.items():
             c.send_reliable(c.workers[worker],
@@ -377,8 +375,10 @@ class Membership:
 
     def _finish_recovery(self) -> None:
         c = self.controller
-        ctx = c._job0
         self.recovering = False
-        c.send_reliable(ctx.driver, P.JobRestored(
-            len(ctx.results_history) + 1, list(ctx.results_history)))
+        for ctx in c.jobs.values():
+            if ctx.driver is not None and not ctx.finished:
+                c.send_reliable(ctx.driver, P.JobRestored(
+                    len(ctx.results_history) + 1,
+                    list(ctx.results_history)))
         c.metrics.incr("recoveries_completed")

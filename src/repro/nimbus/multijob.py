@@ -13,8 +13,8 @@ Three pieces make that hold:
   map, placement, patch cache, driver channel, metrics stream) becomes
   per-job. Logical object ids are namespaced by striding: job ``j``'s
   local oid ``k`` becomes global oid ``j * OID_STRIDE + k``, so worker
-  object stores never collide across jobs. Job 0 keeps the identity
-  mapping — a single-job cluster is byte-for-byte the old system.
+  object stores never collide across jobs; job 0's namespace is the
+  identity.
 * :class:`FairShareQueue` — a deterministic stride scheduler (weighted
   fair queueing over virtual time) ordering blocks queued behind the
   controller's dispatch cap. No RNG, no wall clock: ties break by job id,
@@ -65,9 +65,8 @@ class JobRejected(RuntimeError):
 class JobContext:
     """Per-job controller state: template namespace, directory, driver.
 
-    For job 0 the cluster passes the controller's own :class:`Metrics`
-    object, making every counter/interval land exactly where the
-    single-job controller put them — the bit-identity seam.
+    For job 0 the cluster passes its own :class:`Metrics` object, so a
+    single-job run's counters and intervals are the cluster's.
     """
 
     __slots__ = (
@@ -149,23 +148,25 @@ class JobContext:
 
     # -- oid namespacing -------------------------------------------------
     def goid(self, oid: int) -> int:
-        """Local object id -> global (cluster-wide) object id."""
+        """Local object id -> global (cluster-wide) object id. Job 0's ids
+        are returned as they are: ``0 * OID_STRIDE + oid`` is an equal but
+        new int, one more object per definition, held by the directory
+        and the worker stores for the run."""
         if self.job_id == 0:
             return oid
         return self.job_id * OID_STRIDE + oid
 
     def local_oid(self, goid: int) -> int:
         """Global object id -> the job-local id the driver defined."""
-        if self.job_id == 0:
-            return goid
         return goid % OID_STRIDE
 
     def translate_block(self, block: BlockSpec) -> BlockSpec:
         """Rewrite a driver block's read/write/return sets into goids.
 
-        Job 0 returns the block unchanged (identity namespace). Blocks are
-        built once per app and resubmitted every iteration, so the
-        translation is cached per block object.
+        Job 0's namespace is the identity, so its blocks are returned
+        as they are, not copied. Blocks are built once per app and
+        resubmitted every iteration, so the translation is cached per
+        block object.
         """
         if self.job_id == 0:
             return block
@@ -386,6 +387,7 @@ class JobManager:
         cluster.controller.register_job(
             record.job_id, driver, metrics, weight=record.weight,
             mode=record.mode)
+        cluster.metrics.incr("jobs_registered")
         record.driver = driver
         record.metrics = metrics
         record.state = "running"

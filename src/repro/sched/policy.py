@@ -367,8 +367,8 @@ class DecentralizedPolicy(SchedulingPolicy):
             c.autoscaler.reconcile()
         # ... and the checkpoint boundary, through the same accounting
         # a per-instance completion uses (a hand-written mirror here once
-        # skipped it, so decentralized job-0 runs never checkpointed)
-        c.membership.count_toward_checkpoint(self.ctx, len(items))
+        # skipped it, so decentralized runs never checkpointed)
+        c.membership.count_toward_checkpoint(len(items))
         self._pump()
         c._drain_dispatch_queue()
 

@@ -96,7 +96,7 @@ def simple_define(objects: Dict[int, Tuple[str, int]], homes=None):
 
 def worker_values(cluster: NimbusCluster, oids) -> Dict[int, Any]:
     """Read each object's value from the worker holding its latest version."""
-    directory = cluster.controller.directory
+    directory = cluster.controller.jobs[0].directory
     out = {}
     for oid in oids:
         holders = directory.holders_of_latest(oid)
@@ -294,11 +294,11 @@ def stamped_ahead(origin, msg, dst, ahead=1):
 # ---------------------------------------------------------------------------
 # One real worker, driven through template instantiations
 # ---------------------------------------------------------------------------
-def lr_iteration_template(num_workers: int):
+def lr_iteration_template(num_workers: int, **spec):
     """(controller template, object sizes) of the LR iteration block, each
     task at the home of its anchor object as the central scheduler
-    places it."""
-    app = LRApp(LRSpec(num_workers=num_workers, iterations=2))
+    places it; ``spec`` keywords pass to :class:`LRSpec`."""
+    app = LRApp(LRSpec(num_workers=num_workers, iterations=2, **spec))
     block = app.iteration_block
     home = {oid: h for oid, _n, _p, _s, h in app.variables.definitions}
     sizes = {oid: s for oid, _n, _p, s, _h in app.variables.definitions}

@@ -18,6 +18,8 @@ from repro.analysis import mean_iteration_time, task_throughput
 from .helpers import combine_registry, simple_define, worker_values
 from .test_dynamic import ACC, DATA, OUT, blocks, reference
 
+pytestmark = pytest.mark.guard
+
 
 def small_lr(**kwargs):
     defaults = dict(num_workers=2, data_bytes=2e9, partitions_per_worker=2,
@@ -159,13 +161,14 @@ class TestNaiad:
         box["cluster"] = cluster
         cluster.run_until_finished(max_seconds=1e5)
         assert worker_values(cluster, [ACC])[ACC] == reference(8)[ACC]
-        templates = cluster.controller.templates
+        templates = cluster.controller.jobs[0].templates
         assert {w for t in templates.values() for w in t.workers} \
             == {0}
         # one install per block, then one more per block (both had tasks
         # on worker 1)
         assert cluster.metrics.count("naiad_installs") == 2 + 2
-        assert cluster.controller.current_version == {"seed": 1, "iter": 1}
+        assert cluster.controller.jobs[0].current_version == {
+            "seed": 1, "iter": 1}
 
     def test_serves_concurrent_jobs_like_a_solo_run(self):
         """Each of two served jobs installs its data flow in its own

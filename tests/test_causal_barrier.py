@@ -10,9 +10,13 @@ retransmitted direct message looks like from the receiver) and records,
 in order, what the receiver's control thread handles.
 """
 
+import pytest
+
 from repro.nimbus import protocol as P
 
 from .helpers import handled_by, run_lr, stamped_ahead
+
+pytestmark = pytest.mark.guard
 
 
 def settle(cluster):

@@ -10,6 +10,8 @@ from repro.nimbus.data import LogicalObject
 
 from .helpers import combine_registry
 
+pytestmark = pytest.mark.guard
+
 
 @pytest.fixture
 def controller():
@@ -19,7 +21,7 @@ def controller():
 
 
 def define(controller, oid, home):
-    ctx = controller._job0
+    ctx = controller.jobs[0]
     ctx.directory.register(LogicalObject(oid, f"v{oid}", 0, 64),
                            ctx.placement.place(home))
 
@@ -27,7 +29,7 @@ def define(controller, oid, home):
 def schedule(controller, worker, read=(), write=(), returns_rev=None):
     """Schedule one task on ``worker`` in a fresh run; return the run and
     the emitted ``(command, report)`` pairs in order."""
-    run = controller._new_run(controller._job0, "b", 1, "central")
+    run = controller._new_run(controller.jobs[0], "b", 1, "central")
     emitted = []
     controller.central.schedule_task(
         run, "f", tuple(read), tuple(write), worker, None,
@@ -37,7 +39,7 @@ def schedule(controller, worker, read=(), write=(), returns_rev=None):
 
 def test_assign_worker_anchor_rules(controller):
     assign = controller.central.assign_worker
-    ctx = controller._job0
+    ctx = controller.jobs[0]
     define(controller, 1, 2)
     define(controller, 5, 1)
     # write anchor wins
@@ -50,7 +52,7 @@ def test_assign_worker_anchor_rules(controller):
 
 def test_stale_read_copies_from_the_lowest_latest_holder(controller):
     define(controller, 1, home=2)
-    directory = controller._job0.directory
+    directory = controller.jobs[0].directory
     directory.record_copy(1, 0)  # latest now on 2 and 0, in that order
     assert directory.holders_of_latest(1) == [2, 0]
     run, emitted = schedule(controller, worker=1, read=(1,))
@@ -104,7 +106,7 @@ def test_only_writes_of_block_returns_report(controller):
 def test_directory_records_the_copy_and_the_write(controller):
     define(controller, 1, home=0)
     define(controller, 2, home=1)
-    directory = controller._job0.directory
+    directory = controller.jobs[0].directory
     schedule(controller, worker=1, read=(1,), write=(2,))
     # the copy delivered version 0 of object 1 to worker 1
     assert directory.is_fresh(1, 1)

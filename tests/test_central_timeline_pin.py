@@ -18,6 +18,8 @@ from repro.baselines import NaiadCluster, SparkCluster
 from repro.nimbus import NimbusCluster
 from repro.nimbus.worker import Worker
 
+pytestmark = pytest.mark.guard
+
 HOPS = ("DispatchCommand", "CommandComplete", "BlockComplete")
 
 CASES = {

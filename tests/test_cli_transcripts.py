@@ -24,6 +24,8 @@ import pytest
 import repro.obs.trace
 from repro.cli import main
 
+pytestmark = pytest.mark.guard
+
 DATA = pathlib.Path(__file__).parent / "data" / "cli"
 
 #: stands for the per-test temporary directory, in arguments and output

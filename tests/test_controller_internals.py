@@ -17,9 +17,9 @@ def test_define_objects_honors_placement_hints():
     cluster = NimbusCluster(2, program, registry=combine_registry())
     cluster.run_until_finished(max_seconds=1e4)
     controller = cluster.controller
-    assert controller.directory.home(1) == 1
-    assert controller.directory.home(2) == 0
-    assert controller.directory.holders_of_latest(1) == [1]
+    assert controller.jobs[0].directory.home(1) == 1
+    assert controller.jobs[0].directory.home(2) == 0
+    assert controller.jobs[0].directory.holders_of_latest(1) == [1]
     # the objects physically exist at their homes
     assert 1 in cluster.workers[1].store
     assert 2 in cluster.workers[0].store
@@ -92,7 +92,7 @@ def test_prev_block_key_drives_patch_cache_keying():
     (a patch that is correct after block A may be wrong after block B)."""
     cluster = NimbusCluster(2, lambda job: iter(()),
                             registry=combine_registry())
-    cache = cluster.controller.patch_cache
+    cache = cluster.controller.jobs[0].patch_cache
     from repro.core.patching import build_patch
     from repro.nimbus.data import LogicalObject, ObjectDirectory
     directory = ObjectDirectory()

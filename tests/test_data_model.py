@@ -9,6 +9,8 @@ from repro.nimbus.data import (
     PartitionPlacement,
 )
 
+pytestmark = pytest.mark.guard
+
 
 def make_directory():
     directory = ObjectDirectory()

@@ -16,6 +16,7 @@ from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from repro.apps import LRApp, LRSpec
 from repro.core.controller_template import ControllerTemplate
@@ -27,6 +28,8 @@ from repro.nimbus.crosscheck import _successors
 from repro.nimbus.data import LogicalObject, ObjectDirectory
 
 from .helpers import WorkerDriver, run_lr
+
+pytestmark = pytest.mark.guard
 
 OTHER = "bench.other"
 

@@ -15,6 +15,8 @@ from .helpers import (
     worker_values,
 )
 
+pytestmark = pytest.mark.guard
+
 NUM_PARTS = 4
 DATA = list(range(1, NUM_PARTS + 1))  # oids 1..4
 OUT = [oid + 10 for oid in DATA]  # oids 11..14
@@ -92,7 +94,7 @@ def test_migration_via_edits_preserves_results():
     # relocatable inputs move with the tasks: 3 edit ops per migration
     assert cluster.metrics.count("edits_applied") == 6
     # the migrated tasks now run on worker 1
-    wts = cluster.controller.worker_templates[("iter", 0)]
+    wts = cluster.controller.jobs[0].worker_templates[("iter", 0)]
     assert wts.task_locations[0][0] == 1
     assert wts.task_locations[2][0] == 1
 
@@ -106,7 +108,7 @@ def test_rejected_move_leaves_the_halves_in_agreement():
         controller.edit_threshold = 1.0
         with pytest.raises(MigrationError):
             controller.migrate_tasks("iter", [(0, 1), (10 ** 9, 1), (2, 1)])
-        wts = controller.worker_templates[("iter", 0)]
+        wts = controller.jobs[0].worker_templates[("iter", 0)]
         assert wts.task_locations[0][0] == 1  # planned before the bad one
         assert wts.task_locations[2][0] == 0  # never reached
 
@@ -116,9 +118,9 @@ def test_rejected_move_leaves_the_halves_in_agreement():
     cluster = run_with_directives(10, directives={4: rejected, 6: valid})
     assert worker_values(cluster, [ACC])[ACC] == reference(10)[ACC]
     assert cluster.metrics.count("edits_applied") == 6  # two moves, 3 ops
-    wts = cluster.controller.worker_templates[("iter", 0)]
+    wts = cluster.controller.jobs[0].worker_templates[("iter", 0)]
     assert wts.task_locations[0][0] == wts.task_locations[2][0] == 1
-    assert cluster.controller.templates["iter"].workers == [
+    assert cluster.controller.jobs[0].templates["iter"].workers == [
         1, 1, 1, 1, 0]  # map tasks 0 and 2 joined 1 and 3
     for worker_id, worker in cluster.workers.items():
         assert [(e.kind, e.read, e.write, e.before) for e in
@@ -150,15 +152,15 @@ def test_large_migration_triggers_reinstall():
     expected = reference(8)
     assert worker_values(cluster, [ACC])[ACC] == expected[ACC]
     assert cluster.metrics.count("worker_template_regenerations") == 1
-    assert cluster.controller.current_version["iter"] == 1
+    assert cluster.controller.jobs[0].current_version["iter"] == 1
 
 
 def test_eviction_moves_work_and_preserves_results():
     state = {}
 
     def evict(controller):
-        state["placement"] = controller.membership.snapshot_placement()
-        state["versions"] = controller.membership.snapshot_versions()
+        state["placement"] = controller.membership.snapshot_placement(0)
+        state["versions"] = controller.membership.snapshot_versions(0)
         controller.membership.evict_workers([1])
 
     cluster = run_with_directives(8, directive_at=4, directive=evict,
@@ -166,7 +168,7 @@ def test_eviction_moves_work_and_preserves_results():
     expected = reference(8)
     assert worker_values(cluster, [ACC])[ACC] == expected[ACC]
     # all template entries now live on worker 0
-    template = cluster.controller.templates["iter"]
+    template = cluster.controller.jobs[0].templates["iter"]
     assert set(template.workers) == {0}
 
 
@@ -174,13 +176,13 @@ def test_evict_then_restore_reuses_cached_templates():
     state = {}
 
     def evict(controller):
-        state["placement"] = controller.membership.snapshot_placement()
-        state["versions"] = controller.membership.snapshot_versions()
+        state["placement"] = controller.membership.snapshot_placement(0)
+        state["versions"] = controller.membership.snapshot_versions(0)
         controller.membership.evict_workers([1])
 
     def restore(controller):
-        controller.membership.restore_workers([1], state["placement"],
-                                              state["versions"])
+        controller.membership.restore_workers(0, [1], state["placement"],
+                                                 state["versions"])
 
     seed_block, iter_block = blocks()
     objects = {oid: (f"o{oid}", 8) for oid in DATA + OUT + [ACC]}
@@ -203,7 +205,7 @@ def test_evict_then_restore_reuses_cached_templates():
     expected = reference(12)
     assert worker_values(cluster, [ACC])[ACC] == expected[ACC]
     # after restore, the original version-0 templates are current again
-    assert cluster.controller.current_version["iter"] == 0
+    assert cluster.controller.jobs[0].current_version["iter"] == 0
     # eviction regenerated both installed blocks (seed + iter) once; the
     # restore reused cached version-0 templates instead of regenerating
     assert cluster.metrics.count("worker_template_regenerations") == 2
@@ -260,13 +262,13 @@ def _pin_evict_then_restore():
     state = {}
 
     def evict(controller):
-        state["placement"] = controller.membership.snapshot_placement()
-        state["versions"] = controller.membership.snapshot_versions()
+        state["placement"] = controller.membership.snapshot_placement(0)
+        state["versions"] = controller.membership.snapshot_versions(0)
         controller.membership.evict_workers([1])
 
     def restore(controller):
-        controller.membership.restore_workers([1], state["placement"],
-                                              state["versions"])
+        controller.membership.restore_workers(0, [1], state["placement"],
+                                                 state["versions"])
 
     return {4: evict, 6: restore}
 

@@ -21,6 +21,10 @@ from repro.core.worker_template import (
 from repro.nimbus.commands import CommandKind
 from repro.nimbus.data import LogicalObject, ObjectDirectory
 
+from .helpers import lr_iteration_template
+
+pytestmark = pytest.mark.guard
+
 SIZES = {oid: 32 for oid in range(1, 30)}
 
 
@@ -268,3 +272,43 @@ def test_access_index_follows_the_edits():
             for oid in SIZES:
                 assert list(index.readers(oid)) == list(scan.readers(oid))
                 assert list(index.writers(oid)) == list(scan.writers(oid))
+
+
+class CountingMap(dict):
+    """A precondition map that counts the oids of every tuple stored."""
+
+    stored = 0
+
+    def __setitem__(self, worker, oids):
+        self.stored += len(oids)
+        super().__setitem__(worker, oids)
+
+
+def stored_by_a_batch(partitions_per_worker, moves):
+    """Precondition oids stored while one batch moves ``moves`` tasks from
+    worker 0 to worker 2 of a 4-worker LR half, after a warm batch of 8
+    (Table 3's scaling measurement, counted instead of timed)."""
+    template, sizes = lr_iteration_template(
+        4, partitions_per_worker=partitions_per_worker)
+    wts = generate_worker_templates(template, sizes)
+    mine = [ct for ct, (worker, _i) in sorted(wts.task_locations.items())
+            if worker == 0]
+    assert plan_migrations(wts, [(ct, 2) for ct in mine[:8]],
+                           sizes).rejected is None
+    wts.preconditions = CountingMap(wts.preconditions)
+    batch = plan_migrations(wts, [(ct, 2) for ct in mine[8:8 + moves]],
+                            sizes)
+    assert batch.rejected is None and len(batch.moves) == moves
+    return wts.preconditions.stored
+
+
+def test_a_planned_move_rebuilds_no_whole_precondition_tuple():
+    """What a move adds to a batch's precondition bookkeeping does not
+    grow with the half: 24 more moves store as much at 1 600 partitions
+    per worker as at 100. Rebuilding the source's and destination's
+    tuples on every move stored about twice the half per move."""
+    per_move = {}
+    for size in (100, 1600):
+        few, many = (stored_by_a_batch(size, moves) for moves in (8, 32))
+        per_move[size] = (many - few) / 24
+    assert per_move[1600] <= 2 * per_move[100] + 1, per_move

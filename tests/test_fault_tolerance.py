@@ -14,6 +14,8 @@ from .helpers import (
     worker_values,
 )
 
+pytestmark = pytest.mark.guard
+
 DATA = [1, 2, 3]
 OUT = [11, 12, 13]
 ACC = 30
@@ -146,7 +148,7 @@ def test_recovered_run_produces_correct_results():
 def test_failed_worker_objects_rehomed():
     cluster = build_cluster(iterations=10, fail_worker_after=6)
     cluster.run_until_finished(max_seconds=1e4)
-    directory = cluster.controller.directory
+    directory = cluster.controller.jobs[0].directory
     for oid in DATA + OUT + [ACC]:
         holders = directory.holders_of_latest(oid)
         assert holders, f"object {oid} lost"
@@ -219,7 +221,86 @@ def test_templates_survive_recovery():
     cluster = build_cluster(iterations=14, fail_worker_after=6)
     cluster.run_until_finished(max_seconds=1e4)
     controller = cluster.controller
-    assert "iter" in controller.templates
-    assert controller._job0.phase["iter"] == PHASE_WT_INSTALLED
+    assert "iter" in controller.jobs[0].templates
+    assert controller.jobs[0].phase["iter"] == PHASE_WT_INSTALLED
     # post-recovery iterations ran through templates again
     assert cluster.metrics.count("auto_validations") >= 2
+
+
+def serve_with_recovery(tenants, fail_worker_after=None, iterations=10):
+    """``tenants`` copies of the test program served (no job-0 driver)
+    on a fault-tolerant cluster; the first to reach iteration
+    ``fail_worker_after`` kills worker 2. Returns the cluster."""
+    seed_block, iter_block = blocks()
+    objects = {oid: (f"o{oid}", 8) for oid in DATA + OUT + [ACC]}
+    box = {}
+
+    def program(job):
+        yield job.define(simple_define(objects))
+        yield job.run(seed_block, {"v": 2})
+        for i in range(iterations):
+            victim = box["cluster"].workers[2]
+            if i == fail_worker_after and not victim._dead:
+                victim.fail()
+            yield job.run(iter_block)
+
+    cluster = NimbusCluster(3, None, registry=combine_registry(),
+                            checkpoint_every=3, heartbeat_timeout=0.5)
+    box["cluster"] = cluster
+    cluster.start_fault_tolerance(heartbeat_interval=0.1, check_interval=0.2)
+    for _ in range(tenants):
+        cluster.submit_job(program)
+    cluster.run_until_jobs_finished(max_seconds=1e4)
+    return cluster
+
+
+@pytest.mark.parametrize("tenants", [1, 2])
+def test_a_served_tenant_recovers_from_a_checkpoint(tenants):
+    """Checkpoints cover every job, not just job 0: served tenants that
+    lose a worker are restored and replayed, and each one's results equal
+    its failure-free run."""
+    solo = serve_with_recovery(tenants)
+    assert solo.metrics.count("recoveries_started") == 0
+    cluster = serve_with_recovery(tenants, fail_worker_after=6)
+    assert cluster.metrics.count("recoveries_completed") == 1
+    assert 2 not in cluster.controller.live_workers
+    for job_id, record in cluster.jobs.records.items():
+        assert record.state == "finished"
+        assert record.metrics.count("driver_replays") == 1
+        assert cluster.controller.jobs[job_id].results_history \
+            == solo.controller.jobs[job_id].results_history
+
+
+def test_a_tenant_admitted_after_the_checkpoint_fails_by_name():
+    """A tenant registered after the last committed checkpoint has no
+    snapshot to restore: recovery refuses, naming it, before it changes
+    anything."""
+    seed_block, iter_block = blocks()
+    objects = {oid: (f"o{oid}", 8) for oid in DATA + OUT + [ACC]}
+    box = {}
+
+    def late(job):
+        yield job.define(simple_define(objects))
+        for _ in range(30):
+            yield job.run(seed_block, {"v": 2})
+
+    def program(job):
+        yield job.define(simple_define(objects))
+        yield job.run(seed_block, {"v": 2})
+        for i in range(10):
+            if i == 5:
+                box["cluster"].submit_job(late)
+            if i == 6:
+                box["cluster"].workers[2].fail()
+            yield job.run(iter_block)
+
+    cluster = NimbusCluster(3, None, registry=combine_registry(),
+                            checkpoint_every=3, heartbeat_timeout=0.5)
+    box["cluster"] = cluster
+    cluster.start_fault_tolerance(heartbeat_interval=0.1, check_interval=0.2)
+    cluster.submit_job(program)
+    with pytest.raises(RuntimeError, match=(
+            r"workers \[2\] failed, and jobs \[2\] were registered after "
+            r"the last committed checkpoint")):
+        cluster.run_until_jobs_finished(max_seconds=1e4)
+    assert not cluster.controller.membership.recovering

@@ -51,6 +51,8 @@ from repro.nimbus.worker import Worker
 
 from .helpers import lr_iteration_template, run_lr
 
+pytestmark = pytest.mark.guard
+
 
 def _frames(cluster):
     """The pooled frames of every compiled half."""

@@ -14,7 +14,11 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import repro
+
+pytestmark = pytest.mark.guard
 
 SRC = pathlib.Path(repro.__file__).parent
 

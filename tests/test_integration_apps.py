@@ -215,7 +215,7 @@ class TestWater:
         cluster.run_until_finished(max_seconds=1e6)
         # worker templates must contain cross-worker copies for the ghost
         # exchanges at partition boundaries
-        wts = cluster.controller.worker_templates[("water.advect", 0)]
+        wts = cluster.controller.jobs[0].worker_templates[("water.advect", 0)]
         from repro.nimbus.commands import CommandKind
         sends = sum(1 for entries in wts.entries.values()
                     for e in entries

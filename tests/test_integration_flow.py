@@ -96,7 +96,7 @@ def test_template_phase_progression():
     program, *_ = diamond_program(iterations=6)
     cluster = run_program(program, combine_registry(), 2)
     controller = cluster.controller
-    assert controller._job0.phase["diamond"] == PHASE_WT_INSTALLED
+    assert controller.jobs[0].phase["diamond"] == PHASE_WT_INSTALLED
     metrics = cluster.metrics
     # 6 iterations: capture, generate, install, then 3 templated runs
     template_runs = [iv for iv in metrics.intervals["block"]

@@ -66,27 +66,27 @@ def test_migrate_then_evict_then_restore_stays_consistent():
         controller.edit_threshold = 0.5
         # queue worker-half edit ops (they ship on the *next* instantiation)
         assert controller.migrate_tasks("iter", [(0, 1)]) == "edits"
-        assert controller.pending_edits
-        state["placement"] = controller.membership.snapshot_placement()
-        state["versions"] = controller.membership.snapshot_versions()
+        assert controller.jobs[0].pending_edits
+        state["placement"] = controller.membership.snapshot_placement(0)
+        state["versions"] = controller.membership.snapshot_versions(0)
         # the eviction regenerates before the queued ops ever ship: they
         # must be dropped, along with the now-divergent cached version
         controller.membership.evict_workers([1])
-        assert not controller.pending_edits
-        assert ("iter", 0) not in controller.worker_templates
+        assert not controller.jobs[0].pending_edits
+        assert ("iter", 0) not in controller.jobs[0].worker_templates
 
     def restore(controller):
-        controller.membership.restore_workers([1], state["placement"],
-                                              state["versions"])
+        controller.membership.restore_workers(0, [1], state["placement"],
+                                                 state["versions"])
 
     cluster = run_two_directives(12, 5, migrate_then_evict, 9, restore)
     expected = reference(12)
     assert worker_values(cluster, [ACC])[ACC] == expected[ACC]
     controller = cluster.controller
-    assert not controller.pending_edits
+    assert not controller.jobs[0].pending_edits
     # the restore could not reuse the invalidated version-0 cache: it
     # re-installed fresh templates instead of resurrecting stale halves
-    assert controller.current_version["iter"] == 2
+    assert controller.jobs[0].current_version["iter"] == 2
     # evict regenerated seed + iter; restore regenerated iter once more
     assert cluster.metrics.count("worker_template_regenerations") == 3
 
@@ -97,18 +97,18 @@ def test_restore_without_divergence_still_reuses_cache():
     state = {}
 
     def evict(controller):
-        state["placement"] = controller.membership.snapshot_placement()
-        state["versions"] = controller.membership.snapshot_versions()
+        state["placement"] = controller.membership.snapshot_placement(0)
+        state["versions"] = controller.membership.snapshot_versions(0)
         controller.membership.evict_workers([1])
 
     def restore(controller):
-        controller.membership.restore_workers([1], state["placement"],
-                                              state["versions"])
+        controller.membership.restore_workers(0, [1], state["placement"],
+                                                 state["versions"])
 
     cluster = run_two_directives(12, 5, evict, 9, restore)
     expected = reference(12)
     assert worker_values(cluster, [ACC])[ACC] == expected[ACC]
-    assert cluster.controller.current_version["iter"] == 0
+    assert cluster.controller.jobs[0].current_version["iter"] == 0
     assert cluster.metrics.count("worker_template_regenerations") == 2
 
 
@@ -123,14 +123,14 @@ def test_eviction_relocates_objects_and_quiesces_evicted_worker():
         # queue edit ops addressed to worker 1, then evict it: the ops
         # must never ship (regeneration drops them)
         assert controller.migrate_tasks("iter", [(0, 1)]) == "edits"
-        before = controller.membership.snapshot_placement()
+        before = controller.membership.snapshot_placement(0)
         controller.membership.evict_workers([1])
-        after = controller.membership.snapshot_placement()
+        after = controller.membership.snapshot_placement(0)
         moved = [oid for oid in before if before[oid] != after[oid]]
         assert moved, "eviction re-homed nothing"
         # survivors physically hold every object they now home
         for oid in moved:
-            assert controller.directory.is_fresh(oid, after[oid]), \
+            assert controller.jobs[0].directory.is_fresh(oid, after[oid]), \
                 f"object {oid} re-homed without a relocation copy"
         # from here on, nothing may target the evicted worker
         orig = controller.send_reliable
@@ -166,7 +166,7 @@ def test_migrate_before_worker_templates_falls_back_to_reassign():
     def migrate(controller):
         # one templated run so far: controller template captured, worker
         # halves not yet generated
-        assert controller._job0.phase["iter"] < PHASE_WT_GENERATED
+        assert controller.jobs[0].phase["iter"] < PHASE_WT_GENERATED
         assert controller.migrate_tasks("iter", [(0, 1)]) == "reassign"
 
     cluster = run_with_directives(8, directive_at=1, directive=migrate)
@@ -175,8 +175,8 @@ def test_migrate_before_worker_templates_falls_back_to_reassign():
     assert cluster.metrics.count("migrations_reassigned") == 1
     # the reassignment stuck: worker templates were generated from the
     # updated assignment, so task 0 runs on worker 1
-    version = cluster.controller.current_version["iter"]
-    wts = cluster.controller.worker_templates[("iter", version)]
+    version = cluster.controller.jobs[0].current_version["iter"]
+    wts = cluster.controller.jobs[0].worker_templates[("iter", version)]
     assert wts.task_locations[0][0] == 1
 
 
@@ -236,8 +236,8 @@ def test_eviction_drops_load_signal_for_departed_workers():
 
 def _evict_snapshot(controller):
     return (set(controller.live_workers),
-            controller.membership.snapshot_placement(),
-            controller.membership.snapshot_versions())
+            controller.membership.snapshot_placement(0),
+            controller.membership.snapshot_versions(0))
 
 
 def test_evict_unknown_worker_raises_before_mutating():
@@ -552,6 +552,7 @@ def test_tenant_released_mid_run_is_scrubbed_once_drained():
     assert all(not any(sizes) for sizes in _tenant_state(cluster).values())
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("use_templates", [True, False])
 def test_read_only_reader_lists_stay_bounded(use_templates):
     """An object read every iteration and never rewritten (fig07's

@@ -14,6 +14,8 @@ import repro.apps.scenarios as scenarios
 from repro.apps import LRApp, LRSpec
 from repro.nimbus import NimbusCluster
 
+pytestmark = pytest.mark.guard
+
 #: mode -> (sim.now, events_run, self_schedule.aborted_windows,
 #: self_schedule.reclaimed_instances) of a pipelined LR run whose worker 3
 #: dies at t=0.5, inside the first granted window. Without a checkpoint

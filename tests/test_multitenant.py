@@ -31,7 +31,10 @@ from repro.nimbus import (
     JobRejected,
     NimbusCluster,
 )
+from repro.nimbus import protocol as P
 from repro.apps.scenarios import JOB_MIX, run_job_arrival
+
+from .helpers import run_lr
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_SNAPSHOT = os.path.join(DATA_DIR, "golden_multijob_metrics.json")
@@ -170,6 +173,7 @@ def test_cojob_isolation_holds_behind_dispatch_cap_and_weights():
 # ---------------------------------------------------------------------------
 # Fair-share queue semantics
 # ---------------------------------------------------------------------------
+@pytest.mark.guard
 @pytest.mark.parametrize("submit", ["submit_job", "submit_at"])
 @pytest.mark.parametrize("cluster_cls", [NimbusCluster, SparkCluster])
 def test_served_jobs_take_the_clusters_use_templates(cluster_cls, submit):
@@ -269,6 +273,22 @@ def test_queued_job_admitted_after_a_cancellation():
     assert cluster.jobs.records[b.job_id].state == "running"
     cluster.run_until_jobs_finished(max_seconds=1e6)
     assert cluster.jobs.records[b.job_id].state == "finished"
+
+
+@pytest.mark.guard
+def test_job_0_is_released_like_any_tenant():
+    """Job 0 is a registered tenant: releasing it after its run destroys
+    its objects on every worker and drops its context."""
+    cluster = run_lr(workers=4, iterations=4)
+    assert any(worker.store.live_objects()
+               for worker in cluster.workers.values())
+    cluster.controller.deliver(P.ManagerDirective(
+        lambda ctrl: ctrl.release_job(0)))
+    cluster.sim.run(until=cluster.sim.now + 1.0)
+    assert 0 not in cluster.controller.jobs
+    assert not any(oid // OID_STRIDE == 0
+                   for worker in cluster.workers.values()
+                   for oid in worker.store.live_objects())
 
 
 def test_cancelling_an_ended_job_changes_nothing():
@@ -379,6 +399,7 @@ def _structure_counts(cluster):
     return counts
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("mode", ["centralized", "decentralized"])
 def test_finished_tenants_leave_only_their_data(mode):
     """After a served run a finished job keeps no controller template,
@@ -422,6 +443,7 @@ def test_finished_tenants_leave_only_their_data(mode):
                    for w in cluster.workers.values())
 
 
+@pytest.mark.guard
 def test_worker_state_does_not_grow_with_jobs_served():
     """A 3-job and a 6-job serve run end with equal worker and controller
     structure counts: what the cluster holds is bounded by the tenants it
@@ -436,6 +458,7 @@ def test_worker_state_does_not_grow_with_jobs_served():
     assert ends[0] == ends[1], ends
 
 
+@pytest.mark.guard
 def test_finished_tenant_is_off_the_scheduling_surface():
     """After tenant A finished, a spread onto a joined worker and an
     eviction leave A's templates alone: no edit, reassignment or

@@ -7,6 +7,8 @@ from repro.nimbus import NimbusCluster
 
 from .helpers import combine_registry, simple_define
 
+pytestmark = pytest.mark.guard
+
 
 def test_undefine_removes_objects_everywhere():
     block = BlockSpec("b", [StageSpec("s", [
@@ -20,7 +22,7 @@ def test_undefine_removes_objects_everywhere():
 
     cluster = NimbusCluster(2, program, registry=combine_registry())
     cluster.run_until_finished(max_seconds=1e4)
-    directory = cluster.controller.directory
+    directory = cluster.controller.jobs[0].directory
     assert 1 not in directory and 2 not in directory
     assert 3 in directory
     for worker in cluster.workers.values():
@@ -58,7 +60,7 @@ def test_space_can_be_reused_after_undefine():
     cluster = NimbusCluster(2, program, registry=combine_registry())
     cluster.run_until_finished(max_seconds=1e4)
     assert results and results[0] is not None
-    assert 1 not in cluster.controller.directory
+    assert 1 not in cluster.controller.jobs[0].directory
 
 
 def test_a_block_touching_an_undefined_object_names_it():
@@ -75,6 +77,26 @@ def test_a_block_touching_an_undefined_object_names_it():
                                         3: ("z", 8)}))
         yield job.run(first)
         yield job.undefine([1, 2])
+        yield job.run(late)
+
+    cluster = NimbusCluster(2, program, registry=combine_registry())
+    with pytest.raises(KeyError, match=(
+            r"job 0: cannot place a task touching unknown object id 1 "
+            r"\(global id 1\); the job never defined it")):
+        cluster.run_until_finished(max_seconds=1e4)
+
+
+def test_a_task_reading_an_undefined_object_names_it():
+    """A read is checked as the anchor is: a task that writes a defined
+    object and reads an undefined one fails naming the read, not with a
+    bare ``KeyError`` from the directory's records."""
+    late = BlockSpec("late", [StageSpec("s", [
+        LogicalTask("combine", read=(1,), write=(3,))])])
+
+    def program(job):
+        yield job.define(simple_define({1: ("x", 8), 2: ("y", 8),
+                                        3: ("z", 8)}))
+        yield job.undefine([1])
         yield job.run(late)
 
     cluster = NimbusCluster(2, program, registry=combine_registry())

@@ -170,7 +170,7 @@ def test_cluster_matches_sequential_interpreter(blocks, num_workers,
     cluster = NimbusCluster(num_workers, program,
                             registry=combine_registry(), use_templates=True)
     cluster.run_until_finished(max_seconds=1e6)
-    directory = cluster.controller.directory
+    directory = cluster.controller.jobs[0].directory
     for oid in OIDS:
         holders = directory.holders_of_latest(oid)
         assert holders
@@ -359,6 +359,7 @@ _DIRECTORY_STEPS = st.one_of(
 )
 
 
+@pytest.mark.guard
 @given(homes=st.lists(_DIR_WORKER, min_size=len(DIR_OIDS),
                       max_size=len(DIR_OIDS)),
        pool=st.lists(_DELTA, min_size=3, max_size=3),
@@ -478,7 +479,7 @@ def test_migration_preserves_results(block_assignment, move_task, dst, seeds):
                             use_templates=True)
     box["cluster"] = cluster
     cluster.run_until_finished(max_seconds=1e6)
-    directory = cluster.controller.directory
+    directory = cluster.controller.jobs[0].directory
     for oid in OIDS:
         holders = directory.holders_of_latest(oid)
         value = cluster.workers[min(holders)].store.get(oid)

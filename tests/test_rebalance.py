@@ -160,8 +160,8 @@ def test_rebalancer_drains_a_static_straggler():
     assert cluster.metrics.count("rebalance_moves") > 0
     # every gradient task left the straggler (entries 12..15 are worker
     # 3's gradient tasks at 4 partitions per worker)
-    version = cluster.controller.current_version[LR_BLOCK]
-    wts = cluster.controller.worker_templates[(LR_BLOCK, version)]
+    version = cluster.controller.jobs[0].current_version[LR_BLOCK]
+    wts = cluster.controller.jobs[0].worker_templates[(LR_BLOCK, version)]
     still_there = [ct for ct in range(12, 16)
                    if wts.task_locations[ct][0] == straggler]
     assert not still_there

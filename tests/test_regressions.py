@@ -67,8 +67,8 @@ def test_bug1_migration_to_uninstalled_worker_does_not_double_apply():
     cluster, expected = run_migrating(block, move=(0, 2))
     values = worker_values(cluster, OIDS)
     assert values == {oid: expected.get(oid) for oid in OIDS}
-    wts_key = ("mig1", cluster.controller.current_version["mig1"])
-    wts = cluster.controller.worker_templates[wts_key]
+    wts_key = ("mig1", cluster.controller.jobs[0].current_version["mig1"])
+    wts = cluster.controller.jobs[0].worker_templates[wts_key]
     assert wts.task_locations[0][0] == 2
 
 
@@ -98,7 +98,7 @@ def test_bug4_unknown_object_placement_error_names_job_and_ids():
             r"job 0: cannot place a task touching unknown object id 999999 "
             r"\(global id 999999\); the job never defined it")):
         cluster.controller.central.assign_worker(
-            cluster.controller._job0, read=(999999,), write=())
+            cluster.controller.jobs[0], read=(999999,), write=())
 
 
 def test_bug4_unknown_block_instantiation_error_lists_installed_blocks():
@@ -108,7 +108,7 @@ def test_bug4_unknown_block_instantiation_error_lists_installed_blocks():
     controller = cluster.controller
     msg = P.InstantiateBlock("ghost", 0, 0, {})
     with pytest.raises(KeyError) as err:
-        controller.cache.instantiate(controller._job0, msg)
+        controller.cache.instantiate(controller.jobs[0], msg)
     text = str(err.value)
     assert "job 0: no controller template installed for block 'ghost'" in text
     assert "installed blocks:" in text

@@ -35,6 +35,8 @@ from repro.sched.policy import (CentralizedPolicy, DecentralizedPolicy,
                                 SchedulingPolicy, ShardedPolicy)
 from repro.sim.actor import Message
 
+pytestmark = pytest.mark.guard
+
 SRC = pathlib.Path(repro.__file__).parent
 REPO = SRC.parent.parent
 
@@ -303,9 +305,28 @@ def test_directory_keeps_one_record_per_object():
             assert not named, (path.relative_to(REPO).as_posix(), named)
 
 
+def test_job_0_is_a_tenant():
+    """Job 0 has no second job model: the controller keeps only the two
+    flat job-0 views the benchmark reads, and the namespace tests job 0
+    only where it hands back job 0's own objects instead of equal copies
+    (``goid``'s ints, ``translate_block``'s blocks)."""
+    views = {name for name, attr in vars(Controller).items()
+             if isinstance(attr, property)}
+    assert views == {"current_version", "worker_templates"}
+    tree = ast.parse((SRC / "nimbus" / "multijob.py").read_text())
+    branching = {
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, ast.Compare)
+        and ast.unparse(node) in ("self.job_id == 0", "job_id == 0")}
+    assert branching == {"goid", "translate_block"}
+    retired = "_job" "0"  # the hand-built job-0 context and its views
+    for path in [*SRC.rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
+        assert retired not in path.read_text(), path.relative_to(REPO)
+
+
 #: today's sizes, so simplification is monotone
 LINE_CEILINGS = {
-    "nimbus/controller.py": 698,
+    "nimbus/controller.py": 670,
     "nimbus/central.py": 180,
     "nimbus/data.py": 421,
     "nimbus/templates.py": 398,

@@ -32,6 +32,8 @@ from repro.nimbus.worker import Worker
 
 from .helpers import combine_registry, computed_values, run_lr, simple_define
 
+pytestmark = pytest.mark.guard
+
 
 @pytest.fixture
 def patch_runs(monkeypatch):
@@ -88,8 +90,8 @@ def _migrating_lr(workers=10, warm=4, steady=6, seed=0):
     offset = [random.Random(seed).randrange(spec.num_partitions)]
 
     def migrate(controller):
-        version = controller.current_version[block_id]
-        locations = controller.worker_templates[
+        version = controller.jobs[0].current_version[block_id]
+        locations = controller.jobs[0].worker_templates[
             (block_id, version)].task_locations
         tasks = [(i * stride + offset[0]) % spec.num_partitions
                  for i in range(count)]
