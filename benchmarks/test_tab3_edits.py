@@ -169,12 +169,12 @@ def edit_cost_us(partitions_per_worker, moves_per_batch):
             reports = [e.index for e in entries if e.report]
             halves[worker] = half = WorkerHalf(wts.block_id, 0, entries,
                                                reports)
-            half.compiled_plan().acquire(worker, app.registry).release()
+            half.compiled_plan().acquire(app.registry).release()
         mine = [ct for ct, (worker, _i) in sorted(wts.task_locations.items())
                 if worker == src]
         warm = plan_migrations(wts, [(ct, dst) for ct in mine[:FEW]], sizes)
         for worker, half in halves.items():
-            half.apply_edit_ops(warm.edits[worker], worker, app.registry)
+            half.apply_edit_ops(warm.edits[worker], app.registry)
         moves = [(ct, dst) for ct in mine[FEW:FEW + moves_per_batch]]
         gc.disable()  # as timeit does: no collection inside a timing
         try:
@@ -182,7 +182,7 @@ def edit_cost_us(partitions_per_worker, moves_per_batch):
             batch = plan_migrations(wts, moves, sizes)
             planned = time.perf_counter()
             for worker, half in halves.items():
-                half.apply_edit_ops(batch.edits[worker], worker, app.registry)
+                half.apply_edit_ops(batch.edits[worker], app.registry)
             applied = time.perf_counter()
         finally:
             gc.enable()

@@ -8,27 +8,36 @@ module extends the caching one level down, from *decisions* to the
 *dispatch data structures*:
 
 * :func:`compile_plan` turns a worker half's entry array into a
-  struct-of-arrays :class:`CompiledPlan` — flat arrays of initial
-  dependency counts, successors as int positions, precomputed send/recv
-  tag ingredients, parameter slots, the rows that need a runtime
-  decision at instantiation, and the *net* effect of the batch on the
-  worker's object-conflict tracker;
-* :class:`CommandArena` is the pooled *frame* one instance runs on: an
-  array of :class:`Command` objects matching the plan (static fields are
-  written once when the arena is built; only tags and parameters are
-  rewritten per instance) plus the flat per-instance state — dependency
-  counts, the command-id base, the instance record — held once per frame
-  instead of on every command. Arenas are pooled per plan because the driver
-  pipelines instances, so several instances of the same block can be in
-  flight on a worker at once;
+  :class:`CompiledPlan` held as flat per-plan columns, indexed by batch
+  position: kinds and report flags as ``bytes``, initial dependency and
+  hold counts as ``array`` columns, successors as tuples of positions
+  (identical rows are one tuple; a position's own before edges are read
+  off its entry when a seam or an edit needs them), and the *miss* rows —
+  the positions with a runtime question at instantiation — as a
+  :class:`Seam` of five parallel columns. The batch's *net* effect on
+  the worker's object-conflict tracker is three *pair tables* — two
+  parallel arrays, ``(oids, positions)``, in object order: per written
+  object its final writer (``net``) and trailing readers
+  (``net_readers``), and the readers of the objects it only reads
+  (``readers_append``);
+* :class:`CommandArena` is the pooled *frame* one instance runs on: one
+  slim :class:`FrameCommand` per position, carrying only what the worker
+  reads per instance (a SEND reads its destination and size off the
+  plan's entry), plus the flat per-instance state — the dependency counts
+  ``rem`` (a list: it is read and written per task), the command-id
+  base, the instance record — held once per frame instead of on every
+  command. Arenas are pooled per plan because the driver pipelines
+  instances, so several instances of the same block can be in flight on
+  a worker at once;
 * :func:`derive_plan` carries a plan across an edit of its half: the
-  arrays are copied and only what the edit ops touch is redone, so an
-  edit costs what it changes and not a recompilation (PAPER.md, Edits);
+  columns are copied (C-speed) and only what the edit ops touch is
+  redone, so an edit costs what it changes and not a recompilation
+  (PAPER.md, Edits);
 * :func:`build_seam` caches the *cross*-instance edges of a (predecessor
   plan, plan) pair: every conflict check whose tracker state is fully
-  determined by the predecessor's net update becomes a list of
-  predecessor positions, so replay is list indexing instead of oid-keyed
-  dict walks.
+  determined by the predecessor's net update becomes a tuple of
+  predecessor positions, so replay is indexing instead of oid-keyed dict
+  walks.
 
 This is the only way a worker runs a template or patch instance. It is
 semantics-preserving by construction: a frame waits on the same commands
@@ -44,15 +53,94 @@ raises.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..nimbus.commands import Command, CommandKind
+from ..nimbus.commands import CommandKind
 
 
 #: a read-only object's reader list is pruned of completed readers once
 #: it has grown by its own (pruned) length, and never more often than this
 READERS_PRUNE_MIN = 8
+
+
+def _zeros(n: int) -> array:
+    return array("i", [0]) * n
+
+
+def _pairs(oids: List[int], rows: Dict[int, List[int]]):
+    """The positions ``rows`` holds for ``oids`` (ascending) as a pair
+    table: two parallel arrays, ``(oids, positions)``, one pair per
+    position."""
+    return (array("q", [oid for oid in oids for _ in rows[oid]]),
+            array("i", [p for oid in oids for p in rows[oid]]))
+
+
+def positions_of(pairs: Tuple[array, array], oid: int) -> array:
+    """The positions a pair table holds for ``oid``."""
+    oids, poss = pairs
+    return poss[bisect_left(oids, oid):bisect_right(oids, oid)]
+
+
+def _replaced(pairs: Tuple[array, array], changes: Dict[int, Any]):
+    """A copy of a pair table with the positions of the objects
+    ``changes`` names replaced (``()`` for none): slices, C-speed."""
+    oids, poss = pairs[0][:], pairs[1][:]
+    for oid, row in changes.items():
+        lo, hi = bisect_left(oids, oid), bisect_right(oids, oid)
+        if hi - lo != len(row):
+            oids[lo:hi] = array("q", [oid]) * len(row)
+        if row or hi > lo:
+            poss[lo:hi] = array("i", row)
+    return oids, poss
+
+
+class FrameCommand:
+    """One position of a frame: only what the worker reads per instance.
+    The entry's other fields stay on the plan's entry (``function`` below;
+    a SEND reads its destination and size there), and the command id is
+    the frame's ``cid_base`` plus ``_cpos`` (``cid`` below; only traced
+    and cross-checked runs ask a frame command for it). A TASK position
+    is a :class:`FrameTask`, any other a :class:`FrameCopy`: each keeps
+    six fields, and a field the other kind has is None on its class."""
+
+    __slots__ = ("read", "write", "_cpos", "_carena")
+
+    @staticmethod
+    def build(arena: "CommandArena", pos: int, e, registry):
+        if e.kind == CommandKind.TASK:
+            cmd = FrameTask()
+            cmd.params = cmd._cfn = None
+            if registry is not None:
+                try:
+                    cmd._cfn = registry.get(e.function)
+                except KeyError:
+                    pass
+        else:
+            cmd = FrameCopy()
+            cmd.kind, cmd.tag = e.kind, None
+        cmd.read, cmd.write = e.read, e.write
+        cmd._cpos, cmd._carena = pos, arena
+        return cmd
+
+    @property
+    def function(self) -> Optional[str]:
+        return self._carena.plan.live[self._cpos].function
+
+    @property
+    def cid(self) -> int:
+        return self._carena.cid_base + self._cpos
+
+
+class FrameTask(FrameCommand):
+    __slots__ = ("params", "_cfn")
+    kind, tag = CommandKind.TASK, None
+
+
+class FrameCopy(FrameCommand):
+    __slots__ = ("kind", "tag")
+    params = _cfn = None
 
 
 class CommandArena:
@@ -64,9 +152,9 @@ class CommandArena:
     id, ``xsucc[pos]`` its cross-instance successors (commands of later
     frames, or centrally dispatched ones) in registration order — the
     frame-local replacement for the worker's cid-keyed dependents map.
-    A position gets its list when it gains its first such successor and
-    keeps it, emptied, for the frame's next instances; until then it is
-    None.
+    ``xsucc`` is None until some position gains such a successor; a
+    position gets its list then and keeps it, emptied, for the frame's
+    next instances.
     ``outstanding`` counts commands not yet completed; the arena returns
     to its plan's pool at zero.
 
@@ -85,12 +173,12 @@ class CommandArena:
     __slots__ = ("plan", "cmds", "rem", "cid_base", "xsucc", "record",
                  "outstanding")
 
-    def __init__(self, plan: "CompiledPlan", cmds: List[Command]):
+    def __init__(self, plan: "CompiledPlan", cmds: List[FrameCommand]):
         self.plan = plan
         self.cmds = cmds
-        self.rem: List[int] = []
+        self.rem: Optional[List[int]] = None
         self.cid_base = 0
-        self.xsucc: List[Optional[List[Command]]] = [None] * len(cmds)
+        self.xsucc: Optional[List[Optional[list]]] = None
         self.record = None
         self.outstanding = 0
 
@@ -112,34 +200,41 @@ class CommandArena:
 
 
 class Seam:
-    """Instantiation rows of a plan after one predecessor (build_seam).
+    """Instantiation rows of a plan after one predecessor (build_seam),
+    as five parallel columns: ``pos``; ``preds``, positions of the
+    predecessor frame that are dependencies iff still pending;
+    ``roids``/``woids``, the objects left to the tracker walk; ``recv``,
+    whether the position is a RECV. A seam shares ``pos`` and ``recv``
+    with its plan's miss rows."""
 
-    ``rows`` holds ``(pos, preds, roids, woids, is_recv)`` for every
-    position with a runtime question at instantiation: ``preds`` are
-    positions of the predecessor frame that are dependencies iff still
-    pending; ``roids``/``woids`` are the objects left to the tracker walk.
-    """
+    __slots__ = ("pos", "preds", "roids", "woids", "recv", "covered",
+                 "fallback")
 
-    __slots__ = ("rows", "covered", "fallback")
-
-    def __init__(self, rows, covered: int, fallback: int):
-        self.rows = rows
+    def __init__(self, pos: array, preds: Tuple, roids: Tuple, woids: Tuple,
+                 recv: bytes, covered: int, fallback: int):
+        self.pos, self.preds, self.recv = pos, preds, recv
+        self.roids, self.woids = roids, woids
         self.covered = covered  # ext-check oids answered by ``preds``
         self.fallback = fallback  # ext-check oids left to the tracker
 
+    def rows(self) -> Tuple:
+        return tuple(zip(self.pos, self.preds, self.roids, self.woids,
+                         self.recv))
+
 
 class CompiledPlan:
-    """Struct-of-arrays execution plan for one worker half's entry array.
+    """Flat per-position columns of one worker half's entry array.
 
-    All arrays are indexed by *batch position* (entries in entry order),
+    All columns are indexed by *batch position* (entries in entry order),
     which is also the entry index command ids are based on: edits replace
     or append, never leave a hole.
     """
 
     __slots__ = (
         "live", "reports", "m", "kinds", "init_before",
-        "before_pos", "succ", "sends", "recvs", "param_slots",
-        "report_flags", "report_positions", "net", "readers_append",
+        "succ", "sends", "recvs", "param_slots",
+        "report_flags", "report_positions", "net", "net_readers",
+        "readers_append",
         "init_hold", "held", "miss", "anc", "pool",
     )
 
@@ -152,37 +247,41 @@ class CompiledPlan:
     def ext_checks(self) -> List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
         """``(pos, roids, woids)`` for every access that faces pre-batch
         tracker state (the miss rows minus bare roots and RECVs)."""
+        miss = self.miss
         return [(pos, roids, woids)
-                for pos, _preds, roids, woids, _recv in self.miss.rows
+                for pos, roids, woids in zip(miss.pos, miss.roids, miss.woids)
                 if roids or woids]
 
     def ancestors(self) -> List[int]:
         """Per position, the bitmask of the positions it transitively
         depends on inside the batch (built on first use: seams only)."""
         if self.anc is None:
-            counts = self.init_before[:]
-            order = [p for p, deps in enumerate(self.before_pos) if not deps]
+            counts = self.init_before.tolist()
+            order = [p for p, n in enumerate(counts) if not n]
             for p in order:  # topological: before sets may point forward
                 for t in self.succ[p]:
                     counts[t] -= 1
                     if not counts[t]:
                         order.append(t)
             self.anc = anc = [0] * self.m
-            for p in order:
-                for d in self.before_pos[p]:
-                    anc[p] |= anc[d] | 1 << d
+            for p in order:  # each p is complete before it passes on
+                bit = anc[p] | 1 << p
+                for t in self.succ[p]:
+                    anc[t] |= bit
         return self.anc
 
     # ------------------------------------------------------------------
     # Arena pooling
     # ------------------------------------------------------------------
-    def acquire(self, worker_id: int, registry=None) -> CommandArena:
+    def acquire(self, registry=None) -> CommandArena:
         pool = self.pool
         if pool:
             arena = pool.pop()
             arena.plan = self
         else:
-            arena = self._build_arena(worker_id, registry)
+            arena = CommandArena(self, [])
+            arena.cmds = [FrameCommand.build(arena, pos, e, registry)
+                          for pos, e in enumerate(self.live)]
         arena.outstanding = self.m
         return arena
 
@@ -195,13 +294,6 @@ class CompiledPlan:
         pool, self.pool = self.pool, None
         for arena in pool:
             arena.dismantle()
-
-    def _build_arena(self, worker_id: int, registry) -> CommandArena:
-        arena = CommandArena(self, [None] * self.m)
-        cmds = arena.cmds
-        for pos, e in enumerate(self.live):
-            cmds[pos] = _frame_command(arena, pos, e, worker_id, registry)
-        return arena
 
     # ------------------------------------------------------------------
     # Introspection
@@ -221,7 +313,7 @@ class CompiledPlan:
             "reports": len(self.report_positions),
             "param_slots": len(self.param_slots),
             "ext_checks": len(self.ext_checks),
-            "rows": len(self.miss.rows),
+            "rows": len(self.miss.pos),
             "seam_covered": seam.covered,
             "seam_fallback": seam.fallback,
         }
@@ -235,34 +327,16 @@ class CompiledPlan:
         entries it claims to represent."""
         return (
             self.m, tuple(self.kinds),
-            tuple(self.init_before), tuple(self.before_pos),
-            tuple(self.succ), tuple(self.sends), tuple(self.recvs),
+            tuple(self.init_before), tuple(self.succ),
+            tuple(self.sends), tuple(self.recvs),
             tuple(self.param_slots), tuple(self.report_flags),
-            tuple(self.report_positions), tuple(self.miss.rows),
+            tuple(self.report_positions), self.miss.rows(),
             tuple(self.init_hold), tuple(self.held),
-            # per object, and applied as independent updates: insertion
-            # order is not semantics (a derived plan keeps its parent's)
-            tuple(sorted(self.net.items())),
-            tuple(sorted(self.readers_append.items())),
+            # per object, in object order: a derived plan keeps its
+            # tables sorted like a fresh compilation's
+            tuple(zip(*self.net)), tuple(zip(*self.net_readers)),
+            tuple(zip(*self.readers_append)),
         )
-
-
-def _frame_command(arena: CommandArena, pos: int, e, worker_id: int,
-                   registry) -> Command:
-    """The command at ``pos`` of ``arena``, static fields from entry ``e``."""
-    cmd = Command(
-        -1, e.kind, worker_id, read=e.read, write=e.write,
-        function=e.function, dst_worker=e.dst_worker,
-        src_worker=e.src_worker, size_bytes=e.size_bytes,
-    )
-    cmd._cpos = pos
-    cmd._carena = arena
-    if registry is not None and e.kind == CommandKind.TASK:
-        try:
-            cmd._cfn = registry.get(e.function)
-        except KeyError:
-            pass
-    return cmd
 
 
 def compile_plan(entries: List[Any], reports) -> CompiledPlan:
@@ -281,32 +355,28 @@ def compile_plan(entries: List[Any], reports) -> CompiledPlan:
     plan.live = live
     plan.reports = frozenset(reports)
     plan.m = m
-    plan.kinds = [e.kind for e in live]
+    kinds = [e.kind for e in live]
+    plan.kinds = bytes(kinds)
 
     # --- before-set edges (intra-batch dependency graph) --------------
-    before_pos: List[Tuple[int, ...]] = []
-    forward = set()  # positions an *earlier* position waits for (edits)
+    before_pos: List[List[int]] = []  # kept as counts and successors
     for pos, e in enumerate(live):
         if e.index != pos:
             raise ValueError(f"entry {e.index} sits at position {pos}")
-        deps: List[int] = []
-        seen = set()
-        for p in e.before:
-            if 0 <= p < m and p != pos and p not in seen:
-                seen.add(p)
-                deps.append(p)
-                if p > pos:
-                    forward.add(p)
-        before_pos.append(tuple(deps))
-    plan.before_pos = before_pos
-    plan.init_before = [len(d) for d in before_pos]
+        before_pos.append(_deps(e, m))
+    plan.init_before = array("i", map(len, before_pos))
     # successors as int positions, appended in resolution (position)
-    # order — the order a per-command sweep would build its dependents in
+    # order — the order a per-command sweep would build its dependents in;
+    # identical rows are one tuple
     succ: List[List[int]] = [[] for _ in live]
+    forward = set()  # positions an *earlier* position waits for (edits)
     for pos, deps in enumerate(before_pos):
         for p in deps:
             succ[p].append(pos)
-    plan.succ = [tuple(targets) for targets in succ]
+            if p > pos:
+                forward.add(p)
+    shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    plan.succ = [shared.setdefault(row, row) for row in map(tuple, succ)]
 
     # --- per-kind instantiation data ----------------------------------
     plan.sends = [
@@ -322,7 +392,7 @@ def compile_plan(entries: List[Any], reports) -> CompiledPlan:
         for pos, e in enumerate(live)
         if e.kind == CommandKind.TASK and e.param_slot
     ]
-    plan.report_flags = [e.index in plan.reports for e in live]
+    plan.report_flags = bytes([e.index in plan.reports for e in live])
     plan.report_positions = [
         pos for pos, flag in enumerate(plan.report_flags) if flag
     ]
@@ -335,17 +405,17 @@ def compile_plan(entries: List[Any], reports) -> CompiledPlan:
     # earlier position is an earlier turn unless it waits for this one
     # (``forward``; see _faces_pre_batch).
     #
-    # Instantiation decides per position, in entry order: ``rows`` are the
-    # positions with a runtime question (such a check, a RECV's payload,
-    # or a root that may be ready on the spot). ``held`` are the non-roots
-    # that can still become ready while the instance is being set up —
-    # every dependency completes synchronously, i.e. none is a TASK. They
-    # start with one extra *hold* count, released when the firing pass
-    # reaches their position, so a synchronous completion earlier in the
-    # pass can never fire them ahead of their turn.
+    # Instantiation decides per position, in entry order: the miss rows
+    # are the positions with a runtime question (such a check, a RECV's
+    # payload, or a root that may be ready on the spot). ``held`` are the
+    # non-roots that can still become ready while the instance is being
+    # set up — every dependency completes synchronously, i.e. none is a
+    # TASK. They start with one extra *hold* count, released when the
+    # firing pass reaches their position, so a synchronous completion
+    # earlier in the pass can never fire them ahead of their turn.
     rows = []
     held = []
-    plan.init_hold = list(plan.init_before)
+    init_hold = list(map(len, before_pos))
     writers: Dict[int, List[int]] = {}
     readers: Dict[int, List[int]] = {}
     final_writer_pos: Dict[int, int] = {}
@@ -366,11 +436,11 @@ def compile_plan(entries: List[Any], reports) -> CompiledPlan:
                 woids.append(oid)
         deps = before_pos[pos]
         if roids or woids or e.kind == recv or not deps:
-            rows.append((pos, (), _oids(roids, e.read), _oids(woids, e.write),
+            rows.append((pos, _oids(roids, e.read), _oids(woids, e.write),
                          e.kind == recv))
-        if deps and not any(plan.kinds[d] == task for d in deps):
+        if deps and not any(kinds[d] == task for d in deps):
             held.append(pos)
-            plan.init_hold[pos] += 1
+            init_hold[pos] += 1
         for oid in e.read:
             lst = readers.get(oid)
             if lst is None:
@@ -381,22 +451,37 @@ def compile_plan(entries: List[Any], reports) -> CompiledPlan:
             writers.setdefault(oid, []).append(pos)
             final_writer_pos[oid] = pos
             readers[oid] = []
-    plan.held = tuple(held)
-    plan.miss = Seam(rows, 0, sum(len(r[2]) + len(r[3]) for r in rows))
+    plan.held = array("i", held)
+    plan.init_hold = array("i", init_hold)
+    rpos, rroids, rwoids, rrecv = zip(*rows) if rows else ((),) * 4
+    plan.miss = Seam(array("i", rpos), ((),) * len(rpos), rroids, rwoids,
+                     bytes(rrecv), 0,
+                     sum(map(len, rroids)) + sum(map(len, rwoids)))
 
     # --- net conflict-tracker update ----------------------------------
-    # ``oid -> (final writer, trailing readers)`` per written object, plus
-    # the readers gained by objects the batch never writes; keyed by
-    # object so that an edit redoes only the objects it touches
-    plan.net = {
-        oid: (pos, tuple(readers[oid]))
-        for oid, pos in final_writer_pos.items()
-    }
-    plan.readers_append = {
-        oid: tuple(lst) for oid, lst in readers.items()
-        if oid not in writers and lst
-    }
+    # per written object its final writer and trailing readers, plus the
+    # readers gained by objects the batch never writes; keyed by object
+    # so that an edit redoes only the objects it touches
+    written = sorted(final_writer_pos)
+    plan.net = (array("q", written),
+                array("i", [final_writer_pos[oid] for oid in written]))
+    plan.net_readers = _pairs(written, readers)
+    plan.readers_append = _pairs(sorted(
+        oid for oid, lst in readers.items() if oid not in writers and lst),
+        readers)
     return plan
+
+
+def _deps(e, m: int) -> List[int]:
+    """The before edges of entry ``e`` in a batch of ``m``: the positions
+    it names, in order, once each, itself and those outside left out."""
+    deps: List[int] = []
+    seen = set()
+    for p in e.before:
+        if 0 <= p < m and p != e.index and p not in seen:
+            seen.add(p)
+            deps.append(p)
+    return deps
 
 
 def _oids(kept: List[int], accessed: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -426,7 +511,7 @@ def _faces_pre_batch(pos: int, writers, succ) -> bool:
 
 
 def derive_plan(plan: CompiledPlan, entries: List[Any], access,
-                touched: Iterable[int], reports, worker_id: int,
+                touched: Iterable[int], reports,
                 registry=None) -> CompiledPlan:
     """The plan of ``entries`` — ``plan``'s entry array after an edit that
     replaced or appended the entries at indices ``touched`` — without
@@ -436,7 +521,7 @@ def derive_plan(plan: CompiledPlan, entries: List[Any], access,
 
     ``plan`` is left as it is, because frames of it may be in flight;
     only its *idle* frames move to the derived plan, with new commands at
-    the touched positions. The arrays are copied (rows are tuples and are
+    the touched positions. The columns are copied (rows are tuples and are
     shared) and then redone where the edit reaches:
 
     * a touched position: its kind and per-kind row, report flag, before
@@ -462,11 +547,10 @@ def derive_plan(plan: CompiledPlan, entries: List[Any], access,
     new.m = m = len(live)
     new.reports = frozenset(reports)
     pad = m - n
-    new.kinds = kinds = plan.kinds + [None] * pad
-    new.before_pos = before_pos = plan.before_pos + [()] * pad
-    new.init_before = init_before = plan.init_before + [0] * pad
+    kinds = bytearray(plan.kinds) + bytes(pad)
+    init_before = plan.init_before + _zeros(pad)
     new.succ = succ = plan.succ + [()] * pad
-    new.report_flags = report_flags = plan.report_flags + [False] * pad
+    report_flags = bytearray(plan.report_flags) + bytes(pad)
     new.report_positions = report_positions = plan.report_positions[:]
     new.sends = sends = plan.sends[:]
     new.recvs = recvs = plan.recvs[:]
@@ -504,7 +588,7 @@ def derive_plan(plan: CompiledPlan, entries: List[Any], access,
         elif e.kind == task and e.param_slot:
             insort(param_slots, (t, e.param_slot))
         if (t in reports) != report_flags[t]:
-            report_flags[t] = not report_flags[t]
+            report_flags[t] ^= 1
             if report_flags[t]:
                 insort(report_positions, t)
             else:
@@ -513,10 +597,10 @@ def derive_plan(plan: CompiledPlan, entries: List[Any], access,
         # result RECV waits for the input SENDs too, a guarded entry for
         # the migrated task): then the old ones stand and only the new
         # tail is linked, however long the before set is
-        was = before_pos[t]
-        keep = len(was)
+        keep = plan.init_before[t] if t < n else 0
         if not (t < n and keep == len(old.before)
                 and e.before[:keep] == old.before):
+            was = _deps(old, n) if t < n else ()
             keep = 0
             redo.update(was)
             for d in was:
@@ -528,34 +612,38 @@ def derive_plan(plan: CompiledPlan, entries: List[Any], access,
                 insort(row, t)
                 succ[j] = tuple(row)
                 fresh.append(j)
-        before_pos[t] = was[:keep] + tuple(fresh)
         init_before[t] = keep + len(fresh)
         redo.update(fresh)  # what t writes first, they may now see before
+    new.kinds = bytes(kinds)
+    new.report_flags = bytes(report_flags)
+    new.init_before = init_before
 
     # --- holds: a non-root none of whose dependencies is a TASK ----------
-    new.init_hold = init_hold = plan.init_hold + [0] * pad
+    new.init_hold = init_hold = plan.init_hold + _zeros(pad)
     held = list(plan.held)
     recheck = set(touched)
     for t in touched:
         recheck.update(succ[t])
     for p in recheck:
-        deps = before_pos[p]
-        hold = bool(deps) and not any(kinds[d] == task for d in deps)
+        hold = bool(init_before[p]) and not any(
+            kinds[d] == task for d in live[p].before if 0 <= d < m and d != p)
         if hold != (p < n and plan.init_hold[p] != plan.init_before[p]):
             if hold:
                 insort(held, p)
             else:
                 held.remove(p)
         init_hold[p] = init_before[p] + hold
-    new.held = tuple(held)
+    new.held = array("i", held)
 
     # --- miss rows: accesses that face pre-batch tracker state -----------
     readers_of, writers_of = access.readers, access.writers
     for oid in rewritten:
         redo.update(readers_of(oid))
         redo.update(writers_of(oid))
-    rows = plan.miss.rows[:]
-    fallback = plan.miss.fallback
+    miss = plan.miss
+    rpos, rrecv = array("i", miss.pos), bytearray(miss.recv)
+    rroids, rwoids = list(miss.roids), list(miss.woids)
+    fallback = miss.fallback
     for p in redo:
         e = live[p]
         roids: List[int] = []
@@ -568,45 +656,50 @@ def derive_plan(plan: CompiledPlan, entries: List[Any], access,
             if oid not in woids and _faces_pre_batch(
                     p, writers_of(oid), succ):
                 woids.append(oid)
-        at = bisect_left(rows, (p,))
-        had = at < len(rows) and rows[at][0] == p
+        at = bisect_left(rpos, p)
+        had = at < len(rpos) and rpos[at] == p
         if had:
-            fallback -= len(rows[at][2]) + len(rows[at][3])
-        if roids or woids or e.kind == recv or not before_pos[p]:
-            row = (p, (), _oids(roids, e.read), _oids(woids, e.write),
+            fallback -= len(rroids[at]) + len(rwoids[at])
+        if roids or woids or e.kind == recv or not init_before[p]:
+            row = (_oids(roids, e.read), _oids(woids, e.write),
                    e.kind == recv)
             fallback += len(roids) + len(woids)
             if had:
-                rows[at] = row
+                rroids[at], rwoids[at], rrecv[at] = row
             else:
-                rows.insert(at, row)
+                for column, value in zip((rpos, rroids, rwoids, rrecv),
+                                         (p,) + row):
+                    column.insert(at, value)
         elif had:
-            del rows[at]
-    new.miss = Seam(rows, 0, fallback)
+            del rpos[at], rroids[at], rwoids[at], rrecv[at]
+    new.miss = Seam(rpos, ((),) * len(rpos), tuple(rroids), tuple(rwoids),
+                    bytes(rrecv), 0, fallback)
 
     # --- net conflict-tracker update of the changed objects --------------
-    new.net = net = plan.net.copy()
-    new.readers_append = readers_append = plan.readers_append.copy()
+    net, trailing, appended = {}, {}, {}
     for oid in changed:
         readers, writers = readers_of(oid), writers_of(oid)
-        net.pop(oid, None)
-        readers_append.pop(oid, None)
+        net[oid] = trailing[oid] = appended[oid] = ()
         if writers:
-            last = writers[-1]
-            net[oid] = (last, tuple(readers[bisect_right(readers, last):]))
-        elif readers:
-            readers_append[oid] = tuple(readers)
+            net[oid] = writers[-1:]
+            trailing[oid] = readers[bisect_right(readers, writers[-1]):]
+        else:
+            appended[oid] = readers
+    new.net = _replaced(plan.net, net)
+    new.net_readers = _replaced(plan.net_readers, trailing)
+    new.readers_append = _replaced(plan.readers_append, appended)
 
     # --- idle frames: new commands where the entries changed -------------
     for frame in plan.pool:
         cmds = frame.cmds
         for t in touched:
-            cmd = _frame_command(frame, t, live[t], worker_id, registry)
+            cmd = FrameCommand.build(frame, t, live[t], registry)
             if t < n:
                 cmds[t] = cmd
             else:
                 cmds.append(cmd)
-                frame.xsucc.append(None)
+                if frame.xsucc is not None:
+                    frame.xsucc.append(None)
     new.pool, plan.pool = plan.pool, []
     return new
 
@@ -625,28 +718,34 @@ def build_seam(pred: CompiledPlan, plan: CompiledPlan) -> Seam:
     older ones and the per-command dependency set must stay
     duplicate-free. A candidate that another candidate transitively
     depends on is dropped: it completes first, so its edge can never be
-    the one that releases the command.
+    the one that releases the command. Identical ``preds`` rows are one
+    tuple.
     """
-    net = pred.net
     anc = pred.ancestors()
-    rows, covered, fallback = [], 0, 0
-    for row in plan.miss.rows:
-        pos, _preds, roids, woids, is_recv = row
+    last = dict(zip(*pred.net))  # oid -> its final writer in ``pred``
+    trailing: Dict[int, List[int]] = {}
+    for oid, p in zip(*pred.net_readers):
+        trailing.setdefault(oid, []).append(p)
+    miss = plan.miss
+    preds_col, roids_col, woids_col = [], [], []
+    shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    covered = fallback = 0
+    for roids, woids in zip(miss.roids, miss.woids):
         preds = set()
         for oid in woids:
-            if oid not in net:
+            if oid not in last:
                 preds = None  # an uncovered write: the walk takes it all
                 break
-            writer, readers = net[oid]
-            preds.add(writer)
-            preds.update(readers)
+            preds.add(last[oid])
+            preds.update(trailing.get(oid, ()))
         if preds is None:
             fallback += len(roids) + len(woids)
+            preds = ()
         elif roids or woids:
             left = []
             for oid in roids:
-                if oid in net:
-                    preds.add(net[oid][0])
+                if oid in last:
+                    preds.add(last[oid])
                 else:
                     left.append(oid)
             implied = 0
@@ -654,10 +753,15 @@ def build_seam(pred: CompiledPlan, plan: CompiledPlan) -> Seam:
                 implied |= anc[q]
             covered += len(roids) + len(woids) - len(left)
             fallback += len(left)
-            row = (pos, tuple(sorted([q for q in preds
-                                      if not implied >> q & 1])),
-                   _oids(left, roids), (), is_recv)
-        rows.append(row)
+            preds = tuple(sorted([q for q in preds if not implied >> q & 1]))
+            preds = shared.setdefault(preds, preds)
+            roids, woids = _oids(left, roids), ()
+        else:
+            preds = ()
+        preds_col.append(preds)
+        roids_col.append(roids)
+        woids_col.append(woids)
     if not covered:
-        return plan.miss
-    return Seam(rows, covered, fallback)
+        return miss
+    return Seam(miss.pos, tuple(preds_col), tuple(roids_col),
+                tuple(woids_col), miss.recv, covered, fallback)

@@ -511,7 +511,7 @@ class WorkerHalf:
             self._plan = plan = compile_plan(self.entries, self.reports)
         return plan
 
-    def apply_edit_ops(self, ops, worker_id: int, registry=None):
+    def apply_edit_ops(self, ops, registry=None):
         """Apply edit ops to this half and carry its compiled plan along.
 
         The plan of the edited array is derived from the current one
@@ -536,5 +536,5 @@ class WorkerHalf:
         if plan is not None:
             self._plan = derive_plan(
                 plan, self.entries, self._access, {op.index for op in ops},
-                self.reports, worker_id, registry)
+                self.reports, registry)
         return plan

@@ -102,6 +102,7 @@ class NimbusCluster:
             default_mode=mode,
         )
         self.network.attach(self.controller)
+        self.controller.membership.storage = self.storage
 
         straggler_scales = straggler_scales or {}
         self.workers: Dict[int, Worker] = {}

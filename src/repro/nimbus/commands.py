@@ -53,7 +53,6 @@ class Command:
         "params",
         "worker",
         "dst_worker",
-        "src_worker",
         "tag",
         "size_bytes",
         # worker-local scheduling state of a centrally dispatched command,
@@ -62,14 +61,9 @@ class Command:
         # batch. Kept on the command, not in side dicts keyed by cid.
         "_rem",
         "_wmeta",
-        # compiled-plan state (repro.core.compiled): owning arena (the
-        # instance frame, which holds this command's id, dependency count
-        # and metadata), batch position in it, and the resolved
-        # TaskFunction. _carena is None for commands built outside an
-        # arena, which is how the worker tells the two apart; an arena
-        # command's own ``cid`` is only stamped in traced/cross-checked
-        # runs.
-        "_cpos",
+        # always None here: the worker tells these commands from a
+        # compiled frame's (repro.core.compiled.FrameCommand, which owns
+        # an arena and a resolved TaskFunction) by ``_carena``
         "_carena",
         "_cfn",
     )
@@ -85,7 +79,6 @@ class Command:
         params: Any = None,
         function: Optional[str] = None,
         dst_worker: Optional[WorkerId] = None,
-        src_worker: Optional[WorkerId] = None,
         tag: Optional[Hashable] = None,
         size_bytes: int = 0,
     ):
@@ -98,7 +91,6 @@ class Command:
         self.params = params
         self.function = function
         self.dst_worker = dst_worker  # SEND only
-        self.src_worker = src_worker  # RECV only
         self.tag = tag  # SEND/RECV matching tag
         self.size_bytes = size_bytes  # payload size for copies
         self._carena = None
@@ -165,7 +157,6 @@ def make_copy_pair(
         dst,
         write=(oid,),
         before=recv_before,
-        src_worker=src,
         tag=tag,
         size_bytes=size_bytes,
     )

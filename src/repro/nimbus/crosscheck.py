@@ -80,7 +80,6 @@ def instantiate_entries(
             cmd = Command(
                 cid, CommandKind.RECV, worker_id,
                 write=entry.write, before=before,
-                src_worker=entry.src_worker,
                 tag=copy_tag(instance_id, worker_id, entry.index),
                 size_bytes=entry.size_bytes,
             )
@@ -124,7 +123,7 @@ def _successors(worker, cmd: Command) -> List[Command]:
     """The cross-batch successor list of pending ``cmd``."""
     frame = cmd._carena
     if frame is not None:
-        return frame.xsucc[cmd._cpos] or []
+        return frame.xsucc and frame.xsucc[cmd._cpos] or []
     return worker._dependents.get(cmd.cid, [])
 
 
@@ -165,7 +164,7 @@ class TrackerShadow:
                       for oid in roids + woids})
         if walk:
             return
-        for _pos, _preds, roids, woids, _recv in seam.rows:
+        for roids, woids in zip(seam.roids, seam.woids):
             for oid in roids + woids:
                 writer, readers = self.view(oid)
                 if writer is not None or (oid in woids and readers):
@@ -174,11 +173,12 @@ class TrackerShadow:
                         f"{writer}/{readers}")
 
     def record(self, plan: CompiledPlan, base: int) -> None:
-        for oid, (p, poss) in plan.net.items():
+        for oid, p in zip(*plan.net):
             self.last_writer[oid] = base + p
-            self.readers[oid] = [base + q for q in poss]
-        for oid, poss in plan.readers_append.items():
-            self.readers.setdefault(oid, []).extend(base + p for p in poss)
+            self.readers[oid] = []
+        for pairs in (plan.net_readers, plan.readers_append):
+            for oid, p in zip(*pairs):
+                self.readers.setdefault(oid, []).append(base + p)
 
     def resolve(self, cid: int, read, write) -> None:
         for oid in read:
@@ -194,7 +194,7 @@ class TrackerShadow:
 
 class FrameCheck:
     """Reference for one instantiation; build it after the frame's tags
-    and cids are written and *before* it registers or links anything."""
+    and cid base are written and *before* it registers or links anything."""
 
     def __init__(self, worker, frame: CommandArena):
         self.worker, self.frame = worker, frame
@@ -270,11 +270,18 @@ class FrameCheck:
                 f"compiled plan has {plan.m} commands; interpreted "
                 f"instantiation produced {len(ref)}")
         for i, want in enumerate(ref):
-            got = frame.cmds[i]
-            for field in ("cid", "kind", "read", "write", "function",
-                          "params", "dst_worker", "src_worker", "tag",
-                          "size_bytes"):
-                g, w = getattr(got, field), getattr(want, field)
+            got, entry = frame.cmds[i], plan.live[i]
+            # the frame command's own fields, and what the worker reads
+            # off the plan's entry instead: the function, a SEND's
+            # destination and size
+            fields = [(f, getattr(got, f)) for f in (
+                "cid", "kind", "read", "write", "params", "tag")]
+            fields.append(("function", entry.function))
+            if want.kind == CommandKind.SEND:
+                fields += [("dst_worker", entry.dst_worker),
+                           ("size_bytes", entry.size_bytes)]
+            for field, g in fields:
+                w = getattr(want, field)
                 if g != w:
                     raise AssertionError(
                         f"compiled command {i} (cid {got.cid}) differs from "

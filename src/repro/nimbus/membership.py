@@ -5,11 +5,9 @@ the live set, re-home what departed workers held onto the survivors, and
 have the template cache (``controller.cache``) re-home and regenerate the
 templates that moved. :class:`Membership` does that for the controller,
 on the controller's actor, and owns the state involved: the live,
-draining and failed sets, the eviction floor, heartbeats and checkpoints.
-The steps the paths share are written once (DESIGN.md §6,
-"Membership and recovery"). ``Controller.live_workers`` is this module's
-live set, the same object, so a hot-path test is one attribute load; only
-this module changes it.
+draining and failed sets, the eviction floor, heartbeats and checkpoints
+(DESIGN.md §6). ``Controller.live_workers`` is this module's live set,
+the same object; only this module changes it.
 """
 
 from __future__ import annotations
@@ -48,8 +46,10 @@ class Membership:
         self._next_checkpoint = 1
         self._pending_checkpoint_id: Optional[int] = None
         self.last_committed_checkpoint: Optional[int] = None
-        #: checkpoint id -> job id -> (directory, homes, results history)
+        #: checkpoint id -> job id -> (directory, homes, results history):
+        #: the last committed one and the one in progress
         self._checkpoint_snapshots: Dict[int, Dict[int, Tuple]] = {}
+        self.storage = None  # the cluster's DurableStorage, pruned alike
         #: ack barrier per stop-the-world step: (acked, expected), where
         #: expected None means the live set at the moment of each ack
         self._barriers: Dict[str, Tuple[Set[int], Optional[Set[int]]]] = {
@@ -138,16 +138,14 @@ class Membership:
         survivors = sorted(self.live_workers - evicted_set)
         if not survivors:
             raise RuntimeError(
-                f"cannot evict every worker: evicting "
-                f"{sorted(evicted_set)} would leave the live set empty "
-                f"with nowhere to re-home their objects and tasks; no "
-                f"state was changed")
+                f"cannot evict every worker: evicting {sorted(evicted_set)} "
+                f"would leave the live set empty with nowhere to re-home "
+                f"their objects and tasks; no state was changed")
         if len(survivors) < self.min_live_workers:
             raise RuntimeError(
-                f"cannot evict workers {sorted(evicted_set)}: "
-                f"{len(survivors)} survivor(s) {survivors} would fall "
-                f"below the minimum live worker count "
-                f"{self.min_live_workers}; no state was changed")
+                f"cannot evict workers {sorted(evicted_set)}: {len(survivors)}"
+                f" survivor(s) {survivors} would fall below the minimum live "
+                f"worker count {self.min_live_workers}; no state was changed")
         self._depart(evicted_set)
         for _job_id, ctx in sorted(c.jobs.items()):
             moved = self._rehome_objects(self._homes(ctx), evicted_set)
@@ -160,13 +158,11 @@ class Membership:
         """A worker died ungracefully (crash fault, forced removal).
 
         Unlike :meth:`evict_workers`, death cannot wait for a window
-        boundary: a self-schedule grant expecting the dead worker would
-        never drain and wedge every later partition-map change. So every
-        job's policy first reclaims the worker's granted window share
+        boundary: a grant expecting the dead worker would never drain. So
+        every job's policy first reclaims the worker's granted window share
         (the jobs become quiescable), retransmissions to it stop, and the
-        eviction path re-homes its objects and tasks. Data only it held
-        is *not* resurrected: checkpoint recovery is the data-loss story;
-        this restores schedulability.
+        eviction path re-homes its objects and tasks. Data only it held is
+        *not* resurrected (that is checkpoint recovery).
         """
         if worker_id not in self.live_workers:
             return
@@ -207,8 +203,7 @@ class Membership:
         c.metrics.incr("scale.workers_added")
 
     def start_drain(self, workers: Iterable[int]) -> None:
-        """Mark ``workers`` DRAINING: placement paths exclude them while
-        they are still live."""
+        """Mark ``workers`` DRAINING: live, but no placement targets them."""
         self.draining_workers.update(workers)
 
     def finish_drain(self, worker_id: int) -> None:
@@ -270,8 +265,13 @@ class Membership:
         if msg.checkpoint_id != self._pending_checkpoint_id:
             return
         if self._ack("checkpoint", msg.worker_id):
-            self.last_committed_checkpoint = msg.checkpoint_id
+            done = self.last_committed_checkpoint = msg.checkpoint_id
             self.checkpointing = False
+            # recovery reads only the last committed checkpoint
+            for old in [k for k in self._checkpoint_snapshots if k < done]:
+                del self._checkpoint_snapshots[old]
+            if self.storage is not None:
+                self.storage.drop_before(done)
             self.controller.metrics.incr("checkpoints_committed")
 
     # ------------------------------------------------------------------

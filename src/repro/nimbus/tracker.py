@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from ..core.compiled import READERS_PRUNE_MIN, CommandArena, CompiledPlan, Seam
+from ..core.compiled import (READERS_PRUNE_MIN, CommandArena, CompiledPlan,
+                             Seam, positions_of)
 from .commands import Command
 from .multijob import OID_STRIDE
 
@@ -106,40 +107,45 @@ class ConflictTracker:
         self._idle = None
         plan, base, rem = chain[-1]
         readers_since = self._readers_since
-        appended = plan.readers_append
-        if appended:
+        oids, poss = plan.readers_append
+        if oids:
             for _plan, ibase, irem in chain:
                 if irem.count(-1) == plan.m:
                     continue
-                for oid, poss in appended.items():
-                    for p in poss:
-                        if irem[p] >= 0:
-                            lst = readers_since.get(oid)
-                            if lst is None:
-                                readers_since[oid] = ibase + p
-                            elif lst.__class__ is int:
-                                readers_since[oid] = [lst, ibase + p]
-                            else:
-                                lst.append(ibase + p)
+                for oid, p in zip(oids, poss):
+                    if irem[p] >= 0:
+                        lst = readers_since.get(oid)
+                        if lst is None:
+                            readers_since[oid] = ibase + p
+                        elif lst.__class__ is int:
+                            readers_since[oid] = [lst, ibase + p]
+                        else:
+                            lst.append(ibase + p)
             left = self._prune_in.get(plan, READERS_PRUNE_MIN) - len(chain)
             if left <= 0:
                 # objects this plan only ever reads are never reset by a
                 # write: drop the completed readers once the lists may
                 # have doubled
-                for oid in appended:
+                for oid in dict.fromkeys(oids):
                     if oid in readers_since:
                         left = max(left, self._prune(oid))
                 left = max(left, READERS_PRUNE_MIN)
             self._prune_in[plan] = left
         last_writer = self._last_writer
-        for oid, (p, poss) in plan.net.items():
+        roids, rposs = plan.net_readers  # in the same object order
+        lo, end = 0, len(roids)
+        for oid, p in zip(*plan.net):
             if rem[p] >= 0:
                 last_writer[oid] = base + p
             else:
                 # completed, and so is every earlier writer: each write
                 # waited for the one before it
                 last_writer.pop(oid, None)
-            self._store(oid, [base + q for q in poss if rem[q] >= 0])
+            hi = lo
+            while hi < end and roids[hi] == oid:
+                hi += 1
+            self._store(oid, [base + q for q in rposs[lo:hi] if rem[q] >= 0])
+            lo = hi
         if self.shadow is not None:
             self.shadow.compare()
 
@@ -291,12 +297,14 @@ class ConflictTracker:
         if readers.__class__ is int:
             readers = [readers]
         for plan, base, _rem in self._chain:
-            if oid in plan.net:
-                p, poss = plan.net[oid]
-                writer, readers = base + p, [base + q for q in poss]
-            elif oid in plan.readers_append:
-                readers = readers + [base + q
-                                     for q in plan.readers_append[oid]]
+            last = positions_of(plan.net, oid)
+            if last:
+                writer = base + last[0]
+                readers = [base + q
+                           for q in positions_of(plan.net_readers, oid)]
+            else:
+                readers = readers + [
+                    base + q for q in positions_of(plan.readers_append, oid)]
         pending = self.pending
         readers = [r for r in readers if r in pending]
         readers.sort()

@@ -50,19 +50,25 @@ COMPLETION_FLUSH_WINDOW = 1e-3
 
 
 class DurableStorage:
-    """Cluster-wide simulated durable storage for checkpoints."""
+    """Cluster-wide simulated durable storage for checkpoints: per
+    checkpoint id, each saved object's payload."""
 
     def __init__(self) -> None:
-        self._data: Dict[Tuple[int, int], Any] = {}
+        self._data: Dict[int, Dict[int, Any]] = {}
 
     def save(self, checkpoint_id: int, oid: int, payload: Any) -> None:
-        self._data[(checkpoint_id, oid)] = payload
+        self._data.setdefault(checkpoint_id, {})[oid] = payload
 
     def load(self, checkpoint_id: int, oid: int) -> Any:
-        return self._data.get((checkpoint_id, oid))
+        return self._data.get(checkpoint_id, {}).get(oid)
 
     def has(self, checkpoint_id: int, oid: int) -> bool:
-        return (checkpoint_id, oid) in self._data
+        return oid in self._data.get(checkpoint_id, ())
+
+    def drop_before(self, checkpoint_id: int) -> None:
+        """``checkpoint_id`` committed: recovery never reads an older one."""
+        for old in [k for k in self._data if k < checkpoint_id]:
+            del self._data[old]
 
 
 class _InstanceRecord:
@@ -166,10 +172,9 @@ class Worker(P.ReliableEndpoint, Actor):
         self.store = ObjectStore()
         self.peers: Dict[int, "Worker"] = {}  # attached by the cluster
 
-        # command queue state. Dependency counts and metadata of centrally
-        # dispatched commands live on the Command (``_rem``/``_wmeta``)
-        # and their successors in ``_dependents``; a compiled instance
-        # keeps all three on its frame (CommandArena) instead.
+        # command queue state: a central command's dependency count and
+        # metadata are on it (``_rem``/``_wmeta``), its successors in
+        # ``_dependents``; a compiled instance keeps all three on its frame
         self._pending: Dict[int, Command] = {}
         self._dependents: Dict[int, List[Command]] = {}
         self._ready_tasks = deque()
@@ -210,9 +215,8 @@ class Worker(P.ReliableEndpoint, Actor):
         #: last partition-map epoch observed (EpochUpdate broadcasts);
         #: distinct from ``_epoch``, the local halt generation below
         self._pm_epoch = 0
-        #: causality hint for commands released by a grant self-advance:
-        #: ("cmd", cid) of the completing command while the next instance
-        #: instantiates, None otherwise (traced runs only)
+        #: traced runs: ("cmd", cid) of the completion whose grant
+        #: self-advance instantiates the next instance, else None
         self._advance_release = None
 
         # central-path completions awaiting the COMPLETION_FLUSH_WINDOW
@@ -222,9 +226,8 @@ class Worker(P.ReliableEndpoint, Actor):
 
         #: decentralized mode: template instances a self-schedule grant
         #: keeps in flight. Instances of one block RMW the same partitions,
-        #: so the tracker serializes them anyway: depths 1/2/4 give one
-        #: virtual timeline on fig07@400, and depth 4 ~60% more host wall
-        #: (each blocked instance grows the graph later walks traverse).
+        #: so depths 1/2/4 give one virtual timeline on fig07@400, and
+        #: depth 4 ~60% more host wall (blocked instances grow the graph)
         self.self_schedule_depth = 1
 
         #: job ids the controller has released (cancel/crash); in-flight
@@ -241,9 +244,8 @@ class Worker(P.ReliableEndpoint, Actor):
         #: "drained"; a drained worker stays reachable for late acks.
         self.lifecycle = "live"
         self.tasks_executed = 0
-        #: why the next _on_ready fired: None (ready at enqueue),
-        #: ("cmd", cid) or ("data", tag). Written only when tracing; read
-        #: by the Tracer to build the critical-path release edges.
+        #: why the next _on_ready fired (traced runs, for the critical
+        #: path): None (ready at enqueue), ("cmd", cid) or ("data", tag)
         self._trace_release = None
         #: per-completion control-thread charge, hoisted off the cost table
         self._complete_cost = costs.worker_complete_per_command
@@ -266,10 +268,9 @@ class Worker(P.ReliableEndpoint, Actor):
         elif isinstance(msg, P.SelfScheduleWindow):
             self._on_self_schedule(msg)
         elif isinstance(msg, P.EpochUpdate):
-            # monotone accept: with sharded relays (and churn-window
-            # retransmits) epoch signals arrive over more than one
-            # channel, so an older update can land after a newer one —
-            # regressing here would wrongly stall re-granted windows
+            # monotone: with sharded relays (and retransmits) an older
+            # update can land after a newer one; regressing would stall
+            # re-granted windows
             if msg.epoch > self._pm_epoch:
                 self._pm_epoch = msg.epoch
         elif isinstance(msg, P.InstallWorkerTemplate):
@@ -402,11 +403,10 @@ class Worker(P.ReliableEndpoint, Actor):
         Equivalent to registering the whole batch and then resolving it
         command by command (the reference ``repro.nimbus.crosscheck``
         holds it to): external dependencies are read from the pre-batch
-        conflict tracker (nothing external can complete mid-handler, so
-        checking up front equals the per-command interleaving), the
+        conflict tracker (nothing external can complete mid-handler), the
         tracker gets the batch's *net* update — deferred to its chain
-        until something reads it — and ready positions fire
-        in entry order so zero-dep SEND/RECV/CREATE commands complete
+        until something reads it — and ready positions fire in entry
+        order so zero-dep SEND/RECV/CREATE commands complete
         synchronously at the points a per-command sweep completes them.
 
         The instance runs on a frame (DESIGN.md §9): dependency counts
@@ -435,12 +435,14 @@ class Worker(P.ReliableEndpoint, Actor):
             # very arena acquired below — which gets a fresh ``rem``, so
             # this one (all -1 by now) stays the predecessor's
             prem, pxs = pred.rem, pred.xsucc
+            if pxs is None and seam.covered:  # on first use
+                pxs = pred.xsucc = [None] * len(pred.cmds)
         counters = self.metrics.counters
         if seam.covered:
             counters["worker.seam_hits"] += 1.0
         walk = tracker.admit(plan, seam)
 
-        frame = plan.acquire(self.worker_id, self.registry)
+        frame = plan.acquire(self.registry)
         cmds = frame.cmds
         for i, slot in plan.param_slots:
             cmds[i].params = params.get(slot)
@@ -455,23 +457,21 @@ class Worker(P.ReliableEndpoint, Actor):
         pending = self._pending
         tr = self._trace
         cids = range(cid_base, cid_base + len(cmds))
-        if tr is not None or self._cross_check:
-            # only observers need the cid on the command itself
+        if tr is not None:
             run_seq = record.block_seq if record is not None else None
             for cmd, cid in zip(cmds, cids):
-                cmd.cid = cid
-                if tr is not None:
-                    tr.cmd_enqueue(cid, cmd.kind, cmd.function, self.name,
-                                   run_seq)
-            if self._cross_check:
-                check = FrameCheck(self, frame)
+                tr.cmd_enqueue(cid, cmd.kind, cmd.function, self.name,
+                               run_seq)
+        if self._cross_check:
+            check = FrameCheck(self, frame)
         pending.update(zip(cids, cmds))
 
         counters["worker.seam_fallback_oids"] += seam.fallback
-        frame.rem = rem = plan.init_hold[:]
+        frame.rem = rem = plan.init_hold.tolist()
         ready = []
         data_buffer = self._data_buffer
-        for pos, preds, roids, woids, is_recv in seam.rows:
+        for pos, preds, roids, woids, is_recv in zip(
+                seam.pos, seam.preds, seam.roids, seam.woids, seam.recv):
             cmd = cmds[pos]
             n = 0
             for q in preds:
@@ -528,6 +528,8 @@ class Worker(P.ReliableEndpoint, Actor):
             lst = succs.get(at)
         else:
             succs, at = frame.xsucc, pred._cpos
+            if succs is None:  # on first use
+                succs = frame.xsucc = [None] * len(frame.cmds)
             lst = succs[at]
         if lst is None:
             lst = succs[at] = []
@@ -550,7 +552,7 @@ class Worker(P.ReliableEndpoint, Actor):
         """Apply shipped template edits to an installed half; the plan of
         the unedited half, which frames in flight still run on, is retired."""
         self._drop_plans(
-            (half.apply_edit_ops(edits, self.worker_id, self.registry),))
+            (half.apply_edit_ops(edits, self.registry),))
         self.charge(self.costs.worker_edit_per_task * len(edits))
 
     def job_finished(self, job_id: int) -> None:
@@ -806,13 +808,10 @@ class Worker(P.ReliableEndpoint, Actor):
         self._free_slots = free
 
     def _tasks_fire_cohort(self, items, duration: float, epoch: int) -> None:
-        """Fire one cohort entry covering ``len(items)`` task completions.
-
-        Each member replays exactly what its own timer event would have
-        done (:meth:`_task_fire`'s idle-inline vs busy-queue split), and
-        the skipped per-member events are folded into ``events_run`` so
-        cohort and per-task runs report comparable counts.
-        """
+        """Fire one cohort entry covering ``len(items)`` task completions:
+        each member replays what its own timer event would have done
+        (:meth:`_task_fire`), and the skipped per-member events are folded
+        into ``events_run`` so cohort and per-task runs count alike."""
         self.sim._events_run += len(items) - 1
         fire = self._task_fire
         for cmd, fn in items:
@@ -865,12 +864,14 @@ class Worker(P.ReliableEndpoint, Actor):
             self._maybe_start_tasks()
 
     def _execute_send(self, cmd: Command) -> None:
-        oid = cmd.read[0]
-        payload = self.store.get(oid)
-        peer = self.peers[cmd.dst_worker]
+        # a frame's SEND finds its destination and size on the plan's entry
+        frame = cmd._carena
+        at = cmd if frame is None else frame.plan.live[cmd._cpos]
+        oid, size = cmd.read[0], at.size_bytes
         if self._trace is not None:
-            self._trace.copy_send(cmd.tag, cmd.cid, self.name, cmd.size_bytes)
-        self.send_reliable(peer, P.DataMessage(cmd.tag, oid, payload, cmd.size_bytes))
+            self._trace.copy_send(cmd.tag, cmd.cid, self.name, size)
+        self.send_reliable(self.peers[at.dst_worker], P.DataMessage(
+            cmd.tag, oid, self.store.get(oid), size))
         self._complete(cmd, duration=0.0)
 
     # ------------------------------------------------------------------
@@ -910,7 +911,7 @@ class Worker(P.ReliableEndpoint, Actor):
                         if tr is not None:
                             self._trace_release = ("cmd", cid)
                         self._on_ready(cmds[t])
-            succs = frame.xsucc[pos]
+            succs = frame.xsucc and frame.xsucc[pos]
         if self._released_cids:
             self._released_cids.discard(cid)
             if not self._released_cids:
@@ -1146,10 +1147,9 @@ class Worker(P.ReliableEndpoint, Actor):
     def _rel_alive(self) -> bool:
         return not self._dead
 
-    def _timer_alive(self) -> bool:
-        # shadows the protocol-layer indirection: one attribute load on
-        # the per-task-completion timer path
-        return not self._dead
+    # shadows the protocol-layer indirection: one attribute load on the
+    # per-task-completion timer path
+    _timer_alive = _rel_alive
 
     # ------------------------------------------------------------------
     # Introspection (tests)

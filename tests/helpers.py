@@ -11,6 +11,7 @@ import contextlib
 import gc
 import random
 import time
+import types
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import mean_iteration_time
@@ -130,6 +131,34 @@ def run_lr(workers=4, iterations=8, seed=0, partitions_per_worker=4,
                             **cluster_kwargs)
     cluster.run_until_finished(max_seconds=1e6)
     return cluster
+
+
+#: never followed or counted by :func:`reachable_histogram`: code and its
+#: namespaces, not state
+_NOT_STATE = (type, types.ModuleType, types.FunctionType,
+              types.BuiltinFunctionType)
+
+
+def reachable_histogram(root, stop=()) -> collections.Counter:
+    """By type name, the objects reachable from ``root`` through
+    ``gc.get_referents``, after a collection. Types, modules and functions
+    are skipped, and so is ``stop``: objects, and instances of the types
+    in it, that are neither counted nor walked into (what a contract row
+    leaves to another owner)."""
+    gc.collect()
+    stop_types = _NOT_STATE + tuple(s for s in stop if isinstance(s, type))
+    seen = {id(s) for s in stop if not isinstance(s, type)}
+    seen.add(id(root))
+    counts: collections.Counter = collections.Counter()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        counts[type(obj).__name__] += 1
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, stop_types):
+                seen.add(id(ref))
+                stack.append(ref)
+    return counts
 
 
 @contextlib.contextmanager

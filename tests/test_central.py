@@ -60,7 +60,7 @@ def test_stale_read_copies_from_the_lowest_latest_holder(controller):
     assert kinds == [CommandKind.SEND, CommandKind.RECV, CommandKind.TASK]
     send, recv, task = (cmd for cmd, _report in emitted)
     assert (send.worker, send.dst_worker) == (0, 1)
-    assert (recv.worker, recv.src_worker) == (1, 0)
+    assert recv.worker == 1
     assert task.worker == 1
     assert run.outstanding == 3
 

@@ -178,8 +178,7 @@ def _half_and_batches(draw):
     return entries, batches
 
 
-_COMMAND_FIELDS = ("kind", "worker", "read", "write", "function",
-                   "dst_worker", "src_worker", "size_bytes", "_cpos", "_cfn")
+_COMMAND_FIELDS = ("kind", "read", "write", "_cpos", "_cfn")
 
 
 @settings(max_examples=300, deadline=None)
@@ -190,13 +189,13 @@ def test_derived_plan_equals_a_fresh_compilation(case):
     half = WorkerHalf("b", 0, entries,
                       [e.index for e in entries if e.report])
     plan = half.compiled_plan()
-    idle = [plan.acquire(7, registry) for _ in range(2)]
-    busy = plan.acquire(7, registry)  # in flight across the first batch
+    idle = [plan.acquire(registry) for _ in range(2)]
+    busy = plan.acquire(registry)  # in flight across the first batch
     for frame in idle:
         frame.release()
     for batch in batches:
         before = plan.signature()
-        stale = half.apply_edit_ops(batch, 7, registry)
+        stale = half.apply_edit_ops(batch, registry)
         assert stale is plan and stale.signature() == before
         plan = half._plan
         fresh = compile_plan(half.entries, half.reports)
@@ -204,9 +203,9 @@ def test_derived_plan_equals_a_fresh_compilation(case):
         assert plan.miss.fallback == fresh.miss.fallback
         assert half.reports == {e.index for e in half.entries if e.report}
         assert stale.pool == [] and plan.pool == idle
-        want = fresh.acquire(7, registry)
+        want = fresh.acquire(registry)
         for frame in idle:
-            assert len(frame.cmds) == len(frame.xsucc) == plan.m
+            assert len(frame.cmds) == plan.m and frame.xsucc is None
             for got, ref in zip(frame.cmds, want.cmds):
                 assert got._carena is frame
                 for field in _COMMAND_FIELDS:

@@ -79,6 +79,21 @@ def test_checkpoints_commit_periodically():
     assert any(cluster.storage.has(checkpoint_id, oid) for oid in DATA)
 
 
+def test_a_commit_drops_every_older_checkpoint():
+    """Recovery reads only the last committed checkpoint, so a commit
+    frees the older ones: their snapshots and their stored payloads."""
+    cluster = build_cluster(iterations=20, checkpoint_every=1)
+    cluster.run_until_finished(max_seconds=1e4)
+    membership = cluster.controller.membership
+    committed = membership.last_committed_checkpoint
+    assert cluster.metrics.count("checkpoints_committed") >= 10
+    snapshots = membership._checkpoint_snapshots
+    assert len(snapshots) <= 2 and min(snapshots) == committed
+    stored = cluster.storage._data
+    assert len(stored) <= 2 and min(stored) == committed
+    assert set(stored[committed]) >= set(DATA)
+
+
 def test_worker_failure_recovers_and_finishes():
     cluster = build_cluster(iterations=10, fail_worker_after=6)
     cluster.run_until_finished(max_seconds=1e4)

@@ -94,7 +94,7 @@ class TestCommands:
         assert send.tag == recv.tag == ("cid", 2)
         assert send.kind == CommandKind.SEND and recv.kind == CommandKind.RECV
         assert send.read == (9,) and recv.write == (9,)
-        assert send.dst_worker == 1 and recv.src_worker == 0
+        assert (send.worker, send.dst_worker, recv.worker) == (0, 1, 1)
         assert send.size_bytes == recv.size_bytes == 128
 
 

@@ -142,8 +142,7 @@ def test_early_data_buffered_until_recv_arrives():
     # data arrives before the recv command is enqueued
     dst.deliver(P.DataMessage(("cid", 11), 5, "early", 10))
     sim.run()
-    recv = Command(11, CommandKind.RECV, 1, write=(5,), src_worker=0,
-                   tag=("cid", 11))
+    recv = Command(11, CommandKind.RECV, 1, write=(5,), tag=("cid", 11))
     dispatch(dst, recv)
     sim.run()
     assert dst.store.get(5) == "early"
