@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..core.spec import BlockSpec
-from .commands import Command, make_copy_pair, make_task
+from .commands import CentralCommand, CentralRecv, CentralSend, CentralTask
 from . import protocol as P
 
 
@@ -48,7 +48,7 @@ class CentralScheduler:
     def schedule_task(self, run, function: str, read: Tuple[int, ...],
                       write: Tuple[int, ...], worker: int, params: Any,
                       returns_rev: Dict[int, str],
-                      emit: Callable[[Command, bool], None]) -> None:
+                      emit: Callable[[CentralCommand, bool], None]) -> None:
         """Dependency analysis + copy insertion for one task on ``worker``.
 
         Every command is counted outstanding on ``run`` and handed to
@@ -70,16 +70,14 @@ class CentralScheduler:
                 src = min(directory.holders_of_latest(oid))
                 send_cid = c._alloc_cids(1)
                 recv_cid = c._alloc_cids(1)
-                send, recv = make_copy_pair(
-                    send_cid, recv_cid, oid, src, worker,
-                    size_bytes=rec.size_bytes,
-                )
+                tag = ("cid", recv_cid)  # unique system-wide
                 run.outstanding += 2
-                emit(send, False)
-                emit(recv, False)
+                emit(CentralSend(send_cid, src, oid, worker, tag,
+                                 rec.size_bytes), False)
+                emit(CentralRecv(recv_cid, worker, oid, tag), False)
                 directory.record_copy(oid, worker)
         cid = c._alloc_cids(1)
-        task = make_task(cid, worker, function, read, write, params=params)
+        task = CentralTask(cid, worker, function, read, write, params)
         report = False
         for oid in write:
             directory.record_write(oid, worker)
@@ -101,9 +99,9 @@ class CentralScheduler:
                          request_id)
         returns_rev = {oid: name for name, oid in source.returns.items()}
         # one command list per worker, in first-dispatch order
-        batches: Dict[int, List[Command]] = {}
+        batches: Dict[int, List[CentralCommand]] = {}
 
-        def emit(cmd: Command, _report: bool) -> None:
+        def emit(cmd: CentralCommand, _report: bool) -> None:
             lst = batches.get(cmd.worker)
             if lst is None:
                 lst = batches[cmd.worker] = []

@@ -21,7 +21,10 @@ re-derived the slow way and compared:
   be the one that releases it);
 * the order of ``_on_ready`` calls made while instantiating against
   :func:`sweep_oracle`, a direct model of enqueueing the batch in two
-  passes (register every command, then resolve them one by one).
+  passes (register every command, then resolve them one by one);
+* the worker's pending index, which finds a frame's commands by their
+  cid range, against :class:`PendingShadow`'s ``{cid: command}`` map of
+  frame positions, registered one by one and dropped at each completion.
 
 None of this runs, or costs anything, without the switch.
 """
@@ -33,6 +36,7 @@ from typing import Any, Dict, Hashable, List, Tuple
 from ..core.compiled import CommandArena, CompiledPlan, compile_plan
 from ..core.worker_template import TemplateEntry
 from .commands import Command, CommandKind
+from .tracker import PendingIndex
 
 
 def copy_tag(instance_id: Hashable, dst_worker: int, dst_index: int) -> Tuple:
@@ -119,12 +123,57 @@ def sweep_oracle(plan: CompiledPlan, waits: List[int]) -> List[int]:
     return order
 
 
-def _successors(worker, cmd: Command) -> List[Command]:
+def _successors(cmd: Command) -> List[Command]:
     """The cross-batch successor list of pending ``cmd``."""
     frame = cmd._carena
     if frame is not None:
         return frame.xsucc and frame.xsucc[cmd._cpos] or []
-    return worker._dependents.get(cmd.cid, [])
+    succs = cmd._succ
+    return [] if succs is None else succs if succs.__class__ is list else [
+        succs]
+
+
+class PendingShadow(PendingIndex):
+    """The pending index a cross-checked worker runs, held to a plain
+    ``{cid: command}`` map of frame positions: a frame's positions enter
+    it with the frame and leave it one by one as they complete (through a
+    wrapper around the worker's ``_complete``), and every frame lookup
+    must find what the map holds."""
+
+    def __init__(self, worker):
+        super().__init__()
+        self.positions: Dict[int, Command] = {}
+        complete = type(worker)._complete
+
+        def checked_complete(cmd, duration: float) -> None:
+            if cmd._carena is not None:
+                del self.positions[cmd.cid]
+            complete(worker, cmd, duration)
+        worker._complete = checked_complete
+
+    def add_frame(self, frame: CommandArena) -> None:
+        super().add_frame(frame)
+        self.positions.update(enumerate(frame.cmds, frame.cid_base))
+
+    def drop_frame(self, frame: CommandArena) -> None:
+        super().drop_frame(frame)
+        left = [cid for cid in range(frame.cid_base,
+                                     frame.cid_base + len(frame.cmds))
+                if cid in self.positions]
+        if left:
+            raise AssertionError(f"frame at {frame.cid_base} left the index "
+                                 f"with {left} pending")
+
+    def frame_get(self, cid: int):
+        got, want = super().frame_get(cid), self.positions.get(cid)
+        if got is not want:
+            raise AssertionError(f"pending index finds {got!r} at cid {cid}"
+                                 f", the per-command map {want!r}")
+        return got
+
+    def clear(self) -> None:
+        super().clear()
+        self.positions.clear()
 
 
 class TrackerShadow:
@@ -217,7 +266,7 @@ class FrameCheck:
             if frame.cmds[pos].tag not in worker._data_buffer:
                 waits[pos] += 1
         self.order = sweep_oracle(plan, waits)
-        self.marks = {cid: len(_successors(worker, cmd))
+        self.marks = {cid: len(_successors(cmd))
                       for cid, cmd in pending.items()}
         self.fired: List[int] = []
         ready = type(worker)._on_ready
@@ -237,7 +286,7 @@ class FrameCheck:
         held_by: Dict[int, List[Command]] = {}  # position -> its new preds
         for cid, mark in self.marks.items():
             pred = worker._pending[cid]
-            added = [c._cpos for c in _successors(worker, pred)[mark:]]
+            added = [c._cpos for c in _successors(pred)[mark:]]
             if added != sorted(set(added).intersection(edges.get(cid, ()))):
                 raise AssertionError(
                     f"frame edges from {cid} are {added}; the tracker walk "

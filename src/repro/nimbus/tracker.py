@@ -21,7 +21,9 @@ instance's update.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple, Union
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..core.compiled import (READERS_PRUNE_MIN, CommandArena, CompiledPlan,
                              Seam, positions_of)
@@ -29,12 +31,92 @@ from .commands import Command
 from .multijob import OID_STRIDE
 
 
+class PendingIndex:
+    """The worker's pending commands by id, read like a ``{cid: command}``
+    dict (DESIGN.md §9). A centrally dispatched command is a ``central``
+    entry from its enqueue to its completion. A compiled instance's frame
+    is registered once, from before its firing pass until its last
+    command completes: position ``p`` runs command ``cid_base + p`` and is
+    pending while ``rem[p] >= 0``, so a frame cid is found by a binary
+    search over the live frames' bases, with no entry per command."""
+
+    __slots__ = ("central", "_bases", "_frames")
+
+    def __init__(self) -> None:
+        self.central: Dict[int, Command] = {}
+        #: live frames sorted by ``cid_base``, and those bases (an array:
+        #: no int object per frame)
+        self._bases = array("q")
+        self._frames: List[CommandArena] = []
+
+    def add_frame(self, frame: CommandArena) -> None:
+        i = bisect_left(self._bases, frame.cid_base)
+        self._bases.insert(i, frame.cid_base)
+        self._frames.insert(i, frame)
+
+    def drop_frame(self, frame: CommandArena) -> None:
+        """``frame``'s last command completed (or its instance was
+        abandoned)."""
+        i = bisect_left(self._bases, frame.cid_base)
+        del self._bases[i]
+        del self._frames[i]
+
+    def frame_get(self, cid: int):
+        """The pending frame command with id ``cid``, else None."""
+        bases = self._bases
+        if bases:
+            i = bisect_right(bases, cid) - 1
+            if i >= 0:
+                frame = self._frames[i]
+                pos, rem = cid - bases[i], frame.rem
+                if pos < len(rem) and rem[pos] >= 0:
+                    return frame.cmds[pos]
+        return None
+
+    def get(self, cid):
+        cmd = self.central.get(cid)
+        if cmd is None and cid is not None:
+            cmd = self.frame_get(cid)
+        return cmd
+
+    def __contains__(self, cid) -> bool:
+        return self.get(cid) is not None
+
+    def __getitem__(self, cid: int):
+        cmd = self.get(cid)
+        if cmd is None:
+            raise KeyError(cid)
+        return cmd
+
+    def __len__(self) -> int:
+        return len(self.central) + sum(f.outstanding for f in self._frames)
+
+    def items(self) -> Iterator[Tuple[int, object]]:
+        """Every pending command with its id: central ones, then each
+        frame's pending positions in cid order."""
+        yield from self.central.items()
+        for frame in self._frames:
+            base, cmds = frame.cid_base, frame.cmds
+            for pos, n in enumerate(frame.rem):
+                if n >= 0:
+                    yield base + pos, cmds[pos]
+
+    def clear(self) -> None:
+        """Halt: every command is abandoned. A frame that will never drain
+        is taken apart, so reference counting frees it (DESIGN.md §9)."""
+        for frame in self._frames:
+            frame.dismantle()
+        self.central.clear()
+        del self._bases[:]
+        self._frames.clear()
+
+
 class ConflictTracker:
     """Last writer and readers-since per object, with compiled instances'
     updates deferred to a chain of one plan until something reads them."""
 
-    def __init__(self, pending: Dict[int, Command]):
-        self.pending = pending  # the worker's, by id; cleared in place
+    def __init__(self, pending: PendingIndex):
+        self.pending = pending  # the worker's; cleared in place
         self._last_writer: Dict[int, int] = {}
         #: per object, its readers since the last write: a lone reader is
         #: kept bare, a list only from the second on, and no entry means
@@ -154,11 +236,19 @@ class ConflictTracker:
         """The pending commands an access reading ``roids`` and writing
         ``woids`` waits for — each object's last writer and a written
         object's readers since — or None if there are none."""
-        pending = self.pending
+        # no writer skips the probe; a central id is one dict probe, and
+        # only a frame's id takes the range search
+        central = self.pending.central.get
+        frame_get = self.pending.frame_get
         last_writer = self._last_writer
         deps = None
         for oid in roids + woids:
-            dep = pending.get(last_writer.get(oid))
+            cid = last_writer.get(oid)
+            if cid is None:
+                continue
+            dep = central(cid)
+            if dep is None:
+                dep = frame_get(cid)
             if dep is not None:
                 if deps is None:
                     deps = {dep}
@@ -170,7 +260,9 @@ class ConflictTracker:
             if readers.__class__ is int:
                 readers = (readers,)
             for reader in readers:
-                dep = pending.get(reader)
+                dep = central(reader)
+                if dep is None:
+                    dep = frame_get(reader)
                 if dep is not None:
                     if deps is None:
                         deps = {dep}

@@ -30,11 +30,11 @@ from ..sim.engine import Simulator
 from ..sim.metrics import Metrics
 from .commands import Command, CommandKind
 from .costs import CostModel
-from .crosscheck import FrameCheck, TrackerShadow
+from .crosscheck import FrameCheck, PendingShadow, TrackerShadow
 from .data import ObjectStore
 from .multijob import job_of
 from .runtime import FunctionRegistry, TaskContext
-from .tracker import ConflictTracker
+from .tracker import ConflictTracker, PendingIndex
 from . import protocol as P
 
 
@@ -172,11 +172,11 @@ class Worker(P.ReliableEndpoint, Actor):
         self.store = ObjectStore()
         self.peers: Dict[int, "Worker"] = {}  # attached by the cluster
 
-        # command queue state: a central command's dependency count and
-        # metadata are on it (``_rem``/``_wmeta``), its successors in
-        # ``_dependents``; a compiled instance keeps all three on its frame
-        self._pending: Dict[int, Command] = {}
-        self._dependents: Dict[int, List[Command]] = {}
+        # command queue state: a central command's dependency count,
+        # metadata and successors are on it (``_rem``/``_wmeta``/``_succ``);
+        # a compiled instance keeps all three on its frame
+        self._pending = (PendingShadow(self) if self._cross_check
+                         else PendingIndex())
         self._ready_tasks = deque()
         self._free_slots: int = slots
         self.tracker = ConflictTracker(self._pending)
@@ -451,23 +451,20 @@ class Worker(P.ReliableEndpoint, Actor):
         wid = self.worker_id
         for i, entry_index in plan.recvs:
             cmds[i].tag = (instance_id, wid, entry_index)
-        frame.cid_base = cid_base
-        frame.record = record
+        frame.cid_base, frame.record = cid_base, record
 
-        pending = self._pending
         tr = self._trace
-        cids = range(cid_base, cid_base + len(cmds))
         if tr is not None:
             run_seq = record.block_seq if record is not None else None
-            for cmd, cid in zip(cmds, cids):
+            for cid, cmd in enumerate(cmds, cid_base):
                 tr.cmd_enqueue(cid, cmd.kind, cmd.function, self.name,
                                run_seq)
         if self._cross_check:
             check = FrameCheck(self, frame)
-        pending.update(zip(cids, cmds))
+        frame.rem = rem = plan.init_hold.tolist()
+        self._pending.add_frame(frame)  # pending until its last completion
 
         counters["worker.seam_fallback_oids"] += seam.fallback
-        frame.rem = rem = plan.init_hold.tolist()
         ready = []
         data_buffer = self._data_buffer
         for pos, preds, roids, woids, is_recv in zip(
@@ -521,16 +518,20 @@ class Worker(P.ReliableEndpoint, Actor):
 
     def _link(self, pred: Command, cmd: Command) -> None:
         """Make ``cmd`` wait for pending ``pred``: successors of a compiled
-        command live on its frame, of any other in ``_dependents``."""
+        command live on its frame, of any other on the command itself (a
+        lone one bare, a list from the second on)."""
         frame = pred._carena
         if frame is None:
-            succs, at = self._dependents, pred.cid
-            lst = succs.get(at)
-        else:
-            succs, at = frame.xsucc, pred._cpos
-            if succs is None:  # on first use
-                succs = frame.xsucc = [None] * len(frame.cmds)
-            lst = succs[at]
+            lst = pred._succ
+            if lst.__class__ is list:
+                lst.append(cmd)
+            else:
+                pred._succ = cmd if lst is None else [lst, cmd]
+            return
+        succs, at = frame.xsucc, pred._cpos
+        if succs is None:  # on first use
+            succs = frame.xsucc = [None] * len(frame.cmds)
+        lst = succs[at]
         if lst is None:
             lst = succs[at] = []
         lst.append(cmd)
@@ -658,20 +659,18 @@ class Worker(P.ReliableEndpoint, Actor):
     # requirement 1) for commands that arrive without a template
     # ------------------------------------------------------------------
     def _enqueue(self, cmd: Command, meta: Tuple[int, bool]) -> None:
-        self._pending[cmd.cid] = cmd
+        self._pending.central[cmd.cid] = cmd
         cmd._wmeta = meta  # (block_seq, report), shared by its batch
         cmd._rem = -1  # not yet resolved
+        cmd._succ = None
         if self._trace is not None:
             self._trace.cmd_enqueue(cmd.cid, cmd.kind, cmd.function,
                                     self.name, meta[0])
-        self._resolve(cmd)
-
-    def _resolve(self, cmd: Command) -> None:
-        pending = self._pending
         deps = self.tracker.resolve(cmd)
-        for dep in cmd.before:
-            if dep in pending:
-                deps.add(pending[dep])
+        for dep in cmd.before:  # () but in tests: the scheduler sets none
+            dep = self._pending.get(dep)
+            if dep is not None:
+                deps.add(dep)
         deps.discard(cmd)
         remaining = len(deps)
         if cmd.kind == CommandKind.RECV and cmd.tag not in self._data_buffer:
@@ -882,19 +881,20 @@ class Worker(P.ReliableEndpoint, Actor):
         frame = cmd._carena
         if frame is None:
             cid = cmd.cid
-            del self._pending[cid]
+            del self._pending.central[cid]
             self.tracker.forget(cmd)
             if tr is not None:
                 tr.cmd_complete(cid)
             block_seq, report = cmd._wmeta
             record = None
-            succs = self._dependents.pop(cid, None)
+            succs, cmd._succ = cmd._succ, None
+            if succs is not None and succs.__class__ is not list:
+                succs = (succs,)  # a lone successor is kept bare
         else:
             # compiled command: id, metadata and dependency counts live on
             # the instance frame; intra-batch successors are positions
             pos = cmd._cpos
             cid = frame.cid_base + pos
-            del self._pending[cid]
             if tr is not None:
                 tr.cmd_complete(cid)
             plan = frame.plan
@@ -930,10 +930,12 @@ class Worker(P.ReliableEndpoint, Actor):
                     if tr is not None:
                         self._trace_release = ("cmd", cid)
                     self._on_ready(succ)
-            succs.clear()
+            if frame is not None:
+                succs.clear()  # the position keeps its list
         if frame is not None:
             frame.outstanding = left = frame.outstanding - 1
             if left == 0:
+                self._pending.drop_frame(frame)
                 frame.release()
         if record is not None:
             record.remaining -= 1
@@ -1105,13 +1107,9 @@ class Worker(P.ReliableEndpoint, Actor):
     def _on_halt(self) -> None:
         """Terminate ongoing tasks, flush queues, respond (§4.4)."""
         self._epoch += 1
-        # frames of abandoned instances never drain: take them apart (the
-        # old epoch's task timers return before they look at a frame)
-        for cmd in self._pending.values():
-            if cmd._carena is not None:
-                cmd._carena.dismantle()
+        # frames of abandoned instances never drain: the index takes them
+        # apart (the old epoch's task timers return before they look at one)
         self._pending.clear()
-        self._dependents.clear()
         self._ready_tasks.clear()
         self._free_slots = self.slots
         self.tracker.clear()  # and its tail: pools refill on demand

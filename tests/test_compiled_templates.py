@@ -293,7 +293,7 @@ def test_edits_land_while_the_old_plan_has_frames_in_flight(monkeypatch):
     def probe(worker, half, edits):
         stale = half._plan
         running = {id(cmd._carena): cmd._carena
-                   for cmd in worker._pending.values()
+                   for _cid, cmd in worker._pending.items()
                    if cmd._carena is not None and cmd._carena.plan is stale}
         before = stale.signature()
         apply_edits(worker, half, edits)
@@ -420,12 +420,12 @@ def test_seam_hits_in_steady_replay_and_survives_pool_reuse():
     plan = next(iter(probe.worker._templates.values())).compiled_plan()
     probe.assert_steady(steps=12)
     arenas = {id(a) for a in plan.pool}
-    for cmd in probe.worker._pending.values():
+    for _cid, cmd in probe.worker._pending.items():
         arenas.add(id(cmd._carena))
     assert len(arenas) >= 4  # that many instances were in flight at once
     probe.assert_steady(steps=12)  # ...and every later one reused them
     again = {id(a) for a in plan.pool}
-    for cmd in probe.worker._pending.values():
+    for _cid, cmd in probe.worker._pending.items():
         again.add(id(cmd._carena))
     assert again == arenas
 

@@ -100,7 +100,7 @@ class _TrackerRun:
         self.worker._enqueue(cmd, (0, False))
         assert cmd._rem == len(expected)
         pending = self.worker._pending
-        assert all(cmd in _successors(self.worker, pending[cid])
+        assert all(cmd in _successors(pending[cid])
                    for cid in expected)
 
     def apply(self, op):
@@ -163,6 +163,24 @@ def test_a_fold_writes_no_completed_writer():
     assert not run.worker._pending and run.tracker.stats()["chain"]
     run.apply(("b",))  # a plan switch: the drained chain folds
     assert run.tracker.folds and not run.tracker._last_writer
+
+
+def test_pending_index_answers_as_a_per_command_map():
+    """The oracle holds the range-found frame commands to a per-command
+    map: a position that drops out of its frame's range without
+    completing is caught at the next lookup of its cid."""
+    run = _TrackerRun()
+    for op in ["a", "a", ("central", [1], True, 2)]:
+        run.apply(op if isinstance(op, tuple) else (op,))
+    pending = run.worker._pending
+    frames = [(cid, cmd) for cid, cmd in pending.items()
+              if cmd._carena is not None]
+    assert frames and len(pending) == len(frames) + len(pending.central)
+    cid, cmd = frames[-1]
+    assert pending.get(cid) is cmd and cid in pending
+    cmd._carena.rem[cmd._cpos] = -1  # lost, not completed
+    with pytest.raises(AssertionError, match="per-command map"):
+        pending.get(cid)
 
 
 def test_seam_hit_step_makes_no_per_object_tracker_write():

@@ -46,7 +46,7 @@ from repro.apps import LRApp, LRSpec
 from repro.apps.scenarios import build_job_arrival
 from repro.core.spec import LogicalTask
 from repro.core.worker_template import generate_worker_templates
-from repro.nimbus.commands import Command
+from repro.nimbus.commands import CentralCommand
 from repro.nimbus.worker import Worker
 
 from .helpers import lr_iteration_template, run_lr
@@ -178,7 +178,7 @@ def test_a_dispatch_batch_holds_no_per_command_tuple(runs):
     _, batches, _ = runs
     reported = 0
     for msg in batches:
-        assert all(type(cmd) is Command for cmd in msg.commands)
+        assert all(isinstance(cmd, CentralCommand) for cmd in msg.commands)
         assert all(type(cid) is int for cid in msg.reports)
         for name, value in vars(msg).items():
             if isinstance(value, (list, tuple)):

@@ -13,11 +13,21 @@ the fields a fix freed.
   frames reach, up to the template entries they share with the halves,
   holds no ``Command`` and fewer tuples than it has positions: per
   position there are columns and one slim command per frame.
+* **A frame is registered once.** A worker's pending registration
+  reaches no int per frame position: a frame's commands are found by
+  their cid range. And a central command carries only its kind's fields.
 """
+
+import sys
 
 import pytest
 
+from repro.apps import LRApp, LRSpec
+from repro.core.compiled import CommandArena, FrameCommand
 from repro.core.worker_template import TemplateEntry
+from repro.nimbus import NimbusCluster
+from repro.nimbus.commands import (CentralCommand, CentralRecv, CentralSend,
+                                   CentralTask, Command, CommandKind)
 from repro.sim.actor import Message
 from repro.sim.metrics import Metrics
 
@@ -72,3 +82,47 @@ def test_a_compiled_plan_holds_no_tuple_or_command_per_position(mode):
         assert counts["tuple"] < positions, (
             f"worker {wid}: {counts['tuple']} tuples for {positions} "
             f"positions")
+
+
+def _registration_ints(worker):
+    """The ints a worker's pending registration reaches, short of the
+    frames and commands it points to."""
+    return reachable_histogram(worker._pending, stop=[
+        CommandArena, FrameCommand, Command, CentralCommand])["int"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pending_registration_holds_nothing_per_frame_position(
+        mode, monkeypatch):
+    """Mid-run, with a compiled half on some worker: that worker holding
+    one more instance in flight and holding four more reaches as many
+    ints from its pending registration. The oracle is off: its
+    per-command map is what this row rules out."""
+    monkeypatch.delenv("REPRO_CROSS_CHECK", raising=False)
+    app = LRApp(LRSpec(num_workers=4, iterations=8, partitions_per_worker=4))
+    cluster = NimbusCluster(4, app.program(), registry=app.registry,
+                            mode=mode)
+    cluster.driver.start()
+    compiled = []
+    while not compiled:
+        assert cluster.sim.step(), "the run ended before a plan compiled"
+        compiled = [(worker, key, half)
+                    for worker in cluster.workers.values()
+                    for key, half in worker._templates.items()
+                    if half._plan is not None]
+    worker, (_job, block_id, version), half = compiled[0]
+    stride = half._plan.m + 1
+    counts = []
+    for k in range(4):  # ids far from any the controller allocates
+        worker._start_instance(half, block_id, version, -1 - k,
+                               10 ** 12 + k * stride, -1, {})
+        counts.append(_registration_ints(worker))
+    assert counts[0] == counts[3], counts
+
+
+def test_a_central_command_is_smaller_than_a_general_one():
+    general = sys.getsizeof(Command(0, CommandKind.TASK, 0))
+    tag = ("cid", 2)
+    for cmd in (CentralTask(0, 0, "f", (1,), (2,), None),
+                CentralSend(1, 0, 5, 1, tag, 8), CentralRecv(2, 1, 5, tag)):
+        assert sys.getsizeof(cmd) < general, type(cmd).__name__

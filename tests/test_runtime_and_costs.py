@@ -3,6 +3,9 @@
 import pytest
 
 from repro.nimbus.commands import (
+    CentralRecv,
+    CentralSend,
+    CentralTask,
     Command,
     CommandKind,
     make_copy_pair,
@@ -96,6 +99,23 @@ class TestCommands:
         assert send.read == (9,) and recv.write == (9,)
         assert (send.worker, send.dst_worker, recv.worker) == (0, 1, 1)
         assert send.size_bytes == recv.size_bytes == 128
+
+    def test_central_commands_carry_their_kind_only(self):
+        tag = ("cid", 2)
+        task = CentralTask(3, 1, "fn", (9,), (4,), "p")
+        send = CentralSend(1, 0, 9, 1, tag, 128)
+        recv = CentralRecv(2, 1, 9, tag)
+        assert (task.kind, send.kind, recv.kind) == (
+            CommandKind.TASK, CommandKind.SEND, CommandKind.RECV)
+        assert (task.function, task.read, task.write, task.params) == (
+            "fn", (9,), (4,), "p")
+        assert send.read == (9,) and recv.write == (9,)
+        assert (send.worker, send.dst_worker, recv.worker) == (0, 1, 1)
+        assert send.tag == recv.tag == tag and send.size_bytes == 128
+        for cmd in (task, send, recv):
+            assert cmd.before == () and cmd._carena is None
+            assert not hasattr(cmd, "__dict__")
+        assert send.write == recv.read == () and send.function is None
 
 
 class TestProtocolSizes:

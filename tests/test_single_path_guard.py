@@ -327,11 +327,11 @@ def test_job_0_is_a_tenant():
 #: today's sizes, so simplification is monotone
 LINE_CEILINGS = {
     "nimbus/controller.py": 670,
-    "nimbus/central.py": 180,
+    "nimbus/central.py": 178,
     "nimbus/data.py": 421,
     "nimbus/templates.py": 398,
     "nimbus/membership.py": 384,
-    "nimbus/worker.py": 1159,
+    "nimbus/worker.py": 1157,
     "sched/policy.py": 435,
     "nimbus/protocol.py": 763,
     "nimbus/shard.py": 141,
@@ -346,7 +346,9 @@ LINE_CEILINGS = {
     "baselines/naiad.py": 121,
     "core/controller_template.py": 104,
     "core/compiled.py": 767,
-    "nimbus/commands.py": 163,
+    "nimbus/commands.py": 159,
+    "nimbus/tracker.py": 415,
+    "nimbus/crosscheck.py": 337,
 }
 
 

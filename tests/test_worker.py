@@ -1,7 +1,11 @@
 """Unit tests for the worker: local readiness, copies, slots, halt."""
 
+import collections
+
 import pytest
 
+from repro.apps import LRApp, LRSpec
+from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
 from repro.nimbus.commands import Command, CommandKind, make_copy_pair, make_task
 from repro.nimbus.costs import CostModel
@@ -241,3 +245,44 @@ def test_checkpoint_is_deep_copy():
     worker.deliver(P.LoadCheckpoint(1, [1]))
     sim.run()
     assert worker.store.get(1) == {"value": [1, 2]}
+
+
+@pytest.mark.parametrize("mode", ["centralized", "decentralized", "sharded"])
+def test_queued_commands_is_exact_mid_run(monkeypatch, mode):
+    """The autoscaler's drain check reads ``queued_commands``. At every
+    event of a pipelined run, including those with frames and central
+    commands in flight on one worker, it is the commands enqueued there
+    minus those completed."""
+    live = collections.Counter()
+    enqueue = Worker._enqueue
+    run_plan = Worker._run_compiled_plan
+    complete = Worker._complete
+
+    def counted_enqueue(self, cmd, meta):
+        live[self.worker_id] += 1
+        enqueue(self, cmd, meta)
+
+    def counted_run_plan(self, plan, *args):
+        live[self.worker_id] += plan.m
+        return run_plan(self, plan, *args)
+
+    def counted_complete(self, cmd, duration):
+        live[self.worker_id] -= 1
+        complete(self, cmd, duration)
+
+    monkeypatch.setattr(Worker, "_enqueue", counted_enqueue)
+    monkeypatch.setattr(Worker, "_run_compiled_plan", counted_run_plan)
+    monkeypatch.setattr(Worker, "_complete", counted_complete)
+    app = LRApp(LRSpec(num_workers=4, iterations=10, partitions_per_worker=4))
+    cluster = NimbusCluster(4, app.program(), registry=app.registry,
+                            mode=mode)
+    cluster.driver.start()
+    mixed = 0
+    while not cluster.job.finished:
+        assert cluster.sim.step()
+        for wid, worker in cluster.workers.items():
+            assert worker.queued_commands == live[wid], wid
+            central = len(worker._pending.central)
+            mixed += 0 < central < worker.queued_commands
+    assert mixed
+    assert not any(live.values())
