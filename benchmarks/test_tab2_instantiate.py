@@ -70,8 +70,8 @@ def setup(paper_scale=True):
         for worker, entries in wts.entries.items()
     }
     directory = ObjectDirectory()
-    for oid, name, part, size, home in app.variables.definitions:
-        directory.register(LogicalObject(oid, name, part, size),
+    for oid, _name, _part, size, home in app.variables.definitions:
+        directory.register(LogicalObject(oid, size),
                            home if home is not None else 0)
     # bring state to the template's postconditions so validation passes
     wts.delta.apply(directory)

@@ -18,7 +18,8 @@ from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from ..nimbus.commands import CommandKind
-from .worker_template import AccessIndex, TemplateEntry, WorkerTemplateSet
+from .worker_template import (AccessIndex, RecvEntry, SendEntry, TaskEntry,
+                              TemplateEntry, WorkerTemplateSet)
 
 
 class MigrationError(ValueError):
@@ -213,18 +214,13 @@ def _plan_move(
         provider = _provider_of(src_access, src_idx, oid)
         size = object_sizes.get(oid, 0)
         recv_index = next_dst
-        send = TemplateEntry(
-            index=next_src, kind=CommandKind.SEND, read=(oid,),
-            before=(provider,) if provider is not None else (),
-            dst_worker=dst, dst_index=recv_index, size_bytes=size,
-        )
+        send = SendEntry(next_src, (oid,),
+                         (provider,) if provider is not None else (),
+                         dst, recv_index, size)
         ops[src].append(EditOp(EditOp.APPEND, next_src, send))
         input_send_indices.append(next_src)
         next_src += 1
-        recv = TemplateEntry(
-            index=recv_index, kind=CommandKind.RECV, write=(oid,),
-            src_worker=src, size_bytes=size,
-        )
+        recv = RecvEntry(recv_index, (oid,), (), src, size)
         ops[dst].append(EditOp(EditOp.APPEND, recv_index, recv))
         input_recv_indices.append(recv_index)
         next_dst += 1
@@ -232,10 +228,9 @@ def _plan_move(
     # The task itself, on the destination. Relocated inputs are read
     # locally (they become preconditions of the destination).
     task_index = next_dst
-    migrated = task.clone()
-    migrated.index = task_index
-    migrated.before = tuple(input_recv_indices)
-    migrated.report = False
+    migrated = TaskEntry(task_index, task.read, task.write,
+                         tuple(input_recv_indices), task.function,
+                         task.param_slot, False, task.ct_index)
     ops[dst].append(EditOp(EditOp.APPEND, task_index, migrated))
     next_dst += 1
 
@@ -254,23 +249,17 @@ def _plan_move(
     # the task's dependents (which name this index in their before sets)
     # transparently depend on the received result instead.
     result_size = object_sizes.get(result_oid, 0)
-    send_back = TemplateEntry(
-        index=next_dst, kind=CommandKind.SEND, read=(result_oid,),
-        before=(task_index,), dst_worker=src, dst_index=src_idx,
-        size_bytes=result_size,
-    )
+    send_back = SendEntry(next_dst, (result_oid,), (task_index,), src,
+                          src_idx, result_size)
     ops[dst].append(EditOp(EditOp.APPEND, next_dst, send_back))
     # the result RECV overwrites the task's slot; it must not land before
     # the input SENDs have read the old values (a read-modify-write task's
     # input and result are the same object). These before references point
     # *forward* in the index array — workers resolve instantiation batches
     # in two passes to support exactly this.
-    recv_back = TemplateEntry(
-        index=src_idx, kind=CommandKind.RECV, write=(result_oid,),
-        before=tuple(task.before) + tuple(input_send_indices),
-        src_worker=dst, size_bytes=result_size,
-        report=task.report,
-    )
+    recv_back = RecvEntry(src_idx, (result_oid,),
+                          task.before + tuple(input_send_indices), dst,
+                          result_size, task.report)
     ops[src].append(EditOp(EditOp.REPLACE, src_idx, recv_back))
 
     # Mirror onto the controller half.

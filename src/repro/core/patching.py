@@ -21,9 +21,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from ..nimbus.commands import CommandKind
 from ..nimbus.data import ObjectDirectory
-from .worker_template import TemplateEntry
+from .worker_template import RecvEntry, SendEntry, TemplateEntry
 
 CopySpec = Tuple[int, int, int]  # (oid, src_worker, dst_worker)
 
@@ -114,14 +113,9 @@ def build_patch(
         dst_list = wlist(worker)
         recv_index = len(dst_list)
         src_list = wlist(src)
-        src_list.append(TemplateEntry(
-            index=len(src_list), kind=CommandKind.SEND, read=(oid,),
-            dst_worker=worker, dst_index=recv_index, size_bytes=size,
-        ))
-        dst_list.append(TemplateEntry(
-            index=recv_index, kind=CommandKind.RECV, write=(oid,),
-            src_worker=src, size_bytes=size,
-        ))
+        src_list.append(SendEntry(len(src_list), (oid,), (), worker,
+                                  recv_index, size))
+        dst_list.append(RecvEntry(recv_index, (oid,), (), src, size))
     return Patch(copies, entries, patch_id, instance_id)
 
 

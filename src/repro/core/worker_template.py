@@ -37,52 +37,86 @@ class TemplateEntry:
     and every plan compiled from either hold the *same* entry objects. An
     edit never changes an entry; it replaces it with a changed
     :meth:`clone`, and both halves apply the same replacement.
+
+    One class per kind, each holding only its own fields
+    (:class:`TaskEntry`, :class:`SendEntry`, :class:`RecvEntry`); the
+    other kinds' fields read as the defaults on this class. ``read``,
+    ``write`` and ``before`` are tuples.
     """
 
-    __slots__ = ("index", "kind", "function", "read", "write", "before",
-                 "param_slot", "dst_worker", "dst_index", "src_worker",
-                 "size_bytes", "report", "ct_index")
-
-    def __init__(
-        self,
-        index: int,
-        kind: CommandKind,
-        read: Tuple[int, ...] = (),
-        write: Tuple[int, ...] = (),
-        before: Tuple[int, ...] = (),
-        function: Optional[str] = None,
-        param_slot: Optional[str] = None,
-        dst_worker: Optional[int] = None,
-        dst_index: Optional[int] = None,
-        src_worker: Optional[int] = None,
-        size_bytes: int = 0,
-        report: bool = False,
-        ct_index: Optional[int] = None,
-    ):
-        self.index = index
-        self.kind = kind
-        self.read = tuple(read)
-        self.write = tuple(write)
-        self.before = tuple(before)
-        self.function = function
-        self.param_slot = param_slot
-        self.dst_worker = dst_worker
-        self.dst_index = dst_index
-        self.src_worker = src_worker
-        self.size_bytes = size_bytes
-        self.report = report
-        self.ct_index = ct_index  # originating controller-template entry
-
-    def clone(self) -> "TemplateEntry":
-        return TemplateEntry(
-            self.index, self.kind, self.read, self.write, self.before,
-            self.function, self.param_slot, self.dst_worker, self.dst_index,
-            self.src_worker, self.size_bytes, self.report, self.ct_index,
-        )
+    __slots__ = ("index", "before")
+    read = write = ()
+    function = param_slot = ct_index = None
+    dst_worker = dst_index = src_worker = None
+    size_bytes = 0
+    report = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TEntry {self.index} {self.kind.name} "
                 f"fn={self.function} before={self.before}>")
+
+
+class TaskEntry(TemplateEntry):
+    """A task; ``ct_index`` is its controller-template task, ``report``
+    whether its completion carries its written value."""
+
+    __slots__ = ("read", "write", "function", "param_slot", "report",
+                 "ct_index")
+    kind = CommandKind.TASK
+
+    def __init__(self, index: int, read: Tuple[int, ...] = (),
+                 write: Tuple[int, ...] = (), before: Tuple[int, ...] = (),
+                 function: Optional[str] = None,
+                 param_slot: Optional[str] = None, report: bool = False,
+                 ct_index: Optional[int] = None):
+        self.index, self.read, self.write, self.before = (
+            index, read, write, before)
+        self.function, self.param_slot = function, param_slot
+        self.report, self.ct_index = report, ct_index
+
+    def clone(self) -> "TaskEntry":
+        return TaskEntry(self.index, self.read, self.write, self.before,
+                         self.function, self.param_slot, self.report,
+                         self.ct_index)
+
+
+class SendEntry(TemplateEntry):
+    """The sending side of a copy: ``read`` goes to entry ``dst_index`` of
+    worker ``dst_worker``."""
+
+    __slots__ = ("read", "dst_worker", "dst_index", "size_bytes")
+    kind = CommandKind.SEND
+
+    def __init__(self, index: int, read: Tuple[int, ...],
+                 before: Tuple[int, ...], dst_worker: int, dst_index: int,
+                 size_bytes: int = 0):
+        self.index, self.read, self.before = index, read, before
+        self.dst_worker, self.dst_index = dst_worker, dst_index
+        self.size_bytes = size_bytes
+
+    def clone(self) -> "SendEntry":
+        return SendEntry(self.index, self.read, self.before, self.dst_worker,
+                         self.dst_index, self.size_bytes)
+
+
+class RecvEntry(TemplateEntry):
+    """The receiving side of a copy from ``src_worker``. It reports only
+    when it took the slot of a reporting task (a migration's result copy
+    back)."""
+
+    __slots__ = ("write", "src_worker", "size_bytes", "report")
+    kind = CommandKind.RECV
+
+    def __init__(self, index: int, write: Tuple[int, ...],
+                 before: Tuple[int, ...] = (), src_worker: Optional[int] = None,
+                 size_bytes: int = 0, report: bool = False):
+        self.index, self.write, self.before = index, write, before
+        self.src_worker, self.size_bytes = src_worker, size_bytes
+        self.report = report
+
+    def clone(self) -> "RecvEntry":
+        return RecvEntry(self.index, self.write, self.before,
+                         self.src_worker, self.size_bytes, self.report)
 
 
 class AccessIndex:
@@ -381,19 +415,13 @@ def generate_worker_templates(
         """Insert a SEND on src and a RECV on dst; returns the recv index."""
         src_list, dst_list = wlist(src), wlist(dst)
         recv_index = len(dst_list)
-        send = TemplateEntry(
-            index=len(src_list), kind=CommandKind.SEND, read=(oid,),
-            before=(local(oid, src),), dst_worker=dst, dst_index=recv_index,
-            size_bytes=object_sizes.get(oid, 0),
-        )
-        src_list.append(send)
-        add_reader(oid, src, send.index)
-        recv = TemplateEntry(
-            index=recv_index, kind=CommandKind.RECV, write=(oid,),
-            before=readers_of(oid, dst), src_worker=src,
-            size_bytes=object_sizes.get(oid, 0),
-        )
-        dst_list.append(recv)
+        size = object_sizes.get(oid, 0)
+        send_index = len(src_list)
+        src_list.append(SendEntry(send_index, (oid,), (local(oid, src),),
+                                  dst, recv_index, size))
+        add_reader(oid, src, send_index)
+        dst_list.append(RecvEntry(recv_index, (oid,), readers_of(oid, dst),
+                                  src, size))
         local_readers.get(dst, {}).pop(oid, None)
         have = avail[oid]
         if have.__class__ is int:
@@ -421,13 +449,9 @@ def generate_worker_templates(
                     before.add(index)
             before.update(readers_of(oid, w))
         my_index = len(lst)
-        lst.append(TemplateEntry(
-            index=my_index, kind=CommandKind.TASK,
-            read=task.read, write=task.write,
-            before=tuple(sorted(before)),
-            function=task.function, param_slot=task.param_slot,
-            ct_index=ct_index,
-        ))
+        lst.append(TaskEntry(my_index, task.read, task.write,
+                             tuple(sorted(before)), task.function,
+                             task.param_slot, False, ct_index))
         for oid in task.read:
             if oid in written:
                 add_reader(oid, w, my_index)

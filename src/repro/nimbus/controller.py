@@ -360,11 +360,10 @@ class Controller(P.ReliableEndpoint, Actor):
     def _on_define_objects(self, ctx: JobContext,
                            msg: P.DefineObjects) -> None:
         per_worker: Dict[int, List[int]] = {}
-        for oid, variable, partition, size, home in msg.objects:
+        for oid, _variable, _partition, size, home in msg.objects:
             goid = ctx.goid(oid)
             worker = ctx.placement.place(home)
-            ctx.directory.register(
-                LogicalObject(goid, variable, partition, size), worker)
+            ctx.directory.register(LogicalObject(goid, size), worker)
             per_worker.setdefault(worker, []).append(goid)
         self.charge(self.costs.message_handling * max(1, len(msg.objects) // 64))
         for worker, oids in per_worker.items():

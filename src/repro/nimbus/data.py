@@ -29,28 +29,30 @@ WorkerId = int
 #: a record's holders: the sole holder of the latest version, or
 #: ``{worker: version}``
 Holders = Union[WorkerId, Dict[WorkerId, int]]
+#: a checkpoint of the directory: ``({oid: latest}, {oid: {worker: version}})``
+Snapshot = Tuple[Dict[ObjectId, int], Dict[ObjectId, Dict[WorkerId, int]]]
 
 
 class LogicalObject:
-    """Driver-level handle to one partition of an application variable.
+    """The directory's record of one data object: one partition of an
+    application variable, by id and size.
 
-    Once registered with an :class:`ObjectDirectory`, the handle is also
-    the directory's record of the object: ``home``, ``latest`` (its latest
-    version), ``holders`` (who holds which version) and ``stamp`` (when
-    either of the last two changed). Only the directory writes them.
+    Once registered with an :class:`ObjectDirectory`, it also holds
+    ``home``, ``latest`` (its latest version), ``holders`` (who holds
+    which version) and ``stamp`` (that of the last change to either).
+    Only the directory writes them. Which variable and partition the
+    object is stays with the driver (``DefineObjects``,
+    ``Variables.definitions``): no reader of the record asks.
     """
 
-    __slots__ = ("oid", "variable", "partition", "size_bytes",
-                 "home", "latest", "holders", "stamp")
+    __slots__ = ("oid", "size_bytes", "home", "latest", "holders", "stamp")
 
-    def __init__(self, oid: ObjectId, variable: str, partition: int, size_bytes: int = 0):
+    def __init__(self, oid: ObjectId, size_bytes: int = 0):
         self.oid = oid
-        self.variable = variable
-        self.partition = partition
         self.size_bytes = size_bytes
 
     def __repr__(self) -> str:
-        return f"<{self.variable}[{self.partition}] oid={self.oid}>"
+        return f"<object {self.oid}>"
 
 
 def _holding(holders: Dict[WorkerId, int], latest: int) -> Holders:
@@ -87,6 +89,12 @@ class ObjectDirectory:
     schedules commands, before they execute, exactly as a real controller
     reasons about the future state its command stream will produce.
 
+    Stamps move on when read, not when changed: a change copies the
+    counter into its record (every change between two reads shares one
+    int), and :attr:`stamp` and :meth:`stamp_of` move it past what they
+    return. So a read stamp is never given to a later change: an object
+    changed since a mark read from :attr:`stamp` has a larger stamp.
+
     Template deltas are recorded, not applied (:meth:`apply_block_deltas`):
     an auto-validated instance follows one of its own, and nothing reads
     the directory in between. Every read or other mutation folds the
@@ -100,11 +108,9 @@ class ObjectDirectory:
 
     def __init__(self) -> None:
         self._objects: Dict[ObjectId, LogicalObject] = {}
-        # dirty tracking for incremental template validation: a global
-        # monotone stamp, advanced on every mutation; each record keeps
-        # the stamp at which its object last changed (latest version or
-        # holder set)
-        self._stamp: int = 0
+        # dirty tracking for incremental validation: the stamp the next
+        # change takes (a record's is that of its last change; 0 = never)
+        self._stamp: int = 1
         #: the records of unregistered objects
         self._gone: Dict[ObjectId, LogicalObject] = {}
         #: recorded template deltas, in order of last application:
@@ -116,20 +122,25 @@ class ObjectDirectory:
     # -- dirty tracking ---------------------------------------------------
     @property
     def stamp(self) -> int:
-        """Monotone mutation counter; advances on every state change."""
+        """A mark: every change from now on has a larger stamp."""
         if self._deferred:
             self.fold()
-        return self._stamp
+        stamp = self._stamp
+        self._stamp = stamp + 1
+        return stamp
 
     def stamp_of(self, oid: ObjectId) -> int:
-        """Stamp at which ``oid`` last changed (0 = never touched)."""
+        """Stamp of ``oid``'s last change (0 = never touched); a later
+        change has a larger one."""
         if self._deferred:
             self.fold()
         rec = self._objects.get(oid) or self._gone.get(oid)
-        return rec.stamp if rec is not None else 0
+        stamp = 0 if rec is None else rec.stamp
+        if stamp == self._stamp:
+            self._stamp = stamp + 1
+        return stamp
 
     def _touch(self, oid: ObjectId) -> None:
-        self._stamp += 1
         (self._objects.get(oid) or self._gone[oid]).stamp = self._stamp
 
     # -- registration ---------------------------------------------------
@@ -140,9 +151,8 @@ class ObjectDirectory:
             self.fold()
         self._objects[obj.oid] = obj
         self._gone.pop(obj.oid, None)
-        obj.home = home
+        obj.home = obj.holders = home
         obj.latest = 0
-        obj.holders = home
         self._touch(obj.oid)
 
     def unregister(self, oid: ObjectId) -> None:
@@ -228,8 +238,7 @@ class ObjectDirectory:
         if self._deferred:
             self.fold()
         rec = self._objects[oid]
-        version = rec.latest + 1
-        rec.latest = version
+        rec.latest = version = rec.latest + 1
         held = rec.holders
         if held.__class__ is int:
             if held != worker:
@@ -238,8 +247,7 @@ class ObjectDirectory:
             held[worker] = version
         else:
             rec.holders = worker  # the writer is (now) the one holder
-        self._stamp = stamp = self._stamp + 1
-        rec.stamp = stamp
+        rec.stamp = self._stamp
         return version
 
     def record_copy(self, oid: ObjectId, dst: WorkerId) -> None:
@@ -255,8 +263,7 @@ class ObjectDirectory:
             held[dst] = rec.latest
             if len(held) == 1:
                 rec.holders = dst
-        self._stamp = stamp = self._stamp + 1
-        rec.stamp = stamp
+        rec.stamp = self._stamp
 
     def apply_block_delta(self, oid: ObjectId, bumps: int,
                           final_holders: Iterable[WorkerId]) -> None:
@@ -265,8 +272,7 @@ class ObjectDirectory:
         if self._deferred:
             self.fold()
         rec = self._objects[oid]
-        latest = rec.latest + bumps
-        rec.latest = latest
+        rec.latest = latest = rec.latest + bumps
         rec.holders = _holding(dict.fromkeys(final_holders, latest), latest)
         self._touch(oid)
 
@@ -288,7 +294,7 @@ class ObjectDirectory:
         applications of one delta advance an object by ``bumps × times``;
         an object's holders are those of the last delta that wrote it
         (records are in order of last application), at its final version.
-        Each object gets a fresh stamp, later than any read before."""
+        Each object takes the current stamp, later than any read before."""
         deferred, self._deferred = self._deferred, {}
         objects = self._objects
         stamp = self._stamp
@@ -296,21 +302,19 @@ class ObjectDirectory:
         for write_counts, final_holders, times in deferred.values():
             for oid, bumps in write_counts.items():
                 rec = objects[oid]
-                latest = rec.latest + bumps * times
-                rec.latest = latest
+                rec.latest = latest = rec.latest + bumps * times
                 held = final_holders[oid]
                 if len(held) == 1:
                     rec.holders, = held
                 else:
                     rec.holders = fromkeys(held, latest)
-                stamp += 1
                 rec.stamp = stamp
-        self._stamp = stamp
 
     def evict_worker(self, worker: WorkerId) -> None:
         """Forget all replicas held by ``worker`` (worker failure/eviction)."""
         if self._deferred:
             self.fold()
+        stamp = self._stamp
         for rec in self._objects.values():
             held = rec.holders
             if held.__class__ is int:
@@ -321,11 +325,10 @@ class ObjectDirectory:
                 continue
             else:
                 rec.holders = _holding(held, rec.latest)
-            self._stamp = stamp = self._stamp + 1
             rec.stamp = stamp
 
     # -- snapshot / restore (checkpointing) -------------------------------
-    def snapshot(self) -> Tuple[Dict[ObjectId, int], Dict[ObjectId, Dict[WorkerId, int]]]:
+    def snapshot(self) -> Snapshot:
         if self._deferred:
             self.fold()
         records = self._objects.values()
@@ -336,14 +339,11 @@ class ObjectDirectory:
              for rec in records},
         )
 
-    def restore(
-        self,
-        snap: Tuple[Dict[ObjectId, int], Dict[ObjectId, Dict[WorkerId, int]]],
-    ) -> None:
+    def restore(self, snap: Snapshot) -> None:
         """Put every object the snapshot names back at its snapshotted
         version and holders, registering again one unregistered since. An
-        object registered since keeps its state; its stamp advances, like
-        that of every restored object."""
+        object registered since keeps its state; it takes a new stamp, like
+        every restored object."""
         if self._deferred:
             self.fold()
         latest, holders = snap
@@ -358,10 +358,8 @@ class ObjectDirectory:
 
 
 class ObjectStore:
-    """A worker's local payload store.
-
-    Maps object id → payload; version numbers are a controller concept.
-    """
+    """A worker's local payload store: object id → payload (version
+    numbers are a controller concept)."""
 
     def __init__(self) -> None:
         self._payloads: Dict[ObjectId, Any] = {}

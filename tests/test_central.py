@@ -22,7 +22,7 @@ def controller():
 
 def define(controller, oid, home):
     ctx = controller.jobs[0]
-    ctx.directory.register(LogicalObject(oid, f"v{oid}", 0, 64),
+    ctx.directory.register(LogicalObject(oid, 64),
                            ctx.placement.place(home))
 
 

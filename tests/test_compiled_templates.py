@@ -30,7 +30,8 @@ from repro.apps import (
 from repro.chaos import PROFILES, FaultPlan
 from repro.core.compiled import compile_plan
 from repro.core.edits import EditOp
-from repro.core.worker_template import TemplateEntry, WorkerHalf
+from repro.core.worker_template import (RecvEntry, SendEntry, TaskEntry,
+                                        WorkerHalf)
 from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
 from repro.nimbus.commands import Command, CommandKind
@@ -135,13 +136,17 @@ def _entry(draw, index, limit):
     """A random entry at ``index`` whose before set may name any index
     below ``limit`` — itself, twice, or one a later op appends."""
     kind = draw(_KINDS)
-    before = draw(st.lists(st.integers(0, limit - 1), max_size=4))
-    return TemplateEntry(
-        index, kind, read=draw(_OID_LISTS), write=draw(_OID_LISTS),
-        before=before, function=draw(st.sampled_from(["combine", "nope"])),
-        param_slot=draw(st.sampled_from([None, "p"])),
-        dst_worker=1, dst_index=draw(st.integers(0, 9)), src_worker=2,
-        size_bytes=8, report=draw(st.booleans()))
+    before = tuple(draw(st.lists(st.integers(0, limit - 1), max_size=4)))
+    if kind == CommandKind.SEND:
+        return SendEntry(index, tuple(draw(_OID_LISTS)), before, 1,
+                         draw(st.integers(0, 9)), 8)
+    if kind == CommandKind.RECV:
+        return RecvEntry(index, tuple(draw(_OID_LISTS)), before, 2, 8,
+                         draw(st.booleans()))
+    return TaskEntry(
+        index, tuple(draw(_OID_LISTS)), tuple(draw(_OID_LISTS)), before,
+        draw(st.sampled_from(["combine", "nope"])),
+        draw(st.sampled_from([None, "p"])), draw(st.booleans()))
 
 
 @st.composite
@@ -445,8 +450,7 @@ def test_seam_dropped_by_interleaved_patch():
     recv = probe.driver.recvs[0]
     # a patch that rewrites the object the next instance reads: the patch
     # frame becomes the predecessor, and its seam is a different one
-    entry = TemplateEntry(0, CommandKind.RECV, write=recv.write,
-                          src_worker=0)
+    entry = RecvEntry(0, recv.write, src_worker=0)
     probe.worker.handle(P.InstallPatch(1, [entry], 10 ** 8, "patch-a"))
     probe.worker.handle(P.DataMessage(
         ("patch-a", probe.worker.worker_id, 0), recv.write[0], None, 8))

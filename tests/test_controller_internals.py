@@ -96,7 +96,7 @@ def test_prev_block_key_drives_patch_cache_keying():
     from repro.core.patching import build_patch
     from repro.nimbus.data import LogicalObject, ObjectDirectory
     directory = ObjectDirectory()
-    directory.register(LogicalObject(1, "x", 0, 8), home=0)
+    directory.register(LogicalObject(1, 8), home=0)
     patch = build_patch([(1, 1)], directory, {})
     cache.store("after-a", ("blk", 0), patch)
     assert cache.lookup("after-b", ("blk", 0), [(1, 1)], directory) is None

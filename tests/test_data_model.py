@@ -14,8 +14,8 @@ pytestmark = pytest.mark.guard
 
 def make_directory():
     directory = ObjectDirectory()
-    directory.register(LogicalObject(1, "x", 0, 100), home=0)
-    directory.register(LogicalObject(2, "x", 1, 100), home=1)
+    directory.register(LogicalObject(1, 100), home=0)
+    directory.register(LogicalObject(2, 100), home=1)
     return directory
 
 
@@ -165,7 +165,7 @@ class TestPartitionPlacement:
 
     def test_migrate(self):
         directory = ObjectDirectory()
-        directory.register(LogicalObject(1, "x", 0, 8),
+        directory.register(LogicalObject(1, 8),
                            PartitionPlacement([0, 1]).place())
         stamp = directory.stamp_of(1)
         directory.rehome(1, 1)
@@ -177,7 +177,7 @@ class TestPartitionPlacement:
     def test_objects_on(self):
         directory, placement = ObjectDirectory(), PartitionPlacement([0, 1])
         for oid, pin in ((1, 0), (2, 1), (3, None)):
-            directory.register(LogicalObject(oid, "x", 0, 8),
+            directory.register(LogicalObject(oid, 8),
                                placement.place(pin))
         assert [rec.oid for rec in directory.objects()
                 if rec.home == 0] == [1, 3]

@@ -21,9 +21,9 @@ import pytest
 from repro.apps import LRApp, LRSpec
 from repro.core.controller_template import ControllerTemplate
 from repro.core.edits import plan_migrations
-from repro.core.worker_template import TemplateEntry, generate_worker_templates
+from repro.core.worker_template import RecvEntry, generate_worker_templates
 from repro.nimbus import protocol as P
-from repro.nimbus.commands import CommandKind, make_task
+from repro.nimbus.commands import make_task
 from repro.nimbus.crosscheck import _successors
 from repro.nimbus.data import LogicalObject, ObjectDirectory
 
@@ -71,8 +71,7 @@ class _TrackerRun:
         self.next_cid += 10
         tag = (f"patch-{self.next_cid}", self.worker.worker_id, 0)
         self.worker.handle(P.InstallPatch(
-            self.next_cid, [TemplateEntry(0, CommandKind.RECV,
-                                          write=recv.write, src_worker=0)],
+            self.next_cid, [RecvEntry(0, recv.write, src_worker=0)],
             self.next_cid, tag[0]))
         self.inflight.append([(tag, recv.write[0])])
 
@@ -245,8 +244,8 @@ def _lr_templates(workers=3):
 def _directories(app):
     pair = (ObjectDirectory(), _EagerDirectory())
     for directory in pair:
-        for oid, name, part, size, home in app.variables.definitions:
-            directory.register(LogicalObject(oid, name, part, size),
+        for oid, _name, _part, size, home in app.variables.definitions:
+            directory.register(LogicalObject(oid, size),
                                home if home is not None else 0)
     return pair
 

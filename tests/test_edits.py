@@ -15,7 +15,8 @@ from repro.core.spec import BlockSpec, LogicalTask, StageSpec
 from repro.core.validation import brute_force_validate, full_validate
 from repro.core.worker_template import (
     AccessIndex,
-    TemplateEntry,
+    RecvEntry,
+    TaskEntry,
     generate_worker_templates,
 )
 from repro.nimbus.commands import CommandKind
@@ -41,12 +42,12 @@ def make_wts(assignment=(0, 0, 0)):
 
 class TestApplyEdits:
     def entry(self, index):
-        return TemplateEntry(index=index, kind=CommandKind.TASK,
+        return TaskEntry(index,
                              function="x")
 
     def test_replace(self):
         entries = [self.entry(0), self.entry(1)]
-        new = TemplateEntry(index=0, kind=CommandKind.RECV, write=(9,))
+        new = RecvEntry(0, (9,))
         apply_edits(entries, [EditOp(EditOp.REPLACE, 1, new)])
         assert entries[1].kind == CommandKind.RECV
         assert entries[1].index == 1
@@ -213,7 +214,7 @@ def test_validation_checks_a_relocated_precondition_at_its_new_home():
         ControllerTemplate.from_block(block, [0]), SIZES)
     directory = ObjectDirectory()
     for oid in (2, 10):
-        directory.register(LogicalObject(oid, f"o{oid}", 0, 8), 0)
+        directory.register(LogicalObject(oid, 8), 0)
     directory.record_copy(10, 1)
     for _ in range(2):  # a cached outcome and a by-object index, pre-edit
         assert full_validate(wts, directory) == []

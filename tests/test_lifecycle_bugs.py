@@ -506,15 +506,14 @@ def test_redelivered_patch_install_after_release_is_still_discarded():
     """The scrub frees a released tenant's patch body, and the patch mark
     still covers its id: an ``InstallPatch`` redelivered after the release
     must hit the idempotence guard, not run the patch a second time."""
-    from repro.core.worker_template import TemplateEntry
-    from repro.nimbus.commands import CommandKind
+    from repro.core.worker_template import RecvEntry
     from repro.nimbus.multijob import OID_STRIDE
 
     cluster = NimbusCluster(1, program=None)
     w = cluster.workers[0]
     oid = 3 * OID_STRIDE + 1
     install = P.InstallPatch(
-        9, [TemplateEntry(0, CommandKind.RECV, write=(oid,), src_worker=0)],
+        9, [RecvEntry(0, (oid,), src_worker=0)],
         10 ** 6, "p")
     w.handle(install)
     w.handle(P.DataMessage(("p", 0, 0), oid, None, 8))

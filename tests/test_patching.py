@@ -11,8 +11,8 @@ SIZES = {10: 128, 11: 64}
 
 def make_directory():
     directory = ObjectDirectory()
-    directory.register(LogicalObject(10, "param", 0, 128), home=0)
-    directory.register(LogicalObject(11, "aux", 0, 64), home=2)
+    directory.register(LogicalObject(10, 128), home=0)
+    directory.register(LogicalObject(11, 64), home=2)
     return directory
 
 

@@ -121,7 +121,7 @@ def test_closure_invariant(block_assignment):
     wts = generate_worker_templates(template, {})
     directory = ObjectDirectory()
     for oid in OIDS:
-        directory.register(LogicalObject(oid, f"o{oid}", 0, 8), home=0)
+        directory.register(LogicalObject(oid, 8), home=0)
     # bring the state to one satisfying the preconditions (patch if needed)
     violations = full_validate(wts, directory)
     if violations:
@@ -198,7 +198,7 @@ def test_patch_repairs_any_state(writes, copies, block_assignment):
     wts = generate_worker_templates(template, {})
     directory = ObjectDirectory()
     for oid in OIDS:
-        directory.register(LogicalObject(oid, f"o{oid}", 0, 8), home=0)
+        directory.register(LogicalObject(oid, 8), home=0)
     for oid, worker in writes:
         directory.record_write(oid, worker)
     for oid, worker in copies:
@@ -223,7 +223,9 @@ class _ModelDirectory:
     map, with none of the encoding: the specification
     :class:`ObjectDirectory` must answer like. Recorded deltas fold in
     order of their last application, each applied ``times`` times at
-    once; every change of version or holders takes the next stamp. A home
+    once; every change of version or holders takes the current stamp, and
+    reading a stamp equal to the current one moves it on (so a read stamp
+    is never given to a later change; a mark always moves it). A home
     outlives its object's unregistration (a restore brings it back with
     it) but is answered only while the object is registered, and moving
     it is no change of state."""
@@ -231,12 +233,21 @@ class _ModelDirectory:
     def __init__(self):
         self.latest, self.holders, self.stamps = {}, {}, {}
         self.homes = {}
-        self.stamp = 0
+        self.stamp = 1
         self.pending = []
 
     def touch(self, oid):
-        self.stamp += 1
         self.stamps[oid] = self.stamp
+
+    def stamp_of(self, oid):
+        stamp = self.stamps.get(oid, 0)
+        if stamp == self.stamp:
+            self.stamp += 1
+        return stamp
+
+    def mark(self):
+        self.stamp += 1
+        return self.stamp - 1
 
     def fold(self):
         order = {}  # by identity: two equal deltas are still two
@@ -311,7 +322,7 @@ class _ModelDirectory:
         else:
             latest = at_latest = home = KeyError
         return (latest, list(self.holders.get(oid, ())), at_latest, fresh,
-                self.stamps.get(oid, 0), home)
+                self.stamp_of(oid), home)
 
 
 def _directory_answers(directory, oid):
@@ -368,7 +379,7 @@ _DIRECTORY_STEPS = st.one_of(
 def test_directory_matches_reference_model(homes, pool, steps):
     directory, model = ObjectDirectory(), _ModelDirectory()
     for oid, home in zip(DIR_OIDS, homes):
-        directory.register(LogicalObject(oid, f"o{oid}", 0, 8), home)
+        directory.register(LogicalObject(oid, 8), home)
         model.register(oid, home)
     # each pooled delta is one pair of maps, so a repeat is one more count
     deltas = [({oid: b for oid, (b, _h) in delta.items()},
@@ -379,7 +390,7 @@ def test_directory_matches_reference_model(homes, pool, steps):
         if kind in ("write", "copy", "single") and args[0] not in directory:
             continue  # only registered objects are written or copied
         if kind == "register":
-            directory.register(LogicalObject(args[0], "o", 0, 8), args[1])
+            directory.register(LogicalObject(args[0], 8), args[1])
             model.register(*args)
         elif kind == "write":
             assert directory.record_write(*args) == model.latest[args[0]] + 1
@@ -421,7 +432,7 @@ def test_directory_matches_reference_model(homes, pool, steps):
         for oid in DIR_OIDS:
             assert _directory_answers(directory, oid) == model.answers(oid), (
                 step, oid)
-        assert directory.stamp == model.stamp
+        assert directory.stamp == model.mark()
         # the encoding: a sole holder of the latest version is its id
         for rec in directory.records().values():
             if type(rec.holders) is not int:

@@ -16,6 +16,13 @@ the fields a fix freed.
 * **A frame is registered once.** A worker's pending registration
   reaches no int per frame position: a frame's commands are found by
   their cid range. And a central command carries only its kind's fields.
+* **A record holds what its readers use.** A directory reaches one int
+  per object (its id) beyond a few shared ones: changes between two
+  stamp reads share one stamp, and no record keeps a partition number.
+  A template entry holds only its kind's fields.
+* **A finished tenant leaves its data.** Serving N against 2N small jobs
+  grows, per added job, by its directory records and a job shell, and by
+  no template entry, plan, frame or command.
 """
 
 import sys
@@ -23,15 +30,17 @@ import sys
 import pytest
 
 from repro.apps import LRApp, LRSpec
+from repro.apps.scenarios import build_job_arrival
 from repro.core.compiled import CommandArena, FrameCommand
-from repro.core.worker_template import TemplateEntry
+from repro.core.worker_template import TemplateEntry, generate_worker_templates
 from repro.nimbus import NimbusCluster
 from repro.nimbus.commands import (CentralCommand, CentralRecv, CentralSend,
                                    CentralTask, Command, CommandKind)
+from repro.nimbus.data import LogicalObject, ObjectDirectory
 from repro.sim.actor import Message
 from repro.sim.metrics import Metrics
 
-from .helpers import reachable_histogram, run_lr
+from .helpers import lr_iteration_template, reachable_histogram, run_lr
 
 pytestmark = pytest.mark.guard
 
@@ -126,3 +135,64 @@ def test_a_central_command_is_smaller_than_a_general_one():
     for cmd in (CentralTask(0, 0, "f", (1,), (2,), None),
                 CentralSend(1, 0, 5, 1, tag, 8), CentralRecv(2, 1, 5, tag)):
         assert sys.getsizeof(cmd) < general, type(cmd).__name__
+
+
+def test_a_directory_reaches_one_int_per_object():
+    """n objects written, half of them copied, a third folded from a
+    recorded delta, with a few validation marks read in between: the
+    directory reaches the n oids and a few shared ints (versions, worker
+    ids, a stamp per read), not one stamp per change."""
+    n, base = 600, 10 ** 6  # oids far from the interpreter's small ints
+    directory = ObjectDirectory()
+    for i in range(n):
+        directory.register(LogicalObject(base + i, 8), i % 4)
+    for i in range(n):
+        if i % 200 == 0:
+            assert directory.stamp  # a validation's mark
+        directory.record_write(base + i, i % 4)
+        if i % 2:
+            directory.record_copy(base + i, (i + 1) % 4)
+    folded = range(base, base + n, 3)
+    directory.apply_block_deltas(dict.fromkeys(folded, 1),
+                                 dict.fromkeys(folded, frozenset({0})))
+    directory.fold()
+    ints = reachable_histogram(directory)["int"]
+    assert ints <= n + 32, f"{ints} ints for {n} objects"
+
+
+def test_a_template_entry_holds_only_its_kinds_fields():
+    """Every generated entry, a task included, is smaller than the old
+    entry that carried all thirteen fields of every kind."""
+    old = type("AllKinds", (), {"__slots__": [f"f{i}" for i in range(13)]})
+    template, sizes = lr_iteration_template(4)
+    wts = generate_worker_templates(template, sizes)
+    entries = [e for lst in wts.entries.values() for e in lst]
+    assert {e.kind for e in entries} == {
+        CommandKind.TASK, CommandKind.SEND, CommandKind.RECV}
+    for entry in entries:
+        assert sys.getsizeof(entry) < sys.getsizeof(old()), entry.kind
+
+
+#: what a finished job must not keep: its templates, their plans and
+#: frames, its patches and its commands
+_DERIVED = {"TaskEntry", "SendEntry", "RecvEntry", "WorkerTemplateSet",
+            "WorkerHalf", "ControllerTemplate", "CompiledPlan", "Seam",
+            "CommandArena", "FrameCommand", "Patch", "Command",
+            "CentralTask", "CentralSend", "CentralRecv"}
+
+
+def _served(num_jobs):
+    cluster, _names = build_job_arrival(num_workers=4, num_jobs=num_jobs,
+                                        iterations=4)
+    cluster.run_until_jobs_finished(max_seconds=1e6)
+    records = sum(len(list(ctx.directory.objects()))
+                  for ctx in cluster.controller.jobs.values())
+    return reachable_histogram(cluster, stop=[Metrics, Message]), records
+
+
+def test_serving_grows_per_job_only_by_its_data():
+    (n_jobs, n_records), (two_n, two_n_records) = _served(3), _served(6)
+    grown = {name: two_n[name] - n_jobs[name] for name in two_n
+             if two_n[name] > n_jobs[name]}
+    assert not grown.keys() & _DERIVED, grown
+    assert grown["LogicalObject"] == two_n_records - n_records > 0

@@ -326,9 +326,9 @@ def test_job_0_is_a_tenant():
 
 #: today's sizes, so simplification is monotone
 LINE_CEILINGS = {
-    "nimbus/controller.py": 670,
+    "nimbus/controller.py": 669,
     "nimbus/central.py": 178,
-    "nimbus/data.py": 421,
+    "nimbus/data.py": 419,
     "nimbus/templates.py": 398,
     "nimbus/membership.py": 384,
     "nimbus/worker.py": 1157,
@@ -349,6 +349,8 @@ LINE_CEILINGS = {
     "nimbus/commands.py": 159,
     "nimbus/tracker.py": 415,
     "nimbus/crosscheck.py": 337,
+    "core/worker_template.py": 564,
+    "core/edits.py": 339,
 }
 
 

@@ -23,7 +23,7 @@ def make_setup():
     wts = generate_worker_templates(template, {})
     directory = ObjectDirectory()
     for oid, home in ((1, 0), (2, 0), (3, 1), (4, 1), (10, 0)):
-        directory.register(LogicalObject(oid, f"o{oid}", 0, 8), home)
+        directory.register(LogicalObject(oid, 8), home)
     return wts, directory
 
 

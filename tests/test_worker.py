@@ -172,15 +172,14 @@ def test_slots_limit_concurrency():
 
 def test_instance_completion_aggregates(monkeypatch):
     """Template instantiation acks once per instance, not per command."""
-    from repro.core.worker_template import TemplateEntry
+    from repro.core.worker_template import TaskEntry
 
     sim, controller, workers = build(registry=stamp_registry())
     worker = workers[0]
     entries = [
-        TemplateEntry(index=0, kind=CommandKind.TASK, write=(1,),
-                      function="stamp", param_slot="p"),
-        TemplateEntry(index=1, kind=CommandKind.TASK, write=(2,),
-                      before=(0,), function="stamp", param_slot="p"),
+        TaskEntry(0, write=(1,), function="stamp", param_slot="p"),
+        TaskEntry(1, write=(2,), before=(0,), function="stamp",
+                  param_slot="p"),
     ]
     worker.store.create(1)
     worker.store.create(2)

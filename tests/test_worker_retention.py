@@ -23,10 +23,9 @@ import pytest
 from repro.apps import LRApp, LRSpec, RotationApp, RotationSpec
 from repro.core.patching import PatchCache
 from repro.core.spec import BlockSpec, LogicalTask, StageSpec
-from repro.core.worker_template import TemplateEntry
+from repro.core.worker_template import RecvEntry
 from repro.nimbus import NimbusCluster
 from repro.nimbus import protocol as P
-from repro.nimbus.commands import CommandKind
 from repro.nimbus.multijob import JobContext
 from repro.nimbus.worker import Worker
 
@@ -220,9 +219,8 @@ def test_a_patch_retired_in_flight_still_runs_its_last_instance():
     m = cluster.metrics
 
     def recv(oid, pid, base, instance_id):
-        return P.InstallPatch(pid, [TemplateEntry(
-            0, CommandKind.RECV, write=(oid,), src_worker=0)], base,
-            instance_id)
+        return P.InstallPatch(pid, [RecvEntry(0, (oid,), src_worker=0)],
+                              base, instance_id)
 
     def data(instance_id, oid):
         w.handle(P.DataMessage((instance_id, 0, 0), oid, None, 8))

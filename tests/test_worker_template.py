@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.controller_template import ControllerTemplate
 from repro.core.spec import BlockSpec, LogicalTask, StageSpec
-from repro.core.worker_template import WorkerHalf, generate_worker_templates
+from repro.core.worker_template import (TemplateEntry, WorkerHalf,
+                                        generate_worker_templates)
 from repro.nimbus.commands import CommandKind
 from repro.nimbus.crosscheck import copy_tag, instantiate_entries
 
@@ -181,7 +182,11 @@ class TestInstantiation:
         assert cmd.params == 3.5
 
     def test_unknown_kind_rejected(self):
-        entry = list(gen(producer_consumer_block(), [0, 0]).entries[0])[0]
-        entry.kind = CommandKind.SAVE
+        class SaveEntry(TemplateEntry):  # a kind no template holds
+            __slots__ = ()
+            kind = CommandKind.SAVE
+
+        entry = SaveEntry()
+        entry.index, entry.before = 0, ()
         with pytest.raises(ValueError):
             instantiate_entries([entry], 0, 1, 0, {})
